@@ -11,9 +11,14 @@ re-running the diffusion chain:
     d_safe     = d_raw / (1 + beta_sens * s)          (per latent dimension)
     z_refined  = z0 + d_safe
 
-where s is the decoder sensitivity vector, estimated by central differences
-of the decoder once per segment. The refined latent is re-decoded with the
-segment's first updated history and only the current frame is taken.
+where s is the decoder sensitivity vector, estimated once per segment by
+central differences of a batch decoder: all 2 d_z probes z0 +/- h e_d are
+decoded in one call. The refined latent is re-decoded with the segment's
+first updated history and only the current frame is taken.
+
+SegmentRefiner holds one segment's refinement state and advances it one
+frame per step(), so the streaming engine and refine_segment run the same
+code whether the frames come one per tick or all at once.
 """
 from __future__ import annotations
 
@@ -41,6 +46,8 @@ from .tensorcore import (
 DEFAULT_SENSITIVITY_STEP = 1e-3
 
 Decoder = Callable[[HistoryWindow, np.ndarray], MotionSegment]
+# (m_h, zs of shape (N, d_z)) -> decoded futures of shape (N, F, D)
+BatchDecoder = Callable[[HistoryWindow, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -116,22 +123,24 @@ class DynamicContext:
         return np.stack(rows)
 
 
-def estimate_sensitivity(decoder: Decoder, m_h: HistoryWindow, z0: np.ndarray,
+def estimate_sensitivity(decoder: BatchDecoder, m_h: HistoryWindow, z0: np.ndarray,
                          h_step: float = DEFAULT_SENSITIVITY_STEP) -> SensitivityVector:
-    """Central-difference response norm of the decoder per latent dimension."""
+    """Central-difference response norm of the decoder per latent dimension.
+
+    The probes z0 + h e_d (rows 0..d_z-1) and z0 - h e_d (rows d_z..2 d_z-1)
+    are formed in float64, stored as float32 and decoded in a single batch.
+    """
     if h_step <= 0:
         raise DimensionError("step size must be positive")
-    z0 = np.asarray(z0, dtype=F64)
-    out = np.zeros(z0.shape[0], dtype=F64)
-    for d in range(z0.shape[0]):
-        e = np.zeros_like(z0)
-        e[d] = h_step
-        plus = decoder(m_h, (z0 + e).astype(F32)).frames.astype(F64)
-        minus = decoder(m_h, (z0 - e).astype(F32)).frames.astype(F64)
-        if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):
-            raise NumericError("decoder returned non-finite values during probing")
-        out[d] = np.linalg.norm(plus - minus) / (2.0 * h_step)
-    return SensitivityVector(out.astype(F32))
+    z0 = np.asarray(z0, dtype=F64).reshape(-1)
+    d_z = z0.shape[0]
+    offsets = np.eye(d_z, dtype=F64) * h_step
+    probes = np.concatenate([z0 + offsets, z0 - offsets]).astype(F32)
+    outs = np.asarray(decoder(m_h, probes), dtype=F64)
+    if not np.all(np.isfinite(outs)):
+        raise NumericError("decoder returned non-finite values during probing")
+    diff = (outs[:d_z] - outs[d_z:]).reshape(d_z, -1)
+    return SensitivityVector((np.linalg.norm(diff, axis=1) / (2.0 * h_step)).astype(F32))
 
 
 def refine_latent(z0: np.ndarray, m_h: HistoryWindow, x_dyn_window: np.ndarray,
@@ -173,17 +182,37 @@ class RefinementTrace:
     decode_calls: int = 0
 
 
+class SegmentRefiner:
+    """Resumable per-frame refinement of one sampled segment.
+
+    Starts from the segment latent z0, the history it was sampled on and the
+    initial segment's frame 0. Each step(f, window) refines z0 from the
+    rolling history and the dynamic window, re-decodes against the first
+    updated history (the refinement asymmetry) and returns frame f; the
+    rolling history then slides by that frame. Runs no denoiser step.
+    """
+
+    def __init__(self, z0: np.ndarray, m_h: HistoryWindow, first_frame: np.ndarray,
+                 s: SensitivityVector, params: FwsrParams, decoder: Decoder):
+        self.z0 = z0
+        self.s = s
+        self.params = params
+        self.decoder = decoder
+        self.history = m_h.slide(first_frame)
+        self._decode_history = self.history
+
+    def step(self, f: int, window: np.ndarray) -> np.ndarray:
+        z_ref = refine_latent(self.z0, self.history, window, self.s, self.params)
+        frame = self.decoder(self._decode_history, z_ref).frames[f]
+        self.history = self.history.slide(frame)
+        return frame
+
+
 def refine_segment(z0: np.ndarray, m_h: HistoryWindow, dyn: Optional[DynamicContext],
                    decoder: Decoder, params: FwsrParams, s: SensitivityVector,
                    initial_segment: Optional[MotionSegment] = None,
                    trace: Optional[RefinementTrace] = None) -> MotionSegment:
-    """Per-frame refinement loop over one segment.
-
-    Frame 0 comes from the initial segment. The history then slides one frame
-    per iteration; refinement conditions on the rolling history while every
-    re-decode uses the first updated window, matching the asymmetry of the
-    refinement procedure. Runs no denoiser step.
-    """
+    """Per-frame refinement loop over one segment: frame 0, then F-1 refiner steps."""
     if initial_segment is None:
         initial_segment = decoder(m_h, np.asarray(z0, dtype=F32))
         if trace is not None:
@@ -193,18 +222,13 @@ def refine_segment(z0: np.ndarray, m_h: HistoryWindow, dyn: Optional[DynamicCont
         raise DimensionError("initial segment must have at least one frame")
 
     frames = [initial_segment.frames[0]]
-    rolling = m_h.slide(initial_segment.frames[0])
-    decode_history = rolling
+    refiner = SegmentRefiner(z0, m_h, initial_segment.frames[0], s, params, decoder)
     for f in range(1, f_len):
         window = dyn.window(f) if dyn is not None else np.zeros((0, m_h.dim), dtype=F32)
-        z_ref = refine_latent(z0, rolling, window, s, params)
+        frames.append(refiner.step(f, window))
         if trace is not None:
             trace.refine_calls += 1
-        refined = decoder(decode_history, z_ref)
-        if trace is not None:
             trace.decode_calls += 1
-        frames.append(refined.frames[f])
-        rolling = rolling.slide(refined.frames[f])
     return MotionSegment(np.stack(frames), fps=initial_segment.fps)
 
 

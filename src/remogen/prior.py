@@ -255,25 +255,22 @@ def seeded_prior_params(rng: Rng, feature_dim: Optional[int] = None,
 def decode_segment(m_h: HistoryWindow, z: np.ndarray, params: PriorParams,
                    fps: float = 10.0) -> MotionSegment:
     """VAE decoder: history window plus clean latent to an F x D future segment."""
-    z = np.asarray(z, dtype=F32).reshape(-1)
-    if len(m_h) != params.history_len or m_h.dim != params.feature_dim:
-        raise DimensionError("history window does not match prior dimensions")
-    if z.shape[0] != params.latent_dim:
-        raise DimensionError(f"latent has dim {z.shape[0]}, expected {params.latent_dim}")
-    x = np.concatenate([m_h.frames.reshape(-1), z])[None, :]
-    out = _mlp_forward(x, params.vae_dec)[0]
-    return MotionSegment(out.reshape(params.future_len, params.feature_dim), fps=fps)
+    z = np.asarray(z, dtype=F32).reshape(1, -1)
+    return MotionSegment(decode_batch(m_h, z, params)[0], fps=fps)
 
 
 def decode_batch(m_h: HistoryWindow, zs: np.ndarray, params: PriorParams) -> np.ndarray:
-    """Decode many latents against one history in a single pass; (N, F, D).
+    """VAE decoder over N latents that share one history window; (N, F, D).
 
-    Numerically identical to row-wise decode_segment; used for cheap
-    finite-difference probing of the decoder.
+    Row n is decode_segment(m_h, zs[n]) bit for bit; the sensitivity probe
+    decodes its 2 d_z probes in one such call.
     """
     zs = np.asarray(zs, dtype=F32)
+    if len(m_h) != params.history_len or m_h.dim != params.feature_dim:
+        raise DimensionError("history window does not match prior dimensions")
     if zs.ndim != 2 or zs.shape[1] != params.latent_dim:
-        raise DimensionError("latent batch must be (N, latent_dim)")
+        raise DimensionError(f"latent batch has shape {zs.shape}, "
+                             f"expected (N, {params.latent_dim})")
     hist = np.tile(m_h.frames.reshape(1, -1), (zs.shape[0], 1))
     out = _mlp_forward(np.concatenate([hist, zs], axis=1), params.vae_dec)
     return out.reshape(zs.shape[0], params.future_len, params.feature_dim)

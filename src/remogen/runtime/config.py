@@ -148,6 +148,7 @@ class StreamRecord:
 
 
 def parse_record(line: str) -> StreamRecord:
+    """One NDJSON line as a record; every malformed payload raises FormatError."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -159,15 +160,30 @@ def parse_record(line: str) -> StreamRecord:
         raise FormatError(f"unknown record kind {kind!r}")
     try:
         t = int(obj.get("t", 0))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError("record t must be an integer") from exc
+    text = obj.get("text")
+    if text is not None and not isinstance(text, str):
+        raise FormatError("text payload must be a string")
     alpha = obj.get("alpha")
     if alpha is not None:
         if not isinstance(alpha, dict):
             raise FormatError("alpha payload must be an object")
-        alpha = {str(k): float(v) for k, v in alpha.items()}
-    return StreamRecord(t=t, kind=kind, pose=obj.get("pose"),
-                        text=obj.get("text"), alpha=alpha,
+        try:
+            alpha = {str(k): float(v) for k, v in alpha.items()}
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"alpha weights must be numbers: {exc}") from exc
+        if not all(np.isfinite(v) for v in alpha.values()):
+            raise FormatError("alpha weights must be finite")
+    pose = obj.get("pose")
+    if pose is not None:
+        try:
+            pose = np.asarray(pose, dtype=F32)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"pose must be a list of numbers: {exc}") from exc
+        if not np.isfinite(pose).all():
+            raise FormatError("pose entries must be finite numbers")
+    return StreamRecord(t=t, kind=kind, pose=pose, text=text, alpha=alpha,
                         latency_ms=obj.get("latency_ms"))
 
 

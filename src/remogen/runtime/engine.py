@@ -24,10 +24,13 @@ from ..errors import ConfigError
 from ..fwsr import (
     DynamicContext,
     FwsrParams,
-    SensitivityVector,
-    refine_latent,
+    SegmentRefiner,
+    estimate_sensitivity,
     seeded_fwsr_params,
 )
+# Unused here, but perfbench/spans.py wraps the name in this module's
+# namespace when tracing; dropping the import breaks `--trace 1`.
+from ..fwsr import refine_latent  # noqa: F401
 from ..metrics import LatencyRecorder
 from ..mim import (
     CompositionWeights,
@@ -189,7 +192,7 @@ class Engine:
         self.dyn = DynamicContext(cfg.history_len, self.layout.dim)
         self.ticks = 0
         self.frames_emitted = 0
-        self._segment: Optional[dict] = None
+        self._refiner: Optional[SegmentRefiner] = None
 
     # -- state fed from outside ------------------------------------------------
 
@@ -282,20 +285,9 @@ class Engine:
             return ddpm_sample(self.prior, self.history, w, provider,
                                self.cfg.generation(), self.gen, denoise_fn=denoise)
 
-    def _decode(self, history: HistoryWindow, z: np.ndarray):
-        with self._track("decode"):
+    def _decode(self, history: HistoryWindow, z: np.ndarray, component: str = "decode"):
+        with self._track(component):
             return decode_segment(history, z, self.prior, fps=self.cfg.fps)
-
-    def _sensitivity(self, z0: np.ndarray) -> SensitivityVector:
-        """Central-difference decoder sensitivity with all probes decoded in one batch."""
-        d_z = self.prior.latent_dim
-        h = self.cfg.h_step
-        offsets = np.eye(d_z, dtype=np.float64) * h
-        probes = np.concatenate([z0.astype(np.float64) + offsets,
-                                 z0.astype(np.float64) - offsets]).astype(F32)
-        outs = decode_batch(self.history, probes, self.prior).astype(np.float64)
-        diff = (outs[:d_z] - outs[d_z:]).reshape(d_z, -1)
-        return SensitivityVector((np.linalg.norm(diff, axis=1) / (2.0 * h)).astype(F32))
 
     def _emit(self, normalized_frame: np.ndarray) -> np.ndarray:
         self.frames_emitted += 1
@@ -331,38 +323,23 @@ class Engine:
             self.history = self.history.slide(first)
             return [self._emit(first)]
 
-        # fwsr mode: mirrors the per-frame refinement loop, spread over ticks
+        # fwsr mode: one refiner per segment, advanced one frame per tick
         if phase == 0:
             self._apply_pending()
             self.dyn.mark_segment_start()
             z0 = self._sample_latent()
-            initial = self._decode(self.history, z0)
+            frame = self._decode(self.history, z0).frames[0]
             with self._track("sensitivity"):
-                sens = self._sensitivity(z0)
-            first = initial.frames[0]
-            rolling = self.history.slide(first)
-            self._segment = {"z0": z0, "decode_history": rolling, "rolling": rolling,
-                             "sens": sens}
-            if self.cfg.future_len == 1:
-                self.history = rolling
-                self._segment = None
-            return [self._emit(first)]
-
-        seg = self._segment
-        if seg is None:
-            raise ConfigError("refinement tick without an active segment")
-        with self._track("fwsr_refine"):
-            window = self.dyn.window(phase)
-            z_ref = refine_latent(seg["z0"], seg["rolling"], window, seg["sens"],
-                                  self.fwsr_params)
-        with self._track("fwsr_decode"):
-            refined = decode_segment(seg["decode_history"], z_ref, self.prior,
-                                     fps=self.cfg.fps)
-        frame = refined.frames[phase]
-        seg["rolling"] = seg["rolling"].slide(frame)
+                sens = estimate_sensitivity(lambda h, zs: decode_batch(h, zs, self.prior),
+                                            self.history, z0, self.cfg.h_step)
+            self._refiner = SegmentRefiner(
+                z0, self.history, frame, sens, self.fwsr_params,
+                lambda h, z: self._decode(h, z, "fwsr_decode"))
+        else:
+            with self._track("fwsr_refine"):
+                frame = self._refiner.step(phase, self.dyn.window(phase))
         if phase == self.cfg.future_len - 1:
-            self.history = seg["rolling"]
-            self._segment = None
+            self.history = self._refiner.history
         return [self._emit(frame)]
 
     def run_ticks(self, n_frames: int, partner_frames: Optional[np.ndarray] = None) -> list:

@@ -25,15 +25,20 @@ _EOF = object()
 
 
 def _ingest(source: IO[str], q: "queue.Queue") -> None:
-    for raw in source:
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            q.put(parse_record(line))
-        except FormatError as exc:
-            q.put(("malformed", str(exc)))
-    q.put(_EOF)
+    """Parse lines into q; a reader failure is queued for the main loop, then _EOF."""
+    try:
+        for raw in source:
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                q.put(parse_record(line))
+            except FormatError as exc:
+                q.put(("malformed", str(exc)))
+    except Exception as exc:
+        q.put(("failed", exc))
+    finally:
+        q.put(_EOF)
 
 
 def stream_run(source: IO[str], sink: IO[str], cfg: EngineConfig,
@@ -55,7 +60,9 @@ def stream_run(source: IO[str], sink: IO[str], cfg: EngineConfig,
         item = q.get()
         if item is _EOF:
             break
-        if isinstance(item, tuple) and item[0] == "malformed":
+        if isinstance(item, tuple):
+            if item[0] == "failed":
+                raise item[1]
             skipped += 1
             print(f"skipping malformed record: {item[1]}", file=log)
             continue

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,10 +18,6 @@ F64 = np.float64
 
 LAYER_NORM_EPS = 1e-5
 RNG_ALGORITHM = "philox4x64/v1"
-
-
-def as_f32(x) -> np.ndarray:
-    return np.asarray(x, dtype=F32)
 
 
 def require_finite(x: np.ndarray, what: str = "input") -> np.ndarray:
@@ -134,15 +130,6 @@ class AttentionParams:
                 raise DimensionError(f"{name} shape {w.shape} inconsistent with width {self.width}")
 
 
-def identity_attention(width: int, heads: int = 1) -> AttentionParams:
-    """All projections identity; useful for hand-checkable tests."""
-    eye = np.eye(width, dtype=F32)
-    return AttentionParams(heads=heads, width=width, w_q=eye, w_k=eye.copy(),
-                           w_v=eye.copy(), w_o=eye.copy(),
-                           ln_gain=np.ones(width, dtype=F32),
-                           ln_offset=np.zeros(width, dtype=F32))
-
-
 def mha_forward(q_in: np.ndarray, kv_in: np.ndarray, p: AttentionParams,
                 bias: Optional[np.ndarray] = None) -> np.ndarray:
     """Multi-head attention softmax(QK^T/sqrt(dh) + bias) V, projected by W_O.
@@ -236,22 +223,3 @@ def sinusoidal_embedding(positions, dim: int) -> np.ndarray:
     out[:, 0::2] = np.sin(ang)[:, : out[:, 0::2].shape[1]]
     out[:, 1::2] = np.cos(ang)[:, : out[:, 1::2].shape[1]]
     return out.astype(F32)
-
-
-def finite_diff_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                         h: float = 1e-3) -> np.ndarray:
-    """Central-difference Jacobian J[i, j] = (f(x + h e_j) - f(x - h e_j))_i / 2h."""
-    if h <= 0:
-        raise DimensionError("step size must be positive")
-    x = np.asarray(x, dtype=F64)
-    n = x.shape[0]
-    cols = []
-    for j in range(n):
-        e = np.zeros(n, dtype=F64)
-        e[j] = h
-        fp = np.asarray(f(x + e), dtype=F64)
-        fm = np.asarray(f(x - e), dtype=F64)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise NumericError("probed function returned non-finite values")
-        cols.append((fp - fm) / (2.0 * h))
-    return np.stack(cols, axis=1).astype(F32)

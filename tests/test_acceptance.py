@@ -329,9 +329,8 @@ def test_c05_sensitivity_linear_decoders():
         gen = Rng(d_z).generator("c5")
         a = gen.standard_normal((3 * d_z, d_z))
 
-        def decoder(h, z, a=a):
-            return MotionSegment((a @ np.asarray(z, dtype=F64))
-                                 .reshape(3, d_z).astype(F32))
+        def decoder(h, zs, a=a):
+            return (np.asarray(zs, dtype=F64) @ a.T).reshape(len(zs), 3, d_z).astype(F32)
 
         # Linear maps have no truncation error, so a wider probe step only
         # dilutes the decoder's float32 storage rounding.

@@ -23,10 +23,10 @@ DZ = 4     # latent width
 
 
 def linear_decoder(a, rows=3):
-    """Decoder returning (a @ z) reshaped; its sensitivity is a's column norms."""
-    def decode(m_h, z):
-        out = (a.astype(np.float64) @ np.asarray(z, dtype=np.float64))
-        return MotionSegment(out.reshape(rows, -1).astype(F32))
+    """Batch decoder returning each (a @ z) reshaped; its sensitivity is a's column norms."""
+    def decode(m_h, zs):
+        out = np.asarray(zs, dtype=np.float64) @ a.astype(np.float64).T
+        return out.reshape(len(zs), rows, -1).astype(F32)
     return decode
 
 
@@ -77,8 +77,8 @@ class TestEstimateSensitivity:
         np.testing.assert_allclose(s_pos.s, s_neg.s, atol=1e-6)
 
     def test_nonfinite_decode_raises(self):
-        def bad(m_h, z):
-            return MotionSegment(np.full((2, 3), np.nan, dtype=F32))
+        def bad(m_h, zs):
+            return np.full((len(zs), 2, 3), np.nan, dtype=F32)
 
         with pytest.raises(NumericError):
             estimate_sensitivity(bad, history(), np.zeros(DZ, dtype=F32))

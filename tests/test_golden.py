@@ -1,0 +1,76 @@
+"""Golden outputs: the engine's emitted frames, pinned bit for bit across versions.
+
+Each case runs one inference mode for 16 frames on an archive whose adapter
+gates and FWSR FiLM head are seeded non-zero, so the modules and the
+refinement actually move the output. A change that alters any emitted bit
+fails here and has to say so and regenerate the fixtures:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from remogen.fwsr import seeded_fwsr_params
+from remogen.motion import FeatureLayout, featurize, synthetic_sequence
+from remogen.runtime import Engine, EngineConfig, WeightArchive, init_weights
+from remogen.scene import GridSpec, VoxelGrid
+from remogen.tensorcore import Rng
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+FRAMES = 16
+SEED = 7
+
+# name -> (mode, alpha, with a scene grid)
+CASES = {
+    "fwsr_hhi": ("fwsr", {"hhi": 1.0}, False),
+    "segment_hhi_hsi": ("segment", {"hhi": 0.5, "hsi": 0.5}, True),
+    "slide_bare": ("slide", {}, False),
+}
+
+
+def golden_archive(cfg: EngineConfig) -> WeightArchive:
+    tensors = dict(init_weights(cfg, SEED).tensors)
+    gen = Rng(SEED).generator("golden", "gates")
+    for name in sorted(tensors):
+        if name.startswith("mim.") and name.endswith(".gate"):
+            tensors[name] = gen.uniform(0.05, 0.15, tensors[name].shape).astype(np.float32)
+    tensors["fwsr.film_w"] = seeded_fwsr_params(
+        Rng(SEED).child("golden", "fwsr"), feature_dim=FeatureLayout(cfg.joints).dim,
+        latent_dim=cfg.latent_dim, heads=cfg.heads, beta_sens=cfg.beta_sens,
+        zero_film=False).film_w
+    return WeightArchive(tensors)
+
+
+def small_grid() -> VoxelGrid:
+    spec = GridSpec([-1.5, -1.5, 0.0], [1.5, 1.5, 1.5], (30, 30, 15))
+    occ = Rng(SEED).generator("golden", "grid").uniform(size=spec.dims) < 0.3
+    return VoxelGrid.from_bool_array(spec, occ)
+
+
+def run_case(name: str) -> np.ndarray:
+    mode, alpha, with_scene = CASES[name]
+    cfg = EngineConfig(alpha=alpha, seed=SEED)
+    engine = Engine(golden_archive(cfg), cfg, mode=mode)
+    if with_scene:
+        engine.set_scene(small_grid())
+    engine.set_text("step toward the partner")
+    partner = featurize(synthetic_sequence(FRAMES, seed=SEED)).frames
+    return np.stack(engine.run_ticks(FRAMES, partner)[:FRAMES])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_engine_output_matches_golden(name):
+    expected = np.load(GOLDEN_DIR / f"{name}.npy")
+    np.testing.assert_array_equal(run_case(name), expected)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        np.save(GOLDEN_DIR / f"{case}.npy", run_case(case))
+        print(f"wrote {GOLDEN_DIR / case}.npy")

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -248,9 +249,21 @@ class TestStreamRecords:
 
     def test_malformed_records(self):
         for line in ("not json", '{"kind": "mystery"}', '{"kind": "text"}',
-                     '[1, 2]', '{"kind": "partner_pose"}'):
+                     '[1, 2]', '{"kind": "partner_pose"}', *BAD_PAYLOADS):
             with pytest.raises(FormatError):
                 parse_record(line)
+
+
+# Well-formed JSON whose payloads do not fit their kind.
+BAD_PAYLOADS = (
+    '{"kind": "alpha", "alpha": {"hhi": "x"}}',
+    '{"kind": "alpha", "alpha": {"hhi": NaN}}',
+    '{"kind": "partner_pose", "pose": [0.0, "x", 1.0]}',
+    '{"kind": "partner_pose", "pose": [0.0, NaN, 1.0]}',
+    '{"kind": "ego_pose", "pose": [Infinity, 0.0]}',
+    '{"kind": "text", "text": 5}',
+    '{"kind": "text", "text": "go", "t": Infinity}',
+)
 
 
 def stream_lines(frames, extra=()):
@@ -270,6 +283,25 @@ def run_stream(text, cfg, archive):
     skipped = stream_run(io.StringIO(text), sink, cfg, archive, log=err)
     records = [json.loads(l) for l in sink.getvalue().strip().split("\n")]
     return records, skipped, err.getvalue()
+
+
+def joined(fn, timeout=60.0):
+    """fn() on a daemon thread; fails instead of hanging, re-raises what fn raised."""
+    result = {}
+
+    def run():
+        try:
+            result["value"] = fn()
+        except BaseException as exc:  # handed to the caller below
+            result["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), "stream_run did not return"
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
 
 
 def strip_latency(records):
@@ -302,6 +334,23 @@ class TestStreamRun:
         assert skipped == 1
         assert "skipping" in err
         assert sum(r["kind"] == "ego_pose" for r in records) == 8
+
+    def test_bad_payloads_skipped_without_hanging(self, cfg, archive, partner_frames):
+        extra = {2 * i: line for i, line in enumerate(BAD_PAYLOADS)}
+        text = stream_lines(partner_frames, extra=extra)
+        records, skipped, err = joined(lambda: run_stream(text, cfg, archive))
+        assert skipped == len(BAD_PAYLOADS)
+        assert err.count("skipping malformed record") == len(BAD_PAYLOADS)
+        assert sum(r["kind"] == "ego_pose" for r in records) == len(partner_frames)
+
+    def test_reader_error_reaches_caller(self, cfg, archive):
+        def broken_source():
+            yield json.dumps({"t": 0, "kind": "text", "text": "go"}) + "\n"
+            raise OSError("source went away")
+
+        with pytest.raises(OSError, match="source went away"):
+            joined(lambda: stream_run(broken_source(), io.StringIO(), cfg, archive,
+                                      log=io.StringIO()))
 
     def test_alpha_applies_at_next_segment_boundary(self, cfg, archive, partner_frames):
         # Hot gates so composed deltas actually steer the output.
@@ -400,13 +449,22 @@ class TestEngineWiring:
 
     def test_batched_sensitivity_matches_reference_op(self, cfg, archive):
         from remogen.fwsr import estimate_sensitivity
-        from remogen.prior import decode_segment
+        from remogen.prior import decode_batch, decode_segment
 
         engine = Engine(archive, cfg, mode="fwsr")
         z0 = Rng(21).generator("z").standard_normal(cfg.latent_dim, dtype=F32)
-        fast = engine._sensitivity(z0)
-        slow = estimate_sensitivity(lambda h, z: decode_segment(h, z, engine.prior),
+        zs = z0 + Rng(22).generator("dz").standard_normal((5, cfg.latent_dim), dtype=F32)
+        batch = decode_batch(engine.history, zs, engine.prior)
+        for row, z in zip(batch, zs):
+            np.testing.assert_array_equal(
+                row, decode_segment(engine.history, z, engine.prior).frames)
+
+        def row_wise(h, probes):
+            return np.stack([decode_segment(h, z, engine.prior).frames for z in probes])
+
+        fast = estimate_sensitivity(lambda h, p: decode_batch(h, p, engine.prior),
                                     engine.history, z0, cfg.h_step)
+        slow = estimate_sensitivity(row_wise, engine.history, z0, cfg.h_step)
         np.testing.assert_array_equal(fast.s, slow.s)
 
 
@@ -414,13 +472,16 @@ class TestBench:
     def test_repeatability_and_component_sums(self, cfg, archive):
         from remogen.runtime import bench
 
-        a = bench(cfg, archive, n_frames=64, modes=("segment",))["segment"]
-        b = bench(cfg, archive, n_frames=64, modes=("segment",))["segment"]
-        # Sanity band, not precision: per-frame means of two runs are comparable.
-        assert 0.5 <= a.per_frame / b.per_frame <= 2.0
-        # Top-level phases are disjoint scopes; their sum stays under the
-        # measured total plus timer overhead.
-        disjoint = ("denoise_total", "decode", "sensitivity", "fwsr_refine",
-                    "fwsr_decode", "pre_post")
-        phase_sum = sum(a.components.get(k, 0.0) for k in disjoint)
-        assert phase_sum <= a.total * 1.1
+        for mode in ("segment", "fwsr"):
+            a = bench(cfg, archive, n_frames=64, modes=(mode,))[mode]
+            b = bench(cfg, archive, n_frames=64, modes=(mode,))[mode]
+            # Sanity band, not precision: per-frame means of two runs are comparable.
+            assert 0.5 <= a.per_frame / b.per_frame <= 2.0
+            # Top-level phases are disjoint scopes; their sum stays under the
+            # measured total plus timer overhead.
+            disjoint = ("denoise_total", "decode", "sensitivity", "fwsr_refine", "pre_post")
+            phase_sum = sum(a.components.get(k, 0.0) for k in disjoint)
+            assert phase_sum <= a.total * 1.1
+            if mode == "fwsr":
+                # Refinement re-decodes inside its own scope.
+                assert 0.0 < a.components["fwsr_decode"] <= a.components["fwsr_refine"]

@@ -1,4 +1,4 @@
-"""Dense kernel tests: attention vs a naive oracle, bias structure, jacobians, init."""
+"""Dense kernel tests: attention vs a naive oracle, bias structure, init."""
 import numpy as np
 import pytest
 
@@ -7,8 +7,6 @@ from remogen.tensorcore import (
     AttentionParams,
     RelBiasParams,
     Rng,
-    finite_diff_jacobian,
-    identity_attention,
     layer_norm,
     mha_forward,
     relative_bias,
@@ -16,6 +14,15 @@ from remogen.tensorcore import (
 )
 
 F32 = np.float32
+
+
+def identity_attention(width: int, heads: int = 1) -> AttentionParams:
+    """All projections identity, so attention outputs can be checked by hand."""
+    eye = np.eye(width, dtype=F32)
+    return AttentionParams(heads=heads, width=width, w_q=eye, w_k=eye.copy(),
+                           w_v=eye.copy(), w_o=eye.copy(),
+                           ln_gain=np.ones(width, dtype=F32),
+                           ln_offset=np.zeros(width, dtype=F32))
 
 
 def naive_attention(q_in, kv_in, p, bias=None):
@@ -144,34 +151,6 @@ class TestRelativeBias:
             RelBiasParams(omega=-1.0, w_b=np.eye(2, dtype=F32))
         with pytest.raises(DimensionError):
             relative_bias(0, 3, RelBiasParams(w_b=np.eye(2, dtype=F32)))
-
-
-class TestFiniteDiffJacobian:
-    def test_linear_map_is_exact(self):
-        gen = Rng(1).generator("lin")
-        a = gen.standard_normal((5, 3))
-        jac = finite_diff_jacobian(lambda x: a @ x, np.array([0.2, -0.4, 1.1]), h=1e-3)
-        np.testing.assert_allclose(jac, a, atol=1e-9)
-
-    @pytest.mark.parametrize("h", [1e-5, 1e-4, 1e-3, 1e-2])
-    def test_affine_map_any_step(self, h):
-        gen = Rng(2).generator("aff")
-        a = gen.standard_normal((4, 4))
-        b = gen.standard_normal(4)
-        jac = finite_diff_jacobian(lambda x: a @ x + b, gen.standard_normal(4), h=h)
-        np.testing.assert_allclose(jac, a, atol=1e-8)
-
-    def test_square_scalar(self):
-        jac = finite_diff_jacobian(lambda x: x ** 2, np.array([3.0]), h=1e-3)
-        np.testing.assert_allclose(jac, [[6.0]], atol=1e-5)
-
-    def test_constant_map(self):
-        jac = finite_diff_jacobian(lambda x: np.array([4.2, -1.0]), np.zeros(3))
-        assert np.all(jac == 0)
-
-    def test_nonfinite_output_raises(self):
-        with pytest.raises(NumericError):
-            finite_diff_jacobian(lambda x: np.array([np.inf]), np.zeros(2))
 
 
 class TestSeededInit:
