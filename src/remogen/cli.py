@@ -87,9 +87,11 @@ def _cmd_stream(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    layout = FeatureLayout()
-    pred_seg, _ = load_motion(args.pred)
-    ref_seg, _ = load_motion(args.ref)
+    pred_seg, layout = load_motion(args.pred)
+    ref_seg, ref_layout = load_motion(args.ref)
+    if ref_layout != layout:
+        raise ConfigError(f"pred layout {layout.layout_id!r} differs from "
+                          f"ref layout {ref_layout.layout_id!r}")
     embedder = ReferenceEmbedder()
 
     def windows(frames):
@@ -104,16 +106,17 @@ def _cmd_metrics(args) -> int:
         "diversity_pred": diversity(pred_emb) if pred_emb.n > 1 else None,
         "peak_jerk_pred": peak_jerk(joint_positions_from_features(pred_seg.frames, layout),
                                     pred_seg.fps) if len(pred_seg) >= 4 else None,
-        "peak_jerk_ref": peak_jerk(joint_positions_from_features(ref_seg.frames, layout),
+        "peak_jerk_ref": peak_jerk(joint_positions_from_features(ref_seg.frames, ref_layout),
                                    ref_seg.fps) if len(ref_seg) >= 4 else None,
     }
     if args.scene or args.partner:
         grid = load_voxels(args.scene) if args.scene else None
         partner_joints = None
         if args.partner:
-            partner_seg, _ = load_motion(args.partner)
+            partner_seg, partner_layout = load_motion(args.partner)
             t = min(len(pred_seg), len(partner_seg))
-            partner_joints = joint_positions_from_features(partner_seg.frames[:t], layout)
+            partner_joints = joint_positions_from_features(partner_seg.frames[:t],
+                                                           partner_layout)
         t = len(pred_seg) if partner_joints is None else partner_joints.shape[0]
         coll = collision_metrics(joint_positions_from_features(pred_seg.frames[:t], layout),
                                  grid=grid, partner_joints=partner_joints)

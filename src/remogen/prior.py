@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -296,32 +296,46 @@ def sample_latent(mean: np.ndarray, log_variance: np.ndarray,
     return (m + np.exp(0.5 * lv) * np.asarray(noise, dtype=F64)).astype(F32)
 
 
-def denoiser_tokens(params: PriorParams, z_t: np.ndarray, t: int,
-                    m_h: HistoryWindow, w: TextEmbedding) -> np.ndarray:
-    """Embedded token sequence [time, text, history x H, latent] of shape (H+3, width)."""
+def denoiser_tokens(params: PriorParams, z_t: np.ndarray, t: int, m_h: HistoryWindow,
+                    w: Union[TextEmbedding, Sequence[TextEmbedding]]) -> np.ndarray:
+    """Embedded token sequence [time, text, history x H, latent] of shape (H+3, width).
+
+    For a sequence of B text embeddings the sequences share every token but
+    the text one and come back stacked as (B, H+3, width).
+    """
     den = params.denoiser
     time_tok = linear(_sinusoidal(float(t), params.width)[None, :], den.time_w, den.time_b)
-    if w.null_flag:
-        text_tok = den.null_token[None, :]
-    else:
-        if w.values.shape[0] != params.text_dim:
-            raise DimensionError("text embedding dim does not match prior")
-        text_tok = linear(w.values[None, :], den.text_w, den.text_b)
     hist_tok = linear(m_h.frames, den.hist_w, den.hist_b)
     latent_tok = linear(np.asarray(z_t, dtype=F32)[None, :], den.latent_w, den.latent_b)
-    tokens = np.vstack([time_tok, text_tok, hist_tok, latent_tok])
-    return (tokens.astype(F64) + _token_positions(tokens.shape[0], params.width)).astype(F32)
+    rows = []
+    for txt in ((w,) if isinstance(w, TextEmbedding) else w):
+        if txt.null_flag:
+            text_tok = den.null_token[None, :]
+        else:
+            if txt.values.shape[0] != params.text_dim:
+                raise DimensionError("text embedding dim does not match prior")
+            text_tok = linear(txt.values[None, :], den.text_w, den.text_b)
+        rows.append(np.vstack([time_tok, text_tok, hist_tok, latent_tok]))
+    tokens = np.stack(rows)
+    tokens = (tokens.astype(F64) + _token_positions(tokens.shape[1], params.width)).astype(F32)
+    return tokens[0] if isinstance(w, TextEmbedding) else tokens
 
 
 def predict_clean_latent(params: PriorParams, z_t: np.ndarray, t: int,
-                         m_h: HistoryWindow, w: TextEmbedding,
+                         m_h: HistoryWindow,
+                         w: Union[TextEmbedding, Sequence[TextEmbedding]],
                          deltas=None) -> np.ndarray:
-    """One denoiser evaluation: predicts the clean latent from the noisy one.
+    """Denoiser evaluation: predicts the clean latent from the noisy one.
 
-    deltas, when given, is a ModulationDelta whose per-layer residuals are
-    added to the token activations after the matching denoiser block. An
-    all-zero residual leaves the output bit-identical to the bare prior.
+    w is one text embedding, giving a (d_z,) prediction, or a sequence of B
+    embeddings over the same (z_t, t, m_h, deltas), evaluated as one batched
+    pass over (B, T, width) tokens and giving (B, d_z); row b equals the
+    single-text call on w[b] bit for bit. deltas, when given, is a
+    ModulationDelta whose per-layer (T, width) residuals are added to every
+    row's token activations after the matching denoiser block. An all-zero
+    residual leaves the output bit-identical to the bare prior.
     """
+    single = isinstance(w, TextEmbedding)
     layer_map = {}
     if deltas is not None:
         layer_map = dict(deltas.layers)
@@ -329,20 +343,23 @@ def predict_clean_latent(params: PriorParams, z_t: np.ndarray, t: int,
             if not (0 <= idx < params.n_blocks):
                 raise ConfigError(f"injection layer {idx} outside denoiser blocks "
                                   f"[0, {params.n_blocks})")
-    x = denoiser_tokens(params, z_t, t, m_h, w)
+    x = denoiser_tokens(params, z_t, t, m_h, (w,) if single else w)
     for i, blk in enumerate(params.denoiser.blocks):
         normed = layer_norm(x, blk.attn.ln_gain, blk.attn.ln_offset)
         x = x + mha_forward(normed, normed, blk.attn)
         x = x + ffn_forward(layer_norm(x, blk.ffn.ln_gain, blk.ffn.ln_offset), blk.ffn)
         if i in layer_map:
             delta = np.asarray(layer_map[i], dtype=F32)
-            if delta.shape != x.shape:
+            if delta.shape != x.shape[1:]:
                 raise DimensionError(f"delta at layer {i} has shape {delta.shape}, "
-                                     f"tokens are {x.shape}")
+                                     f"tokens are {x.shape[1:]}")
             if delta.any():
                 x = x + delta
     final = layer_norm(x, params.denoiser.final_gain, params.denoiser.final_offset)
-    return linear(final[-1][None, :], params.denoiser.out_w, params.denoiser.out_b)[0]
+    # The last token of each row is projected as a (1, width) matrix: a stacked
+    # (B, width) product is not bit-equal to B one-row products.
+    out = linear(final[:, -1:], params.denoiser.out_w, params.denoiser.out_b)[:, 0]
+    return out[0] if single else out
 
 
 def _as_generator(rng: Union[Rng, np.random.Generator], *labels) -> np.random.Generator:
@@ -360,18 +377,19 @@ def ddpm_sample(params: Optional[PriorParams], m_h: HistoryWindow, w: TextEmbedd
     """Sample one clean segment latent from pure noise.
 
     Runs cfg.steps iterations of the x0-parameterized DDPM posterior. Each
-    step makes exactly two denoiser calls (conditional and unconditional) and
-    blends them as z0_u + s * (z0_c - z0_u); s == 1 short-circuits to the
-    conditional prediction. Interaction deltas from deltas_provider apply to
-    both branches since they carry no text.
+    step makes two denoiser evaluations (conditional and unconditional) in
+    one batched pass and blends them as z0_u + s * (z0_c - z0_u); s == 1
+    short-circuits to the conditional prediction. Interaction deltas from
+    deltas_provider, queried once per step, apply to both branches since they
+    carry no text.
 
-    denoise_fn(z_t, t, m_h, w, deltas) overrides the parameterized denoiser,
-    which is how tests stub the prediction.
+    denoise_fn(z_t, t, m_h, (w, null_w), deltas) -> (2, d_z) overrides the
+    parameterized denoiser, which is how tests stub the prediction.
     """
     if denoise_fn is None:
         if params is None:
             raise ConfigError("ddpm_sample needs params or an explicit denoise_fn")
-        denoise_fn = lambda z_t, t, h, txt, d: predict_clean_latent(params, z_t, t, h, txt, d)
+        denoise_fn = lambda z_t, t, h, txts, d: predict_clean_latent(params, z_t, t, h, txts, d)
     if params is not None:
         latent_dim = params.latent_dim
         text_dim = params.text_dim
@@ -390,8 +408,8 @@ def ddpm_sample(params: Optional[PriorParams], m_h: HistoryWindow, w: TextEmbedd
     z = gen.standard_normal(latent_dim, dtype=F32)
     for t in range(schedule.steps - 1, -1, -1):
         deltas = deltas_provider(z, t) if deltas_provider is not None else None
-        z0_cond = np.asarray(denoise_fn(z, t, m_h, w, deltas), dtype=F64)
-        z0_uncond = np.asarray(denoise_fn(z, t, m_h, null_w, deltas), dtype=F64)
+        z0_cond, z0_uncond = np.asarray(denoise_fn(z, t, m_h, (w, null_w), deltas),
+                                        dtype=F64)
         if s == 1.0:
             z0 = z0_cond
         else:

@@ -86,7 +86,7 @@ def load_archive(path: PathLike) -> WeightArchive:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptArchiveError(f"manifest is not valid JSON: {exc}") from exc
     cursor += manifest_len
-    blob = data[cursor:]
+    blob = memoryview(data)[cursor:]  # a view: slicing the bytes would copy the payload
 
     seen = set()
     spans = []

@@ -420,25 +420,27 @@ def test_c07_rollout_window_invariants():
 
 
 def test_c08_sampler_sanity():
-    """Constant-prediction stub recovered; exactly 2 calls per step."""
+    """Constant-prediction stub recovered; 2 evaluations per step in one batched pass."""
     m_h = HistoryWindow(np.zeros((2, 4), dtype=F32))
     cfg = GenerationConfig(steps=10)
     z_star = Rng(8).generator("zs").standard_normal(16, dtype=F32)
     worst = 0.0
     for seed in range(100):
-        calls = {"n": 0}
+        calls = {"n": 0, "passes": 0}
 
-        def stub(z, t, h, w, d):
-            calls["n"] += 1
-            return z_star
+        def stub(z, t, h, texts, d):
+            calls["passes"] += 1
+            calls["n"] += len(texts)
+            return np.stack([z_star for _ in texts])
 
         out = ddpm_sample(None, m_h, prior_null(16), None, cfg, Rng(seed),
                           denoise_fn=stub, latent_dim=16)
         worst = max(worst, float(np.max(np.abs(out - z_star))))
         assert worst < 1e-5
         assert calls["n"] == 2 * cfg.steps
+        assert calls["passes"] == cfg.steps
     report("C8", f"constant-prediction stub recovered over 100 seeds "
-                 f"(worst {worst:.1e}); 20 denoiser calls per segment")
+                 f"(worst {worst:.1e}); 20 denoiser evaluations in 10 passes per segment")
 
 
 def prior_null(dim):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from remogen.cli import main
-from remogen.motion import FeatureLayout, featurize, synthetic_sequence
+from remogen.motion import FeatureLayout, MotionSegment, featurize, synthetic_sequence
 from remogen.runtime import load_motion, load_voxels, save_motion
 
 
@@ -95,6 +95,29 @@ class TestVoxelizeAndMetrics:
         assert main(["metrics", "--pred", str(a), "--ref", str(b)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "fid" in report and "peak_jerk_pred" in report
+
+    def test_metrics_uses_file_layout(self, tmp_path, capsys):
+        layout = FeatureLayout(10)
+        gen = np.random.default_rng(5)
+        paths = []
+        for name in ("pred", "ref", "partner"):
+            path = tmp_path / f"{name}.rmgm"
+            frames = gen.standard_normal((16, layout.dim)).astype(np.float32)
+            save_motion(MotionSegment(frames), path, layout)
+            paths.append(str(path))
+        pred, ref, partner = paths
+        assert main(["metrics", "--pred", pred, "--ref", ref, "--partner", partner]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["peak_jerk_pred"] is not None and "collision_pct" in report
+
+    def test_metrics_layout_mismatch_is_config_error(self, tmp_path, capsys):
+        pred = tmp_path / "pred.rmgm"
+        ref = tmp_path / "ref.rmgm"
+        save_motion(featurize(synthetic_sequence(16, seed=1)), pred, FeatureLayout())
+        frames = np.zeros((16, FeatureLayout(10).dim), dtype=np.float32)
+        save_motion(MotionSegment(frames), ref, FeatureLayout(10))
+        assert main(["metrics", "--pred", str(pred), "--ref", str(ref)]) == 2
+        assert "differs from ref layout" in capsys.readouterr().err
 
     def test_voxelize_needs_dims_or_resolution(self, tmp_path):
         pts = tmp_path / "p.xyz"

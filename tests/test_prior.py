@@ -143,10 +143,50 @@ class TestPredictCleanLatent:
             predict_clean_latent(small_params, z_t, 0, small_history, null_embedding(8),
                                  ModulationDelta("m", {9: np.zeros((5, 16), dtype=F32)}))
 
+    @pytest.mark.parametrize("layers", ["none", "zero", "some"])
+    def test_batched_rows_equal_single_calls(self, small_params, small_history, layers):
+        z_t = Rng(10).generator("z").standard_normal(8, dtype=F32)
+        texts = (embed_text("turn left", dim=8), null_embedding(8))
+        deltas = None
+        if layers == "zero":
+            deltas = ModulationDelta("m", {0: np.zeros((5, 16), dtype=F32),
+                                           1: np.zeros((5, 16), dtype=F32)})
+        elif layers == "some":
+            kick = Rng(11).generator("d").standard_normal((5, 16)).astype(F32)
+            deltas = ModulationDelta("m", {1: kick})
+        batched = predict_clean_latent(small_params, z_t, 4, small_history, texts, deltas)
+        assert batched.shape == (2, 8)
+        for row, w in zip(batched, texts):
+            single = predict_clean_latent(small_params, z_t, 4, small_history, w, deltas)
+            np.testing.assert_array_equal(row, single)
+        if layers == "some":
+            bare = predict_clean_latent(small_params, z_t, 4, small_history, texts)
+            assert not np.array_equal(batched, bare)
+
+    def test_batched_delta_shape_checked(self, small_params, small_history):
+        texts = (null_embedding(8), null_embedding(8))
+        with pytest.raises(DimensionError):
+            predict_clean_latent(small_params, np.zeros(8, dtype=F32), 0, small_history,
+                                 texts, ModulationDelta("m", {0: np.zeros((4, 16), dtype=F32)}))
+
     def test_token_count(self, small_params, small_history):
         toks = denoiser_tokens(small_params, np.zeros(8, dtype=F32), 0, small_history,
                                null_embedding(8))
         assert toks.shape == (2 + 3, 16)
+
+    def test_batched_tokens_equal_single_calls(self, small_params, small_history):
+        z_t = Rng(13).generator("z").standard_normal(8, dtype=F32)
+        texts = (embed_text("wave", dim=8), null_embedding(8), embed_text("sit", dim=8))
+        toks = denoiser_tokens(small_params, z_t, 2, small_history, texts)
+        assert toks.shape == (3, 5, 16)
+        for row, w in zip(toks, texts):
+            np.testing.assert_array_equal(
+                row, denoiser_tokens(small_params, z_t, 2, small_history, w))
+
+
+def pair_stub(fn):
+    """Lift a one-text stub fn(z, t, h, w, d) -> (d_z,) to the batched denoise_fn contract."""
+    return lambda z, t, h, texts, d: np.stack([fn(z, t, h, w, d) for w in texts])
 
 
 class TestDdpmSample:
@@ -155,21 +195,24 @@ class TestDdpmSample:
         z_star = np.linspace(-1, 1, 8).astype(F32)
         for seed in range(10):
             out = ddpm_sample(None, small_history, null_embedding(8), None, cfg,
-                              Rng(seed), denoise_fn=lambda z, t, h, w, d: z_star,
+                              Rng(seed), denoise_fn=pair_stub(lambda z, t, h, w, d: z_star),
                               latent_dim=8)
             assert np.max(np.abs(out - z_star)) < 1e-5
 
     def test_exactly_two_calls_per_step(self, small_history):
         cfg = GenerationConfig(steps=10)
-        calls = {"n": 0, "cond": 0, "uncond": 0}
+        calls = {"passes": 0, "n": 0, "cond": 0, "uncond": 0}
 
-        def stub(z, t, h, w, d):
-            calls["n"] += 1
-            calls["uncond" if w.null_flag else "cond"] += 1
-            return np.zeros(8, dtype=F32)
+        def stub(z, t, h, texts, d):
+            calls["passes"] += 1
+            for w in texts:
+                calls["n"] += 1
+                calls["uncond" if w.null_flag else "cond"] += 1
+            return np.zeros((len(texts), 8), dtype=F32)
 
         ddpm_sample(None, small_history, embed_text("x", 8), None, cfg, Rng(0),
                     denoise_fn=stub, latent_dim=8)
+        assert calls["passes"] == 10
         assert calls["n"] == 20
         assert calls["cond"] == 10 and calls["uncond"] == 10
 
@@ -183,9 +226,10 @@ class TestDdpmSample:
             return garbage if w.null_flag else target
 
         out = ddpm_sample(None, small_history, embed_text("x", 8), None, cfg, Rng(1),
-                          denoise_fn=stub, latent_dim=8)
+                          denoise_fn=pair_stub(stub), latent_dim=8)
         clean = ddpm_sample(None, small_history, embed_text("x", 8), None, cfg, Rng(1),
-                            denoise_fn=lambda z, t, h, w, d: target, latent_dim=8)
+                            denoise_fn=pair_stub(lambda z, t, h, w, d: target),
+                            latent_dim=8)
         assert np.array_equal(out, clean)
 
     def test_deterministic_given_seed(self, small_params, small_history):
@@ -204,7 +248,7 @@ class TestDdpmSample:
             return None
 
         ddpm_sample(None, small_history, null_embedding(8), provider, cfg, Rng(2),
-                    denoise_fn=lambda z, t, h, w, d: np.zeros(8, dtype=F32),
+                    denoise_fn=pair_stub(lambda z, t, h, w, d: np.zeros(8, dtype=F32)),
                     latent_dim=8)
         assert seen == [4, 3, 2, 1, 0]
 

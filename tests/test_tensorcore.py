@@ -4,9 +4,11 @@ import pytest
 
 from remogen.errors import DimensionError, NumericError
 from remogen.tensorcore import (
+    SHAPE_ONLY,
     AttentionParams,
     RelBiasParams,
     Rng,
+    gelu,
     layer_norm,
     mha_forward,
     relative_bias,
@@ -110,12 +112,44 @@ class TestMhaForward:
         with pytest.raises(NumericError):
             mha_forward(bad, np.ones((2, 4), dtype=F32), p)
 
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("heads,width,t_q,t_kv", [(4, 128, 5, 5), (4, 128, 5, 2),
+                                                       (2, 8, 3, 7)])
+    def test_batched_rows_equal_single_calls(self, with_bias, heads, width, t_q, t_kv):
+        gen = Rng(width + t_kv).generator("batch")
+        q = gen.standard_normal((3, t_q, width)).astype(F32)
+        kv = gen.standard_normal((3, t_kv, width)).astype(F32)
+        p = random_attention_params(gen, heads, width)
+        bias = gen.standard_normal((heads, t_q, t_kv)).astype(F32) if with_bias else None
+        out = mha_forward(q, kv, p, bias)
+        assert out.shape == (3, t_q, width)
+        for b in range(3):
+            np.testing.assert_array_equal(out[b], mha_forward(q[b], kv[b], p, bias))
+
+    def test_batch_shape_errors(self):
+        p = identity_attention(4)
+        with pytest.raises(DimensionError):
+            mha_forward(np.ones((2, 3, 4), dtype=F32), np.ones((3, 4), dtype=F32), p)
+        with pytest.raises(DimensionError):
+            mha_forward(np.ones((2, 3, 4), dtype=F32), np.ones((1, 3, 4), dtype=F32), p)
+        with pytest.raises(DimensionError):
+            mha_forward(np.ones((1, 2, 3, 4), dtype=F32), np.ones((1, 2, 3, 4), dtype=F32), p)
+
     def test_deterministic(self):
         gen = Rng(9).generator("det")
         q = gen.standard_normal((4, 8)).astype(F32)
         kv = gen.standard_normal((6, 8)).astype(F32)
         p = random_attention_params(gen, 2, 8)
         assert np.array_equal(mha_forward(q, kv, p), mha_forward(q, kv, p))
+
+
+class TestGelu:
+    def test_matches_pow_formula(self):
+        # The cube is a product, not z ** 3; outputs must not move after rounding.
+        x = Rng(12).generator("gelu").uniform(-8.0, 8.0, 1_000_000).astype(F32)
+        z = x.astype(np.float64)
+        ref = (0.5 * z * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (z + 0.044715 * z ** 3))))
+        np.testing.assert_array_equal(gelu(x), ref.astype(F32))
 
 
 class TestRelativeBias:
@@ -156,6 +190,10 @@ class TestRelativeBias:
 class TestSeededInit:
     def test_zeros_scheme(self):
         assert np.all(seeded_init((3, 5), "zeros", Rng(1)) == 0)
+
+    def test_shape_only_rng_allocates_nothing(self):
+        t = seeded_init((300, 2000), "uniform-fan", Rng(3, SHAPE_ONLY).child("w"))
+        assert t.shape == (300, 2000) and t.strides == (0, 0)
 
     def test_same_seed_bit_identical(self):
         a = seeded_init((4, 4), "uniform-fan", Rng(42))
