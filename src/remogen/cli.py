@@ -128,7 +128,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = _seed_override(EngineConfig())
+    cfg = _seed_override(load_config(args.config) if args.config else EngineConfig())
     archive = load_archive(args.weights)
     results = bench(cfg, archive, n_frames=args.frames)
     print(format_bench(results))
@@ -194,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="latency breakdown over generated frames")
     p.add_argument("--weights", required=True)
     p.add_argument("--frames", type=int, default=1000)
+    p.add_argument("--config", help="engine config file, as for stream (e.g. with alpha)")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("voxelize", help="point samples to a voxel occupancy file")

@@ -10,6 +10,15 @@ then per injection layer runs a block over the denoiser's embedded tokens:
     h_ffn = h_mod + FFN(LN(h_mod))
     delta = gate * (h_ffn - h)
 
+All L injection blocks of a module see the same tokens h, so module_deltas
+runs them as one (L, T, width) pass over weights stacked along a leading L
+axis (MimParams.stacked, built on first use and kept with the params). The
+work that depends only on the context - the cross-attention key/value
+projection and the relative bias - is done by prepare_context, which the
+engine calls once per segment and not once per denoising step. hhi and hsi
+are not stacked with each other: their contexts differ in length. Each layer's
+residual equals its block run alone bit for bit.
+
 The gate is a per-channel vector, zero at init, so a fresh module leaves the
 frozen prior bit-identical. Multiple modules compose by weighted sum with a
 per-sample L2 clamp that keeps the fused residual no larger than the
@@ -17,7 +26,9 @@ strongest individual branch.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -31,6 +42,7 @@ from .tensorcore import (
     FfnParams,
     RelBiasParams,
     Rng,
+    attention_kv,
     ffn_forward,
     layer_norm,
     linear,
@@ -85,6 +97,8 @@ class SceneEncoderParams:
 
 @dataclass(frozen=True)
 class MimBlockParams:
+    """One injection block, or L blocks stacked: weights (L, in, out), vectors (L, 1, d)."""
+
     self_attn: AttentionParams
     cross_attn: AttentionParams
     rel_bias: RelBiasParams
@@ -92,6 +106,21 @@ class MimBlockParams:
     film_b: np.ndarray
     ffn: FfnParams
     gate: np.ndarray  # (d,) per-channel output gate
+
+
+def _stack(leaves: list):
+    """Stack same-shaped parameter trees along a new leading axis; vectors become (L, 1, n)."""
+    first = leaves[0]
+    if isinstance(first, np.ndarray):
+        out = np.stack(leaves)
+        return out[:, None, :] if first.ndim == 1 else out
+    if dataclasses.is_dataclass(first):
+        return type(first)(**{f.name: _stack([getattr(leaf, f.name) for leaf in leaves])
+                              for f in dataclasses.fields(first)})
+    if any(leaf != first for leaf in leaves):
+        raise ConfigError(f"blocks differ in a structural value ({leaves}); "
+                          "they cannot run stacked")
+    return first
 
 
 @dataclass(frozen=True)
@@ -102,6 +131,24 @@ class MimParams:
     source: str
     encoder: Union[TcnParams, SceneEncoderParams]
     blocks: dict  # injection layer index -> MimBlockParams
+
+    @cached_property
+    def stacked(self) -> MimBlockParams:
+        """The blocks in ascending layer order, stacked along a leading L axis.
+
+        Built on first use and kept as long as these params are; a copy of
+        the block weights.
+        """
+        return _stack([self.blocks[idx] for idx in sorted(self.blocks)])
+
+
+@dataclass(frozen=True)
+class PreparedContext:
+    """Context tokens as one block or block stack needs them for T ego tokens:
+    the projected cross-attention key/value pair and the relative bias."""
+
+    kv: tuple  # attention_kv of the tokens
+    bias: np.ndarray  # (heads, T, T_c), or (L, heads, T, T_c) for stacked blocks
 
 
 @dataclass(frozen=True)
@@ -191,24 +238,40 @@ def encode_scene(block: EgoVoxelBlock, params: SceneEncoderParams) -> ContextTok
     return ContextTokens(tokens, source="scene")
 
 
-def mim_block_forward(h: np.ndarray, c: ContextTokens, params: MimBlockParams) -> np.ndarray:
-    """One injection layer's residual; see the module docstring for the chain."""
+def prepare_context(c: ContextTokens, params: MimBlockParams, t: int) -> PreparedContext:
+    """The context-only work of a block chain, done once for any number of steps.
+
+    params is one block or a stack of blocks (a module's MimParams.stacked);
+    t is the number of ego tokens the blocks will see.
+    """
+    return PreparedContext(attention_kv(c.tokens, params.cross_attn),
+                           relative_bias(t, c.tokens.shape[0], params.rel_bias))
+
+
+def mim_block_forward(h: np.ndarray, c: Union[ContextTokens, PreparedContext],
+                      params: MimBlockParams) -> np.ndarray:
+    """Injection residuals of one block (T, d), or of L stacked blocks (L, T, d).
+
+    See the module docstring for the chain. c is the context tokens or the
+    prepare_context result for these params and T = len(h).
+    """
     h = np.asarray(h, dtype=F32)
     if h.ndim != 2:
         raise DimensionError("ego features must be (T, d)")
     d = h.shape[1]
     if params.self_attn.width != d:
         raise DimensionError(f"block width {params.self_attn.width} != feature dim {d}")
+    if isinstance(c, ContextTokens):
+        c = prepare_context(c, params, h.shape[0])
 
     normed = layer_norm(h, params.self_attn.ln_gain, params.self_attn.ln_offset)
     h_prime = h + mha_forward(normed, normed, params.self_attn)
 
-    bias = relative_bias(h.shape[0], c.tokens.shape[0], params.rel_bias)
     q = layer_norm(h_prime, params.cross_attn.ln_gain, params.cross_attn.ln_offset)
-    r = mha_forward(q, c.tokens, params.cross_attn, bias)
+    r = mha_forward(q, c.kv, params.cross_attn, c.bias)
 
     film = linear(r, params.film_w, params.film_b)
-    gamma, beta = film[:, :d], film[:, d:]
+    gamma, beta = film[..., :d], film[..., d:]
     h_mod = ((1.0 + np.tanh(gamma.astype(F64))) * h_prime.astype(F64)
              + np.tanh(beta.astype(F64))).astype(F32)
     h_ffn = h_mod + ffn_forward(layer_norm(h_mod, params.ffn.ln_gain, params.ffn.ln_offset),
@@ -216,11 +279,15 @@ def mim_block_forward(h: np.ndarray, c: ContextTokens, params: MimBlockParams) -
     return ((h_ffn.astype(F64) - h.astype(F64)) * params.gate.astype(F64)).astype(F32)
 
 
-def module_deltas(h: np.ndarray, c: ContextTokens, params: MimParams) -> ModulationDelta:
-    """Run every injection-layer block of a module over the same ego features."""
-    layers = {idx: mim_block_forward(h, c, block)
-              for idx, block in sorted(params.blocks.items())}
-    return ModulationDelta(module_id=params.module_id, layers=layers)
+def module_deltas(h: np.ndarray, c: Union[ContextTokens, PreparedContext],
+                  params: MimParams) -> ModulationDelta:
+    """Every injection-layer residual of a module in one stacked pass over h.
+
+    c is the context tokens or prepare_context(c, params.stacked, len(h)).
+    """
+    out = mim_block_forward(h, c, params.stacked)
+    return ModulationDelta(module_id=params.module_id,
+                           layers=dict(zip(sorted(params.blocks), out)))
 
 
 def compose_deltas(deltas: Sequence[ModulationDelta],

@@ -190,6 +190,11 @@ class PriorParams:
     def n_blocks(self) -> int:
         return len(self.denoiser.blocks)
 
+    @property
+    def n_tokens(self) -> int:
+        """Length of the denoiser's token sequence: time, text, history, latent."""
+        return self.history_len + 3
+
 
 def _sinusoidal(value: float, dim: int) -> np.ndarray:
     return sinusoidal_embedding([value], dim)[0]

@@ -14,6 +14,7 @@ segment boundary, since one denoising pass is conditioned on a single text.
 """
 from __future__ import annotations
 
+import weakref
 from contextlib import nullcontext
 from typing import Optional
 
@@ -38,6 +39,7 @@ from ..mim import (
     encode_others,
     encode_scene,
     module_deltas,
+    prepare_context,
     seeded_mim_params,
 )
 from ..motion import (
@@ -221,23 +223,30 @@ class Engine:
         return encode_scene(block, params.encoder)
 
     def _delta_provider(self):
-        """Per-step composed deltas for the active modules, or None."""
+        """Per-step composed deltas for the active modules, or None.
+
+        Each context is encoded and prepared for its module's stacked blocks
+        here, once per segment; each step then makes one module_deltas call
+        per module.
+        """
         active = [(mid, a) for mid, a in self.alpha.items() if mid in self.mims]
         contexts = []
         for mid, a in active:
             ctx = self._module_context(mid)
             if ctx is not None:
-                contexts.append((mid, a, ctx))
+                params = self.mims[mid]
+                contexts.append((mid, a, params,
+                                 prepare_context(ctx, params.stacked, self.prior.n_tokens)))
         if not contexts:
             return None
-        weights = CompositionWeights(alpha={mid: a for mid, a, _ in contexts})
+        weights = CompositionWeights(alpha={mid: a for mid, a, _, _ in contexts})
         null_w = null_embedding(self.cfg.text_dim)
 
         def provider(z_t, t):
             with self._track("mim"):
                 h0 = denoiser_tokens(self.prior, z_t, t, self.history, null_w)
-                deltas = [module_deltas(h0, ctx, self.mims[mid])
-                          for mid, _, ctx in contexts]
+                deltas = [module_deltas(h0, prepared, params)
+                          for _, _, params, prepared in contexts]
                 return compose_deltas(deltas, weights)
 
         return provider
@@ -303,9 +312,13 @@ class Engine:
             with self._track("sensitivity"):
                 sens = estimate_sensitivity(lambda h, zs: decode_batch(h, zs, self.prior),
                                             self.history, z0, self.cfg.h_step)
+            # The refiner reaches the engine weakly: a strong reference would
+            # be a cycle that keeps a dropped engine, and its stacked module
+            # weights, alive until the next cycle collection.
+            engine = weakref.proxy(self)
             self._refiner = SegmentRefiner(
                 z0, self.history, frame, sens, self.fwsr_params,
-                lambda h, z: self._decode(h, z, "fwsr_decode"))
+                lambda h, z: engine._decode(h, z, "fwsr_decode"))
         else:
             with self._track("fwsr_refine"):
                 frame = self._refiner.step(phase, self.dyn.window(phase))

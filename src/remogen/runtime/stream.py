@@ -21,39 +21,76 @@ from .config import EngineConfig, StreamRecord, format_record, parse_record
 from .engine import Engine
 
 QUEUE_CAPACITY = 64
+# How often a reader waiting on a full queue checks for the stop signal, and
+# how long stream_run waits for the reader to go once it has set the signal.
+_PUT_POLL_S = 0.05
+_JOIN_TIMEOUT_S = 1.0
 _EOF = object()
 
 
-def _ingest(source: IO[str], q: "queue.Queue") -> None:
-    """Parse lines into q; a reader failure is queued for the main loop, then _EOF."""
+def _put(q: "queue.Queue", item, stop: threading.Event) -> bool:
+    """Queue item unless stop is set first; a full queue is retried until then."""
+    while not stop.is_set():
+        try:
+            q.put(item, timeout=_PUT_POLL_S)
+            return True
+        except queue.Full:
+            pass
+    return False
+
+
+def _ingest(source: IO[str], q: "queue.Queue", stop: threading.Event) -> None:
+    """Parse lines into q until the source ends or stop is set.
+
+    A reader failure is queued for the main loop, then _EOF.
+    """
     try:
         for raw in source:
             line = raw.strip()
             if not line:
                 continue
             try:
-                q.put(parse_record(line))
+                item = parse_record(line)
             except FormatError as exc:
-                q.put(("malformed", str(exc)))
+                item = ("malformed", str(exc))
+            if not _put(q, item, stop):
+                return
     except Exception as exc:
-        q.put(("failed", exc))
+        _put(q, ("failed", exc), stop)
     finally:
-        q.put(_EOF)
+        _put(q, _EOF, stop)
 
 
 def stream_run(source: IO[str], sink: IO[str], cfg: EngineConfig,
                archive: WeightArchive, log: Optional[IO[str]] = None,
                scene_grid=None, recorder: Optional[LatencyRecorder] = None) -> int:
-    """Run the engine over a record stream; returns the count of skipped records."""
+    """Run the engine over a record stream; returns the count of skipped records.
+
+    However the run ends (source exhausted, an `end` record, or an error), the
+    ingest thread is told to stop and joined before this returns. A reader
+    blocked inside `source` itself (a pipe with no data) cannot be
+    interrupted: the join then gives up after a second and the daemon thread
+    ends with the source or with the process.
+    """
     log = log if log is not None else sys.stderr
     engine = Engine(archive, cfg, recorder=recorder)
     if scene_grid is not None:
         engine.set_scene(scene_grid)
 
     q: "queue.Queue" = queue.Queue(maxsize=QUEUE_CAPACITY)
-    worker = threading.Thread(target=_ingest, args=(source, q), daemon=True)
+    stop = threading.Event()
+    worker = threading.Thread(target=_ingest, args=(source, q, stop), daemon=True,
+                              name="remogen-ingest")
     worker.start()
+    try:
+        return _serve(engine, q, sink, log)
+    finally:
+        stop.set()
+        worker.join(timeout=_JOIN_TIMEOUT_S)
 
+
+def _serve(engine: Engine, q: "queue.Queue", sink: IO[str], log: IO[str]) -> int:
+    """The main loop of stream_run: records from q through the engine into sink."""
     skipped = 0
     emitted = 0
     while True:
@@ -96,5 +133,4 @@ def stream_run(source: IO[str], sink: IO[str], cfg: EngineConfig,
                 skipped += 1
                 print(f"skipping record t={record.t}: {exc}", file=log)
     sink.write(format_record(StreamRecord(t=emitted, kind="end")) + "\n")
-    worker.join(timeout=5.0)
     return skipped

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,12 +127,17 @@ def voxelize_points(points: np.ndarray, spec: GridSpec) -> VoxelGrid:
 
 
 def query_points(grid: VoxelGrid, points: np.ndarray) -> np.ndarray:
-    """Vectorized occupancy lookup; returns Occupancy values as a uint8 array."""
+    """Vectorized occupancy lookup; returns Occupancy values as a uint8 array.
+
+    Reads the packed bits of the hit cells only; the grid is never unpacked.
+    """
     idx, inside = _cell_indices(points, grid.spec)
     out = np.full(idx.shape[0], Occupancy.OUT_OF_BOUNDS.value, dtype=np.uint8)
     if np.any(inside):
-        occ = grid.occupancy_array()
-        hit = occ[idx[inside, 0], idx[inside, 1], idx[inside, 2]]
+        _, ny, nz = grid.spec.dims
+        cells = idx[inside]
+        flat = (cells[:, 0] * ny + cells[:, 1]) * nz + cells[:, 2]
+        hit = (grid.packed[flat >> 3] >> (flat & 7)) & 1
         out[inside] = np.where(hit, Occupancy.OCCUPIED.value, Occupancy.FREE.value)
     return out
 
@@ -155,12 +161,18 @@ class EgoVoxelBlock:
         object.__setattr__(self, "occupancy", occ)
 
 
+@lru_cache(maxsize=1)
 def ego_cell_centers() -> np.ndarray:
-    """Cell centers of the ego box in ego coordinates, shape (32, 32, 32, 3)."""
+    """Cell centers of the ego box in ego coordinates, shape (32, 32, 32, 3).
+
+    Computed once; the array is shared and read-only.
+    """
     size = (EGO_BOX_MAX - EGO_BOX_MIN) / EGO_DIMS
     axes = [EGO_BOX_MIN[k] + (np.arange(EGO_DIMS) + 0.5) * size[k] for k in range(3)]
     gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    return np.stack([gx, gy, gz], axis=-1)
+    centers = np.stack([gx, gy, gz], axis=-1)
+    centers.flags.writeable = False
+    return centers
 
 
 def extract_ego_voxels(grid: VoxelGrid, ego_to_world: RigidTransform,

@@ -30,15 +30,27 @@ def require_finite(x: np.ndarray, what: str = "input") -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with float64 accumulation, float32 result."""
-    return (np.asarray(a, dtype=F64) @ np.asarray(b, dtype=F64)).astype(F32)
+    """Matrix product with float64 accumulation, float32 result.
+
+    Leading axes broadcast as in np.matmul, so a (L, in, out) stack of
+    weights maps (T, in) or (L, T, in) inputs block by block.
+    """
+    try:
+        return (np.asarray(a, dtype=F64) @ np.asarray(b, dtype=F64)).astype(F32)
+    except ValueError as exc:
+        raise DimensionError(f"cannot multiply shapes {np.shape(a)} and {np.shape(b)}") from exc
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
-    """Affine map x @ w + b. Weight is (in_dim, out_dim)."""
+    """Affine map x @ w + b. Weight is (in_dim, out_dim), or (L, in_dim, out_dim)
+    for L stacked blocks with the bias stored as (L, 1, out_dim)."""
     y = matmul(x, w)
     if b is not None:
-        y = (y.astype(F64) + np.asarray(b, dtype=F64)).astype(F32)
+        try:
+            y = (y.astype(F64) + np.asarray(b, dtype=F64)).astype(F32)
+        except ValueError as exc:
+            raise DimensionError(
+                f"bias shape {np.shape(b)} does not fit output {y.shape}") from exc
     return y
 
 
@@ -52,12 +64,21 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray,
                eps: float = LAYER_NORM_EPS) -> np.ndarray:
-    """Per-row layer normalization with a variance floor of eps."""
+    """Per-row layer normalization with a variance floor of eps.
+
+    gain and offset of L stacked blocks are (L, 1, width); they broadcast a
+    (T, width) input to (L, T, width).
+    """
     z = np.asarray(x, dtype=F64)
     mean = z.mean(axis=-1, keepdims=True)
     var = z.var(axis=-1, keepdims=True)
     out = (z - mean) / np.sqrt(var + eps)
-    return (out * np.asarray(gain, dtype=F64) + np.asarray(offset, dtype=F64)).astype(F32)
+    try:
+        return (out * np.asarray(gain, dtype=F64)
+                + np.asarray(offset, dtype=F64)).astype(F32)
+    except ValueError as exc:
+        raise DimensionError(f"norm parameters {np.shape(gain)}/{np.shape(offset)} do not "
+                             f"fit input {z.shape}") from exc
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -119,15 +140,17 @@ class AttentionParams:
     """Multi-head projection weights plus the pre-attention norm parameters.
 
     mha_forward consumes only the projections; the norm gain/offset belong to
-    whichever block wraps the attention and are applied by the caller.
+    whichever block wraps the attention and are applied by the caller. The
+    projections of L stacked blocks are (L, in, width), their norm gain and
+    offset (L, 1, width).
     """
 
     heads: int
     width: int
-    w_q: np.ndarray  # (q_in, width)
-    w_k: np.ndarray  # (kv_in, width)
-    w_v: np.ndarray  # (kv_in, width)
-    w_o: np.ndarray  # (width, width)
+    w_q: np.ndarray  # (q_in, width) or (L, q_in, width)
+    w_k: np.ndarray  # (kv_in, width) or (L, kv_in, width)
+    w_v: np.ndarray  # (kv_in, width) or (L, kv_in, width)
+    w_o: np.ndarray  # (width, width) or (L, width, width)
     ln_gain: np.ndarray
     ln_offset: np.ndarray
 
@@ -137,49 +160,85 @@ class AttentionParams:
                 f"width {self.width} not divisible by heads {self.heads}")
         for name in ("w_q", "w_k", "w_v", "w_o"):
             w = getattr(self, name)
-            if w.ndim != 2 or w.shape[1] != self.width:
-                raise DimensionError(f"{name} shape {w.shape} inconsistent with width {self.width}")
+            if w.ndim not in (2, 3) or w.shape[-1] != self.width \
+                    or w.shape[:-2] != self.w_q.shape[:-2]:
+                raise DimensionError(f"{name} shape {w.shape} inconsistent with width "
+                                     f"{self.width} and w_q {self.w_q.shape}")
 
 
-def mha_forward(q_in: np.ndarray, kv_in: np.ndarray, p: AttentionParams,
+def _split_heads(x: np.ndarray, w: np.ndarray, p: AttentionParams) -> np.ndarray:
+    """x @ w in float64, split into heads: (..., T, heads, width // heads)."""
+    try:
+        y = x.astype(F64) @ w.astype(F64)
+    except ValueError as exc:
+        raise DimensionError(f"attention input {x.shape} does not fit projection "
+                             f"{w.shape}") from exc
+    return y.reshape(*y.shape[:-1], p.heads, p.width // p.heads)
+
+
+def attention_kv(kv_in: np.ndarray, p: AttentionParams) -> tuple:
+    """The key and value projections of mha_forward, as a pair it takes in place of kv_in.
+
+    kv_in is (T_kv, kv_in_width) or (batch, T_kv, kv_in_width); k and v are
+    float64 (..., T_kv, heads, width // heads), with a leading L axis when
+    the projections are stacked. Projecting a fixed context once and passing
+    the pair to every later call gives the same bits as passing the tokens.
+    """
+    kv_in = np.asarray(kv_in)
+    if kv_in.ndim not in (2, 3):
+        raise DimensionError("attention key/value input must be (tokens, width) or "
+                             "(batch, tokens, width)")
+    if kv_in.shape[-1] != p.w_k.shape[-2]:
+        raise DimensionError(f"attention key/value width {kv_in.shape[-1]} does not match "
+                             f"projection {p.w_k.shape[-2]}")
+    require_finite(kv_in, "attention key/value input")
+    return _split_heads(kv_in, p.w_k, p), _split_heads(kv_in, p.w_v, p)
+
+
+def mha_forward(q_in: np.ndarray, kv_in, p: AttentionParams,
                 bias: Optional[np.ndarray] = None) -> np.ndarray:
     """Multi-head attention softmax(QK^T/sqrt(dh) + bias) V, projected by W_O.
 
     Inputs are (tokens, width), or (batch, tokens, width) with one batch size
     for both; row b of a batched call equals the 2-D call on q_in[b], kv_in[b]
-    bit for bit. bias, when given, is (heads, T_q, T_kv), adds to the
-    pre-softmax logits of each head and is shared by the whole batch. No
-    normalization is applied here.
+    bit for bit. kv_in may also be the (k, v) pair attention_kv returns for
+    it. Stacked (L, in, width) projections run L blocks at once: a 2-D input
+    is shared by all of them, a batched one gives block l row l, and block l
+    of the (L, T_q, width) result equals the 2-D call with block l's weights
+    bit for bit. bias, when given, is (heads, T_q, T_kv), shared by the whole
+    batch, or one such bias per batch row or block; it adds to the
+    pre-softmax logits of each head. No normalization is applied here.
     """
     q_in = np.asarray(q_in)
-    kv_in = np.asarray(kv_in)
-    if q_in.ndim not in (2, 3) or kv_in.ndim != q_in.ndim \
-            or q_in.shape[:-2] != kv_in.shape[:-2]:
+    projected = isinstance(kv_in, tuple)
+    if not projected:
+        kv_in = np.asarray(kv_in)
+    if q_in.ndim not in (2, 3) or not projected and (
+            kv_in.ndim != q_in.ndim or q_in.shape[:-2] != kv_in.shape[:-2]):
         raise DimensionError("attention inputs must be (tokens, width) or "
                              "(batch, tokens, width) with one batch size")
-    if q_in.shape[-1] != p.w_q.shape[0] or kv_in.shape[-1] != p.w_k.shape[0]:
-        raise DimensionError(
-            f"attention input widths {q_in.shape[-1]}/{kv_in.shape[-1]} do not match "
-            f"projections {p.w_q.shape[0]}/{p.w_k.shape[0]}")
+    if q_in.shape[-1] != p.w_q.shape[-2]:
+        raise DimensionError(f"attention query width {q_in.shape[-1]} does not match "
+                             f"projection {p.w_q.shape[-2]}")
+    k, v = kv_in if projected else attention_kv(kv_in, p)
     require_finite(q_in, "attention query input")
-    require_finite(kv_in, "attention key/value input")
-    lead = q_in.shape[:-2]
-    t_q, t_kv = q_in.shape[-2], kv_in.shape[-2]
+
+    # The whole kernel is one reduction chain; keep it in float64 and round once.
+    q = _split_heads(q_in, p.w_q, p)
+    lead, t_q = q.shape[:-3], q.shape[-3]
+    if k.shape != v.shape or k.ndim != q.ndim or k.shape[:-3] != lead \
+            or k.shape[-2:] != q.shape[-2:]:
+        raise DimensionError(f"keys/values {k.shape}/{v.shape} do not fit queries {q.shape}")
+    t_kv = k.shape[-3]
     if bias is not None:
         bias = np.asarray(bias, dtype=F64)
-        if bias.shape != (p.heads, t_q, t_kv):
+        if bias.shape[-3:] != (p.heads, t_q, t_kv) or bias.shape[:-3] not in ((), lead):
             raise DimensionError(
                 f"bias shape {bias.shape} does not match (heads, T_q, T_kv) = "
                 f"({p.heads}, {t_q}, {t_kv})")
 
-    # The whole kernel is one reduction chain; keep it in float64 and round once.
-    dh = p.width // p.heads
-    q = (q_in.astype(F64) @ p.w_q.astype(F64)).reshape(*lead, t_q, p.heads, dh)
-    k = (kv_in.astype(F64) @ p.w_k.astype(F64)).reshape(*lead, t_kv, p.heads, dh)
-    v = (kv_in.astype(F64) @ p.w_v.astype(F64)).reshape(*lead, t_kv, p.heads, dh)
-
     # (..., heads, T_q, T_kv)
-    logits = np.einsum("...qhd,...khd->...hqk", q, k) / np.sqrt(dh)
+    logits = np.einsum("...qhd,...khd->...hqk", q, k) / np.sqrt(p.width // p.heads)
     if bias is not None:
         logits = logits + bias
     logits = logits - np.max(logits, axis=-1, keepdims=True)
@@ -194,28 +253,33 @@ class RelBiasParams:
     """Sinusoidal relative-index bias: b(dt) = [sin(omega*dt), cos(omega*dt)] @ w_b."""
 
     omega: float = 0.25
-    w_b: np.ndarray = None  # (2, heads)
+    w_b: np.ndarray = None  # (2, heads), or (L, 2, heads) for L stacked blocks
 
     def __post_init__(self):
         if self.omega <= 0:
             raise DimensionError("omega must be positive")
-        if self.w_b is None or self.w_b.ndim != 2 or self.w_b.shape[0] != 2:
-            raise DimensionError("w_b must be a (2, heads) map")
+        if self.w_b is None or self.w_b.ndim not in (2, 3) or self.w_b.shape[-2] != 2:
+            raise DimensionError("w_b must be a (2, heads) map or a stack of them")
 
 
 def relative_bias(t_q: int, t_kv: int, p: RelBiasParams) -> np.ndarray:
-    """Per-head bias (heads, T_q, T_kv); entry (i, j) depends only on i - j."""
+    """Per-head bias (heads, T_q, T_kv), or (L, heads, T_q, T_kv) for a stacked w_b;
+    entry (i, j) depends only on i - j."""
     if t_q < 1 or t_kv < 1:
         raise DimensionError("bias needs at least one query and one key")
     dt = np.arange(t_q, dtype=F64)[:, None] - np.arange(t_kv, dtype=F64)[None, :]
     feats = np.stack([np.sin(p.omega * dt), np.cos(p.omega * dt)], axis=-1)  # (T_q, T_kv, 2)
-    per_head = feats @ np.asarray(p.w_b, dtype=F64)  # (T_q, T_kv, heads)
-    return np.transpose(per_head, (2, 0, 1)).astype(F32)
+    w_b = np.asarray(p.w_b, dtype=F64)
+    per_head = feats @ w_b[..., None, :, :]  # (..., T_q, T_kv, heads)
+    return np.moveaxis(per_head, -1, -3).astype(F32)
 
 
 @dataclass(frozen=True)
 class FfnParams:
-    """Two-layer feed-forward block with its pre-norm parameters."""
+    """Two-layer feed-forward block with its pre-norm parameters.
+
+    L stacked blocks hold (L, in, out) weights and (L, 1, out) biases.
+    """
 
     w1: np.ndarray
     b1: np.ndarray

@@ -135,6 +135,25 @@ class TestBench:
         assert "[segment]" in out and "[fwsr]" in out and "[slide]" in out
         assert "per frame" in out
 
+    def test_bench_config_runs_the_modules(self, tmp_path, weights_path, capsys):
+        config = tmp_path / "hhi.cfg"
+        config.write_text("alpha = hhi=1.0\n")
+        plain = ["bench", "--weights", str(weights_path), "--frames", "8"]
+        assert main(plain) == 0
+        assert "interaction modules" not in capsys.readouterr().out
+        assert main(plain + ["--config", str(config)]) == 0
+        assert "interaction modules" in capsys.readouterr().out
+
+    def test_bench_bad_config_or_seed_is_config_error(self, tmp_path, weights_path,
+                                                      monkeypatch):
+        bad, good = tmp_path / "bad.cfg", tmp_path / "good.cfg"
+        bad.write_text("alpha = nope\n")
+        good.write_text("alpha = hhi=1.0\n")
+        args = ["bench", "--weights", str(weights_path), "--frames", "8", "--config"]
+        assert main(args + [str(bad)]) == 2
+        monkeypatch.setenv("REMOGEN_SEED", "not-a-number")
+        assert main(args + [str(good)]) == 2
+
     def test_env_seed_override(self, tmp_path, weights_path, monkeypatch):
         a, b = tmp_path / "a.rmgm", tmp_path / "b.rmgm"
         monkeypatch.setenv("REMOGEN_SEED", "123")

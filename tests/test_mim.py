@@ -1,4 +1,6 @@
 """Adapter tests: encoders, the modulation block chain, composition and clamp."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from remogen.mim import (
     CompositionWeights,
     ContextTokens,
     MimBlockParams,
+    MimParams,
     ModulationDelta,
     SCENE_TOKENS,
     compose_deltas,
@@ -14,6 +17,7 @@ from remogen.mim import (
     encode_scene,
     mim_block_forward,
     module_deltas,
+    prepare_context,
     seeded_mim_params,
 )
 from remogen.motion import RigidTransform
@@ -247,6 +251,73 @@ class TestModuleDeltas:
         delta = module_deltas(h, c, params)
         assert sorted(delta.layers.keys()) == [0, 1, 2]
         assert all(np.all(v == 0) for v in delta.layers.values())
+
+
+def hot_module(source, seed, width=128, heads=4, ffn_hidden=256):
+    """A seeded module at engine size whose blocks all have random non-zero gates."""
+    params = seeded_mim_params("m", source, Rng(seed), feature_dim=12, width=width,
+                               heads=heads, ffn_hidden=ffn_hidden)
+    gen = Rng(seed).generator("gates")
+    blocks = {idx: dataclasses.replace(b, gate=gen.uniform(0.05, 0.15, width).astype(F32))
+              for idx, b in params.blocks.items()}
+    return dataclasses.replace(params, blocks=blocks)
+
+
+class TestStackedModule:
+    @pytest.mark.parametrize("source", ["others", "scene"])
+    @pytest.mark.parametrize("t_c", [1, 2, 64])
+    def test_layers_equal_one_block_modules(self, source, t_c):
+        params = hot_module(source, seed=t_c)
+        gen = Rng(t_c).generator("stack", source)
+        h = gen.standard_normal((5, 128)).astype(F32)
+        c = ContextTokens(gen.standard_normal((t_c, 128)).astype(F32), source=source)
+        delta = module_deltas(h, c, params)
+        assert sorted(delta.layers) == [0, 1, 2, 3]
+        for idx, block in params.blocks.items():
+            alone = MimParams("m", source, params.encoder, {idx: block})
+            single = module_deltas(h, c, alone).layers[idx]
+            assert np.any(single != 0)
+            np.testing.assert_array_equal(delta.layers[idx], single)
+            np.testing.assert_array_equal(delta.layers[idx], mim_block_forward(h, c, block))
+
+    @pytest.mark.parametrize("t_c", [2, 64])
+    def test_context_prepared_once_reused_over_steps(self, t_c):
+        params = hot_module("others", seed=40 + t_c)
+        gen = Rng(t_c).generator("reuse")
+        c = ContextTokens(gen.standard_normal((t_c, 128)).astype(F32))
+        prepared = prepare_context(c, params.stacked, 5)
+        for _ in range(10):
+            h = gen.standard_normal((5, 128)).astype(F32)
+            reused = module_deltas(h, prepared, params)
+            fresh = module_deltas(h, prepare_context(c, params.stacked, 5), params)
+            tokens = module_deltas(h, c, params)
+            for idx in params.blocks:
+                np.testing.assert_array_equal(reused.layers[idx], fresh.layers[idx])
+                np.testing.assert_array_equal(reused.layers[idx], tokens.layers[idx])
+
+    def test_stacked_weights_built_once_on_first_use(self):
+        params = hot_module("others", seed=50, width=16, heads=2, ffn_hidden=32)
+        assert "stacked" not in vars(params)
+        stacked = params.stacked
+        assert stacked is params.stacked
+        assert stacked.self_attn.w_q.shape == (4, 16, 16)
+        assert stacked.gate.shape == (4, 1, 16)
+        assert stacked.rel_bias.w_b.shape == (4, 2, 2)
+
+    def test_blocks_that_differ_in_structure_do_not_stack(self):
+        params = hot_module("others", seed=51, width=16, heads=2, ffn_hidden=32)
+        blocks = dict(params.blocks)
+        blocks[1] = dataclasses.replace(
+            blocks[1], rel_bias=RelBiasParams(0.5, blocks[1].rel_bias.w_b))
+        with pytest.raises(ConfigError):
+            dataclasses.replace(params, blocks=blocks).stacked
+
+    def test_prepared_context_shape_is_checked(self):
+        params = hot_module("others", seed=52, width=16, heads=2, ffn_hidden=32)
+        c = ContextTokens(np.ones((3, 16), dtype=F32))
+        prepared = prepare_context(c, params.stacked, 5)
+        with pytest.raises(DimensionError):
+            module_deltas(np.ones((4, 16), dtype=F32), prepared, params)
 
 
 def random_delta(gen, module_id, layers=(0, 1), shape=(3, 4)):

@@ -2,8 +2,11 @@
 import dataclasses
 import io
 import json
+import gc
 import struct
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -385,6 +388,28 @@ class TestStreamRun:
             stream_run(io.StringIO(line + "\n"), io.StringIO(), cfg, archive,
                        log=io.StringIO())
 
+    @pytest.mark.parametrize("stopper,error", [
+        ({"t": 0, "kind": "end"}, None),
+        ({"t": 0, "kind": "partner_pose", "pose": [0.0] * 5}, ConfigError),
+    ], ids=["end", "wrong_width"])
+    def test_early_stop_returns_promptly_and_leaves_no_reader(self, cfg, archive,
+                                                             partner_frames, stopper, error):
+        # 200 records after the stop fill the 64-slot queue, so the reader is
+        # blocked on it when the main loop stops reading.
+        frames = np.resize(partner_frames, (200, partner_frames.shape[1]))
+        text = json.dumps(stopper) + "\n" + stream_lines(frames)
+        before = set(threading.enumerate())
+        start = time.perf_counter()
+        if error is None:
+            joined(lambda: stream_run(io.StringIO(text), io.StringIO(), cfg, archive,
+                                      log=io.StringIO()))
+        else:
+            with pytest.raises(error):
+                joined(lambda: stream_run(io.StringIO(text), io.StringIO(), cfg, archive,
+                                          log=io.StringIO()))
+        assert time.perf_counter() - start < 1.0
+        assert set(threading.enumerate()) <= before, "the ingest thread outlived stream_run"
+
     def test_transcripts_deterministic(self, cfg, archive, partner_frames):
         text = stream_lines(partner_frames)
         a, _, _ = run_stream(text, cfg, archive)
@@ -473,6 +498,60 @@ class TestEngineWiring:
                                     engine.history, z0, cfg.h_step)
         slow = estimate_sensitivity(row_wise, engine.history, z0, cfg.h_step)
         np.testing.assert_array_equal(fast.s, slow.s)
+
+
+class TestModuleBatching:
+    @pytest.fixture(scope="class")
+    def hot_archive(self, cfg):
+        gen = Rng(31).generator("gates")
+        return WeightArchive({
+            name: (gen.uniform(0.05, 0.15, t.shape).astype(F32) if name.endswith(".gate")
+                   else t)
+            for name, t in init_weights(cfg, 0).tensors.items()})
+
+    def test_contexts_prepared_once_per_segment(self, cfg, hot_archive, partner_frames,
+                                                monkeypatch):
+        from remogen.runtime import engine as engine_mod
+
+        calls = {"prepare": [], "deltas": []}
+        prepare, deltas = engine_mod.prepare_context, engine_mod.module_deltas
+
+        def counting_prepare(c, params, t):
+            calls["prepare"].append(c.source)
+            return prepare(c, params, t)
+
+        def counting_deltas(h, c, params):
+            calls["deltas"].append(params.module_id)
+            return deltas(h, c, params)
+
+        monkeypatch.setattr(engine_mod, "prepare_context", counting_prepare)
+        monkeypatch.setattr(engine_mod, "module_deltas", counting_deltas)
+        both = dataclasses.replace(cfg, alpha={"hhi": 0.5, "hsi": 0.5})
+        engine = Engine(hot_archive, both)
+        spec = GridSpec([-1.5, -1.5, 0.0], [1.5, 1.5, 1.5], (30, 30, 15))
+        occ = Rng(32).generator("grid").uniform(size=spec.dims) < 0.3
+        engine.set_scene(VoxelGrid.from_bool_array(spec, occ))
+        engine.run_ticks(16, partner_frames)
+        segments = 16 // both.future_len
+        assert sorted(calls["prepare"]) == ["others"] * segments + ["scene"] * segments
+        assert sorted(calls["deltas"]) == (["hhi"] * segments * both.steps
+                                           + ["hsi"] * segments * both.steps)
+
+    @pytest.mark.parametrize("mode", ["segment", "fwsr"])
+    def test_stacked_weights_live_with_the_engine(self, cfg, hot_archive, partner_frames,
+                                                  mode):
+        engine = Engine(hot_archive, dataclasses.replace(cfg, alpha={"hhi": 1.0}), mode=mode)
+        assert "stacked" not in vars(engine.mims["hhi"])
+        engine.run_ticks(12, partner_frames)   # ends mid-segment in fwsr mode
+        assert "stacked" not in vars(engine.mims["hsi"])   # inactive: never stacked
+        ref = weakref.ref(engine.mims["hhi"].stacked.self_attn.w_q)
+        # Freed as soon as the engine is dropped, without a cycle collection.
+        gc.disable()
+        try:
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestBench:

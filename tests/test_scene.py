@@ -1,4 +1,6 @@
 """Voxel grid tests: voxelization oracle, query conventions, ego extraction."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from remogen.scene import (
     extract_ego_voxels,
     room_grid_spec,
     query_occupancy,
+    query_points,
     voxelize_points,
 )
 from remogen.tensorcore import Rng
@@ -182,3 +185,46 @@ class TestExtractEgoVoxels:
             EgoVoxelBlock(np.zeros((8, 8, 8), dtype=bool), RigidTransform.identity())
         assert (EGO_BOX_MAX - EGO_BOX_MIN)[0] == pytest.approx(1.2)
         assert EGO_DIMS == 32
+
+
+class TestPackedLookup:
+    @pytest.mark.parametrize("dims", [(3, 5, 7), (1, 1, 1), (9, 2, 11), (13, 6, 5)])
+    def test_matches_unpacked_indexing(self, dims):
+        assert np.prod(dims) % 8
+        spec = GridSpec([-1.0, 0.5, -0.2], [2.0, 1.5, 0.9], dims)
+        gen = Rng(int(np.prod(dims))).generator("packed")
+        grid = VoxelGrid.from_bool_array(spec, gen.uniform(size=dims) < 0.4)
+        span = spec.max_corner - spec.min_corner
+        inner = spec.min_corner + gen.uniform(-0.2, 1.2, (500, 3)) * span
+        faces = spec.min_corner + gen.uniform(0, 1, (60, 3)) * span
+        for k in range(3):   # points on each max face (outside) and min face (inside)
+            faces[20 * k:20 * k + 10, k] = spec.max_corner[k]
+            faces[20 * k + 10:20 * k + 20, k] = spec.min_corner[k]
+        points = np.vstack([inner, faces, spec.max_corner, spec.min_corner])
+        occ = grid.occupancy_array()
+        idx = np.floor((points - spec.min_corner) / spec.voxel_size).astype(int)
+        inside = np.all((idx >= 0) & (idx < np.asarray(dims)), axis=1)
+        expected = np.full(len(points), Occupancy.OUT_OF_BOUNDS.value, dtype=np.uint8)
+        hit = occ[tuple(idx[inside].T)]
+        expected[inside] = np.where(hit, Occupancy.OCCUPIED.value, Occupancy.FREE.value)
+        assert inside.any() and not inside.all()
+        np.testing.assert_array_equal(query_points(grid, points), expected)
+
+    def test_room_query_does_not_unpack_the_grid(self):
+        spec = room_grid_spec()
+        packed = Rng(3).generator("room").integers(0, 256, (spec.cell_count + 7) // 8,
+                                                   dtype=np.uint8)
+        grid = VoxelGrid(spec, packed)
+        points = Rng(4).generator("pts").uniform(-3.5, 3.5, (4096, 3))
+        tracemalloc.start()
+        try:
+            query_points(grid, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_ego_cell_centers_computed_once(self):
+        centers = ego_cell_centers()
+        assert centers is ego_cell_centers()
+        assert not centers.flags.writeable

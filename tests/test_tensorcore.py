@@ -6,10 +6,14 @@ from remogen.errors import DimensionError, NumericError
 from remogen.tensorcore import (
     SHAPE_ONLY,
     AttentionParams,
+    FfnParams,
     RelBiasParams,
     Rng,
+    attention_kv,
+    ffn_forward,
     gelu,
     layer_norm,
+    linear,
     mha_forward,
     relative_bias,
     seeded_init,
@@ -185,6 +189,130 @@ class TestRelativeBias:
             RelBiasParams(omega=-1.0, w_b=np.eye(2, dtype=F32))
         with pytest.raises(DimensionError):
             relative_bias(0, 3, RelBiasParams(w_b=np.eye(2, dtype=F32)))
+
+
+L_BLOCKS = 3
+
+
+def stacked(arrays):
+    """Stack per-block parameters the way MimParams.stacked does: vectors as (L, 1, n)."""
+    out = np.stack(arrays)
+    return out[:, None, :] if out.ndim == 2 else out
+
+
+def random_blocks(gen, heads, width, hidden):
+    attn = [AttentionParams(heads, width,
+                            *(gen.standard_normal((width, width)).astype(F32)
+                              for _ in range(4)),
+                            ln_gain=gen.standard_normal(width).astype(F32),
+                            ln_offset=gen.standard_normal(width).astype(F32))
+            for _ in range(L_BLOCKS)]
+    ffn = [FfnParams(gen.standard_normal((width, hidden)).astype(F32),
+                     gen.standard_normal(hidden).astype(F32),
+                     gen.standard_normal((hidden, width)).astype(F32),
+                     gen.standard_normal(width).astype(F32),
+                     gen.standard_normal(width).astype(F32),
+                     gen.standard_normal(width).astype(F32))
+           for _ in range(L_BLOCKS)]
+    attn_s = AttentionParams(heads, width,
+                             *(stacked([getattr(a, n) for a in attn])
+                               for n in ("w_q", "w_k", "w_v", "w_o", "ln_gain", "ln_offset")))
+    ffn_s = FfnParams(*(stacked([getattr(f, n) for f in ffn])
+                        for n in ("w1", "b1", "w2", "b2", "ln_gain", "ln_offset")))
+    return attn, attn_s, ffn, ffn_s
+
+
+SHAPES = [(4, 128, 5, 64), (4, 128, 5, 2), (2, 8, 3, 1)]
+
+
+class TestStackedWeights:
+    """Stacked (L, ...) weights run L blocks in one call, each equal to its 2-D call."""
+
+    @pytest.mark.parametrize("shared_input", [True, False])
+    @pytest.mark.parametrize("heads,width,t_q,t_kv", SHAPES)
+    def test_linear_layer_norm_ffn(self, shared_input, heads, width, t_q, t_kv):
+        gen = Rng(width + t_kv).generator("stack-dense")
+        attn, attn_s, ffn, ffn_s = random_blocks(gen, heads, width, 2 * width)
+        shape = (t_q, width) if shared_input else (L_BLOCKS, t_q, width)
+        x = gen.standard_normal(shape).astype(F32)
+        rows = [x if shared_input else x[l] for l in range(L_BLOCKS)]
+        with_bias = linear(x, ffn_s.w1, ffn_s.b1)
+        no_bias = linear(x, ffn_s.w1)
+        normed = layer_norm(x, ffn_s.ln_gain, ffn_s.ln_offset)
+        out = ffn_forward(x, ffn_s)
+        assert out.shape == (L_BLOCKS, t_q, width)
+        for l, f in enumerate(ffn):
+            np.testing.assert_array_equal(with_bias[l], linear(rows[l], f.w1, f.b1))
+            np.testing.assert_array_equal(no_bias[l], linear(rows[l], f.w1))
+            np.testing.assert_array_equal(normed[l],
+                                          layer_norm(rows[l], f.ln_gain, f.ln_offset))
+            np.testing.assert_array_equal(out[l], ffn_forward(rows[l], f))
+
+    @pytest.mark.parametrize("projected", [False, True])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("heads,width,t_q,t_kv", SHAPES)
+    def test_mha_forward(self, projected, with_bias, heads, width, t_q, t_kv):
+        gen = Rng(3 * width + t_kv).generator("stack-mha")
+        attn, attn_s, _, _ = random_blocks(gen, heads, width, 2 * width)
+        q = gen.standard_normal((L_BLOCKS, t_q, width)).astype(F32)
+        context = gen.standard_normal((t_kv, width)).astype(F32)
+        bias = (gen.standard_normal((L_BLOCKS, heads, t_q, t_kv)).astype(F32)
+                if with_bias else None)
+        kv = attention_kv(context, attn_s) if projected \
+            else np.broadcast_to(context, (L_BLOCKS, t_kv, width))
+        out = mha_forward(q, kv, attn_s, bias)
+        assert out.shape == (L_BLOCKS, t_q, width)
+        for l, a in enumerate(attn):
+            b = None if bias is None else bias[l]
+            np.testing.assert_array_equal(out[l], mha_forward(q[l], context, a, b))
+
+    def test_shared_input_and_projected_pair_match_tokens(self):
+        gen = Rng(5).generator("stack-shared")
+        attn, attn_s, _, _ = random_blocks(gen, 2, 8, 16)
+        x = gen.standard_normal((4, 8)).astype(F32)
+        out = mha_forward(x, x, attn_s)
+        for l, a in enumerate(attn):
+            np.testing.assert_array_equal(out[l], mha_forward(x, x, a))
+            np.testing.assert_array_equal(mha_forward(x, attention_kv(x, a), a),
+                                          mha_forward(x, x, a))
+
+    def test_stacked_relative_bias(self):
+        gen = Rng(6).generator("stack-bias")
+        maps = [gen.standard_normal((2, 4)).astype(F32) for _ in range(L_BLOCKS)]
+        out = relative_bias(5, 7, RelBiasParams(0.25, np.stack(maps)))
+        assert out.shape == (L_BLOCKS, 4, 5, 7)
+        for l, w_b in enumerate(maps):
+            np.testing.assert_array_equal(out[l], relative_bias(5, 7, RelBiasParams(0.25, w_b)))
+
+    def test_bad_shapes_raise_dimension_error(self):
+        gen = Rng(7).generator("stack-bad")
+        attn, attn_s, ffn, ffn_s = random_blocks(gen, 2, 8, 16)
+        wrong_l = np.ones((L_BLOCKS + 1, 4, 8), dtype=F32)
+        with pytest.raises(DimensionError):
+            linear(wrong_l, ffn_s.w1)
+        with pytest.raises(DimensionError):
+            linear(np.ones((4, 8), dtype=F32), ffn_s.w1, ffn[0].b1[None, None, :3])
+        with pytest.raises(DimensionError):
+            layer_norm(wrong_l, ffn_s.ln_gain, ffn_s.ln_offset)
+        with pytest.raises(DimensionError):
+            ffn_forward(wrong_l, ffn_s)
+        with pytest.raises(DimensionError):
+            mha_forward(wrong_l, wrong_l, attn_s)
+        with pytest.raises(DimensionError):
+            AttentionParams(2, 8, attn_s.w_q, attn[0].w_k, attn_s.w_v, attn_s.w_o,
+                            attn_s.ln_gain, attn_s.ln_offset)
+        q = np.ones((4, 8), dtype=F32)
+        k, v = attention_kv(np.ones((3, 8), dtype=F32), attn_s)
+        with pytest.raises(DimensionError):
+            mha_forward(q, (k, v), attn[0])          # stacked pair, one block
+        with pytest.raises(DimensionError):
+            mha_forward(q, (k, v[:, :2]), attn_s)
+        with pytest.raises(DimensionError):
+            mha_forward(q, (k, v), attn_s, np.ones((2, 2, 4, 3), dtype=F32))
+        with pytest.raises(DimensionError):
+            attention_kv(np.ones((3, 5), dtype=F32), attn_s)
+        with pytest.raises(DimensionError):
+            relative_bias(2, 2, RelBiasParams(0.25, np.ones((3, 3, 4), dtype=F32)))
 
 
 class TestSeededInit:
