@@ -20,9 +20,11 @@ are not stacked with each other: their contexts differ in length. Each layer's
 residual equals its block run alone bit for bit.
 
 The gate is a per-channel vector, zero at init, so a fresh module leaves the
-frozen prior bit-identical. Multiple modules compose by weighted sum with a
-per-sample L2 clamp that keeps the fused residual no larger than the
-strongest individual branch.
+frozen prior bit-identical. A module's residuals stay one (L, T, width) stack
+(ModulationDelta) from module_deltas through compose_deltas to the denoiser.
+Multiple modules compose by weighted sum with one L2 clamp over the whole
+stack that keeps the fused residual no larger than the strongest individual
+branch.
 """
 from __future__ import annotations
 
@@ -55,6 +57,7 @@ from .tensorcore import (
 
 SCENE_PATCH = 8
 SCENE_TOKENS = (EGO_DIMS // SCENE_PATCH) ** 3  # 64
+CLAMP_EPS = 1e-6  # keeps the clamp scale finite when the composed residual is zero
 
 
 @dataclass(frozen=True)
@@ -153,44 +156,31 @@ class PreparedContext:
 
 @dataclass(frozen=True)
 class ModulationDelta:
-    """Per-injection-layer token residuals produced by one module (or a composition)."""
+    """Token residuals of one module (or a composition): values[k] is the
+    (T, width) residual added after denoiser block layers[k]."""
 
     module_id: str
-    layers: dict  # layer index -> (T, d) array
+    layers: tuple  # strictly ascending injection layer indices
+    values: np.ndarray  # (len(layers), T, width)
 
     def __post_init__(self):
-        clean = {}
-        for idx, arr in self.layers.items():
-            a = np.asarray(arr, dtype=F32)
-            if a.ndim != 2:
-                raise DimensionError("delta entries must be (T, d) matrices")
-            clean[int(idx)] = a
-        object.__setattr__(self, "layers", clean)
+        layers = tuple(int(i) for i in self.layers)
+        if any(b <= a for a, b in zip(layers, layers[1:])):
+            raise DimensionError(f"delta layers {layers} are not strictly ascending")
+        values = np.asarray(self.values, dtype=F32)
+        if values.ndim != 3 or values.shape[0] != len(layers):
+            raise DimensionError(f"delta values of shape {values.shape} are not "
+                                 f"({len(layers)}, T, width)")
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "values", values)
 
     def flat_norm(self) -> float:
+        # One (T, width) slab at a time: a single sum over the stack adds in
+        # another order and changes the last bits of the clamp scale.
         total = 0.0
-        for arr in self.layers.values():
+        for arr in self.values:
             total += float(np.sum(arr.astype(F64) ** 2))
         return float(np.sqrt(total))
-
-    def layer_norms(self) -> dict:
-        return {idx: float(np.linalg.norm(arr.astype(F64)))
-                for idx, arr in self.layers.items()}
-
-
-@dataclass(frozen=True)
-class CompositionWeights:
-    """User-set module coefficients and the clamp stabilizer."""
-
-    alpha: dict
-    epsilon: float = 1e-6
-    clamp_per_layer: bool = False
-
-    def __post_init__(self):
-        if not self.alpha:
-            raise ConfigError("composition needs at least one module weight")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
 
 
 def _causal_conv_gated(x: np.ndarray, layer: TcnLayerParams) -> np.ndarray:
@@ -285,59 +275,43 @@ def module_deltas(h: np.ndarray, c: Union[ContextTokens, PreparedContext],
 
     c is the context tokens or prepare_context(c, params.stacked, len(h)).
     """
-    out = mim_block_forward(h, c, params.stacked)
-    return ModulationDelta(module_id=params.module_id,
-                           layers=dict(zip(sorted(params.blocks), out)))
+    return ModulationDelta(module_id=params.module_id, layers=tuple(sorted(params.blocks)),
+                           values=mim_block_forward(h, c, params.stacked))
 
 
-def compose_deltas(deltas: Sequence[ModulationDelta],
-                   w: CompositionWeights) -> ModulationDelta:
-    """Weighted sum of module residuals with the per-sample L2 clamp.
+def compose_deltas(deltas: Sequence[ModulationDelta], alpha: dict) -> ModulationDelta:
+    """Weighted sum of module residual stacks with the per-sample L2 clamp.
 
-    The clamp scale is s = min(1, m / (||total|| + eps)) with m the largest
-    unweighted module norm, taken over all layers jointly (set
-    clamp_per_layer for the per-layer variant). A single module with weight
-    exactly 1 passes through bit-identically.
+    alpha maps each module id to its weight. The clamp scale is
+    s = min(1, m / (||total|| + CLAMP_EPS)) with m the largest unweighted
+    module norm, both taken over all layers jointly. A single module with
+    weight exactly 1 passes through bit-identically.
     """
     if not deltas:
         raise EmptyInputError("no deltas to compose")
-    layer_keys = sorted(deltas[0].layers.keys())
+    first = deltas[0]
     for d in deltas[1:]:
-        if sorted(d.layers.keys()) != layer_keys:
+        if d.layers != first.layers:
             raise DimensionError("deltas do not share an injection layer set")
-        for idx in layer_keys:
-            if d.layers[idx].shape != deltas[0].layers[idx].shape:
-                raise DimensionError(f"delta shapes differ at layer {idx}")
-    weights = []
-    for d in deltas:
-        if d.module_id not in w.alpha:
-            raise ConfigError(f"no composition weight for module {d.module_id!r}")
-        weights.append(float(w.alpha[d.module_id]))
+        if d.values.shape != first.values.shape:
+            raise DimensionError(f"delta shapes differ: {d.values.shape} vs "
+                                 f"{first.values.shape}")
+    missing = [d.module_id for d in deltas if d.module_id not in alpha]
+    if missing:
+        raise ConfigError(f"no composition weight for modules {missing}")
+    weights = [float(alpha[d.module_id]) for d in deltas]
 
     if len(deltas) == 1 and weights[0] == 1.0:
-        return ModulationDelta(module_id=deltas[0].module_id,
-                               layers={k: v.copy() for k, v in deltas[0].layers.items()})
+        return ModulationDelta(first.module_id, first.layers, first.values.copy())
 
-    total = {idx: np.zeros_like(deltas[0].layers[idx], dtype=F64) for idx in layer_keys}
+    total = np.zeros(first.values.shape, dtype=F64)
     for d, a in zip(deltas, weights):
-        for idx in layer_keys:
-            total[idx] += a * d.layers[idx].astype(F64)
-
-    if w.clamp_per_layer:
-        scaled = {}
-        for idx in layer_keys:
-            m = max(d.layer_norms()[idx] for d in deltas)
-            norm = float(np.linalg.norm(total[idx]))
-            s = min(1.0, m / (norm + w.epsilon))
-            scaled[idx] = (s * total[idx]).astype(F32)
-    else:
-        m = max(d.flat_norm() for d in deltas)
-        norm = float(np.sqrt(sum(np.sum(v ** 2) for v in total.values())))
-        s = min(1.0, m / (norm + w.epsilon))
-        scaled = {idx: (s * total[idx]).astype(F32) for idx in layer_keys}
-
-    module_id = "+".join(d.module_id for d in deltas)
-    return ModulationDelta(module_id=module_id, layers=scaled)
+        total += a * d.values.astype(F64)
+    m = max(d.flat_norm() for d in deltas)
+    norm = float(np.sqrt(sum(np.sum(v ** 2) for v in total)))  # per slab, as flat_norm
+    s = min(1.0, m / (norm + CLAMP_EPS))
+    return ModulationDelta("+".join(d.module_id for d in deltas), first.layers,
+                           (s * total).astype(F32))
 
 
 def seeded_mim_params(module_id: str, source: str, rng: Rng, feature_dim: int,

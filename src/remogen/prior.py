@@ -336,30 +336,28 @@ def predict_clean_latent(params: PriorParams, z_t: np.ndarray, t: int,
     embeddings over the same (z_t, t, m_h, deltas), evaluated as one batched
     pass over (B, T, width) tokens and giving (B, d_z); row b equals the
     single-text call on w[b] bit for bit. deltas, when given, is a
-    ModulationDelta whose per-layer (T, width) residuals are added to every
-    row's token activations after the matching denoiser block. An all-zero
-    residual leaves the output bit-identical to the bare prior.
+    ModulationDelta: after denoiser block deltas.layers[k], its (T, width)
+    residual deltas.values[k] is added to every row's token activations. An
+    all-zero residual is skipped, so it leaves the output bit-identical to the
+    bare prior.
     """
     single = isinstance(w, TextEmbedding)
-    layer_map = {}
-    if deltas is not None:
-        layer_map = dict(deltas.layers)
-        for idx in layer_map:
-            if not (0 <= idx < params.n_blocks):
-                raise ConfigError(f"injection layer {idx} outside denoiser blocks "
-                                  f"[0, {params.n_blocks})")
+    if deltas is not None and not all(0 <= i < params.n_blocks for i in deltas.layers):
+        raise ConfigError(f"injection layers {deltas.layers} outside denoiser blocks "
+                          f"[0, {params.n_blocks})")
     x = denoiser_tokens(params, z_t, t, m_h, (w,) if single else w)
+    residuals = {}
+    if deltas is not None:
+        if deltas.values.shape[1:] != x.shape[1:]:
+            raise DimensionError(f"delta residuals are {deltas.values.shape[1:]}, "
+                                 f"tokens are {x.shape[1:]}")
+        residuals = {i: row for i, row in zip(deltas.layers, deltas.values) if row.any()}
     for i, blk in enumerate(params.denoiser.blocks):
         normed = layer_norm(x, blk.attn.ln_gain, blk.attn.ln_offset)
         x = x + mha_forward(normed, normed, blk.attn)
         x = x + ffn_forward(layer_norm(x, blk.ffn.ln_gain, blk.ffn.ln_offset), blk.ffn)
-        if i in layer_map:
-            delta = np.asarray(layer_map[i], dtype=F32)
-            if delta.shape != x.shape[1:]:
-                raise DimensionError(f"delta at layer {i} has shape {delta.shape}, "
-                                     f"tokens are {x.shape[1:]}")
-            if delta.any():
-                x = x + delta
+        if i in residuals:
+            x = x + residuals[i]
     final = layer_norm(x, params.denoiser.final_gain, params.denoiser.final_offset)
     # The last token of each row is projected as a (1, width) matrix: a stacked
     # (B, width) product is not bit-equal to B one-row products.
@@ -377,7 +375,6 @@ def ddpm_sample(params: Optional[PriorParams], m_h: HistoryWindow, w: TextEmbedd
                 deltas_provider: Optional[StepDeltaProvider], cfg: GenerationConfig,
                 rng: Union[Rng, np.random.Generator],
                 denoise_fn: Optional[Callable] = None,
-                schedule: Optional[DiffusionSchedule] = None,
                 latent_dim: Optional[int] = None) -> np.ndarray:
     """Sample one clean segment latent from pure noise.
 
@@ -402,7 +399,7 @@ def ddpm_sample(params: Optional[PriorParams], m_h: HistoryWindow, w: TextEmbedd
         latent_dim = latent_dim if latent_dim is not None else DEFAULT_LATENT_DIM
         text_dim = w.values.shape[0]
 
-    schedule = schedule or DiffusionSchedule.linear(cfg.steps)
+    schedule = DiffusionSchedule.linear(cfg.steps)
     gen = _as_generator(rng, "ddpm", cfg.seed)
     null_w = null_embedding(text_dim)
     alphas = schedule.alphas

@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -37,8 +38,6 @@ class EngineConfig:
     alpha: dict = field(default_factory=dict)
     fwsr: bool = False
     seed: int = 0
-    collision_radius: float = 0.05
-    contact_radius: float = 0.1
     joints: int = 22
 
     def __post_init__(self):
@@ -50,20 +49,13 @@ class EngineConfig:
             raise ConfigError("injection layers must index denoiser blocks")
         if self.beta_sens < 0 or self.h_step <= 0 or self.fps <= 0:
             raise ConfigError("beta_sens >= 0, h_step > 0, fps > 0 required")
-        if self.collision_radius <= 0 or self.contact_radius <= 0:
-            raise ConfigError("radii must be positive")
+        if not all(math.isfinite(a) for a in self.alpha.values()):
+            raise ConfigError(f"alpha weights must be finite, got {self.alpha}")
 
     def generation(self, seed: Optional[int] = None) -> GenerationConfig:
         return GenerationConfig(history_len=self.history_len, future_len=self.future_len,
                                 steps=self.steps, guidance_scale=self.guidance_scale,
                                 seed=self.seed if seed is None else seed, fps=self.fps)
-
-
-_INT_KEYS = {"history_len", "future_len", "steps", "latent_dim", "text_dim", "width",
-             "heads", "n_blocks", "ffn_hidden", "vae_hidden", "seed", "joints"}
-_FLOAT_KEYS = {"guidance_scale", "beta_sens", "h_step", "fps",
-               "collision_radius", "contact_radius"}
-_BOOL_KEYS = {"fwsr"}
 
 
 def parse_alpha(text: str) -> dict:
@@ -83,6 +75,18 @@ def parse_alpha(text: str) -> dict:
     return out
 
 
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("true", "false", "0", "1", "on", "off"):
+        raise ValueError(f"not a boolean: {value!r}")
+    return value.lower() in ("true", "1", "on")
+
+
+# A config value is parsed by the type its EngineConfig field is annotated with.
+_FIELD_TYPES = get_type_hints(EngineConfig)
+_PARSERS = {int: int, float: float, bool: _parse_bool, dict: parse_alpha,
+            tuple: lambda value: tuple(int(v) for v in value.split(",") if v.strip())}
+
+
 def parse_config(text: str) -> EngineConfig:
     """Parse key = value lines; blank lines and # comments are skipped.
 
@@ -96,24 +100,10 @@ def parse_config(text: str) -> EngineConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        known = {f.name for f in fields(EngineConfig)}
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false", "0", "1", "on", "off"):
-                    raise ValueError(f"not a boolean: {value!r}")
-                values[key] = value.lower() in ("true", "1", "on")
-            elif key == "injection_layers":
-                values[key] = tuple(int(v) for v in value.split(",") if v.strip())
-            elif key == "alpha":
-                values[key] = parse_alpha(value)
-            else:
-                raise ConfigError(f"line {lineno}: key {key!r} has no parser")
+            values[key] = _PARSERS[_FIELD_TYPES[key]](value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return EngineConfig(**values)

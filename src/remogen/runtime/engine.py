@@ -33,7 +33,6 @@ from ..fwsr import (
 from ..fwsr import refine_latent  # noqa: F401
 from ..metrics import LatencyRecorder
 from ..mim import (
-    CompositionWeights,
     MimParams,
     compose_deltas,
     encode_others,
@@ -239,7 +238,7 @@ class Engine:
                                  prepare_context(ctx, params.stacked, self.prior.n_tokens)))
         if not contexts:
             return None
-        weights = CompositionWeights(alpha={mid: a for mid, a, _, _ in contexts})
+        alpha = {mid: a for mid, a, _, _ in contexts}
         null_w = null_embedding(self.cfg.text_dim)
 
         def provider(z_t, t):
@@ -247,7 +246,7 @@ class Engine:
                 h0 = denoiser_tokens(self.prior, z_t, t, self.history, null_w)
                 deltas = [module_deltas(h0, prepared, params)
                           for _, _, params, prepared in contexts]
-                return compose_deltas(deltas, weights)
+                return compose_deltas(deltas, alpha)
 
         return provider
 

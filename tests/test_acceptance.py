@@ -32,7 +32,6 @@ from remogen.metrics import (
     retrieval_metrics,
 )
 from remogen.mim import (
-    CompositionWeights,
     ContextTokens,
     MimBlockParams,
     ModulationDelta,
@@ -142,11 +141,12 @@ def test_c02_clamp_bound():
         n = int(gen.integers(1, 5))
         shape = (int(gen.integers(1, 5)), int(gen.integers(1, 9)))
         layers = tuple(range(int(gen.integers(1, 4))))
-        deltas = [ModulationDelta(f"m{i}", {l: gen.standard_normal(shape).astype(F32)
-                                            * gen.uniform(0, 3) for l in layers})
+        deltas = [ModulationDelta(f"m{i}", layers,
+                                  np.stack([gen.standard_normal(shape).astype(F32)
+                                            * gen.uniform(0, 3) for _ in layers]))
                   for i in range(n)]
         alpha = {f"m{i}": float(gen.uniform(0, 2)) for i in range(n)}
-        out = compose_deltas(deltas, CompositionWeights(alpha=alpha))
+        out = compose_deltas(deltas, alpha)
         assert out.flat_norm() <= max(d.flat_norm() for d in deltas) + 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -158,10 +158,11 @@ def test_c03_single_module_pass_through():
     gen = Rng(3).generator("pass")
     for _ in range(100):
         shape = (int(gen.integers(1, 6)), int(gen.integers(1, 10)))
-        delta = ModulationDelta("solo", {0: gen.standard_normal(shape).astype(F32),
-                                         1: gen.standard_normal(shape).astype(F32)})
-        out = compose_deltas([delta], CompositionWeights(alpha={"solo": 1.0}))
-        assert all(np.array_equal(out.layers[l], delta.layers[l]) for l in delta.layers)
+        delta = ModulationDelta("solo", (0, 1),
+                                np.stack([gen.standard_normal(shape).astype(F32),
+                                          gen.standard_normal(shape).astype(F32)]))
+        out = compose_deltas([delta], {"solo": 1.0})
+        assert out.layers == delta.layers and np.array_equal(out.values, delta.values)
     report("C3", "100 single-module compositions are bit-exact pass-throughs")
 
 

@@ -59,6 +59,18 @@ class TestGenerate:
                    "--alpha", "hhi=1.0"])
         assert rc == 0
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_alpha_is_config_error(self, tmp_path, weights_path, weight):
+        out = tmp_path / "x.rmgm"
+        rc = main(["generate", "--weights", str(weights_path), "--segments", "1",
+                   "--out", str(out), "--alpha", f"hhi={weight}"])
+        assert rc == 2 and not out.exists()
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"alpha = hhi={weight}\n")
+        assert main(["stream", "--weights", str(weights_path), "--config", str(config)]) == 2
+        assert main(["bench", "--weights", str(weights_path), "--frames", "8",
+                     "--config", str(config)]) == 2
+
     def test_missing_weights_is_format_error(self, tmp_path):
         bad = tmp_path / "missing.rmgw"
         bad.write_bytes(b"garbage")

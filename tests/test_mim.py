@@ -6,7 +6,6 @@ import pytest
 
 from remogen.errors import ConfigError, DimensionError, EmptyInputError
 from remogen.mim import (
-    CompositionWeights,
     ContextTokens,
     MimBlockParams,
     MimParams,
@@ -249,8 +248,9 @@ class TestModuleDeltas:
         h = gen.standard_normal((5, 16)).astype(F32)
         c = encode_others(gen.standard_normal((3, 12)).astype(F32), params.encoder)
         delta = module_deltas(h, c, params)
-        assert sorted(delta.layers.keys()) == [0, 1, 2]
-        assert all(np.all(v == 0) for v in delta.layers.values())
+        assert delta.layers == (0, 1, 2)
+        assert delta.values.shape == (3, 5, 16)
+        assert np.all(delta.values == 0)
 
 
 def hot_module(source, seed, width=128, heads=4, ffn_hidden=256):
@@ -272,13 +272,15 @@ class TestStackedModule:
         h = gen.standard_normal((5, 128)).astype(F32)
         c = ContextTokens(gen.standard_normal((t_c, 128)).astype(F32), source=source)
         delta = module_deltas(h, c, params)
-        assert sorted(delta.layers) == [0, 1, 2, 3]
+        assert delta.layers == (0, 1, 2, 3)
         for idx, block in params.blocks.items():
             alone = MimParams("m", source, params.encoder, {idx: block})
-            single = module_deltas(h, c, alone).layers[idx]
-            assert np.any(single != 0)
-            np.testing.assert_array_equal(delta.layers[idx], single)
-            np.testing.assert_array_equal(delta.layers[idx], mim_block_forward(h, c, block))
+            single = module_deltas(h, c, alone)
+            assert single.layers == (idx,)
+            assert np.any(single.values != 0)
+            row = delta.values[delta.layers.index(idx)]
+            np.testing.assert_array_equal(row, single.values[0])
+            np.testing.assert_array_equal(row, mim_block_forward(h, c, block))
 
     @pytest.mark.parametrize("t_c", [2, 64])
     def test_context_prepared_once_reused_over_steps(self, t_c):
@@ -291,9 +293,9 @@ class TestStackedModule:
             reused = module_deltas(h, prepared, params)
             fresh = module_deltas(h, prepare_context(c, params.stacked, 5), params)
             tokens = module_deltas(h, c, params)
-            for idx in params.blocks:
-                np.testing.assert_array_equal(reused.layers[idx], fresh.layers[idx])
-                np.testing.assert_array_equal(reused.layers[idx], tokens.layers[idx])
+            for k in range(len(params.blocks)):
+                np.testing.assert_array_equal(reused.values[k], fresh.values[k])
+                np.testing.assert_array_equal(reused.values[k], tokens.values[k])
 
     def test_stacked_weights_built_once_on_first_use(self):
         params = hot_module("others", seed=50, width=16, heads=2, ffn_hidden=32)
@@ -321,30 +323,84 @@ class TestStackedModule:
 
 
 def random_delta(gen, module_id, layers=(0, 1), shape=(3, 4)):
-    return ModulationDelta(module_id,
-                           {i: gen.standard_normal(shape).astype(F32) for i in layers})
+    return ModulationDelta(module_id, layers,
+                           np.stack([gen.standard_normal(shape).astype(F32) for _ in layers]))
+
+
+def copy_as(module_id, d):
+    return ModulationDelta(module_id, d.layers, d.values.copy())
+
+
+def per_layer_compose(deltas, alpha, eps=1e-6):
+    """Composition over {layer: (T, width)} dicts, one layer at a time: the
+    reference the stacked compose_deltas must match bit for bit. Returns the
+    composed layer map and the clamp scale."""
+    maps = [{idx: np.array(v) for idx, v in zip(d.layers, d.values)} for d in deltas]
+    keys = sorted(maps[0])
+    weights = [float(alpha[d.module_id]) for d in deltas]
+    if len(deltas) == 1 and weights[0] == 1.0:
+        return {k: v.copy() for k, v in maps[0].items()}, 1.0
+    total = {k: np.zeros_like(maps[0][k], dtype=np.float64) for k in keys}
+    for layer_map, a in zip(maps, weights):
+        for k in keys:
+            total[k] += a * layer_map[k].astype(np.float64)
+
+    def flat_norm(layer_map):
+        acc = 0.0
+        for arr in layer_map.values():
+            acc += float(np.sum(arr.astype(np.float64) ** 2))
+        return float(np.sqrt(acc))
+
+    m = max(flat_norm(layer_map) for layer_map in maps)
+    norm = float(np.sqrt(sum(np.sum(v ** 2) for v in total.values())))
+    s = min(1.0, m / (norm + eps))
+    return {k: (s * total[k]).astype(F32) for k in keys}, s
+
+
+class TestModulationDelta:
+    def test_layout_checked(self):
+        with pytest.raises(DimensionError):
+            ModulationDelta("m", (1, 0), np.zeros((2, 3, 4), dtype=F32))
+        with pytest.raises(DimensionError):
+            ModulationDelta("m", (0, 0), np.zeros((2, 3, 4), dtype=F32))
+        with pytest.raises(DimensionError):
+            ModulationDelta("m", (0, 1), np.zeros((3, 4), dtype=F32))
+        with pytest.raises(DimensionError):
+            ModulationDelta("m", (0, 1), np.zeros((3, 3, 4), dtype=F32))
+        d = ModulationDelta("m", [2], np.ones((1, 3, 4)))
+        assert d.layers == (2,) and d.values.dtype == F32
+
+    def test_flat_norm_sums_one_layer_at_a_time(self):
+        # One np.sum over the whole stack gives a different last bit for some
+        # of these stacks than adding the layers' sums one after another.
+        gen = Rng(17).generator("norm")
+        for _ in range(200):
+            d = random_delta(gen, "m", (0, 1, 2, 3), (5, 128))
+            acc = 0.0
+            for arr in d.values:
+                acc += float(np.sum(np.array(arr).astype(np.float64) ** 2))
+            assert d.flat_norm() == float(np.sqrt(acc))
 
 
 class TestComposeDeltas:
     def test_single_module_unit_alpha_bit_exact(self):
         gen = Rng(11).generator("c")
         d = random_delta(gen, "hhi")
-        out = compose_deltas([d], CompositionWeights(alpha={"hhi": 1.0}))
-        for i in d.layers:
-            assert np.array_equal(out.layers[i], d.layers[i])
+        out = compose_deltas([d], {"hhi": 1.0})
+        assert out.layers == d.layers
+        assert np.array_equal(out.values, d.values)
+        assert out.values is not d.values
 
     def test_symmetric_half_weights_preserve_norm(self):
         gen = Rng(12).generator("c")
         d = random_delta(gen, "hhi")
-        d2 = ModulationDelta("hsi", {i: v.copy() for i, v in d.layers.items()})
-        out = compose_deltas([d, d2], CompositionWeights(alpha={"hhi": 0.5, "hsi": 0.5}))
+        out = compose_deltas([d, copy_as("hsi", d)], {"hhi": 0.5, "hsi": 0.5})
         assert out.flat_norm() == pytest.approx(d.flat_norm(), rel=1e-5)
 
     def test_reinforcing_modules_clamped(self):
         gen = Rng(13).generator("c")
         d = random_delta(gen, "hhi")
-        d2 = ModulationDelta("hsi", {i: v.copy() for i, v in d.layers.items()})
-        out = compose_deltas([d, d2], CompositionWeights(alpha={"hhi": 1.0, "hsi": 1.0}))
+        out = compose_deltas([d, copy_as("hsi", d)], {"hhi": 1.0, "hsi": 1.0})
         # total = 2 delta, clamp rescales back to the strongest branch norm
         assert out.flat_norm() <= d.flat_norm() + 1e-6
         assert out.flat_norm() == pytest.approx(d.flat_norm(), rel=1e-4)
@@ -355,39 +411,59 @@ class TestComposeDeltas:
         n = int(gen.integers(1, 5))
         deltas = [random_delta(gen, f"m{i}") for i in range(n)]
         alpha = {f"m{i}": float(gen.uniform(0, 2)) for i in range(n)}
-        out = compose_deltas(deltas, CompositionWeights(alpha=alpha))
+        out = compose_deltas(deltas, alpha)
         assert out.flat_norm() <= max(d.flat_norm() for d in deltas) + 1e-6
 
     def test_pre_clamp_linearity(self):
         gen = Rng(14).generator("lin")
         # Scale small enough that the clamp never engages.
-        d1 = ModulationDelta("a", {0: gen.standard_normal((2, 3)).astype(F32)})
-        d2 = ModulationDelta("b", {0: gen.standard_normal((2, 3)).astype(F32)})
-        base = compose_deltas([d1, d2], CompositionWeights(alpha={"a": 0.1, "b": 0.2}))
-        doubled = compose_deltas([d1, d2], CompositionWeights(alpha={"a": 0.2, "b": 0.2}))
-        gain = doubled.layers[0] - base.layers[0]
-        np.testing.assert_allclose(gain, 0.1 * d1.layers[0], atol=1e-5)
+        d1 = ModulationDelta("a", (0,), gen.standard_normal((2, 3)).astype(F32)[None])
+        d2 = ModulationDelta("b", (0,), gen.standard_normal((2, 3)).astype(F32)[None])
+        base = compose_deltas([d1, d2], {"a": 0.1, "b": 0.2})
+        doubled = compose_deltas([d1, d2], {"a": 0.2, "b": 0.2})
+        gain = doubled.values[0] - base.values[0]
+        np.testing.assert_allclose(gain, 0.1 * d1.values[0], atol=1e-5)
 
-    def test_per_layer_clamp_variant(self):
-        gen = Rng(15).generator("pl")
-        d = random_delta(gen, "hhi")
-        out = compose_deltas([d, ModulationDelta("hsi", {i: v.copy() for i, v in d.layers.items()})],
-                             CompositionWeights(alpha={"hhi": 1.0, "hsi": 1.0},
-                                                clamp_per_layer=True))
-        for i, v in d.layers.items():
-            norm = float(np.linalg.norm(out.layers[i].astype(np.float64)))
-            assert norm <= float(np.linalg.norm(v.astype(np.float64))) + 1e-6
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("reinforcing", [True, False])
+    def test_bit_exact_against_per_layer_reference(self, seed, reinforcing):
+        gen = Rng(seed).generator("ref", str(reinforcing))
+        layers = (0, 1, 2, 3) if seed % 2 == 0 else (1, 3)
+        shape = (5, 128) if seed < 3 else (3, 4)
+        base = random_delta(gen, "m0", layers, shape)
+        n = 2 + seed % 3
+        if reinforcing:
+            # Modules pushing the same way at full weight: the sum outgrows
+            # the strongest branch and the clamp engages.
+            deltas = [copy_as("m0", base)] + [
+                ModulationDelta(f"m{i}", layers,
+                                base.values + 0.1 * random_delta(gen, "x", layers, shape).values)
+                for i in range(1, n)]
+            alpha = {f"m{i}": float(gen.uniform(0.8, 1.2)) for i in range(n)}
+        else:
+            # Modules that cancel each other: the sum stays below the bound.
+            deltas = [copy_as("m0", base)] + [
+                ModulationDelta(f"m{i}", layers, (-1) ** i * base.values
+                                + 0.1 * random_delta(gen, "x", layers, shape).values)
+                for i in range(1, n)]
+            alpha = {f"m{i}": 0.5 for i in range(n)}
+        expected, s = per_layer_compose(deltas, alpha)
+        assert (s < 1.0) == reinforcing
+        out = compose_deltas(deltas, alpha)
+        assert out.layers == layers
+        for k, idx in enumerate(layers):
+            np.testing.assert_array_equal(out.values[k], expected[idx])
 
     def test_empty_and_mismatch_errors(self):
         gen = Rng(16).generator("e")
         with pytest.raises(EmptyInputError):
-            compose_deltas([], CompositionWeights(alpha={"x": 1.0}))
+            compose_deltas([], {"x": 1.0})
         d1 = random_delta(gen, "a", layers=(0,))
         d2 = random_delta(gen, "b", layers=(1,))
         with pytest.raises(DimensionError):
-            compose_deltas([d1, d2], CompositionWeights(alpha={"a": 1.0, "b": 1.0}))
+            compose_deltas([d1, d2], {"a": 1.0, "b": 1.0})
         d3 = random_delta(gen, "b", layers=(0,), shape=(2, 2))
         with pytest.raises(DimensionError):
-            compose_deltas([d1, d3], CompositionWeights(alpha={"a": 1.0, "b": 1.0}))
+            compose_deltas([d1, d3], {"a": 1.0, "b": 1.0})
         with pytest.raises(ConfigError):
-            compose_deltas([d1], CompositionWeights(alpha={"other": 1.0}))
+            compose_deltas([d1], {"other": 1.0})

@@ -115,8 +115,7 @@ class TestPredictCleanLatent:
         z_t = gen.standard_normal(8, dtype=F32)
         w = embed_text("turn left", dim=8)
         bare = predict_clean_latent(small_params, z_t, 3, small_history, w)
-        zero = ModulationDelta("m", {0: np.zeros((5, 16), dtype=F32),
-                                     1: np.zeros((5, 16), dtype=F32)})
+        zero = ModulationDelta("m", (0, 1), np.zeros((2, 5, 16), dtype=F32))
         with_zero = predict_clean_latent(small_params, z_t, 3, small_history, w, zero)
         assert np.array_equal(bare, with_zero)
 
@@ -134,14 +133,14 @@ class TestPredictCleanLatent:
         kicked = np.zeros((5, 16), dtype=F32)
         kicked[0, 0] = 10.0
         out = predict_clean_latent(small_params, z_t, 1, small_history, w,
-                                   ModulationDelta("m", {0: kicked}))
+                                   ModulationDelta("m", (0,), kicked[None]))
         assert not np.array_equal(bare, out)
 
     def test_unknown_injection_layer(self, small_params, small_history):
         z_t = np.zeros(8, dtype=F32)
         with pytest.raises(ConfigError):
             predict_clean_latent(small_params, z_t, 0, small_history, null_embedding(8),
-                                 ModulationDelta("m", {9: np.zeros((5, 16), dtype=F32)}))
+                                 ModulationDelta("m", (9,), np.zeros((1, 5, 16), dtype=F32)))
 
     @pytest.mark.parametrize("layers", ["none", "zero", "some"])
     def test_batched_rows_equal_single_calls(self, small_params, small_history, layers):
@@ -149,11 +148,10 @@ class TestPredictCleanLatent:
         texts = (embed_text("turn left", dim=8), null_embedding(8))
         deltas = None
         if layers == "zero":
-            deltas = ModulationDelta("m", {0: np.zeros((5, 16), dtype=F32),
-                                           1: np.zeros((5, 16), dtype=F32)})
+            deltas = ModulationDelta("m", (0, 1), np.zeros((2, 5, 16), dtype=F32))
         elif layers == "some":
             kick = Rng(11).generator("d").standard_normal((5, 16)).astype(F32)
-            deltas = ModulationDelta("m", {1: kick})
+            deltas = ModulationDelta("m", (1,), kick[None])
         batched = predict_clean_latent(small_params, z_t, 4, small_history, texts, deltas)
         assert batched.shape == (2, 8)
         for row, w in zip(batched, texts):
@@ -167,7 +165,17 @@ class TestPredictCleanLatent:
         texts = (null_embedding(8), null_embedding(8))
         with pytest.raises(DimensionError):
             predict_clean_latent(small_params, np.zeros(8, dtype=F32), 0, small_history,
-                                 texts, ModulationDelta("m", {0: np.zeros((4, 16), dtype=F32)}))
+                                 texts, ModulationDelta("m", (0,), np.zeros((1, 4, 16), dtype=F32)))
+
+    def test_zero_rows_of_a_stack_are_skipped(self, small_params, small_history):
+        z_t = Rng(12).generator("z").standard_normal(8, dtype=F32)
+        texts = (embed_text("turn left", dim=8), null_embedding(8))
+        kick = Rng(13).generator("d").standard_normal((5, 16)).astype(F32)
+        stacked = ModulationDelta("m", (0, 1), np.stack([np.zeros_like(kick), kick]))
+        alone = ModulationDelta("m", (1,), kick[None])
+        np.testing.assert_array_equal(
+            predict_clean_latent(small_params, z_t, 2, small_history, texts, stacked),
+            predict_clean_latent(small_params, z_t, 2, small_history, texts, alone))
 
     def test_token_count(self, small_params, small_history):
         toks = denoiser_tokens(small_params, np.zeros(8, dtype=F32), 0, small_history,

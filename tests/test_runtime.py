@@ -245,6 +245,33 @@ class TestEngineConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("width = 130")  # not divisible by heads
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_rejected(self, weight):
+        with pytest.raises(ConfigError):
+            parse_config(f"alpha = hhi=0.5, hsi={weight}")
+        with pytest.raises(ConfigError):
+            EngineConfig(alpha={"hhi": float(weight)})
+
+    def test_every_field_parses_by_its_annotation(self):
+        changed = EngineConfig(
+            history_len=3, future_len=4, steps=5, guidance_scale=1.5, latent_dim=16,
+            text_dim=8, width=64, heads=2, n_blocks=3, ffn_hidden=32, vae_hidden=48,
+            injection_layers=(0, 2), beta_sens=0.5, h_step=2e-3, fps=20.0,
+            alpha={"hhi": 0.25}, fwsr=True, seed=7, joints=24)
+        text = "\n".join(f"{f.name} = {_config_text(getattr(changed, f.name))}"
+                         for f in dataclasses.fields(EngineConfig))
+        assert parse_config(text) == changed
+        assert all(getattr(changed, f.name) != getattr(EngineConfig(), f.name)
+                   for f in dataclasses.fields(EngineConfig))
+
+
+def _config_text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, dict):
+        return ",".join(f"{k}={v}" for k, v in value.items())
+    return str(value)
+
 
 class TestStreamRecords:
     def test_round_trip(self):
