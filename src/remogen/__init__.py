@@ -17,7 +17,6 @@ from .errors import (
     FormatError,
     InsufficientFramesError,
     NumericError,
-    ProviderError,
     RemogenError,
 )
 
@@ -25,5 +24,5 @@ __all__ = [
     "tensorcore", "motion", "scene", "prior", "mim", "fwsr", "metrics", "runtime",
     "RemogenError", "DimensionError", "NumericError", "DegenerateInputError",
     "EmptyInputError", "ConfigError", "FormatError", "CorruptArchiveError",
-    "InsufficientFramesError", "ProviderError",
+    "InsufficientFramesError",
 ]

@@ -46,6 +46,12 @@ def _seed_override(cfg: EngineConfig) -> EngineConfig:
         raise ConfigError(f"REMOGEN_SEED must be an integer, got {env!r}") from exc
 
 
+def _non_negative(value: int, flag: str) -> int:
+    if value < 0:
+        raise ConfigError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def _cmd_init_weights(args) -> int:
     cfg = _seed_override(EngineConfig(seed=args.seed))
     save_archive(init_weights(cfg, cfg.seed), args.out)
@@ -54,6 +60,7 @@ def _cmd_init_weights(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    segments = _non_negative(args.segments, "--segments")
     cfg = EngineConfig(seed=args.seed, fwsr=args.fwsr,
                        alpha=parse_alpha(args.alpha) if args.alpha else {})
     cfg = _seed_override(cfg)
@@ -67,7 +74,7 @@ def _cmd_generate(args) -> int:
     engine.set_text(args.text)
     if cfg.alpha:
         engine.set_alpha(cfg.alpha)
-    frames = engine.run_ticks(args.segments * cfg.future_len, partner)
+    frames = engine.run_ticks(segments * cfg.future_len, partner)
     stacked = np.stack(frames) if frames else np.zeros((0, engine.layout.dim), dtype=np.float32)
     segment = MotionSegment(stacked, fps=cfg.fps)
     save_motion(segment, args.out, FeatureLayout(cfg.joints))
@@ -128,9 +135,10 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    n_frames = _non_negative(args.frames, "--frames")
     cfg = _seed_override(load_config(args.config) if args.config else EngineConfig())
     archive = load_archive(args.weights)
-    results = bench(cfg, archive, n_frames=args.frames)
+    results = bench(cfg, archive, n_frames=n_frames)
     print(format_bench(results))
     return 0
 

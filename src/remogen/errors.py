@@ -35,14 +35,3 @@ class CorruptArchiveError(FormatError):
 
 class InsufficientFramesError(RemogenError, ValueError):
     """Too few frames for a finite-difference metric."""
-
-
-class ProviderError(RemogenError, RuntimeError):
-    """A per-segment context provider failed during rollout."""
-
-    def __init__(self, segment_index: int, message: str = ""):
-        self.segment_index = segment_index
-        detail = f"context provider failed at segment {segment_index}"
-        if message:
-            detail = f"{detail}: {message}"
-        super().__init__(detail)

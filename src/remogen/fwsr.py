@@ -17,13 +17,12 @@ decoded in one call. The refined latent is re-decoded with the segment's
 first updated history and only the current frame is taken.
 
 SegmentRefiner holds one segment's refinement state and advances it one
-frame per step(), so the streaming engine and refine_segment run the same
-code whether the frames come one per tick or all at once.
+frame per step(); the runtime engine drives it one tick at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -174,14 +173,6 @@ def refine_latent(z0: np.ndarray, m_h: HistoryWindow, x_dyn_window: np.ndarray,
     return (z0.astype(F64) + d_safe).astype(F32)
 
 
-@dataclass
-class RefinementTrace:
-    """Call counters for the cost contract: F-1 refinements, F-1 decodes."""
-
-    refine_calls: int = 0
-    decode_calls: int = 0
-
-
 class SegmentRefiner:
     """Resumable per-frame refinement of one sampled segment.
 
@@ -206,30 +197,6 @@ class SegmentRefiner:
         frame = self.decoder(self._decode_history, z_ref).frames[f]
         self.history = self.history.slide(frame)
         return frame
-
-
-def refine_segment(z0: np.ndarray, m_h: HistoryWindow, dyn: Optional[DynamicContext],
-                   decoder: Decoder, params: FwsrParams, s: SensitivityVector,
-                   initial_segment: Optional[MotionSegment] = None,
-                   trace: Optional[RefinementTrace] = None) -> MotionSegment:
-    """Per-frame refinement loop over one segment: frame 0, then F-1 refiner steps."""
-    if initial_segment is None:
-        initial_segment = decoder(m_h, np.asarray(z0, dtype=F32))
-        if trace is not None:
-            trace.decode_calls += 1
-    f_len = len(initial_segment)
-    if f_len < 1:
-        raise DimensionError("initial segment must have at least one frame")
-
-    frames = [initial_segment.frames[0]]
-    refiner = SegmentRefiner(z0, m_h, initial_segment.frames[0], s, params, decoder)
-    for f in range(1, f_len):
-        window = dyn.window(f) if dyn is not None else np.zeros((0, m_h.dim), dtype=F32)
-        frames.append(refiner.step(f, window))
-        if trace is not None:
-            trace.refine_calls += 1
-            trace.decode_calls += 1
-    return MotionSegment(np.stack(frames), fps=initial_segment.fps)
 
 
 def seeded_fwsr_params(rng: Rng, feature_dim: int, latent_dim: int,

@@ -2,8 +2,8 @@
 
 A segment VAE (decoder maps history + latent to F future frames) paired with
 a latent denoiser sampled by a short DDPM chain under classifier-free
-guidance, plus the segment-autoregressive rollout loop that slides the
-history window after each generated segment.
+guidance. The segment-autoregressive rollout that slides the history window
+after each generated segment is driven by the runtime engine.
 
 Parameters are plain frozen dataclasses of arrays; nothing here mutates them,
 which is what keeps the prior structurally frozen.
@@ -16,8 +16,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ProviderError
-from .motion import FeatureLayout, HistoryWindow, MotionSegment, update_history
+from .errors import ConfigError, DimensionError
+from .motion import FeatureLayout, HistoryWindow, MotionSegment
 from .tensorcore import (
     F32,
     F64,
@@ -116,18 +116,15 @@ class DiffusionSchedule:
 
 @dataclass(frozen=True)
 class GenerationConfig:
-    """Rollout knobs: window sizes, step count, guidance, seed, frame rate."""
+    """Sampler knobs: step count, guidance scale, seed."""
 
-    history_len: int = 2
-    future_len: int = 8
     steps: int = 10
     guidance_scale: float = 2.0
     seed: int = 0
-    fps: float = 10.0
 
     def __post_init__(self):
-        if self.history_len < 1 or self.future_len < 1 or self.steps < 1:
-            raise ConfigError("history_len, future_len and steps must all be >= 1")
+        if self.steps < 1:
+            raise ConfigError("steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -365,12 +362,6 @@ def predict_clean_latent(params: PriorParams, z_t: np.ndarray, t: int,
     return out[0] if single else out
 
 
-def _as_generator(rng: Union[Rng, np.random.Generator], *labels) -> np.random.Generator:
-    if isinstance(rng, Rng):
-        return rng.generator(*labels)
-    return rng
-
-
 def ddpm_sample(params: Optional[PriorParams], m_h: HistoryWindow, w: TextEmbedding,
                 deltas_provider: Optional[StepDeltaProvider], cfg: GenerationConfig,
                 rng: Union[Rng, np.random.Generator],
@@ -400,7 +391,7 @@ def ddpm_sample(params: Optional[PriorParams], m_h: HistoryWindow, w: TextEmbedd
         text_dim = w.values.shape[0]
 
     schedule = DiffusionSchedule.linear(cfg.steps)
-    gen = _as_generator(rng, "ddpm", cfg.seed)
+    gen = rng.generator("ddpm", cfg.seed) if isinstance(rng, Rng) else rng
     null_w = null_embedding(text_dim)
     alphas = schedule.alphas
     alpha_bars = schedule.alpha_bars
@@ -428,44 +419,6 @@ def ddpm_sample(params: Optional[PriorParams], m_h: HistoryWindow, w: TextEmbedd
         else:
             z = mean.astype(F32)
     return z
-
-
-ProviderFactory = Callable[[int, HistoryWindow], Optional[StepDeltaProvider]]
-
-
-def rollout(params: PriorParams, text: str, n_segments: int,
-            context_providers: Optional[ProviderFactory], cfg: GenerationConfig,
-            rng: Union[Rng, np.random.Generator],
-            history: Optional[HistoryWindow] = None) -> MotionSegment:
-    """Segment-autoregressive generation of n_segments * F frames.
-
-    Before each segment the provider factory is queried with the segment
-    index and current history; its failures propagate as ProviderError with
-    that index. After each segment the history slides per the window update.
-    """
-    if history is None:
-        history = HistoryWindow(np.zeros((cfg.history_len, params.feature_dim), dtype=F32))
-    if len(history) != cfg.history_len:
-        raise DimensionError("seed history length does not match config")
-    w = embed_text(text, params.text_dim)
-    gen = _as_generator(rng, "rollout", cfg.seed)
-    chunks = []
-    for i in range(n_segments):
-        provider = None
-        if context_providers is not None:
-            try:
-                provider = context_providers(i, history)
-            except Exception as exc:
-                raise ProviderError(i, str(exc)) from exc
-        z0 = ddpm_sample(params, history, w, provider, cfg, gen)
-        segment = decode_segment(history, z0, params, fps=cfg.fps)
-        chunks.append(segment.frames)
-        history = update_history(history, segment)
-    if chunks:
-        frames = np.vstack(chunks)
-    else:
-        frames = np.zeros((0, params.feature_dim), dtype=F32)
-    return MotionSegment(frames, fps=cfg.fps)
 
 
 @dataclass(frozen=True)

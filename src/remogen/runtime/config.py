@@ -43,19 +43,23 @@ class EngineConfig:
     def __post_init__(self):
         if self.history_len < 1 or self.future_len < 1 or self.steps < 1:
             raise ConfigError("history_len, future_len and steps must be >= 1")
-        if self.width % self.heads != 0:
-            raise ConfigError("width must be divisible by heads")
+        if self.heads < 1 or self.width % self.heads != 0:
+            raise ConfigError("heads must be >= 1 and divide width")
+        if not self.injection_layers:
+            raise ConfigError("injection_layers must name at least one denoiser block")
         if any(i < 0 or i >= self.n_blocks for i in self.injection_layers):
             raise ConfigError("injection layers must index denoiser blocks")
+        scalars = (self.guidance_scale, self.beta_sens, self.h_step, self.fps)
+        if not all(math.isfinite(v) for v in scalars):
+            raise ConfigError("guidance_scale, beta_sens, h_step and fps must be finite")
         if self.beta_sens < 0 or self.h_step <= 0 or self.fps <= 0:
             raise ConfigError("beta_sens >= 0, h_step > 0, fps > 0 required")
         if not all(math.isfinite(a) for a in self.alpha.values()):
             raise ConfigError(f"alpha weights must be finite, got {self.alpha}")
 
-    def generation(self, seed: Optional[int] = None) -> GenerationConfig:
-        return GenerationConfig(history_len=self.history_len, future_len=self.future_len,
-                                steps=self.steps, guidance_scale=self.guidance_scale,
-                                seed=self.seed if seed is None else seed, fps=self.fps)
+    def generation(self) -> GenerationConfig:
+        return GenerationConfig(steps=self.steps, guidance_scale=self.guidance_scale,
+                                seed=self.seed)
 
 
 def parse_alpha(text: str) -> dict:
@@ -141,7 +145,9 @@ def parse_record(line: str) -> StreamRecord:
     """One NDJSON line as a record; every malformed payload raises FormatError."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past the digit limit;
+        # RecursionError, arrays nested deeper than the decoder recurses.
         raise FormatError(f"record is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FormatError("record must be a JSON object")
@@ -161,15 +167,17 @@ def parse_record(line: str) -> StreamRecord:
             raise FormatError("alpha payload must be an object")
         try:
             alpha = {str(k): float(v) for k, v in alpha.items()}
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"alpha weights must be numbers: {exc}") from exc
         if not all(np.isfinite(v) for v in alpha.values()):
             raise FormatError("alpha weights must be finite")
     pose = obj.get("pose")
     if pose is not None:
+        if not isinstance(pose, list):
+            raise FormatError("pose must be a list of numbers")
         try:
             pose = np.asarray(pose, dtype=F32)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"pose must be a list of numbers: {exc}") from exc
         if not np.isfinite(pose).all():
             raise FormatError("pose entries must be finite numbers")

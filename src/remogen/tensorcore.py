@@ -54,14 +54,6 @@ def linear(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray] = None) -> np.n
     return y
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shift-stable softmax, float64 internally."""
-    z = np.asarray(x, dtype=F64)
-    z = z - np.max(z, axis=axis, keepdims=True)
-    e = np.exp(z)
-    return (e / np.sum(e, axis=axis, keepdims=True)).astype(F32)
-
-
 def layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray,
                eps: float = LAYER_NORM_EPS) -> np.ndarray:
     """Per-row layer normalization with a variance floor of eps.

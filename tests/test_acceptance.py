@@ -15,11 +15,10 @@ import pytest
 
 from remogen.fwsr import (
     DynamicContext,
-    RefinementTrace,
+    SegmentRefiner,
     SensitivityVector,
     estimate_sensitivity,
     refine_latent,
-    refine_segment,
     seeded_fwsr_params,
 )
 from remogen.metrics import (
@@ -48,11 +47,7 @@ from remogen.motion import (
     synthetic_sequence,
     transform_sequence,
 )
-from remogen.prior import (
-    GenerationConfig,
-    ddpm_sample,
-    seeded_prior_params,
-)
+from remogen.prior import GenerationConfig, ddpm_sample
 from remogen.runtime import (
     Engine,
     EngineConfig,
@@ -343,12 +338,21 @@ def test_c05_sensitivity_linear_decoders():
 
 def test_c06_refinement_algorithm_conformance(monkeypatch):
     """F-1 refinements, F-1 decodes, zero denoiser calls, shifted baseline at init."""
+    import remogen.fwsr as fwsr_module
     import remogen.prior as prior_module
 
     def bomb(*args, **kwargs):
         raise AssertionError("denoiser invoked during frame refinement")
 
     monkeypatch.setattr(prior_module, "predict_clean_latent", bomb)
+    refines = {"n": 0}
+    real_refine = fwsr_module.refine_latent
+
+    def counting_refine(*args, **kwargs):
+        refines["n"] += 1
+        return real_refine(*args, **kwargs)
+
+    monkeypatch.setattr(fwsr_module, "refine_latent", counting_refine)
 
     feature_dim = 10
     d_z = 6
@@ -372,52 +376,57 @@ def test_c06_refinement_algorithm_conformance(monkeypatch):
         m_h = HistoryWindow(gen.standard_normal((2, feature_dim)).astype(F32))
         initial = decoder(m_h, z0)
         calls["n"] = 0
+        refines["n"] = 0
         dyn = DynamicContext(2, feature_dim)
         for _ in range(f_len):
             dyn.push(gen.standard_normal(feature_dim).astype(F32))
         dyn.mark_segment_start()
-        trace = RefinementTrace()
-        out = refine_segment(z0, m_h, dyn, decoder, params,
-                             SensitivityVector.zeros(d_z), initial_segment=initial,
-                             trace=trace)
+        # Frame 0 comes from the initial decode; each later frame is one
+        # refiner step, as the fwsr engine emits them tick by tick.
+        refiner = SegmentRefiner(z0, m_h, initial.frames[0],
+                                 SensitivityVector.zeros(d_z), params, decoder)
+        out = np.stack([initial.frames[0]]
+                       + [refiner.step(f, dyn.window(f)) for f in range(1, f_len)])
         assert len(out) == f_len
-        assert trace.refine_calls == f_len - 1
-        assert trace.decode_calls == f_len - 1 == calls["n"]
+        assert refines["n"] == f_len - 1
+        assert calls["n"] == f_len - 1
         # Zero-gated refinement reproduces the shifted-history re-decode.
         shifted = decoder(m_h.slide(initial.frames[0]), z0)
-        assert np.array_equal(out.frames[0], initial.frames[0])
-        assert np.array_equal(out.frames[1:], shifted.frames[1:])
+        assert np.array_equal(out[0], initial.frames[0])
+        assert np.array_equal(out[1:], shifted.frames[1:])
     report("C6", "50 refinement runs: F-1 refines, F-1 decodes, 0 denoiser calls, "
                  "baseline bit-exact at init")
 
 
 def test_c07_rollout_window_invariants():
     """Output length and history window contents for every small (H, F, n)."""
-    from remogen.prior import rollout
-
-    feature_dim = 10
     checked = 0
     for h_len in range(1, 9):
         for f_len in range(1, 9):
-            params = seeded_prior_params(Rng(1), feature_dim=feature_dim,
-                                         history_len=h_len, future_len=f_len,
-                                         latent_dim=6, text_dim=8, width=16, heads=2,
-                                         n_blocks=1, ffn_hidden=16, vae_hidden=16)
+            cfg = EngineConfig(history_len=h_len, future_len=f_len, steps=2, latent_dim=6,
+                               text_dim=8, width=16, heads=2, n_blocks=1, ffn_hidden=16,
+                               vae_hidden=16, injection_layers=(0,),
+                               seed=h_len * 100 + f_len)
+            # init_weights leaves the normalizer at the identity, so emitted
+            # frames and the engine's normalized history are the same numbers.
+            archive = init_weights(cfg, seed=1)
             for n_seg in range(0, 6):
-                cfg = GenerationConfig(history_len=h_len, future_len=f_len, steps=2,
-                                       seed=h_len * 100 + f_len)
-                seen = []
-                out = rollout(params, "sweep", n_seg,
-                              lambda i, hist: seen.append(hist.frames.copy()) or None,
-                              cfg, Rng(3))
-                assert out.frames.shape == (n_seg * f_len, feature_dim)
-                seed_frames = np.zeros((h_len, feature_dim), dtype=F32)
-                for i, hist in enumerate(seen):
-                    stacked = np.vstack([seed_frames, out.frames[: i * f_len]])
-                    np.testing.assert_array_equal(hist, stacked[-h_len:])
+                engine = Engine(archive, cfg, mode="segment")
+                engine.set_text("sweep")
+                frames = [engine.history.frames]
+                for _ in range(n_seg):
+                    np.testing.assert_array_equal(engine.history.frames,
+                                                  np.vstack(frames)[-h_len:])
+                    emitted = engine.run_ticks(f_len)
+                    assert len(emitted) == f_len
+                    frames.extend(emitted)
+                assert len(frames) - 1 == n_seg * f_len
+                np.testing.assert_array_equal(engine.history.frames,
+                                              np.vstack(frames)[-h_len:])
                 checked += 1
     assert checked == 8 * 8 * 6
-    report("C7", f"{checked} (H, F, n) rollouts keep length and window invariants")
+    report("C7", f"{checked} (H, F, n) segment-mode rollouts keep length and window "
+                 f"invariants")
 
 
 def test_c08_sampler_sanity():
@@ -576,3 +585,43 @@ def test_c12_stream_determinism(compact_archive):
 
     assert run() == run()
     report("C12", "stream transcripts byte-identical across runs (timings stripped)")
+
+
+def test_c13_reaction_lag():
+    """fwsr and slide answer a partner frame on its own tick; segment mode
+    only hears the last H partner frames before each boundary."""
+    from test_golden import golden_archive
+
+    start = time.perf_counter()
+    cfg = dataclasses.replace(COMPACT, alpha={"hhi": 1.0}, seed=7)
+    archive = golden_archive(cfg)  # non-zero module gates and FiLM head
+    f_len, h_len = cfg.future_len, cfg.history_len
+    n_ticks = 2 * f_len
+    partner = featurize(synthetic_sequence(n_ticks, seed=7)).frames
+
+    def run(mode, frames):
+        engine = Engine(archive, cfg, mode=mode)
+        engine.set_text("step toward the partner")
+        return [engine.tick(frame) for frame in frames]
+
+    def changed_ticks(a, b):
+        return [len(x) != len(y) or not all(np.array_equal(u, v) for u, v in zip(x, y))
+                for x, y in zip(a, b)]
+
+    for mode in ("fwsr", "slide", "segment"):
+        base = run(mode, partner)
+        for k in range(n_ticks):
+            bumped = partner.copy()
+            bumped[k] += 0.5
+            changed = changed_ticks(base, run(mode, bumped))
+            assert not any(changed[:k]), (mode, k)
+            if mode != "segment":
+                assert changed[k], (mode, k)  # lag 0
+            elif k % f_len >= f_len - h_len:
+                # Read by the module context of the boundary that closes k's segment.
+                assert changed[k - k % f_len + f_len - 1], (mode, k)
+            else:
+                assert not any(changed), (mode, k)
+    elapsed = time.perf_counter() - start
+    report("C13", f"fwsr and slide react on the perturbed tick; segment mode hears only "
+                  f"the last {h_len} of every {f_len} partner frames ({elapsed:.1f} s)")

@@ -71,6 +71,13 @@ class TestGenerate:
         assert main(["bench", "--weights", str(weights_path), "--frames", "8",
                      "--config", str(config)]) == 2
 
+    def test_negative_counts_are_config_errors(self, tmp_path, weights_path):
+        out = tmp_path / "x.rmgm"
+        rc = main(["generate", "--weights", str(weights_path), "--segments", "-3",
+                   "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert main(["bench", "--weights", str(weights_path), "--frames", "-1"]) == 2
+
     def test_missing_weights_is_format_error(self, tmp_path):
         bad = tmp_path / "missing.rmgw"
         bad.write_bytes(b"garbage")

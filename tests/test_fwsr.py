@@ -6,14 +6,14 @@ from remogen.errors import DimensionError, NumericError
 from remogen.fwsr import (
     DynamicContext,
     FwsrParams,
-    RefinementTrace,
+    SegmentRefiner,
     SensitivityVector,
     estimate_sensitivity,
     refine_latent,
-    refine_segment,
     seeded_fwsr_params,
 )
 from remogen.motion import HistoryWindow, MotionSegment
+from remogen.runtime import Engine, EngineConfig, init_weights
 from remogen.tensorcore import AttentionParams, RelBiasParams, Rng
 
 F32 = np.float32
@@ -201,17 +201,47 @@ class TestDynamicContext:
         assert dyn.window(3).shape == (0, 3)
 
 
+def refine_frames(z0, m_h, initial, dyn, decoder, params, s):
+    """One segment as the fwsr engine emits it: frame 0 of the initial
+    decode, then one SegmentRefiner step per later frame."""
+    refiner = SegmentRefiner(z0, m_h, initial.frames[0], s, params, decoder)
+    frames = [initial.frames[0]]
+    for f in range(1, len(initial)):
+        window = dyn.window(f) if dyn is not None else np.zeros((0, m_h.dim), dtype=F32)
+        frames.append(refiner.step(f, window))
+    return np.stack(frames)
+
+
+@pytest.fixture()
+def refine_calls(monkeypatch):
+    """Counts refine_latent calls made through the refiner's module."""
+    import remogen.fwsr as fwsr_module
+
+    calls = {"n": 0}
+    real = fwsr_module.refine_latent
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fwsr_module, "refine_latent", counting)
+    return calls
+
+
 class TestRefineSegment:
     @pytest.fixture()
     def decoder(self):
         gen = Rng(7).generator("dec")
         w = gen.standard_normal((2 * D + DZ, 8 * D)).astype(F32) * 0.1
+        calls = {"n": 0}
 
         def decode(m_h, z):
+            calls["n"] += 1
             x = np.concatenate([m_h.frames.reshape(-1), z])
             return MotionSegment(np.tanh(x.astype(np.float64) @ w.astype(np.float64))
                                  .reshape(8, D).astype(F32))
 
+        decode.calls = calls
         return decode
 
     def test_zero_film_reproduces_shifted_redecode(self, decoder):
@@ -221,11 +251,11 @@ class TestRefineSegment:
         z0 = gen.standard_normal(DZ, dtype=F32)
         m_h = history(gen)
         initial = decoder(m_h, z0)
-        out = refine_segment(z0, m_h, None, decoder, params,
-                             SensitivityVector.zeros(DZ), initial_segment=initial)
+        out = refine_frames(z0, m_h, initial, None, decoder, params,
+                            SensitivityVector.zeros(DZ))
         shifted = decoder(m_h.slide(initial.frames[0]), z0)
-        assert np.array_equal(out.frames[0], initial.frames[0])
-        np.testing.assert_array_equal(out.frames[1:], shifted.frames[1:])
+        assert np.array_equal(out[0], initial.frames[0])
+        np.testing.assert_array_equal(out[1:], shifted.frames[1:])
 
     def test_zero_film_independent_of_dynamics(self, decoder):
         params = seeded_fwsr_params(Rng(8), feature_dim=D, latent_dim=DZ,
@@ -239,35 +269,44 @@ class TestRefineSegment:
         for _ in range(8):
             noisy.push(gen.standard_normal(D).astype(F32))
         noisy.mark_segment_start()
-        a = refine_segment(z0, m_h, quiet, decoder, params,
-                           SensitivityVector.zeros(DZ), initial_segment=initial)
-        b = refine_segment(z0, m_h, noisy, decoder, params,
-                           SensitivityVector.zeros(DZ), initial_segment=initial)
-        assert np.array_equal(a.frames, b.frames)
+        a = refine_frames(z0, m_h, initial, quiet, decoder, params,
+                          SensitivityVector.zeros(DZ))
+        b = refine_frames(z0, m_h, initial, noisy, decoder, params,
+                          SensitivityVector.zeros(DZ))
+        assert np.array_equal(a, b)
 
-    def test_single_frame_segment_no_refinement(self, decoder):
-        params = seeded_fwsr_params(Rng(8), feature_dim=D, latent_dim=DZ, heads=2)
-        z0 = np.zeros(DZ, dtype=F32)
-        m_h = history()
-        initial = MotionSegment(decoder(m_h, z0).frames[:1])
-        trace = RefinementTrace()
-        out = refine_segment(z0, m_h, None, decoder, params,
-                             SensitivityVector.zeros(DZ), initial_segment=initial,
-                             trace=trace)
-        assert len(out) == 1
-        assert trace.refine_calls == 0 and trace.decode_calls == 0
+    def test_single_frame_segment_no_refinement(self, refine_calls, monkeypatch):
+        """An fwsr engine with one-frame segments decodes once per segment and
+        never refines."""
+        import remogen.runtime.engine as engine_module
 
-    def test_cost_contract(self, decoder):
+        decodes = {"n": 0}
+        real_decode = engine_module.decode_segment
+
+        def counting_decode(*args, **kwargs):
+            decodes["n"] += 1
+            return real_decode(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "decode_segment", counting_decode)
+        cfg = EngineConfig(history_len=2, future_len=1, steps=2, latent_dim=8, text_dim=8,
+                           width=16, heads=2, n_blocks=1, ffn_hidden=16, vae_hidden=16,
+                           injection_layers=(0,), fwsr=True)
+        engine = Engine(init_weights(cfg, seed=8), cfg)
+        out = engine.run_ticks(5)
+        assert len(out) == 5
+        assert refine_calls["n"] == 0
+        assert decodes["n"] == 5
+
+    def test_cost_contract(self, decoder, refine_calls):
         params = seeded_fwsr_params(Rng(8), feature_dim=D, latent_dim=DZ,
                                     heads=2, zero_film=False)
         gen = Rng(11).generator("z")
         z0 = gen.standard_normal(DZ, dtype=F32)
         m_h = history(gen)
         initial = decoder(m_h, z0)
-        trace = RefinementTrace()
-        out = refine_segment(z0, m_h, None, decoder, params,
-                             SensitivityVector.zeros(DZ), initial_segment=initial,
-                             trace=trace)
+        decoder.calls["n"] = 0
+        out = refine_frames(z0, m_h, initial, None, decoder, params,
+                            SensitivityVector.zeros(DZ))
         assert len(out) == 8
-        assert trace.refine_calls == 7
-        assert trace.decode_calls == 7
+        assert refine_calls["n"] == 7
+        assert decoder.calls["n"] == 7

@@ -1,10 +1,20 @@
-"""Prior tests: text embedding, VAE, denoiser delta injection, sampler, rollout."""
+"""Prior tests: text embedding, VAE, denoiser delta injection, sampler, rollout.
+
+The segment-autoregressive rollout is driven by the runtime engine; its
+segment mode is checked here against a hand loop over the prior's pieces.
+"""
 import numpy as np
 import pytest
 
-from remogen.errors import ConfigError, DimensionError, ProviderError
+from remogen.errors import ConfigError, DimensionError
 from remogen.mim import ModulationDelta
-from remogen.motion import HistoryWindow, MotionSegment
+from remogen.motion import (
+    FeatureLayout,
+    HistoryWindow,
+    MotionSegment,
+    rest_history,
+    update_history,
+)
 from remogen.prior import (
     DiffusionSchedule,
     GenerationConfig,
@@ -17,10 +27,10 @@ from remogen.prior import (
     losses,
     null_embedding,
     predict_clean_latent,
-    rollout,
     sample_latent,
     seeded_prior_params,
 )
+from remogen.runtime import Engine, EngineConfig, init_weights
 from remogen.tensorcore import Rng
 
 F32 = np.float32
@@ -199,7 +209,7 @@ def pair_stub(fn):
 
 class TestDdpmSample:
     def test_constant_stub_recovered(self, small_history):
-        cfg = GenerationConfig(history_len=2, future_len=4, steps=10)
+        cfg = GenerationConfig(steps=10)
         z_star = np.linspace(-1, 1, 8).astype(F32)
         for seed in range(10):
             out = ddpm_sample(None, small_history, null_embedding(8), None, cfg,
@@ -274,61 +284,77 @@ class TestSchedule:
             DiffusionSchedule(np.array([0.1, 0.1]))
 
 
+# A small rollout engine. init_weights leaves the normalizer at the identity,
+# so emitted and normalized frames are the same numbers.
+ROLLOUT_CFG = EngineConfig(history_len=2, future_len=4, steps=3, latent_dim=8,
+                           text_dim=8, width=16, heads=2, n_blocks=2, ffn_hidden=32,
+                           vae_hidden=32, injection_layers=(0, 1), seed=11)
+
+
+@pytest.fixture(scope="module")
+def rollout_archive():
+    return init_weights(ROLLOUT_CFG, seed=5)
+
+
+def segment_engine(archive, text=""):
+    engine = Engine(archive, ROLLOUT_CFG, mode="segment")
+    engine.set_text(text)
+    return engine
+
+
 class TestRollout:
-    def test_zero_segments_empty(self, small_params):
-        cfg = GenerationConfig(history_len=2, future_len=4, steps=3)
-        out = rollout(small_params, "idle", 0, None, cfg, Rng(0))
-        assert out.frames.shape == (0, 12)
+    def test_zero_segments_empty(self, rollout_archive):
+        engine = segment_engine(rollout_archive, "idle")
+        assert engine.run_ticks(0) == []
+        # Ticks short of a segment boundary emit nothing.
+        assert all(engine.tick() == [] for _ in range(ROLLOUT_CFG.future_len - 1))
 
-    def test_length_and_determinism(self, small_params):
-        cfg = GenerationConfig(history_len=2, future_len=4, steps=3)
-        a = rollout(small_params, "wave", 3, None, cfg, Rng(4))
-        b = rollout(small_params, "wave", 3, None, cfg, Rng(4))
-        assert a.frames.shape == (12, 12)
-        assert np.array_equal(a.frames, b.frames)
+    def test_length_and_determinism(self, rollout_archive):
+        a = np.stack(segment_engine(rollout_archive, "wave").run_ticks(12))
+        b = np.stack(segment_engine(rollout_archive, "wave").run_ticks(12))
+        assert a.shape == (12, FeatureLayout(ROLLOUT_CFG.joints).dim)
+        assert np.array_equal(a, b)
 
-    def test_matches_manual_segment_loop(self, small_params):
-        """Re-derive the rollout by hand: sample, decode, concat-truncate history."""
-        cfg = GenerationConfig(history_len=2, future_len=4, steps=3)
+    def test_matches_manual_segment_loop(self, rollout_archive):
+        """Re-derive segment mode by hand: sample, decode, concat-truncate history."""
+        cfg = ROLLOUT_CFG
         text = "walk then stop"
-        out = rollout(small_params, text, 3, None, cfg, Rng(11))
+        engine = segment_engine(rollout_archive, text)
+        out = np.stack(engine.run_ticks(3 * cfg.future_len))
 
-        gen = Rng(11).generator("rollout", cfg.seed)
-        w = embed_text(text, small_params.text_dim)
-        frames = np.zeros((0, 12), dtype=F32)
-        hist_frames = np.zeros((2, 12), dtype=F32)
+        params = engine.prior
+        gen = Rng(cfg.seed).generator("engine")
+        sampler = GenerationConfig(steps=cfg.steps, guidance_scale=cfg.guidance_scale,
+                                   seed=cfg.seed)
+        w = embed_text(text, params.text_dim)
+        history = rest_history(cfg.history_len, FeatureLayout(cfg.joints), fps=cfg.fps)
+        frames = []
         for _ in range(3):
-            z0 = ddpm_sample(small_params, HistoryWindow(hist_frames), w, None, cfg, gen)
-            seg = decode_segment(HistoryWindow(hist_frames), z0, small_params, fps=cfg.fps)
-            frames = np.vstack([frames, seg.frames])
-            hist_frames = np.vstack([hist_frames, seg.frames])[-2:]
-        assert np.array_equal(out.frames, frames)
+            z0 = ddpm_sample(params, history, w, None, sampler, gen)
+            seg = decode_segment(history, z0, params, fps=cfg.fps)
+            frames.append(seg.frames)
+            history = update_history(history, seg)
+        assert np.array_equal(out, np.vstack(frames))
 
-    def test_history_passed_to_providers(self, small_params):
-        cfg = GenerationConfig(history_len=2, future_len=4, steps=2)
+    def test_history_passed_to_providers(self, rollout_archive, monkeypatch):
+        """The sampler, and with it the delta provider, sees the last H emitted frames."""
+        import remogen.runtime.engine as engine_module
+
         seen = []
+        real_sample = engine_module.ddpm_sample
 
-        def factory(i, history):
-            seen.append((i, history.frames.copy()))
-            return None
+        def recording_sample(params, m_h, *args, **kwargs):
+            seen.append(m_h.frames.copy())
+            return real_sample(params, m_h, *args, **kwargs)
 
-        out = rollout(small_params, "x", 3, factory, cfg, Rng(7))
-        assert [i for i, _ in seen] == [0, 1, 2]
-        # History before segment i equals the last H generated frames.
-        np.testing.assert_array_equal(seen[1][1], out.frames[2:4])
-        np.testing.assert_array_equal(seen[2][1], out.frames[6:8])
-
-    def test_provider_failure_carries_segment_index(self, small_params):
-        cfg = GenerationConfig(history_len=2, future_len=4, steps=2)
-
-        def factory(i, history):
-            if i == 2:
-                raise RuntimeError("sensor offline")
-            return None
-
-        with pytest.raises(ProviderError) as err:
-            rollout(small_params, "x", 4, factory, cfg, Rng(0))
-        assert err.value.segment_index == 2
+        monkeypatch.setattr(engine_module, "ddpm_sample", recording_sample)
+        engine = segment_engine(rollout_archive, "x")
+        seed_frames = engine.history.frames.copy()
+        out = np.stack(engine.run_ticks(12))
+        assert len(seen) == 3
+        np.testing.assert_array_equal(seen[0], seed_frames)
+        np.testing.assert_array_equal(seen[1], out[2:4])
+        np.testing.assert_array_equal(seen[2], out[6:8])
 
 
 class TestLosses:

@@ -242,8 +242,13 @@ class TestEngineConfigParsing:
             parse_config("steps = ten")
 
     def test_invalid_combination_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config("width = 130")  # not divisible by heads
+        for text in ("width = 130",  # not divisible by heads
+                     "heads = 0",
+                     "injection_layers =",
+                     "fps = nan", "h_step = inf", "beta_sens = nan",
+                     "guidance_scale = -inf"):
+            with pytest.raises(ConfigError):
+                parse_config(text)
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     def test_non_finite_alpha_rejected(self, weight):
@@ -286,7 +291,8 @@ class TestStreamRecords:
 
     def test_malformed_records(self):
         for line in ("not json", '{"kind": "mystery"}', '{"kind": "text"}',
-                     '[1, 2]', '{"kind": "partner_pose"}', *BAD_PAYLOADS):
+                     '[1, 2]', '{"kind": "partner_pose"}',
+                     '{"kind": "partner_pose", "pose": "1.5"}', *BAD_PAYLOADS):
             with pytest.raises(FormatError):
                 parse_record(line)
 
