@@ -14,7 +14,8 @@ re-running the diffusion chain:
 where s is the decoder sensitivity vector, estimated once per segment by
 central differences of a batch decoder: all 2 d_z probes z0 +/- h e_d are
 decoded in one call. The refined latent is re-decoded with the segment's
-first updated history and only the current frame is taken.
+first updated history, and only the current frame is decoded: the decoder's
+last layer computes that frame's columns alone.
 
 SegmentRefiner holds one segment's refinement state and advances it one
 frame per step(); the runtime engine drives it one tick at a time.
@@ -27,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, NumericError
-from .motion import HistoryWindow, MotionSegment
+from .motion import HistoryWindow
 from .tensorcore import (
     F32,
     F64,
@@ -44,7 +45,8 @@ from .tensorcore import (
 
 DEFAULT_SENSITIVITY_STEP = 1e-3
 
-Decoder = Callable[[HistoryWindow, np.ndarray], MotionSegment]
+# (m_h, z, f) -> frame f of the decoded future, shape (D,)
+FrameDecoder = Callable[[HistoryWindow, np.ndarray, int], np.ndarray]
 # (m_h, zs of shape (N, d_z)) -> decoded futures of shape (N, F, D)
 BatchDecoder = Callable[[HistoryWindow, np.ndarray], np.ndarray]
 
@@ -178,13 +180,13 @@ class SegmentRefiner:
 
     Starts from the segment latent z0, the history it was sampled on and the
     initial segment's frame 0. Each step(f, window) refines z0 from the
-    rolling history and the dynamic window, re-decodes against the first
-    updated history (the refinement asymmetry) and returns frame f; the
+    rolling history and the dynamic window, decodes frame f alone against the
+    first updated history (the refinement asymmetry) and returns it; the
     rolling history then slides by that frame. Runs no denoiser step.
     """
 
     def __init__(self, z0: np.ndarray, m_h: HistoryWindow, first_frame: np.ndarray,
-                 s: SensitivityVector, params: FwsrParams, decoder: Decoder):
+                 s: SensitivityVector, params: FwsrParams, decoder: FrameDecoder):
         self.z0 = z0
         self.s = s
         self.params = params
@@ -194,7 +196,7 @@ class SegmentRefiner:
 
     def step(self, f: int, window: np.ndarray) -> np.ndarray:
         z_ref = refine_latent(self.z0, self.history, window, self.s, self.params)
-        frame = self.decoder(self._decode_history, z_ref).frames[f]
+        frame = self.decoder(self._decode_history, z_ref, f)
         self.history = self.history.slide(frame)
         return frame
 

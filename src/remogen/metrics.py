@@ -257,11 +257,10 @@ def collision_metrics(ego_joints: np.ndarray, grid: Optional[VoxelGrid] = None,
 
 
 class LatencyRecorder:
-    """Accumulates wall time per named component via scoped timers."""
+    """Keeps the wall time of every call per named component via scoped timers."""
 
     def __init__(self):
-        self.seconds: dict = {}
-        self.counts: dict = {}
+        self.durations: dict = {}  # component -> seconds of each call, in call order
 
     @contextmanager
     def track(self, component: str):
@@ -270,26 +269,41 @@ class LatencyRecorder:
             yield
         finally:
             elapsed = time.perf_counter() - start
-            self.seconds[component] = self.seconds.get(component, 0.0) + elapsed
-            self.counts[component] = self.counts.get(component, 0) + 1
+            self.durations.setdefault(component, []).append(elapsed)
 
 
 @dataclass(frozen=True)
 class LatencyBreakdown:
-    """Wall-time totals per component with the per-frame mean."""
+    """Per-call wall times per component, with sums, counts and the per-frame mean."""
 
     frames: int
     total: float
-    components: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
+    durations: dict = field(default_factory=dict)  # component -> per-call seconds
+
+    @property
+    def components(self) -> dict:
+        """Total seconds per component."""
+        return {name: sum(calls) for name, calls in self.durations.items()}
+
+    @property
+    def counts(self) -> dict:
+        return {name: len(calls) for name, calls in self.durations.items()}
 
     @property
     def per_frame(self) -> float:
         return self.total / self.frames if self.frames else 0.0
 
     def component_per_count(self, name: str) -> float:
-        c = self.counts.get(name, 0)
-        return self.components.get(name, 0.0) / c if c else 0.0
+        calls = self.durations.get(name, ())
+        return sum(calls) / len(calls) if calls else 0.0
+
+    def component_tail(self, name: str) -> tuple:
+        """(p50, p95, max) of one component's per-call seconds; zeros if never called."""
+        calls = self.durations.get(name, ())
+        if not calls:
+            return (0.0, 0.0, 0.0)
+        p50, p95 = np.percentile(calls, [50, 95])
+        return (float(p50), float(p95), max(calls))
 
 
 def latency_profile(run: Callable[[LatencyRecorder, int], int],
@@ -307,8 +321,8 @@ def latency_profile(run: Callable[[LatencyRecorder, int], int],
     produced = run(recorder, n_frames)
     total = time.perf_counter() - start
     return LatencyBreakdown(frames=int(produced), total=total,
-                            components=dict(recorder.seconds),
-                            counts=dict(recorder.counts))
+                            durations={name: tuple(calls)
+                                       for name, calls in recorder.durations.items()})
 
 
 class ReferenceEmbedder:

@@ -137,12 +137,13 @@ class MlpParams:
     b3: np.ndarray
 
 
-def _mlp_forward(x: np.ndarray, p: MlpParams) -> np.ndarray:
+def _mlp_forward(x: np.ndarray, p: MlpParams, cols: slice = slice(None)) -> np.ndarray:
+    """Three-layer GELU MLP; cols selects the output columns the last layer computes."""
     from .tensorcore import gelu
 
     h = gelu(linear(x, p.w1, p.b1))
     h = gelu(linear(h, p.w2, p.b2))
-    return linear(h, p.w3, p.b3)
+    return linear(h, p.w3[:, cols], p.b3[cols])
 
 
 @dataclass(frozen=True)
@@ -255,17 +256,22 @@ def seeded_prior_params(rng: Rng, feature_dim: Optional[int] = None,
 
 
 def decode_segment(m_h: HistoryWindow, z: np.ndarray, params: PriorParams,
-                   fps: float = 10.0) -> MotionSegment:
-    """VAE decoder: history window plus clean latent to an F x D future segment."""
+                   fps: float = 10.0, frames: slice = slice(None)) -> MotionSegment:
+    """VAE decoder: history window plus clean latent to the future segment's
+    frames in the contiguous range `frames` (all F by default)."""
     z = np.asarray(z, dtype=F32).reshape(1, -1)
-    return MotionSegment(decode_batch(m_h, z, params)[0], fps=fps)
+    return MotionSegment(decode_batch(m_h, z, params, frames)[0], fps=fps)
 
 
-def decode_batch(m_h: HistoryWindow, zs: np.ndarray, params: PriorParams) -> np.ndarray:
-    """VAE decoder over N latents that share one history window; (N, F, D).
+def decode_batch(m_h: HistoryWindow, zs: np.ndarray, params: PriorParams,
+                 frames: slice = slice(None)) -> np.ndarray:
+    """VAE decoder over N latents that share one history window; (N, n, D).
 
-    Row n is decode_segment(m_h, zs[n]) bit for bit; the sensitivity probe
-    decodes its 2 d_z probes in one such call.
+    `frames` is a contiguous, non-empty range of the F future frames, n long.
+    The last layer computes only that range's columns, and frame f of a
+    one-frame range equals frame f of the full decode bit for bit. Row n is
+    decode_segment(m_h, zs[n]) bit for bit; the sensitivity probe decodes its
+    2 d_z probes in one such call.
     """
     zs = np.asarray(zs, dtype=F32)
     if len(m_h) != params.history_len or m_h.dim != params.feature_dim:
@@ -273,9 +279,16 @@ def decode_batch(m_h: HistoryWindow, zs: np.ndarray, params: PriorParams) -> np.
     if zs.ndim != 2 or zs.shape[1] != params.latent_dim:
         raise DimensionError(f"latent batch has shape {zs.shape}, "
                              f"expected (N, {params.latent_dim})")
+    f_len, d = params.future_len, params.feature_dim
+    start = 0 if frames.start is None else frames.start
+    stop = f_len if frames.stop is None else frames.stop
+    if frames.step not in (None, 1) or not 0 <= start < stop <= f_len:
+        raise DimensionError(f"frame range {frames} is not a non-empty contiguous "
+                             f"range of the {f_len} future frames")
     hist = np.tile(m_h.frames.reshape(1, -1), (zs.shape[0], 1))
-    out = _mlp_forward(np.concatenate([hist, zs], axis=1), params.vae_dec)
-    return out.reshape(zs.shape[0], params.future_len, params.feature_dim)
+    out = _mlp_forward(np.concatenate([hist, zs], axis=1), params.vae_dec,
+                       slice(start * d, stop * d))
+    return out.reshape(zs.shape[0], stop - start, d)
 
 
 def encode_segment(m_h: HistoryWindow, m_f: MotionSegment,

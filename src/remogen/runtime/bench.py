@@ -37,11 +37,14 @@ _COMPONENT_ROWS = (
 def format_breakdown(name: str, b: LatencyBreakdown) -> str:
     lines = [f"[{name}] {b.frames} frames, total {b.total:.3f} s, "
              f"per frame {b.per_frame * 1000:.3f} ms"]
+    components, counts = b.components, b.counts
     for key, label in _COMPONENT_ROWS:
-        if key in b.components:
+        if key in components:
             per = b.component_per_count(key)
-            lines.append(f"  {label:<34} {b.components[key]:.3f} s "
-                         f"({per * 1000:.3f} ms x {b.counts[key]})")
+            p50, p95, worst = (v * 1000 for v in b.component_tail(key))
+            lines.append(f"  {label:<34} {components[key]:.3f} s "
+                         f"({per * 1000:.3f} ms x {counts[key]}; per call "
+                         f"p50 {p50:.3f}, p95 {p95:.3f}, max {worst:.3f} ms)")
     return "\n".join(lines)
 
 

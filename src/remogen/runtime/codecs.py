@@ -6,6 +6,7 @@ save(load(path)) reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,8 +84,13 @@ def load_archive(path: PathLike) -> WeightArchive:
         raise CorruptArchiveError("truncated manifest")
     try:
         entries = json.loads(data[cursor:cursor + manifest_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, JSONDecodeError and integers past the
+        # digit limit; RecursionError, arrays nested deeper than the decoder
+        # recurses.
         raise CorruptArchiveError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(entries, list):
+        raise CorruptArchiveError("manifest must be a list of tensor entries")
     cursor += manifest_len
     blob = memoryview(data)[cursor:]  # a view: slicing the bytes would copy the payload
 
@@ -98,8 +104,13 @@ def load_archive(path: PathLike) -> WeightArchive:
             dtype = entry["dtype"]
             offset = int(entry["offset"])
             byte_length = int(entry["byte_length"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: a non-finite number, e.g. "offset": Infinity
             raise CorruptArchiveError(f"malformed manifest entry: {exc}") from exc
+        if not isinstance(name, str) or not name:
+            raise CorruptArchiveError(f"tensor name {name!r} is not a non-empty string")
+        if any(s < 0 for s in shape):
+            raise CorruptArchiveError(f"{name!r}: negative dimension in shape {shape}")
         if dtype != "f32-le":
             raise CorruptArchiveError(f"unsupported dtype {dtype!r}")
         if name in seen:
@@ -115,7 +126,10 @@ def load_archive(path: PathLike) -> WeightArchive:
             raise CorruptArchiveError(f"{name!r}: blob span out of range")
         spans.append((offset, offset + byte_length, name))
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        tensors[name] = arr.reshape(shape).copy()
+        try:
+            tensors[name] = arr.reshape(shape).copy()
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise CorruptArchiveError(f"{name!r}: shape {shape}: {exc}") from exc
     spans.sort()
     for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
         if s1 < e0:
@@ -154,7 +168,12 @@ def load_motion(path: PathLike) -> tuple[MotionSegment, FeatureLayout]:
         raise FormatError(f"malformed motion header: {exc}") from exc
     if version != 1:
         raise FormatError(f"unsupported motion file version {version}")
-    layout = FeatureLayout.from_id(layout_id)
+    if not (math.isfinite(fps) and fps > 0):
+        raise FormatError(f"frame rate {fps} is not a positive number")
+    try:
+        layout = FeatureLayout.from_id(layout_id)
+    except ValueError as exc:  # DimensionError, or a joint count that is no integer
+        raise FormatError(f"unknown layout id {layout_id!r}") from exc
     if layout.joints != joints or layout.dim != d:
         raise FormatError(f"declared J={joints}, D={d} disagree with layout "
                           f"{layout_id!r} (D={layout.dim})")

@@ -10,6 +10,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from ..errors import ConfigError, FormatError
+from ..motion import BODY22_PARENTS
 from ..prior import GenerationConfig
 from ..tensorcore import F32
 
@@ -56,6 +57,10 @@ class EngineConfig:
             raise ConfigError("beta_sens >= 0, h_step > 0, fps > 0 required")
         if not all(math.isfinite(a) for a in self.alpha.values()):
             raise ConfigError(f"alpha weights must be finite, got {self.alpha}")
+        if self.joints != len(BODY22_PARENTS):
+            # The engine seeds its history from the 22-joint synthetic skeleton.
+            raise ConfigError(f"joints must be {len(BODY22_PARENTS)} (the body22 "
+                              f"skeleton), got {self.joints}")
 
     def generation(self) -> GenerationConfig:
         return GenerationConfig(steps=self.steps, guidance_scale=self.guidance_scale,
@@ -181,8 +186,18 @@ def parse_record(line: str) -> StreamRecord:
             raise FormatError(f"pose must be a list of numbers: {exc}") from exc
         if not np.isfinite(pose).all():
             raise FormatError("pose entries must be finite numbers")
+    latency_ms = obj.get("latency_ms")
+    if latency_ms is not None:
+        if isinstance(latency_ms, bool) or not isinstance(latency_ms, (int, float)):
+            raise FormatError("latency_ms must be a number")
+        try:
+            latency_ms = float(latency_ms)
+        except OverflowError as exc:
+            raise FormatError("latency_ms must be a finite number") from exc
+        if not math.isfinite(latency_ms):
+            raise FormatError("latency_ms must be a finite number")
     return StreamRecord(t=t, kind=kind, pose=pose, text=text, alpha=alpha,
-                        latency_ms=obj.get("latency_ms"))
+                        latency_ms=latency_ms)
 
 
 def format_record(record: StreamRecord) -> str:

@@ -5,7 +5,7 @@ emission. One tick corresponds to one input frame of wall-clock time:
 
   segment mode  - buffer F ticks, then sample and emit a whole segment
   fwsr mode     - sample at the segment start, then refine and emit one
-                  frame per tick
+                  frame per tick, decoding only the frame it emits
   slide mode    - re-sample a full segment every tick, keep only frame 0
                   (the latency-heavy baseline)
 
@@ -264,9 +264,10 @@ class Engine:
             return ddpm_sample(self.prior, self.history, w, provider,
                                self.cfg.generation(), self.gen, denoise_fn=denoise)
 
-    def _decode(self, history: HistoryWindow, z: np.ndarray, component: str = "decode"):
+    def _decode(self, history: HistoryWindow, z: np.ndarray, component: str = "decode",
+                frames: slice = slice(None)):
         with self._track(component):
-            return decode_segment(history, z, self.prior, fps=self.cfg.fps)
+            return decode_segment(history, z, self.prior, fps=self.cfg.fps, frames=frames)
 
     def _emit(self, normalized_frame: np.ndarray) -> np.ndarray:
         self.frames_emitted += 1
@@ -307,7 +308,7 @@ class Engine:
             self._apply_pending()
             self.dyn.mark_segment_start()
             z0 = self._sample_latent()
-            frame = self._decode(self.history, z0).frames[0]
+            frame = self._decode(self.history, z0, frames=slice(0, 1)).frames[0]
             with self._track("sensitivity"):
                 sens = estimate_sensitivity(lambda h, zs: decode_batch(h, zs, self.prior),
                                             self.history, z0, self.cfg.h_step)
@@ -315,9 +316,12 @@ class Engine:
             # be a cycle that keeps a dropped engine, and its stacked module
             # weights, alive until the next cycle collection.
             engine = weakref.proxy(self)
-            self._refiner = SegmentRefiner(
-                z0, self.history, frame, sens, self.fwsr_params,
-                lambda h, z: engine._decode(h, z, "fwsr_decode"))
+
+            def decode_frame(h, z, f):
+                return engine._decode(h, z, "fwsr_decode", slice(f, f + 1)).frames[0]
+
+            self._refiner = SegmentRefiner(z0, self.history, frame, sens,
+                                           self.fwsr_params, decode_frame)
         else:
             with self._track("fwsr_refine"):
                 frame = self._refiner.step(phase, self.dyn.window(phase))

@@ -366,15 +366,19 @@ def test_c06_refinement_algorithm_conformance(monkeypatch):
         gen = Rng(seed).generator("c6")
         calls = {"n": 0}
 
-        def decoder(m_h, z):
-            calls["n"] += 1
+        def decode(m_h, z):
             x = np.concatenate([m_h.frames.reshape(-1), np.asarray(z, dtype=F32)])
             return MotionSegment(np.tanh(x.astype(F64) @ w).reshape(f_len, feature_dim)
                                  .astype(F32))
 
+        def decoder(m_h, z, f):
+            # The refiner's decoder contract: frame f alone.
+            calls["n"] += 1
+            return decode(m_h, z).frames[f]
+
         z0 = gen.standard_normal(d_z, dtype=F32)
         m_h = HistoryWindow(gen.standard_normal((2, feature_dim)).astype(F32))
-        initial = decoder(m_h, z0)
+        initial = decode(m_h, z0)
         calls["n"] = 0
         refines["n"] = 0
         dyn = DynamicContext(2, feature_dim)
@@ -391,7 +395,7 @@ def test_c06_refinement_algorithm_conformance(monkeypatch):
         assert refines["n"] == f_len - 1
         assert calls["n"] == f_len - 1
         # Zero-gated refinement reproduces the shifted-history re-decode.
-        shifted = decoder(m_h.slide(initial.frames[0]), z0)
+        shifted = decode(m_h.slide(initial.frames[0]), z0)
         assert np.array_equal(out[0], initial.frames[0])
         assert np.array_equal(out[1:], shifted.frames[1:])
     report("C6", "50 refinement runs: F-1 refines, F-1 decodes, 0 denoiser calls, "

@@ -78,6 +78,17 @@ class TestGenerate:
         assert rc == 2 and not out.exists()
         assert main(["bench", "--weights", str(weights_path), "--frames", "-1"]) == 2
 
+    def test_unsupported_joint_count_is_config_error(self, tmp_path, weights_path):
+        config = tmp_path / "joints.cfg"
+        config.write_text("joints = 3\n")
+        assert main(["stream", "--weights", str(weights_path), "--config", str(config)]) == 2
+        # Rejected with the config, before the archive is read: a corrupt
+        # archive would otherwise be a format error (exit 3).
+        garbage = tmp_path / "garbage.rmgw"
+        garbage.write_bytes(b"garbage")
+        assert main(["bench", "--weights", str(garbage), "--frames", "8",
+                     "--config", str(config)]) == 2
+
     def test_missing_weights_is_format_error(self, tmp_path):
         bad = tmp_path / "missing.rmgw"
         bad.write_bytes(b"garbage")
@@ -153,6 +164,9 @@ class TestBench:
         out = capsys.readouterr().out
         assert "[segment]" in out and "[fwsr]" in out and "[slide]" in out
         assert "per frame" in out
+        refinement = next(line for line in out.splitlines() if "refinement decoding" in line)
+        assert "x 14; per call p50 " in refinement and ", p95 " in refinement
+        assert ", max " in refinement
 
     def test_bench_config_runs_the_modules(self, tmp_path, weights_path, capsys):
         config = tmp_path / "hhi.cfg"

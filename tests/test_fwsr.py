@@ -231,17 +231,23 @@ def refine_calls(monkeypatch):
 class TestRefineSegment:
     @pytest.fixture()
     def decoder(self):
+        """Refiner frame decoder (m_h, z, f) -> frame f, counting its calls;
+        .segment(m_h, z) decodes all 8 frames without counting."""
         gen = Rng(7).generator("dec")
         w = gen.standard_normal((2 * D + DZ, 8 * D)).astype(F32) * 0.1
         calls = {"n": 0}
 
-        def decode(m_h, z):
-            calls["n"] += 1
+        def segment(m_h, z):
             x = np.concatenate([m_h.frames.reshape(-1), z])
             return MotionSegment(np.tanh(x.astype(np.float64) @ w.astype(np.float64))
                                  .reshape(8, D).astype(F32))
 
+        def decode(m_h, z, f):
+            calls["n"] += 1
+            return segment(m_h, z).frames[f]
+
         decode.calls = calls
+        decode.segment = segment
         return decode
 
     def test_zero_film_reproduces_shifted_redecode(self, decoder):
@@ -250,10 +256,10 @@ class TestRefineSegment:
         gen = Rng(9).generator("z")
         z0 = gen.standard_normal(DZ, dtype=F32)
         m_h = history(gen)
-        initial = decoder(m_h, z0)
+        initial = decoder.segment(m_h, z0)
         out = refine_frames(z0, m_h, initial, None, decoder, params,
                             SensitivityVector.zeros(DZ))
-        shifted = decoder(m_h.slide(initial.frames[0]), z0)
+        shifted = decoder.segment(m_h.slide(initial.frames[0]), z0)
         assert np.array_equal(out[0], initial.frames[0])
         np.testing.assert_array_equal(out[1:], shifted.frames[1:])
 
@@ -263,7 +269,7 @@ class TestRefineSegment:
         gen = Rng(10).generator("z")
         z0 = gen.standard_normal(DZ, dtype=F32)
         m_h = history(gen)
-        initial = decoder(m_h, z0)
+        initial = decoder.segment(m_h, z0)
         quiet = DynamicContext(2, D)
         noisy = DynamicContext(2, D)
         for _ in range(8):
@@ -303,7 +309,7 @@ class TestRefineSegment:
         gen = Rng(11).generator("z")
         z0 = gen.standard_normal(DZ, dtype=F32)
         m_h = history(gen)
-        initial = decoder(m_h, z0)
+        initial = decoder.segment(m_h, z0)
         decoder.calls["n"] = 0
         out = refine_frames(z0, m_h, initial, None, decoder, params,
                             SensitivityVector.zeros(DZ))

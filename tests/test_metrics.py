@@ -234,6 +234,24 @@ class TestLatencyProfile:
             assert value <= total_with_overhead
         assert breakdown.counts["compute"] == 20
 
+    def test_per_call_tail(self):
+        waits = [0.0] * 18 + [0.02, 0.04]
+
+        def run(rec, n):
+            for wait in waits[:n]:
+                with rec.track("work"):
+                    time.sleep(wait)
+            return n
+
+        breakdown = latency_profile(run, n_frames=len(waits))
+        calls = breakdown.durations["work"]
+        assert len(calls) == breakdown.counts["work"] == 20
+        assert breakdown.components["work"] == pytest.approx(sum(calls))
+        p50, p95, worst = breakdown.component_tail("work")
+        assert p50 < 0.01 <= p95 <= worst == max(calls)
+        assert worst >= 0.04
+        assert breakdown.component_tail("absent") == (0.0, 0.0, 0.0)
+
 
 class TestReferenceEmbedder:
     def test_deterministic(self):

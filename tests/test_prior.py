@@ -20,6 +20,7 @@ from remogen.prior import (
     GenerationConfig,
     LossReport,
     ddpm_sample,
+    decode_batch,
     decode_segment,
     denoiser_tokens,
     embed_text,
@@ -110,6 +111,51 @@ class TestVae:
         # Collapsed variance passes the mean through regardless of the noise.
         tiny = np.full(2, -2000.0, dtype=F32)
         np.testing.assert_array_equal(sample_latent(mean, tiny, np.ones(2)), mean)
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["engine", "compact"])
+    def test_one_frame_range_equals_full_decode(self, compact, small_params):
+        """Frame f of a one-frame decode equals frame f of the full decode bit
+        for bit, for every f, in decode_segment and in decode_batch."""
+        if compact:
+            params = small_params
+        else:
+            params = Engine(init_weights(EngineConfig(), 3), EngineConfig()).prior
+        gen = Rng(40).generator("range", int(compact))
+        f_len, d = params.future_len, params.feature_dim
+        for case in range(320):
+            m_h = HistoryWindow(gen.standard_normal((params.history_len, d)).astype(F32))
+            f = case % f_len
+            if case % 2 == 0:
+                z = gen.standard_normal(params.latent_dim, dtype=F32)
+                full = decode_segment(m_h, z, params).frames
+                one = decode_segment(m_h, z, params, frames=slice(f, f + 1)).frames
+                assert one.shape == (1, d)
+                assert np.array_equal(one[0], full[f]), (case, f)
+            else:
+                zs = gen.standard_normal((1 + case % 3, params.latent_dim), dtype=F32)
+                full = decode_batch(m_h, zs, params)
+                one = decode_batch(m_h, zs, params, slice(f, f + 1))
+                assert one.shape == (len(zs), 1, d)
+                assert np.array_equal(one[:, 0], full[:, f]), (case, f)
+
+    def test_frame_range_is_a_contiguous_slice(self, small_params, small_history):
+        z = Rng(41).generator("z").standard_normal(8, dtype=F32)
+        full = decode_segment(small_history, z, small_params).frames
+        middle = decode_segment(small_history, z, small_params, frames=slice(1, 3)).frames
+        np.testing.assert_array_equal(middle, full[1:3])
+        np.testing.assert_array_equal(
+            decode_segment(small_history, z, small_params, frames=slice(None, 4)).frames,
+            full)
+
+    @pytest.mark.parametrize("frames", [slice(2, 2), slice(3, 1), slice(0, 5), slice(4, 5),
+                                        slice(-1, None), slice(0, 4, 2), slice(0, 4, -1)],
+                             ids=repr)
+    def test_bad_frame_range_rejected(self, frames, small_params, small_history):
+        z = np.zeros(small_params.latent_dim, dtype=F32)
+        with pytest.raises(DimensionError):
+            decode_segment(small_history, z, small_params, frames=frames)
+        with pytest.raises(DimensionError):
+            decode_batch(small_history, z[None, :], small_params, frames)
 
     def test_shape_errors(self, small_params, small_history):
         with pytest.raises(DimensionError):

@@ -246,7 +246,7 @@ class TestEngineConfigParsing:
                      "heads = 0",
                      "injection_layers =",
                      "fps = nan", "h_step = inf", "beta_sens = nan",
-                     "guidance_scale = -inf"):
+                     "guidance_scale = -inf", "joints = 3", "joints = 24"):
             with pytest.raises(ConfigError):
                 parse_config(text)
 
@@ -262,12 +262,13 @@ class TestEngineConfigParsing:
             history_len=3, future_len=4, steps=5, guidance_scale=1.5, latent_dim=16,
             text_dim=8, width=64, heads=2, n_blocks=3, ffn_hidden=32, vae_hidden=48,
             injection_layers=(0, 2), beta_sens=0.5, h_step=2e-3, fps=20.0,
-            alpha={"hhi": 0.25}, fwsr=True, seed=7, joints=24)
+            alpha={"hhi": 0.25}, fwsr=True, seed=7, joints=22)
         text = "\n".join(f"{f.name} = {_config_text(getattr(changed, f.name))}"
                          for f in dataclasses.fields(EngineConfig))
         assert parse_config(text) == changed
+        # joints has one valid value, the body22 skeleton's joint count.
         assert all(getattr(changed, f.name) != getattr(EngineConfig(), f.name)
-                   for f in dataclasses.fields(EngineConfig))
+                   for f in dataclasses.fields(EngineConfig) if f.name != "joints")
 
 
 def _config_text(value) -> str:
@@ -531,6 +532,29 @@ class TestEngineWiring:
                                     engine.history, z0, cfg.h_step)
         slow = estimate_sensitivity(row_wise, engine.history, z0, cfg.h_step)
         np.testing.assert_array_equal(fast.s, slow.s)
+
+    @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
+    def test_decode_frame_ranges_per_mode(self, mode, cfg, archive, monkeypatch):
+        """Every fwsr decode asks for exactly one frame, the one it emits;
+        segment and slide mode decode the whole segment."""
+        import remogen.runtime.engine as engine_module
+
+        ranges = []
+        real_decode = engine_module.decode_segment
+
+        def recording_decode(*args, frames=slice(None), **kwargs):
+            ranges.append(frames)
+            return real_decode(*args, frames=frames, **kwargs)
+
+        monkeypatch.setattr(engine_module, "decode_segment", recording_decode)
+        engine = Engine(archive, cfg, mode=mode)
+        assert len(engine.run_ticks(2 * cfg.future_len)) == 2 * cfg.future_len
+        assert ranges
+        if mode == "fwsr":
+            phases = list(range(cfg.future_len)) * 2
+            assert ranges == [slice(f, f + 1) for f in phases]
+        else:
+            assert ranges == [slice(None)] * len(ranges)
 
 
 class TestModuleBatching:
