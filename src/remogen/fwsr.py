@@ -11,11 +11,14 @@ re-running the diffusion chain:
     d_safe     = d_raw / (1 + beta_sens * s)          (per latent dimension)
     z_refined  = z0 + d_safe
 
-where s is the decoder sensitivity vector, estimated once per segment by
-central differences of a batch decoder: all 2 d_z probes z0 +/- h e_d are
-decoded in one call. The refined latent is re-decoded with the segment's
-first updated history, and only the current frame is decoded: the decoder's
-last layer computes that frame's columns alone.
+where s is the decoder sensitivity vector: per latent dimension, the norm
+of the decoder's response to z0 at the segment's history
+(prior.decoder_sensitivity computes it exactly from the decoder Jacobian).
+Only refinement reads s, so SegmentRefiner probes it once per segment, on its
+first step, and the segment's first frame never waits for it. The refined
+latent is re-decoded with the segment's first updated history, and only the
+current frame is decoded: the decoder's last layer computes that frame's
+columns alone.
 
 SegmentRefiner holds one segment's refinement state and advances it one
 frame per step(); the runtime engine drives it one tick at a time.
@@ -23,7 +26,7 @@ frame per step(); the runtime engine drives it one tick at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,12 +46,10 @@ from .tensorcore import (
     sinusoidal_embedding,
 )
 
-DEFAULT_SENSITIVITY_STEP = 1e-3
-
 # (m_h, z, f) -> frame f of the decoded future, shape (D,)
 FrameDecoder = Callable[[HistoryWindow, np.ndarray, int], np.ndarray]
-# (m_h, zs of shape (N, d_z)) -> decoded futures of shape (N, F, D)
-BatchDecoder = Callable[[HistoryWindow, np.ndarray], np.ndarray]
+# (m_h, z0) -> decoder sensitivity per latent dimension, shape (d_z,)
+SensitivityProbe = Callable[[HistoryWindow, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -124,26 +125,6 @@ class DynamicContext:
         return np.stack(rows)
 
 
-def estimate_sensitivity(decoder: BatchDecoder, m_h: HistoryWindow, z0: np.ndarray,
-                         h_step: float = DEFAULT_SENSITIVITY_STEP) -> SensitivityVector:
-    """Central-difference response norm of the decoder per latent dimension.
-
-    The probes z0 + h e_d (rows 0..d_z-1) and z0 - h e_d (rows d_z..2 d_z-1)
-    are formed in float64, stored as float32 and decoded in a single batch.
-    """
-    if h_step <= 0:
-        raise DimensionError("step size must be positive")
-    z0 = np.asarray(z0, dtype=F64).reshape(-1)
-    d_z = z0.shape[0]
-    offsets = np.eye(d_z, dtype=F64) * h_step
-    probes = np.concatenate([z0 + offsets, z0 - offsets]).astype(F32)
-    outs = np.asarray(decoder(m_h, probes), dtype=F64)
-    if not np.all(np.isfinite(outs)):
-        raise NumericError("decoder returned non-finite values during probing")
-    diff = (outs[:d_z] - outs[d_z:]).reshape(d_z, -1)
-    return SensitivityVector((np.linalg.norm(diff, axis=1) / (2.0 * h_step)).astype(F32))
-
-
 def refine_latent(z0: np.ndarray, m_h: HistoryWindow, x_dyn_window: np.ndarray,
                   s: SensitivityVector, params: FwsrParams) -> np.ndarray:
     """One refinement of the segment latent from the current dynamic context."""
@@ -179,22 +160,27 @@ class SegmentRefiner:
     """Resumable per-frame refinement of one sampled segment.
 
     Starts from the segment latent z0, the history it was sampled on and the
-    initial segment's frame 0. Each step(f, window) refines z0 from the
-    rolling history and the dynamic window, decodes frame f alone against the
-    first updated history (the refinement asymmetry) and returns it; the
+    initial segment's frame 0. The first step probes the sensitivity at
+    (history, z0), once for the segment. Each step(f, window) refines z0 from
+    the rolling history and the dynamic window, decodes frame f alone against
+    the first updated history (the refinement asymmetry) and returns it; the
     rolling history then slides by that frame. Runs no denoiser step.
     """
 
     def __init__(self, z0: np.ndarray, m_h: HistoryWindow, first_frame: np.ndarray,
-                 s: SensitivityVector, params: FwsrParams, decoder: FrameDecoder):
+                 probe: SensitivityProbe, params: FwsrParams, decoder: FrameDecoder):
         self.z0 = z0
-        self.s = s
+        self.s: Optional[SensitivityVector] = None
+        self.probe = probe
         self.params = params
         self.decoder = decoder
+        self._probe_history = m_h
         self.history = m_h.slide(first_frame)
         self._decode_history = self.history
 
     def step(self, f: int, window: np.ndarray) -> np.ndarray:
+        if self.s is None:
+            self.s = SensitivityVector(self.probe(self._probe_history, self.z0))
         z_ref = refine_latent(self.z0, self.history, window, self.s, self.params)
         frame = self.decoder(self._decode_history, z_ref, f)
         self.history = self.history.slide(frame)

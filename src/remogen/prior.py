@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -25,6 +26,8 @@ from .tensorcore import (
     FfnParams,
     Rng,
     ffn_forward,
+    gelu,
+    gelu_slope,
     layer_norm,
     linear,
     mha_forward,
@@ -139,8 +142,6 @@ class MlpParams:
 
 def _mlp_forward(x: np.ndarray, p: MlpParams, cols: slice = slice(None)) -> np.ndarray:
     """Three-layer GELU MLP; cols selects the output columns the last layer computes."""
-    from .tensorcore import gelu
-
     h = gelu(linear(x, p.w1, p.b1))
     h = gelu(linear(h, p.w2, p.b2))
     return linear(h, p.w3[:, cols], p.b3[cols])
@@ -192,6 +193,16 @@ class PriorParams:
     def n_tokens(self) -> int:
         """Length of the denoiser's token sequence: time, text, history, latent."""
         return self.history_len + 3
+
+    @cached_property
+    def decoder_gram(self) -> np.ndarray:
+        """W3 W3^T of the decoder's last layer, (vae_hidden, vae_hidden) float64.
+
+        Built on the first sensitivity probe and kept as long as these params
+        are.
+        """
+        w3 = self.vae_dec.w3.astype(F64)
+        return w3 @ w3.T
 
 
 def _sinusoidal(value: float, dim: int) -> np.ndarray:
@@ -270,25 +281,50 @@ def decode_batch(m_h: HistoryWindow, zs: np.ndarray, params: PriorParams,
     `frames` is a contiguous, non-empty range of the F future frames, n long.
     The last layer computes only that range's columns, and frame f of a
     one-frame range equals frame f of the full decode bit for bit. Row n is
-    decode_segment(m_h, zs[n]) bit for bit; the sensitivity probe decodes its
-    2 d_z probes in one such call.
+    decode_segment(m_h, zs[n]) bit for bit.
     """
-    zs = np.asarray(zs, dtype=F32)
-    if len(m_h) != params.history_len or m_h.dim != params.feature_dim:
-        raise DimensionError("history window does not match prior dimensions")
-    if zs.ndim != 2 or zs.shape[1] != params.latent_dim:
-        raise DimensionError(f"latent batch has shape {zs.shape}, "
-                             f"expected (N, {params.latent_dim})")
+    x = _decoder_input(m_h, zs, params)
     f_len, d = params.future_len, params.feature_dim
     start = 0 if frames.start is None else frames.start
     stop = f_len if frames.stop is None else frames.stop
     if frames.step not in (None, 1) or not 0 <= start < stop <= f_len:
         raise DimensionError(f"frame range {frames} is not a non-empty contiguous "
                              f"range of the {f_len} future frames")
+    out = _mlp_forward(x, params.vae_dec, slice(start * d, stop * d))
+    return out.reshape(x.shape[0], stop - start, d)
+
+
+def _decoder_input(m_h: HistoryWindow, zs: np.ndarray, params: PriorParams) -> np.ndarray:
+    """The decoder's (N, H*D + d_z) input rows: the flat history, then each latent."""
+    zs = np.asarray(zs, dtype=F32)
+    if len(m_h) != params.history_len or m_h.dim != params.feature_dim:
+        raise DimensionError("history window does not match prior dimensions")
+    if zs.ndim != 2 or zs.shape[1] != params.latent_dim:
+        raise DimensionError(f"latent batch has shape {zs.shape}, "
+                             f"expected (N, {params.latent_dim})")
     hist = np.tile(m_h.frames.reshape(1, -1), (zs.shape[0], 1))
-    out = _mlp_forward(np.concatenate([hist, zs], axis=1), params.vae_dec,
-                       slice(start * d, stop * d))
-    return out.reshape(zs.shape[0], stop - start, d)
+    return np.concatenate([hist, zs], axis=1)
+
+
+def decoder_sensitivity(m_h: HistoryWindow, z0: np.ndarray,
+                        params: PriorParams) -> np.ndarray:
+    """Exact decoder response per latent dimension at (m_h, z0), float32 (d_z,).
+
+    s_d is the norm of d(decoded segment)/d(z0_d) over all F x D outputs.
+    One forward row gives the GELU slopes g1, g2 at the two hidden layers, so
+    the Jacobian is B @ W3 with B = ((W1_z * g1) @ W2) * g2, (d_z, hidden),
+    and s_d = sqrt(B_d G B_d^T) with G = W3 W3^T (PriorParams.decoder_gram):
+    the wide last layer is never multiplied.
+    """
+    x = _decoder_input(m_h, np.asarray(z0, dtype=F32).reshape(1, -1), params)
+    p = params.vae_dec
+    a1 = linear(x, p.w1, p.b1)
+    a2 = linear(gelu(a1), p.w2, p.b2)
+    w1_z = p.w1[-params.latent_dim:].astype(F64)
+    b = ((w1_z * gelu_slope(a1)) @ p.w2.astype(F64)) * gelu_slope(a2)
+    sq = np.einsum("dh,dh->d", b @ params.decoder_gram, b)
+    # G is positive semi-definite; rounding may leave a zero row at -0.0 or -tiny.
+    return np.sqrt(np.maximum(sq, 0.0)).astype(F32)
 
 
 def encode_segment(m_h: HistoryWindow, m_f: MotionSegment,

@@ -71,6 +71,11 @@ def save_archive(archive: WeightArchive, path: PathLike) -> None:
             fh.write(raw)
 
 
+def _is_json_int(value) -> bool:
+    """A JSON integer as json.loads returns it: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_archive(path: PathLike) -> WeightArchive:
     data = Path(path).read_bytes()
     if not data.startswith(ARCHIVE_MAGIC):
@@ -100,15 +105,20 @@ def load_archive(path: PathLike) -> WeightArchive:
     for entry in entries:
         try:
             name = entry["name"]
-            shape = tuple(int(s) for s in entry["shape"])
+            shape = entry["shape"]
             dtype = entry["dtype"]
-            offset = int(entry["offset"])
-            byte_length = int(entry["byte_length"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            # OverflowError: a non-finite number, e.g. "offset": Infinity
+            offset = entry["offset"]
+            byte_length = entry["byte_length"]
+        except (KeyError, TypeError) as exc:
             raise CorruptArchiveError(f"malformed manifest entry: {exc}") from exc
         if not isinstance(name, str) or not name:
             raise CorruptArchiveError(f"tensor name {name!r} is not a non-empty string")
+        if not isinstance(shape, list) or not all(_is_json_int(s) for s in shape):
+            raise CorruptArchiveError(f"{name!r}: shape {shape!r} is not a list of integers")
+        if not (_is_json_int(offset) and _is_json_int(byte_length)):
+            raise CorruptArchiveError(f"{name!r}: offset {offset!r} and byte_length "
+                                      f"{byte_length!r} must be integers")
+        shape = tuple(shape)
         if any(s < 0 for s in shape):
             raise CorruptArchiveError(f"{name!r}: negative dimension in shape {shape}")
         if dtype != "f32-le":

@@ -34,7 +34,6 @@ class EngineConfig:
     vae_hidden: int = 256
     injection_layers: tuple = (0, 1, 2, 3)
     beta_sens: float = 1.0
-    h_step: float = 1e-3
     fps: float = 10.0
     alpha: dict = field(default_factory=dict)
     fwsr: bool = False
@@ -50,11 +49,11 @@ class EngineConfig:
             raise ConfigError("injection_layers must name at least one denoiser block")
         if any(i < 0 or i >= self.n_blocks for i in self.injection_layers):
             raise ConfigError("injection layers must index denoiser blocks")
-        scalars = (self.guidance_scale, self.beta_sens, self.h_step, self.fps)
+        scalars = (self.guidance_scale, self.beta_sens, self.fps)
         if not all(math.isfinite(v) for v in scalars):
-            raise ConfigError("guidance_scale, beta_sens, h_step and fps must be finite")
-        if self.beta_sens < 0 or self.h_step <= 0 or self.fps <= 0:
-            raise ConfigError("beta_sens >= 0, h_step > 0, fps > 0 required")
+            raise ConfigError("guidance_scale, beta_sens and fps must be finite")
+        if self.beta_sens < 0 or self.fps <= 0:
+            raise ConfigError("beta_sens >= 0 and fps > 0 required")
         if not all(math.isfinite(a) for a in self.alpha.values()):
             raise ConfigError(f"alpha weights must be finite, got {self.alpha}")
         if self.joints != len(BODY22_PARENTS):
@@ -146,6 +145,11 @@ class StreamRecord:
             raise FormatError("alpha record needs an id->weight map")
 
 
+def _is_json_number(value) -> bool:
+    """A JSON number as json.loads returns it: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_record(line: str) -> StreamRecord:
     """One NDJSON line as a record; every malformed payload raises FormatError."""
     try:
@@ -159,10 +163,9 @@ def parse_record(line: str) -> StreamRecord:
     kind = obj.get("kind")
     if kind not in RECORD_KINDS:
         raise FormatError(f"unknown record kind {kind!r}")
-    try:
-        t = int(obj.get("t", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError("record t must be an integer") from exc
+    t = obj.get("t", 0)
+    if isinstance(t, bool) or not isinstance(t, int):
+        raise FormatError(f"record t must be an integer, got {type(t).__name__}")
     text = obj.get("text")
     if text is not None and not isinstance(text, str):
         raise FormatError("text payload must be a string")
@@ -170,10 +173,12 @@ def parse_record(line: str) -> StreamRecord:
     if alpha is not None:
         if not isinstance(alpha, dict):
             raise FormatError("alpha payload must be an object")
+        if not all(_is_json_number(v) for v in alpha.values()):
+            raise FormatError("alpha weights must be numbers")
         try:
-            alpha = {str(k): float(v) for k, v in alpha.items()}
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"alpha weights must be numbers: {exc}") from exc
+            alpha = {k: float(v) for k, v in alpha.items()}
+        except OverflowError as exc:  # an integer past the float range
+            raise FormatError(f"alpha weights must be finite: {exc}") from exc
         if not all(np.isfinite(v) for v in alpha.values()):
             raise FormatError("alpha weights must be finite")
     pose = obj.get("pose")
@@ -188,7 +193,7 @@ def parse_record(line: str) -> StreamRecord:
             raise FormatError("pose entries must be finite numbers")
     latency_ms = obj.get("latency_ms")
     if latency_ms is not None:
-        if isinstance(latency_ms, bool) or not isinstance(latency_ms, (int, float)):
+        if not _is_json_number(latency_ms):
             raise FormatError("latency_ms must be a number")
         try:
             latency_ms = float(latency_ms)

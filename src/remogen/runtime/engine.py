@@ -25,12 +25,12 @@ from ..fwsr import (
     DynamicContext,
     FwsrParams,
     SegmentRefiner,
-    estimate_sensitivity,
     seeded_fwsr_params,
 )
-# Unused here, but perfbench/spans.py wraps the name in this module's
-# namespace when tracing; dropping the import breaks `--trace 1`.
+# Unused here, but perfbench/spans.py wraps these names in this module's
+# namespace when tracing; dropping either import breaks `--trace 1`.
 from ..fwsr import refine_latent  # noqa: F401
+from ..prior import decode_batch  # noqa: F401
 from ..metrics import LatencyRecorder
 from ..mim import (
     MimParams,
@@ -55,8 +55,8 @@ from ..motion import (
 from ..prior import (
     PriorParams,
     ddpm_sample,
-    decode_batch,
     decode_segment,
+    decoder_sensitivity,
     denoiser_tokens,
     embed_text,
     null_embedding,
@@ -185,8 +185,10 @@ class Engine:
 
     # -- internals ---------------------------------------------------------------
 
-    def _track(self, name: str):
-        return self.recorder.track(name) if self.recorder is not None else nullcontext()
+    def _track(self, name: str, top_level: bool = False):
+        if self.recorder is None:
+            return nullcontext()
+        return self.recorder.track(name, top_level)
 
     def _apply_pending(self) -> None:
         if self._pending_text is not None:
@@ -309,9 +311,6 @@ class Engine:
             self.dyn.mark_segment_start()
             z0 = self._sample_latent()
             frame = self._decode(self.history, z0, frames=slice(0, 1)).frames[0]
-            with self._track("sensitivity"):
-                sens = estimate_sensitivity(lambda h, zs: decode_batch(h, zs, self.prior),
-                                            self.history, z0, self.cfg.h_step)
             # The refiner reaches the engine weakly: a strong reference would
             # be a cycle that keeps a dropped engine, and its stacked module
             # weights, alive until the next cycle collection.
@@ -320,7 +319,13 @@ class Engine:
             def decode_frame(h, z, f):
                 return engine._decode(h, z, "fwsr_decode", slice(f, f + 1)).frames[0]
 
-            self._refiner = SegmentRefiner(z0, self.history, frame, sens,
+            def probe(h, z):
+                # Runs inside the first refinement step, but is timed as its
+                # own phase rather than as part of that step.
+                with engine._track("sensitivity", top_level=True):
+                    return decoder_sensitivity(h, z, engine.prior)
+
+            self._refiner = SegmentRefiner(z0, self.history, frame, probe,
                                            self.fwsr_params, decode_frame)
         else:
             with self._track("fwsr_refine"):

@@ -81,6 +81,14 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return y.astype(F32)
 
 
+def gelu_slope(x: np.ndarray) -> np.ndarray:
+    """Derivative of gelu at x, in float64."""
+    z = np.asarray(x, dtype=F64)
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (z + 0.044715 * (z * z * z)))
+    return 0.5 * (1.0 + t) + 0.5 * z * (1.0 - t * t) * c * (1.0 + 3.0 * 0.044715 * (z * z))
+
+
 def _label_hash(labels: Sequence) -> int:
     text = "/".join(str(v) for v in labels)
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()

@@ -167,6 +167,9 @@ class TestBench:
         refinement = next(line for line in out.splitlines() if "refinement decoding" in line)
         assert "x 14; per call p50 " in refinement and ", p95 " in refinement
         assert ", max " in refinement
+        # One probe per fwsr segment, reported as a top-level phase.
+        probe = next(line for line in out.splitlines() if "sensitivity probe" in line)
+        assert probe.startswith("  sensitivity probe ") and "x 2;" in probe
 
     def test_bench_config_runs_the_modules(self, tmp_path, weights_path, capsys):
         config = tmp_path / "hhi.cfg"

@@ -3,9 +3,11 @@
 Each case runs one inference mode for 16 frames on an archive whose adapter
 gates and FWSR FiLM head are seeded non-zero, so the modules and the
 refinement actually move the output. A change that alters any emitted bit
-fails here and has to say so and regenerate the fixtures:
+fails here and has to say so and regenerate the fixtures it changes, naming
+them (no name regenerates every case); each rewrite prints the case's max
+abs change:
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write [CASE ...]
 """
 import sys
 from pathlib import Path
@@ -67,10 +69,27 @@ def test_engine_output_matches_golden(name):
     np.testing.assert_array_equal(run_case(name), expected)
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden.py --write")
+def write_cases(names) -> None:
+    """Regenerate the named fixtures (all when none is named), printing how
+    far each moved from the fixture it replaces."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden cases {unknown}; known: {sorted(CASES)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for case in sorted(CASES):
-        np.save(GOLDEN_DIR / f"{case}.npy", run_case(case))
-        print(f"wrote {GOLDEN_DIR / case}.npy")
+    for case in sorted(names or CASES):
+        path = GOLDEN_DIR / f"{case}.npy"
+        frames = run_case(case)
+        if path.exists():
+            old = np.load(path)
+            change = (f"max abs change {np.max(np.abs(frames - old)):.3g}"
+                      if old.shape == frames.shape else f"shape {old.shape} -> {frames.shape}")
+        else:
+            change = "new"
+        np.save(path, frames)
+        print(f"wrote {path} ({change})")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write [CASE ...]")
+    write_cases(sys.argv[2:])

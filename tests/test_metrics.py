@@ -8,6 +8,7 @@ from remogen.errors import ConfigError, DimensionError, InsufficientFramesError
 from remogen.metrics import (
     EmbeddingSet,
     GaussianStats,
+    LatencyRecorder,
     ReferenceEmbedder,
     collision_metrics,
     diversity,
@@ -251,6 +252,27 @@ class TestLatencyProfile:
         assert p50 < 0.01 <= p95 <= worst == max(calls)
         assert worst >= 0.04
         assert breakdown.component_tail("absent") == (0.0, 0.0, 0.0)
+
+
+class TestLatencyRecorder:
+    def test_top_level_scope_is_taken_out_of_enclosing_scopes(self):
+        rec = LatencyRecorder()
+        with rec.track("outer"):
+            with rec.track("inner"):
+                time.sleep(0.02)
+                with rec.track("probe", top_level=True):
+                    time.sleep(0.1)
+        (outer,), (inner,), (probe,) = (rec.durations[k] for k in ("outer", "inner", "probe"))
+        assert probe >= 0.1
+        # An ordinary nested scope still counts inside the scope around it.
+        assert 0.02 <= inner <= outer < 0.1
+
+    def test_ordinary_scopes_nest(self):
+        rec = LatencyRecorder()
+        with rec.track("outer"):
+            with rec.track("inner"):
+                time.sleep(0.05)
+        assert rec.durations["outer"][0] >= rec.durations["inner"][0] >= 0.05
 
 
 class TestReferenceEmbedder:

@@ -153,6 +153,8 @@ def _one_entry(**fields) -> bytes:
 @example(manifest=_one_entry(name=["w"]), blob=bytes(4))
 @example(manifest=_one_entry(shape=[-1, -1]), blob=bytes(4))
 @example(manifest=_one_entry(shape=[1] * 70), blob=bytes(4))
+@example(manifest=_one_entry(shape="12", byte_length=8), blob=bytes(8))
+@example(manifest=_one_entry(offset=0.9), blob=bytes(4))
 def test_random_manifests_never_crash_load_archive(manifest, blob, scratch):
     scratch.write_bytes(_archive_bytes(manifest, blob))
     try:
@@ -160,6 +162,9 @@ def test_random_manifests_never_crash_load_archive(manifest, blob, scratch):
     except FormatError:
         return
     assert isinstance(archive, WeightArchive)
+    # An accepted manifest is taken literally: each shape is the listed one.
+    for entry in json.loads(manifest):
+        assert list(archive.get(entry["name"]).shape) == entry["shape"]
 
 
 def _valid_archive(path) -> bytes:

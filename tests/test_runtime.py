@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from remogen.errors import ConfigError, CorruptArchiveError, FormatError
+from remogen.metrics import LatencyRecorder
 from remogen.motion import FeatureLayout, MotionSegment, featurize, synthetic_sequence
 from remogen.runtime import (
     Engine,
@@ -35,6 +36,10 @@ from remogen.scene import GridSpec, VoxelGrid, room_grid_spec
 from remogen.tensorcore import Rng
 
 F32 = np.float32
+
+# A compact config with the defaults' structure, for tests that count calls.
+COMPACT_CFG = EngineConfig(latent_dim=16, text_dim=16, width=32, heads=2, n_blocks=2,
+                           ffn_hidden=64, vae_hidden=64, injection_layers=(0, 1))
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +109,20 @@ class TestWeightArchiveCodec:
         blob = b"\x00" * 12
         path = tmp_path / "overlap.rmgw"
         path.write_bytes(b"RMGW1\n" + struct.pack("<I", len(manifest)) + manifest + blob)
+        with pytest.raises(CorruptArchiveError):
+            load_archive(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("shape", "12"), ("shape", [1, 2.0]), ("shape", [True, 2]), ("offset", 0.9),
+        ("offset", "0"), ("offset", False), ("byte_length", 8.0), ("byte_length", "8")])
+    def test_wrong_json_types_rejected(self, tmp_path, field, value):
+        """Shape entries, offset and byte_length must be JSON integers: "12" is
+        not read as shape (1, 2), nor 0.9 as offset 0."""
+        entry = {"name": "a", "shape": [1, 2], "dtype": "f32-le", "offset": 0,
+                 "byte_length": 8}
+        manifest = json.dumps([{**entry, field: value}]).encode()
+        path = tmp_path / "types.rmgw"
+        path.write_bytes(b"RMGW1\n" + struct.pack("<I", len(manifest)) + manifest + b"\x00" * 8)
         with pytest.raises(CorruptArchiveError):
             load_archive(path)
 
@@ -236,6 +255,9 @@ class TestEngineConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("histroy_len = 2")
+        # The probe is exact: there is no finite-difference step to set.
+        with pytest.raises(ConfigError, match="h_step"):
+            parse_config("h_step = 1e-3")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -245,7 +267,7 @@ class TestEngineConfigParsing:
         for text in ("width = 130",  # not divisible by heads
                      "heads = 0",
                      "injection_layers =",
-                     "fps = nan", "h_step = inf", "beta_sens = nan",
+                     "fps = nan", "fps = 0", "beta_sens = nan", "beta_sens = -1",
                      "guidance_scale = -inf", "joints = 3", "joints = 24"):
             with pytest.raises(ConfigError):
                 parse_config(text)
@@ -261,7 +283,7 @@ class TestEngineConfigParsing:
         changed = EngineConfig(
             history_len=3, future_len=4, steps=5, guidance_scale=1.5, latent_dim=16,
             text_dim=8, width=64, heads=2, n_blocks=3, ffn_hidden=32, vae_hidden=48,
-            injection_layers=(0, 2), beta_sens=0.5, h_step=2e-3, fps=20.0,
+            injection_layers=(0, 2), beta_sens=0.5, fps=20.0,
             alpha={"hhi": 0.25}, fwsr=True, seed=7, joints=22)
         text = "\n".join(f"{f.name} = {_config_text(getattr(changed, f.name))}"
                          for f in dataclasses.fields(EngineConfig))
@@ -289,6 +311,9 @@ class TestStreamRecords:
     def test_alpha_record(self):
         back = parse_record('{"t": 0, "kind": "alpha", "alpha": {"hhi": 0.5}}')
         assert back.alpha == {"hhi": 0.5}
+        # JSON integers are numbers too.
+        back = parse_record('{"t": 0, "kind": "alpha", "alpha": {"hhi": 1, "hsi": 0}}')
+        assert back.alpha == {"hhi": 1.0, "hsi": 0.0}
 
     def test_malformed_records(self):
         for line in ("not json", '{"kind": "mystery"}', '{"kind": "text"}',
@@ -307,6 +332,11 @@ BAD_PAYLOADS = (
     '{"kind": "ego_pose", "pose": [Infinity, 0.0]}',
     '{"kind": "text", "text": 5}',
     '{"kind": "text", "text": "go", "t": Infinity}',
+    '{"kind": "alpha", "alpha": {"hhi": "0.5", "hsi": true}}',
+    '{"kind": "alpha", "alpha": {"hhi": true}}',
+    '{"kind": "text", "text": "go", "t": "3"}',
+    '{"kind": "text", "text": "go", "t": 2.7}',
+    '{"kind": "text", "text": "go", "t": true}',
 )
 
 
@@ -380,7 +410,7 @@ class TestStreamRun:
         assert sum(r["kind"] == "ego_pose" for r in records) == 8
 
     def test_bad_payloads_skipped_without_hanging(self, cfg, archive, partner_frames):
-        extra = {2 * i: line for i, line in enumerate(BAD_PAYLOADS)}
+        extra = {i: line for i, line in enumerate(BAD_PAYLOADS)}
         text = stream_lines(partner_frames, extra=extra)
         records, skipped, err = joined(lambda: run_stream(text, cfg, archive))
         assert skipped == len(BAD_PAYLOADS)
@@ -513,25 +543,36 @@ class TestEngineWiring:
         out = engine.run_ticks(5)
         assert len(out) == 5
 
-    def test_batched_sensitivity_matches_reference_op(self, cfg, archive):
-        from remogen.fwsr import estimate_sensitivity
+    def test_batched_sensitivity_matches_reference_op(self, cfg, archive, partner_frames):
+        """The sensitivity an fwsr engine refines with is the finite-difference
+        oracle's, at the history and latent of its segment, on a compact and
+        an engine-size prior."""
+        from sensitivity_oracle import estimate_sensitivity
+
         from remogen.prior import decode_batch, decode_segment
 
-        engine = Engine(archive, cfg, mode="fwsr")
+        for c, a in ((COMPACT_CFG, init_weights(COMPACT_CFG, 5)), (cfg, archive)):
+            engine = Engine(a, dataclasses.replace(c, alpha={"hhi": 1.0}), mode="fwsr")
+            for segment in range(2):
+                history = engine.history
+                engine.tick(partner_frames[2 * segment])
+                engine.tick(partner_frames[2 * segment + 1])
+                refiner = engine._refiner
+                oracle = estimate_sensitivity(
+                    lambda h, zs: decode_batch(h, zs, engine.prior), history, refiner.z0)
+                # The oracle's float32 rounding over its 2e-3 step: at most
+                # 7.7e-4 relative on seeded compact and engine-size priors.
+                np.testing.assert_allclose(refiner.s.s, oracle, rtol=1e-3)
+                engine.run_ticks(c.future_len - 2)
+
+        # The oracle decodes its probes in one batch; each row is the
+        # one-latent decode bit for bit.
         z0 = Rng(21).generator("z").standard_normal(cfg.latent_dim, dtype=F32)
         zs = z0 + Rng(22).generator("dz").standard_normal((5, cfg.latent_dim), dtype=F32)
         batch = decode_batch(engine.history, zs, engine.prior)
         for row, z in zip(batch, zs):
             np.testing.assert_array_equal(
                 row, decode_segment(engine.history, z, engine.prior).frames)
-
-        def row_wise(h, probes):
-            return np.stack([decode_segment(h, z, engine.prior).frames for z in probes])
-
-        fast = estimate_sensitivity(lambda h, p: decode_batch(h, p, engine.prior),
-                                    engine.history, z0, cfg.h_step)
-        slow = estimate_sensitivity(row_wise, engine.history, z0, cfg.h_step)
-        np.testing.assert_array_equal(fast.s, slow.s)
 
     @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
     def test_decode_frame_ranges_per_mode(self, mode, cfg, archive, monkeypatch):
@@ -628,6 +669,68 @@ class TestBench:
             if mode == "fwsr":
                 # Refinement re-decodes inside its own scope.
                 assert 0.0 < a.components["fwsr_decode"] <= a.components["fwsr_refine"]
+
+
+class TestSensitivityProbe:
+    """An fwsr engine probes the decoder sensitivity once per segment, on the
+    first refinement tick; the boundary tick ends after sampling and the
+    frame-0 decode."""
+
+    @staticmethod
+    def probes_per_tick(monkeypatch, cfg, archive, ticks):
+        import remogen.runtime.engine as engine_module
+
+        calls = []
+        real = engine_module.decoder_sensitivity
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "decoder_sensitivity", counting)
+        recorder = LatencyRecorder()
+        engine = Engine(archive, cfg, mode="fwsr", recorder=recorder)
+        per_tick = []
+        for _ in range(ticks):
+            before = len(calls)
+            engine.tick()
+            per_tick.append(len(calls) - before)
+        assert len(recorder.durations.get("sensitivity", ())) == len(calls)
+        return per_tick
+
+    def test_first_refinement_tick_probes_once_per_segment(self, monkeypatch):
+        cfg = dataclasses.replace(COMPACT_CFG, future_len=4)
+        per_tick = self.probes_per_tick(monkeypatch, cfg, init_weights(cfg, 3), 12)
+        assert per_tick == [0, 1, 0, 0] * 3
+
+    def test_one_frame_segments_never_probe(self, monkeypatch):
+        cfg = dataclasses.replace(COMPACT_CFG, future_len=1)
+        assert self.probes_per_tick(monkeypatch, cfg, init_weights(cfg, 3), 5) == [0] * 5
+
+    def test_bench_keeps_the_probe_a_top_level_phase(self, monkeypatch):
+        """The probe runs inside the first refinement step, but bench times it
+        as its own phase: the step's own time leaves it out."""
+        import remogen.runtime.engine as engine_module
+        from remogen.runtime import bench
+        from remogen.runtime.bench import format_bench
+
+        real = engine_module.decoder_sensitivity
+
+        def slow(*args, **kwargs):
+            time.sleep(0.1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "decoder_sensitivity", slow)
+        results = bench(COMPACT_CFG, init_weights(COMPACT_CFG, 3), n_frames=16,
+                        modes=("fwsr",))
+        b = results["fwsr"]
+        assert b.counts["sensitivity"] == 2
+        assert min(b.durations["sensitivity"]) >= 0.1
+        assert max(b.durations["fwsr_refine"]) < 0.1
+        row = next(line for line in format_bench(results).splitlines()
+                   if "sensitivity probe" in line)
+        assert row.startswith("  sensitivity probe ")   # sub-rows indent by four
+        assert "x 2;" in row
 
 
 class TestTracePoints:

@@ -12,6 +12,7 @@ from remogen.tensorcore import (
     attention_kv,
     ffn_forward,
     gelu,
+    gelu_slope,
     layer_norm,
     linear,
     mha_forward,
@@ -154,6 +155,18 @@ class TestGelu:
         z = x.astype(np.float64)
         ref = (0.5 * z * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (z + 0.044715 * z ** 3))))
         np.testing.assert_array_equal(gelu(x), ref.astype(F32))
+
+    def test_slope_matches_central_difference(self):
+        x = Rng(13).generator("slope").uniform(-8.0, 8.0, 100_000)
+
+        def gelu64(z):
+            return 0.5 * z * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (z + 0.044715 * z ** 3)))
+
+        h = 1e-5
+        numeric = (gelu64(x + h) - gelu64(x - h)) / (2 * h)
+        # Truncation (h^2) plus cancellation (eps / h): 1.2e-10 measured.
+        np.testing.assert_allclose(gelu_slope(x), numeric, rtol=0, atol=1e-9)
+        assert gelu_slope(np.zeros(1))[0] == 0.5
 
 
 class TestRelativeBias:
