@@ -93,9 +93,10 @@ class DynamicContext:
     """Stream of observed context frames with a per-segment window cursor.
 
     push() appends live observations; mark_segment_start() pins the cursor so
-    window(f) exposes exactly the frames observable at refinement iteration f.
-    When the stream runs dry the last available window is reused, which keeps
-    mid-segment refinement total.
+    window(f) exposes exactly the frames observable at refinement iteration f,
+    and drops the frames no window can read from then on: all but the last
+    history_len before the cursor. When the stream runs dry the last available
+    window is reused, which keeps mid-segment refinement total.
     """
 
     def __init__(self, history_len: int, feature_dim: int):
@@ -114,6 +115,7 @@ class DynamicContext:
         return len(self._frames)
 
     def mark_segment_start(self) -> None:
+        del self._frames[:max(len(self._frames) - self.history_len, 0)]
         self._base = len(self._frames)
 
     def window(self, step: int = 0) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,9 +42,6 @@ DEFAULT_HEADS = 4
 DEFAULT_BLOCKS = 4
 DEFAULT_FFN_HIDDEN = 256
 DEFAULT_VAE_HIDDEN = 256
-
-StepDeltaProvider = Callable[[np.ndarray, int], Optional["object"]]
-
 
 @dataclass(frozen=True)
 class TextEmbedding:
@@ -115,19 +112,6 @@ class DiffusionSchedule:
     def linear(cls, steps: int = 10, beta_start: float = 1e-4,
                beta_end: float = 0.2) -> "DiffusionSchedule":
         return cls(np.linspace(beta_start, beta_end, steps))
-
-
-@dataclass(frozen=True)
-class GenerationConfig:
-    """Sampler knobs: step count, guidance scale, seed."""
-
-    steps: int = 10
-    guidance_scale: float = 2.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -348,18 +332,15 @@ def sample_latent(mean: np.ndarray, log_variance: np.ndarray,
 
 
 def denoiser_tokens(params: PriorParams, z_t: np.ndarray, t: int, m_h: HistoryWindow,
-                    w: Union[TextEmbedding, Sequence[TextEmbedding]]) -> np.ndarray:
-    """Embedded token sequence [time, text, history x H, latent] of shape (H+3, width).
-
-    For a sequence of B text embeddings the sequences share every token but
-    the text one and come back stacked as (B, H+3, width).
-    """
+                    texts: Sequence[TextEmbedding]) -> np.ndarray:
+    """Embedded token sequences [time, text, history x H, latent], one per
+    text, stacked as (B, H+3, width); they share every token but the text one."""
     den = params.denoiser
     time_tok = linear(_sinusoidal(float(t), params.width)[None, :], den.time_w, den.time_b)
     hist_tok = linear(m_h.frames, den.hist_w, den.hist_b)
     latent_tok = linear(np.asarray(z_t, dtype=F32)[None, :], den.latent_w, den.latent_b)
     rows = []
-    for txt in ((w,) if isinstance(w, TextEmbedding) else w):
+    for txt in texts:
         if txt.null_flag:
             text_tok = den.null_token[None, :]
         else:
@@ -368,32 +349,25 @@ def denoiser_tokens(params: PriorParams, z_t: np.ndarray, t: int, m_h: HistoryWi
             text_tok = linear(txt.values[None, :], den.text_w, den.text_b)
         rows.append(np.vstack([time_tok, text_tok, hist_tok, latent_tok]))
     tokens = np.stack(rows)
-    tokens = (tokens.astype(F64) + _token_positions(tokens.shape[1], params.width)).astype(F32)
-    return tokens[0] if isinstance(w, TextEmbedding) else tokens
+    return (tokens.astype(F64) + _token_positions(tokens.shape[1], params.width)).astype(F32)
 
 
-def predict_clean_latent(params: PriorParams, z_t: np.ndarray, t: int,
-                         m_h: HistoryWindow,
-                         w: Union[TextEmbedding, Sequence[TextEmbedding]],
-                         deltas=None) -> np.ndarray:
-    """Denoiser evaluation: predicts the clean latent from the noisy one.
+def predict_clean_latent(params: PriorParams, tokens: np.ndarray, deltas=None) -> np.ndarray:
+    """Denoiser blocks: (B, T, width) tokens from denoiser_tokens to (B, d_z)
+    clean-latent predictions.
 
-    w is one text embedding, giving a (d_z,) prediction, or a sequence of B
-    embeddings over the same (z_t, t, m_h, deltas), evaluated as one batched
-    pass over (B, T, width) tokens and giving (B, d_z); row b equals the
-    single-text call on w[b] bit for bit. deltas, when given, is a
-    ModulationDelta: after denoiser block deltas.layers[k], its (T, width)
-    residual deltas.values[k] is added to every row's token activations. An
-    all-zero residual is skipped, so it leaves the output bit-identical to the
-    bare prior.
+    Row b depends on tokens[b] alone and equals the one-row batch
+    tokens[b:b+1] bit for bit. deltas, when given, is a ModulationDelta: after
+    denoiser block deltas.layers[k], its (T, width) residual deltas.values[k]
+    is added to every row's token activations. An all-zero residual is
+    skipped, so it leaves the output bit-identical to the bare prior.
     """
-    single = isinstance(w, TextEmbedding)
-    if deltas is not None and not all(0 <= i < params.n_blocks for i in deltas.layers):
-        raise ConfigError(f"injection layers {deltas.layers} outside denoiser blocks "
-                          f"[0, {params.n_blocks})")
-    x = denoiser_tokens(params, z_t, t, m_h, (w,) if single else w)
+    x = tokens
     residuals = {}
     if deltas is not None:
+        if not all(0 <= i < params.n_blocks for i in deltas.layers):
+            raise ConfigError(f"injection layers {deltas.layers} outside denoiser blocks "
+                              f"[0, {params.n_blocks})")
         if deltas.values.shape[1:] != x.shape[1:]:
             raise DimensionError(f"delta residuals are {deltas.values.shape[1:]}, "
                                  f"tokens are {x.shape[1:]}")
@@ -407,51 +381,28 @@ def predict_clean_latent(params: PriorParams, z_t: np.ndarray, t: int,
     final = layer_norm(x, params.denoiser.final_gain, params.denoiser.final_offset)
     # The last token of each row is projected as a (1, width) matrix: a stacked
     # (B, width) product is not bit-equal to B one-row products.
-    out = linear(final[:, -1:], params.denoiser.out_w, params.denoiser.out_b)[:, 0]
-    return out[0] if single else out
+    return linear(final[:, -1:], params.denoiser.out_w, params.denoiser.out_b)[:, 0]
 
 
-def ddpm_sample(params: Optional[PriorParams], m_h: HistoryWindow, w: TextEmbedding,
-                deltas_provider: Optional[StepDeltaProvider], cfg: GenerationConfig,
-                rng: Union[Rng, np.random.Generator],
-                denoise_fn: Optional[Callable] = None,
-                latent_dim: Optional[int] = None) -> np.ndarray:
-    """Sample one clean segment latent from pure noise.
+def ddpm_sample(denoise: Callable[[np.ndarray, int], np.ndarray], latent_dim: int,
+                steps: int, guidance_scale: float, gen: np.random.Generator) -> np.ndarray:
+    """Sample one clean latent from pure noise.
 
-    Runs cfg.steps iterations of the x0-parameterized DDPM posterior. Each
-    step makes two denoiser evaluations (conditional and unconditional) in
-    one batched pass and blends them as z0_u + s * (z0_c - z0_u); s == 1
-    short-circuits to the conditional prediction. Interaction deltas from
-    deltas_provider, queried once per step, apply to both branches since they
-    carry no text.
-
-    denoise_fn(z_t, t, m_h, (w, null_w), deltas) -> (2, d_z) overrides the
-    parameterized denoiser, which is how tests stub the prediction.
+    Runs `steps` iterations of the x0-parameterized DDPM posterior over
+    DiffusionSchedule.linear(steps). At step t, denoise(z_t, t) returns the
+    (2, d_z) clean-latent predictions, the conditional row first, then the
+    unconditional one; they are blended as z0_u + s * (z0_c - z0_u), and
+    s == 1 short-circuits to the conditional row.
     """
-    if denoise_fn is None:
-        if params is None:
-            raise ConfigError("ddpm_sample needs params or an explicit denoise_fn")
-        denoise_fn = lambda z_t, t, h, txts, d: predict_clean_latent(params, z_t, t, h, txts, d)
-    if params is not None:
-        latent_dim = params.latent_dim
-        text_dim = params.text_dim
-    else:
-        latent_dim = latent_dim if latent_dim is not None else DEFAULT_LATENT_DIM
-        text_dim = w.values.shape[0]
-
-    schedule = DiffusionSchedule.linear(cfg.steps)
-    gen = rng.generator("ddpm", cfg.seed) if isinstance(rng, Rng) else rng
-    null_w = null_embedding(text_dim)
+    schedule = DiffusionSchedule.linear(steps)
     alphas = schedule.alphas
     alpha_bars = schedule.alpha_bars
     betas = schedule.betas
-    s = cfg.guidance_scale
+    s = guidance_scale
 
     z = gen.standard_normal(latent_dim, dtype=F32)
     for t in range(schedule.steps - 1, -1, -1):
-        deltas = deltas_provider(z, t) if deltas_provider is not None else None
-        z0_cond, z0_uncond = np.asarray(denoise_fn(z, t, m_h, (w, null_w), deltas),
-                                        dtype=F64)
+        z0_cond, z0_uncond = np.asarray(denoise(z, t), dtype=F64)
         if s == 1.0:
             z0 = z0_cond
         else:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, get_type_hints
@@ -11,7 +12,6 @@ import numpy as np
 
 from ..errors import ConfigError, FormatError
 from ..motion import BODY22_PARENTS
-from ..prior import GenerationConfig
 from ..tensorcore import F32
 
 RECORD_KINDS = ("partner_pose", "text", "alpha", "ego_pose", "end")
@@ -54,16 +54,19 @@ class EngineConfig:
             raise ConfigError("guidance_scale, beta_sens and fps must be finite")
         if self.beta_sens < 0 or self.fps <= 0:
             raise ConfigError("beta_sens >= 0 and fps > 0 required")
-        if not all(math.isfinite(a) for a in self.alpha.values()):
-            raise ConfigError(f"alpha weights must be finite, got {self.alpha}")
+        check_alpha(self.alpha)
         if self.joints != len(BODY22_PARENTS):
             # The engine seeds its history from the 22-joint synthetic skeleton.
             raise ConfigError(f"joints must be {len(BODY22_PARENTS)} (the body22 "
                               f"skeleton), got {self.joints}")
 
-    def generation(self) -> GenerationConfig:
-        return GenerationConfig(steps=self.steps, guidance_scale=self.guidance_scale,
-                                seed=self.seed)
+
+def check_alpha(alpha: dict) -> None:
+    """ConfigError unless every module weight is a finite real number (not a bool)."""
+    bad = {k: v for k, v in alpha.items()
+           if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)}
+    if bad:
+        raise ConfigError(f"alpha weights must be finite numbers, got {bad}")
 
 
 def parse_alpha(text: str) -> dict:

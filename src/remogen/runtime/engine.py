@@ -66,7 +66,7 @@ from ..prior import (
 from ..scene import VoxelGrid, extract_ego_voxels
 from ..tensorcore import F32, SHAPE_ONLY, Rng
 from .codecs import WeightArchive
-from .config import EngineConfig
+from .config import EngineConfig, check_alpha
 from .weights import flatten_params, rebuild_params
 
 MODULE_SOURCES = {"hhi": "others", "hsi": "scene"}
@@ -158,7 +158,6 @@ class Engine:
 
         seed_history = rest_history(cfg.history_len, self.layout, fps=cfg.fps)
         self.history = HistoryWindow(normalize(seed_history.frames, self.normalizer))
-        self.partner: list = []
         self.dyn = DynamicContext(cfg.history_len, self.layout.dim)
         self.ticks = 0
         self.frames_emitted = 0
@@ -176,6 +175,7 @@ class Engine:
         unknown = [k for k in alpha if k not in self.mims]
         if unknown:
             raise ConfigError(f"alpha names unknown modules {unknown}")
+        check_alpha(alpha)
         self._pending_alpha = dict(alpha)
 
     def observe_ego(self, pose: np.ndarray) -> None:
@@ -214,57 +214,56 @@ class Engine:
     def _module_context(self, module_id: str):
         params = self.mims[module_id]
         if params.source == "others":
-            window = self.partner[-self.cfg.history_len:]
-            if not window:
-                window = [np.zeros(self.layout.dim, dtype=F32)]
-            return encode_others(np.stack(window), params.encoder)
+            window = self.dyn.window(0)
+            if not len(window):
+                window = np.zeros((1, self.layout.dim), dtype=F32)
+            return encode_others(window, params.encoder)
         if self.scene_grid is None:
             return None
         block = extract_ego_voxels(self.scene_grid, self._ego_anchor())
         return encode_scene(block, params.encoder)
 
-    def _delta_provider(self):
-        """Per-step composed deltas for the active modules, or None.
+    def _prepared_contexts(self) -> dict:
+        """{module id: prepared context} for each active module that has a context.
 
         Each context is encoded and prepared for its module's stacked blocks
-        here, once per segment; each step then makes one module_deltas call
-        per module.
+        here, once per segment.
         """
-        active = [(mid, a) for mid, a in self.alpha.items() if mid in self.mims]
-        contexts = []
-        for mid, a in active:
-            ctx = self._module_context(mid)
-            if ctx is not None:
-                params = self.mims[mid]
-                contexts.append((mid, a, params,
-                                 prepare_context(ctx, params.stacked, self.prior.n_tokens)))
-        if not contexts:
-            return None
-        alpha = {mid: a for mid, a, _, _ in contexts}
-        null_w = null_embedding(self.cfg.text_dim)
-
-        def provider(z_t, t):
-            with self._track("mim"):
-                h0 = denoiser_tokens(self.prior, z_t, t, self.history, null_w)
-                deltas = [module_deltas(h0, prepared, params)
-                          for _, _, params, prepared in contexts]
-                return compose_deltas(deltas, alpha)
-
-        return provider
+        out = {}
+        for mid in self.alpha:
+            if mid in self.mims:
+                ctx = self._module_context(mid)
+                if ctx is not None:
+                    out[mid] = prepare_context(ctx, self.mims[mid].stacked,
+                                               self.prior.n_tokens)
+        return out
 
     def _sample_latent(self) -> np.ndarray:
-        provider = self._delta_provider()
-        w = embed_text(self.text, self.prior.text_dim)
+        """Sample the segment latent from the current history, text and modules.
 
-        # perfbench times the batched CFG pass by wrapping predict_clean_latent
-        # at this module's name, so the call stays here under that name.
-        def denoise(z_t, t, m_h, txts, deltas):
+        Each DDPM step embeds the (text, null) tokens once. The modules read
+        the null row, since their residuals carry no text and apply to both
+        rows. perfbench/spans.py wraps ddpm_sample, denoiser_tokens and
+        predict_clean_latent at this module's names, so they are called here
+        under those names.
+        """
+        contexts = self._prepared_contexts()
+        texts = (embed_text(self.text, self.prior.text_dim),
+                 null_embedding(self.prior.text_dim))
+
+        def denoise(z_t, t):
+            tokens = denoiser_tokens(self.prior, z_t, t, self.history, texts)
+            deltas = None
+            if contexts:
+                with self._track("mim"):
+                    deltas = compose_deltas([module_deltas(tokens[1], c, self.mims[mid])
+                                             for mid, c in contexts.items()], self.alpha)
             with self._track("denoiser"):
-                return predict_clean_latent(self.prior, z_t, t, m_h, txts, deltas)
+                return predict_clean_latent(self.prior, tokens, deltas)
 
         with self._track("denoise_total"):
-            return ddpm_sample(self.prior, self.history, w, provider,
-                               self.cfg.generation(), self.gen, denoise_fn=denoise)
+            return ddpm_sample(denoise, self.prior.latent_dim, self.cfg.steps,
+                               self.cfg.guidance_scale, self.gen)
 
     def _decode(self, history: HistoryWindow, z: np.ndarray, component: str = "decode",
                 frames: slice = slice(None)):
@@ -283,7 +282,6 @@ class Engine:
             if partner_frame is not None:
                 frame = normalize(np.asarray(partner_frame, dtype=F32).reshape(1, -1),
                                   self.normalizer)[0]
-                self.partner.append(frame)
                 self.dyn.push(frame)
         phase = self.ticks % self.cfg.future_len
         self.ticks += 1
@@ -292,6 +290,7 @@ class Engine:
             if self.ticks % self.cfg.future_len != 0:
                 return []
             self._apply_pending()
+            self.dyn.mark_segment_start()
             z0 = self._sample_latent()
             segment = self._decode(self.history, z0)
             self.history = update_history(self.history, segment)
@@ -299,6 +298,7 @@ class Engine:
 
         if self.mode == "slide":
             self._apply_pending()
+            self.dyn.mark_segment_start()
             z0 = self._sample_latent()
             segment = self._decode(self.history, z0)
             first = segment.frames[0]

@@ -48,7 +48,6 @@ from remogen.motion import (
     transform_sequence,
 )
 from remogen.prior import (
-    GenerationConfig,
     ddpm_sample,
     decode_batch,
     decoder_sensitivity,
@@ -463,32 +462,26 @@ def test_c07_rollout_window_invariants():
 
 def test_c08_sampler_sanity():
     """Constant-prediction stub recovered; 2 evaluations per step in one batched pass."""
-    m_h = HistoryWindow(np.zeros((2, 4), dtype=F32))
-    cfg = GenerationConfig(steps=10)
+    steps = 10
     z_star = Rng(8).generator("zs").standard_normal(16, dtype=F32)
     worst = 0.0
     for seed in range(100):
         calls = {"n": 0, "passes": 0}
 
-        def stub(z, t, h, texts, d):
+        def stub(z, t):
+            # The conditional row, then the unconditional one.
+            rows = np.stack([z_star, z_star])
             calls["passes"] += 1
-            calls["n"] += len(texts)
-            return np.stack([z_star for _ in texts])
+            calls["n"] += len(rows)
+            return rows
 
-        out = ddpm_sample(None, m_h, prior_null(16), None, cfg, Rng(seed),
-                          denoise_fn=stub, latent_dim=16)
+        out = ddpm_sample(stub, 16, steps, 2.0, Rng(seed).generator("ddpm", 0))
         worst = max(worst, float(np.max(np.abs(out - z_star))))
         assert worst < 1e-5
-        assert calls["n"] == 2 * cfg.steps
-        assert calls["passes"] == cfg.steps
+        assert calls["n"] == 2 * steps
+        assert calls["passes"] == steps
     report("C8", f"constant-prediction stub recovered over 100 seeds "
                  f"(worst {worst:.1e}); 20 denoiser evaluations in 10 passes per segment")
-
-
-def prior_null(dim):
-    from remogen.prior import null_embedding
-
-    return null_embedding(dim)
 
 
 def test_c09_metric_oracles():

@@ -290,6 +290,22 @@ class TestDynamicContext:
         dyn.mark_segment_start()
         np.testing.assert_array_equal(dyn.window(5), dyn.window(50))
 
+    def test_cursor_drops_frames_no_window_reads(self):
+        dyn = DynamicContext(history_len=2, feature_dim=3)
+        dyn.mark_segment_start()
+        assert len(dyn) == 0
+        dyn.push(np.zeros(3, dtype=F32))
+        dyn.mark_segment_start()
+        assert len(dyn) == 1
+        for i in range(1, 10):
+            dyn.push(np.full(3, i, dtype=F32))
+        dyn.mark_segment_start()
+        assert len(dyn) == 2
+        np.testing.assert_array_equal(dyn.window(0)[:, 0], [8, 9])
+        dyn.push(np.full(3, 10, dtype=F32))
+        np.testing.assert_array_equal(dyn.window(1)[:, 0], [9, 10])
+        np.testing.assert_array_equal(dyn.window(7)[:, 0], [9, 10])
+
     def test_empty_stream_empty_window(self):
         dyn = DynamicContext(history_len=2, feature_dim=3)
         assert dyn.window(3).shape == (0, 3)

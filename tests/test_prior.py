@@ -17,7 +17,6 @@ from remogen.motion import (
 )
 from remogen.prior import (
     DiffusionSchedule,
-    GenerationConfig,
     LossReport,
     ddpm_sample,
     decode_batch,
@@ -165,38 +164,43 @@ class TestVae:
                            small_params)
 
 
+def clean_latent(params, z_t, t, m_h, texts, deltas=None):
+    """The denoiser on one (z_t, t, m_h): embed the texts, then run the blocks."""
+    return predict_clean_latent(params, denoiser_tokens(params, z_t, t, m_h, texts), deltas)
+
+
 class TestPredictCleanLatent:
     def test_zero_deltas_bit_equal(self, small_params, small_history):
         gen = Rng(6).generator("z")
         z_t = gen.standard_normal(8, dtype=F32)
-        w = embed_text("turn left", dim=8)
-        bare = predict_clean_latent(small_params, z_t, 3, small_history, w)
+        w = (embed_text("turn left", dim=8),)
+        bare = clean_latent(small_params, z_t, 3, small_history, w)
         zero = ModulationDelta("m", (0, 1), np.zeros((2, 5, 16), dtype=F32))
-        with_zero = predict_clean_latent(small_params, z_t, 3, small_history, w, zero)
+        with_zero = clean_latent(small_params, z_t, 3, small_history, w, zero)
         assert np.array_equal(bare, with_zero)
 
     def test_deterministic(self, small_params, small_history):
         z_t = Rng(7).generator("z").standard_normal(8, dtype=F32)
-        w = null_embedding(8)
-        a = predict_clean_latent(small_params, z_t, 0, small_history, w)
-        b = predict_clean_latent(small_params, z_t, 0, small_history, w)
+        w = (null_embedding(8),)
+        a = clean_latent(small_params, z_t, 0, small_history, w)
+        b = clean_latent(small_params, z_t, 0, small_history, w)
         assert np.array_equal(a, b)
 
     def test_large_delta_changes_output(self, small_params, small_history):
         z_t = Rng(8).generator("z").standard_normal(8, dtype=F32)
-        w = null_embedding(8)
-        bare = predict_clean_latent(small_params, z_t, 1, small_history, w)
+        w = (null_embedding(8),)
+        bare = clean_latent(small_params, z_t, 1, small_history, w)
         kicked = np.zeros((5, 16), dtype=F32)
         kicked[0, 0] = 10.0
-        out = predict_clean_latent(small_params, z_t, 1, small_history, w,
-                                   ModulationDelta("m", (0,), kicked[None]))
+        out = clean_latent(small_params, z_t, 1, small_history, w,
+                           ModulationDelta("m", (0,), kicked[None]))
         assert not np.array_equal(bare, out)
 
     def test_unknown_injection_layer(self, small_params, small_history):
         z_t = np.zeros(8, dtype=F32)
         with pytest.raises(ConfigError):
-            predict_clean_latent(small_params, z_t, 0, small_history, null_embedding(8),
-                                 ModulationDelta("m", (9,), np.zeros((1, 5, 16), dtype=F32)))
+            clean_latent(small_params, z_t, 0, small_history, (null_embedding(8),),
+                         ModulationDelta("m", (9,), np.zeros((1, 5, 16), dtype=F32)))
 
     @pytest.mark.parametrize("layers", ["none", "zero", "some"])
     def test_batched_rows_equal_single_calls(self, small_params, small_history, layers):
@@ -208,20 +212,21 @@ class TestPredictCleanLatent:
         elif layers == "some":
             kick = Rng(11).generator("d").standard_normal((5, 16)).astype(F32)
             deltas = ModulationDelta("m", (1,), kick[None])
-        batched = predict_clean_latent(small_params, z_t, 4, small_history, texts, deltas)
+        batched = clean_latent(small_params, z_t, 4, small_history, texts, deltas)
         assert batched.shape == (2, 8)
         for row, w in zip(batched, texts):
-            single = predict_clean_latent(small_params, z_t, 4, small_history, w, deltas)
-            np.testing.assert_array_equal(row, single)
+            single = clean_latent(small_params, z_t, 4, small_history, (w,), deltas)
+            assert single.shape == (1, 8)
+            np.testing.assert_array_equal(row, single[0])
         if layers == "some":
-            bare = predict_clean_latent(small_params, z_t, 4, small_history, texts)
+            bare = clean_latent(small_params, z_t, 4, small_history, texts)
             assert not np.array_equal(batched, bare)
 
     def test_batched_delta_shape_checked(self, small_params, small_history):
         texts = (null_embedding(8), null_embedding(8))
         with pytest.raises(DimensionError):
-            predict_clean_latent(small_params, np.zeros(8, dtype=F32), 0, small_history,
-                                 texts, ModulationDelta("m", (0,), np.zeros((1, 4, 16), dtype=F32)))
+            clean_latent(small_params, np.zeros(8, dtype=F32), 0, small_history,
+                         texts, ModulationDelta("m", (0,), np.zeros((1, 4, 16), dtype=F32)))
 
     def test_zero_rows_of_a_stack_are_skipped(self, small_params, small_history):
         z_t = Rng(12).generator("z").standard_normal(8, dtype=F32)
@@ -230,13 +235,13 @@ class TestPredictCleanLatent:
         stacked = ModulationDelta("m", (0, 1), np.stack([np.zeros_like(kick), kick]))
         alone = ModulationDelta("m", (1,), kick[None])
         np.testing.assert_array_equal(
-            predict_clean_latent(small_params, z_t, 2, small_history, texts, stacked),
-            predict_clean_latent(small_params, z_t, 2, small_history, texts, alone))
+            clean_latent(small_params, z_t, 2, small_history, texts, stacked),
+            clean_latent(small_params, z_t, 2, small_history, texts, alone))
 
     def test_token_count(self, small_params, small_history):
         toks = denoiser_tokens(small_params, np.zeros(8, dtype=F32), 0, small_history,
-                               null_embedding(8))
-        assert toks.shape == (2 + 3, 16)
+                               (null_embedding(8),))
+        assert toks.shape == (1, 2 + 3, 16)
 
     def test_batched_tokens_equal_single_calls(self, small_params, small_history):
         z_t = Rng(13).generator("z").standard_normal(8, dtype=F32)
@@ -245,76 +250,63 @@ class TestPredictCleanLatent:
         assert toks.shape == (3, 5, 16)
         for row, w in zip(toks, texts):
             np.testing.assert_array_equal(
-                row, denoiser_tokens(small_params, z_t, 2, small_history, w))
+                row, denoiser_tokens(small_params, z_t, 2, small_history, (w,))[0])
 
 
 def pair_stub(fn):
-    """Lift a one-text stub fn(z, t, h, w, d) -> (d_z,) to the batched denoise_fn contract."""
-    return lambda z, t, h, texts, d: np.stack([fn(z, t, h, w, d) for w in texts])
+    """Lift a per-branch stub fn(z, t, cond) -> (d_z,) to the denoise(z_t, t)
+    contract: the conditional row, then the unconditional one."""
+    return lambda z, t: np.stack([fn(z, t, True), fn(z, t, False)])
 
 
 class TestDdpmSample:
-    def test_constant_stub_recovered(self, small_history):
-        cfg = GenerationConfig(steps=10)
+    def test_constant_stub_recovered(self):
         z_star = np.linspace(-1, 1, 8).astype(F32)
         for seed in range(10):
-            out = ddpm_sample(None, small_history, null_embedding(8), None, cfg,
-                              Rng(seed), denoise_fn=pair_stub(lambda z, t, h, w, d: z_star),
-                              latent_dim=8)
+            out = ddpm_sample(pair_stub(lambda z, t, cond: z_star), 8, 10, 2.0,
+                              Rng(seed).generator("ddpm", 0))
             assert np.max(np.abs(out - z_star)) < 1e-5
 
-    def test_exactly_two_calls_per_step(self, small_history):
-        cfg = GenerationConfig(steps=10)
-        calls = {"passes": 0, "n": 0, "cond": 0, "uncond": 0}
+    def test_exactly_two_calls_per_step(self):
+        """Two denoiser evaluations per step, as one call returning both rows,
+        with t counting down from steps - 1."""
+        calls = {"passes": 0, "n": 0, "t": []}
 
-        def stub(z, t, h, texts, d):
+        def stub(z, t):
+            assert z.shape == (8,) and z.dtype == F32
             calls["passes"] += 1
-            for w in texts:
-                calls["n"] += 1
-                calls["uncond" if w.null_flag else "cond"] += 1
-            return np.zeros((len(texts), 8), dtype=F32)
+            calls["t"].append(t)
+            rows = np.zeros((2, 8), dtype=F32)
+            calls["n"] += len(rows)
+            return rows
 
-        ddpm_sample(None, small_history, embed_text("x", 8), None, cfg, Rng(0),
-                    denoise_fn=stub, latent_dim=8)
+        ddpm_sample(stub, 8, 10, 2.0, Rng(0).generator("ddpm", 0))
         assert calls["passes"] == 10
         assert calls["n"] == 20
-        assert calls["cond"] == 10 and calls["uncond"] == 10
+        assert calls["t"] == list(range(9, -1, -1))
 
-    def test_guidance_one_ignores_unconditional(self, small_history):
-        cfg = GenerationConfig(steps=6, guidance_scale=1.0)
+    def test_guidance_one_ignores_unconditional(self):
         gen = Rng(9).generator("g")
         target = gen.standard_normal(8, dtype=F32)
         garbage = gen.standard_normal(8, dtype=F32) * 1e6
 
-        def stub(z, t, h, w, d):
-            return garbage if w.null_flag else target
+        def stub(z, t, cond):
+            return target if cond else garbage
 
-        out = ddpm_sample(None, small_history, embed_text("x", 8), None, cfg, Rng(1),
-                          denoise_fn=pair_stub(stub), latent_dim=8)
-        clean = ddpm_sample(None, small_history, embed_text("x", 8), None, cfg, Rng(1),
-                            denoise_fn=pair_stub(lambda z, t, h, w, d: target),
-                            latent_dim=8)
+        out = ddpm_sample(pair_stub(stub), 8, 6, 1.0, Rng(1).generator("ddpm", 0))
+        clean = ddpm_sample(pair_stub(lambda z, t, cond: target), 8, 6, 1.0,
+                            Rng(1).generator("ddpm", 0))
         assert np.array_equal(out, clean)
 
     def test_deterministic_given_seed(self, small_params, small_history):
-        cfg = GenerationConfig(steps=4)
-        w = embed_text("spin", 8)
-        a = ddpm_sample(small_params, small_history, w, None, cfg, Rng(3))
-        b = ddpm_sample(small_params, small_history, w, None, cfg, Rng(3))
+        texts = (embed_text("spin", 8), null_embedding(8))
+
+        def denoise(z_t, t):
+            return clean_latent(small_params, z_t, t, small_history, texts)
+
+        a = ddpm_sample(denoise, 8, 4, 2.0, Rng(3).generator("ddpm", 0))
+        b = ddpm_sample(denoise, 8, 4, 2.0, Rng(3).generator("ddpm", 0))
         assert np.array_equal(a, b)
-
-    def test_deltas_provider_called_each_step(self, small_history):
-        cfg = GenerationConfig(steps=5)
-        seen = []
-
-        def provider(z, t):
-            seen.append(t)
-            return None
-
-        ddpm_sample(None, small_history, null_embedding(8), provider, cfg, Rng(2),
-                    denoise_fn=pair_stub(lambda z, t, h, w, d: np.zeros(8, dtype=F32)),
-                    latent_dim=8)
-        assert seen == [4, 3, 2, 1, 0]
 
 
 class TestSchedule:
@@ -370,37 +362,41 @@ class TestRollout:
 
         params = engine.prior
         gen = Rng(cfg.seed).generator("engine")
-        sampler = GenerationConfig(steps=cfg.steps, guidance_scale=cfg.guidance_scale,
-                                   seed=cfg.seed)
-        w = embed_text(text, params.text_dim)
+        texts = (embed_text(text, params.text_dim), null_embedding(params.text_dim))
         history = rest_history(cfg.history_len, FeatureLayout(cfg.joints), fps=cfg.fps)
         frames = []
         for _ in range(3):
-            z0 = ddpm_sample(params, history, w, None, sampler, gen)
+            def denoise(z_t, t, m_h=history):
+                tokens = denoiser_tokens(params, z_t, t, m_h, texts)
+                return predict_clean_latent(params, tokens)
+
+            z0 = ddpm_sample(denoise, params.latent_dim, cfg.steps, cfg.guidance_scale, gen)
             seg = decode_segment(history, z0, params, fps=cfg.fps)
             frames.append(seg.frames)
             history = update_history(history, seg)
         assert np.array_equal(out, np.vstack(frames))
 
     def test_history_passed_to_providers(self, rollout_archive, monkeypatch):
-        """The sampler, and with it the delta provider, sees the last H emitted frames."""
+        """Every denoising step embeds the last H emitted frames as its history
+        tokens, which the denoiser and the modules share."""
         import remogen.runtime.engine as engine_module
 
         seen = []
-        real_sample = engine_module.ddpm_sample
+        real_tokens = engine_module.denoiser_tokens
 
-        def recording_sample(params, m_h, *args, **kwargs):
+        def recording_tokens(params, z_t, t, m_h, texts):
             seen.append(m_h.frames.copy())
-            return real_sample(params, m_h, *args, **kwargs)
+            return real_tokens(params, z_t, t, m_h, texts)
 
-        monkeypatch.setattr(engine_module, "ddpm_sample", recording_sample)
+        monkeypatch.setattr(engine_module, "denoiser_tokens", recording_tokens)
         engine = segment_engine(rollout_archive, "x")
         seed_frames = engine.history.frames.copy()
         out = np.stack(engine.run_ticks(12))
-        assert len(seen) == 3
-        np.testing.assert_array_equal(seen[0], seed_frames)
-        np.testing.assert_array_equal(seen[1], out[2:4])
-        np.testing.assert_array_equal(seen[2], out[6:8])
+        steps = ROLLOUT_CFG.steps
+        assert len(seen) == 3 * steps
+        for k, expected in enumerate([seed_frames, out[2:4], out[6:8]]):
+            for frames in seen[k * steps:(k + 1) * steps]:
+                np.testing.assert_array_equal(frames, expected)
 
 
 class TestLosses:

@@ -506,6 +506,33 @@ class TestStreamRun:
 
 
 class TestEngineWiring:
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), True,
+                                        False, "0.5", None, 1j], ids=repr)
+    def test_set_alpha_checks_weights_as_the_config_does(self, cfg, archive, weight):
+        engine = Engine(archive, cfg)
+        with pytest.raises(ConfigError):
+            engine.set_alpha({"hhi": 0.5, "hsi": weight})
+        assert engine._pending_alpha is None
+        with pytest.raises(ConfigError):
+            EngineConfig(alpha={"hhi": 0.5, "hsi": weight})
+        engine.set_alpha({"hhi": np.float32(0.25), "hsi": 1})
+        assert engine._pending_alpha == {"hhi": 0.25, "hsi": 1}
+
+    @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
+    def test_partner_buffer_stays_bounded(self, mode):
+        """Only the frames a later window can read are kept: at most
+        history_len + future_len, however long the stream runs."""
+        cfg = dataclasses.replace(COMPACT_CFG, steps=2, history_len=3, future_len=5,
+                                  alpha={"hhi": 1.0})
+        engine = Engine(init_weights(cfg, 3), cfg, mode=mode)
+        partner = np.zeros(FeatureLayout(cfg.joints).dim, dtype=F32)
+        sizes = []
+        for _ in range(200):
+            engine.tick(partner)
+            sizes.append(len(engine.dyn))
+        assert max(sizes) <= cfg.history_len + cfg.future_len
+        assert not hasattr(engine, "partner")
+
     def test_zero_gate_archive_neutral_under_alpha(self, cfg, archive, partner_frames):
         plain = Engine(archive, cfg)
         steered = Engine(archive, cfg)
@@ -634,6 +661,44 @@ class TestModuleBatching:
         assert sorted(calls["prepare"]) == ["others"] * segments + ["scene"] * segments
         assert sorted(calls["deltas"]) == (["hhi"] * segments * both.steps
                                            + ["hsi"] * segments * both.steps)
+
+    @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
+    def test_tokens_embedded_once_per_step(self, cfg, hot_archive, partner_frames,
+                                           monkeypatch, mode):
+        """Each DDPM step embeds (text, null) once, and the modules read its
+        null row: the (T, width) tokens of a null-only embedding, bit for bit."""
+        import remogen.prior as prior_mod
+        from remogen.prior import embed_text, null_embedding
+        from remogen.runtime import engine as engine_mod
+
+        real_tokens, real_deltas = prior_mod.denoiser_tokens, engine_mod.module_deltas
+        embeds, module_inputs = [], []
+
+        def counting_tokens(params, z_t, t, m_h, texts):
+            embeds.append((z_t.copy(), t, m_h, tuple(texts)))
+            return real_tokens(params, z_t, t, m_h, texts)
+
+        def recording_deltas(h, c, params):
+            module_inputs.append(h.copy())
+            return real_deltas(h, c, params)
+
+        monkeypatch.setattr(prior_mod, "denoiser_tokens", counting_tokens)
+        monkeypatch.setattr(engine_mod, "denoiser_tokens", counting_tokens)
+        monkeypatch.setattr(engine_mod, "module_deltas", recording_deltas)
+        engine = Engine(hot_archive, dataclasses.replace(cfg, alpha={"hhi": 1.0}), mode=mode)
+        engine.set_text("wave")
+        engine.run_ticks(cfg.future_len, partner_frames)
+        samples = cfg.future_len if mode == "slide" else 1
+        assert len(embeds) == samples * cfg.steps
+        assert len(module_inputs) == len(embeds)
+        text, null = embed_text("wave", cfg.text_dim), null_embedding(cfg.text_dim)
+        for (z_t, t, m_h, texts), h in zip(embeds, module_inputs):
+            assert len(texts) == 2
+            assert not texts[0].null_flag and np.array_equal(texts[0].values, text.values)
+            assert texts[1].null_flag
+            assert h.shape == (engine.prior.n_tokens, cfg.width)
+            np.testing.assert_array_equal(
+                h, real_tokens(engine.prior, z_t, t, m_h, (null,))[0])
 
     @pytest.mark.parametrize("mode", ["segment", "fwsr"])
     def test_stacked_weights_live_with_the_engine(self, cfg, hot_archive, partner_frames,
