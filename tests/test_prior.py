@@ -285,6 +285,24 @@ class TestDdpmSample:
         assert calls["n"] == 20
         assert calls["t"] == list(range(9, -1, -1))
 
+    def test_deltas_provider_called_each_step(self, small_params, small_history):
+        """A per-step deltas provider inside denoise, as the engine builds it,
+        sees each step's tokens once, with t counting down."""
+        texts = (embed_text("x", 8), null_embedding(8))
+        seen = []
+
+        def provider(tokens, t):
+            assert tokens.shape[0] == 2
+            seen.append(t)
+            return None
+
+        def denoise(z_t, t):
+            tokens = denoiser_tokens(small_params, z_t, t, small_history, texts)
+            return predict_clean_latent(small_params, tokens, provider(tokens, t))
+
+        ddpm_sample(denoise, 8, 5, 2.0, Rng(2).generator("ddpm", 0))
+        assert seen == [4, 3, 2, 1, 0]
+
     def test_guidance_one_ignores_unconditional(self):
         gen = Rng(9).generator("g")
         target = gen.standard_normal(8, dtype=F32)
