@@ -12,12 +12,13 @@ then per injection layer runs a block over the denoiser's embedded tokens:
 
 All L injection blocks of a module see the same tokens h, so module_deltas
 runs them as one (L, T, width) pass over weights stacked along a leading L
-axis (MimParams.stacked, built on first use and kept with the params). The
-work that depends only on the context - the cross-attention key/value
-projection and the relative bias - is done by prepare_context, which the
-engine calls once per segment and not once per denoising step. hhi and hsi
-are not stacked with each other: their contexts differ in length. Each layer's
-residual equals its block run alone bit for bit.
+axis (MimParams.stacked, built on first use and kept with the params; its
+self-attention projects Q, K and V with one fused weight). The work that
+depends only on the context - the cross-attention key/value projection and
+the relative bias - is done by prepare_context, which the engine calls once
+per segment and not once per denoising step. hhi and hsi are not stacked with
+each other: their contexts differ in length. Each layer's residual equals its
+block run alone bit for bit.
 
 The gate is a per-channel vector, zero at init, so a fresh module leaves the
 frozen prior bit-identical. A module's residuals stay one (L, T, width) stack
@@ -46,6 +47,7 @@ from .tensorcore import (
     Rng,
     attention_kv,
     ffn_forward,
+    fuse_qkv,
     layer_norm,
     linear,
     matmul,
@@ -140,9 +142,11 @@ class MimParams:
         """The blocks in ascending layer order, stacked along a leading L axis.
 
         Built on first use and kept as long as these params are; a copy of
-        the block weights.
+        the block weights. The self-attention's w_q, w_k and w_v are views of
+        its fused (L, width, 3 * width) projection, the only copy of them.
         """
-        return _stack([self.blocks[idx] for idx in sorted(self.blocks)])
+        stack = _stack([self.blocks[idx] for idx in sorted(self.blocks)])
+        return dataclasses.replace(stack, self_attn=fuse_qkv(stack.self_attn))
 
 
 @dataclass(frozen=True)

@@ -188,13 +188,30 @@ class PriorParams:
         w3 = self.vae_dec.w3.astype(F64)
         return w3 @ w3.T
 
+    @cached_property
+    def token_positions(self) -> np.ndarray:
+        """The (n_tokens, width) float32 position rows of the denoiser's tokens."""
+        return sinusoidal_embedding(np.arange(self.n_tokens), self.width)
 
-def _sinusoidal(value: float, dim: int) -> np.ndarray:
-    return sinusoidal_embedding([value], dim)[0]
+    @cached_property
+    def _time_tokens(self) -> dict:
+        return {}
 
+    def time_token(self, t: int) -> np.ndarray:
+        """The (1, width) time token of DDPM step t, its position added.
 
-def _token_positions(n_tokens: int, width: int) -> np.ndarray:
-    return sinusoidal_embedding(np.arange(n_tokens), width)
+        Built on first use per t and kept as long as these params are. It is
+        one (1, width) product per t, as the per-step embedding was: a batched
+        product over all steps is not guaranteed to give one-row products'
+        bits.
+        """
+        rows = self._time_tokens
+        if t not in rows:
+            den = self.denoiser
+            row = linear(sinusoidal_embedding([float(t)], self.width), den.time_w, den.time_b)
+            row += self.token_positions[0]
+            rows[t] = row
+        return rows[t]
 
 
 def seeded_prior_params(rng: Rng, feature_dim: Optional[int] = None,
@@ -331,25 +348,46 @@ def sample_latent(mean: np.ndarray, log_variance: np.ndarray,
     return (m + np.exp(0.5 * lv) * np.asarray(noise, dtype=F64)).astype(F32)
 
 
-def denoiser_tokens(params: PriorParams, z_t: np.ndarray, t: int, m_h: HistoryWindow,
-                    texts: Sequence[TextEmbedding]) -> np.ndarray:
-    """Embedded token sequences [time, text, history x H, latent], one per
-    text, stacked as (B, H+3, width); they share every token but the text one."""
+def segment_tokens(params: PriorParams, m_h: HistoryWindow,
+                   texts: Sequence[TextEmbedding]) -> np.ndarray:
+    """The token rows of a segment that no DDPM step changes, (B, H+3, width).
+
+    Row b holds the text token of texts[b] and the H history tokens, each with
+    its position added, in the layout denoiser_tokens completes: [time, text,
+    history x H, latent]. The time and latent rows are left zero.
+    """
     den = params.denoiser
-    time_tok = linear(_sinusoidal(float(t), params.width)[None, :], den.time_w, den.time_b)
+    if len(m_h) != params.history_len or m_h.dim != params.feature_dim:
+        raise DimensionError("history window does not match prior dimensions")
+    pos = params.token_positions
     hist_tok = linear(m_h.frames, den.hist_w, den.hist_b)
-    latent_tok = linear(np.asarray(z_t, dtype=F32)[None, :], den.latent_w, den.latent_b)
-    rows = []
-    for txt in texts:
+    # float32 adds: one binary64 add rounded to binary32 gives the same bits.
+    hist_tok += pos[2:-1]
+    prefix = np.zeros((len(texts), params.n_tokens, params.width), dtype=F32)
+    for row, txt in zip(prefix, texts):
         if txt.null_flag:
-            text_tok = den.null_token[None, :]
+            text_tok = den.null_token
         else:
             if txt.values.shape[0] != params.text_dim:
                 raise DimensionError("text embedding dim does not match prior")
-            text_tok = linear(txt.values[None, :], den.text_w, den.text_b)
-        rows.append(np.vstack([time_tok, text_tok, hist_tok, latent_tok]))
-    tokens = np.stack(rows)
-    return (tokens.astype(F64) + _token_positions(tokens.shape[1], params.width)).astype(F32)
+            text_tok = linear(txt.values[None, :], den.text_w, den.text_b)[0]
+        row[1] = text_tok + pos[1]
+        row[2:-1] = hist_tok
+    return prefix
+
+
+def denoiser_tokens(params: PriorParams, z_t: np.ndarray, t: int,
+                    prefix: np.ndarray) -> np.ndarray:
+    """Embedded token sequences [time, text, history x H, latent] of one DDPM
+    step, (B, H+3, width): the segment's prefix (segment_tokens) with the
+    cached time token of step t and the embedded latent z_t filled in."""
+    den = params.denoiser
+    latent_tok = linear(np.asarray(z_t, dtype=F32)[None, :], den.latent_w, den.latent_b)
+    latent_tok += params.token_positions[-1]
+    tokens = prefix.copy()
+    tokens[:, 0] = params.time_token(t)
+    tokens[:, -1] = latent_tok
+    return tokens
 
 
 def predict_clean_latent(params: PriorParams, tokens: np.ndarray, deltas=None) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import ConfigError, FormatError
 from ..motion import BODY22_PARENTS
-from ..tensorcore import F32
+from ..tensorcore import F32, F64
 
 RECORD_KINDS = ("partner_pose", "text", "alpha", "ego_pose", "end")
 
@@ -211,7 +211,9 @@ def parse_record(line: str) -> StreamRecord:
 def format_record(record: StreamRecord) -> str:
     obj: dict = {"t": record.t, "kind": record.kind}
     if record.pose is not None:
-        obj["pose"] = [round(float(v), 6) for v in record.pose]
+        # The pose is float32, so v * 1e6 is exact in float64 and np.round
+        # gives the doubles round(float(v), 6) gives, in one call.
+        obj["pose"] = np.round(record.pose.astype(F64), 6).tolist()
     if record.text is not None:
         obj["text"] = record.text
     if record.alpha is not None:

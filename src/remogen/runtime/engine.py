@@ -62,6 +62,7 @@ from ..prior import (
     null_embedding,
     predict_clean_latent,
     seeded_prior_params,
+    segment_tokens,
 )
 from ..scene import VoxelGrid, extract_ego_voxels
 from ..tensorcore import F32, SHAPE_ONLY, Rng
@@ -169,6 +170,8 @@ class Engine:
         self.scene_grid = grid
 
     def set_text(self, text: str) -> None:
+        if not isinstance(text, str):
+            raise ConfigError(f"text must be a string, not {type(text).__name__}")
         self._pending_text = text
 
     def set_alpha(self, alpha: dict) -> None:
@@ -241,18 +244,20 @@ class Engine:
     def _sample_latent(self) -> np.ndarray:
         """Sample the segment latent from the current history, text and modules.
 
-        Each DDPM step embeds the (text, null) tokens once. The modules read
-        the null row, since their residuals carry no text and apply to both
-        rows. perfbench/spans.py wraps ddpm_sample, denoiser_tokens and
-        predict_clean_latent at this module's names, so they are called here
-        under those names.
+        The (text, null) token rows that no step changes are embedded once
+        per segment; each DDPM step then embeds only its latent and adds the
+        cached time token. The modules read the null row, since their
+        residuals carry no text and apply to both rows. perfbench/spans.py
+        wraps ddpm_sample, denoiser_tokens and predict_clean_latent at this
+        module's names, so they are called here under those names.
         """
         contexts = self._prepared_contexts()
         texts = (embed_text(self.text, self.prior.text_dim),
                  null_embedding(self.prior.text_dim))
+        prefix = segment_tokens(self.prior, self.history, texts)
 
         def denoise(z_t, t):
-            tokens = denoiser_tokens(self.prior, z_t, t, self.history, texts)
+            tokens = denoiser_tokens(self.prior, z_t, t, prefix)
             deltas = None
             if contexts:
                 with self._track("mim"):
@@ -272,7 +277,8 @@ class Engine:
 
     def _emit(self, normalized_frame: np.ndarray) -> np.ndarray:
         self.frames_emitted += 1
-        return normalize(normalized_frame.reshape(1, -1), self.normalizer, inverse=True)[0]
+        # A (D,) array of its own, not a row view that keeps a (1, D) base alive.
+        return normalize(normalized_frame, self.normalizer, inverse=True)
 
     # -- the clock ----------------------------------------------------------------
 

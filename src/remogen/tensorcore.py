@@ -5,8 +5,10 @@ here is a pure function of its inputs, so values can be shared freely.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +26,7 @@ SHAPE_ONLY = "shape-only"
 
 
 def require_finite(x: np.ndarray, what: str = "input") -> np.ndarray:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError(f"non-finite values in {what}")
     return x
 
@@ -43,11 +45,15 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def linear(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
     """Affine map x @ w + b. Weight is (in_dim, out_dim), or (L, in_dim, out_dim)
-    for L stacked blocks with the bias stored as (L, 1, out_dim)."""
+    for L stacked blocks with the bias stored as (L, 1, out_dim); the bias
+    broadcasts to the shape of x @ w."""
     y = matmul(x, w)
     if b is not None:
+        # In place and in float32 for a float32 bias: one binary64 add rounded
+        # to binary32 is the correctly rounded float32 sum, so this is the
+        # float64 add-then-round bit for bit.
         try:
-            y = (y.astype(F64) + np.asarray(b, dtype=F64)).astype(F32)
+            y += b
         except ValueError as exc:
             raise DimensionError(
                 f"bias shape {np.shape(b)} does not fit output {y.shape}") from exc
@@ -62,12 +68,16 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray,
     (T, width) input to (L, T, width).
     """
     z = np.asarray(x, dtype=F64)
-    mean = z.mean(axis=-1, keepdims=True)
-    var = z.var(axis=-1, keepdims=True)
-    out = (z - mean) / np.sqrt(var + eps)
+    n = z.shape[-1]
+    # The reductions of z.mean and z.var, in their order, with the centred
+    # rows computed once.
+    d = z - z.sum(axis=-1, keepdims=True) / n
+    var = (d * d).sum(axis=-1, keepdims=True) / n
+    d /= np.sqrt(var + eps)
     try:
-        return (out * np.asarray(gain, dtype=F64)
-                + np.asarray(offset, dtype=F64)).astype(F32)
+        out = d * gain
+        out += offset
+        return out.astype(F32)
     except ValueError as exc:
         raise DimensionError(f"norm parameters {np.shape(gain)}/{np.shape(offset)} do not "
                              f"fit input {z.shape}") from exc
@@ -165,15 +175,41 @@ class AttentionParams:
                 raise DimensionError(f"{name} shape {w.shape} inconsistent with width "
                                      f"{self.width} and w_q {self.w_q.shape}")
 
+    @cached_property
+    def w_qkv(self) -> np.ndarray:
+        """w_q, w_k and w_v side by side, (in, 3 * width) or (L, in, 3 * width):
+        the one weight of mha_forward's self-attention projection.
+
+        Built on the first self-attention call and kept as long as these params
+        are, unless fuse_qkv made w_q, w_k and w_v views of it.
+        """
+        if not self.w_q.shape[:-1] == self.w_k.shape[:-1] == self.w_v.shape[:-1]:
+            raise DimensionError(f"self-attention needs one input width for w_q, w_k and "
+                                 f"w_v, not {self.w_q.shape}/{self.w_k.shape}/"
+                                 f"{self.w_v.shape}")
+        return np.concatenate([self.w_q, self.w_k, self.w_v], axis=-1)
+
+
+def fuse_qkv(p: AttentionParams) -> AttentionParams:
+    """p with w_q, w_k and w_v as views of its w_qkv, which is then the only copy."""
+    qkv = p.w_qkv
+    w = p.width
+    fused = dataclasses.replace(p, w_q=qkv[..., :w], w_k=qkv[..., w:2 * w],
+                                w_v=qkv[..., 2 * w:])
+    # Seeds the cached property, as the first self-attention call would.
+    object.__setattr__(fused, "w_qkv", qkv)
+    return fused
+
 
 def _split_heads(x: np.ndarray, w: np.ndarray, p: AttentionParams) -> np.ndarray:
-    """x @ w in float64, split into heads: (..., T, heads, width // heads)."""
+    """x @ w in float64, split into heads: (..., T, n, heads, width // heads)
+    for w with n * width columns."""
     try:
         y = x.astype(F64) @ w.astype(F64)
     except ValueError as exc:
         raise DimensionError(f"attention input {x.shape} does not fit projection "
                              f"{w.shape}") from exc
-    return y.reshape(*y.shape[:-1], p.heads, p.width // p.heads)
+    return y.reshape(*y.shape[:-1], -1, p.heads, p.width // p.heads)
 
 
 def attention_kv(kv_in: np.ndarray, p: AttentionParams) -> tuple:
@@ -192,7 +228,8 @@ def attention_kv(kv_in: np.ndarray, p: AttentionParams) -> tuple:
         raise DimensionError(f"attention key/value width {kv_in.shape[-1]} does not match "
                              f"projection {p.w_k.shape[-2]}")
     require_finite(kv_in, "attention key/value input")
-    return _split_heads(kv_in, p.w_k, p), _split_heads(kv_in, p.w_v, p)
+    return _split_heads(kv_in, p.w_k, p)[..., 0, :, :], \
+        _split_heads(kv_in, p.w_v, p)[..., 0, :, :]
 
 
 def mha_forward(q_in: np.ndarray, kv_in, p: AttentionParams,
@@ -208,43 +245,54 @@ def mha_forward(q_in: np.ndarray, kv_in, p: AttentionParams,
     bit for bit. bias, when given, is (heads, T_q, T_kv), shared by the whole
     batch, or one such bias per batch row or block; it adds to the
     pre-softmax logits of each head. No normalization is applied here.
+
+    Self-attention, kv_in the very array q_in, projects Q, K and V with one
+    product against p.w_qkv; the result equals that of separate projections
+    (kv_in a copy of q_in) bit for bit.
     """
+    self_attention = kv_in is q_in
     q_in = np.asarray(q_in)
-    projected = isinstance(kv_in, tuple)
-    if not projected:
+    if not self_attention and not isinstance(kv_in, tuple):
         kv_in = np.asarray(kv_in)
-    if q_in.ndim not in (2, 3) or not projected and (
-            kv_in.ndim != q_in.ndim or q_in.shape[:-2] != kv_in.shape[:-2]):
+        if kv_in.ndim != q_in.ndim or q_in.shape[:-2] != kv_in.shape[:-2]:
+            raise DimensionError("attention inputs must share one batch size")
+    if q_in.ndim not in (2, 3):
         raise DimensionError("attention inputs must be (tokens, width) or "
-                             "(batch, tokens, width) with one batch size")
+                             "(batch, tokens, width)")
     if q_in.shape[-1] != p.w_q.shape[-2]:
         raise DimensionError(f"attention query width {q_in.shape[-1]} does not match "
                              f"projection {p.w_q.shape[-2]}")
-    k, v = kv_in if projected else attention_kv(kv_in, p)
-    require_finite(q_in, "attention query input")
+    if self_attention:
+        require_finite(q_in, "attention input")
+        qkv = _split_heads(q_in, p.w_qkv, p)   # views of one float64 product
+        q, k, v = qkv[..., 0, :, :], qkv[..., 1, :, :], qkv[..., 2, :, :]
+    else:
+        k, v = kv_in if isinstance(kv_in, tuple) else attention_kv(kv_in, p)
+        require_finite(q_in, "attention query input")
+        q = _split_heads(q_in, p.w_q, p)[..., 0, :, :]
 
     # The whole kernel is one reduction chain; keep it in float64 and round once.
-    q = _split_heads(q_in, p.w_q, p)
     lead, t_q = q.shape[:-3], q.shape[-3]
     if k.shape != v.shape or k.ndim != q.ndim or k.shape[:-3] != lead \
             or k.shape[-2:] != q.shape[-2:]:
         raise DimensionError(f"keys/values {k.shape}/{v.shape} do not fit queries {q.shape}")
     t_kv = k.shape[-3]
     if bias is not None:
-        bias = np.asarray(bias, dtype=F64)
+        bias = np.asarray(bias)
         if bias.shape[-3:] != (p.heads, t_q, t_kv) or bias.shape[:-3] not in ((), lead):
             raise DimensionError(
                 f"bias shape {bias.shape} does not match (heads, T_q, T_kv) = "
                 f"({p.heads}, {t_q}, {t_kv})")
 
-    # (..., heads, T_q, T_kv)
-    logits = np.einsum("...qhd,...khd->...hqk", q, k) / np.sqrt(p.width // p.heads)
+    # (..., heads, T_q, T_kv); the softmax runs in place on the logits
+    logits = np.einsum("...qhd,...khd->...hqk", q, k)
+    logits /= np.sqrt(p.width // p.heads)
     if bias is not None:
-        logits = logits + bias
-    logits = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(logits)
-    weights = e / np.sum(e, axis=-1, keepdims=True)
-    mixed = np.einsum("...hqk,...khd->...qhd", weights, v).reshape(*lead, t_q, p.width)
+        logits += bias
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    mixed = np.einsum("...hqk,...khd->...qhd", logits, v).reshape(*lead, t_q, p.width)
     return (mixed @ p.w_o.astype(F64)).astype(F32)
 
 

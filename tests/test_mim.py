@@ -306,6 +306,17 @@ class TestStackedModule:
         assert stacked.gate.shape == (4, 1, 16)
         assert stacked.rel_bias.w_b.shape == (4, 2, 2)
 
+    def test_stacked_self_attention_holds_one_fused_copy(self):
+        params = hot_module("others", seed=52, width=16, heads=2, ffn_hidden=32)
+        attn = params.stacked.self_attn
+        assert attn.w_qkv.shape == (4, 16, 48)
+        layers = sorted(params.blocks)
+        for name in ("w_q", "w_k", "w_v"):
+            w = getattr(attn, name)
+            assert w.base is attn.w_qkv
+            for l, idx in enumerate(layers):
+                np.testing.assert_array_equal(w[l], getattr(params.blocks[idx].self_attn, name))
+
     def test_blocks_that_differ_in_structure_do_not_stack(self):
         params = hot_module("others", seed=51, width=16, heads=2, ffn_hidden=32)
         blocks = dict(params.blocks)

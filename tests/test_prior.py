@@ -5,6 +5,7 @@ segment mode is checked here against a hand loop over the prior's pieces.
 """
 import numpy as np
 import pytest
+from token_reference import reference_tokens
 
 from remogen.errors import ConfigError, DimensionError
 from remogen.mim import ModulationDelta
@@ -29,6 +30,7 @@ from remogen.prior import (
     predict_clean_latent,
     sample_latent,
     seeded_prior_params,
+    segment_tokens,
 )
 from remogen.runtime import Engine, EngineConfig, init_weights
 from remogen.tensorcore import Rng
@@ -164,9 +166,14 @@ class TestVae:
                            small_params)
 
 
+def embed(params, z_t, t, m_h, texts):
+    """The tokens of one step: the segment's rows, then the step's."""
+    return denoiser_tokens(params, z_t, t, segment_tokens(params, m_h, texts))
+
+
 def clean_latent(params, z_t, t, m_h, texts, deltas=None):
     """The denoiser on one (z_t, t, m_h): embed the texts, then run the blocks."""
-    return predict_clean_latent(params, denoiser_tokens(params, z_t, t, m_h, texts), deltas)
+    return predict_clean_latent(params, embed(params, z_t, t, m_h, texts), deltas)
 
 
 class TestPredictCleanLatent:
@@ -239,18 +246,51 @@ class TestPredictCleanLatent:
             clean_latent(small_params, z_t, 2, small_history, texts, alone))
 
     def test_token_count(self, small_params, small_history):
-        toks = denoiser_tokens(small_params, np.zeros(8, dtype=F32), 0, small_history,
-                               (null_embedding(8),))
+        toks = embed(small_params, np.zeros(8, dtype=F32), 0, small_history,
+                     (null_embedding(8),))
         assert toks.shape == (1, 2 + 3, 16)
 
     def test_batched_tokens_equal_single_calls(self, small_params, small_history):
         z_t = Rng(13).generator("z").standard_normal(8, dtype=F32)
         texts = (embed_text("wave", dim=8), null_embedding(8), embed_text("sit", dim=8))
-        toks = denoiser_tokens(small_params, z_t, 2, small_history, texts)
+        toks = embed(small_params, z_t, 2, small_history, texts)
         assert toks.shape == (3, 5, 16)
         for row, w in zip(toks, texts):
             np.testing.assert_array_equal(
-                row, denoiser_tokens(small_params, z_t, 2, small_history, (w,))[0])
+                row, embed(small_params, z_t, 2, small_history, (w,))[0])
+
+    @pytest.mark.parametrize("t", [0, 3, 9])
+    def test_hoisted_tokens_equal_per_step_reference(self, small_params, small_history, t):
+        """Rows built once per segment plus the step's rows equal the per-step
+        float64 embedding bit for bit, for any texts, history and step."""
+        gen = Rng(14 + t).generator("tokens")
+        texts = (embed_text("wave", dim=8), null_embedding(8), embed_text("sit down", dim=8))
+        for _ in range(5):
+            m_h = HistoryWindow(gen.standard_normal((2, 12)).astype(F32) * 3)
+            prefix = segment_tokens(small_params, m_h, texts)
+            for _ in range(3):
+                z_t = gen.standard_normal(8, dtype=F32) * 2
+                np.testing.assert_array_equal(
+                    denoiser_tokens(small_params, z_t, t, prefix),
+                    reference_tokens(small_params, z_t, t, m_h, texts))
+
+    def test_segment_rows_are_not_shared_with_a_step(self, small_params, small_history):
+        texts = (null_embedding(8),)
+        prefix = segment_tokens(small_params, small_history, texts)
+        before = prefix.copy()
+        toks = denoiser_tokens(small_params, np.ones(8, dtype=F32), 1, prefix)
+        toks[:] = 0
+        np.testing.assert_array_equal(prefix, before)
+        np.testing.assert_array_equal(small_params.time_token(1),
+                                      reference_tokens(small_params, np.ones(8, dtype=F32), 1,
+                                                       small_history, texts)[0, :1])
+
+    def test_segment_tokens_check_dimensions(self, small_params, small_history):
+        with pytest.raises(DimensionError):
+            segment_tokens(small_params, HistoryWindow(np.zeros((3, 12), dtype=F32)),
+                           (null_embedding(8),))
+        with pytest.raises(DimensionError):
+            segment_tokens(small_params, small_history, (embed_text("wave", dim=6),))
 
 
 def pair_stub(fn):
@@ -296,8 +336,10 @@ class TestDdpmSample:
             seen.append(t)
             return None
 
+        prefix = segment_tokens(small_params, small_history, texts)
+
         def denoise(z_t, t):
-            tokens = denoiser_tokens(small_params, z_t, t, small_history, texts)
+            tokens = denoiser_tokens(small_params, z_t, t, prefix)
             return predict_clean_latent(small_params, tokens, provider(tokens, t))
 
         ddpm_sample(denoise, 8, 5, 2.0, Rng(2).generator("ddpm", 0))
@@ -385,8 +427,7 @@ class TestRollout:
         frames = []
         for _ in range(3):
             def denoise(z_t, t, m_h=history):
-                tokens = denoiser_tokens(params, z_t, t, m_h, texts)
-                return predict_clean_latent(params, tokens)
+                return predict_clean_latent(params, reference_tokens(params, z_t, t, m_h, texts))
 
             z0 = ddpm_sample(denoise, params.latent_dim, cfg.steps, cfg.guidance_scale, gen)
             seg = decode_segment(history, z0, params, fps=cfg.fps)
@@ -396,25 +437,35 @@ class TestRollout:
 
     def test_history_passed_to_providers(self, rollout_archive, monkeypatch):
         """Every denoising step embeds the last H emitted frames as its history
-        tokens, which the denoiser and the modules share."""
+        tokens, which the denoiser and the modules share: each segment embeds
+        its history once, and each of its steps gets exactly those rows."""
         import remogen.runtime.engine as engine_module
 
-        seen = []
-        real_tokens = engine_module.denoiser_tokens
+        segments, steps_seen = [], []
+        real_segment, real_tokens = engine_module.segment_tokens, engine_module.denoiser_tokens
 
-        def recording_tokens(params, z_t, t, m_h, texts):
-            seen.append(m_h.frames.copy())
-            return real_tokens(params, z_t, t, m_h, texts)
+        def recording_segment(params, m_h, texts):
+            prefix = real_segment(params, m_h, texts)
+            segments.append((m_h.frames.copy(), prefix.copy()))
+            return prefix
 
+        def recording_tokens(params, z_t, t, prefix):
+            tokens = real_tokens(params, z_t, t, prefix)
+            steps_seen.append(tokens.copy())
+            return tokens
+
+        monkeypatch.setattr(engine_module, "segment_tokens", recording_segment)
         monkeypatch.setattr(engine_module, "denoiser_tokens", recording_tokens)
         engine = segment_engine(rollout_archive, "x")
         seed_frames = engine.history.frames.copy()
         out = np.stack(engine.run_ticks(12))
         steps = ROLLOUT_CFG.steps
-        assert len(seen) == 3 * steps
+        assert len(segments) == 3 and len(steps_seen) == 3 * steps
         for k, expected in enumerate([seed_frames, out[2:4], out[6:8]]):
-            for frames in seen[k * steps:(k + 1) * steps]:
-                np.testing.assert_array_equal(frames, expected)
+            frames, prefix = segments[k]
+            np.testing.assert_array_equal(frames, expected)
+            for tokens in steps_seen[k * steps:(k + 1) * steps]:
+                np.testing.assert_array_equal(tokens[:, 1:-1], prefix[:, 1:-1])
 
 
 class TestLosses:

@@ -308,6 +308,24 @@ class TestStreamRecords:
         assert back.t == 3 and back.kind == "partner_pose"
         np.testing.assert_array_equal(back.pose, rec.pose)
 
+    def test_pose_rounding_equals_per_element_round(self):
+        """One vectorized round gives the bytes of round(float(v), 6) per value."""
+        gen = np.random.default_rng(7)
+        bits = gen.integers(0, 2 ** 32, 200_000, dtype=np.uint64).astype(np.uint32)
+        special = np.array([0.0, -0.0, 1e-45, -1e-45, 1.17549435e-38, 3.4028235e38,
+                            -3.4028235e38, 0.5e-6, -0.5e-6, 1.5e-6, 2.5e-6,
+                            np.inf, -np.inf, np.nan], dtype=F32)
+        ties = (np.arange(-2048, 2048) / 128.0).astype(F32)   # exact m/128
+        scaled = (gen.standard_normal(50_000) * 10.0 ** gen.integers(-9, 9, 50_000)).astype(F32)
+        for pose in (bits.view(F32), special, ties, scaled):
+            rec = StreamRecord(t=0, kind="ego_pose", pose=pose)
+            reference = json.dumps({"t": 0, "kind": "ego_pose",
+                                    "pose": [round(float(v), 6) for v in rec.pose]},
+                                   separators=(",", ":"))
+            # Random bit patterns include signalling NaNs, which flag the cast.
+            with np.errstate(invalid="ignore"):
+                assert format_record(rec) == reference
+
     def test_alpha_record(self):
         back = parse_record('{"t": 0, "kind": "alpha", "alpha": {"hhi": 0.5}}')
         assert back.alpha == {"hhi": 0.5}
@@ -518,6 +536,16 @@ class TestEngineWiring:
         engine.set_alpha({"hhi": np.float32(0.25), "hsi": 1})
         assert engine._pending_alpha == {"hhi": 0.25, "hsi": 1}
 
+    @pytest.mark.parametrize("text", [5, None, b"wave", ["wave"]], ids=repr)
+    def test_set_text_rejects_a_non_string_at_once(self, cfg, archive, text):
+        engine = Engine(archive, cfg)
+        engine.set_text("wave")
+        with pytest.raises(ConfigError):
+            engine.set_text(text)
+        assert engine._pending_text == "wave"
+        engine.run_ticks(cfg.future_len)
+        assert engine.text == "wave"
+
     @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
     def test_partner_buffer_stays_bounded(self, mode):
         """Only the frames a later window can read are kept: at most
@@ -666,22 +694,34 @@ class TestModuleBatching:
     def test_tokens_embedded_once_per_step(self, cfg, hot_archive, partner_frames,
                                            monkeypatch, mode):
         """Each DDPM step embeds (text, null) once, and the modules read its
-        null row: the (T, width) tokens of a null-only embedding, bit for bit."""
+        null row: the (T, width) tokens of a null-only embedding, bit for bit.
+
+        The text and history rows are embedded once per segment; every step's
+        tokens equal the per-step reference embedding of (text, null)."""
         import remogen.prior as prior_mod
         from remogen.prior import embed_text, null_embedding
         from remogen.runtime import engine as engine_mod
+        from token_reference import reference_tokens
 
-        real_tokens, real_deltas = prior_mod.denoiser_tokens, engine_mod.module_deltas
-        embeds, module_inputs = [], []
+        real_segment, real_tokens = engine_mod.segment_tokens, prior_mod.denoiser_tokens
+        real_deltas = engine_mod.module_deltas
+        segments, embeds, module_inputs = [], [], []
 
-        def counting_tokens(params, z_t, t, m_h, texts):
-            embeds.append((z_t.copy(), t, m_h, tuple(texts)))
-            return real_tokens(params, z_t, t, m_h, texts)
+        def recording_segment(params, m_h, texts):
+            prefix = real_segment(params, m_h, texts)
+            segments.append((prefix, m_h, tuple(texts)))
+            return prefix
+
+        def counting_tokens(params, z_t, t, prefix):
+            tokens = real_tokens(params, z_t, t, prefix)
+            embeds.append((z_t.copy(), t, prefix, tokens.copy()))
+            return tokens
 
         def recording_deltas(h, c, params):
             module_inputs.append(h.copy())
             return real_deltas(h, c, params)
 
+        monkeypatch.setattr(engine_mod, "segment_tokens", recording_segment)
         monkeypatch.setattr(prior_mod, "denoiser_tokens", counting_tokens)
         monkeypatch.setattr(engine_mod, "denoiser_tokens", counting_tokens)
         monkeypatch.setattr(engine_mod, "module_deltas", recording_deltas)
@@ -689,16 +729,24 @@ class TestModuleBatching:
         engine.set_text("wave")
         engine.run_ticks(cfg.future_len, partner_frames)
         samples = cfg.future_len if mode == "slide" else 1
+        assert len(segments) == samples
         assert len(embeds) == samples * cfg.steps
         assert len(module_inputs) == len(embeds)
         text, null = embed_text("wave", cfg.text_dim), null_embedding(cfg.text_dim)
-        for (z_t, t, m_h, texts), h in zip(embeds, module_inputs):
+        for k, (prefix, m_h, texts) in enumerate(segments):
             assert len(texts) == 2
             assert not texts[0].null_flag and np.array_equal(texts[0].values, text.values)
             assert texts[1].null_flag
-            assert h.shape == (engine.prior.n_tokens, cfg.width)
-            np.testing.assert_array_equal(
-                h, real_tokens(engine.prior, z_t, t, m_h, (null,))[0])
+            steps = embeds[k * cfg.steps:(k + 1) * cfg.steps]
+            inputs = module_inputs[k * cfg.steps:(k + 1) * cfg.steps]
+            assert [t for _, t, _, _ in steps] == list(range(cfg.steps - 1, -1, -1))
+            for (z_t, t, step_prefix, tokens), h in zip(steps, inputs):
+                assert step_prefix is prefix
+                np.testing.assert_array_equal(
+                    tokens, reference_tokens(engine.prior, z_t, t, m_h, (text, null)))
+                assert h.shape == (engine.prior.n_tokens, cfg.width)
+                np.testing.assert_array_equal(
+                    h, reference_tokens(engine.prior, z_t, t, m_h, (null,))[0])
 
     @pytest.mark.parametrize("mode", ["segment", "fwsr"])
     def test_stacked_weights_live_with_the_engine(self, cfg, hot_archive, partner_frames,

@@ -11,10 +11,12 @@ from remogen.tensorcore import (
     Rng,
     attention_kv,
     ffn_forward,
+    fuse_qkv,
     gelu,
     gelu_slope,
     layer_norm,
     linear,
+    matmul,
     mha_forward,
     relative_bias,
     seeded_init,
@@ -363,3 +365,117 @@ def test_layer_norm_normalizes_rows():
     out = layer_norm(x, np.ones(16, dtype=F32), np.zeros(16, dtype=F32))
     np.testing.assert_allclose(out.mean(axis=1), 0, atol=1e-6)
     np.testing.assert_allclose(out.std(axis=1), 1, atol=1e-3)
+
+
+class TestLeanKernels:
+    """The lean kernels against the formulas they replaced, kept here as
+    references: every comparison is bit for bit."""
+
+    # (lead shape of the input, number of stacked blocks or None)
+    LAYOUTS = [((), None), ((2,), None), ((), L_BLOCKS), ((L_BLOCKS,), L_BLOCKS)]
+
+    @staticmethod
+    def attention(gen, heads, width, blocks):
+        shape = (width, width) if blocks is None else (blocks, width, width)
+        return AttentionParams(heads, width,
+                               *(gen.standard_normal(shape).astype(F32) for _ in range(4)),
+                               ln_gain=np.ones(width, dtype=F32),
+                               ln_offset=np.zeros(width, dtype=F32))
+
+    @pytest.mark.parametrize("lead,blocks", LAYOUTS)
+    @pytest.mark.parametrize("heads,width,t", [(4, 128, 5), (4, 128, 64), (2, 8, 9),
+                                               (1, 16, 1)])
+    def test_fused_projection_equals_three(self, lead, blocks, heads, width, t):
+        gen = Rng(width + t).generator("fused", len(lead), blocks or 0)
+        p = self.attention(gen, heads, width, blocks)
+        x = gen.standard_normal(lead + (t, width)).astype(F32) * 3
+        x64 = x.astype(np.float64)
+        fused = x64 @ p.w_qkv.astype(np.float64)
+        for i, w in enumerate((p.w_q, p.w_k, p.w_v)):
+            np.testing.assert_array_equal(fused[..., i * width:(i + 1) * width],
+                                          x64 @ w.astype(np.float64))
+
+    @pytest.mark.parametrize("lead,blocks", LAYOUTS)
+    @pytest.mark.parametrize("heads,width,t", [(4, 128, 5), (4, 128, 64), (2, 8, 9),
+                                               (1, 16, 1)])
+    def test_self_attention_dispatch_keeps_bits(self, lead, blocks, heads, width, t):
+        """mha_forward(x, x, p) takes the fused path, mha_forward(x, x.copy(), p)
+        the separate one; with or without fuse_qkv views they agree."""
+        gen = Rng(2 * width + t).generator("dispatch", len(lead), blocks or 0)
+        p = self.attention(gen, heads, width, blocks)
+        x = gen.standard_normal(lead + (t, width)).astype(F32)
+        bias = gen.standard_normal((heads, t, t)).astype(F32)
+        for b in (None, bias):
+            separate = mha_forward(x, x.copy(), p, b)
+            np.testing.assert_array_equal(mha_forward(x, x, p, b), separate)
+            np.testing.assert_array_equal(mha_forward(x, x, fuse_qkv(p), b), separate)
+
+    def test_fuse_qkv_keeps_one_copy(self):
+        gen = Rng(21).generator("fuse")
+        p = self.attention(gen, 2, 8, L_BLOCKS)
+        fused = fuse_qkv(p)
+        assert fused.w_qkv.shape == (L_BLOCKS, 8, 24)
+        for name in ("w_q", "w_k", "w_v"):
+            np.testing.assert_array_equal(getattr(fused, name), getattr(p, name))
+            assert getattr(fused, name).base is fused.w_qkv
+        assert fused.w_o is p.w_o
+
+    def test_self_attention_still_checks_its_input(self):
+        p = identity_attention(4)
+        bad = np.full((2, 4), np.nan, dtype=F32)
+        with pytest.raises(NumericError):
+            mha_forward(bad, bad, p)
+        wide = np.ones((2, 5), dtype=F32)
+        with pytest.raises(DimensionError):
+            mha_forward(wide, wide, p)
+        cross = AttentionParams(1, 4, np.eye(4, dtype=F32), np.ones((3, 4), dtype=F32),
+                                np.ones((3, 4), dtype=F32), np.eye(4, dtype=F32),
+                                np.ones(4, dtype=F32), np.zeros(4, dtype=F32))
+        x = np.ones((2, 4), dtype=F32)
+        with pytest.raises(DimensionError):
+            mha_forward(x, x, cross)
+
+    @pytest.mark.parametrize("shape,gain_shape", [((6, 16), (16,)), ((2, 5, 128), (128,)),
+                                                  ((5, 128), (L_BLOCKS, 1, 128)),
+                                                  ((L_BLOCKS, 5, 128), (L_BLOCKS, 1, 128))])
+    def test_layer_norm_equals_mean_var_formula(self, shape, gain_shape):
+        gen = Rng(len(shape) + len(gain_shape)).generator("ln-ref", *shape)
+        x = (gen.standard_normal(shape) * np.exp(gen.uniform(-8, 8, shape[:-1] + (1,)))
+             + gen.uniform(-50, 50, shape[:-1] + (1,))).astype(F32)
+        gain = gen.standard_normal(gain_shape).astype(F32)
+        offset = gen.standard_normal(gain_shape).astype(F32)
+        z = x.astype(np.float64)
+        ref = ((z - z.mean(axis=-1, keepdims=True))
+               / np.sqrt(z.var(axis=-1, keepdims=True) + 1e-5)
+               * gain.astype(np.float64) + offset.astype(np.float64)).astype(F32)
+        np.testing.assert_array_equal(layer_norm(x, gain, offset), ref)
+
+    def test_float32_bias_add_equals_float64_add_then_round(self):
+        gen = Rng(22).generator("bias-add")
+        n = 400_000
+
+        def spread(size):
+            # Mantissas in [1, 2), exponents across the float32 range (subnormals,
+            # near-overflow and everything between), both signs.
+            m = gen.uniform(1.0, 2.0, size) * gen.choice([-1.0, 1.0], size)
+            return np.ldexp(m, gen.integers(-150, 128, size)).astype(F32)
+
+        y, b = spread(n), spread(n)
+        near = gen.integers(0, n, n // 4)
+        b[near] = -y[near] * gen.uniform(0.5, 1.0, near.size).astype(F32)  # cancellation
+        with np.errstate(over="ignore"):   # sums past the float32 range are inf in both
+            ref = (y.astype(np.float64) + b.astype(np.float64)).astype(F32)
+            out = y + b
+        assert np.isinf(out).any() and (out == 0).any()
+        np.testing.assert_array_equal(out.view(np.uint32), ref.view(np.uint32))
+
+    @pytest.mark.parametrize("blocks", [None, L_BLOCKS])
+    def test_linear_equals_float64_bias_formula(self, blocks):
+        gen = Rng(23).generator("linear-ref", blocks or 0)
+        w_shape = (16, 24) if blocks is None else (blocks, 16, 24)
+        b_shape = (24,) if blocks is None else (blocks, 1, 24)
+        x = gen.standard_normal((5, 16)).astype(F32)
+        w = gen.standard_normal(w_shape).astype(F32)
+        b = (gen.standard_normal(b_shape) * 1e3).astype(F32)
+        ref = (matmul(x, w).astype(np.float64) + b.astype(np.float64)).astype(F32)
+        np.testing.assert_array_equal(linear(x, w, b), ref)
