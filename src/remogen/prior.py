@@ -1,18 +1,21 @@
-"""The frozen text-conditioned single-person prior.
+"""The frozen text-conditioned single-person prior, inference only.
 
-A segment VAE (decoder maps history + latent to F future frames) paired with
+A decoder-only segment VAE (history + latent to F future frames) paired with
 a latent denoiser sampled by a short DDPM chain under classifier-free
-guidance. The segment-autoregressive rollout that slides the history window
+guidance; the chain's posterior coefficients are one table cached per step
+count. The segment-autoregressive rollout that slides the history window
 after each generated segment is driven by the runtime engine.
 
 Parameters are plain frozen dataclasses of arrays; nothing here mutates them,
-which is what keeps the prior structurally frozen.
+which is what keeps the prior structurally frozen. Archives from older
+versions also hold the VAE encoder's tensors; they load, and nothing reads
+them.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -83,38 +86,6 @@ def embed_text(text: str, dim: int = DEFAULT_TEXT_DIM) -> TextEmbedding:
 
 
 @dataclass(frozen=True)
-class DiffusionSchedule:
-    """Per-step noise variances and the derived cumulative signal coefficients."""
-
-    betas: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.betas, dtype=F64)
-        if b.ndim != 1 or b.shape[0] < 1:
-            raise DimensionError("schedule needs at least one step")
-        if np.any(b <= 0) or np.any(b >= 1) or np.any(np.diff(b) <= 0):
-            raise ConfigError("noise variances must lie in (0, 1) and strictly increase")
-        object.__setattr__(self, "betas", b)
-
-    @property
-    def steps(self) -> int:
-        return self.betas.shape[0]
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return 1.0 - self.betas
-
-    @property
-    def alpha_bars(self) -> np.ndarray:
-        return np.cumprod(self.alphas)
-
-    @classmethod
-    def linear(cls, steps: int = 10, beta_start: float = 1e-4,
-               beta_end: float = 0.2) -> "DiffusionSchedule":
-        return cls(np.linspace(beta_start, beta_end, steps))
-
-
-@dataclass(frozen=True)
 class MlpParams:
     w1: np.ndarray
     b1: np.ndarray
@@ -166,7 +137,6 @@ class PriorParams:
     text_dim: int
     width: int
     vae_dec: MlpParams
-    vae_enc: MlpParams
     denoiser: DenoiserParams
 
     @property
@@ -232,13 +202,9 @@ def seeded_prior_params(rng: Rng, feature_dim: Optional[int] = None,
         return np.zeros(shape, dtype=F32)
 
     dec_in = history_len * d + latent_dim
-    enc_in = history_len * d + future_len * d
     vae_dec = MlpParams(u("dec.w1", (dec_in, vae_hidden)), z(vae_hidden),
                         u("dec.w2", (vae_hidden, vae_hidden)), z(vae_hidden),
                         u("dec.w3", (vae_hidden, future_len * d)), z(future_len * d))
-    vae_enc = MlpParams(u("enc.w1", (enc_in, vae_hidden)), z(vae_hidden),
-                        u("enc.w2", (vae_hidden, vae_hidden)), z(vae_hidden),
-                        u("enc.w3", (vae_hidden, 2 * latent_dim)), z(2 * latent_dim))
 
     blocks = []
     for i in range(n_blocks):
@@ -264,7 +230,7 @@ def seeded_prior_params(rng: Rng, feature_dim: Optional[int] = None,
 
     return PriorParams(feature_dim=d, history_len=history_len, future_len=future_len,
                        latent_dim=latent_dim, text_dim=text_dim, width=width,
-                       vae_dec=vae_dec, vae_enc=vae_enc, denoiser=denoiser)
+                       vae_dec=vae_dec, denoiser=denoiser)
 
 
 def decode_segment(m_h: HistoryWindow, z: np.ndarray, params: PriorParams,
@@ -326,26 +292,6 @@ def decoder_sensitivity(m_h: HistoryWindow, z0: np.ndarray,
     sq = np.einsum("dh,dh->d", b @ params.decoder_gram, b)
     # G is positive semi-definite; rounding may leave a zero row at -0.0 or -tiny.
     return np.sqrt(np.maximum(sq, 0.0)).astype(F32)
-
-
-def encode_segment(m_h: HistoryWindow, m_f: MotionSegment,
-                   params: PriorParams) -> tuple[np.ndarray, np.ndarray]:
-    """VAE encoder: returns (mean, log_variance), each of latent dim."""
-    if len(m_f) != params.future_len or m_f.dim != params.feature_dim:
-        raise DimensionError("future segment does not match prior dimensions")
-    if len(m_h) != params.history_len or m_h.dim != params.feature_dim:
-        raise DimensionError("history window does not match prior dimensions")
-    x = np.concatenate([m_h.frames.reshape(-1), m_f.frames.reshape(-1)])[None, :]
-    out = _mlp_forward(x, params.vae_enc)[0]
-    return out[: params.latent_dim], out[params.latent_dim:]
-
-
-def sample_latent(mean: np.ndarray, log_variance: np.ndarray,
-                  noise: np.ndarray) -> np.ndarray:
-    """Reparameterized draw mean + exp(log_variance / 2) * noise."""
-    m = np.asarray(mean, dtype=F64)
-    lv = np.asarray(log_variance, dtype=F64)
-    return (m + np.exp(0.5 * lv) * np.asarray(noise, dtype=F64)).astype(F32)
 
 
 def segment_tokens(params: PriorParams, m_h: HistoryWindow,
@@ -422,58 +368,53 @@ def predict_clean_latent(params: PriorParams, tokens: np.ndarray, deltas=None) -
     return linear(final[:, -1:], params.denoiser.out_w, params.denoiser.out_b)[:, 0]
 
 
+@lru_cache(maxsize=16)
+def posterior_table(steps: int) -> tuple[tuple[float, float, float], ...]:
+    """Per-step (coef0, coeft, sigma) of the x0-parameterized DDPM posterior.
+
+    The noise variances rise linearly from 1e-4 to 0.2 over `steps`. Row t
+    gives the posterior mean coef0 * z0 + coeft * z_t and its noise scale
+    sigma = sqrt(var); sigma is 0 at t = 0. Built once per `steps`; each entry
+    is the per-step scalar expression evaluated elementwise in float64, so it
+    has the scalar form's bits.
+    """
+    if steps < 1:
+        raise DimensionError(f"a DDPM chain needs at least one step, got {steps}")
+    betas = np.linspace(1e-4, 0.2, steps)
+    alphas = 1.0 - betas
+    abar = np.cumprod(alphas)
+    abar_prev = np.concatenate([[1.0], abar[:-1]])
+    coef0 = np.sqrt(abar_prev) * betas / (1.0 - abar)
+    coeft = np.sqrt(alphas) * (1.0 - abar_prev) / (1.0 - abar)
+    sigma = np.sqrt((1.0 - abar_prev) / (1.0 - abar) * betas)
+    return tuple(zip(coef0.tolist(), coeft.tolist(), sigma.tolist()))
+
+
 def ddpm_sample(denoise: Callable[[np.ndarray, int], np.ndarray], latent_dim: int,
                 steps: int, guidance_scale: float, gen: np.random.Generator) -> np.ndarray:
     """Sample one clean latent from pure noise.
 
     Runs `steps` iterations of the x0-parameterized DDPM posterior over
-    DiffusionSchedule.linear(steps). At step t, denoise(z_t, t) returns the
-    (2, d_z) clean-latent predictions, the conditional row first, then the
+    posterior_table(steps). At step t, denoise(z_t, t) returns the (2, d_z)
+    clean-latent predictions, the conditional row first, then the
     unconditional one; they are blended as z0_u + s * (z0_c - z0_u), and
     s == 1 short-circuits to the conditional row.
     """
-    schedule = DiffusionSchedule.linear(steps)
-    alphas = schedule.alphas
-    alpha_bars = schedule.alpha_bars
-    betas = schedule.betas
+    table = posterior_table(steps)
     s = guidance_scale
 
     z = gen.standard_normal(latent_dim, dtype=F32)
-    for t in range(schedule.steps - 1, -1, -1):
+    for t in range(steps - 1, -1, -1):
         z0_cond, z0_uncond = np.asarray(denoise(z, t), dtype=F64)
         if s == 1.0:
             z0 = z0_cond
         else:
             z0 = z0_uncond + s * (z0_cond - z0_uncond)
-        abar_t = alpha_bars[t]
-        abar_prev = alpha_bars[t - 1] if t > 0 else 1.0
-        coef0 = np.sqrt(abar_prev) * betas[t] / (1.0 - abar_t)
-        coeft = np.sqrt(alphas[t]) * (1.0 - abar_prev) / (1.0 - abar_t)
+        coef0, coeft, sigma = table[t]
         mean = coef0 * z0 + coeft * z.astype(F64)
         if t > 0:
-            var = (1.0 - abar_prev) / (1.0 - abar_t) * betas[t]
             noise = gen.standard_normal(latent_dim, dtype=F32).astype(F64)
-            z = (mean + np.sqrt(var) * noise).astype(F32)
+            z = (mean + sigma * noise).astype(F32)
         else:
             z = mean.astype(F32)
     return z
-
-
-@dataclass(frozen=True)
-class LossReport:
-    rec: float
-    latent: float
-
-
-def losses(m_f_true: MotionSegment, m_f_pred: MotionSegment,
-           z_true: np.ndarray, z_pred: np.ndarray) -> LossReport:
-    """Mean-squared reconstruction and latent errors (pure functions, no optimizer)."""
-    if m_f_true.frames.shape != m_f_pred.frames.shape:
-        raise DimensionError("segment shapes differ")
-    zt = np.asarray(z_true, dtype=F64)
-    zp = np.asarray(z_pred, dtype=F64)
-    if zt.shape != zp.shape:
-        raise DimensionError("latent shapes differ")
-    rec = float(np.mean((m_f_true.frames.astype(F64) - m_f_pred.frames.astype(F64)) ** 2))
-    latent = float(np.mean((zt - zp) ** 2))
-    return LossReport(rec=rec, latent=latent)

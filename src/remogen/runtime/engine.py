@@ -241,7 +241,7 @@ class Engine:
                                                self.prior.n_tokens)
         return out
 
-    def _sample_latent(self) -> np.ndarray:
+    def _sample_z0(self) -> np.ndarray:
         """Sample the segment latent from the current history, text and modules.
 
         The (text, null) token rows that no step changes are embedded once
@@ -297,7 +297,7 @@ class Engine:
                 return []
             self._apply_pending()
             self.dyn.mark_segment_start()
-            z0 = self._sample_latent()
+            z0 = self._sample_z0()
             segment = self._decode(self.history, z0)
             self.history = update_history(self.history, segment)
             return [self._emit(f) for f in segment.frames]
@@ -305,7 +305,7 @@ class Engine:
         if self.mode == "slide":
             self._apply_pending()
             self.dyn.mark_segment_start()
-            z0 = self._sample_latent()
+            z0 = self._sample_z0()
             segment = self._decode(self.history, z0)
             first = segment.frames[0]
             self.history = self.history.slide(first)
@@ -315,7 +315,7 @@ class Engine:
         if phase == 0:
             self._apply_pending()
             self.dyn.mark_segment_start()
-            z0 = self._sample_latent()
+            z0 = self._sample_z0()
             frame = self._decode(self.history, z0, frames=slice(0, 1)).frames[0]
             # The refiner reaches the engine weakly: a strong reference would
             # be a cycle that keeps a dropped engine, and its stacked module

@@ -550,6 +550,39 @@ def test_c10_latency_structure():
                   f"{per['slide'] / per['fwsr']:.1f}x; bench took {elapsed:.0f} s")
 
 
+def test_c10_denoiser_passes_per_tick(compact_archive, monkeypatch):
+    """C10's cost structure counted, not timed: slide runs the DDPM chain on
+    every tick, segment and fwsr only on their boundary ticks."""
+    import remogen.runtime.engine as engine_module
+
+    cfg = dataclasses.replace(COMPACT, alpha={"hhi": 1.0})
+    f_len, steps = cfg.future_len, cfg.steps
+    partner = featurize(synthetic_sequence(2 * f_len, seed=3)).frames
+    passes = []
+    real = engine_module.predict_clean_latent
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "predict_clean_latent", counting)
+    expected = {
+        "slide": [steps] * (2 * f_len),
+        "segment": ([0] * (f_len - 1) + [steps]) * 2,
+        "fwsr": ([steps] + [0] * (f_len - 1)) * 2,  # inner ticks only refine
+    }
+    for mode, want in expected.items():
+        engine = Engine(compact_archive, cfg, mode=mode)
+        per_tick = []
+        for frame in partner:
+            before = len(passes)
+            engine.tick(frame)
+            per_tick.append(len(passes) - before)
+        assert per_tick == want, mode
+    report("C10", f"denoiser passes per {f_len}-frame segment: slide {steps * f_len}, "
+                  f"segment {steps}, fwsr {steps} (boundary tick only)")
+
+
 def test_c11_round_trips(tmp_path, compact_archive):
     """Rigid round trip, three codecs byte-exact, voxel dims from bounds."""
     gen = Rng(11).generator("c11")
@@ -650,3 +683,32 @@ def test_c13_reaction_lag():
     elapsed = time.perf_counter() - start
     report("C13", f"fwsr and slide react on the perturbed tick; segment mode hears only "
                   f"the last {h_len} of every {f_len} partner frames ({elapsed:.1f} s)")
+
+
+def test_c13_text_waits_for_the_next_boundary(compact_archive):
+    """A set_text call mid-segment leaves every tick before the next segment
+    boundary bit-identical and changes the segment sampled there."""
+    f_len = COMPACT.future_len
+    call = f_len + f_len // 2  # inside the second segment
+    n_ticks = 3 * f_len
+
+    def run(mode, new_text):
+        engine = Engine(compact_archive, COMPACT, mode=mode)
+        engine.set_text("walk forward")
+        out = []
+        for tick in range(n_ticks):
+            if tick == call and new_text is not None:
+                engine.set_text(new_text)
+            out.append(b"".join(f.tobytes() for f in engine.tick()))
+        return out
+
+    # The ticks that sample a segment: segment mode emits a whole segment at
+    # the end of its window, fwsr samples at its start.
+    for mode, first in (("segment", f_len - 1), ("fwsr", 0)):
+        boundary = next(b for b in range(first, n_ticks, f_len) if b >= call)
+        base, steered = run(mode, None), run(mode, "turn around and sit down")
+        assert base[:boundary] == steered[:boundary], mode
+        assert all(a != b for a, b in zip(base[boundary:], steered[boundary:]) if a), mode
+        assert base[boundary] != steered[boundary], mode
+    report("C13", "a text set mid-segment leaves the rest of that segment bit-identical "
+                  "and changes the next one (segment and fwsr mode)")

@@ -1,10 +1,11 @@
-"""Prior tests: text embedding, VAE, denoiser delta injection, sampler, rollout.
+"""Prior tests: text embedding, VAE decoder, denoiser delta injection, sampler, rollout.
 
 The segment-autoregressive rollout is driven by the runtime engine; its
 segment mode is checked here against a hand loop over the prior's pieces.
 """
 import numpy as np
 import pytest
+from schedule_reference import reference_coefficients, reference_sample
 from token_reference import reference_tokens
 
 from remogen.errors import ConfigError, DimensionError
@@ -12,23 +13,18 @@ from remogen.mim import ModulationDelta
 from remogen.motion import (
     FeatureLayout,
     HistoryWindow,
-    MotionSegment,
     rest_history,
     update_history,
 )
 from remogen.prior import (
-    DiffusionSchedule,
-    LossReport,
     ddpm_sample,
     decode_batch,
     decode_segment,
     denoiser_tokens,
     embed_text,
-    encode_segment,
-    losses,
     null_embedding,
+    posterior_table,
     predict_clean_latent,
-    sample_latent,
     seeded_prior_params,
     segment_tokens,
 )
@@ -97,22 +93,6 @@ class TestVae:
         b = decode_segment(small_history, z2, small_params)
         assert np.max(np.abs(a.frames - b.frames)) < 1e-3
 
-    def test_encode_moments(self, small_params, small_history):
-        seg = MotionSegment(Rng(4).generator("f").standard_normal((4, 12)).astype(F32))
-        mean, logvar = encode_segment(small_history, seg, small_params)
-        mean2, logvar2 = encode_segment(small_history, seg, small_params)
-        assert mean.shape == (8,) and logvar.shape == (8,)
-        assert np.array_equal(mean, mean2) and np.array_equal(logvar, logvar2)
-
-    def test_reparameterized_sample(self):
-        mean = np.array([1.0, -2.0], dtype=F32)
-        logvar = np.zeros(2, dtype=F32)
-        # Zero noise passes the mean through regardless of the variance.
-        np.testing.assert_array_equal(sample_latent(mean, logvar, np.zeros(2)), mean)
-        # Collapsed variance passes the mean through regardless of the noise.
-        tiny = np.full(2, -2000.0, dtype=F32)
-        np.testing.assert_array_equal(sample_latent(mean, tiny, np.ones(2)), mean)
-
     @pytest.mark.parametrize("compact", [False, True], ids=["engine", "compact"])
     def test_one_frame_range_equals_full_decode(self, compact, small_params):
         """Frame f of a one-frame decode equals frame f of the full decode bit
@@ -161,9 +141,6 @@ class TestVae:
     def test_shape_errors(self, small_params, small_history):
         with pytest.raises(DimensionError):
             decode_segment(small_history, np.zeros(5, dtype=F32), small_params)
-        with pytest.raises(DimensionError):
-            encode_segment(small_history, MotionSegment(np.zeros((3, 12), dtype=F32)),
-                           small_params)
 
 
 def embed(params, z_t, t, m_h, texts):
@@ -370,16 +347,34 @@ class TestDdpmSample:
 
 
 class TestSchedule:
-    def test_linear_schedule_invariants(self):
-        sched = DiffusionSchedule.linear(10)
-        assert sched.steps == 10
-        assert np.all(np.diff(sched.betas) > 0)
-        assert np.all((sched.betas > 0) & (sched.betas < 1))
-        assert np.all(np.diff(sched.alpha_bars) < 0)
+    @pytest.mark.parametrize("steps", [1, 2, 3, 10, 50])
+    def test_table_matches_per_step_reference(self, steps):
+        """The cached table holds the per-step scalar math's coefficients bit
+        for bit, and the sampler over it draws the reference's latents."""
+        table = np.array(posterior_table(steps), dtype=np.float64)
+        expected = np.array(reference_coefficients(steps), dtype=np.float64)
+        assert table.shape == (steps, 3)
+        np.testing.assert_array_equal(table.view(np.int64), expected.view(np.int64))
+        assert posterior_table(steps) is posterior_table(steps)
 
-    def test_rejects_flat_schedule(self):
-        with pytest.raises(ConfigError):
-            DiffusionSchedule(np.array([0.1, 0.1]))
+        w = np.linspace(-1.0, 1.0, 8 * 8).reshape(8, 8).astype(F32)
+
+        def denoise(z, t):
+            # Depends on z and t, and differs per branch, so every coefficient counts.
+            return np.stack([np.tanh(z @ w) + 0.1 * t, np.cos(z) - 0.05 * t]).astype(F32)
+
+        for s in (1.0, 2.5):
+            np.testing.assert_array_equal(
+                ddpm_sample(denoise, 8, steps, s, Rng(steps).generator("ddpm", 0)),
+                reference_sample(denoise, 8, steps, s, Rng(steps).generator("ddpm", 0)))
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_rejects_empty_chain(self, steps):
+        calls = []
+        with pytest.raises(DimensionError):
+            ddpm_sample(lambda z, t: calls.append(t), 8, steps, 2.0,
+                        Rng(0).generator("ddpm", 0))
+        assert calls == []
 
 
 # A small rollout engine. init_weights leaves the normalizer at the identity,
@@ -467,31 +462,3 @@ class TestRollout:
             for tokens in steps_seen[k * steps:(k + 1) * steps]:
                 np.testing.assert_array_equal(tokens[:, 1:-1], prefix[:, 1:-1])
 
-
-class TestLosses:
-    def test_identical_inputs_zero(self):
-        seg = MotionSegment(np.ones((3, 4), dtype=F32))
-        z = np.ones(5, dtype=F32)
-        report = losses(seg, seg, z, z)
-        assert report == LossReport(0.0, 0.0)
-
-    def test_unit_offset(self):
-        a = MotionSegment(np.zeros((3, 4), dtype=F32))
-        b = MotionSegment(np.ones((3, 4), dtype=F32))
-        assert losses(a, b, np.zeros(2), np.zeros(2)).rec == pytest.approx(1.0)
-
-    def test_matches_hand_mse(self):
-        gen = Rng(5).generator("mse")
-        x = gen.standard_normal((4, 3)).astype(F32)
-        y = gen.standard_normal((4, 3)).astype(F32)
-        zx = gen.standard_normal(6).astype(F32)
-        zy = gen.standard_normal(6).astype(F32)
-        report = losses(MotionSegment(x), MotionSegment(y), zx, zy)
-        assert report.rec == pytest.approx(float(np.mean((x - y) ** 2)), rel=1e-6)
-        assert report.latent == pytest.approx(float(np.mean((zx - zy) ** 2)), rel=1e-6)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            losses(MotionSegment(np.zeros((2, 3), dtype=F32)),
-                   MotionSegment(np.zeros((3, 3), dtype=F32)),
-                   np.zeros(2), np.zeros(2))

@@ -588,6 +588,35 @@ class TestEngineWiring:
         assert np.array_equal(rebuilt.denoiser.out_w, engine.prior.denoiser.out_w)
         assert rebuilt.latent_dim == engine.prior.latent_dim
 
+    def test_archive_with_vae_encoder_tensors_still_loads(self, tmp_path, partner_frames):
+        """Archives written while the prior still had a VAE encoder also hold
+        prior.vae_enc.*: they load, and every mode emits the frames of the
+        same archive without those tensors, byte for byte."""
+        from test_golden import golden_archive
+
+        cfg = dataclasses.replace(COMPACT_CFG, alpha={"hhi": 1.0})
+        current = golden_archive(cfg)  # non-zero module gates and FiLM head
+        assert not any(name.startswith("prior.vae_enc.") for name in current.names())
+        d, hidden = FeatureLayout(cfg.joints).dim, cfg.vae_hidden
+        enc_in, enc_out = (cfg.history_len + cfg.future_len) * d, 2 * cfg.latent_dim
+        shapes = {"w1": (enc_in, hidden), "b1": (hidden,), "w2": (hidden, hidden),
+                  "b2": (hidden,), "w3": (hidden, enc_out), "b3": (enc_out,)}
+        gen = Rng(4).generator("old", "vae_enc")
+        old = dict(current.tensors)
+        old.update({f"prior.vae_enc.{k}": gen.standard_normal(shape).astype(F32)
+                    for k, shape in shapes.items()})
+        path = tmp_path / "old.rmgw"
+        save_archive(WeightArchive(old), path)
+        loaded = load_archive(path)
+        assert sorted(loaded.names()) == sorted(old)
+
+        def emitted(a, mode):
+            frames = Engine(a, cfg, mode=mode).run_ticks(2 * cfg.future_len, partner_frames)
+            return b"".join(f.tobytes() for f in frames)
+
+        for mode in ("segment", "fwsr", "slide"):
+            assert emitted(loaded, mode) == emitted(current, mode), mode
+
     def test_fwsr_mode_needs_fwsr_weights(self, cfg, archive):
         tensors = {k: v for k, v in archive.tensors.items() if not k.startswith("fwsr.")}
         with pytest.raises(ConfigError):
