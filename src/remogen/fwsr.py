@@ -20,12 +20,21 @@ latent is re-decoded with the segment's first updated history, and only the
 current frame is decoded: the decoder's last layer computes that frame's
 columns alone.
 
+That decode history is fixed for the whole segment, so SegmentRefiner binds
+its frame decoder to it once, on the first step. The engine's binding
+projects the history through the decoder's history rows there
+(prior.project_history); each refinement step then multiplies only the
+refined latent by the decoder's latent rows. The positional rows and the
+relative bias of the dynamic context depend only on its token count and are
+cached on the params.
+
 SegmentRefiner holds one segment's refinement state and advances it one
 frame per step(); the runtime engine drives it one tick at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,10 +55,13 @@ from .tensorcore import (
     sinusoidal_embedding,
 )
 
-# (m_h, z, f) -> frame f of the decoded future, shape (D,)
-FrameDecoder = Callable[[HistoryWindow, np.ndarray, int], np.ndarray]
-# (m_h, z0) -> decoder sensitivity per latent dimension, shape (d_z,)
-SensitivityProbe = Callable[[HistoryWindow, np.ndarray], np.ndarray]
+# (z, f) -> frame f of the future decoded against one history, shape (D,)
+FrameDecoder = Callable[[np.ndarray, int], np.ndarray]
+# history -> the FrameDecoder against that history
+DecoderBinding = Callable[[HistoryWindow], FrameDecoder]
+# z0 -> decoder sensitivity per latent dimension at the history z0 was
+# sampled on, shape (d_z,)
+SensitivityProbe = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -87,6 +99,22 @@ class FwsrParams:
     def __post_init__(self):
         if self.beta_sens < 0:
             raise DimensionError("suppression strength must be non-negative")
+
+    @cached_property
+    def _context_rows(self) -> dict:
+        return {}
+
+    def context_rows(self, n: int) -> tuple:
+        """The (n, d_z) float32 position rows and the (heads, 1, n) relative
+        bias of an n-token dynamic context; they depend on n alone.
+
+        Built on first use per n and kept as long as these params are.
+        """
+        rows = self._context_rows
+        if n not in rows:
+            rows[n] = (sinusoidal_embedding(np.arange(n), self.dyn_w.shape[1]),
+                       relative_bias(1, n, self.rel_bias))
+        return rows[n]
 
 
 class DynamicContext:
@@ -134,19 +162,19 @@ def refine_latent(z0: np.ndarray, m_h: HistoryWindow, x_dyn_window: np.ndarray,
     d_z = z0.shape[0]
     if s.s.shape[0] != d_z:
         raise DimensionError("sensitivity dim does not match latent")
-    x_dyn_window = np.asarray(x_dyn_window, dtype=F32).reshape(-1, m_h.dim) \
-        if np.asarray(x_dyn_window).size else np.zeros((0, m_h.dim), dtype=F32)
+    # An empty window, of any shape, reshapes to (0, D).
+    window = np.asarray(x_dyn_window, dtype=F32).reshape(-1, m_h.dim)
 
-    rows = np.vstack([m_h.frames, x_dyn_window])
+    rows = np.vstack([m_h.frames, window])
     if rows.shape[1] != params.dyn_w.shape[0]:
         raise DimensionError("dynamic rows do not match the projection input")
     tokens = linear(rows, params.dyn_w, params.dyn_b)
-    pos = sinusoidal_embedding(np.arange(tokens.shape[0]), tokens.shape[1])
-    tokens = (tokens.astype(F64) + pos.astype(F64)).astype(F32)
+    pos, bias = params.context_rows(tokens.shape[0])
+    # float32 adds: one binary64 add rounded to binary32 gives the same bits.
+    tokens += pos
     normed = layer_norm(tokens, params.dyn_attn.ln_gain, params.dyn_attn.ln_offset)
     c_dyn = tokens + mha_forward(normed, normed, params.dyn_attn)
 
-    bias = relative_bias(1, c_dyn.shape[0], params.rel_bias)
     r = mha_forward(z0[None, :], c_dyn, params.cross_attn, bias)
 
     film = linear(r, params.film_w, params.film_b)[0]
@@ -161,30 +189,32 @@ def refine_latent(z0: np.ndarray, m_h: HistoryWindow, x_dyn_window: np.ndarray,
 class SegmentRefiner:
     """Resumable per-frame refinement of one sampled segment.
 
-    Starts from the segment latent z0, the history it was sampled on and the
-    initial segment's frame 0. The first step probes the sensitivity at
-    (history, z0), once for the segment. Each step(f, window) refines z0 from
-    the rolling history and the dynamic window, decodes frame f alone against
-    the first updated history (the refinement asymmetry) and returns it; the
-    rolling history then slides by that frame. Runs no denoiser step.
+    Starts from the segment latent z0, the history m_h it was sampled on and
+    the initial segment's frame 0. The first step, once for the segment,
+    calls probe(z0) for the sensitivity at (m_h, z0) and binds the frame
+    decoder to the first updated history, decoder_for(history) (the
+    refinement asymmetry: every frame of the segment decodes against it).
+    Each step(f, window) refines z0 from the rolling history and the dynamic
+    window, decodes frame f alone and returns it; the rolling history then
+    slides by that frame. Runs no denoiser step.
     """
 
     def __init__(self, z0: np.ndarray, m_h: HistoryWindow, first_frame: np.ndarray,
-                 probe: SensitivityProbe, params: FwsrParams, decoder: FrameDecoder):
+                 probe: SensitivityProbe, params: FwsrParams, decoder_for: DecoderBinding):
         self.z0 = z0
         self.s: Optional[SensitivityVector] = None
         self.probe = probe
         self.params = params
-        self.decoder = decoder
-        self._probe_history = m_h
+        self.decoder_for = decoder_for
         self.history = m_h.slide(first_frame)
-        self._decode_history = self.history
+        self._decode: Optional[FrameDecoder] = None
 
     def step(self, f: int, window: np.ndarray) -> np.ndarray:
         if self.s is None:
-            self.s = SensitivityVector(self.probe(self._probe_history, self.z0))
+            self.s = SensitivityVector(self.probe(self.z0))
+            self._decode = self.decoder_for(self.history)
         z_ref = refine_latent(self.z0, self.history, window, self.s, self.params)
-        frame = self.decoder(self._decode_history, z_ref, f)
+        frame = self._decode(z_ref, f)
         self.history = self.history.slide(frame)
         return frame
 

@@ -6,6 +6,12 @@ guidance; the chain's posterior coefficients are one table cached per step
 count. The segment-autoregressive rollout that slides the history window
 after each generated segment is driven by the runtime engine.
 
+The decoder's first layer is split into its history rows and its latent
+rows. project_history multiplies a history window by the history rows once
+(HistoryProjection); each decode or probe against that projection then
+multiplies only its latents by the d_z latent rows. A plain window is
+projected on each call, so the two give the same bits.
+
 Parameters are plain frozen dataclasses of arrays; nothing here mutates them,
 which is what keeps the prior structurally frozen. Archives from older
 versions also hold the VAE encoder's tensors; they load, and nothing reads
@@ -16,7 +22,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -93,13 +99,6 @@ class MlpParams:
     b2: np.ndarray
     w3: np.ndarray
     b3: np.ndarray
-
-
-def _mlp_forward(x: np.ndarray, p: MlpParams, cols: slice = slice(None)) -> np.ndarray:
-    """Three-layer GELU MLP; cols selects the output columns the last layer computes."""
-    h = gelu(linear(x, p.w1, p.b1))
-    h = gelu(linear(h, p.w2, p.b2))
-    return linear(h, p.w3[:, cols], p.b3[cols])
 
 
 @dataclass(frozen=True)
@@ -233,7 +232,61 @@ def seeded_prior_params(rng: Rng, feature_dim: Optional[int] = None,
                        vae_dec=vae_dec, denoiser=denoiser)
 
 
-def decode_segment(m_h: HistoryWindow, z: np.ndarray, params: PriorParams,
+@dataclass(frozen=True)
+class HistoryProjection:
+    """A history window with its share of the decoder's first layer.
+
+    rows is flat(window) @ W1[:H*D] in float64, unrounded, (1, vae_hidden):
+    the part of layer 1 that no latent changes. project_history builds it
+    once per window; every decode and probe against the window then
+    multiplies only its latents by W1's d_z latent rows.
+    """
+
+    window: HistoryWindow
+    rows: np.ndarray
+
+
+# What the decoder takes as its history: a window, projected on each call,
+# or a window projected once.
+DecoderHistory = Union[HistoryWindow, HistoryProjection]
+
+
+def _check_history(m_h: HistoryWindow, params: PriorParams) -> None:
+    if len(m_h) != params.history_len or m_h.dim != params.feature_dim:
+        raise DimensionError("history window does not match prior dimensions")
+
+
+def project_history(m_h: HistoryWindow, params: PriorParams) -> HistoryProjection:
+    """Project a history window through the decoder's history rows of W1."""
+    _check_history(m_h, params)
+    w1_h = params.vae_dec.w1[:-params.latent_dim]
+    return HistoryProjection(m_h, m_h.frames.reshape(1, -1).astype(F64) @ w1_h.astype(F64))
+
+
+def _first_layer(history: DecoderHistory, zs: np.ndarray, params: PriorParams) -> np.ndarray:
+    """The decoder's first affine layer for N latents that share one history,
+    (N, vae_hidden) float32, before its GELU: the history's projection plus
+    each latent's product with W1's latent rows, summed in float64, rounded
+    once, then b1 added."""
+    p = params.vae_dec
+    if isinstance(history, HistoryProjection):
+        _check_history(history.window, params)
+        if history.rows.shape != (1, p.w1.shape[1]):
+            raise DimensionError(f"history projection is {history.rows.shape}, "
+                                 f"expected (1, {p.w1.shape[1]})")
+    else:
+        history = project_history(history, params)
+    zs = np.asarray(zs, dtype=F32)
+    if zs.ndim != 2 or zs.shape[1] != params.latent_dim:
+        raise DimensionError(f"latent batch has shape {zs.shape}, "
+                             f"expected (N, {params.latent_dim})")
+    w1_z = p.w1[-params.latent_dim:].astype(F64)
+    a1 = (history.rows + zs.astype(F64) @ w1_z).astype(F32)
+    a1 += p.b1
+    return a1
+
+
+def decode_segment(m_h: DecoderHistory, z: np.ndarray, params: PriorParams,
                    fps: float = 10.0, frames: slice = slice(None)) -> MotionSegment:
     """VAE decoder: history window plus clean latent to the future segment's
     frames in the contiguous range `frames` (all F by default)."""
@@ -241,39 +294,30 @@ def decode_segment(m_h: HistoryWindow, z: np.ndarray, params: PriorParams,
     return MotionSegment(decode_batch(m_h, z, params, frames)[0], fps=fps)
 
 
-def decode_batch(m_h: HistoryWindow, zs: np.ndarray, params: PriorParams,
+def decode_batch(m_h: DecoderHistory, zs: np.ndarray, params: PriorParams,
                  frames: slice = slice(None)) -> np.ndarray:
     """VAE decoder over N latents that share one history window; (N, n, D).
 
+    m_h is the window or its HistoryProjection; both give the same bits.
     `frames` is a contiguous, non-empty range of the F future frames, n long.
     The last layer computes only that range's columns, and frame f of a
     one-frame range equals frame f of the full decode bit for bit. Row n is
     decode_segment(m_h, zs[n]) bit for bit.
     """
-    x = _decoder_input(m_h, zs, params)
     f_len, d = params.future_len, params.feature_dim
     start = 0 if frames.start is None else frames.start
     stop = f_len if frames.stop is None else frames.stop
     if frames.step not in (None, 1) or not 0 <= start < stop <= f_len:
         raise DimensionError(f"frame range {frames} is not a non-empty contiguous "
                              f"range of the {f_len} future frames")
-    out = _mlp_forward(x, params.vae_dec, slice(start * d, stop * d))
-    return out.reshape(x.shape[0], stop - start, d)
+    p = params.vae_dec
+    h = gelu(_first_layer(m_h, zs, params))
+    h = gelu(linear(h, p.w2, p.b2))
+    out = linear(h, p.w3[:, start * d:stop * d], p.b3[start * d:stop * d])
+    return out.reshape(h.shape[0], stop - start, d)
 
 
-def _decoder_input(m_h: HistoryWindow, zs: np.ndarray, params: PriorParams) -> np.ndarray:
-    """The decoder's (N, H*D + d_z) input rows: the flat history, then each latent."""
-    zs = np.asarray(zs, dtype=F32)
-    if len(m_h) != params.history_len or m_h.dim != params.feature_dim:
-        raise DimensionError("history window does not match prior dimensions")
-    if zs.ndim != 2 or zs.shape[1] != params.latent_dim:
-        raise DimensionError(f"latent batch has shape {zs.shape}, "
-                             f"expected (N, {params.latent_dim})")
-    hist = np.tile(m_h.frames.reshape(1, -1), (zs.shape[0], 1))
-    return np.concatenate([hist, zs], axis=1)
-
-
-def decoder_sensitivity(m_h: HistoryWindow, z0: np.ndarray,
+def decoder_sensitivity(m_h: DecoderHistory, z0: np.ndarray,
                         params: PriorParams) -> np.ndarray:
     """Exact decoder response per latent dimension at (m_h, z0), float32 (d_z,).
 
@@ -283,9 +327,8 @@ def decoder_sensitivity(m_h: HistoryWindow, z0: np.ndarray,
     and s_d = sqrt(B_d G B_d^T) with G = W3 W3^T (PriorParams.decoder_gram):
     the wide last layer is never multiplied.
     """
-    x = _decoder_input(m_h, np.asarray(z0, dtype=F32).reshape(1, -1), params)
+    a1 = _first_layer(m_h, np.asarray(z0, dtype=F32).reshape(1, -1), params)
     p = params.vae_dec
-    a1 = linear(x, p.w1, p.b1)
     a2 = linear(gelu(a1), p.w2, p.b2)
     w1_z = p.w1[-params.latent_dim:].astype(F64)
     b = ((w1_z * gelu_slope(a1)) @ p.w2.astype(F64)) * gelu_slope(a2)
@@ -303,8 +346,7 @@ def segment_tokens(params: PriorParams, m_h: HistoryWindow,
     history x H, latent]. The time and latent rows are left zero.
     """
     den = params.denoiser
-    if len(m_h) != params.history_len or m_h.dim != params.feature_dim:
-        raise DimensionError("history window does not match prior dimensions")
+    _check_history(m_h, params)
     pos = params.token_positions
     hist_tok = linear(m_h.frames, den.hist_w, den.hist_b)
     # float32 adds: one binary64 add rounded to binary32 gives the same bits.

@@ -9,6 +9,13 @@ emission. One tick corresponds to one input frame of wall-clock time:
   slide mode    - re-sample a full segment every tick, keep only frame 0
                   (the latency-heavy baseline)
 
+In fwsr mode each history window the decoder reads is projected through
+the decoder's history rows once (prior.project_history): the boundary
+history on the boundary tick, shared by the frame-0 decode and the
+sensitivity probe, and the refiner's decode history on the first refinement
+tick. A refinement tick then multiplies only the refined latent by the
+decoder's latent rows.
+
 Text and composition-weight changes are queued and applied at the next
 segment boundary, since one denoising pass is conditioned on a single text.
 """
@@ -53,6 +60,7 @@ from ..motion import (
     update_history,
 )
 from ..prior import (
+    DecoderHistory,
     PriorParams,
     ddpm_sample,
     decode_segment,
@@ -61,6 +69,7 @@ from ..prior import (
     embed_text,
     null_embedding,
     predict_clean_latent,
+    project_history,
     seeded_prior_params,
     segment_tokens,
 )
@@ -270,7 +279,7 @@ class Engine:
             return ddpm_sample(denoise, self.prior.latent_dim, self.cfg.steps,
                                self.cfg.guidance_scale, self.gen)
 
-    def _decode(self, history: HistoryWindow, z: np.ndarray, component: str = "decode",
+    def _decode(self, history: DecoderHistory, z: np.ndarray, component: str = "decode",
                 frames: slice = slice(None)):
         with self._track(component):
             return decode_segment(history, z, self.prior, fps=self.cfg.fps, frames=frames)
@@ -316,23 +325,30 @@ class Engine:
             self._apply_pending()
             self.dyn.mark_segment_start()
             z0 = self._sample_z0()
-            frame = self._decode(self.history, z0, frames=slice(0, 1)).frames[0]
+            # The frame-0 decode and the probe on tick 1 share this projection,
+            # timed with the decode.
+            with self._track("decode"):
+                boundary = project_history(self.history, self.prior)
+                frame = decode_segment(boundary, z0, self.prior, fps=self.cfg.fps,
+                                       frames=slice(0, 1)).frames[0]
             # The refiner reaches the engine weakly: a strong reference would
             # be a cycle that keeps a dropped engine, and its stacked module
             # weights, alive until the next cycle collection.
             engine = weakref.proxy(self)
 
-            def decode_frame(h, z, f):
-                return engine._decode(h, z, "fwsr_decode", slice(f, f + 1)).frames[0]
+            def decoder_for(history):
+                decode_history = project_history(history, engine.prior)
+                return lambda z, f: engine._decode(decode_history, z, "fwsr_decode",
+                                                   slice(f, f + 1)).frames[0]
 
-            def probe(h, z):
+            def probe(z):
                 # Runs inside the first refinement step, but is timed as its
                 # own phase rather than as part of that step.
                 with engine._track("sensitivity", top_level=True):
-                    return decoder_sensitivity(h, z, engine.prior)
+                    return decoder_sensitivity(boundary, z, engine.prior)
 
             self._refiner = SegmentRefiner(z0, self.history, frame, probe,
-                                           self.fwsr_params, decode_frame)
+                                           self.fwsr_params, decoder_for)
         else:
             with self._track("fwsr_refine"):
                 frame = self._refiner.step(phase, self.dyn.window(phase))

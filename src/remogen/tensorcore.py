@@ -126,6 +126,12 @@ class Rng:
 def seeded_init(shape: Sequence[int], scheme: str, rng: Rng) -> np.ndarray:
     """Deterministic tensor init. Schemes: "uniform-fan" (Glorot-style), "zeros".
 
+    "uniform-fan" draws from U(-b, b) with b = sqrt(6 / (fan_in + fan_out)),
+    reading fan_in from the first axis and fan_out from the last: Glorot
+    uniform for an (in, out) weight, and for a vector both are its length.
+    A (kernel, c_in, out) convolution weight thus takes fan_in = kernel, not
+    the kernel * c_in of the usual convolutional convention.
+
     A SHAPE_ONLY rng makes "uniform-fan" return a read-only zero-stride
     placeholder of the shape instead of drawing.
     """
@@ -137,8 +143,7 @@ def seeded_init(shape: Sequence[int], scheme: str, rng: Rng) -> np.ndarray:
     if scheme == "uniform-fan":
         if rng.algorithm == SHAPE_ONLY:
             return np.broadcast_to(np.zeros((), dtype=F32), shape)
-        fan_in = shape[0] if len(shape) > 1 else shape[0]
-        fan_out = shape[-1]
+        fan_in, fan_out = shape[0], shape[-1]
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         gen = rng.generator("init", scheme, *shape)
         return gen.uniform(-bound, bound, size=shape).astype(F32)

@@ -398,10 +398,14 @@ def test_c06_refinement_algorithm_conformance(monkeypatch):
             return MotionSegment(np.tanh(x.astype(F64) @ w).reshape(f_len, feature_dim)
                                  .astype(F32))
 
-        def decoder(m_h, z, f):
-            # The refiner's decoder contract: frame f alone.
-            calls["n"] += 1
-            return decode(m_h, z).frames[f]
+        def decoder_for(m_h):
+            # The refiner's decoder contract: bound to one history, then
+            # frame f alone per call.
+            def decode_frame(z, f):
+                calls["n"] += 1
+                return decode(m_h, z).frames[f]
+
+            return decode_frame
 
         z0 = gen.standard_normal(d_z, dtype=F32)
         m_h = HistoryWindow(gen.standard_normal((2, feature_dim)).astype(F32))
@@ -415,7 +419,7 @@ def test_c06_refinement_algorithm_conformance(monkeypatch):
         # Frame 0 comes from the initial decode; each later frame is one
         # refiner step, as the fwsr engine emits them tick by tick.
         refiner = SegmentRefiner(z0, m_h, initial.frames[0],
-                                 lambda h, z: np.zeros(d_z), params, decoder)
+                                 lambda z: np.zeros(d_z), params, decoder_for)
         out = np.stack([initial.frames[0]]
                        + [refiner.step(f, dyn.window(f)) for f in range(1, f_len)])
         assert len(out) == f_len
@@ -581,6 +585,44 @@ def test_c10_denoiser_passes_per_tick(compact_archive, monkeypatch):
         assert per_tick == want, mode
     report("C10", f"denoiser passes per {f_len}-frame segment: slide {steps * f_len}, "
                   f"segment {steps}, fwsr {steps} (boundary tick only)")
+
+
+def test_c10_module_passes_per_tick(compact_archive, scene_grid, monkeypatch):
+    """Interaction-module passes counted per tick, not timed: one per active
+    module per DDPM step, so slide runs them on every tick, segment and fwsr
+    on their boundary ticks only, and fwsr refinement ticks run none."""
+    import remogen.runtime.engine as engine_module
+
+    f_len, steps = COMPACT.future_len, COMPACT.steps
+    partner = featurize(synthetic_sequence(2 * f_len, seed=3)).frames
+    passes = []
+    real = engine_module.module_deltas
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "module_deltas", counting)
+    for alpha, modules in (({"hhi": 1.0}, 1), ({"hhi": 0.5, "hsi": 0.5}, 2)):
+        cfg = dataclasses.replace(COMPACT, alpha=alpha)
+        per_step = modules * steps
+        expected = {
+            "slide": [per_step] * (2 * f_len),
+            "segment": ([0] * (f_len - 1) + [per_step]) * 2,
+            "fwsr": ([per_step] + [0] * (f_len - 1)) * 2,  # refinement ticks run none
+        }
+        for mode, want in expected.items():
+            engine = Engine(compact_archive, cfg, mode=mode)
+            engine.set_scene(scene_grid)
+            per_tick = []
+            for frame in partner:
+                before = len(passes)
+                engine.tick(frame)
+                per_tick.append(len(passes) - before)
+            assert per_tick == want, (mode, alpha)
+    report("C10", f"module passes per {f_len}-frame segment and module: slide "
+                  f"{steps * f_len}, segment {steps}, fwsr {steps} (boundary tick only); "
+                  f"hhi + hsi twice as many")
 
 
 def test_c11_round_trips(tmp_path, compact_archive):

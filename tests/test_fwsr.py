@@ -17,7 +17,16 @@ from remogen.fwsr import (
 from remogen.motion import HistoryWindow, MotionSegment
 from remogen.prior import decode_batch, decoder_sensitivity, seeded_prior_params
 from remogen.runtime import Engine, EngineConfig, init_weights
-from remogen.tensorcore import AttentionParams, RelBiasParams, Rng
+from remogen.tensorcore import (
+    AttentionParams,
+    RelBiasParams,
+    Rng,
+    layer_norm,
+    linear,
+    mha_forward,
+    relative_bias,
+    sinusoidal_embedding,
+)
 
 F32 = np.float32
 
@@ -174,10 +183,10 @@ class TestDecoderSensitivity:
         params, m_h, z0 = seeded_probe_point("compact", 0)
         z0[3] = np.nan
         refiner = SegmentRefiner(z0, m_h, m_h.frames[-1],
-                                 lambda h, z: decoder_sensitivity(h, z, params),
+                                 lambda z: decoder_sensitivity(m_h, z, params),
                                  seeded_fwsr_params(Rng(1), params.feature_dim,
                                                     params.latent_dim),
-                                 lambda h, z, f: h.frames[-1])
+                                 lambda h: lambda z, f: h.frames[-1])
         with pytest.raises(NumericError):
             refiner.step(1, np.zeros((0, params.feature_dim), dtype=F32))
 
@@ -243,6 +252,58 @@ class TestRefineLatent:
         d_raw = np.tanh(film[:d_z]) * z0 + np.tanh(film[d_z:])
         expected = z0 + d_raw / (1.0 + params.beta_sens * sens.s.astype(np.float64))
         np.testing.assert_allclose(got, expected.astype(F32), atol=1e-6)
+
+    def test_context_rows_cached_per_token_count(self):
+        params = seeded_fwsr_params(Rng(5), feature_dim=D, latent_dim=DZ, heads=2)
+        for n in (2, 3, 4, 3):
+            pos, bias = params.context_rows(n)
+            np.testing.assert_array_equal(pos, sinusoidal_embedding(np.arange(n), DZ))
+            np.testing.assert_array_equal(bias, relative_bias(1, n, params.rel_bias))
+            again = params.context_rows(n)
+            assert again[0] is pos and again[1] is bias
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cached_context_rows_match_uncached_reference(self, seed):
+        """Bit for bit the formula that embedded positions and built the
+        relative bias on every call, over windows of 0, 1 and 2 rows, with
+        the rows cached and not."""
+        gen = Rng(seed).generator("uncached")
+        params = seeded_fwsr_params(Rng(seed + 200), feature_dim=D, latent_dim=8, heads=2,
+                                    zero_film=False, beta_sens=float(gen.uniform(0, 2)))
+        for rows_in_window in (0, 1, 2, 2, 1, 0):
+            z0 = gen.standard_normal(8, dtype=F32)
+            m_h = history(gen)
+            window = gen.standard_normal((rows_in_window, D)).astype(F32)
+            sens = SensitivityVector(np.abs(gen.standard_normal(8)).astype(F32))
+            got = refine_latent(z0, m_h, window, sens, params)
+
+            rows = np.vstack([m_h.frames, window])
+            toks = linear(rows, params.dyn_w, params.dyn_b)
+            pos = sinusoidal_embedding(np.arange(len(rows)), 8)
+            toks = (toks.astype(np.float64) + pos.astype(np.float64)).astype(F32)
+            normed = layer_norm(toks, params.dyn_attn.ln_gain, params.dyn_attn.ln_offset)
+            c_dyn = toks + mha_forward(normed, normed, params.dyn_attn)
+            r = mha_forward(z0[None, :], c_dyn, params.cross_attn,
+                            relative_bias(1, len(rows), params.rel_bias))
+            film = linear(r, params.film_w, params.film_b)[0].astype(np.float64)
+            d_raw = np.tanh(film[:8]) * z0.astype(np.float64) + np.tanh(film[8:])
+            d_safe = d_raw / (1.0 + params.beta_sens * sens.s.astype(np.float64))
+            expected = (z0.astype(np.float64) + d_safe).astype(F32)
+            assert np.array_equal(got, expected), rows_in_window
+
+    def test_empty_window_of_any_shape(self):
+        params = seeded_fwsr_params(Rng(6), feature_dim=D, latent_dim=DZ, heads=2,
+                                    zero_film=False)
+        gen = Rng(7).generator("empty")
+        z0 = gen.standard_normal(DZ, dtype=F32)
+        m_h = history(gen)
+        s = SensitivityVector(np.full(DZ, 0.5, dtype=F32))
+        outs = [refine_latent(z0, m_h, w, s, params)
+                for w in ([], np.zeros(0, dtype=F32), np.zeros((0, D), dtype=F32),
+                          np.zeros((0, 3), dtype=np.float64))]
+        assert not np.array_equal(outs[0], z0)
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
 
     def test_monotone_suppression_in_sensitivity(self):
         params = hand_params(0.5, 0.2, beta_sens=1.0, d_z=1)
@@ -314,7 +375,7 @@ class TestDynamicContext:
 def refine_frames(z0, m_h, initial, dyn, decoder, params, s):
     """One segment as the fwsr engine emits it: frame 0 of the initial
     decode, then one SegmentRefiner step per later frame."""
-    refiner = SegmentRefiner(z0, m_h, initial.frames[0], lambda h, z: s.s, params, decoder)
+    refiner = SegmentRefiner(z0, m_h, initial.frames[0], lambda z: s.s, params, decoder)
     frames = [initial.frames[0]]
     for f in range(1, len(initial)):
         window = dyn.window(f) if dyn is not None else np.zeros((0, m_h.dim), dtype=F32)
@@ -341,24 +402,31 @@ def refine_calls(monkeypatch):
 class TestRefineSegment:
     @pytest.fixture()
     def decoder(self):
-        """Refiner frame decoder (m_h, z, f) -> frame f, counting its calls;
+        """Refiner decoder binding: decoder(m_h) gives the frame decoder
+        (z, f) -> frame f against m_h. It records each bound history in
+        .calls["bound"] and counts frame decodes in .calls["n"];
         .segment(m_h, z) decodes all 8 frames without counting."""
         gen = Rng(7).generator("dec")
         w = gen.standard_normal((2 * D + DZ, 8 * D)).astype(F32) * 0.1
-        calls = {"n": 0}
+        calls = {"n": 0, "bound": []}
 
         def segment(m_h, z):
             x = np.concatenate([m_h.frames.reshape(-1), z])
             return MotionSegment(np.tanh(x.astype(np.float64) @ w.astype(np.float64))
                                  .reshape(8, D).astype(F32))
 
-        def decode(m_h, z, f):
-            calls["n"] += 1
-            return segment(m_h, z).frames[f]
+        def decoder_for(m_h):
+            calls["bound"].append(m_h)
 
-        decode.calls = calls
-        decode.segment = segment
-        return decode
+            def decode(z, f):
+                calls["n"] += 1
+                return segment(m_h, z).frames[f]
+
+            return decode
+
+        decoder_for.calls = calls
+        decoder_for.segment = segment
+        return decoder_for
 
     def test_zero_film_reproduces_shifted_redecode(self, decoder):
         params = seeded_fwsr_params(Rng(8), feature_dim=D, latent_dim=DZ,
@@ -421,18 +489,23 @@ class TestRefineSegment:
         m_h = history(gen)
         probes = []
 
-        def probe(h, z):
-            probes.append((h, z))
+        def probe(z):
+            probes.append(z)
             return np.full(DZ, 0.5)
 
-        refiner = SegmentRefiner(z0, m_h, decoder.segment(m_h, z0).frames[0], probe,
-                                 params, decoder)
-        assert probes == [] and refiner.s is None
+        first = decoder.segment(m_h, z0).frames[0]
+        refiner = SegmentRefiner(z0, m_h, first, probe, params, decoder)
+        assert probes == [] and refiner.s is None and decoder.calls["bound"] == []
         for f in range(1, 8):
             refiner.step(f, np.zeros((0, D), dtype=F32))
-        # Probed at the history the segment was sampled on, not the rolled one.
-        assert len(probes) == 1 and probes[0][0] is m_h and probes[0][1] is z0
+        # The probe is bound by the caller to the history the segment was
+        # sampled on; the refiner binds the decoder once, to the first
+        # updated history, not to the rolled one.
+        assert len(probes) == 1 and probes[0] is z0
         np.testing.assert_array_equal(refiner.s.s, np.full(DZ, 0.5, dtype=F32))
+        assert len(decoder.calls["bound"]) == 1
+        np.testing.assert_array_equal(decoder.calls["bound"][0].frames,
+                                      m_h.slide(first).frames)
 
     def test_cost_contract(self, decoder, refine_calls):
         params = seeded_fwsr_params(Rng(8), feature_dim=D, latent_dim=DZ,
@@ -447,3 +520,4 @@ class TestRefineSegment:
         assert len(out) == 8
         assert refine_calls["n"] == 7
         assert decoder.calls["n"] == 7
+        assert len(decoder.calls["bound"]) == 1

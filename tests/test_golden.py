@@ -5,6 +5,9 @@ adapter gates and FWSR FiLM head are seeded non-zero, so the modules and the
 refinement actually move the output. The stream case runs stream_run in fwsr
 mode over a fixed NDJSON transcript with a text and an alpha record inside a
 segment, and pins the emitted poses as they are written (latency stripped).
+The generate case runs `remogen generate --fwsr --alpha hhi=1.0` with a
+partner file on that archive, saved to disk, and pins the frames read back
+from the motion file it writes.
 A change that alters any emitted bit fails here and has to say so and
 regenerate the fixtures it changes, naming them (no name regenerates every
 case); each rewrite prints the case's max abs change:
@@ -13,15 +16,27 @@ case); each rewrite prints the case's max abs change:
 """
 import io
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from remogen import cli
 from remogen.fwsr import seeded_fwsr_params
 from remogen.motion import FeatureLayout, featurize, synthetic_sequence
-from remogen.runtime import Engine, EngineConfig, WeightArchive, init_weights, stream_run
+from remogen.runtime import (
+    Engine,
+    EngineConfig,
+    WeightArchive,
+    init_weights,
+    load_motion,
+    save_archive,
+    save_motion,
+    stream_run,
+)
 from remogen.scene import GridSpec, VoxelGrid
 from remogen.tensorcore import Rng
 
@@ -43,6 +58,8 @@ STREAM_EXTRAS = {
     4: {"kind": "text", "text": "step toward the partner"},
     13: {"kind": "alpha", "alpha": {"hhi": 0.5}},
 }
+GENERATE_CASE = "generate_fwsr_hhi"
+GENERATE_SEGMENTS = 2
 
 
 def golden_archive(cfg: EngineConfig) -> WeightArchive:
@@ -104,8 +121,33 @@ def run_stream_case() -> np.ndarray:
     return np.array([r["pose"] for r in poses], dtype=np.float64)
 
 
+def run_generate_case(workdir: Path) -> np.ndarray:
+    """The generate case's frames, as `remogen generate` writes them under workdir."""
+    # REMOGEN_SEED would override --seed; the case pins the seeded run.
+    assert "REMOGEN_SEED" not in os.environ, "unset REMOGEN_SEED to run the generate case"
+    cfg = EngineConfig()
+    weights, partner, out = (workdir / n for n in ("golden.rmgw", "partner.rmgm", "out.rmgm"))
+    save_archive(golden_archive(cfg), weights)
+    frames = GENERATE_SEGMENTS * cfg.future_len
+    save_motion(featurize(synthetic_sequence(frames, seed=SEED)), partner,
+                FeatureLayout(cfg.joints))
+    code = cli.main(["generate", "--weights", str(weights), "--partner", str(partner),
+                     "--text", "step toward the partner", "--alpha", "hhi=1.0",
+                     "--segments", str(GENERATE_SEGMENTS), "--fwsr", "--seed", str(SEED),
+                     "--out", str(out)])
+    assert code == 0
+    segment, _ = load_motion(out)
+    assert segment.frames.shape == (frames, FeatureLayout(cfg.joints).dim)
+    return segment.frames
+
+
 def run_named(name: str) -> np.ndarray:
-    return run_stream_case() if name == STREAM_CASE else run_case(name)
+    if name == STREAM_CASE:
+        return run_stream_case()
+    if name == GENERATE_CASE:
+        with tempfile.TemporaryDirectory() as workdir:
+            return run_generate_case(Path(workdir))
+    return run_case(name)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -119,10 +161,16 @@ def test_stream_transcript_matches_golden():
     np.testing.assert_array_equal(run_stream_case(), expected)
 
 
+def test_generate_command_matches_golden(tmp_path, monkeypatch):
+    monkeypatch.delenv("REMOGEN_SEED", raising=False)
+    expected = np.load(GOLDEN_DIR / f"{GENERATE_CASE}.npy")
+    np.testing.assert_array_equal(run_generate_case(tmp_path), expected)
+
+
 def write_cases(names) -> None:
     """Regenerate the named fixtures (all when none is named), printing how
     far each moved from the fixture it replaces."""
-    known = sorted([*CASES, STREAM_CASE])
+    known = sorted([*CASES, STREAM_CASE, GENERATE_CASE])
     unknown = sorted(set(names) - set(known))
     if unknown:
         sys.exit(f"unknown golden cases {unknown}; known: {known}")

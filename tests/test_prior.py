@@ -5,6 +5,7 @@ segment mode is checked here against a hand loop over the prior's pieces.
 """
 import numpy as np
 import pytest
+from decoder_reference import reference_decode
 from schedule_reference import reference_coefficients, reference_sample
 from token_reference import reference_tokens
 
@@ -17,14 +18,17 @@ from remogen.motion import (
     update_history,
 )
 from remogen.prior import (
+    HistoryProjection,
     ddpm_sample,
     decode_batch,
     decode_segment,
+    decoder_sensitivity,
     denoiser_tokens,
     embed_text,
     null_embedding,
     posterior_table,
     predict_clean_latent,
+    project_history,
     seeded_prior_params,
     segment_tokens,
 )
@@ -40,6 +44,11 @@ def small_params():
     return seeded_prior_params(Rng(5), feature_dim=12, history_len=2, future_len=4,
                                latent_dim=8, text_dim=8, width=16, heads=2,
                                n_blocks=2, ffn_hidden=32, vae_hidden=32)
+
+
+@pytest.fixture(scope="module")
+def engine_prior():
+    return Engine(init_weights(EngineConfig(), 3), EngineConfig()).prior
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +150,68 @@ class TestVae:
     def test_shape_errors(self, small_params, small_history):
         with pytest.raises(DimensionError):
             decode_segment(small_history, np.zeros(5, dtype=F32), small_params)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("compact", [False, True], ids=["engine", "compact"])
+    def test_projected_history_decodes_bit_for_bit(self, compact, n, small_params,
+                                                   engine_prior):
+        """A decode through a prebuilt history projection equals the plain
+        decode of the window and the one-product reference decoder bit for
+        bit, for every one-frame range and the full range; so does the
+        sensitivity probe."""
+        params = small_params if compact else engine_prior
+        gen = Rng(42).generator("projection", n, int(compact))
+        ranges = [slice(None)] + [slice(f, f + 1) for f in range(params.future_len)]
+        for _ in range(12):
+            m_h = HistoryWindow(gen.standard_normal((params.history_len, params.feature_dim))
+                                .astype(F32))
+            zs = gen.standard_normal((n, params.latent_dim), dtype=F32)
+            projection = project_history(m_h, params)
+            assert projection.window is m_h
+            assert projection.rows.shape == (1, params.vae_dec.w1.shape[1])
+            assert projection.rows.dtype == np.float64
+            reference = reference_decode(m_h, zs, params)
+            for frames in ranges:
+                via = decode_batch(projection, zs, params, frames)
+                assert np.array_equal(via, decode_batch(m_h, zs, params, frames)), frames
+                assert np.array_equal(via, reference[:, frames]), frames
+                for z, row in zip(zs, via):
+                    one = decode_segment(projection, z, params, frames=frames).frames
+                    assert np.array_equal(one, row), frames
+            assert np.array_equal(decoder_sensitivity(projection, zs[0], params),
+                                  decoder_sensitivity(m_h, zs[0], params))
+
+    def test_projection_dimension_errors(self, small_params, small_history):
+        """A history or latent that does not fit the prior is a DimensionError
+        through a projection as through a window."""
+        frames = small_history.frames
+        for bad in (frames[:, :-1], frames[:1], np.vstack([frames, frames[:1]])):
+            with pytest.raises(DimensionError):
+                project_history(HistoryWindow(bad), small_params)
+        projection = project_history(small_history, small_params)
+        for zs in (np.zeros((1, 7), dtype=F32), np.zeros((1, 9), dtype=F32),
+                   np.zeros(8, dtype=F32), np.zeros((1, 1, 8), dtype=F32)):
+            with pytest.raises(DimensionError):
+                decode_batch(projection, zs, small_params)
+            with pytest.raises(DimensionError):
+                decode_batch(small_history, zs, small_params)
+        for z in (np.zeros(5, dtype=F32), np.zeros(9, dtype=F32)):
+            with pytest.raises(DimensionError):
+                decode_segment(projection, z, small_params)
+            with pytest.raises(DimensionError):
+                decoder_sensitivity(projection, z, small_params)
+        # A projection of a window that does not fit, or built for a prior of
+        # another hidden width, is caught where it is used.
+        z = np.zeros(small_params.latent_dim, dtype=F32)
+        misfit = HistoryProjection(HistoryWindow(frames[:, :-1]), projection.rows)
+        narrow = seeded_prior_params(Rng(5), feature_dim=12, history_len=2, future_len=4,
+                                     latent_dim=8, text_dim=8, width=16, heads=2,
+                                     n_blocks=2, ffn_hidden=32, vae_hidden=16)
+        for bad in (misfit, project_history(small_history, narrow)):
+            with pytest.raises(DimensionError):
+                decode_segment(bad, z, small_params)
+            with pytest.raises(DimensionError):
+                decoder_sensitivity(bad, z, small_params)
 
 
 def embed(params, z_t, t, m_h, texts):

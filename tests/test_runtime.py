@@ -681,6 +681,40 @@ class TestEngineWiring:
         else:
             assert ranges == [slice(None)] * len(ranges)
 
+    @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
+    def test_history_projections_per_tick(self, mode, partner_frames, monkeypatch):
+        """fwsr projects two histories per segment through the decoder's
+        history rows: the boundary history on the boundary tick, shared by
+        the frame-0 decode and the probe, and the refiner's decode history on
+        tick 1; ticks 2..F-1 project none. Segment and slide mode project
+        once per decode."""
+        import remogen.prior as prior_module
+        import remogen.runtime.engine as engine_module
+
+        calls = []
+        real = prior_module.project_history
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        # The engine's own projections and the decoder's of a plain window.
+        monkeypatch.setattr(engine_module, "project_history", counting)
+        monkeypatch.setattr(prior_module, "project_history", counting)
+        cfg = dataclasses.replace(COMPACT_CFG, alpha={"hhi": 1.0})
+        engine = Engine(init_weights(cfg, 3), cfg, mode=mode)
+        per_tick = []
+        for frame in partner_frames:
+            before = len(calls)
+            engine.tick(frame)
+            per_tick.append(len(calls) - before)
+        f_len = cfg.future_len
+        expected = {"fwsr": [1, 1] + [0] * (f_len - 2),
+                    "segment": [0] * (f_len - 1) + [1],
+                    "slide": [1] * f_len}
+        assert len(partner_frames) == 2 * f_len
+        assert per_tick == expected[mode] * 2
+
 
 class TestModuleBatching:
     @pytest.fixture(scope="class")
