@@ -1,5 +1,10 @@
 """Command-line surface tests: happy paths and exit codes."""
 import json
+import os
+import select
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +100,35 @@ class TestGenerate:
         rc = main(["generate", "--weights", str(bad), "--segments", "1",
                    "--out", str(tmp_path / "x.rmgm")])
         assert rc == 3
+
+
+class TestStream:
+    def test_each_pose_reaches_a_pipe_before_stdin_closes(self, weights_path):
+        # Python block-buffers a piped stdout unless PYTHONUNBUFFERED is set,
+        # so the child runs without it, as a plain shell pipeline would.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        pose = [float(v) for v in featurize(synthetic_sequence(1, seed=4)).frames[0]]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "remogen.cli", "stream", "--weights", str(weights_path),
+             "--fwsr"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env, bufsize=0)
+        try:
+            proc.stdin.write((json.dumps({"t": 0, "kind": "partner_pose", "pose": pose})
+                              + "\n").encode())
+            ready, _, _ = select.select([proc.stdout], [], [], 60.0)
+            assert ready, "no pose reached the pipe while stdin was open"
+            first = json.loads(proc.stdout.readline())
+            assert first["kind"] == "ego_pose" and first["t"] == 0
+            rest, err = proc.communicate(timeout=60.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err.decode()
+        assert [json.loads(line) for line in rest.splitlines()] == [{"t": 1, "kind": "end"}]
 
 
 class TestVoxelizeAndMetrics:

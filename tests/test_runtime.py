@@ -476,8 +476,9 @@ class TestStreamRun:
     ], ids=["end", "wrong_width"])
     def test_early_stop_returns_promptly_and_leaves_no_reader(self, cfg, archive,
                                                              partner_frames, stopper, error):
-        # 200 records after the stop fill the 64-slot queue, so the reader is
-        # blocked on it when the main loop stops reading.
+        # 200 records follow the stop. stream_run reads on the caller's thread
+        # and stops reading there, so none of them is parsed and no thread is
+        # left behind to read them.
         frames = np.resize(partner_frames, (200, partner_frames.shape[1]))
         text = json.dumps(stopper) + "\n" + stream_lines(frames)
         before = set(threading.enumerate())
@@ -491,6 +492,74 @@ class TestStreamRun:
                                           log=io.StringIO()))
         assert time.perf_counter() - start < 1.0
         assert set(threading.enumerate()) <= before, "the ingest thread outlived stream_run"
+
+    def test_source_pulled_on_the_calling_thread(self, cfg, archive, partner_frames):
+        pulls = []
+        before = threading.active_count()
+
+        def source():
+            for line in stream_lines(partner_frames).splitlines(keepends=True):
+                pulls.append((threading.get_ident(), threading.active_count()))
+                yield line
+
+        stream_run(source(), io.StringIO(), cfg, archive, log=io.StringIO())
+        assert len(pulls) == len(partner_frames)
+        assert pulls == [(threading.get_ident(), before)] * len(pulls)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fwsr", [False, True], ids=["segment", "fwsr"])
+    def test_each_ticks_poses_flushed_before_the_next_pull(self, cfg, archive,
+                                                           partner_frames, fwsr):
+        events = []
+
+        class LoggingSink(io.StringIO):
+            def write(self, text):
+                events.append(("write", json.loads(text)["kind"]))
+                return super().write(text)
+
+            def flush(self):
+                events.append(("flush",))
+                super().flush()
+
+        def source():
+            for k, line in enumerate(stream_lines(partner_frames).splitlines()):
+                events.append(("pull", k))
+                yield line
+
+        run_cfg = dataclasses.replace(cfg, fwsr=fwsr)
+        stream_run(source(), LoggingSink(), run_cfg, archive, log=io.StringIO())
+        # Split the log at each pull: what follows pull k is record k's output.
+        after_pull = []
+        for event in events:
+            if event[0] == "pull":
+                after_pull.append([])
+            else:
+                after_pull[-1].append(event)
+        assert len(after_pull) == len(partner_frames)
+        per_tick = 1 if fwsr else cfg.future_len
+        for k, out in enumerate(after_pull[:-1]):
+            emits = fwsr or (k + 1) % cfg.future_len == 0
+            expected = [("write", "ego_pose")] * per_tick + [("flush",)] if emits else []
+            assert out == expected, k
+        # The last tick's poses, then the end record, each flushed.
+        assert after_pull[-1] == ([("write", "ego_pose")] * per_tick + [("flush",)]
+                                  + [("write", "end"), ("flush",)])
+
+    def test_nothing_pulled_after_end(self, cfg, archive, partner_frames):
+        pulls = 0
+        end_line = json.dumps({"t": 3, "kind": "end"})
+        lines = stream_lines(partner_frames, extra={3: end_line}).splitlines()
+
+        def source():
+            nonlocal pulls
+            for line in lines:
+                pulls += 1
+                yield line
+
+        sink = io.StringIO()
+        stream_run(source(), sink, cfg, archive, log=io.StringIO())
+        assert pulls == 4                      # three partner poses, then end
+        assert json.loads(sink.getvalue().splitlines()[-1]) == {"t": 0, "kind": "end"}
 
     def test_transcripts_deterministic(self, cfg, archive, partner_frames):
         text = stream_lines(partner_frames)
