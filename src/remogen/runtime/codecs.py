@@ -2,12 +2,22 @@
 
 All multi-byte integers and floats are little-endian. Saves are canonical, so
 save(load(path)) reproduces the file byte for byte.
+
+Weight archives and voxel files are mapped read-only, not read: a loaded
+tensor or packed grid is a read-only view of the mapping, so a page of the
+file is read only when something touches it, and a run pays memory only for
+the tensors it uses. A mapping sees later writes to its file, so every save
+writes a temporary file beside the target and renames it into place; a
+process that has the old file mapped keeps the old file.
 """
 from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -28,7 +38,11 @@ PathLike = Union[str, Path]
 
 @dataclass(frozen=True)
 class WeightArchive:
-    """Named float32 tensors stored as a manifest plus one contiguous blob."""
+    """Named float32 tensors stored as a manifest plus one contiguous blob.
+
+    A loaded archive's tensors are read-only views of the mapped file; writing
+    into one raises ValueError. Build a new archive to change weights.
+    """
 
     tensors: dict  # name -> np.ndarray (float32)
 
@@ -52,23 +66,53 @@ class WeightArchive:
         return list(self.tensors.keys())
 
 
+@contextmanager
+def _replacing(path: PathLike):
+    """Yield a new file beside `path` to write, then rename it onto `path`.
+
+    The file is replaced, never rewritten: a process that has the old file
+    mapped keeps the old inode, where rewriting it in place would change the
+    mapped data under that process or, if the file got shorter, kill it with
+    SIGBUS. On error the temporary file is removed and `path` is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def _map_read_only(path: PathLike, magic: bytes, what: str) -> mmap.mmap:
+    """Map a whole file read-only once its magic checks out.
+
+    The magic is read before mapping, so an empty or short file is a
+    FormatError like any other bad magic (mmap refuses to map 0 bytes).
+    """
+    with open(path, "rb") as fh:
+        if fh.read(len(magic)) != magic:
+            raise FormatError(f"not a {what} (bad magic)")
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+
+
 def save_archive(archive: WeightArchive, path: PathLike) -> None:
     entries = []
-    blobs = []
     offset = 0
     for name, arr in archive.tensors.items():
-        raw = arr.astype("<f4").tobytes()
+        byte_length = arr.size * 4
         entries.append({"name": name, "shape": list(arr.shape), "dtype": "f32-le",
-                        "offset": offset, "byte_length": len(raw)})
-        blobs.append(raw)
-        offset += len(raw)
+                        "offset": offset, "byte_length": byte_length})
+        offset += byte_length
     manifest = json.dumps(entries, separators=(",", ":"), sort_keys=False).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(ARCHIVE_MAGIC)
         fh.write(struct.pack("<I", len(manifest)))
         fh.write(manifest)
-        for raw in blobs:
-            fh.write(raw)
+        for arr in archive.tensors.values():
+            fh.write(arr.astype("<f4").tobytes())
 
 
 def _is_json_int(value) -> bool:
@@ -77,9 +121,7 @@ def _is_json_int(value) -> bool:
 
 
 def load_archive(path: PathLike) -> WeightArchive:
-    data = Path(path).read_bytes()
-    if not data.startswith(ARCHIVE_MAGIC):
-        raise FormatError("not a weight archive (bad magic)")
+    data = _map_read_only(path, ARCHIVE_MAGIC, "weight archive")
     cursor = len(ARCHIVE_MAGIC)
     if len(data) < cursor + 4:
         raise CorruptArchiveError("truncated manifest length")
@@ -96,12 +138,12 @@ def load_archive(path: PathLike) -> WeightArchive:
         raise CorruptArchiveError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise CorruptArchiveError("manifest must be a list of tensor entries")
-    cursor += manifest_len
-    blob = memoryview(data)[cursor:]  # a view: slicing the bytes would copy the payload
+    blob_start = cursor + manifest_len
+    blob_len = len(data) - blob_start
 
+    # Validate the whole manifest before making any view of the mapping.
     seen = set()
-    spans = []
-    tensors = {}
+    layout = []  # (name, shape, offset, count) in manifest order
     for entry in entries:
         try:
             name = entry["name"]
@@ -132,18 +174,21 @@ def load_archive(path: PathLike) -> WeightArchive:
         if count * 4 != byte_length:
             raise CorruptArchiveError(f"{name!r}: shape {shape} disagrees with "
                                       f"byte_length {byte_length}")
-        if offset < 0 or offset + byte_length > len(blob):
+        if offset < 0 or offset + byte_length > blob_len:
             raise CorruptArchiveError(f"{name!r}: blob span out of range")
-        spans.append((offset, offset + byte_length, name))
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        try:
-            tensors[name] = arr.reshape(shape).copy()
-        except ValueError as exc:  # more dimensions than numpy supports
-            raise CorruptArchiveError(f"{name!r}: shape {shape}: {exc}") from exc
-    spans.sort()
+        layout.append((name, shape, offset, count))
+    spans = sorted((offset, offset + count * 4, name) for name, _, offset, count in layout)
     for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
         if s1 < e0:
             raise CorruptArchiveError(f"tensors {n0!r} and {n1!r} overlap")
+
+    tensors = {}
+    for name, shape, offset, count in layout:
+        arr = np.frombuffer(data, dtype="<f4", count=count, offset=blob_start + offset)
+        try:
+            tensors[name] = arr.reshape(shape)
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise CorruptArchiveError(f"{name!r}: shape {shape}: {exc}") from exc
     return WeightArchive(tensors)
 
 
@@ -154,7 +199,7 @@ def save_motion(segment: MotionSegment, path: PathLike,
     if d != layout.dim:
         raise FormatError(f"segment width {d} != layout width {layout.dim}")
     layout_id = layout.layout_id.encode("utf-8")
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(MOTION_MAGIC)
         fh.write(struct.pack("<IfIII", 1, float(segment.fps), layout.joints, d, t))
         fh.write(struct.pack("<I", len(layout_id)))
@@ -195,7 +240,7 @@ def load_motion(path: PathLike) -> tuple[MotionSegment, FeatureLayout]:
 
 
 def save_voxels(grid: VoxelGrid, path: PathLike) -> None:
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(VOXEL_MAGIC)
         fh.write(struct.pack("<6d", *grid.spec.min_corner, *grid.spec.max_corner))
         fh.write(struct.pack("<3I", *grid.spec.dims))
@@ -203,9 +248,7 @@ def save_voxels(grid: VoxelGrid, path: PathLike) -> None:
 
 
 def load_voxels(path: PathLike) -> VoxelGrid:
-    data = Path(path).read_bytes()
-    if not data.startswith(VOXEL_MAGIC):
-        raise FormatError("not a voxel file (bad magic)")
+    data = _map_read_only(path, VOXEL_MAGIC, "voxel file")
     cursor = len(VOXEL_MAGIC)
     try:
         bounds = struct.unpack_from("<6d", data, cursor)
@@ -218,8 +261,8 @@ def load_voxels(path: PathLike) -> VoxelGrid:
         spec = GridSpec(np.array(bounds[:3], dtype=F64), np.array(bounds[3:], dtype=F64), dims)
     except DimensionError as exc:
         raise FormatError(f"invalid voxel grid spec: {exc}") from exc
-    payload = data[cursor:]
+    payload_len = len(data) - cursor
     expected = (spec.cell_count + 7) // 8
-    if len(payload) != expected:
-        raise FormatError(f"payload has {len(payload)} bytes, dims promise {expected}")
-    return VoxelGrid(spec, np.frombuffer(payload, dtype=np.uint8).copy())
+    if payload_len != expected:
+        raise FormatError(f"payload has {payload_len} bytes, dims promise {expected}")
+    return VoxelGrid(spec, np.frombuffer(data, dtype=np.uint8, offset=cursor))

@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
+from remogen.cli import main
 from remogen.errors import ConfigError, CorruptArchiveError, FormatError
 from remogen.metrics import LatencyRecorder
 from remogen.motion import FeatureLayout, MotionSegment, featurize, synthetic_sequence
@@ -31,6 +32,7 @@ from remogen.runtime import (
     save_voxels,
     stream_run,
 )
+from remogen.runtime.codecs import ARCHIVE_MAGIC, VOXEL_MAGIC
 from remogen.runtime.weights import flatten_params, rebuild_params
 from remogen.scene import GridSpec, VoxelGrid, room_grid_spec
 from remogen.tensorcore import Rng
@@ -80,18 +82,39 @@ class TestWeightArchiveCodec:
         save_archive(load_archive(a), b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_loaded_tensors_own_their_data(self, tmp_path, archive):
-        # No tensor may stay a view into the file buffer.
-        path = tmp_path / "own.rmgw"
+    def test_loaded_tensors_are_read_only_views(self, tmp_path, archive):
+        """A loaded tensor is a read-only view of the mapped file: it holds the
+        saved bits, writing into it raises, and saving the archive back over
+        its own file reproduces the file byte for byte."""
+        path = tmp_path / "mapped.rmgw"
         save_archive(archive, path)
-        for name, arr in load_archive(path).tensors.items():
-            assert arr.flags.owndata and arr.flags.writeable, name
+        first = path.read_bytes()
+        loaded = load_archive(path)
+        assert loaded.names() == archive.names()
+        for name, arr in loaded.tensors.items():
+            assert arr.shape == archive.get(name).shape, name
+            assert arr.tobytes() == archive.get(name).tobytes(), name
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        save_archive(loaded, path)
+        assert path.read_bytes() == first
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rmgw"
         path.write_bytes(b"NOPE!\n" + b"\x00" * 16)
         with pytest.raises(FormatError):
             load_archive(path)
+
+    @pytest.mark.parametrize("size", [0, 3])
+    def test_empty_or_short_file(self, tmp_path, size):
+        # A file too short to hold the magic is a format error, not mmap's
+        # ValueError for an empty file, and the CLI exits 3 on it.
+        path = tmp_path / "short.rmgw"
+        path.write_bytes(ARCHIVE_MAGIC[:size])
+        with pytest.raises(FormatError):
+            load_archive(path)
+        assert main(["generate", "--weights", str(path), "--segments", "1",
+                     "--out", str(tmp_path / "x.rmgm")]) == 3
 
     def test_truncated_blob(self, tmp_path):
         path = tmp_path / "trunc.rmgw"
@@ -223,12 +246,94 @@ class TestVoxelCodec:
         save_voxels(load_voxels(a), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_loaded_grid_is_a_read_only_view(self, tmp_path):
+        spec = GridSpec([0, 0, 0], [1, 1, 1], (4, 4, 4))
+        grid = VoxelGrid.from_bool_array(spec, Rng(3).generator("v").uniform(size=spec.dims) > 0.5)
+        path = tmp_path / "view.rmgv"
+        save_voxels(grid, path)
+        loaded = load_voxels(path)
+        assert loaded.packed.dtype == np.uint8
+        assert np.array_equal(loaded.packed, grid.packed)
+        with pytest.raises(ValueError):
+            loaded.packed[0] = 0xFF
+
+    @pytest.mark.parametrize("size", [0, 3])
+    def test_empty_or_short_file(self, tmp_path, size):
+        path = tmp_path / "short.rmgv"
+        path.write_bytes(VOXEL_MAGIC[:size])
+        with pytest.raises(FormatError):
+            load_voxels(path)
+        motion = tmp_path / "m.rmgm"
+        save_motion(featurize(synthetic_sequence(8, seed=1)), motion, FeatureLayout())
+        assert main(["metrics", "--pred", str(motion), "--ref", str(motion),
+                     "--scene", str(path)]) == 3
+
     def test_payload_size_mismatch(self, tmp_path):
         path = tmp_path / "short.rmgv"
         save_voxels(VoxelGrid.empty(GridSpec([0, 0, 0], [1, 1, 1], (4, 4, 4))), path)
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(FormatError):
             load_voxels(path)
+
+
+class TestSavesReplaceFiles:
+    """Loads map their file, so a save onto a loaded file's path must replace
+    the file, not rewrite it: a rewrite would change the loaded tensors under
+    a running engine or, for a shorter file, kill the process with SIGBUS."""
+
+    def test_saving_over_a_loaded_archive_leaves_it_intact(self, tmp_path):
+        path = tmp_path / "w.rmgw"
+        save_archive(init_weights(COMPACT_CFG, 0), path)
+        loaded = load_archive(path)
+        kept = {name: arr.copy() for name, arr in loaded.tensors.items()}
+        engine = Engine(loaded, COMPACT_CFG)
+        reference = Engine(WeightArchive(kept), COMPACT_CFG)
+        assert np.array_equal(engine.run_ticks(8), reference.run_ticks(8))
+
+        same_size = init_weights(COMPACT_CFG, 1)
+        shorter = WeightArchive({name: arr for name, arr in same_size.tensors.items()
+                                 if name.startswith("prior.")})
+        size = path.stat().st_size
+        for other in (same_size, shorter):
+            before = path.read_bytes()
+            save_archive(other, path)
+            assert path.read_bytes() != before
+            for name, arr in loaded.tensors.items():
+                assert arr.tobytes() == kept[name].tobytes(), name
+            assert np.array_equal(engine.run_ticks(8), reference.run_ticks(8))
+            if other is same_size:
+                assert path.stat().st_size == size
+        assert path.stat().st_size < size
+        assert load_archive(path).names() == shorter.names()
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_saving_over_a_loaded_scene_leaves_it_intact(self, tmp_path):
+        spec = GridSpec([0, 0, 0], [1, 1, 1], (8, 8, 8))
+        full = VoxelGrid.from_bool_array(spec, np.ones(spec.dims, dtype=bool))
+        path = tmp_path / "s.rmgv"
+        save_voxels(full, path)
+        loaded = load_voxels(path)
+        save_voxels(VoxelGrid.empty(GridSpec([0, 0, 0], [1, 1, 1], (2, 2, 2))), path)
+        assert np.array_equal(loaded.packed, full.packed)
+        assert loaded.occupied_count() == spec.cell_count
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_save_leaves_the_file_and_no_temp_file(self, tmp_path):
+        class Unwritable(np.ndarray):
+            def tobytes(self, order="C"):
+                raise OSError("disk full")
+
+        path = tmp_path / "w.rmgw"
+        save_archive(WeightArchive({"w": np.ones(4, dtype=F32)}), path)
+        before = path.read_bytes()
+        bad = WeightArchive({"w": np.zeros(4, dtype=F32)})
+        # The constructor would turn the subclass into a plain array, so the
+        # failing tensor goes in after it; astype keeps the subclass.
+        bad.tensors["x"] = np.zeros(2, dtype=F32).view(Unwritable)
+        with pytest.raises(OSError, match="disk full"):
+            save_archive(bad, path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 class TestEngineConfigParsing:
