@@ -51,7 +51,8 @@ class WeightArchive:
         for name, arr in self.tensors.items():
             if not isinstance(name, str) or not name:
                 raise CorruptArchiveError("tensor names must be non-empty strings")
-            clean[name] = np.ascontiguousarray(arr, dtype=F32)
+            # asarray keeps a 0-d tensor 0-d, where ascontiguousarray makes it (1,).
+            clean[name] = np.asarray(arr, dtype=F32, order="C")
         object.__setattr__(self, "tensors", clean)
 
     def __contains__(self, name: str) -> bool:

@@ -23,7 +23,7 @@ def flatten_params(prefix: str, obj) -> dict:
 
 def _walk_collect(obj, prefix: str, out: dict) -> None:
     if isinstance(obj, np.ndarray):
-        out[prefix] = np.ascontiguousarray(obj, dtype=F32)
+        out[prefix] = np.asarray(obj, dtype=F32, order="C")
         return
     if dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
@@ -49,7 +49,7 @@ def rebuild_params(prefix: str, template, tensors: dict):
     if isinstance(template, np.ndarray):
         if prefix not in tensors:
             raise ConfigError(f"archive is missing tensor {prefix!r}")
-        arr = np.ascontiguousarray(tensors[prefix], dtype=F32)
+        arr = np.asarray(tensors[prefix], dtype=F32, order="C")
         if arr.shape != template.shape:
             raise ConfigError(f"tensor {prefix!r} has shape {arr.shape}, "
                               f"config expects {template.shape}")

@@ -254,6 +254,12 @@ def mha_forward(q_in: np.ndarray, kv_in, p: AttentionParams,
     Self-attention, kv_in the very array q_in, projects Q, K and V with one
     product against p.w_qkv; the result equals that of separate projections
     (kv_in a copy of q_in) bit for bit.
+
+    Both contractions, QK^T and the softmax-weighted mix of V, are batched
+    float64 BLAS products (np.matmul) on head-major views of q, k and v:
+    swapping axes copies nothing, and np.matmul hands each head's
+    (T_q, dh) x (dh, T_kv) and (T_q, T_kv) x (T_kv, dh) product to BLAS, where
+    np.einsum would run numpy's own, several times slower, C loop.
     """
     self_attention = kv_in is q_in
     q_in = np.asarray(q_in)
@@ -290,14 +296,14 @@ def mha_forward(q_in: np.ndarray, kv_in, p: AttentionParams,
                 f"({p.heads}, {t_q}, {t_kv})")
 
     # (..., heads, T_q, T_kv); the softmax runs in place on the logits
-    logits = np.einsum("...qhd,...khd->...hqk", q, k)
+    logits = np.swapaxes(q, -3, -2) @ np.moveaxis(k, -3, -1)
     logits /= np.sqrt(p.width // p.heads)
     if bias is not None:
         logits += bias
     logits -= logits.max(axis=-1, keepdims=True)
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
-    mixed = np.einsum("...hqk,...khd->...qhd", logits, v).reshape(*lead, t_q, p.width)
+    mixed = np.swapaxes(logits @ np.swapaxes(v, -3, -2), -3, -2).reshape(*lead, t_q, p.width)
     return (mixed @ p.w_o.astype(F64)).astype(F32)
 
 

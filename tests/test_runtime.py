@@ -75,6 +75,19 @@ class TestWeightArchiveCodec:
         loaded = load_archive(path)
         assert np.array_equal(loaded.get("w"), t)
 
+    def test_scalar_tensor_round_trips(self, tmp_path):
+        path = tmp_path / "scalar.rmgw"
+        scalar = np.array(2.5, dtype=F32)
+        save_archive(WeightArchive({"s": scalar, "v": np.ones(3, dtype=F32)}), path)
+        first = path.read_bytes()
+        assert b'"shape":[]' in first
+        loaded = load_archive(path)
+        assert loaded.get("s").shape == ()
+        assert loaded.get("s") == scalar
+        assert not loaded.get("s").flags.writeable   # still a view of the mapping
+        save_archive(loaded, path)
+        assert path.read_bytes() == first
+
     def test_save_load_save_byte_identical(self, tmp_path, archive):
         a = tmp_path / "a.rmgw"
         b = tmp_path / "b.rmgw"

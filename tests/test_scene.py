@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scene_reference import reference_ego_occupancy, reference_query_points
 
 from remogen.errors import DimensionError
 from remogen.motion import RigidTransform, rotation_about_axis
@@ -228,3 +229,72 @@ class TestPackedLookup:
         centers = ego_cell_centers()
         assert centers is ego_cell_centers()
         assert not centers.flags.writeable
+
+
+def random_room_grid(seed):
+    """The room preset with about half its cells occupied at random."""
+    spec = room_grid_spec()
+    packed = Rng(seed).generator("room").integers(0, 256, (spec.cell_count + 7) // 8,
+                                                  dtype=np.uint8)
+    return VoxelGrid(spec, packed)
+
+
+class TestLongAxisLookup:
+    """The (3, N) lookup gives the cells of the (N, 3) reference, bit for bit."""
+
+    def test_ego_crops_match_reference(self):
+        grid = random_room_grid(5)
+        spec = grid.spec
+        gen = Rng(6).generator("frames")
+        # Translations reach 0.9 m past every face, so some boxes hang outside.
+        lo, hi = spec.min_corner - 0.9, spec.max_corner + 0.9
+        partly_outside = 0
+        for _ in range(240):
+            frame = RigidTransform(rotation_about_axis([0, 0, 1.0], gen.uniform(0, 2 * np.pi)),
+                                   gen.uniform(lo, hi))
+            block = extract_ego_voxels(grid, frame)
+            np.testing.assert_array_equal(block.occupancy, reference_ego_occupancy(grid, frame))
+            world = frame.apply_points(ego_cell_centers().reshape(-1, 3))
+            states = query_points(grid, world)
+            np.testing.assert_array_equal(states, reference_query_points(grid, world))
+            out = states == Occupancy.OUT_OF_BOUNDS.value
+            partly_outside += bool(out.any() and not out.all())
+        assert partly_outside >= 20
+
+    def test_faces_and_corners_match_reference(self):
+        grid = random_room_grid(7)
+        spec = grid.spec
+        lo, hi = spec.min_corner, spec.max_corner
+        corners = np.array([[(lo, hi)[(c >> k) & 1][k] for k in range(3)] for c in range(8)])
+        gen = Rng(8).generator("faces")
+        faces = gen.uniform(lo, hi, (120, 3))
+        for k in range(3):
+            faces[40 * k:40 * k + 20, k] = lo[k]
+            faces[40 * k + 20:40 * k + 40, k] = hi[k]
+        points = np.vstack([corners, faces, np.nextafter(hi, lo), np.nextafter(lo, hi)])
+        states = query_points(grid, points)
+        np.testing.assert_array_equal(states, reference_query_points(grid, points))
+        assert (states == Occupancy.OUT_OF_BOUNDS.value).any()
+        assert (states != Occupancy.OUT_OF_BOUNDS.value).any()
+
+    def test_empty_input(self):
+        grid = random_room_grid(9)
+        for points in (np.zeros((0, 3)), []):
+            states = query_points(grid, points)
+            assert states.shape == (0,) and states.dtype == np.uint8
+            np.testing.assert_array_equal(states, reference_query_points(grid, points))
+
+    def test_nan_coordinates_are_out_of_bounds(self):
+        grid = random_room_grid(10)
+        points = Rng(11).generator("nan").uniform([-1.0, -1.0, 0.1], [1.0, 1.0, 1.9], (12, 3))
+        nan_rows = np.array([0, 3, 4, 8, 11])
+        for i, row in enumerate(nan_rows):   # NaN in one axis, then in all three
+            points[row, i if i < 3 else slice(None)] = np.nan
+        with np.errstate(invalid="ignore"):   # the int64 cast of the NaN rows
+            states = query_points(grid, points)
+        finite = np.ones(len(points), dtype=bool)
+        finite[nan_rows] = False
+        np.testing.assert_array_equal(states[finite],
+                                      reference_query_points(grid, points[finite]))
+        assert (states[nan_rows] == Occupancy.OUT_OF_BOUNDS.value).all()
+        assert (states[finite] != Occupancy.OUT_OF_BOUNDS.value).all()

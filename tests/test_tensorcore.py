@@ -1,6 +1,7 @@
 """Dense kernel tests: attention vs a naive oracle, bias structure, init."""
 import numpy as np
 import pytest
+from attention_reference import reference_mha
 
 from remogen.errors import DimensionError, NumericError
 from remogen.tensorcore import (
@@ -328,6 +329,57 @@ class TestStackedWeights:
             attention_kv(np.ones((3, 5), dtype=F32), attn_s)
         with pytest.raises(DimensionError):
             relative_bias(2, 2, RelBiasParams(0.25, np.ones((3, 3, 4), dtype=F32)))
+
+
+def glorot_attention(rng, heads, width, blocks=None):
+    """(width, width) attention params with seeded Glorot weights, stacked over
+    blocks when given."""
+    lead = () if blocks is None else (blocks,)
+    w = [seeded_init(lead + (width, width), "uniform-fan", rng.child(name)) for name in "qkvo"]
+    vec = (width,) if blocks is None else (blocks, 1, width)
+    return AttentionParams(heads, width, *w, ln_gain=np.ones(vec, dtype=F32),
+                           ln_offset=np.zeros(vec, dtype=F32))
+
+
+# Every attention shape the engine runs: (name, stacked blocks, query shape,
+# key/value tokens or None for self-attention, heads, width).
+ENGINE_ATTENTION = [
+    ("denoiser", None, (2, 5), None, 4, 128),
+    ("module-self", 4, (4, 5), None, 4, 128),
+    ("hhi-cross", 4, (4, 5), 2, 4, 128),
+    ("hsi-cross", 4, (4, 5), 64, 4, 128),
+    ("scene-encoder", None, (64,), None, 4, 128),
+    ("fwsr-self", None, (4,), None, 4, 64),
+    ("fwsr-cross", None, (1,), 4, 4, 64),
+]
+
+
+class TestEinsumReference:
+    """mha_forward's BLAS contractions stay within one float32 ulp of einsum."""
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("name,blocks,q_shape,t_kv,heads,width", ENGINE_ATTENTION)
+    def test_engine_shapes(self, name, blocks, q_shape, t_kv, heads, width, with_bias):
+        rng = Rng(11).child("einsum", name)
+        gen = rng.generator("inputs")
+        p = glorot_attention(rng, heads, width, blocks)
+        q = gen.standard_normal((*q_shape, width)).astype(F32)
+        t_q = q_shape[-1]
+        lead = () if blocks is None else (blocks,)
+        t_k = t_q if t_kv is None else t_kv
+        bias = (gen.standard_normal((*lead, heads, t_q, t_k)).astype(F32)
+                if with_bias else None)
+        if t_kv is None:
+            inputs = [q]
+        else:
+            context = gen.standard_normal((t_kv, width)).astype(F32)
+            tokens = context if blocks is None else np.broadcast_to(context, (blocks, t_kv, width))
+            inputs = [tokens, attention_kv(context, p)]
+        for kv in inputs:
+            out = mha_forward(q, kv, p, bias)
+            ref = reference_mha(q, kv, p, bias)
+            assert out.shape == ref.shape == (*q_shape, width)
+            np.testing.assert_array_max_ulp(out, ref, maxulp=1)
 
 
 class TestSeededInit:
