@@ -26,6 +26,15 @@ frozen prior bit-identical. A module's residuals stay one (L, T, width) stack
 Multiple modules compose by weighted sum with one L2 clamp over the whole
 stack that keeps the fused residual no larger than the strongest individual
 branch.
+
+Precision is set by layer family. Every weight product of a module - the TCN
+encoder, the scene patch embedding and self-attention, the context's
+key/value projection and each block's attention projections, FiLM head and
+FFN - is a float32 BLAS product (acc=F32 in tensorcore): a module pass
+streams its float32 weights as they are stored, without a float64 copy per
+call. The attention core, layer norm, GELU, the FiLM modulation and the gated
+residual stay in float64, as do compose_deltas and flat_norm. The frozen
+prior and the refiner keep float64 products throughout.
 """
 from __future__ import annotations
 
@@ -196,8 +205,8 @@ def _causal_conv_gated(x: np.ndarray, layer: TcnLayerParams) -> np.ndarray:
     gate = np.zeros_like(filt)
     for k in range(kernel):
         window = padded[k:k + t]
-        filt += matmul(window, layer.w_filter[k]).astype(F64)
-        gate += matmul(window, layer.w_gate[k]).astype(F64)
+        filt += matmul(window, layer.w_filter[k], acc=F32).astype(F64)
+        gate += matmul(window, layer.w_gate[k], acc=F32).astype(F64)
     filt += layer.b_filter.astype(F64)
     gate += layer.b_gate.astype(F64)
     return (np.tanh(filt) * (1.0 / (1.0 + np.exp(-gate)))).astype(F32)
@@ -224,11 +233,11 @@ def encode_scene(block: EgoVoxelBlock, params: SceneEncoderParams) -> ContextTok
     patches = patches.transpose(0, 2, 4, 1, 3, 5).reshape(n ** 3, SCENE_PATCH ** 3)
     if params.patch_w.shape[0] != SCENE_PATCH ** 3:
         raise DimensionError("patch embedding does not match patch volume")
-    tokens = linear(patches.astype(F32), params.patch_w, params.patch_b)
+    tokens = linear(patches.astype(F32), params.patch_w, params.patch_b, acc=F32)
     pos = sinusoidal_embedding(np.arange(tokens.shape[0]), tokens.shape[1])
     tokens = (tokens.astype(F64) + pos.astype(F64)).astype(F32)
     normed = layer_norm(tokens, params.attn.ln_gain, params.attn.ln_offset)
-    tokens = tokens + mha_forward(normed, normed, params.attn)
+    tokens = tokens + mha_forward(normed, normed, params.attn, acc=F32)
     return ContextTokens(tokens, source="scene")
 
 
@@ -238,7 +247,7 @@ def prepare_context(c: ContextTokens, params: MimBlockParams, t: int) -> Prepare
     params is one block or a stack of blocks (a module's MimParams.stacked);
     t is the number of ego tokens the blocks will see.
     """
-    return PreparedContext(attention_kv(c.tokens, params.cross_attn),
+    return PreparedContext(attention_kv(c.tokens, params.cross_attn, acc=F32),
                            relative_bias(t, c.tokens.shape[0], params.rel_bias))
 
 
@@ -259,17 +268,17 @@ def mim_block_forward(h: np.ndarray, c: Union[ContextTokens, PreparedContext],
         c = prepare_context(c, params, h.shape[0])
 
     normed = layer_norm(h, params.self_attn.ln_gain, params.self_attn.ln_offset)
-    h_prime = h + mha_forward(normed, normed, params.self_attn)
+    h_prime = h + mha_forward(normed, normed, params.self_attn, acc=F32)
 
     q = layer_norm(h_prime, params.cross_attn.ln_gain, params.cross_attn.ln_offset)
-    r = mha_forward(q, c.kv, params.cross_attn, c.bias)
+    r = mha_forward(q, c.kv, params.cross_attn, c.bias, acc=F32)
 
-    film = linear(r, params.film_w, params.film_b)
+    film = linear(r, params.film_w, params.film_b, acc=F32)
     gamma, beta = film[..., :d], film[..., d:]
     h_mod = ((1.0 + np.tanh(gamma.astype(F64))) * h_prime.astype(F64)
              + np.tanh(beta.astype(F64))).astype(F32)
     h_ffn = h_mod + ffn_forward(layer_norm(h_mod, params.ffn.ln_gain, params.ffn.ln_offset),
-                                params.ffn)
+                                params.ffn, acc=F32)
     return ((h_ffn.astype(F64) - h.astype(F64)) * params.gate.astype(F64)).astype(F32)
 
 

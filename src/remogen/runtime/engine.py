@@ -74,7 +74,7 @@ from ..prior import (
     segment_tokens,
 )
 from ..scene import VoxelGrid, extract_ego_voxels
-from ..tensorcore import F32, SHAPE_ONLY, Rng
+from ..tensorcore import F32, SHAPE_ONLY, Rng, require_finite
 from .codecs import WeightArchive
 from .config import EngineConfig, check_alpha
 from .weights import flatten_params, rebuild_params
@@ -192,8 +192,13 @@ class Engine:
 
     def observe_ego(self, pose: np.ndarray) -> None:
         """Teacher-forced ego observation; slides the sampler history."""
+        self.history = self.history.slide(self._normalized(pose, "ego pose"))
+
+    def _normalized(self, pose: np.ndarray, what: str) -> np.ndarray:
+        """pose as one normalized frame; a non-finite one raises NumericError
+        before the caller changes any state."""
         frame = normalize(np.asarray(pose, dtype=F32).reshape(1, -1), self.normalizer)[0]
-        self.history = self.history.slide(frame)
+        return require_finite(frame, what)
 
     # -- internals ---------------------------------------------------------------
 
@@ -295,9 +300,7 @@ class Engine:
         """Advance one input frame; returns denormalized ego frames emitted now."""
         with self._track("pre_post"):
             if partner_frame is not None:
-                frame = normalize(np.asarray(partner_frame, dtype=F32).reshape(1, -1),
-                                  self.normalizer)[0]
-                self.dyn.push(frame)
+                self.dyn.push(self._normalized(partner_frame, "partner frame"))
         phase = self.ticks % self.cfg.future_len
         self.ticks += 1
 

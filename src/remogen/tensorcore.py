@@ -1,7 +1,13 @@
 """Minimal deterministic dense kernels shared by all higher modules.
 
-Storage is float32 row-major; reductions accumulate in float64. Everything
-here is a pure function of its inputs, so values can be shared freely.
+Storage is float32 row-major. Precision is set by layer family through the
+`acc` argument of matmul, linear, ffn_forward, attention_kv and mha_forward:
+with the default F64 a weight product accumulates in float64 and rounds once
+to float32; with F32 it is a float32 BLAS product, float32 @ float32 ->
+float32. Only the Meta-Interaction adapters (mim.py) pass F32; the prior and
+the refiner keep float64. Either way the attention core (QK^T, softmax and
+the mix of V), layer norm and GELU stay in float64. Everything here is a pure
+function of its inputs, so values can be shared freely.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import ConfigError, DimensionError, NumericError
 
 F32 = np.float32
 F64 = np.float64
@@ -31,23 +37,31 @@ def require_finite(x: np.ndarray, what: str = "input") -> np.ndarray:
     return x
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with float64 accumulation, float32 result.
-
-    Leading axes broadcast as in np.matmul, so a (L, in, out) stack of
-    weights maps (T, in) or (L, T, in) inputs block by block.
-    """
+def _product(a: np.ndarray, b: np.ndarray, acc) -> np.ndarray:
+    """a @ b with both operands cast to acc, F64 or F32; the result stays in acc."""
+    if acc not in (F32, F64):
+        raise ConfigError(f"accumulation dtype must be float32 or float64, not {acc!r}")
     try:
-        return (np.asarray(a, dtype=F64) @ np.asarray(b, dtype=F64)).astype(F32)
+        return np.asarray(a, dtype=acc) @ np.asarray(b, dtype=acc)
     except ValueError as exc:
         raise DimensionError(f"cannot multiply shapes {np.shape(a)} and {np.shape(b)}") from exc
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
-    """Affine map x @ w + b. Weight is (in_dim, out_dim), or (L, in_dim, out_dim)
-    for L stacked blocks with the bias stored as (L, 1, out_dim); the bias
-    broadcasts to the shape of x @ w."""
-    y = matmul(x, w)
+def matmul(a: np.ndarray, b: np.ndarray, acc=F64) -> np.ndarray:
+    """Matrix product accumulated in acc (F64 or F32), float32 result.
+
+    Leading axes broadcast as in np.matmul, so a (L, in, out) stack of
+    weights maps (T, in) or (L, T, in) inputs block by block.
+    """
+    return _product(a, b, acc).astype(F32, copy=False)
+
+
+def linear(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray] = None,
+           acc=F64) -> np.ndarray:
+    """Affine map x @ w + b, the product accumulated in acc. Weight is
+    (in_dim, out_dim), or (L, in_dim, out_dim) for L stacked blocks with the
+    bias stored as (L, 1, out_dim); the bias broadcasts to the shape of x @ w."""
+    y = matmul(x, w, acc)
     if b is not None:
         # In place and in float32 for a float32 bias: one binary64 add rounded
         # to binary32 is the correctly rounded float32 sum, so this is the
@@ -206,24 +220,21 @@ def fuse_qkv(p: AttentionParams) -> AttentionParams:
     return fused
 
 
-def _split_heads(x: np.ndarray, w: np.ndarray, p: AttentionParams) -> np.ndarray:
-    """x @ w in float64, split into heads: (..., T, n, heads, width // heads)
-    for w with n * width columns."""
-    try:
-        y = x.astype(F64) @ w.astype(F64)
-    except ValueError as exc:
-        raise DimensionError(f"attention input {x.shape} does not fit projection "
-                             f"{w.shape}") from exc
+def _split_heads(x: np.ndarray, w: np.ndarray, p: AttentionParams, acc=F64) -> np.ndarray:
+    """x @ w accumulated in acc, as float64 split into heads:
+    (..., T, n, heads, width // heads) for w with n * width columns."""
+    y = _product(x, w, acc).astype(F64, copy=False)
     return y.reshape(*y.shape[:-1], -1, p.heads, p.width // p.heads)
 
 
-def attention_kv(kv_in: np.ndarray, p: AttentionParams) -> tuple:
+def attention_kv(kv_in: np.ndarray, p: AttentionParams, acc=F64) -> tuple:
     """The key and value projections of mha_forward, as a pair it takes in place of kv_in.
 
     kv_in is (T_kv, kv_in_width) or (batch, T_kv, kv_in_width); k and v are
     float64 (..., T_kv, heads, width // heads), with a leading L axis when
-    the projections are stacked. Projecting a fixed context once and passing
-    the pair to every later call gives the same bits as passing the tokens.
+    the projections are stacked, projected with acc as mha_forward would.
+    Projecting a fixed context once and passing the pair to every later call
+    with the same acc gives the same bits as passing the tokens.
     """
     kv_in = np.asarray(kv_in)
     if kv_in.ndim not in (2, 3):
@@ -233,12 +244,12 @@ def attention_kv(kv_in: np.ndarray, p: AttentionParams) -> tuple:
         raise DimensionError(f"attention key/value width {kv_in.shape[-1]} does not match "
                              f"projection {p.w_k.shape[-2]}")
     require_finite(kv_in, "attention key/value input")
-    return _split_heads(kv_in, p.w_k, p)[..., 0, :, :], \
-        _split_heads(kv_in, p.w_v, p)[..., 0, :, :]
+    return _split_heads(kv_in, p.w_k, p, acc)[..., 0, :, :], \
+        _split_heads(kv_in, p.w_v, p, acc)[..., 0, :, :]
 
 
 def mha_forward(q_in: np.ndarray, kv_in, p: AttentionParams,
-                bias: Optional[np.ndarray] = None) -> np.ndarray:
+                bias: Optional[np.ndarray] = None, acc=F64) -> np.ndarray:
     """Multi-head attention softmax(QK^T/sqrt(dh) + bias) V, projected by W_O.
 
     Inputs are (tokens, width), or (batch, tokens, width) with one batch size
@@ -255,7 +266,9 @@ def mha_forward(q_in: np.ndarray, kv_in, p: AttentionParams,
     product against p.w_qkv; the result equals that of separate projections
     (kv_in a copy of q_in) bit for bit.
 
-    Both contractions, QK^T and the softmax-weighted mix of V, are batched
+    The weight products, the Q/K/V projections and W_O, accumulate in acc;
+    an F32 projection is cast up to float64 before the core. Both
+    contractions, QK^T and the softmax-weighted mix of V, are batched
     float64 BLAS products (np.matmul) on head-major views of q, k and v:
     swapping axes copies nothing, and np.matmul hands each head's
     (T_q, dh) x (dh, T_kv) and (T_q, T_kv) x (T_kv, dh) product to BLAS, where
@@ -275,14 +288,14 @@ def mha_forward(q_in: np.ndarray, kv_in, p: AttentionParams,
                              f"projection {p.w_q.shape[-2]}")
     if self_attention:
         require_finite(q_in, "attention input")
-        qkv = _split_heads(q_in, p.w_qkv, p)   # views of one float64 product
+        qkv = _split_heads(q_in, p.w_qkv, p, acc)   # views of one product
         q, k, v = qkv[..., 0, :, :], qkv[..., 1, :, :], qkv[..., 2, :, :]
     else:
-        k, v = kv_in if isinstance(kv_in, tuple) else attention_kv(kv_in, p)
+        k, v = kv_in if isinstance(kv_in, tuple) else attention_kv(kv_in, p, acc)
         require_finite(q_in, "attention query input")
-        q = _split_heads(q_in, p.w_q, p)[..., 0, :, :]
+        q = _split_heads(q_in, p.w_q, p, acc)[..., 0, :, :]
 
-    # The whole kernel is one reduction chain; keep it in float64 and round once.
+    # The core is one reduction chain; keep it in float64 up to the W_O product.
     lead, t_q = q.shape[:-3], q.shape[-3]
     if k.shape != v.shape or k.ndim != q.ndim or k.shape[:-3] != lead \
             or k.shape[-2:] != q.shape[-2:]:
@@ -304,7 +317,7 @@ def mha_forward(q_in: np.ndarray, kv_in, p: AttentionParams,
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
     mixed = np.swapaxes(logits @ np.swapaxes(v, -3, -2), -3, -2).reshape(*lead, t_q, p.width)
-    return (mixed @ p.w_o.astype(F64)).astype(F32)
+    return matmul(mixed, p.w_o, acc)
 
 
 @dataclass(frozen=True)
@@ -348,9 +361,10 @@ class FfnParams:
     ln_offset: np.ndarray
 
 
-def ffn_forward(x: np.ndarray, p: FfnParams) -> np.ndarray:
-    """GELU feed-forward over the (already normalized) input."""
-    return linear(gelu(linear(x, p.w1, p.b1)), p.w2, p.b2)
+def ffn_forward(x: np.ndarray, p: FfnParams, acc=F64) -> np.ndarray:
+    """GELU feed-forward over the (already normalized) input; both products
+    accumulate in acc, the GELU in float64."""
+    return linear(gelu(linear(x, p.w1, p.b1, acc)), p.w2, p.b2, acc)
 
 
 def sinusoidal_embedding(positions, dim: int) -> np.ndarray:

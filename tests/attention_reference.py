@@ -3,7 +3,8 @@
 mha_forward once contracted QK^T and the softmax-weighted mix of V with
 np.einsum, which runs numpy's own C loop. It now runs both as batched BLAS
 products on head-major views. The einsum formula lives here as the reference
-mha_forward is held to within one float32 ulp.
+mha_forward is held to within one float32 ulp. Its weight products
+accumulate in acc, as mha_forward's do.
 """
 import numpy as np
 
@@ -11,21 +12,22 @@ F32 = np.float32
 F64 = np.float64
 
 
-def _heads(x, w, p):
-    y = np.asarray(x, dtype=F64) @ np.asarray(w, dtype=F64)
+def _heads(x, w, p, acc):
+    y = (np.asarray(x, dtype=acc) @ np.asarray(w, dtype=acc)).astype(F64)
     return y.reshape(*y.shape[:-1], p.heads, p.width // p.heads)
 
 
-def reference_mha(q_in, kv_in, p, bias=None):
-    """mha_forward(q_in, kv_in, p, bias) with separate Q/K/V projections and
-    einsum contractions; kv_in may be an attention_kv (k, v) pair."""
-    q = _heads(q_in, p.w_q, p)
-    k, v = kv_in if isinstance(kv_in, tuple) else (_heads(kv_in, p.w_k, p),
-                                                   _heads(kv_in, p.w_v, p))
+def reference_mha(q_in, kv_in, p, bias=None, acc=F64):
+    """mha_forward(q_in, kv_in, p, bias, acc) with separate Q/K/V projections
+    and einsum contractions; kv_in may be an attention_kv (k, v) pair."""
+    q = _heads(q_in, p.w_q, p, acc)
+    k, v = kv_in if isinstance(kv_in, tuple) else (_heads(kv_in, p.w_k, p, acc),
+                                                   _heads(kv_in, p.w_v, p, acc))
     logits = np.einsum("...qhd,...khd->...hqk", q, k) / np.sqrt(p.width // p.heads)
     if bias is not None:
         logits = logits + bias
     weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
     weights /= weights.sum(axis=-1, keepdims=True)
     mixed = np.einsum("...hqk,...khd->...qhd", weights, v)
-    return (mixed.reshape(*mixed.shape[:-2], p.width) @ np.asarray(p.w_o, dtype=F64)).astype(F32)
+    mixed = mixed.reshape(*mixed.shape[:-2], p.width)
+    return (mixed.astype(acc) @ np.asarray(p.w_o, dtype=acc)).astype(F32)

@@ -172,8 +172,18 @@ def _o_round(x):
     return np.asarray(x, dtype=F64).astype(F32).astype(F64)
 
 
-def _o_linear(x, w, b=None):
-    y = _o_round(np.asarray(x, dtype=F64) @ np.asarray(w, dtype=F64))
+def _o_mm64(x, w):
+    """A float64 weight product, as the prior and the refiner multiply."""
+    return np.asarray(x, dtype=F64) @ np.asarray(w, dtype=F64)
+
+
+def _o_mm32(x, w):
+    """A float32 weight product, as the interaction modules multiply."""
+    return (np.asarray(x, dtype=F64).astype(F32) @ np.asarray(w, dtype=F32)).astype(F64)
+
+
+def _o_linear(x, w, b=None, mm=_o_mm64):
+    y = _o_round(mm(x, w))
     if b is not None:
         y = _o_round(y + np.asarray(b, dtype=F64))
     return y
@@ -193,11 +203,9 @@ def _o_gelu(x):
     return _o_round(0.5 * z * (1 + np.tanh(np.sqrt(2 / np.pi) * (z + 0.044715 * z ** 3))))
 
 
-def _o_attention(q_in, kv_in, p, bias=None):
+def _o_attention(q_in, kv_in, p, bias=None, mm=_o_mm64):
     dh = p.width // p.heads
-    q = np.asarray(q_in, dtype=F64) @ p.w_q.astype(F64)
-    k = np.asarray(kv_in, dtype=F64) @ p.w_k.astype(F64)
-    v = np.asarray(kv_in, dtype=F64) @ p.w_v.astype(F64)
+    q, k, v = mm(q_in, p.w_q), mm(kv_in, p.w_k), mm(kv_in, p.w_v)
     out = np.zeros((q.shape[0], p.width))
     for h in range(p.heads):
         qs, ks, vs = (m[:, h * dh:(h + 1) * dh] for m in (q, k, v))
@@ -208,7 +216,7 @@ def _o_attention(q_in, kv_in, p, bias=None):
             w = np.exp(logits - logits.max())
             w = w / w.sum()
             out[i, h * dh:(h + 1) * dh] = sum(w[j] * vs[j] for j in range(k.shape[0]))
-    return _o_round(out @ p.w_o.astype(F64))
+    return _o_round(mm(out, p.w_o))
 
 
 def _o_rel_bias(t_q, t_kv, p):
@@ -221,18 +229,20 @@ def _o_rel_bias(t_q, t_kv, p):
 
 
 def _o_mim_block(h, c, p):
+    """The modulation block with every weight product in float32 (_o_mm32)."""
     h = np.asarray(h, dtype=F64)
     normed = _o_layer_norm(h, p.self_attn.ln_gain, p.self_attn.ln_offset)
-    h_prime = _o_round(h + _o_attention(normed, normed, p.self_attn))
+    h_prime = _o_round(h + _o_attention(normed, normed, p.self_attn, mm=_o_mm32))
     bias = _o_rel_bias(h.shape[0], c.shape[0], p.rel_bias)
     q = _o_layer_norm(h_prime, p.cross_attn.ln_gain, p.cross_attn.ln_offset)
-    r = _o_attention(q, c, p.cross_attn, bias)
-    film = _o_linear(r, p.film_w, p.film_b)
+    r = _o_attention(q, c, p.cross_attn, bias, mm=_o_mm32)
+    film = _o_linear(r, p.film_w, p.film_b, mm=_o_mm32)
     d = h.shape[1]
     gamma, beta = film[:, :d], film[:, d:]
     h_mod = _o_round((1 + np.tanh(gamma)) * h_prime + np.tanh(beta))
-    inner = _o_linear(_o_gelu(_o_linear(_o_layer_norm(h_mod, p.ffn.ln_gain, p.ffn.ln_offset),
-                                        p.ffn.w1, p.ffn.b1)), p.ffn.w2, p.ffn.b2)
+    normed = _o_layer_norm(h_mod, p.ffn.ln_gain, p.ffn.ln_offset)
+    inner = _o_linear(_o_gelu(_o_linear(normed, p.ffn.w1, p.ffn.b1, mm=_o_mm32)),
+                      p.ffn.w2, p.ffn.b2, mm=_o_mm32)
     h_ffn = _o_round(h_mod + inner)
     return _o_round((h_ffn - h) * p.gate.astype(F64)).astype(F32)
 

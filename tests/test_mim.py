@@ -82,22 +82,26 @@ def random_block(gen, width, heads=1, t_kv_dim=None):
 
 
 def naive_mim_block(h, c, p):
-    """Independent restatement of the block chain using shared kernels stepwise."""
+    """Independent restatement of the block chain using shared kernels stepwise.
+
+    A module's weight products are float32 products (acc=F32), its FiLM head
+    included; everything between them is float64."""
     from remogen.tensorcore import ffn_forward
 
     h = h.astype(F32)
     h_prime = h + mha_forward(layer_norm(h, p.self_attn.ln_gain, p.self_attn.ln_offset),
                               layer_norm(h, p.self_attn.ln_gain, p.self_attn.ln_offset),
-                              p.self_attn)
+                              p.self_attn, acc=F32)
     bias = relative_bias(h.shape[0], c.tokens.shape[0], p.rel_bias)
     r = mha_forward(layer_norm(h_prime, p.cross_attn.ln_gain, p.cross_attn.ln_offset),
-                    c.tokens, p.cross_attn, bias)
-    film = (r.astype(np.float64) @ p.film_w.astype(np.float64)
+                    c.tokens, p.cross_attn, bias, acc=F32)
+    film = ((r.astype(F32) @ p.film_w.astype(F32)).astype(np.float64)
             + p.film_b.astype(np.float64))
     d = h.shape[1]
     gamma, beta = film[:, :d], film[:, d:]
     h_mod = ((1 + np.tanh(gamma)) * h_prime.astype(np.float64) + np.tanh(beta)).astype(F32)
-    h_ffn = h_mod + ffn_forward(layer_norm(h_mod, p.ffn.ln_gain, p.ffn.ln_offset), p.ffn)
+    h_ffn = h_mod + ffn_forward(layer_norm(h_mod, p.ffn.ln_gain, p.ffn.ln_offset), p.ffn,
+                                acc=F32)
     return ((h_ffn.astype(np.float64) - h.astype(np.float64))
             * p.gate.astype(np.float64)).astype(F32)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from remogen.cli import main
-from remogen.errors import ConfigError, CorruptArchiveError, FormatError
+from remogen.errors import ConfigError, CorruptArchiveError, FormatError, NumericError
 from remogen.metrics import LatencyRecorder
 from remogen.motion import FeatureLayout, MotionSegment, featurize, synthetic_sequence
 from remogen.runtime import (
@@ -747,6 +747,39 @@ class TestEngineWiring:
             sizes.append(len(engine.dyn))
         assert max(sizes) <= cfg.history_len + cfg.future_len
         assert not hasattr(engine, "partner")
+
+    @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
+    def test_non_finite_frame_is_refused_before_any_state_changes(self, mode,
+                                                                 partner_frames):
+        """A NaN or inf partner frame or ego pose raises NumericError and leaves
+        the engine as it was: the frames after it emit what an engine that
+        never saw it emits."""
+        from test_golden import golden_archive
+
+        cfg = dataclasses.replace(COMPACT_CFG, steps=2, alpha={"hhi": 1.0})
+        archive = golden_archive(cfg)  # non-zero module gates and FiLM head
+        engine, twin = Engine(archive, cfg, mode=mode), Engine(archive, cfg, mode=mode)
+        for frame in partner_frames[:3]:
+            engine.tick(frame)
+            twin.tick(frame)
+        ticks, buffered = engine.ticks, len(engine.dyn)
+        for value in (np.nan, np.inf):
+            bad = partner_frames[3].copy()
+            bad[5] = value
+            with pytest.raises(NumericError):
+                engine.tick(bad)
+            assert (engine.ticks, len(engine.dyn)) == (ticks, buffered)
+            with pytest.raises(NumericError):
+                engine.observe_ego(bad)
+            np.testing.assert_array_equal(engine.history.frames, twin.history.frames)
+        emitted = 0
+        for frame in partner_frames[3:]:
+            got, expected = engine.tick(frame), twin.tick(frame)
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(a, b)
+            emitted += len(got)
+        assert emitted > 0
 
     def test_zero_gate_archive_neutral_under_alpha(self, cfg, archive, partner_frames):
         plain = Engine(archive, cfg)

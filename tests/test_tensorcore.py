@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 from attention_reference import reference_mha
 
-from remogen.errors import DimensionError, NumericError
+from remogen.errors import DimensionError, NumericError, RemogenError
 from remogen.tensorcore import (
+    F64,
     SHAPE_ONLY,
     AttentionParams,
     FfnParams,
@@ -301,34 +302,58 @@ class TestStackedWeights:
             np.testing.assert_array_equal(out[l], relative_bias(5, 7, RelBiasParams(0.25, w_b)))
 
     def test_bad_shapes_raise_dimension_error(self):
+        """Under either accumulator."""
         gen = Rng(7).generator("stack-bad")
         attn, attn_s, ffn, ffn_s = random_blocks(gen, 2, 8, 16)
         wrong_l = np.ones((L_BLOCKS + 1, 4, 8), dtype=F32)
-        with pytest.raises(DimensionError):
-            linear(wrong_l, ffn_s.w1)
-        with pytest.raises(DimensionError):
-            linear(np.ones((4, 8), dtype=F32), ffn_s.w1, ffn[0].b1[None, None, :3])
+        for acc in (F64, F32):
+            with pytest.raises(DimensionError):
+                linear(wrong_l, ffn_s.w1, acc=acc)
+            with pytest.raises(DimensionError):
+                linear(np.ones((4, 8), dtype=F32), ffn_s.w1, ffn[0].b1[None, None, :3], acc)
+            with pytest.raises(DimensionError):
+                ffn_forward(wrong_l, ffn_s, acc)
+            with pytest.raises(DimensionError):
+                mha_forward(wrong_l, wrong_l, attn_s, acc=acc)
+            q = np.ones((4, 8), dtype=F32)
+            k, v = attention_kv(np.ones((3, 8), dtype=F32), attn_s, acc)
+            with pytest.raises(DimensionError):
+                mha_forward(q, (k, v), attn[0], acc=acc)          # stacked pair, one block
+            with pytest.raises(DimensionError):
+                mha_forward(q, (k, v[:, :2]), attn_s, acc=acc)
+            with pytest.raises(DimensionError):
+                mha_forward(q, (k, v), attn_s, np.ones((2, 2, 4, 3), dtype=F32), acc)
+            with pytest.raises(DimensionError):
+                attention_kv(np.ones((3, 5), dtype=F32), attn_s, acc)
         with pytest.raises(DimensionError):
             layer_norm(wrong_l, ffn_s.ln_gain, ffn_s.ln_offset)
         with pytest.raises(DimensionError):
-            ffn_forward(wrong_l, ffn_s)
-        with pytest.raises(DimensionError):
-            mha_forward(wrong_l, wrong_l, attn_s)
-        with pytest.raises(DimensionError):
             AttentionParams(2, 8, attn_s.w_q, attn[0].w_k, attn_s.w_v, attn_s.w_o,
                             attn_s.ln_gain, attn_s.ln_offset)
-        q = np.ones((4, 8), dtype=F32)
-        k, v = attention_kv(np.ones((3, 8), dtype=F32), attn_s)
-        with pytest.raises(DimensionError):
-            mha_forward(q, (k, v), attn[0])          # stacked pair, one block
-        with pytest.raises(DimensionError):
-            mha_forward(q, (k, v[:, :2]), attn_s)
-        with pytest.raises(DimensionError):
-            mha_forward(q, (k, v), attn_s, np.ones((2, 2, 4, 3), dtype=F32))
-        with pytest.raises(DimensionError):
-            attention_kv(np.ones((3, 5), dtype=F32), attn_s)
         with pytest.raises(DimensionError):
             relative_bias(2, 2, RelBiasParams(0.25, np.ones((3, 3, 4), dtype=F32)))
+
+    @pytest.mark.parametrize("heads,width,t_q,t_kv", SHAPES)
+    def test_float32_products_match_each_block(self, heads, width, t_q, t_kv):
+        """A float32 stacked pass, as a module runs it, equals each block run
+        alone bit for bit."""
+        gen = Rng(5 * width + t_kv).generator("stack-f32")
+        attn, attn_s, ffn, ffn_s = random_blocks(gen, heads, width, 2 * width)
+        x = gen.standard_normal((t_q, width)).astype(F32)
+        q = gen.standard_normal((L_BLOCKS, t_q, width)).astype(F32)
+        context = gen.standard_normal((t_kv, width)).astype(F32)
+        kv = attention_kv(context, attn_s, F32)
+        linear_out = linear(x, ffn_s.w1, ffn_s.b1, F32)
+        ffn_out = ffn_forward(q, ffn_s, F32)
+        self_out = mha_forward(x, x, attn_s, acc=F32)
+        cross_out = mha_forward(q, kv, attn_s, acc=F32)
+        for out in (linear_out, ffn_out, self_out, cross_out):
+            assert out.dtype == F32 and out.shape[0] == L_BLOCKS
+        for l, (a, f) in enumerate(zip(attn, ffn)):
+            np.testing.assert_array_equal(linear_out[l], linear(x, f.w1, f.b1, F32))
+            np.testing.assert_array_equal(ffn_out[l], ffn_forward(q[l], f, F32))
+            np.testing.assert_array_equal(self_out[l], mha_forward(x, x, a, acc=F32))
+            np.testing.assert_array_equal(cross_out[l], mha_forward(q[l], context, a, acc=F32))
 
 
 def glorot_attention(rng, heads, width, blocks=None):
@@ -352,6 +377,9 @@ ENGINE_ATTENTION = [
     ("fwsr-self", None, (4,), None, 4, 64),
     ("fwsr-cross", None, (1,), 4, 4, 64),
 ]
+# The shapes the interaction modules run, with float32 weight products.
+MODULE_ATTENTION = [case for case in ENGINE_ATTENTION
+                    if case[0] in ("module-self", "hhi-cross", "hsi-cross", "scene-encoder")]
 
 
 class TestEinsumReference:
@@ -380,6 +408,55 @@ class TestEinsumReference:
             ref = reference_mha(q, kv, p, bias)
             assert out.shape == ref.shape == (*q_shape, width)
             np.testing.assert_array_max_ulp(out, ref, maxulp=1)
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("name,blocks,q_shape,t_kv,heads,width", MODULE_ATTENTION)
+    def test_module_shapes_in_float32(self, name, blocks, q_shape, t_kv, heads, width,
+                                      with_bias):
+        """The interaction modules' shapes, with float32 weight products."""
+        rng = Rng(13).child("einsum-f32", name)
+        gen = rng.generator("inputs")
+        p = glorot_attention(rng, heads, width, blocks)
+        q = gen.standard_normal((*q_shape, width)).astype(F32)
+        t_q = q_shape[-1]
+        lead = () if blocks is None else (blocks,)
+        bias = (gen.standard_normal((*lead, heads, t_q, t_q if t_kv is None else t_kv))
+                .astype(F32) if with_bias else None)
+        if t_kv is None:
+            out = mha_forward(q, q, p, bias, F32)
+            ref = reference_mha(q, q, p, bias, F32)
+        else:
+            context = gen.standard_normal((t_kv, width)).astype(F32)
+            out = mha_forward(q, attention_kv(context, p, F32), p, bias, F32)
+            ref = reference_mha(q, np.broadcast_to(context, (blocks, t_kv, width)), p,
+                                bias, F32)
+        assert out.shape == ref.shape == (*q_shape, width)
+        np.testing.assert_array_max_ulp(out, ref, maxulp=1)
+
+
+class TestAccumulator:
+    @pytest.mark.parametrize("acc", [np.float16, np.int64, "float64", None], ids=repr)
+    def test_unknown_accumulator_is_a_typed_error(self, acc):
+        gen = Rng(9).generator("acc")
+        attn, attn_s, ffn, ffn_s = random_blocks(gen, 2, 8, 16)
+        x = np.ones((4, 8), dtype=F32)
+        calls = [lambda: matmul(x, ffn[0].w1, acc), lambda: linear(x, ffn[0].w1, acc=acc),
+                 lambda: ffn_forward(x, ffn_s, acc), lambda: attention_kv(x, attn_s, acc),
+                 lambda: mha_forward(x, x, attn_s, acc=acc),
+                 lambda: mha_forward(x, attention_kv(x, attn_s), attn_s, acc=acc)]
+        for call in calls:
+            with pytest.raises(RemogenError):
+                call()
+
+    def test_default_is_float64(self):
+        gen = Rng(10).generator("acc")
+        attn, _, ffn, _ = random_blocks(gen, 2, 8, 16)
+        x = gen.standard_normal((4, 8)).astype(F32)
+        np.testing.assert_array_equal(matmul(x, ffn[0].w1),
+                                      (x.astype(F64) @ ffn[0].w1.astype(F64)).astype(F32))
+        np.testing.assert_array_equal(matmul(x, ffn[0].w1, F32), x @ ffn[0].w1)
+        np.testing.assert_array_equal(mha_forward(x, x, attn[0]),
+                                      mha_forward(x, x, attn[0], acc=F64))
 
 
 class TestSeededInit:
