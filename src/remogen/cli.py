@@ -72,8 +72,6 @@ def _cmd_generate(args) -> int:
         partner_seg, _ = load_motion(args.partner)
         partner = partner_seg.frames
     engine.set_text(args.text)
-    if cfg.alpha:
-        engine.set_alpha(cfg.alpha)
     frames = engine.run_ticks(segments * cfg.future_len, partner)
     stacked = np.stack(frames) if frames else np.zeros((0, engine.layout.dim), dtype=np.float32)
     segment = MotionSegment(stacked, fps=cfg.fps)

@@ -14,28 +14,26 @@ re-running the diffusion chain:
 where s is the decoder sensitivity vector: per latent dimension, the norm
 of the decoder's response to z0 at the segment's history
 (prior.decoder_sensitivity computes it exactly from the decoder Jacobian).
-Only refinement reads s, so SegmentRefiner probes it once per segment, on its
-first step, and the segment's first frame never waits for it. The refined
-latent is re-decoded with the segment's first updated history, and only the
-current frame is decoded: the decoder's last layer computes that frame's
-columns alone.
+Only refinement reads s, so it is probed once per segment, on the first
+refinement step, and the segment's first frame never waits for it. The
+refined latent is re-decoded with the segment's first updated history, and
+only the current frame is decoded: the decoder's last layer computes that
+frame's columns alone.
 
-That decode history is fixed for the whole segment, so SegmentRefiner binds
-its frame decoder to it once, on the first step. The engine's binding
-projects the history through the decoder's history rows there
-(prior.project_history); each refinement step then multiplies only the
-refined latent by the decoder's latent rows. The positional rows and the
-relative bias of the dynamic context depend only on its token count and are
-cached on the params.
+That decode history is fixed for the whole segment, so it is projected
+through the decoder's history rows once, on the first refinement step
+(prior.project_history); each later step multiplies only the refined latent
+by the decoder's latent rows. The positional rows and the relative bias of
+the dynamic context depend only on its token count and are cached on the
+params.
 
-SegmentRefiner holds one segment's refinement state and advances it one
-frame per step(); the runtime engine drives it one tick at a time.
+The runtime engine holds one segment's refinement state and drives these
+pieces one tick at a time; refine_latent is the one refinement step.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -54,14 +52,6 @@ from .tensorcore import (
     seeded_init,
     sinusoidal_embedding,
 )
-
-# (z, f) -> frame f of the future decoded against one history, shape (D,)
-FrameDecoder = Callable[[np.ndarray, int], np.ndarray]
-# history -> the FrameDecoder against that history
-DecoderBinding = Callable[[HistoryWindow], FrameDecoder]
-# z0 -> decoder sensitivity per latent dimension at the history z0 was
-# sampled on, shape (d_z,)
-SensitivityProbe = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -184,39 +174,6 @@ def refine_latent(z0: np.ndarray, m_h: HistoryWindow, x_dyn_window: np.ndarray,
     if not d_safe.any():
         return z0
     return (z0.astype(F64) + d_safe).astype(F32)
-
-
-class SegmentRefiner:
-    """Resumable per-frame refinement of one sampled segment.
-
-    Starts from the segment latent z0, the history m_h it was sampled on and
-    the initial segment's frame 0. The first step, once for the segment,
-    calls probe(z0) for the sensitivity at (m_h, z0) and binds the frame
-    decoder to the first updated history, decoder_for(history) (the
-    refinement asymmetry: every frame of the segment decodes against it).
-    Each step(f, window) refines z0 from the rolling history and the dynamic
-    window, decodes frame f alone and returns it; the rolling history then
-    slides by that frame. Runs no denoiser step.
-    """
-
-    def __init__(self, z0: np.ndarray, m_h: HistoryWindow, first_frame: np.ndarray,
-                 probe: SensitivityProbe, params: FwsrParams, decoder_for: DecoderBinding):
-        self.z0 = z0
-        self.s: Optional[SensitivityVector] = None
-        self.probe = probe
-        self.params = params
-        self.decoder_for = decoder_for
-        self.history = m_h.slide(first_frame)
-        self._decode: Optional[FrameDecoder] = None
-
-    def step(self, f: int, window: np.ndarray) -> np.ndarray:
-        if self.s is None:
-            self.s = SensitivityVector(self.probe(self.z0))
-            self._decode = self.decoder_for(self.history)
-        z_ref = refine_latent(self.z0, self.history, window, self.s, self.params)
-        frame = self._decode(z_ref, f)
-        self.history = self.history.slide(frame)
-        return frame
 
 
 def seeded_fwsr_params(rng: Rng, feature_dim: int, latent_dim: int,

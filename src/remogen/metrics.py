@@ -259,26 +259,19 @@ def collision_metrics(ego_joints: np.ndarray, grid: Optional[VoxelGrid] = None,
 class LatencyRecorder:
     """Keeps the wall time of every call per named component via scoped timers.
 
-    Scopes nest: a scope's time includes the scopes opened inside it, except
-    those opened with top_level=True, which are phases of their own and whose
-    time is taken out of every scope they run inside.
+    Scopes nest: a scope's time includes the scopes opened inside it.
     """
 
     def __init__(self):
         self.durations: dict = {}  # component -> seconds of each call, in call order
-        self._excluded: list = []  # per open scope, top-level seconds inside it
 
     @contextmanager
-    def track(self, component: str, top_level: bool = False):
-        self._excluded.append(0.0)
+    def track(self, component: str):
         start = time.perf_counter()
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start - self._excluded.pop()
-            if top_level:
-                self._excluded[:] = [e + elapsed for e in self._excluded]
-            self.durations.setdefault(component, []).append(elapsed)
+            self.durations.setdefault(component, []).append(time.perf_counter() - start)
 
 
 @dataclass(frozen=True)

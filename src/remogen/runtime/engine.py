@@ -9,19 +9,20 @@ emission. One tick corresponds to one input frame of wall-clock time:
   slide mode    - re-sample a full segment every tick, keep only frame 0
                   (the latency-heavy baseline)
 
-In fwsr mode each history window the decoder reads is projected through
-the decoder's history rows once (prior.project_history): the boundary
-history on the boundary tick, shared by the frame-0 decode and the
-sensitivity probe, and the refiner's decode history on the first refinement
-tick. A refinement tick then multiplies only the refined latent by the
-decoder's latent rows.
+In fwsr mode the engine holds the segment's refinement state itself: z0,
+the boundary history projection, the sensitivity vector, the projected
+decode history and the rolling history. Each history window the decoder
+reads is projected through the decoder's history rows once
+(prior.project_history): the boundary history on the boundary tick, shared
+by the frame-0 decode and the sensitivity probe, and the decode history on
+the first refinement tick. A refinement tick then multiplies only the
+refined latent by the decoder's latent rows.
 
 Text and composition-weight changes are queued and applied at the next
 segment boundary, since one denoising pass is conditioned on a single text.
 """
 from __future__ import annotations
 
-import weakref
 from contextlib import nullcontext
 from typing import Optional
 
@@ -31,12 +32,12 @@ from ..errors import ConfigError
 from ..fwsr import (
     DynamicContext,
     FwsrParams,
-    SegmentRefiner,
+    SensitivityVector,
+    refine_latent,
     seeded_fwsr_params,
 )
-# Unused here, but perfbench/spans.py wraps these names in this module's
-# namespace when tracing; dropping either import breaks `--trace 1`.
-from ..fwsr import refine_latent  # noqa: F401
+# Unused here, but perfbench/spans.py wraps this name in this module's
+# namespace when tracing; dropping the import breaks `--trace 1`.
 from ..prior import decode_batch  # noqa: F401
 from ..metrics import LatencyRecorder
 from ..mim import (
@@ -61,6 +62,7 @@ from ..motion import (
 )
 from ..prior import (
     DecoderHistory,
+    HistoryProjection,
     PriorParams,
     ddpm_sample,
     decode_segment,
@@ -162,7 +164,7 @@ class Engine:
         self.gen = Rng(cfg.seed).generator("engine")
 
         self.text = ""
-        self.alpha: dict = dict(cfg.alpha)
+        self.alpha = self._checked_alpha(cfg.alpha)
         self._pending_text: Optional[str] = None
         self._pending_alpha: Optional[dict] = None
 
@@ -171,7 +173,12 @@ class Engine:
         self.dyn = DynamicContext(cfg.history_len, self.layout.dim)
         self.ticks = 0
         self.frames_emitted = 0
-        self._refiner: Optional[SegmentRefiner] = None
+        # fwsr: the state of the segment being refined, set on its boundary tick
+        self._z0: Optional[np.ndarray] = None
+        self._boundary: Optional[HistoryProjection] = None
+        self._sensitivity: Optional[SensitivityVector] = None
+        self._decode_history: Optional[HistoryProjection] = None
+        self._rolling: Optional[HistoryWindow] = None
 
     # -- state fed from outside ------------------------------------------------
 
@@ -184,11 +191,16 @@ class Engine:
         self._pending_text = text
 
     def set_alpha(self, alpha: dict) -> None:
+        self._pending_alpha = self._checked_alpha(alpha)
+
+    def _checked_alpha(self, alpha: dict) -> dict:
+        """A copy of alpha; ConfigError if it names a module the archive lacks
+        or holds a weight that is not a finite number."""
         unknown = [k for k in alpha if k not in self.mims]
         if unknown:
             raise ConfigError(f"alpha names unknown modules {unknown}")
         check_alpha(alpha)
-        self._pending_alpha = dict(alpha)
+        return dict(alpha)
 
     def observe_ego(self, pose: np.ndarray) -> None:
         """Teacher-forced ego observation; slides the sampler history."""
@@ -202,10 +214,10 @@ class Engine:
 
     # -- internals ---------------------------------------------------------------
 
-    def _track(self, name: str, top_level: bool = False):
+    def _track(self, name: str):
         if self.recorder is None:
             return nullcontext()
-        return self.recorder.track(name, top_level)
+        return self.recorder.track(name)
 
     def _apply_pending(self) -> None:
         if self._pending_text is not None:
@@ -248,11 +260,9 @@ class Engine:
         """
         out = {}
         for mid in self.alpha:
-            if mid in self.mims:
-                ctx = self._module_context(mid)
-                if ctx is not None:
-                    out[mid] = prepare_context(ctx, self.mims[mid].stacked,
-                                               self.prior.n_tokens)
+            ctx = self._module_context(mid)
+            if ctx is not None:
+                out[mid] = prepare_context(ctx, self.mims[mid].stacked, self.prior.n_tokens)
         return out
 
     def _sample_z0(self) -> np.ndarray:
@@ -323,40 +333,35 @@ class Engine:
             self.history = self.history.slide(first)
             return [self._emit(first)]
 
-        # fwsr mode: one refiner per segment, advanced one frame per tick
+        # fwsr mode: sample z0 at the segment boundary, then refine it and
+        # decode one frame per tick
         if phase == 0:
             self._apply_pending()
             self.dyn.mark_segment_start()
-            z0 = self._sample_z0()
+            self._z0 = self._sample_z0()
             # The frame-0 decode and the probe on tick 1 share this projection,
             # timed with the decode.
             with self._track("decode"):
-                boundary = project_history(self.history, self.prior)
-                frame = decode_segment(boundary, z0, self.prior, fps=self.cfg.fps,
+                self._boundary = project_history(self.history, self.prior)
+                frame = decode_segment(self._boundary, self._z0, self.prior, fps=self.cfg.fps,
                                        frames=slice(0, 1)).frames[0]
-            # The refiner reaches the engine weakly: a strong reference would
-            # be a cycle that keeps a dropped engine, and its stacked module
-            # weights, alive until the next cycle collection.
-            engine = weakref.proxy(self)
-
-            def decoder_for(history):
-                decode_history = project_history(history, engine.prior)
-                return lambda z, f: engine._decode(decode_history, z, "fwsr_decode",
-                                                   slice(f, f + 1)).frames[0]
-
-            def probe(z):
-                # Runs inside the first refinement step, but is timed as its
-                # own phase rather than as part of that step.
-                with engine._track("sensitivity", top_level=True):
-                    return decoder_sensitivity(boundary, z, engine.prior)
-
-            self._refiner = SegmentRefiner(z0, self.history, frame, probe,
-                                           self.fwsr_params, decoder_for)
+            self._rolling = self.history.slide(frame)
         else:
+            if phase == 1:
+                with self._track("sensitivity"):
+                    self._sensitivity = SensitivityVector(
+                        decoder_sensitivity(self._boundary, self._z0, self.prior))
             with self._track("fwsr_refine"):
-                frame = self._refiner.step(phase, self.dyn.window(phase))
+                if phase == 1:
+                    # Every refined frame decodes against the first updated history.
+                    self._decode_history = project_history(self._rolling, self.prior)
+                z = refine_latent(self._z0, self._rolling, self.dyn.window(phase),
+                                  self._sensitivity, self.fwsr_params)
+                frame = self._decode(self._decode_history, z, "fwsr_decode",
+                                     slice(phase, phase + 1)).frames[0]
+                self._rolling = self._rolling.slide(frame)
         if phase == self.cfg.future_len - 1:
-            self.history = self._refiner.history
+            self.history = self._rolling
         return [self._emit(frame)]
 
     def run_ticks(self, n_frames: int, partner_frames: Optional[np.ndarray] = None) -> list:

@@ -14,7 +14,6 @@ import time
 from typing import IO, Optional
 
 from ..errors import ConfigError, FormatError
-from ..metrics import LatencyRecorder
 from .codecs import WeightArchive
 from .config import EngineConfig, StreamRecord, format_record, parse_record
 from .engine import Engine
@@ -22,7 +21,7 @@ from .engine import Engine
 
 def stream_run(source: IO[str], sink: IO[str], cfg: EngineConfig,
                archive: WeightArchive, log: Optional[IO[str]] = None,
-               scene_grid=None, recorder: Optional[LatencyRecorder] = None) -> int:
+               scene_grid=None) -> int:
     """Run the engine over a record stream; returns the count of skipped records.
 
     Starts no thread: `source` is pulled on the calling thread, and only after
@@ -31,7 +30,7 @@ def stream_run(source: IO[str], sink: IO[str], cfg: EngineConfig,
     caller as it is. Nothing is read after an `end` record.
     """
     log = log if log is not None else sys.stderr
-    engine = Engine(archive, cfg, recorder=recorder)
+    engine = Engine(archive, cfg)
     if scene_grid is not None:
         engine.set_scene(scene_grid)
     return _serve(engine, source, sink, log)

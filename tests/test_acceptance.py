@@ -15,8 +15,6 @@ import pytest
 from sensitivity_oracle import estimate_sensitivity
 
 from remogen.fwsr import (
-    DynamicContext,
-    SegmentRefiner,
     SensitivityVector,
     refine_latent,
     seeded_fwsr_params,
@@ -40,7 +38,6 @@ from remogen.mim import (
 from remogen.motion import (
     FeatureLayout,
     HistoryWindow,
-    MotionSegment,
     RigidTransform,
     featurize,
     rotation_about_axis,
@@ -373,72 +370,57 @@ def test_c05_sensitivity_linear_decoders():
                  f"within {worst:.1e} relative of it on 16 seeded priors")
 
 
-def test_c06_refinement_algorithm_conformance(monkeypatch):
+def test_c06_refinement_algorithm_conformance(compact_archive, monkeypatch):
     """F-1 refinements, F-1 decodes, zero denoiser calls, shifted baseline at init."""
-    import remogen.fwsr as fwsr_module
-    import remogen.prior as prior_module
+    import remogen.runtime.engine as engine_module
 
-    def bomb(*args, **kwargs):
-        raise AssertionError("denoiser invoked during frame refinement")
-
-    monkeypatch.setattr(prior_module, "predict_clean_latent", bomb)
-    refines = {"n": 0}
-    real_refine = fwsr_module.refine_latent
+    # Counted at the names the fwsr engine calls them by.
+    calls = {"refine": 0, "denoiser": 0, "decodes": []}
+    real_refine = engine_module.refine_latent
+    real_denoiser = engine_module.predict_clean_latent
+    real_decode = engine_module.decode_segment
 
     def counting_refine(*args, **kwargs):
-        refines["n"] += 1
+        calls["refine"] += 1
         return real_refine(*args, **kwargs)
 
-    monkeypatch.setattr(fwsr_module, "refine_latent", counting_refine)
+    def counting_denoiser(*args, **kwargs):
+        calls["denoiser"] += 1
+        return real_denoiser(*args, **kwargs)
 
-    feature_dim = 10
-    d_z = 6
-    f_len = 8
-    params = seeded_fwsr_params(Rng(6), feature_dim=feature_dim, latent_dim=d_z,
-                                heads=2, zero_film=True)
-    gen_w = Rng(66).generator("dec")
-    w = (gen_w.standard_normal((2 * feature_dim + d_z, f_len * feature_dim)) * 0.1)
+    def recording_decode(*args, frames=slice(None), **kwargs):
+        calls["decodes"].append(frames)
+        return real_decode(*args, frames=frames, **kwargs)
 
+    monkeypatch.setattr(engine_module, "refine_latent", counting_refine)
+    monkeypatch.setattr(engine_module, "predict_clean_latent", counting_denoiser)
+    monkeypatch.setattr(engine_module, "decode_segment", recording_decode)
+
+    f_len = COMPACT.future_len
+    layout = FeatureLayout(COMPACT.joints)
     for seed in range(50):
         gen = Rng(seed).generator("c6")
-        calls = {"n": 0}
-
-        def decode(m_h, z):
-            x = np.concatenate([m_h.frames.reshape(-1), np.asarray(z, dtype=F32)])
-            return MotionSegment(np.tanh(x.astype(F64) @ w).reshape(f_len, feature_dim)
-                                 .astype(F32))
-
-        def decoder_for(m_h):
-            # The refiner's decoder contract: bound to one history, then
-            # frame f alone per call.
-            def decode_frame(z, f):
-                calls["n"] += 1
-                return decode(m_h, z).frames[f]
-
-            return decode_frame
-
-        z0 = gen.standard_normal(d_z, dtype=F32)
-        m_h = HistoryWindow(gen.standard_normal((2, feature_dim)).astype(F32))
-        initial = decode(m_h, z0)
-        calls["n"] = 0
-        refines["n"] = 0
-        dyn = DynamicContext(2, feature_dim)
+        engine = Engine(compact_archive, dataclasses.replace(COMPACT, fwsr=True, seed=seed))
+        m_h = engine.history
+        calls.update(refine=0, decodes=[])
+        out, denoiser_per_tick = [], []
+        # Frame 0 comes from the boundary tick's decode; each later frame is
+        # one refinement tick.
         for _ in range(f_len):
-            dyn.push(gen.standard_normal(feature_dim).astype(F32))
-        dyn.mark_segment_start()
-        # Frame 0 comes from the initial decode; each later frame is one
-        # refiner step, as the fwsr engine emits them tick by tick.
-        refiner = SegmentRefiner(z0, m_h, initial.frames[0],
-                                 lambda z: np.zeros(d_z), params, decoder_for)
-        out = np.stack([initial.frames[0]]
-                       + [refiner.step(f, dyn.window(f)) for f in range(1, f_len)])
+            before = calls["denoiser"]
+            out.extend(engine.tick(gen.standard_normal(layout.dim).astype(F32)))
+            denoiser_per_tick.append(calls["denoiser"] - before)
+        out = np.stack(out)
         assert len(out) == f_len
-        assert refines["n"] == f_len - 1
-        assert calls["n"] == f_len - 1
-        # Zero-gated refinement reproduces the shifted-history re-decode.
-        shifted = decode(m_h.slide(initial.frames[0]), z0)
-        assert np.array_equal(out[0], initial.frames[0])
-        assert np.array_equal(out[1:], shifted.frames[1:])
+        assert calls["refine"] == f_len - 1
+        assert calls["decodes"][1:] == [slice(f, f + 1) for f in range(1, f_len)]
+        assert denoiser_per_tick[0] > 0 and denoiser_per_tick[1:] == [0] * (f_len - 1)
+        # Zero-gated refinement reproduces the shifted-history re-decode
+        # (init_weights leaves the normalizer at the identity).
+        full = real_decode(m_h, engine._z0, engine.prior).frames
+        shifted = real_decode(m_h.slide(full[0]), engine._z0, engine.prior).frames
+        assert np.array_equal(out[0], full[0])
+        assert np.array_equal(out[1:], shifted[1:])
     report("C6", "50 refinement runs: F-1 refines, F-1 decodes, 0 denoiser calls, "
                  "baseline bit-exact at init")
 

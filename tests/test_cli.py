@@ -1,4 +1,5 @@
 """Command-line surface tests: happy paths and exit codes."""
+import io
 import json
 import os
 import select
@@ -75,6 +76,17 @@ class TestGenerate:
         assert main(["stream", "--weights", str(weights_path), "--config", str(config)]) == 2
         assert main(["bench", "--weights", str(weights_path), "--frames", "8",
                      "--config", str(config)]) == 2
+
+    def test_unknown_alpha_module_is_config_error(self, tmp_path, weights_path,
+                                                  monkeypatch):
+        out = tmp_path / "x.rmgm"
+        rc = main(["generate", "--weights", str(weights_path), "--segments", "1",
+                   "--out", str(out), "--alpha", "hhx=1.0"])
+        assert rc == 2 and not out.exists()
+        config = tmp_path / "hhx.cfg"
+        config.write_text("alpha = hhx=1.0\n")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        assert main(["stream", "--weights", str(weights_path), "--config", str(config)]) == 2
 
     def test_negative_counts_are_config_errors(self, tmp_path, weights_path):
         out = tmp_path / "x.rmgm"

@@ -9,14 +9,14 @@ from remogen.errors import DimensionError, NumericError
 from remogen.fwsr import (
     DynamicContext,
     FwsrParams,
-    SegmentRefiner,
     SensitivityVector,
     refine_latent,
     seeded_fwsr_params,
 )
-from remogen.motion import HistoryWindow, MotionSegment
-from remogen.prior import decode_batch, decoder_sensitivity, seeded_prior_params
-from remogen.runtime import Engine, EngineConfig, init_weights
+from remogen.metrics import LatencyRecorder
+from remogen.motion import HistoryWindow, featurize, synthetic_sequence
+from remogen.prior import decode_batch, decode_segment, decoder_sensitivity, seeded_prior_params
+from remogen.runtime import Engine, EngineConfig, WeightArchive, init_weights
 from remogen.tensorcore import (
     AttentionParams,
     RelBiasParams,
@@ -182,13 +182,10 @@ class TestDecoderSensitivity:
     def test_nonfinite_latent_fails_the_refiner(self):
         params, m_h, z0 = seeded_probe_point("compact", 0)
         z0[3] = np.nan
-        refiner = SegmentRefiner(z0, m_h, m_h.frames[-1],
-                                 lambda z: decoder_sensitivity(m_h, z, params),
-                                 seeded_fwsr_params(Rng(1), params.feature_dim,
-                                                    params.latent_dim),
-                                 lambda h: lambda z, f: h.frames[-1])
+        fwsr = seeded_fwsr_params(Rng(1), params.feature_dim, params.latent_dim)
         with pytest.raises(NumericError):
-            refiner.step(1, np.zeros((0, params.feature_dim), dtype=F32))
+            refine_latent(z0, m_h, np.zeros((0, params.feature_dim), dtype=F32),
+                          SensitivityVector.zeros(params.latent_dim), fwsr)
 
 
 class TestRefineLatent:
@@ -372,152 +369,139 @@ class TestDynamicContext:
         assert dyn.window(3).shape == (0, 3)
 
 
-def refine_frames(z0, m_h, initial, dyn, decoder, params, s):
-    """One segment as the fwsr engine emits it: frame 0 of the initial
-    decode, then one SegmentRefiner step per later frame."""
-    refiner = SegmentRefiner(z0, m_h, initial.frames[0], lambda z: s.s, params, decoder)
-    frames = [initial.frames[0]]
-    for f in range(1, len(initial)):
-        window = dyn.window(f) if dyn is not None else np.zeros((0, m_h.dim), dtype=F32)
-        frames.append(refiner.step(f, window))
-    return np.stack(frames)
+# A compact engine with the defaults' structure, in fwsr mode. init_weights
+# leaves the normalizer at the identity, so emitted frames and the engine's
+# normalized frames are the same numbers.
+COMPACT_FWSR = EngineConfig(latent_dim=16, text_dim=16, width=32, heads=2, n_blocks=2,
+                            ffn_hidden=64, vae_hidden=64, injection_layers=(0, 1), fwsr=True)
+
+
+@pytest.fixture(scope="module")
+def compact_archive():
+    return init_weights(COMPACT_FWSR, 7)
+
+
+@pytest.fixture(scope="module")
+def film_archive(compact_archive):
+    """The compact archive with a seeded non-zero FiLM head, so refinement moves z0."""
+    tensors = dict(compact_archive.tensors)
+    shape = tensors["fwsr.film_w"].shape
+    tensors["fwsr.film_w"] = Rng(8).generator("film").uniform(-0.5, 0.5, shape).astype(F32)
+    return WeightArchive(tensors)
+
+
+@pytest.fixture(scope="module")
+def partner():
+    return featurize(synthetic_sequence(2 * COMPACT_FWSR.future_len, seed=2)).frames
 
 
 @pytest.fixture()
-def refine_calls(monkeypatch):
-    """Counts refine_latent calls made through the refiner's module."""
-    import remogen.fwsr as fwsr_module
+def engine_calls(monkeypatch):
+    """Counts the engine's refine_latent calls and records the frame range of
+    each of its decode_segment calls, at the names the engine calls them by."""
+    import remogen.runtime.engine as engine_module
 
-    calls = {"n": 0}
-    real = fwsr_module.refine_latent
+    calls = {"refine": 0, "decodes": []}
+    real_refine, real_decode = engine_module.refine_latent, engine_module.decode_segment
 
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return real(*args, **kwargs)
+    def counting_refine(*args, **kwargs):
+        calls["refine"] += 1
+        return real_refine(*args, **kwargs)
 
-    monkeypatch.setattr(fwsr_module, "refine_latent", counting)
+    def recording_decode(*args, frames=slice(None), **kwargs):
+        calls["decodes"].append(frames)
+        return real_decode(*args, frames=frames, **kwargs)
+
+    monkeypatch.setattr(engine_module, "refine_latent", counting_refine)
+    monkeypatch.setattr(engine_module, "decode_segment", recording_decode)
     return calls
 
 
 class TestRefineSegment:
-    @pytest.fixture()
-    def decoder(self):
-        """Refiner decoder binding: decoder(m_h) gives the frame decoder
-        (z, f) -> frame f against m_h. It records each bound history in
-        .calls["bound"] and counts frame decodes in .calls["n"];
-        .segment(m_h, z) decodes all 8 frames without counting."""
-        gen = Rng(7).generator("dec")
-        w = gen.standard_normal((2 * D + DZ, 8 * D)).astype(F32) * 0.1
-        calls = {"n": 0, "bound": []}
+    """Segments as the fwsr engine runs them: z0 sampled and frame 0 decoded
+    on the boundary tick, then one refinement of z0 and a one-frame decode on
+    each later tick."""
 
-        def segment(m_h, z):
-            x = np.concatenate([m_h.frames.reshape(-1), z])
-            return MotionSegment(np.tanh(x.astype(np.float64) @ w.astype(np.float64))
-                                 .reshape(8, D).astype(F32))
+    def test_zero_film_reproduces_shifted_redecode(self, compact_archive):
+        """With the FiLM head at zero refinement keeps z0: frame 0 is the full
+        decode's, and frames 1..F-1 are the decode of z0 against the history
+        slid by frame 0."""
+        f_len = COMPACT_FWSR.future_len
+        for seed in range(20):
+            engine = Engine(compact_archive, dataclasses.replace(COMPACT_FWSR, seed=seed))
+            for _ in range(2):
+                m_h = engine.history
+                out = np.stack(engine.run_ticks(f_len))
+                full = decode_segment(m_h, engine._z0, engine.prior).frames
+                shifted = decode_segment(m_h.slide(full[0]), engine._z0, engine.prior).frames
+                assert np.array_equal(out[0], full[0])
+                assert np.array_equal(out[1:], shifted[1:])
 
-        def decoder_for(m_h):
-            calls["bound"].append(m_h)
+    def test_zero_film_independent_of_dynamics(self, compact_archive, film_archive, partner):
+        """Partner frames reach only refinement: with the FiLM head at zero
+        they change no frame, with a non-zero head they do."""
+        def run(archive, partner_frames):
+            return np.stack(Engine(archive, COMPACT_FWSR).run_ticks(len(partner),
+                                                                     partner_frames))
 
-            def decode(z, f):
-                calls["n"] += 1
-                return segment(m_h, z).frames[f]
+        assert np.array_equal(run(compact_archive, None), run(compact_archive, partner))
+        assert not np.array_equal(run(film_archive, None), run(film_archive, partner))
 
-            return decode
-
-        decoder_for.calls = calls
-        decoder_for.segment = segment
-        return decoder_for
-
-    def test_zero_film_reproduces_shifted_redecode(self, decoder):
-        params = seeded_fwsr_params(Rng(8), feature_dim=D, latent_dim=DZ,
-                                    heads=2, zero_film=True)
-        gen = Rng(9).generator("z")
-        z0 = gen.standard_normal(DZ, dtype=F32)
-        m_h = history(gen)
-        initial = decoder.segment(m_h, z0)
-        out = refine_frames(z0, m_h, initial, None, decoder, params,
-                            SensitivityVector.zeros(DZ))
-        shifted = decoder.segment(m_h.slide(initial.frames[0]), z0)
-        assert np.array_equal(out[0], initial.frames[0])
-        np.testing.assert_array_equal(out[1:], shifted.frames[1:])
-
-    def test_zero_film_independent_of_dynamics(self, decoder):
-        params = seeded_fwsr_params(Rng(8), feature_dim=D, latent_dim=DZ,
-                                    heads=2, zero_film=True)
-        gen = Rng(10).generator("z")
-        z0 = gen.standard_normal(DZ, dtype=F32)
-        m_h = history(gen)
-        initial = decoder.segment(m_h, z0)
-        quiet = DynamicContext(2, D)
-        noisy = DynamicContext(2, D)
-        for _ in range(8):
-            noisy.push(gen.standard_normal(D).astype(F32))
-        noisy.mark_segment_start()
-        a = refine_frames(z0, m_h, initial, quiet, decoder, params,
-                          SensitivityVector.zeros(DZ))
-        b = refine_frames(z0, m_h, initial, noisy, decoder, params,
-                          SensitivityVector.zeros(DZ))
-        assert np.array_equal(a, b)
-
-    def test_single_frame_segment_no_refinement(self, refine_calls, monkeypatch):
+    def test_single_frame_segment_no_refinement(self, engine_calls):
         """An fwsr engine with one-frame segments decodes once per segment and
         never refines."""
-        import remogen.runtime.engine as engine_module
-
-        decodes = {"n": 0}
-        real_decode = engine_module.decode_segment
-
-        def counting_decode(*args, **kwargs):
-            decodes["n"] += 1
-            return real_decode(*args, **kwargs)
-
-        monkeypatch.setattr(engine_module, "decode_segment", counting_decode)
         cfg = EngineConfig(history_len=2, future_len=1, steps=2, latent_dim=8, text_dim=8,
                            width=16, heads=2, n_blocks=1, ffn_hidden=16, vae_hidden=16,
                            injection_layers=(0,), fwsr=True)
         engine = Engine(init_weights(cfg, seed=8), cfg)
         out = engine.run_ticks(5)
         assert len(out) == 5
-        assert refine_calls["n"] == 0
-        assert decodes["n"] == 5
+        assert engine_calls["refine"] == 0
+        assert engine_calls["decodes"] == [slice(0, 1)] * 5
 
-    def test_probe_runs_once_on_the_first_step(self, decoder):
-        params = seeded_fwsr_params(Rng(8), feature_dim=D, latent_dim=DZ,
-                                    heads=2, zero_film=False)
-        gen = Rng(12).generator("z")
-        z0 = gen.standard_normal(DZ, dtype=F32)
-        m_h = history(gen)
-        probes = []
+    def test_probe_runs_once_on_the_first_step(self, film_archive, partner, monkeypatch):
+        """Each segment probes once, at the boundary history's projection and
+        z0, which the frame-0 decode shares; every refined frame decodes
+        against one projection, of the first updated history, not the rolled
+        one."""
+        import remogen.runtime.engine as engine_module
 
-        def probe(z):
-            probes.append(z)
-            return np.full(DZ, 0.5)
+        probes, histories = [], []
+        real_probe, real_decode = (engine_module.decoder_sensitivity,
+                                   engine_module.decode_segment)
 
-        first = decoder.segment(m_h, z0).frames[0]
-        refiner = SegmentRefiner(z0, m_h, first, probe, params, decoder)
-        assert probes == [] and refiner.s is None and decoder.calls["bound"] == []
-        for f in range(1, 8):
-            refiner.step(f, np.zeros((0, D), dtype=F32))
-        # The probe is bound by the caller to the history the segment was
-        # sampled on; the refiner binds the decoder once, to the first
-        # updated history, not to the rolled one.
-        assert len(probes) == 1 and probes[0] is z0
-        np.testing.assert_array_equal(refiner.s.s, np.full(DZ, 0.5, dtype=F32))
-        assert len(decoder.calls["bound"]) == 1
-        np.testing.assert_array_equal(decoder.calls["bound"][0].frames,
-                                      m_h.slide(first).frames)
+        def probe(m_h, z0, params):
+            probes.append((m_h, z0))
+            return real_probe(m_h, z0, params)
 
-    def test_cost_contract(self, decoder, refine_calls):
-        params = seeded_fwsr_params(Rng(8), feature_dim=D, latent_dim=DZ,
-                                    heads=2, zero_film=False)
-        gen = Rng(11).generator("z")
-        z0 = gen.standard_normal(DZ, dtype=F32)
-        m_h = history(gen)
-        initial = decoder.segment(m_h, z0)
-        decoder.calls["n"] = 0
-        out = refine_frames(z0, m_h, initial, None, decoder, params,
-                            SensitivityVector.zeros(DZ))
-        assert len(out) == 8
-        assert refine_calls["n"] == 7
-        assert decoder.calls["n"] == 7
-        assert len(decoder.calls["bound"]) == 1
+        def decode(m_h, z, params, **kwargs):
+            histories.append(m_h)
+            return real_decode(m_h, z, params, **kwargs)
+
+        monkeypatch.setattr(engine_module, "decoder_sensitivity", probe)
+        monkeypatch.setattr(engine_module, "decode_segment", decode)
+        engine = Engine(film_archive, COMPACT_FWSR)
+        f_len = COMPACT_FWSR.future_len
+        for segment in range(2):
+            m_h = engine.history
+            probes.clear()
+            histories.clear()
+            out = engine.run_ticks(f_len, partner[segment * f_len:])
+            assert len(probes) == 1 and probes[0][1] is engine._z0
+            boundary, decode_history = probes[0][0], histories[1]
+            assert histories[0] is boundary
+            np.testing.assert_array_equal(boundary.window.frames, m_h.frames)
+            assert all(h is decode_history for h in histories[1:])
+            np.testing.assert_array_equal(decode_history.window.frames,
+                                          m_h.slide(out[0]).frames)
+
+    def test_cost_contract(self, film_archive, partner, engine_calls):
+        """Each segment makes F-1 refinements and F-1 one-frame decodes, in
+        their own scope, beside its frame-0 decode."""
+        recorder = LatencyRecorder()
+        engine = Engine(film_archive, COMPACT_FWSR, recorder=recorder)
+        f_len = COMPACT_FWSR.future_len
+        assert len(engine.run_ticks(2 * f_len, partner)) == 2 * f_len
+        assert engine_calls["refine"] == 2 * (f_len - 1)
+        assert engine_calls["decodes"] == [slice(f, f + 1) for f in range(f_len)] * 2
+        assert len(recorder.durations["fwsr_decode"]) == 2 * (f_len - 1)

@@ -723,6 +723,18 @@ class TestEngineWiring:
         engine.set_alpha({"hhi": np.float32(0.25), "hsi": 1})
         assert engine._pending_alpha == {"hhi": 0.25, "hsi": 1}
 
+    def test_config_alpha_names_only_modules_the_archive_has(self, cfg, archive):
+        """The config's alpha is checked as set_alpha checks it: an unknown
+        module id, or one whose weights the archive lacks, is a ConfigError
+        when the engine is built."""
+        with pytest.raises(ConfigError, match="unknown modules"):
+            Engine(archive, dataclasses.replace(cfg, alpha={"hhx": 1.0}))
+        no_hsi = WeightArchive({k: v for k, v in archive.tensors.items()
+                                if not k.startswith("mim.hsi.")})
+        with pytest.raises(ConfigError, match="unknown modules"):
+            Engine(no_hsi, dataclasses.replace(cfg, alpha={"hhi": 0.5, "hsi": 0.5}))
+        assert Engine(no_hsi, dataclasses.replace(cfg, alpha={"hhi": 0.5})).alpha == {"hhi": 0.5}
+
     @pytest.mark.parametrize("text", [5, None, b"wave", ["wave"]], ids=repr)
     def test_set_text_rejects_a_non_string_at_once(self, cfg, archive, text):
         engine = Engine(archive, cfg)
@@ -861,12 +873,11 @@ class TestEngineWiring:
                 history = engine.history
                 engine.tick(partner_frames[2 * segment])
                 engine.tick(partner_frames[2 * segment + 1])
-                refiner = engine._refiner
                 oracle = estimate_sensitivity(
-                    lambda h, zs: decode_batch(h, zs, engine.prior), history, refiner.z0)
+                    lambda h, zs: decode_batch(h, zs, engine.prior), history, engine._z0)
                 # The oracle's float32 rounding over its 2e-3 step: at most
                 # 7.7e-4 relative on seeded compact and engine-size priors.
-                np.testing.assert_allclose(refiner.s.s, oracle, rtol=1e-3)
+                np.testing.assert_allclose(engine._sensitivity.s, oracle, rtol=1e-3)
                 engine.run_ticks(c.future_len - 2)
 
         # The oracle decodes its probes in one batch; each row is the
@@ -1147,3 +1158,61 @@ class TestTracePoints:
         assert points
         for module, attr, _span in points:
             assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+def _perfbench_program_points() -> tuple:
+    """PROGRAM_POINTS of perfbench/spans.py, parsed, not imported."""
+    import ast
+    from pathlib import Path
+
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "PROGRAM_POINTS" for t in node.targets))
+
+
+# Points perfbench wraps that the program no longer calls under that name;
+# ROADMAP item 1 replaces the patching with events the program emits.
+_DEAD_POINTS = {("remogen.runtime.engine", "decode_batch"),
+                ("remogen.prior", "denoiser_tokens")}
+
+
+class TestTracePointsCalled:
+    """Every point perfbench wraps is called in a run that exercises every
+    layer: a traced metric on a point nothing calls reads 0."""
+
+    @pytest.fixture(scope="class")
+    def point_calls(self):
+        """Calls per (module, attr) point over an fwsr stream of two segments
+        with hhi and hsi active and a small scene."""
+        import collections
+        import importlib
+
+        calls = collections.Counter()
+        cfg = dataclasses.replace(COMPACT_CFG, fwsr=True, alpha={"hhi": 1.0, "hsi": 1.0})
+        spec = GridSpec([-1.5, -1.5, 0.0], [1.5, 1.5, 1.5], (30, 30, 15))
+        occ = Rng(32).generator("grid").uniform(size=spec.dims) < 0.3
+        frames = featurize(synthetic_sequence(2 * cfg.future_len, seed=2)).frames
+        with pytest.MonkeyPatch.context() as mp:
+            for module, attr, _span in _perfbench_program_points():
+                target = importlib.import_module(module)
+
+                def counting(*args, _key=(module, attr), _real=getattr(target, attr),
+                             **kwargs):
+                    calls[_key] += 1
+                    return _real(*args, **kwargs)
+
+                mp.setattr(target, attr, counting)
+            stream_run(io.StringIO(stream_lines(frames)), io.StringIO(), cfg,
+                       init_weights(cfg, 0), log=io.StringIO(),
+                       scene_grid=VoxelGrid.from_bool_array(spec, occ))
+        return calls
+
+    @pytest.mark.parametrize("point", [
+        pytest.param(p[:2], id=f"{p[0]}.{p[1]}",
+                     marks=[pytest.mark.xfail(strict=True, reason="dead point, ROADMAP item 1")]
+                     if p[:2] in _DEAD_POINTS else [])
+        for p in _perfbench_program_points()])
+    def test_each_program_point_is_called(self, point_calls, point):
+        assert point_calls[point] > 0
