@@ -28,10 +28,16 @@ the dynamic context depend only on its token count and are cached on the
 params.
 
 The runtime engine holds one segment's refinement state and drives these
-pieces one tick at a time; refine_latent is the one refinement step.
+pieces one tick at a time; refine_latent is the one refinement step. The
+engine passes it FwsrParams.float64_weights: the same params with read-only
+float64 twins of dyn_w, both attentions' projections and film_w (0.47 MB at
+the default sizes), built on the engine's first refinement tick and kept
+with the params. The products cast float32 weights to exactly those
+operands, so refine_latent gives the same bits with either.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,6 +51,8 @@ from .tensorcore import (
     AttentionParams,
     RelBiasParams,
     Rng,
+    float64_twin,
+    fuse_qkv,
     layer_norm,
     linear,
     mha_forward,
@@ -89,6 +97,26 @@ class FwsrParams:
     def __post_init__(self):
         if self.beta_sens < 0:
             raise DimensionError("suppression strength must be non-negative")
+
+    @cached_property
+    def float64_weights(self) -> "FwsrParams":
+        """These params with read-only float64 twins of dyn_w, both attentions'
+        projections and film_w, the operands refine_latent's products cast
+        them to; refine_latent gives the same bits with either.
+
+        Built on first use and kept as long as these params are.
+        """
+        def attention(p: AttentionParams) -> AttentionParams:
+            return dataclasses.replace(p, w_q=float64_twin(p.w_q), w_k=float64_twin(p.w_k),
+                                       w_v=float64_twin(p.w_v), w_o=float64_twin(p.w_o))
+
+        # The dynamic context is self-attention: keep only its fused projection.
+        dyn_attn = attention(self.dyn_attn)
+        dyn_attn.w_qkv.flags.writeable = False
+        return dataclasses.replace(self, dyn_w=float64_twin(self.dyn_w),
+                                   dyn_attn=fuse_qkv(dyn_attn),
+                                   cross_attn=attention(self.cross_attn),
+                                   film_w=float64_twin(self.film_w))
 
     @cached_property
     def _context_rows(self) -> dict:

@@ -12,6 +12,16 @@ rows. project_history multiplies a history window by the history rows once
 multiplies only its latents by the d_z latent rows. A plain window is
 projected on each call, so the two give the same bits.
 
+The decoder and the sensitivity probe multiply read-only float64 twins of
+W1's latent rows, W2 and W3 (PriorParams.decoder_w1_latent, decoder_w2 and
+decoder_w3, 5.2 MB at the default sizes, 4.5 MB of it W3), and the probe
+also reads W3 W3^T (decoder_gram, 0.5 MB). Each is built on first use and
+kept as long as the params are; the float32 archive tensors stay the only
+stored copy of the weights. A twin is the operand a float64 product used to
+cast its float32 weight to on every call, so the products keep their bits.
+project_history casts W1's history rows once per window, and the denoiser
+gets no twin.
+
 Parameters are plain frozen dataclasses of arrays; nothing here mutates them,
 which is what keeps the prior structurally frozen. Archives from older
 versions also hold the VAE encoder's tensors; they load, and nothing reads
@@ -35,6 +45,7 @@ from .tensorcore import (
     FfnParams,
     Rng,
     ffn_forward,
+    float64_twin,
     gelu,
     gelu_slope,
     layer_norm,
@@ -148,14 +159,32 @@ class PriorParams:
         return self.history_len + 3
 
     @cached_property
+    def decoder_w1_latent(self) -> np.ndarray:
+        """Float64 twin of W1's d_z latent rows, (d_z, vae_hidden), read-only."""
+        return float64_twin(self.vae_dec.w1[-self.latent_dim:])
+
+    @cached_property
+    def decoder_w2(self) -> np.ndarray:
+        """Float64 twin of the decoder's W2, (vae_hidden, vae_hidden), read-only."""
+        return float64_twin(self.vae_dec.w2)
+
+    @cached_property
+    def decoder_w3(self) -> np.ndarray:
+        """Float64 twin of the decoder's W3, (vae_hidden, F * D), read-only."""
+        return float64_twin(self.vae_dec.w3)
+
+    @cached_property
     def decoder_gram(self) -> np.ndarray:
-        """W3 W3^T of the decoder's last layer, (vae_hidden, vae_hidden) float64.
+        """W3 W3^T of the decoder's last layer, (vae_hidden, vae_hidden) float64,
+        read-only.
 
         Built on the first sensitivity probe and kept as long as these params
         are.
         """
-        w3 = self.vae_dec.w3.astype(F64)
-        return w3 @ w3.T
+        w3 = self.decoder_w3
+        gram = w3 @ w3.T
+        gram.flags.writeable = False
+        return gram
 
     @cached_property
     def token_positions(self) -> np.ndarray:
@@ -280,8 +309,7 @@ def _first_layer(history: DecoderHistory, zs: np.ndarray, params: PriorParams) -
     if zs.ndim != 2 or zs.shape[1] != params.latent_dim:
         raise DimensionError(f"latent batch has shape {zs.shape}, "
                              f"expected (N, {params.latent_dim})")
-    w1_z = p.w1[-params.latent_dim:].astype(F64)
-    a1 = (history.rows + zs.astype(F64) @ w1_z).astype(F32)
+    a1 = (history.rows + zs.astype(F64) @ params.decoder_w1_latent).astype(F32)
     a1 += p.b1
     return a1
 
@@ -310,10 +338,10 @@ def decode_batch(m_h: DecoderHistory, zs: np.ndarray, params: PriorParams,
     if frames.step not in (None, 1) or not 0 <= start < stop <= f_len:
         raise DimensionError(f"frame range {frames} is not a non-empty contiguous "
                              f"range of the {f_len} future frames")
-    p = params.vae_dec
     h = gelu(_first_layer(m_h, zs, params))
-    h = gelu(linear(h, p.w2, p.b2))
-    out = linear(h, p.w3[:, start * d:stop * d], p.b3[start * d:stop * d])
+    h = gelu(linear(h, params.decoder_w2, params.vae_dec.b2))
+    cols = slice(start * d, stop * d)
+    out = linear(h, params.decoder_w3[:, cols], params.vae_dec.b3[cols])
     return out.reshape(h.shape[0], stop - start, d)
 
 
@@ -328,10 +356,9 @@ def decoder_sensitivity(m_h: DecoderHistory, z0: np.ndarray,
     the wide last layer is never multiplied.
     """
     a1 = _first_layer(m_h, np.asarray(z0, dtype=F32).reshape(1, -1), params)
-    p = params.vae_dec
-    a2 = linear(gelu(a1), p.w2, p.b2)
-    w1_z = p.w1[-params.latent_dim:].astype(F64)
-    b = ((w1_z * gelu_slope(a1)) @ p.w2.astype(F64)) * gelu_slope(a2)
+    w2 = params.decoder_w2
+    a2 = linear(gelu(a1), w2, params.vae_dec.b2)
+    b = ((params.decoder_w1_latent * gelu_slope(a1)) @ w2) * gelu_slope(a2)
     sq = np.einsum("dh,dh->d", b @ params.decoder_gram, b)
     # G is positive semi-definite; rounding may leave a zero row at -0.0 or -tiny.
     return np.sqrt(np.maximum(sq, 0.0)).astype(F32)

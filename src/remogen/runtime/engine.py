@@ -356,7 +356,7 @@ class Engine:
                     # Every refined frame decodes against the first updated history.
                     self._decode_history = project_history(self._rolling, self.prior)
                 z = refine_latent(self._z0, self._rolling, self.dyn.window(phase),
-                                  self._sensitivity, self.fwsr_params)
+                                  self._sensitivity, self.fwsr_params.float64_weights)
                 frame = self._decode(self._decode_history, z, "fwsr_decode",
                                      slice(phase, phase + 1)).frames[0]
                 self._rolling = self._rolling.slide(frame)

@@ -8,11 +8,18 @@ float32. Only the Meta-Interaction adapters (mim.py) pass F32; the prior and
 the refiner keep float64. Either way the attention core (QK^T, softmax and
 the mix of V), layer norm and GELU stay in float64. Everything here is a pure
 function of its inputs, so values can be shared freely.
+
+Weights may be float32 or float64. A product casts each operand to acc, and
+a weight already in acc is used as it is, so a float64 twin of a float32
+weight (float64_twin) gives an F64 product the same bits without the cast on
+every call. The decoder and the refiner keep such twins; the denoiser and the
+Meta-Interaction modules do not.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -45,6 +52,26 @@ def _product(a: np.ndarray, b: np.ndarray, acc) -> np.ndarray:
         return np.asarray(a, dtype=acc) @ np.asarray(b, dtype=acc)
     except ValueError as exc:
         raise DimensionError(f"cannot multiply shapes {np.shape(a)} and {np.shape(b)}") from exc
+
+
+def float64_twin(w: np.ndarray) -> np.ndarray:
+    """A read-only float64 copy of the weight w: the operand an F64 product
+    casts w to, made once. _product passes it through uncast, so a product
+    with the twin gives the bits of the product with w.
+
+    The copy lives in its own private anonymous mapping, not in malloc's
+    heap. A twin lives as long as its params; freed from the heap, a block
+    that large leaves a hole that the small allocations made meanwhile keep
+    from being returned, and the next params' twins grow the heap again. A
+    mapping goes back to the system whole when the twin is freed.
+    """
+    w = np.asarray(w)
+    nbytes = max(w.size, 1) * np.dtype(F64).itemsize   # a mapping cannot be empty
+    mapping = mmap.mmap(-1, nbytes, access=mmap.ACCESS_COPY)
+    twin = np.frombuffer(mapping, dtype=F64, count=w.size).reshape(w.shape)
+    twin[...] = w
+    twin.flags.writeable = False
+    return twin
 
 
 def matmul(a: np.ndarray, b: np.ndarray, acc=F64) -> np.ndarray:
@@ -309,7 +336,7 @@ def mha_forward(q_in: np.ndarray, kv_in, p: AttentionParams,
                 f"({p.heads}, {t_q}, {t_kv})")
 
     # (..., heads, T_q, T_kv); the softmax runs in place on the logits
-    logits = np.swapaxes(q, -3, -2) @ np.moveaxis(k, -3, -1)
+    logits = np.swapaxes(q, -3, -2) @ np.swapaxes(np.swapaxes(k, -3, -2), -2, -1)
     logits /= np.sqrt(p.width // p.heads)
     if bias is not None:
         logits += bias

@@ -53,7 +53,6 @@ from remogen.prior import (
 from remogen.runtime import (
     Engine,
     EngineConfig,
-    bench,
     init_weights,
     load_archive,
     load_motion,
@@ -529,21 +528,27 @@ def test_c09_metric_oracles():
 
 @pytest.mark.slow
 def test_c10_latency_structure():
-    """Per-frame cost: refinement path >= 3x cheaper than slide, segment within 1.5x."""
+    """Per-frame cost: refinement path >= 3x cheaper than slide, segment within 1.5x.
+
+    Cost is this process's CPU time, so another process sharing the CPU does
+    not move the ratios, as it would move wall-clock time.
+    """
     cfg = EngineConfig()
     archive = init_weights(cfg, 0)
     start = time.perf_counter()
-    results = bench(cfg, archive, n_frames=1000)
+    per = {}
+    for mode in ("segment", "fwsr", "slide"):
+        cpu = time.process_time()
+        frames = len(Engine(archive, cfg, mode=mode).run_ticks(1000))
+        per[mode] = (time.process_time() - cpu) / frames
+        assert frames >= 1000
     elapsed = time.perf_counter() - start
-    per = {mode: b.per_frame for mode, b in results.items()}
     assert per["slide"] / per["fwsr"] >= 3.0
     assert per["segment"] <= 1.5 * per["fwsr"]
     assert elapsed < 300.0
-    for mode, b in results.items():
-        assert b.frames >= 1000
-    report("C10", f"per-frame s: segment {per['segment']:.4f}, fwsr {per['fwsr']:.4f}, "
+    report("C10", f"per-frame CPU s: segment {per['segment']:.4f}, fwsr {per['fwsr']:.4f}, "
                   f"slide {per['slide']:.4f}; slide/fwsr = "
-                  f"{per['slide'] / per['fwsr']:.1f}x; bench took {elapsed:.0f} s")
+                  f"{per['slide'] / per['fwsr']:.1f}x; the three runs took {elapsed:.0f} s")
 
 
 def test_c10_denoiser_passes_per_tick(compact_archive, monkeypatch):

@@ -263,7 +263,7 @@ class TestRefineLatent:
     def test_cached_context_rows_match_uncached_reference(self, seed):
         """Bit for bit the formula that embedded positions and built the
         relative bias on every call, over windows of 0, 1 and 2 rows, with
-        the rows cached and not."""
+        the rows cached and not, and with the float64 weight twins."""
         gen = Rng(seed).generator("uncached")
         params = seeded_fwsr_params(Rng(seed + 200), feature_dim=D, latent_dim=8, heads=2,
                                     zero_film=False, beta_sens=float(gen.uniform(0, 2)))
@@ -273,6 +273,8 @@ class TestRefineLatent:
             window = gen.standard_normal((rows_in_window, D)).astype(F32)
             sens = SensitivityVector(np.abs(gen.standard_normal(8)).astype(F32))
             got = refine_latent(z0, m_h, window, sens, params)
+            assert np.array_equal(
+                refine_latent(z0, m_h, window, sens, params.float64_weights), got)
 
             rows = np.vstack([m_h.frames, window])
             toks = linear(rows, params.dyn_w, params.dyn_b)

@@ -1059,6 +1059,64 @@ class TestModuleBatching:
             gc.enable()
 
 
+class TestFloat64Twins:
+    """An fwsr engine's refinement ticks multiply float64 twins of the
+    decoder's and the refiner's weights, each built once on first use, kept
+    with its params and read-only."""
+
+    PRIOR_TWINS = ("decoder_w1_latent", "decoder_w2", "decoder_w3")
+
+    @staticmethod
+    def check_twin(twin, weight):
+        assert twin.dtype == np.float64
+        np.testing.assert_array_equal(twin.astype(F32), weight, strict=True)
+        with pytest.raises(ValueError):
+            twin[...] = 0.0
+
+    def test_refinement_ticks_multiply_float64_twins(self, monkeypatch):
+        import remogen.tensorcore as tensorcore
+
+        cfg = dataclasses.replace(COMPACT_CFG, alpha={"hhi": 1.0})
+        engine = Engine(init_weights(cfg, 3), cfg, mode="fwsr")
+        prior, fwsr = engine.prior, engine.fwsr_params
+        built = ("decoder_gram",) + self.PRIOR_TWINS
+        assert not any(name in vars(prior) for name in built)
+        assert "float64_weights" not in vars(fwsr)
+
+        weights, real = [], tensorcore._product
+
+        def recording(a, b, acc):
+            weights.append(np.asarray(b).dtype)
+            return real(a, b, acc)
+
+        monkeypatch.setattr(tensorcore, "_product", recording)
+        partner = featurize(synthetic_sequence(2 * cfg.future_len, seed=4)).frames
+        for frame in partner:
+            phase = engine.ticks % cfg.future_len
+            del weights[:]
+            engine.tick(frame)
+            if phase >= 2:
+                assert weights and set(weights) == {np.dtype(np.float64)}, phase
+
+        p = prior.vae_dec
+        for name, weight in zip(self.PRIOR_TWINS,
+                                (p.w1[-prior.latent_dim:], p.w2, p.w3)):
+            twin = vars(prior)[name]
+            assert getattr(prior, name) is twin
+            self.check_twin(twin, weight)
+        gram = vars(prior)["decoder_gram"]
+        assert prior.decoder_gram is gram and not gram.flags.writeable
+
+        twins = vars(fwsr)["float64_weights"]
+        assert fwsr.float64_weights is twins
+        self.check_twin(twins.dyn_w, fwsr.dyn_w)
+        self.check_twin(twins.film_w, fwsr.film_w)
+        self.check_twin(twins.dyn_attn.w_qkv, fwsr.dyn_attn.w_qkv)
+        for attn, f32 in ((twins.dyn_attn, fwsr.dyn_attn), (twins.cross_attn, fwsr.cross_attn)):
+            for name in ("w_q", "w_k", "w_v", "w_o"):
+                self.check_twin(getattr(attn, name), getattr(f32, name))
+
+
 class TestBench:
     def test_repeatability_and_component_sums(self, cfg, archive):
         from remogen.runtime import bench
