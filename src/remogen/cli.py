@@ -141,17 +141,35 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_voxelize(args) -> int:
+def _read_points(path: str) -> list:
+    """x y z rows of a points file; a line with fewer than three fields is
+    skipped, and one whose first three are not finite numbers is a
+    FormatError."""
     points = []
-    with open(args.points, "r", encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
             parts = line.split()
-            if len(parts) >= 3:
-                points.append([float(v) for v in parts[:3]])
+            if len(parts) < 3:
+                continue
+            try:
+                xyz = [float(v) for v in parts[:3]]
+            except ValueError:
+                xyz = None
+            if xyz is None or not np.all(np.isfinite(xyz)):
+                raise FormatError(f"{path} line {number}: {' '.join(parts[:3])!r} is not "
+                                  f"three finite coordinates")
+            points.append(xyz)
+    return points
+
+
+def _cmd_voxelize(args) -> int:
+    points = _read_points(args.points)
     bounds = args.bounds
     if args.dims:
         spec = GridSpec(bounds[:3], bounds[3:], tuple(args.dims))
-    elif args.resolution:
+    elif args.resolution is not None:
+        if not args.resolution > 0:
+            raise ConfigError(f"--resolution must be > 0, got {args.resolution}")
         spec = GridSpec.from_resolution(bounds[:3], bounds[3:], args.resolution)
     else:
         raise ConfigError("voxelize needs --dims or --resolution")

@@ -69,6 +69,8 @@ from .tensorcore import (
 SCENE_PATCH = 8
 SCENE_TOKENS = (EGO_DIMS // SCENE_PATCH) ** 3  # 64
 CLAMP_EPS = 1e-6  # keeps the clamp scale finite when the composed residual is zero
+TCN_LAYERS = 3   # gated causal convolutions in the partner encoder
+TCN_KERNEL = 3   # taps per convolution
 
 
 @dataclass(frozen=True)
@@ -330,7 +332,6 @@ def compose_deltas(deltas: Sequence[ModulationDelta], alpha: dict) -> Modulation
 def seeded_mim_params(module_id: str, source: str, rng: Rng, feature_dim: int,
                       width: int = 128, heads: int = 4, ffn_hidden: int = 256,
                       injection_layers: Sequence[int] = (0, 1, 2, 3),
-                      tcn_layers: int = 3, tcn_kernel: int = 3,
                       zero_gate: bool = True) -> MimParams:
     """Seeded module weights; the output gate starts at zero unless asked otherwise."""
     if source not in ("others", "scene"):
@@ -345,11 +346,11 @@ def seeded_mim_params(module_id: str, source: str, rng: Rng, feature_dim: int,
     if source == "others":
         layers = []
         c_in = feature_dim
-        for i in range(tcn_layers):
+        for i in range(TCN_LAYERS):
             layers.append(TcnLayerParams(
-                w_filter=u(f"tcn{i}.wf", (tcn_kernel, c_in, width)),
+                w_filter=u(f"tcn{i}.wf", (TCN_KERNEL, c_in, width)),
                 b_filter=zeros(width),
-                w_gate=u(f"tcn{i}.wg", (tcn_kernel, c_in, width)),
+                w_gate=u(f"tcn{i}.wg", (TCN_KERNEL, c_in, width)),
                 b_gate=zeros(width)))
             c_in = width
         encoder: Union[TcnParams, SceneEncoderParams] = TcnParams(tuple(layers))

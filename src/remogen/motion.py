@@ -415,9 +415,9 @@ def _forward_kinematics(root_t: np.ndarray, root_r: np.ndarray,
     return positions
 
 
-def synthetic_sequence(n_frames: int, seed: int = 0, fps: float = 10.0,
-                       root_speed: float = 0.08) -> RawPoseSequence:
-    """Seeded wandering walk of the 22-joint chain with smooth joint swings."""
+def synthetic_sequence(n_frames: int, seed: int = 0, fps: float = 10.0) -> RawPoseSequence:
+    """Seeded wandering walk of the 22-joint chain with smooth joint swings,
+    its root advancing 0.08 m per frame."""
     if n_frames < 1:
         raise EmptyInputError("need at least one frame")
     gen = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(0xC4A1)]))
@@ -439,7 +439,7 @@ def synthetic_sequence(n_frames: int, seed: int = 0, fps: float = 10.0,
         yaw = yaw0 + yaw_rate * t
         heading = np.array([np.cos(yaw), np.sin(yaw), 0.0])
         if t > 0:
-            pos = pos + root_speed * heading
+            pos = pos + 0.08 * heading
         root_t[t] = pos
         root_r[t] = rotation_about_axis(np.array([0.0, 0.0, 1.0]), yaw)
         for k in range(j - 1):

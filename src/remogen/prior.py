@@ -8,19 +8,18 @@ after each generated segment is driven by the runtime engine.
 
 The decoder's first layer is split into its history rows and its latent
 rows. project_history multiplies a history window by the history rows once
-(HistoryProjection); each decode or probe against that projection then
-multiplies only its latents by the d_z latent rows. A plain window is
-projected on each call, so the two give the same bits.
+(HistoryProjection), and the decoder and the sensitivity probe take that
+projection: each decode or probe against it multiplies only its latents by
+the d_z latent rows.
 
 The decoder and the sensitivity probe multiply read-only float64 twins of
-W1's latent rows, W2 and W3 (PriorParams.decoder_w1_latent, decoder_w2 and
-decoder_w3, 5.2 MB at the default sizes, 4.5 MB of it W3), and the probe
-also reads W3 W3^T (decoder_gram, 0.5 MB). Each is built on first use and
-kept as long as the params are; the float32 archive tensors stay the only
-stored copy of the weights. A twin is the operand a float64 product used to
-cast its float32 weight to on every call, so the products keep their bits.
-project_history casts W1's history rows once per window, and the denoiser
-gets no twin.
+W1, W2 and W3 (PriorParams.decoder_w1, decoder_w2 and decoder_w3, 6.3 MB at
+the default sizes, 4.5 MB of it W3), and the probe also reads W3 W3^T
+(decoder_gram, 0.5 MB). Each is built on first use and kept as long as the
+params are; the float32 archive tensors stay the only stored copy of the
+weights. A twin is the operand a float64 product used to cast its float32
+weight to on every call, so the products keep their bits. project_history
+multiplies W1's history rows of the twin, and the denoiser gets no twin.
 
 Parameters are plain frozen dataclasses of arrays; nothing here mutates them,
 which is what keeps the prior structurally frozen. Archives from older
@@ -32,7 +31,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -159,9 +158,10 @@ class PriorParams:
         return self.history_len + 3
 
     @cached_property
-    def decoder_w1_latent(self) -> np.ndarray:
-        """Float64 twin of W1's d_z latent rows, (d_z, vae_hidden), read-only."""
-        return float64_twin(self.vae_dec.w1[-self.latent_dim:])
+    def decoder_w1(self) -> np.ndarray:
+        """Float64 twin of the decoder's W1, (H * D + d_z, vae_hidden), read-only:
+        the history rows, then the d_z latent rows."""
+        return float64_twin(self.vae_dec.w1)
 
     @cached_property
     def decoder_w2(self) -> np.ndarray:
@@ -275,11 +275,6 @@ class HistoryProjection:
     rows: np.ndarray
 
 
-# What the decoder takes as its history: a window, projected on each call,
-# or a window projected once.
-DecoderHistory = Union[HistoryWindow, HistoryProjection]
-
-
 def _check_history(m_h: HistoryWindow, params: PriorParams) -> None:
     if len(m_h) != params.history_len or m_h.dim != params.feature_dim:
         raise DimensionError("history window does not match prior dimensions")
@@ -288,45 +283,44 @@ def _check_history(m_h: HistoryWindow, params: PriorParams) -> None:
 def project_history(m_h: HistoryWindow, params: PriorParams) -> HistoryProjection:
     """Project a history window through the decoder's history rows of W1."""
     _check_history(m_h, params)
-    w1_h = params.vae_dec.w1[:-params.latent_dim]
-    return HistoryProjection(m_h, m_h.frames.reshape(1, -1).astype(F64) @ w1_h.astype(F64))
+    w1_h = params.decoder_w1[:-params.latent_dim]
+    return HistoryProjection(m_h, m_h.frames.reshape(1, -1).astype(F64) @ w1_h)
 
 
-def _first_layer(history: DecoderHistory, zs: np.ndarray, params: PriorParams) -> np.ndarray:
+def _first_layer(history: HistoryProjection, zs: np.ndarray,
+                 params: PriorParams) -> np.ndarray:
     """The decoder's first affine layer for N latents that share one history,
     (N, vae_hidden) float32, before its GELU: the history's projection plus
     each latent's product with W1's latent rows, summed in float64, rounded
     once, then b1 added."""
     p = params.vae_dec
-    if isinstance(history, HistoryProjection):
-        _check_history(history.window, params)
-        if history.rows.shape != (1, p.w1.shape[1]):
-            raise DimensionError(f"history projection is {history.rows.shape}, "
-                                 f"expected (1, {p.w1.shape[1]})")
-    else:
-        history = project_history(history, params)
+    _check_history(history.window, params)
+    if history.rows.shape != (1, p.w1.shape[1]):
+        raise DimensionError(f"history projection is {history.rows.shape}, "
+                             f"expected (1, {p.w1.shape[1]})")
     zs = np.asarray(zs, dtype=F32)
     if zs.ndim != 2 or zs.shape[1] != params.latent_dim:
         raise DimensionError(f"latent batch has shape {zs.shape}, "
                              f"expected (N, {params.latent_dim})")
-    a1 = (history.rows + zs.astype(F64) @ params.decoder_w1_latent).astype(F32)
+    a1 = (history.rows + zs.astype(F64) @ params.decoder_w1[-params.latent_dim:]).astype(F32)
     a1 += p.b1
     return a1
 
 
-def decode_segment(m_h: DecoderHistory, z: np.ndarray, params: PriorParams,
+def decode_segment(m_h: HistoryProjection, z: np.ndarray, params: PriorParams,
                    fps: float = 10.0, frames: slice = slice(None)) -> MotionSegment:
-    """VAE decoder: history window plus clean latent to the future segment's
-    frames in the contiguous range `frames` (all F by default)."""
+    """VAE decoder: a projected history window plus clean latent to the
+    future segment's frames in the contiguous range `frames` (all F by
+    default)."""
     z = np.asarray(z, dtype=F32).reshape(1, -1)
     return MotionSegment(decode_batch(m_h, z, params, frames)[0], fps=fps)
 
 
-def decode_batch(m_h: DecoderHistory, zs: np.ndarray, params: PriorParams,
+def decode_batch(m_h: HistoryProjection, zs: np.ndarray, params: PriorParams,
                  frames: slice = slice(None)) -> np.ndarray:
-    """VAE decoder over N latents that share one history window; (N, n, D).
+    """VAE decoder over N latents that share one projected history window;
+    (N, n, D).
 
-    m_h is the window or its HistoryProjection; both give the same bits.
     `frames` is a contiguous, non-empty range of the F future frames, n long.
     The last layer computes only that range's columns, and frame f of a
     one-frame range equals frame f of the full decode bit for bit. Row n is
@@ -345,7 +339,7 @@ def decode_batch(m_h: DecoderHistory, zs: np.ndarray, params: PriorParams,
     return out.reshape(h.shape[0], stop - start, d)
 
 
-def decoder_sensitivity(m_h: DecoderHistory, z0: np.ndarray,
+def decoder_sensitivity(m_h: HistoryProjection, z0: np.ndarray,
                         params: PriorParams) -> np.ndarray:
     """Exact decoder response per latent dimension at (m_h, z0), float32 (d_z,).
 
@@ -358,7 +352,8 @@ def decoder_sensitivity(m_h: DecoderHistory, z0: np.ndarray,
     a1 = _first_layer(m_h, np.asarray(z0, dtype=F32).reshape(1, -1), params)
     w2 = params.decoder_w2
     a2 = linear(gelu(a1), w2, params.vae_dec.b2)
-    b = ((params.decoder_w1_latent * gelu_slope(a1)) @ w2) * gelu_slope(a2)
+    w1_z = params.decoder_w1[-params.latent_dim:]
+    b = ((w1_z * gelu_slope(a1)) @ w2) * gelu_slope(a2)
     sq = np.einsum("dh,dh->d", b @ params.decoder_gram, b)
     # G is positive semi-definite; rounding may leave a zero row at -0.0 or -tiny.
     return np.sqrt(np.maximum(sq, 0.0)).astype(F32)

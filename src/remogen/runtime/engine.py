@@ -9,14 +9,16 @@ emission. One tick corresponds to one input frame of wall-clock time:
   slide mode    - re-sample a full segment every tick, keep only frame 0
                   (the latency-heavy baseline)
 
+Every mode starts a segment the same way (Engine._start_segment): sample
+z0, project the history through the decoder's history rows once
+(prior.project_history) and decode the frames it needs from that projection.
+
 In fwsr mode the engine holds the segment's refinement state itself: z0,
 the boundary history projection, the sensitivity vector, the projected
-decode history and the rolling history. Each history window the decoder
-reads is projected through the decoder's history rows once
-(prior.project_history): the boundary history on the boundary tick, shared
-by the frame-0 decode and the sensitivity probe, and the decode history on
-the first refinement tick. A refinement tick then multiplies only the
-refined latent by the decoder's latent rows.
+decode history and the rolling history. The boundary projection is shared
+by the frame-0 decode and the sensitivity probe; the decode history is
+projected on the first refinement tick. A refinement tick then multiplies
+only the refined latent by the decoder's latent rows.
 
 Text and composition-weight changes are queued and applied at the next
 segment boundary, since one denoising pass is conditioned on a single text.
@@ -52,6 +54,7 @@ from ..mim import (
 from ..motion import (
     FeatureLayout,
     HistoryWindow,
+    MotionSegment,
     Normalizer,
     RigidTransform,
     normalize,
@@ -61,7 +64,6 @@ from ..motion import (
     update_history,
 )
 from ..prior import (
-    DecoderHistory,
     HistoryProjection,
     PriorParams,
     ddpm_sample,
@@ -159,7 +161,6 @@ class Engine:
             raise ConfigError("fwsr mode requested but the archive has no fwsr weights")
         self.normalizer = Normalizer(archive.get("norm.mean"), archive.get("norm.std"))
 
-        self.canonical_to_world = RigidTransform.identity()
         self.scene_grid: Optional[VoxelGrid] = None
         self.gen = Rng(cfg.seed).generator("engine")
 
@@ -172,7 +173,6 @@ class Engine:
         self.history = HistoryWindow(normalize(seed_history.frames, self.normalizer))
         self.dyn = DynamicContext(cfg.history_len, self.layout.dim)
         self.ticks = 0
-        self.frames_emitted = 0
         # fwsr: the state of the segment being refined, set on its boundary tick
         self._z0: Optional[np.ndarray] = None
         self._boundary: Optional[HistoryProjection] = None
@@ -234,11 +234,8 @@ class Engine:
         rot6 = frame[self.layout.span("rotations_6d")][:6]
         r = rotation_from_6d(rot6)
         yaw = float(np.arctan2(r[1, 0], r[0, 0]))
-        local = RigidTransform(rotation_about_axis(np.array([0.0, 0.0, 1.0]), yaw),
-                               np.array([root[0], root[1], 0.0], dtype=np.float64))
-        world = self.canonical_to_world
-        return RigidTransform(world.rotation @ local.rotation,
-                              world.rotation @ local.translation + world.translation)
+        return RigidTransform(rotation_about_axis(np.array([0.0, 0.0, 1.0]), yaw),
+                              np.array([root[0], root[1], 0.0], dtype=np.float64))
 
     def _module_context(self, module_id: str):
         params = self.mims[module_id]
@@ -294,13 +291,24 @@ class Engine:
             return ddpm_sample(denoise, self.prior.latent_dim, self.cfg.steps,
                                self.cfg.guidance_scale, self.gen)
 
-    def _decode(self, history: DecoderHistory, z: np.ndarray, component: str = "decode",
-                frames: slice = slice(None)):
-        with self._track(component):
-            return decode_segment(history, z, self.prior, fps=self.cfg.fps, frames=frames)
+    def _start_segment(self, frames: slice
+                       ) -> tuple[np.ndarray, HistoryProjection, MotionSegment]:
+        """The segment start every mode makes: apply the queued text and
+        weights, mark the partner window, sample z0, then project the history
+        once and decode `frames` of the segment from that projection.
+
+        Returns z0, the projection and the decoded frames.
+        """
+        self._apply_pending()
+        self.dyn.mark_segment_start()
+        z0 = self._sample_z0()
+        with self._track("decode"):
+            projection = project_history(self.history, self.prior)
+            segment = decode_segment(projection, z0, self.prior, fps=self.cfg.fps,
+                                     frames=frames)
+        return z0, projection, segment
 
     def _emit(self, normalized_frame: np.ndarray) -> np.ndarray:
-        self.frames_emitted += 1
         # A (D,) array of its own, not a row view that keeps a (1, D) base alive.
         return normalize(normalized_frame, self.normalizer, inverse=True)
 
@@ -317,34 +325,23 @@ class Engine:
         if self.mode == "segment":
             if self.ticks % self.cfg.future_len != 0:
                 return []
-            self._apply_pending()
-            self.dyn.mark_segment_start()
-            z0 = self._sample_z0()
-            segment = self._decode(self.history, z0)
+            segment = self._start_segment(slice(None))[2]
             self.history = update_history(self.history, segment)
             return [self._emit(f) for f in segment.frames]
 
         if self.mode == "slide":
-            self._apply_pending()
-            self.dyn.mark_segment_start()
-            z0 = self._sample_z0()
-            segment = self._decode(self.history, z0)
-            first = segment.frames[0]
+            # The baseline's full cost: the whole segment is decoded, and
+            # only frame 0 is kept.
+            first = self._start_segment(slice(None))[2].frames[0]
             self.history = self.history.slide(first)
             return [self._emit(first)]
 
         # fwsr mode: sample z0 at the segment boundary, then refine it and
-        # decode one frame per tick
+        # decode one frame per tick. The probe on tick 1 shares the boundary
+        # tick's projection with the frame-0 decode.
         if phase == 0:
-            self._apply_pending()
-            self.dyn.mark_segment_start()
-            self._z0 = self._sample_z0()
-            # The frame-0 decode and the probe on tick 1 share this projection,
-            # timed with the decode.
-            with self._track("decode"):
-                self._boundary = project_history(self.history, self.prior)
-                frame = decode_segment(self._boundary, self._z0, self.prior, fps=self.cfg.fps,
-                                       frames=slice(0, 1)).frames[0]
+            self._z0, self._boundary, segment = self._start_segment(slice(0, 1))
+            frame = segment.frames[0]
             self._rolling = self.history.slide(frame)
         else:
             if phase == 1:
@@ -357,8 +354,9 @@ class Engine:
                     self._decode_history = project_history(self._rolling, self.prior)
                 z = refine_latent(self._z0, self._rolling, self.dyn.window(phase),
                                   self._sensitivity, self.fwsr_params.float64_weights)
-                frame = self._decode(self._decode_history, z, "fwsr_decode",
-                                     slice(phase, phase + 1)).frames[0]
+                with self._track("fwsr_decode"):
+                    frame = decode_segment(self._decode_history, z, self.prior, fps=self.cfg.fps,
+                                           frames=slice(phase, phase + 1)).frames[0]
                 self._rolling = self._rolling.slide(frame)
         if phase == self.cfg.future_len - 1:
             self.history = self._rolling

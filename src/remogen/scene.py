@@ -185,19 +185,14 @@ def ego_cell_centers() -> np.ndarray:
     return centers
 
 
-def extract_ego_voxels(grid: VoxelGrid, ego_to_world: RigidTransform,
-                       axis_aligned: bool = False) -> EgoVoxelBlock:
+def extract_ego_voxels(grid: VoxelGrid, ego_to_world: RigidTransform) -> EgoVoxelBlock:
     """Sample the world grid at the ego box cell centers.
 
     Each ego cell queries the world occupancy at its mapped center; queries
-    landing outside the world grid count as free. With axis_aligned=True only
-    the translation of ego_to_world is used (no yaw).
+    landing outside the world grid count as free.
     """
-    frame = ego_to_world
-    if axis_aligned:
-        frame = RigidTransform(np.eye(3), ego_to_world.translation)
     centers = ego_cell_centers().reshape(-1, 3)
-    world = frame.apply_points(centers)
+    world = ego_to_world.apply_points(centers)
     states = query_points(grid, world)
     occ = (states == Occupancy.OCCUPIED.value).reshape(EGO_DIMS, EGO_DIMS, EGO_DIMS)
-    return EgoVoxelBlock(occ, frame)
+    return EgoVoxelBlock(occ, ego_to_world)

@@ -101,9 +101,8 @@ def linear(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray] = None,
     return y
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray,
-               eps: float = LAYER_NORM_EPS) -> np.ndarray:
-    """Per-row layer normalization with a variance floor of eps.
+def layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Per-row layer normalization with a variance floor of LAYER_NORM_EPS.
 
     gain and offset of L stacked blocks are (L, 1, width); they broadcast a
     (T, width) input to (L, T, width).
@@ -114,7 +113,7 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray,
     # rows computed once.
     d = z - z.sum(axis=-1, keepdims=True) / n
     var = (d * d).sum(axis=-1, keepdims=True) / n
-    d /= np.sqrt(var + eps)
+    d /= np.sqrt(var + LAYER_NORM_EPS)
     try:
         out = d * gain
         out += offset

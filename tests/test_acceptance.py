@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from decoder_reference import window_decoder
 from sensitivity_oracle import estimate_sensitivity
 
 from remogen.fwsr import (
@@ -46,8 +47,8 @@ from remogen.motion import (
 )
 from remogen.prior import (
     ddpm_sample,
-    decode_batch,
     decoder_sensitivity,
+    project_history,
     seeded_prior_params,
 )
 from remogen.runtime import (
@@ -359,8 +360,8 @@ def test_c05_sensitivity_linear_decoders():
             h = HistoryWindow(gen.standard_normal((params.history_len, params.feature_dim))
                               .astype(F32))
             z0 = gen.standard_normal(params.latent_dim).astype(F32)
-            exact = decoder_sensitivity(h, z0, params)
-            oracle = estimate_sensitivity(lambda m, zs: decode_batch(m, zs, params), h, z0)
+            exact = decoder_sensitivity(project_history(h, params), z0, params)
+            oracle = estimate_sensitivity(window_decoder(params), h, z0)
             worst = max(worst, float(np.max(np.abs(exact - oracle) / oracle)))
             # The oracle's float32 rounding over its 2e-3 step measured at most
             # 7.7e-4 relative on these 16 priors.
@@ -416,8 +417,9 @@ def test_c06_refinement_algorithm_conformance(compact_archive, monkeypatch):
         assert denoiser_per_tick[0] > 0 and denoiser_per_tick[1:] == [0] * (f_len - 1)
         # Zero-gated refinement reproduces the shifted-history re-decode
         # (init_weights leaves the normalizer at the identity).
-        full = real_decode(m_h, engine._z0, engine.prior).frames
-        shifted = real_decode(m_h.slide(full[0]), engine._z0, engine.prior).frames
+        full = real_decode(project_history(m_h, engine.prior), engine._z0, engine.prior).frames
+        shifted = real_decode(project_history(m_h.slide(full[0]), engine.prior), engine._z0,
+                              engine.prior).frames
         assert np.array_equal(out[0], full[0])
         assert np.array_equal(out[1:], shifted[1:])
     report("C6", "50 refinement runs: F-1 refines, F-1 decodes, 0 denoiser calls, "

@@ -203,6 +203,35 @@ class TestVoxelizeAndMetrics:
                    "--out", str(tmp_path / "v.rmgv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("bad", ["abc 1 2", "0.5 nan 0.5", "0.5 0.5 inf", "-inf 0 0",
+                                     "1e999 0 0", "0.5,0.5,0.5 1 2"])
+    def test_voxelize_refuses_a_point_that_is_not_three_finite_numbers(self, tmp_path,
+                                                                       capsys, bad):
+        """A line whose first three fields are not finite numbers is a format
+        error naming the line, and no file is written."""
+        pts = tmp_path / "p.xyz"
+        pts.write_text(f"0.5 0.5 0.5\nshort line\n{bad}\n0.2 0.2 0.2\n")
+        out = tmp_path / "v.rmgv"
+        rc = main(["voxelize", "--points", str(pts),
+                   "--bounds", "0", "0", "0", "1", "1", "1",
+                   "--dims", "4", "4", "4", "--out", str(out)])
+        assert rc == 3
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("resolution", ["0", "-0.1", "nan"])
+    def test_voxelize_refuses_a_resolution_that_is_not_positive(self, tmp_path, capsys,
+                                                                resolution):
+        pts = tmp_path / "p.xyz"
+        pts.write_text("0 0 0\n")
+        out = tmp_path / "v.rmgv"
+        rc = main(["voxelize", "--points", str(pts),
+                   "--bounds", "0", "0", "0", "1", "1", "1",
+                   "--resolution", resolution, "--out", str(out)])
+        assert rc == 2
+        assert "--resolution must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBench:
     def test_bench_prints_breakdowns(self, weights_path, capsys):

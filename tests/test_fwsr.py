@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from decoder_reference import window_decoder
 from sensitivity_oracle import estimate_sensitivity
 
 from remogen.errors import DimensionError, NumericError
@@ -15,7 +16,12 @@ from remogen.fwsr import (
 )
 from remogen.metrics import LatencyRecorder
 from remogen.motion import HistoryWindow, featurize, synthetic_sequence
-from remogen.prior import decode_batch, decode_segment, decoder_sensitivity, seeded_prior_params
+from remogen.prior import (
+    decode_segment,
+    decoder_sensitivity,
+    project_history,
+    seeded_prior_params,
+)
 from remogen.runtime import Engine, EngineConfig, WeightArchive, init_weights
 from remogen.tensorcore import (
     AttentionParams,
@@ -129,8 +135,8 @@ class TestDecoderSensitivity:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_finite_difference_oracle(self, size, seed):
         params, m_h, z0 = seeded_probe_point(size, seed)
-        exact = decoder_sensitivity(m_h, z0, params)
-        oracle = estimate_sensitivity(lambda h, zs: decode_batch(h, zs, params), m_h, z0)
+        exact = decoder_sensitivity(project_history(m_h, params), z0, params)
+        oracle = estimate_sensitivity(window_decoder(params), m_h, z0)
         assert exact.dtype == F32 and exact.shape == (params.latent_dim,)
         # The oracle's own error is float32 storage of its probes and decodes
         # over a 2e-3 step: at most 7.1e-4 relative on compact priors and
@@ -155,29 +161,31 @@ class TestDecoderSensitivity:
         z = z0.astype(np.float64) + np.zeros((d_z, 1))
         step = np.eye(d_z) * h
         expected = np.linalg.norm(decode64(z + step) - decode64(z - step), axis=1) / (2 * h)
-        np.testing.assert_allclose(decoder_sensitivity(m_h, z0, params), expected, rtol=1e-6)
+        np.testing.assert_allclose(decoder_sensitivity(project_history(m_h, params), z0, params),
+                                   expected, rtol=1e-6)
 
     def test_ignored_dimension_is_zero(self):
         params, m_h, z0 = seeded_probe_point("compact", 1)
         w1 = params.vae_dec.w1.copy()
         w1[-params.latent_dim + 2] = 0.0   # latent dimension 2 feeds nothing
         params = dataclasses.replace(params, vae_dec=dataclasses.replace(params.vae_dec, w1=w1))
-        s = decoder_sensitivity(m_h, z0, params)
+        s = decoder_sensitivity(project_history(m_h, params), z0, params)
         assert s[2] == 0.0 and np.all(np.delete(s, 2) > 0)
 
     def test_gram_built_on_first_probe(self):
         params, m_h, z0 = seeded_probe_point("compact", 2)
         assert "decoder_gram" not in vars(params)
-        decoder_sensitivity(m_h, z0, params)
+        decoder_sensitivity(project_history(m_h, params), z0, params)
         w3 = params.vae_dec.w3.astype(np.float64)
         np.testing.assert_array_equal(vars(params)["decoder_gram"], w3 @ w3.T)
 
     def test_dimension_errors(self):
         params, m_h, z0 = seeded_probe_point("compact", 0)
         with pytest.raises(DimensionError):
-            decoder_sensitivity(m_h, z0[:-1], params)
+            decoder_sensitivity(project_history(m_h, params), z0[:-1], params)
         with pytest.raises(DimensionError):
-            decoder_sensitivity(HistoryWindow(m_h.frames[:, :-1]), z0, params)
+            decoder_sensitivity(project_history(HistoryWindow(m_h.frames[:, :-1]), params),
+                                z0, params)
 
     def test_nonfinite_latent_fails_the_refiner(self):
         params, m_h, z0 = seeded_probe_point("compact", 0)
@@ -434,8 +442,10 @@ class TestRefineSegment:
             for _ in range(2):
                 m_h = engine.history
                 out = np.stack(engine.run_ticks(f_len))
-                full = decode_segment(m_h, engine._z0, engine.prior).frames
-                shifted = decode_segment(m_h.slide(full[0]), engine._z0, engine.prior).frames
+                full = decode_segment(project_history(m_h, engine.prior), engine._z0,
+                                      engine.prior).frames
+                shifted = decode_segment(project_history(m_h.slide(full[0]), engine.prior),
+                                         engine._z0, engine.prior).frames
                 assert np.array_equal(out[0], full[0])
                 assert np.array_equal(out[1:], shifted[1:])
 

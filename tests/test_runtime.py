@@ -863,9 +863,10 @@ class TestEngineWiring:
         """The sensitivity an fwsr engine refines with is the finite-difference
         oracle's, at the history and latent of its segment, on a compact and
         an engine-size prior."""
+        from decoder_reference import window_decoder
         from sensitivity_oracle import estimate_sensitivity
 
-        from remogen.prior import decode_batch, decode_segment
+        from remogen.prior import decode_batch, decode_segment, project_history
 
         for c, a in ((COMPACT_CFG, init_weights(COMPACT_CFG, 5)), (cfg, archive)):
             engine = Engine(a, dataclasses.replace(c, alpha={"hhi": 1.0}), mode="fwsr")
@@ -873,8 +874,7 @@ class TestEngineWiring:
                 history = engine.history
                 engine.tick(partner_frames[2 * segment])
                 engine.tick(partner_frames[2 * segment + 1])
-                oracle = estimate_sensitivity(
-                    lambda h, zs: decode_batch(h, zs, engine.prior), history, engine._z0)
+                oracle = estimate_sensitivity(window_decoder(engine.prior), history, engine._z0)
                 # The oracle's float32 rounding over its 2e-3 step: at most
                 # 7.7e-4 relative on seeded compact and engine-size priors.
                 np.testing.assert_allclose(engine._sensitivity.s, oracle, rtol=1e-3)
@@ -884,10 +884,11 @@ class TestEngineWiring:
         # one-latent decode bit for bit.
         z0 = Rng(21).generator("z").standard_normal(cfg.latent_dim, dtype=F32)
         zs = z0 + Rng(22).generator("dz").standard_normal((5, cfg.latent_dim), dtype=F32)
-        batch = decode_batch(engine.history, zs, engine.prior)
+        projection = project_history(engine.history, engine.prior)
+        batch = decode_batch(projection, zs, engine.prior)
         for row, z in zip(batch, zs):
             np.testing.assert_array_equal(
-                row, decode_segment(engine.history, z, engine.prior).frames)
+                row, decode_segment(projection, z, engine.prior).frames)
 
     @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
     def test_decode_frame_ranges_per_mode(self, mode, cfg, archive, monkeypatch):
@@ -929,7 +930,7 @@ class TestEngineWiring:
             calls.append(1)
             return real(*args, **kwargs)
 
-        # The engine's own projections and the decoder's of a plain window.
+        # At the engine's name, and at the prior's for any the decoder made.
         monkeypatch.setattr(engine_module, "project_history", counting)
         monkeypatch.setattr(prior_module, "project_history", counting)
         cfg = dataclasses.replace(COMPACT_CFG, alpha={"hhi": 1.0})
@@ -945,6 +946,87 @@ class TestEngineWiring:
                     "slide": [1] * f_len}
         assert len(partner_frames) == 2 * f_len
         assert per_tick == expected[mode] * 2
+
+
+class TestSegmentStart:
+    """Every mode starts a segment the same way, and every decode and probe
+    the engine makes reads a history projection the engine built."""
+
+    @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
+    def test_every_decode_reads_a_projection_the_engine_built(self, mode, partner_frames,
+                                                              monkeypatch):
+        """Segment and slide decodes, and fwsr's frame-0 decode, read the
+        projection of the engine's history built on their own tick. fwsr's
+        probe on tick 1 reads the boundary tick's projection, and its
+        refined frames read the projection of the rolling history built on
+        tick 1."""
+        import remogen.runtime.engine as engine_module
+        from remogen.prior import HistoryProjection
+
+        cfg = dataclasses.replace(COMPACT_CFG, alpha={"hhi": 1.0})
+        engine = Engine(init_weights(cfg, 3), cfg, mode=mode)
+        built, reads = {}, []
+        real_project = engine_module.project_history
+        real_decode = engine_module.decode_segment
+        real_probe = engine_module.decoder_sensitivity
+
+        def project(m_h, params):
+            projection = real_project(m_h, params)
+            source = ("history" if m_h is engine.history
+                      else "rolling" if m_h is engine._rolling else "other")
+            built[id(projection)] = (projection, engine.ticks - 1, source)
+            return projection
+
+        def decode(m_h, z, params, **kwargs):
+            reads.append(("decode", engine.ticks - 1, m_h))
+            return real_decode(m_h, z, params, **kwargs)
+
+        def probe(m_h, z0, params):
+            reads.append(("probe", engine.ticks - 1, m_h))
+            return real_probe(m_h, z0, params)
+
+        monkeypatch.setattr(engine_module, "project_history", project)
+        monkeypatch.setattr(engine_module, "decode_segment", decode)
+        monkeypatch.setattr(engine_module, "decoder_sensitivity", probe)
+        for frame in partner_frames:
+            engine.tick(frame)
+
+        f_len = cfg.future_len
+        assert len(partner_frames) == 2 * f_len
+        expected_reads = {"segment": 2, "slide": 2 * f_len, "fwsr": 2 * f_len + 2}
+        assert len(reads) == expected_reads[mode]
+        for what, tick, m_h in reads:
+            assert isinstance(m_h, HistoryProjection), (what, tick)
+            projection, built_on, source = built[id(m_h)]
+            assert projection is m_h
+            phase = tick % f_len
+            if mode != "fwsr" or phase == 0:
+                assert (what, built_on, source) == ("decode", tick, "history")
+            elif what == "probe":
+                assert (phase, built_on, source) == (1, tick - 1, "history")
+            else:
+                assert (built_on, source) == (tick - phase + 1, "rolling")
+
+    def test_slide_first_tick_emits_fwsr_first_tick(self, partner_frames):
+        """Slide decodes the whole segment and keeps frame 0; fwsr decodes
+        frame 0 alone. With the same archive, seed, text and partner frame
+        the first tick emits the same bits."""
+        from test_golden import golden_archive
+
+        cfg = dataclasses.replace(COMPACT_CFG, alpha={"hhi": 1.0})
+        archive = golden_archive(cfg)  # non-zero module gates
+        firsts = []
+        for seed in range(3):
+            emitted = []
+            for mode in ("slide", "fwsr"):
+                engine = Engine(archive, dataclasses.replace(cfg, seed=seed), mode=mode)
+                engine.set_text("wave")
+                emitted.append(engine.tick(partner_frames[seed]))
+            slide, fwsr = emitted
+            assert len(slide) == len(fwsr) == 1
+            assert slide[0].tobytes() == fwsr[0].tobytes(), seed
+            firsts.append(slide[0].tobytes())
+        assert len(set(firsts)) == len(firsts)
 
 
 class TestModuleBatching:
@@ -1064,7 +1146,7 @@ class TestFloat64Twins:
     decoder's and the refiner's weights, each built once on first use, kept
     with its params and read-only."""
 
-    PRIOR_TWINS = ("decoder_w1_latent", "decoder_w2", "decoder_w3")
+    PRIOR_TWINS = ("decoder_w1", "decoder_w2", "decoder_w3")
 
     @staticmethod
     def check_twin(twin, weight):
@@ -1099,8 +1181,7 @@ class TestFloat64Twins:
                 assert weights and set(weights) == {np.dtype(np.float64)}, phase
 
         p = prior.vae_dec
-        for name, weight in zip(self.PRIOR_TWINS,
-                                (p.w1[-prior.latent_dim:], p.w2, p.w3)):
+        for name, weight in zip(self.PRIOR_TWINS, (p.w1, p.w2, p.w3)):
             twin = vars(prior)[name]
             assert getattr(prior, name) is twin
             self.check_twin(twin, weight)

@@ -165,7 +165,7 @@ class TestExtractEgoVoxels:
         grid = VoxelGrid.from_bool_array(spec, occ)
         quarter = RigidTransform(rotation_about_axis([0, 0, 1.0], np.pi / 2), np.zeros(3))
         rotated = extract_ego_voxels(grid, quarter)
-        aligned = extract_ego_voxels(grid, quarter, axis_aligned=True)
+        aligned = extract_ego_voxels(grid, RigidTransform(np.eye(3), quarter.translation))
         # Same wall, but seen along a different body axis once yaw is applied.
         assert rotated.occupancy.sum() == aligned.occupancy.sum() > 0
         assert not np.array_equal(rotated.occupancy, aligned.occupancy)
