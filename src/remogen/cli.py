@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 ok, 2 configuration error, 3 file format error, 4 numeric error.
+Exit codes: 0 ok, 2 configuration or other input error, 3 file format error,
+4 numeric error.
 REMOGEN_SEED, when set, overrides the configured seed everywhere.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, NumericError
+from .errors import ConfigError, DimensionError, FormatError, NumericError, RemogenError
 from .metrics import ReferenceEmbedder, collision_metrics, diversity, frechet_distance, peak_jerk
 from .motion import FeatureLayout, joint_positions_from_features
 from .runtime import (
@@ -91,9 +92,17 @@ def _cmd_stream(args) -> int:
     return 0
 
 
+def _load_frames(path: str):
+    """load_motion, with a file that holds no frames a ConfigError."""
+    segment, layout = load_motion(path)
+    if not len(segment):
+        raise ConfigError(f"{path} holds no frames")
+    return segment, layout
+
+
 def _cmd_metrics(args) -> int:
-    pred_seg, layout = load_motion(args.pred)
-    ref_seg, ref_layout = load_motion(args.ref)
+    pred_seg, layout = _load_frames(args.pred)
+    ref_seg, ref_layout = _load_frames(args.ref)
     if ref_layout != layout:
         raise ConfigError(f"pred layout {layout.layout_id!r} differs from "
                           f"ref layout {ref_layout.layout_id!r}")
@@ -118,7 +127,7 @@ def _cmd_metrics(args) -> int:
         grid = load_voxels(args.scene) if args.scene else None
         partner_joints = None
         if args.partner:
-            partner_seg, partner_layout = load_motion(args.partner)
+            partner_seg, partner_layout = _load_frames(args.partner)
             t = min(len(pred_seg), len(partner_seg))
             partner_joints = joint_positions_from_features(partner_seg.frames[:t],
                                                            partner_layout)
@@ -245,6 +254,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
+    except RemogenError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

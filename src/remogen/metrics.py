@@ -1,5 +1,5 @@
 """Evaluation suite: embedding-space metrics, kinematic smoothness, contact and
-collision rates, and the latency profiling protocol.
+collision rates.
 
 All embedding metrics are encoder-agnostic; ReferenceEmbedder provides a
 fixed seeded random projection so the suite runs without any pretrained
@@ -7,10 +7,8 @@ evaluator.
 """
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -254,77 +252,6 @@ def collision_metrics(ego_joints: np.ndarray, grid: Optional[VoxelGrid] = None,
     return CollisionReport(collision_pct=100.0 * float(np.mean(collide)),
                            contact_precision=precision, contact_recall=recall,
                            predicted_contacts=contacts)
-
-
-class LatencyRecorder:
-    """Keeps the wall time of every call per named component via scoped timers.
-
-    Scopes nest: a scope's time includes the scopes opened inside it.
-    """
-
-    def __init__(self):
-        self.durations: dict = {}  # component -> seconds of each call, in call order
-
-    @contextmanager
-    def track(self, component: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.durations.setdefault(component, []).append(time.perf_counter() - start)
-
-
-@dataclass(frozen=True)
-class LatencyBreakdown:
-    """Per-call wall times per component, with sums, counts and the per-frame mean."""
-
-    frames: int
-    total: float
-    durations: dict = field(default_factory=dict)  # component -> per-call seconds
-
-    @property
-    def components(self) -> dict:
-        """Total seconds per component."""
-        return {name: sum(calls) for name, calls in self.durations.items()}
-
-    @property
-    def counts(self) -> dict:
-        return {name: len(calls) for name, calls in self.durations.items()}
-
-    @property
-    def per_frame(self) -> float:
-        return self.total / self.frames if self.frames else 0.0
-
-    def component_per_count(self, name: str) -> float:
-        calls = self.durations.get(name, ())
-        return sum(calls) / len(calls) if calls else 0.0
-
-    def component_tail(self, name: str) -> tuple:
-        """(p50, p95, max) of one component's per-call seconds; zeros if never called."""
-        calls = self.durations.get(name, ())
-        if not calls:
-            return (0.0, 0.0, 0.0)
-        p50, p95 = np.percentile(calls, [50, 95])
-        return (float(p50), float(p95), max(calls))
-
-
-def latency_profile(run: Callable[[LatencyRecorder, int], int],
-                    n_frames: int = 1000) -> LatencyBreakdown:
-    """Time a generation run on the calling thread.
-
-    `run(recorder, n_frames)` must generate n_frames frames, wrapping its
-    phases in recorder.track(...) scopes, and return the frame count actually
-    produced. n_frames == 0 yields an empty report without any division.
-    """
-    recorder = LatencyRecorder()
-    if n_frames == 0:
-        return LatencyBreakdown(frames=0, total=0.0)
-    start = time.perf_counter()
-    produced = run(recorder, n_frames)
-    total = time.perf_counter() - start
-    return LatencyBreakdown(frames=int(produced), total=total,
-                            durations={name: tuple(calls)
-                                       for name, calls in recorder.durations.items()})
 
 
 class ReferenceEmbedder:

@@ -1,24 +1,51 @@
 """Latency benchmark comparing the three inference paths on one config."""
 from __future__ import annotations
 
-from typing import Sequence
+import time
+from contextlib import contextmanager
 
-from ..metrics import LatencyBreakdown, latency_profile
+import numpy as np
+
 from .codecs import WeightArchive
 from .config import EngineConfig
-from .engine import Engine
+from .engine import MODES, Engine
 
 
-def bench(cfg: EngineConfig, archive: WeightArchive, n_frames: int = 1000,
-          modes: Sequence[str] = ("segment", "fwsr", "slide")) -> dict:
-    """Per-mode latency breakdowns over n_frames generated frames each."""
+class LatencyRecorder:
+    """Keeps the wall time of every call per named component via scoped timers.
+
+    Scopes nest: a scope's time includes the scopes opened inside it. bench
+    sets `frames` and `total` (seconds) once its run is over.
+    """
+
+    def __init__(self):
+        self.durations: dict = {}  # component -> seconds of each call, in call order
+        self.frames = 0
+        self.total = 0.0
+
+    @contextmanager
+    def track(self, component: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.durations.setdefault(component, []).append(time.perf_counter() - start)
+
+
+def bench(cfg: EngineConfig, archive: WeightArchive, n_frames: int = 1000) -> dict:
+    """{mode: LatencyRecorder} over n_frames generated frames per mode.
+
+    The clock starts once the mode's Engine is built, so construction is left
+    out; work an engine does on first use is counted on the tick that does it.
+    """
     results = {}
-    for mode in modes:
-        def run(recorder, n, _mode=mode):
-            engine = Engine(archive, cfg, mode=_mode, recorder=recorder)
-            return len(engine.run_ticks(n))
-
-        results[mode] = latency_profile(run, n_frames)
+    for mode in MODES:
+        recorder = LatencyRecorder()
+        engine = Engine(archive, cfg, mode=mode, recorder=recorder)
+        start = time.perf_counter()
+        recorder.frames = len(engine.run_ticks(n_frames))
+        recorder.total = time.perf_counter() - start
+        results[mode] = recorder
     return results
 
 
@@ -34,23 +61,27 @@ _COMPONENT_ROWS = (
 )
 
 
-def format_breakdown(name: str, b: LatencyBreakdown) -> str:
-    lines = [f"[{name}] {b.frames} frames, total {b.total:.3f} s, "
-             f"per frame {b.per_frame * 1000:.3f} ms"]
-    components, counts = b.components, b.counts
+def _per_frame(rec: LatencyRecorder) -> float:
+    return rec.total / rec.frames if rec.frames else 0.0
+
+
+def format_breakdown(name: str, rec: LatencyRecorder) -> str:
+    lines = [f"[{name}] {rec.frames} frames, total {rec.total:.3f} s, "
+             f"per frame {_per_frame(rec) * 1000:.3f} ms"]
     for key, label in _COMPONENT_ROWS:
-        if key in components:
-            per = b.component_per_count(key)
-            p50, p95, worst = (v * 1000 for v in b.component_tail(key))
-            lines.append(f"  {label:<34} {components[key]:.3f} s "
-                         f"({per * 1000:.3f} ms x {counts[key]}; per call "
-                         f"p50 {p50:.3f}, p95 {p95:.3f}, max {worst:.3f} ms)")
+        calls = rec.durations.get(key)
+        if calls:
+            total = sum(calls)
+            p50, p95 = np.percentile(calls, [50, 95]) * 1000
+            lines.append(f"  {label:<34} {total:.3f} s "
+                         f"({total / len(calls) * 1000:.3f} ms x {len(calls)}; per call "
+                         f"p50 {p50:.3f}, p95 {p95:.3f}, max {max(calls) * 1000:.3f} ms)")
     return "\n".join(lines)
 
 
 def format_bench(results: dict) -> str:
-    blocks = [format_breakdown(mode, b) for mode, b in results.items()]
-    if "fwsr" in results and "slide" in results and results["fwsr"].per_frame > 0:
-        ratio = results["slide"].per_frame / results["fwsr"].per_frame
+    blocks = [format_breakdown(mode, rec) for mode, rec in results.items()]
+    if "fwsr" in results and "slide" in results and _per_frame(results["fwsr"]) > 0:
+        ratio = _per_frame(results["slide"]) / _per_frame(results["fwsr"])
         blocks.append(f"slide/fwsr per-frame ratio: {ratio:.2f}x")
     return "\n".join(blocks)

@@ -26,7 +26,7 @@ segment boundary, since one denoising pass is conditioned on a single text.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from ..fwsr import (
 # Unused here, but perfbench/spans.py wraps this name in this module's
 # namespace when tracing; dropping the import breaks `--trace 1`.
 from ..prior import decode_batch  # noqa: F401
-from ..metrics import LatencyRecorder
 from ..mim import (
     MimParams,
     compose_deltas,
@@ -82,6 +81,9 @@ from ..tensorcore import F32, SHAPE_ONLY, Rng, require_finite
 from .codecs import WeightArchive
 from .config import EngineConfig, check_alpha
 from .weights import flatten_params, rebuild_params
+
+if TYPE_CHECKING:
+    from .bench import LatencyRecorder
 
 MODULE_SOURCES = {"hhi": "others", "hsi": "scene"}
 MODES = ("segment", "fwsr", "slide")
@@ -183,6 +185,8 @@ class Engine:
     # -- state fed from outside ------------------------------------------------
 
     def set_scene(self, grid: Optional[VoxelGrid]) -> None:
+        if grid is not None and not isinstance(grid, VoxelGrid):
+            raise ConfigError(f"scene must be a VoxelGrid or None, not {type(grid).__name__}")
         self.scene_grid = grid
 
     def set_text(self, text: str) -> None:

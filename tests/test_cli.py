@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from remogen import cli
 from remogen.cli import main
+from remogen.errors import DegenerateInputError, EmptyInputError, InsufficientFramesError
 from remogen.motion import FeatureLayout, MotionSegment, featurize, synthetic_sequence
 from remogen.runtime import load_motion, load_voxels, save_motion
 
@@ -195,6 +197,35 @@ class TestVoxelizeAndMetrics:
         assert main(["metrics", "--pred", str(pred), "--ref", str(ref)]) == 2
         assert "differs from ref layout" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--pred", "--ref", "--partner"])
+    def test_zero_frame_motion_file_is_config_error(self, tmp_path, weights_path, capsys,
+                                                    flag):
+        """A motion file from `generate --segments 0` holds no frames; passing
+        it to metrics is a config error that names the file."""
+        empty = tmp_path / "empty.rmgm"
+        assert main(["generate", "--weights", str(weights_path), "--segments", "0",
+                     "--out", str(empty)]) == 0
+        assert len(load_motion(empty)[0]) == 0
+        full = tmp_path / "full.rmgm"
+        save_motion(featurize(synthetic_sequence(16, seed=1)), full, FeatureLayout())
+        paths = {"--pred": str(full), "--ref": str(full), flag: str(empty)}
+        capsys.readouterr()
+        assert main(["metrics", *(a for kv in paths.items() for a in kv)]) == 2
+        assert f"{empty} holds no frames" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [EmptyInputError, InsufficientFramesError,
+                                       DegenerateInputError])
+    def test_every_package_error_has_an_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                  error):
+        def failing(*args, **kwargs):
+            raise error("bad input")
+
+        monkeypatch.setattr(cli, "peak_jerk", failing)
+        a = tmp_path / "a.rmgm"
+        save_motion(featurize(synthetic_sequence(16, seed=3)), a, FeatureLayout())
+        assert main(["metrics", "--pred", str(a), "--ref", str(a)]) == 2
+        assert "bad input" in capsys.readouterr().err
+
     def test_voxelize_needs_dims_or_resolution(self, tmp_path):
         pts = tmp_path / "p.xyz"
         pts.write_text("0 0 0\n")
@@ -245,6 +276,12 @@ class TestBench:
         # One probe per fwsr segment, reported as a top-level phase.
         probe = next(line for line in out.splitlines() if "sensitivity probe" in line)
         assert probe.startswith("  sensitivity probe ") and "x 2;" in probe
+
+    def test_bench_zero_frames_prints_empty_rows(self, weights_path, capsys):
+        assert main(["bench", "--weights", str(weights_path), "--frames", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"[{mode}] 0 frames, total 0.000 s, per frame 0.000 ms"
+            for mode in ("segment", "fwsr", "slide")]
 
     def test_bench_config_runs_the_modules(self, tmp_path, weights_path, capsys):
         config = tmp_path / "hhi.cfg"

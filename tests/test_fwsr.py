@@ -14,7 +14,6 @@ from remogen.fwsr import (
     refine_latent,
     seeded_fwsr_params,
 )
-from remogen.metrics import LatencyRecorder
 from remogen.motion import HistoryWindow, featurize, synthetic_sequence
 from remogen.prior import (
     decode_segment,
@@ -23,6 +22,7 @@ from remogen.prior import (
     seeded_prior_params,
 )
 from remogen.runtime import Engine, EngineConfig, WeightArchive, init_weights
+from remogen.runtime.bench import LatencyRecorder
 from remogen.tensorcore import (
     AttentionParams,
     RelBiasParams,

@@ -1,6 +1,4 @@
-"""Metric tests: closed-form Frechet cases, retrieval, jerk, collision oracle, latency."""
-import time
-
+"""Metric tests: closed-form Frechet cases, retrieval, jerk, collision oracle."""
 import numpy as np
 import pytest
 
@@ -8,14 +6,12 @@ from remogen.errors import ConfigError, DimensionError, InsufficientFramesError
 from remogen.metrics import (
     EmbeddingSet,
     GaussianStats,
-    LatencyRecorder,
     ReferenceEmbedder,
     collision_metrics,
     diversity,
     frechet_distance,
     frechet_gaussian,
     gaussian_stats,
-    latency_profile,
     peak_jerk,
     retrieval_metrics,
 )
@@ -210,57 +206,6 @@ class TestCollisionMetrics:
     def test_needs_some_context(self):
         with pytest.raises(ConfigError):
             collision_metrics(np.zeros((3, 1, 3)))
-
-
-class TestLatencyProfile:
-    def test_zero_frames_empty_report(self):
-        breakdown = latency_profile(lambda rec, n: n, n_frames=0)
-        assert breakdown.frames == 0
-        assert breakdown.per_frame == 0.0
-
-    def test_components_bounded_by_total(self):
-        def run(rec, n):
-            for _ in range(n):
-                with rec.track("compute"):
-                    time.sleep(0.001)
-                with rec.track("io"):
-                    pass
-            return n
-
-        breakdown = latency_profile(run, n_frames=20)
-        assert breakdown.frames == 20
-        assert breakdown.per_frame == pytest.approx(breakdown.total / 20)
-        total_with_overhead = breakdown.total * 1.1
-        for value in breakdown.components.values():
-            assert value <= total_with_overhead
-        assert breakdown.counts["compute"] == 20
-
-    def test_per_call_tail(self):
-        waits = [0.0] * 18 + [0.02, 0.04]
-
-        def run(rec, n):
-            for wait in waits[:n]:
-                with rec.track("work"):
-                    time.sleep(wait)
-            return n
-
-        breakdown = latency_profile(run, n_frames=len(waits))
-        calls = breakdown.durations["work"]
-        assert len(calls) == breakdown.counts["work"] == 20
-        assert breakdown.components["work"] == pytest.approx(sum(calls))
-        p50, p95, worst = breakdown.component_tail("work")
-        assert p50 < 0.01 <= p95 <= worst == max(calls)
-        assert worst >= 0.04
-        assert breakdown.component_tail("absent") == (0.0, 0.0, 0.0)
-
-
-class TestLatencyRecorder:
-    def test_ordinary_scopes_nest(self):
-        rec = LatencyRecorder()
-        with rec.track("outer"):
-            with rec.track("inner"):
-                time.sleep(0.05)
-        assert rec.durations["outer"][0] >= rec.durations["inner"][0] >= 0.05
 
 
 class TestReferenceEmbedder:

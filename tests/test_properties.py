@@ -4,9 +4,12 @@ Whatever text arrives, parse_config fails only with ConfigError and
 parse_record only with FormatError, so the CLI maps every bad config to exit
 code 2 and the stream loop skips every bad record; every record it accepts
 can be written back out. Whatever bytes a weight archive, motion file or
-voxel file holds, loading it fails only with a FormatError subclass.
+voxel file holds, loading it fails only with a FormatError subclass. Whatever
+calls an engine receives, a bad one fails with a RemogenError and changes
+nothing the next good call reads.
 """
 import dataclasses
+import functools
 import json
 import struct
 
@@ -14,10 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from remogen.errors import ConfigError, FormatError
-from remogen.motion import FeatureLayout, MotionSegment
+from remogen.errors import ConfigError, FormatError, RemogenError
+from remogen.motion import FeatureLayout, MotionSegment, featurize, synthetic_sequence
 from remogen.runtime import (
+    Engine,
     EngineConfig,
     WeightArchive,
     format_record,
@@ -31,6 +36,7 @@ from remogen.runtime import (
     save_voxels,
 )
 from remogen.runtime.codecs import ARCHIVE_MAGIC
+from remogen.runtime.engine import MODES
 from remogen.scene import GridSpec, VoxelGrid
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(EngineConfig)]
@@ -214,3 +220,95 @@ def test_damaged_files_raise_only_format_error(codec, damage, scratch):
         load(scratch)
     except FormatError:
         pass
+
+
+# -- the engine's entry points under any sequence of calls ---------------------
+
+SM_CFG = EngineConfig(latent_dim=16, text_dim=16, width=32, heads=2, n_blocks=2,
+                      ffn_hidden=64, vae_hidden=64, injection_layers=(0, 1), steps=2,
+                      future_len=4, alpha={"hhi": 0.5, "hsi": 0.5})
+SM_DIM = FeatureLayout(SM_CFG.joints).dim
+
+
+@functools.lru_cache(maxsize=None)
+def _sm_inputs():
+    """The archive (non-zero module gates and FiLM head, so partner and scene
+    reach the output), a small scene grid and a pool of good poses."""
+    from test_golden import golden_archive
+
+    spec = GridSpec([-1.5, -1.5, 0.0], [1.5, 1.5, 1.5], (12, 12, 6))
+    occ = np.random.default_rng(5).uniform(size=spec.dims) < 0.3
+    poses = featurize(synthetic_sequence(16, seed=9)).frames
+    return golden_archive(SM_CFG), VoxelGrid.from_bool_array(spec, occ), poses
+
+
+def _pose(kind: str, i: int) -> np.ndarray:
+    poses = _sm_inputs()[2]
+    pose = poses[i % len(poses)].copy()
+    if kind == "nan":
+        pose[i % SM_DIM] = np.nan
+    elif kind == "wide":
+        pose = np.append(pose, np.float32(0.0))
+    return pose
+
+
+class EngineCalls(RuleBasedStateMachine):
+    """Any sequence of calls on an engine, good or bad. A call either raises a
+    RemogenError and leaves the engine's clock, history and partner buffer as
+    they were, or is accepted and replayed on a twin engine that sees only
+    accepted calls; after every accepted tick both have emitted the same bits."""
+
+    @initialize(mode=st.sampled_from(MODES))
+    def build(self, mode):
+        archive = _sm_inputs()[0]
+        self.engine = Engine(archive, SM_CFG, mode=mode)
+        self.twin = Engine(archive, SM_CFG, mode=mode)
+        self.calls = 0
+
+    def _call(self, name, *args):
+        self.calls += 1
+        e = self.engine
+        before = (e.ticks, e.history.frames.copy(), len(e.dyn))
+        try:
+            out = getattr(e, name)(*args)
+        except RemogenError:
+            assert (e.ticks, len(e.dyn)) == (before[0], before[2])
+            np.testing.assert_array_equal(e.history.frames, before[1])
+            return None, None
+        return out, getattr(self.twin, name)(*args)
+
+    @rule(kind=st.sampled_from(["good", "good", "nan", "wide", "none"]))
+    def tick(self, kind):
+        frame = None if kind == "none" else _pose(kind, self.calls)
+        out, twin_out = self._call("tick", frame)
+        if out is not None:
+            assert len(out) == len(twin_out)
+            for a, b in zip(out, twin_out):
+                np.testing.assert_array_equal(a, b)
+
+    @rule(text=st.one_of(st.text(max_size=8), st.integers(), st.none()))
+    def set_text(self, text):
+        self._call("set_text", text)
+
+    @rule(alpha=st.one_of(
+        st.fixed_dictionaries({}, optional={"hhi": st.floats(0.0, 1.0),
+                                            "hsi": st.floats(0.0, 1.0)}),
+        st.just({"hhx": 1.0}),
+        st.just({"hhi": float("nan")})))
+    def set_alpha(self, alpha):
+        self._call("set_alpha", alpha)
+
+    @rule(kind=st.sampled_from(["grid", "none", "int", "array"]))
+    def set_scene(self, kind):
+        grid = _sm_inputs()[1]
+        scene = {"grid": grid, "none": None, "int": 5, "array": grid.occupancy_array()}[kind]
+        self._call("set_scene", scene)
+
+    @rule(kind=st.sampled_from(["good", "nan"]))
+    def observe_ego(self, kind):
+        self._call("observe_ego", _pose(kind, self.calls))
+
+
+EngineCalls.TestCase.settings = settings(max_examples=30, stateful_step_count=24,
+                                         deadline=None)
+TestEngineCalls = EngineCalls.TestCase

@@ -13,7 +13,6 @@ import pytest
 
 from remogen.cli import main
 from remogen.errors import ConfigError, CorruptArchiveError, FormatError, NumericError
-from remogen.metrics import LatencyRecorder
 from remogen.motion import FeatureLayout, MotionSegment, featurize, synthetic_sequence
 from remogen.runtime import (
     Engine,
@@ -32,6 +31,7 @@ from remogen.runtime import (
     save_voxels,
     stream_run,
 )
+from remogen.runtime.bench import LatencyRecorder
 from remogen.runtime.codecs import ARCHIVE_MAGIC, VOXEL_MAGIC
 from remogen.runtime.weights import flatten_params, rebuild_params
 from remogen.scene import GridSpec, VoxelGrid, room_grid_spec
@@ -745,6 +745,24 @@ class TestEngineWiring:
         engine.run_ticks(cfg.future_len)
         assert engine.text == "wave"
 
+    @pytest.mark.parametrize("scene", [5, "room.rmgv", np.zeros((4, 4, 4), dtype=bool)],
+                             ids=["int", "str", "array"])
+    def test_set_scene_rejects_a_non_grid_at_once(self, scene):
+        """Anything but a VoxelGrid or None is a ConfigError on the call, and
+        the scene the engine had stays in place."""
+        cfg = dataclasses.replace(COMPACT_CFG, steps=2, alpha={"hsi": 1.0})
+        engine = Engine(init_weights(cfg, 3), cfg)
+        grid = VoxelGrid.from_bool_array(GridSpec([-1, -1, 0], [1, 1, 1], (4, 4, 2)),
+                                         np.ones((4, 4, 2), dtype=bool))
+        engine.set_scene(grid)
+        with pytest.raises(ConfigError, match="VoxelGrid or None"):
+            engine.set_scene(scene)
+        assert engine.scene_grid is grid
+        engine.run_ticks(cfg.future_len)
+        engine.set_scene(None)
+        assert engine.scene_grid is None
+        assert len(engine.run_ticks(cfg.future_len)) == cfg.future_len
+
     @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
     def test_partner_buffer_stays_bounded(self, mode):
         """Only the frames a later window can read are kept: at most
@@ -1202,19 +1220,20 @@ class TestBench:
     def test_repeatability_and_component_sums(self, cfg, archive):
         from remogen.runtime import bench
 
-        for mode in ("segment", "fwsr"):
-            a = bench(cfg, archive, n_frames=64, modes=(mode,))[mode]
-            b = bench(cfg, archive, n_frames=64, modes=(mode,))[mode]
+        first, second = bench(cfg, archive, n_frames=64), bench(cfg, archive, n_frames=64)
+        for mode, a in first.items():
+            b = second[mode]
+            assert a.frames == b.frames == 64
             # Sanity band, not precision: per-frame means of two runs are comparable.
-            assert 0.5 <= a.per_frame / b.per_frame <= 2.0
+            assert 0.5 <= a.total / b.total <= 2.0
             # Top-level phases are disjoint scopes; their sum stays under the
             # measured total plus timer overhead.
             disjoint = ("denoise_total", "decode", "sensitivity", "fwsr_refine", "pre_post")
-            phase_sum = sum(a.components.get(k, 0.0) for k in disjoint)
+            phase_sum = sum(sum(a.durations.get(k, ())) for k in disjoint)
             assert phase_sum <= a.total * 1.1
             if mode == "fwsr":
                 # Refinement re-decodes inside its own scope.
-                assert 0.0 < a.components["fwsr_decode"] <= a.components["fwsr_refine"]
+                assert 0.0 < sum(a.durations["fwsr_decode"]) <= sum(a.durations["fwsr_refine"])
 
 
 class TestSensitivityProbe:
@@ -1267,10 +1286,9 @@ class TestSensitivityProbe:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(engine_module, "decoder_sensitivity", slow)
-        results = bench(COMPACT_CFG, init_weights(COMPACT_CFG, 3), n_frames=16,
-                        modes=("fwsr",))
+        results = bench(COMPACT_CFG, init_weights(COMPACT_CFG, 3), n_frames=16)
         b = results["fwsr"]
-        assert b.counts["sensitivity"] == 2
+        assert len(b.durations["sensitivity"]) == 2
         assert min(b.durations["sensitivity"]) >= 0.1
         assert max(b.durations["fwsr_refine"]) < 0.1
         row = next(line for line in format_bench(results).splitlines()
