@@ -11,7 +11,6 @@ from . import fwsr, metrics, mim, motion, prior, runtime, scene, tensorcore
 from .errors import (
     ConfigError,
     CorruptArchiveError,
-    DegenerateInputError,
     DimensionError,
     EmptyInputError,
     FormatError,
@@ -22,7 +21,6 @@ from .errors import (
 
 __all__ = [
     "tensorcore", "motion", "scene", "prior", "mim", "fwsr", "metrics", "runtime",
-    "RemogenError", "DimensionError", "NumericError", "DegenerateInputError",
-    "EmptyInputError", "ConfigError", "FormatError", "CorruptArchiveError",
-    "InsufficientFramesError",
+    "RemogenError", "DimensionError", "NumericError", "EmptyInputError",
+    "ConfigError", "FormatError", "CorruptArchiveError", "InsufficientFramesError",
 ]

@@ -13,10 +13,6 @@ class NumericError(RemogenError, ArithmeticError):
     """A computation produced or received non-finite values."""
 
 
-class DegenerateInputError(RemogenError, ValueError):
-    """Geometric input too degenerate to define a frame (e.g. stacked hips)."""
-
-
 class EmptyInputError(RemogenError, ValueError):
     """An operation that needs at least one element received none."""
 

@@ -76,10 +76,6 @@ class SensitivityVector:
             raise NumericError("sensitivity entries must be finite and non-negative")
         object.__setattr__(self, "s", v)
 
-    @classmethod
-    def zeros(cls, dim: int) -> "SensitivityVector":
-        return cls(np.zeros(dim, dtype=F32))
-
 
 @dataclass(frozen=True)
 class FwsrParams:

@@ -18,8 +18,7 @@ from .errors import (
     InsufficientFramesError,
     NumericError,
 )
-from .prior import embed_text
-from .scene import Occupancy, VoxelGrid, query_points
+from .scene import VoxelGrid, query_points
 from .tensorcore import F64, Rng
 
 
@@ -108,57 +107,6 @@ def frechet_distance(a: EmbeddingSet, b: EmbeddingSet) -> float:
     return frechet_gaussian(gaussian_stats(a), gaussian_stats(b))
 
 
-@dataclass(frozen=True)
-class RetrievalReport:
-    r_precision: dict
-    r_precision_cosine: dict
-    mm_dist: float
-    batches: int
-
-
-def retrieval_metrics(motion_emb: EmbeddingSet, text_emb: EmbeddingSet,
-                      batch: int = 64, top_k: Sequence[int] = (1, 2, 3)) -> RetrievalReport:
-    """Batched retrieval accuracy and paired motion-text distance.
-
-    Paired sets are split into consecutive batches of `batch` (the partial
-    final batch is dropped). Within a batch, each motion ranks all texts;
-    R-Precision@k is the fraction whose own text lands in the top k. The
-    primary ranking distance is Euclidean, with cosine ranking reported
-    alongside. MM-Dist is the mean paired Euclidean distance over all used
-    samples.
-    """
-    if motion_emb.n != text_emb.n or motion_emb.e != text_emb.e:
-        raise DimensionError("retrieval needs paired sets of equal shape")
-    if motion_emb.n < batch:
-        raise ConfigError(f"need at least {batch} pairs, got {motion_emb.n}")
-    n_batches = motion_emb.n // batch
-    hits = {k: 0 for k in top_k}
-    hits_cos = {k: 0 for k in top_k}
-    paired = 0.0
-    used = 0
-    for bi in range(n_batches):
-        lo = bi * batch
-        m = motion_emb.vectors[lo:lo + batch]
-        t = text_emb.vectors[lo:lo + batch]
-        dist = np.linalg.norm(m[:, None, :] - t[None, :, :], axis=-1)
-        m_unit = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
-        t_unit = t / np.maximum(np.linalg.norm(t, axis=1, keepdims=True), 1e-12)
-        cos_dist = 1.0 - m_unit @ t_unit.T
-        for i in range(batch):
-            rank = int(np.sum(dist[i] < dist[i, i]))
-            rank_cos = int(np.sum(cos_dist[i] < cos_dist[i, i]))
-            for k in top_k:
-                hits[k] += rank < k
-                hits_cos[k] += rank_cos < k
-            paired += float(dist[i, i])
-            used += 1
-    return RetrievalReport(
-        r_precision={k: hits[k] / used for k in top_k},
-        r_precision_cosine={k: hits_cos[k] / used for k in top_k},
-        mm_dist=paired / used,
-        batches=n_batches)
-
-
 ALL_PAIRS_LIMIT = 512
 DEFAULT_SAMPLED_PAIRS = 300
 
@@ -228,8 +176,8 @@ def collision_metrics(ego_joints: np.ndarray, grid: Optional[VoxelGrid] = None,
     contacts = None
 
     if grid is not None:
-        states = query_points(grid, ego.reshape(-1, 3)).reshape(t, ego.shape[1])
-        collide |= np.any(states == Occupancy.OCCUPIED.value, axis=1)
+        occupied = query_points(grid, ego.reshape(-1, 3)).reshape(t, ego.shape[1])
+        collide |= np.any(occupied, axis=1)
     if partner_joints is not None:
         partner = np.asarray(partner_joints, dtype=F64)
         if partner.ndim != 3 or partner.shape[0] != t:
@@ -257,7 +205,7 @@ def collision_metrics(ego_joints: np.ndarray, grid: Optional[VoxelGrid] = None,
 class ReferenceEmbedder:
     """Fixed seeded random projection of flattened, normalized motion windows.
 
-    Stands in for a learned motion/text encoder; every metric above only sees
+    Stands in for a learned motion encoder; every metric above only sees
     the resulting EmbeddingSet, so swapping the encoder is transparent.
     """
 
@@ -291,9 +239,3 @@ class ReferenceEmbedder:
 
     def embed_motion_set(self, clips: Sequence[np.ndarray], source: str = "") -> EmbeddingSet:
         return EmbeddingSet(np.stack([self.embed_motion(c) for c in clips]), source=source)
-
-    def embed_text(self, text: str) -> np.ndarray:
-        base = embed_text(text, dim=max(self.dim, 16)).values.astype(F64)
-        v = base @ self._projection(base.shape[0])
-        norm = np.linalg.norm(v)
-        return v / norm if norm > 0 else v

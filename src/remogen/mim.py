@@ -1,7 +1,8 @@
 """Meta-Interaction adapters: context encoders, modulation blocks, composition.
 
-A module encodes one context source (other agents or the scene) into tokens,
-then per injection layer runs a block over the denoiser's embedded tokens:
+A module encodes one context source (other agents or the scene) into a
+float32 (T_c, d_c) token array, then per injection layer runs a block over
+the denoiser's embedded tokens:
 
     h'    = h + SelfAttn(LN(h))
     r     = CrossAttn(LN(h'), c) with a sinusoidal relative-index bias
@@ -71,22 +72,6 @@ SCENE_TOKENS = (EGO_DIMS // SCENE_PATCH) ** 3  # 64
 CLAMP_EPS = 1e-6  # keeps the clamp scale finite when the composed residual is zero
 TCN_LAYERS = 3   # gated causal convolutions in the partner encoder
 TCN_KERNEL = 3   # taps per convolution
-
-
-@dataclass(frozen=True)
-class ContextTokens:
-    """Encoded interaction cues: (T_c, d_c) tokens tagged with their source."""
-
-    tokens: np.ndarray
-    source: str = "others"
-
-    def __post_init__(self):
-        t = np.asarray(self.tokens, dtype=F32)
-        if t.ndim != 2 or t.shape[0] < 1:
-            raise DimensionError("context tokens must be (T_c >= 1, d_c)")
-        if self.source not in ("others", "scene", "dynamic"):
-            raise ConfigError(f"unknown context source {self.source!r}")
-        object.__setattr__(self, "tokens", t)
 
 
 @dataclass(frozen=True)
@@ -214,8 +199,9 @@ def _causal_conv_gated(x: np.ndarray, layer: TcnLayerParams) -> np.ndarray:
     return (np.tanh(filt) * (1.0 / (1.0 + np.exp(-gate)))).astype(F32)
 
 
-def encode_others(partner_frames: np.ndarray, params: TcnParams) -> ContextTokens:
-    """Causal TCN over a window of partner pose features; one token per frame."""
+def encode_others(partner_frames: np.ndarray, params: TcnParams) -> np.ndarray:
+    """Causal TCN over a window of partner pose features: one float32 token per
+    frame, (T, d_c)."""
     x = np.asarray(partner_frames, dtype=F32)
     if x.ndim != 2 or x.shape[0] < 1:
         raise DimensionError("partner window must be (T >= 1, D)")
@@ -224,11 +210,12 @@ def encode_others(partner_frames: np.ndarray, params: TcnParams) -> ContextToken
                              f"input {params.layers[0].w_filter.shape[1]}")
     for layer in params.layers:
         x = _causal_conv_gated(x, layer)
-    return ContextTokens(x, source="others")
+    return x
 
 
-def encode_scene(block: EgoVoxelBlock, params: SceneEncoderParams) -> ContextTokens:
-    """Patch tokens (4x4x4 patches of 8^3 cells) plus one self-attention layer."""
+def encode_scene(block: EgoVoxelBlock, params: SceneEncoderParams) -> np.ndarray:
+    """Patch tokens (4x4x4 patches of 8^3 cells) plus one self-attention layer:
+    (64, d_c) float32 tokens."""
     occ = block.occupancy
     n = EGO_DIMS // SCENE_PATCH
     patches = occ.reshape(n, SCENE_PATCH, n, SCENE_PATCH, n, SCENE_PATCH)
@@ -239,26 +226,26 @@ def encode_scene(block: EgoVoxelBlock, params: SceneEncoderParams) -> ContextTok
     pos = sinusoidal_embedding(np.arange(tokens.shape[0]), tokens.shape[1])
     tokens = (tokens.astype(F64) + pos.astype(F64)).astype(F32)
     normed = layer_norm(tokens, params.attn.ln_gain, params.attn.ln_offset)
-    tokens = tokens + mha_forward(normed, normed, params.attn, acc=F32)
-    return ContextTokens(tokens, source="scene")
+    return tokens + mha_forward(normed, normed, params.attn, acc=F32)
 
 
-def prepare_context(c: ContextTokens, params: MimBlockParams, t: int) -> PreparedContext:
+def prepare_context(tokens: np.ndarray, params: MimBlockParams, t: int) -> PreparedContext:
     """The context-only work of a block chain, done once for any number of steps.
 
-    params is one block or a stack of blocks (a module's MimParams.stacked);
-    t is the number of ego tokens the blocks will see.
+    tokens is an encoder's (T_c, d_c) output; params is one block or a stack
+    of blocks (a module's MimParams.stacked); t is the number of ego tokens
+    the blocks will see.
     """
-    return PreparedContext(attention_kv(c.tokens, params.cross_attn, acc=F32),
-                           relative_bias(t, c.tokens.shape[0], params.rel_bias))
+    return PreparedContext(attention_kv(tokens, params.cross_attn, acc=F32),
+                           relative_bias(t, tokens.shape[0], params.rel_bias))
 
 
-def mim_block_forward(h: np.ndarray, c: Union[ContextTokens, PreparedContext],
+def mim_block_forward(h: np.ndarray, c: PreparedContext,
                       params: MimBlockParams) -> np.ndarray:
     """Injection residuals of one block (T, d), or of L stacked blocks (L, T, d).
 
-    See the module docstring for the chain. c is the context tokens or the
-    prepare_context result for these params and T = len(h).
+    See the module docstring for the chain. c is the prepare_context result
+    for these params and T = len(h).
     """
     h = np.asarray(h, dtype=F32)
     if h.ndim != 2:
@@ -266,9 +253,6 @@ def mim_block_forward(h: np.ndarray, c: Union[ContextTokens, PreparedContext],
     d = h.shape[1]
     if params.self_attn.width != d:
         raise DimensionError(f"block width {params.self_attn.width} != feature dim {d}")
-    if isinstance(c, ContextTokens):
-        c = prepare_context(c, params, h.shape[0])
-
     normed = layer_norm(h, params.self_attn.ln_gain, params.self_attn.ln_offset)
     h_prime = h + mha_forward(normed, normed, params.self_attn, acc=F32)
 
@@ -284,11 +268,10 @@ def mim_block_forward(h: np.ndarray, c: Union[ContextTokens, PreparedContext],
     return ((h_ffn.astype(F64) - h.astype(F64)) * params.gate.astype(F64)).astype(F32)
 
 
-def module_deltas(h: np.ndarray, c: Union[ContextTokens, PreparedContext],
-                  params: MimParams) -> ModulationDelta:
+def module_deltas(h: np.ndarray, c: PreparedContext, params: MimParams) -> ModulationDelta:
     """Every injection-layer residual of a module in one stacked pass over h.
 
-    c is the context tokens or prepare_context(c, params.stacked, len(h)).
+    c is prepare_context(tokens, params.stacked, len(h)).
     """
     return ModulationDelta(module_id=params.module_id, layers=tuple(sorted(params.blocks)),
                            values=mim_block_forward(h, c, params.stacked))
@@ -331,9 +314,8 @@ def compose_deltas(deltas: Sequence[ModulationDelta], alpha: dict) -> Modulation
 
 def seeded_mim_params(module_id: str, source: str, rng: Rng, feature_dim: int,
                       width: int = 128, heads: int = 4, ffn_hidden: int = 256,
-                      injection_layers: Sequence[int] = (0, 1, 2, 3),
-                      zero_gate: bool = True) -> MimParams:
-    """Seeded module weights; the output gate starts at zero unless asked otherwise."""
+                      injection_layers: Sequence[int] = (0, 1, 2, 3)) -> MimParams:
+    """Seeded module weights; the output gate starts at zero."""
     if source not in ("others", "scene"):
         raise ConfigError("module source must be 'others' or 'scene'")
 
@@ -374,7 +356,7 @@ def seeded_mim_params(module_id: str, source: str, rng: Rng, feature_dim: int,
                           seeded_init((ffn_hidden, width), "uniform-fan", sub.child("ffn2")),
                           zeros(width),
                           ln_gain=np.ones(width, dtype=F32), ln_offset=zeros(width)),
-            gate=zeros(width) if zero_gate else np.ones(width, dtype=F32))
+            gate=zeros(width))
     return MimParams(module_id=module_id, source=source, encoder=encoder, blocks=blocks)
 
 

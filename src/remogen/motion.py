@@ -1,18 +1,20 @@
-"""Motion features, ego-centric canonicalization, and the rollout history window.
+"""Motion features, the rollout history window, and a synthetic body chain.
 
 A pose sequence enters as raw rigid-body quantities (root translation and
-orientation, local body-joint rotations, world joint positions), gets
-canonicalized into the first-frame ego frame, and is then flattened into
-fixed-width per-frame feature vectors that the generative stack consumes.
+orientation, local body-joint rotations, world joint positions) and is
+flattened, as given, into fixed-width per-frame feature vectors that the
+generative stack consumes. Nothing here moves a sequence into another frame:
+the only ego frame is the floor-level yaw frame that the engine builds from
+its latest history row for the scene crop (Engine._ego_anchor).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, EmptyInputError
+from .errors import DimensionError, EmptyInputError
 from .tensorcore import F32, F64
 
 STD_FLOOR = 1e-6
@@ -77,23 +79,10 @@ class RigidTransform:
         if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-6 or abs(np.linalg.det(r) - 1.0) > 1e-6:
             raise DimensionError("rotation is not orthonormal with det +1")
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3, dtype=F64), np.zeros(3, dtype=F64))
-
-    def inverse(self) -> "RigidTransform":
-        r = np.asarray(self.rotation, dtype=F64)
-        t = np.asarray(self.translation, dtype=F64)
-        return RigidTransform(r.T, -(r.T @ t))
-
     def apply_points(self, points: np.ndarray) -> np.ndarray:
         """Rigid action on points of shape (..., 3)."""
         pts = np.asarray(points, dtype=F64)
         return pts @ np.asarray(self.rotation, dtype=F64).T + np.asarray(self.translation, dtype=F64)
-
-    def apply_rotations(self, rotations: np.ndarray) -> np.ndarray:
-        """Left-composition on orientation matrices of shape (..., 3, 3)."""
-        return np.asarray(self.rotation, dtype=F64) @ np.asarray(rotations, dtype=F64)
 
 
 @dataclass(frozen=True)
@@ -224,60 +213,6 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
-def canonical_transform(first_frame_joints: np.ndarray, pelvis_index: int = 0,
-                        left_hip_index: int = 1, right_hip_index: int = 2) -> RigidTransform:
-    """Ego canonicalization from the first frame's joint positions.
-
-    Returns the world-to-canonical transform that puts the pelvis XY at the
-    origin (height is preserved, gravity stays -Z) and the left-to-right hip
-    axis along +X after projection to the ground plane.
-
-    Raises DegenerateInputError when the hips stack vertically, leaving no
-    horizontal facing direction.
-    """
-    joints = np.asarray(first_frame_joints, dtype=F64)
-    if joints.ndim != 2 or joints.shape[1] != 3:
-        raise DimensionError("first-frame joints must be (J, 3)")
-    pelvis = joints[pelvis_index]
-    across = joints[right_hip_index] - joints[left_hip_index]
-    across[2] = 0.0
-    norm = np.linalg.norm(across)
-    if norm <= 1e-6:
-        raise DegenerateInputError("hip joints vertically aligned; facing undefined")
-    x_axis = across / norm
-    z_axis = np.array([0.0, 0.0, 1.0])
-    y_axis = np.cross(z_axis, x_axis)
-    # Columns map canonical axes into the world; invert for world -> canonical.
-    r_c2w = np.stack([x_axis, y_axis, z_axis], axis=1)
-    rotation = r_c2w.T
-    translation = -rotation @ np.array([pelvis[0], pelvis[1], 0.0])
-    return RigidTransform(rotation, translation)
-
-
-def transform_sequence(seq: RawPoseSequence, transform: RigidTransform,
-                       inverse: bool = False) -> RawPoseSequence:
-    """Apply a rigid transform to root translation/orientation and joint positions.
-
-    Local body-joint rotations are unaffected by a global rigid motion.
-    """
-    t = transform.inverse() if inverse else transform
-    return RawPoseSequence(
-        root_translation=t.apply_points(seq.root_translation),
-        root_orientation=t.apply_rotations(seq.root_orientation),
-        body_rotations=seq.body_rotations,
-        joint_positions=t.apply_points(seq.joint_positions),
-        fps=seq.fps,
-    )
-
-
-def canonicalize(seq: RawPoseSequence, pelvis_index: int = 0, left_hip_index: int = 1,
-                 right_hip_index: int = 2) -> tuple[RawPoseSequence, RigidTransform]:
-    """Convenience: compute the ego transform from frame 0 and apply it."""
-    t = canonical_transform(seq.joint_positions[0], pelvis_index,
-                            left_hip_index, right_hip_index)
-    return transform_sequence(seq, t), t
-
-
 def featurize(seq: RawPoseSequence, layout: Optional[FeatureLayout] = None) -> MotionSegment:
     """Flatten a pose sequence into (T, D) feature frames.
 
@@ -341,18 +276,6 @@ class Normalizer:
             raise DimensionError("normalizer mean/std must be matching 1-D vectors")
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "std", s)
-
-    @classmethod
-    def identity(cls, dim: int) -> "Normalizer":
-        return cls(np.zeros(dim, dtype=F32), np.ones(dim, dtype=F32))
-
-
-def fit_normalizer(frames: np.ndarray) -> Normalizer:
-    """Population mean/std over (N, D) frames, std floored at 1e-6."""
-    frames = np.asarray(frames, dtype=F64)
-    if frames.ndim != 2 or frames.shape[0] < 2:
-        raise EmptyInputError("normalizer fit needs at least 2 frames")
-    return Normalizer(frames.mean(axis=0), frames.std(axis=0))
 
 
 def normalize(frames: np.ndarray, n: Normalizer, inverse: bool = False) -> np.ndarray:

@@ -10,7 +10,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from ..errors import ConfigError, FormatError
+from ..errors import ConfigError, FormatError, NumericError
 from ..motion import BODY22_PARENTS
 from ..tensorcore import F32, F64
 
@@ -209,6 +209,8 @@ def parse_record(line: str) -> StreamRecord:
 
 
 def format_record(record: StreamRecord) -> str:
+    """One compact JSON line; NumericError if a value is not finite, since a
+    bare NaN or Infinity would not be JSON."""
     obj: dict = {"t": record.t, "kind": record.kind}
     if record.pose is not None:
         # The pose is float32, so v * 1e6 is exact in float64 and np.round
@@ -220,4 +222,7 @@ def format_record(record: StreamRecord) -> str:
         obj["alpha"] = record.alpha
     if record.latency_ms is not None:
         obj["latency_ms"] = round(record.latency_ms, 3)
-    return json.dumps(obj, separators=(",", ":"))
+    try:
+        return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{record.kind} record t={record.t}: {exc}") from exc

@@ -101,7 +101,7 @@ def _mim_params(cfg: EngineConfig, layout: FeatureLayout, module_id: str, source
                 rng: Rng) -> MimParams:
     return seeded_mim_params(module_id, source, rng, feature_dim=layout.dim,
                              width=cfg.width, heads=cfg.heads, ffn_hidden=cfg.ffn_hidden,
-                             injection_layers=cfg.injection_layers, zero_gate=True)
+                             injection_layers=cfg.injection_layers)
 
 
 def _fwsr_params(cfg: EngineConfig, layout: FeatureLayout, rng: Rng) -> FwsrParams:

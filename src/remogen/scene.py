@@ -2,12 +2,12 @@
 
 Occupancy is bit-packed, 8 cells per byte, least-significant bit first, with
 flat index (ix * ny + iy) * nz + iz. Cells own the half-open box [lo, hi) on
-each axis. Grids are immutable after construction.
+each axis. Grids are immutable after construction. A lookup answers one bit
+per point, occupied or not: a point outside the grid reads unoccupied.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -21,10 +21,18 @@ EGO_BOX_MAX = np.array([0.6, 0.6, 1.2], dtype=F64)
 EGO_DIMS = 32
 
 
-class Occupancy(Enum):
-    FREE = 0
-    OCCUPIED = 1
-    OUT_OF_BOUNDS = 2
+# The RMGV1 voxel header stores each axis's cell count as a uint32.
+MAX_AXIS_CELLS = 2 ** 32 - 1
+
+
+def _finite_corners(min_corner, max_corner) -> tuple[np.ndarray, np.ndarray]:
+    lo = np.asarray(min_corner, dtype=F64)
+    hi = np.asarray(max_corner, dtype=F64)
+    if lo.shape != (3,) or hi.shape != (3,):
+        raise DimensionError("grid corners must be 3-vectors")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise DimensionError(f"grid corners must be finite, got {lo} and {hi}")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -36,15 +44,14 @@ class GridSpec:
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        lo = np.asarray(self.min_corner, dtype=F64)
-        hi = np.asarray(self.max_corner, dtype=F64)
+        lo, hi = _finite_corners(self.min_corner, self.max_corner)
         dims = tuple(int(d) for d in self.dims)
-        if lo.shape != (3,) or hi.shape != (3,):
-            raise DimensionError("grid corners must be 3-vectors")
         if not np.all(hi > lo):
             raise DimensionError("max corner must exceed min corner componentwise")
         if any(d < 1 for d in dims):
             raise DimensionError("grid dims must be >= 1")
+        if any(d > MAX_AXIS_CELLS for d in dims):
+            raise DimensionError(f"grid dims {dims} exceed {MAX_AXIS_CELLS} cells on an axis")
         object.__setattr__(self, "min_corner", lo)
         object.__setattr__(self, "max_corner", hi)
         object.__setattr__(self, "dims", dims)
@@ -59,9 +66,12 @@ class GridSpec:
 
     @classmethod
     def from_resolution(cls, min_corner, max_corner, resolution: float) -> "GridSpec":
-        lo = np.asarray(min_corner, dtype=F64)
-        hi = np.asarray(max_corner, dtype=F64)
-        dims = tuple(int(round(v)) for v in (hi - lo) / resolution)
+        lo, hi = _finite_corners(min_corner, max_corner)
+        with np.errstate(all="ignore"):
+            cells = (hi - lo) / resolution
+        if not np.all(np.isfinite(cells)):
+            raise DimensionError(f"resolution {resolution} gives cell counts {cells}")
+        dims = tuple(int(round(v)) for v in cells)
         return cls(lo, hi, dims)
 
 
@@ -86,19 +96,11 @@ class VoxelGrid:
         object.__setattr__(self, "packed", packed)
 
     @classmethod
-    def empty(cls, spec: GridSpec) -> "VoxelGrid":
-        return cls(spec, np.zeros((spec.cell_count + 7) // 8, dtype=np.uint8))
-
-    @classmethod
     def from_bool_array(cls, spec: GridSpec, occupancy: np.ndarray) -> "VoxelGrid":
         occ = np.asarray(occupancy, dtype=bool)
         if occ.shape != spec.dims:
             raise DimensionError(f"occupancy shape {occ.shape} != dims {spec.dims}")
         return cls(spec, np.packbits(occ.reshape(-1), bitorder="little"))
-
-    def occupancy_array(self) -> np.ndarray:
-        bits = np.unpackbits(self.packed, count=self.spec.cell_count, bitorder="little")
-        return bits.reshape(self.spec.dims).astype(bool)
 
     def occupied_count(self) -> int:
         return int(np.unpackbits(self.packed, count=self.spec.cell_count,
@@ -136,25 +138,20 @@ def voxelize_points(points: np.ndarray, spec: GridSpec) -> VoxelGrid:
 
 
 def query_points(grid: VoxelGrid, points: np.ndarray) -> np.ndarray:
-    """Vectorized occupancy lookup; returns Occupancy values as a uint8 array.
+    """Which of the (N, 3) points lie in an occupied cell, as an (N,) bool array.
 
+    A point outside the grid, or with a NaN coordinate, reads unoccupied.
     Reads the packed bits of the hit cells only; the grid is never unpacked.
     """
     idx, inside = _cell_indices(points, grid.spec)
-    out = np.full(idx.shape[1], Occupancy.OUT_OF_BOUNDS.value, dtype=np.uint8)
+    out = np.zeros(idx.shape[1], dtype=bool)
     if np.any(inside):
         _, ny, nz = grid.spec.dims
         # Every point's flat index, then one mask select: cheaper than
         # selecting from three index rows.
         flat = ((idx[0] * ny + idx[1]) * nz + idx[2])[inside]
-        hit = (grid.packed[flat >> 3] >> (flat & 7)) & 1
-        out[inside] = np.where(hit, Occupancy.OCCUPIED.value, Occupancy.FREE.value)
+        out[inside] = (grid.packed[flat >> 3] >> (flat & 7)) & 1
     return out
-
-
-def query_occupancy(grid: VoxelGrid, point) -> Occupancy:
-    """Single-point lookup in world coordinates."""
-    return Occupancy(int(query_points(grid, np.asarray(point, dtype=F64).reshape(1, 3))[0]))
 
 
 @dataclass(frozen=True)
@@ -191,8 +188,6 @@ def extract_ego_voxels(grid: VoxelGrid, ego_to_world: RigidTransform) -> EgoVoxe
     Each ego cell queries the world occupancy at its mapped center; queries
     landing outside the world grid count as free.
     """
-    centers = ego_cell_centers().reshape(-1, 3)
-    world = ego_to_world.apply_points(centers)
-    states = query_points(grid, world)
-    occ = (states == Occupancy.OCCUPIED.value).reshape(EGO_DIMS, EGO_DIMS, EGO_DIMS)
+    world = ego_to_world.apply_points(ego_cell_centers().reshape(-1, 3))
+    occ = query_points(grid, world).reshape(EGO_DIMS, EGO_DIMS, EGO_DIMS)
     return EgoVoxelBlock(occ, ego_to_world)

@@ -1,5 +1,7 @@
 """Bench tests: the recorder's scopes, the bench clock and the printed rows."""
+import importlib
 import time
+import types
 
 import numpy as np
 import pytest
@@ -53,10 +55,16 @@ class TestBenchClock:
             assert 0.0 < phase_sum <= rec.total * 1.1, mode
 
     def test_engine_construction_is_not_timed(self, archive, monkeypatch):
+        """bench reads a fake clock that only Engine construction advances,
+        by 0.2 s: a bench that timed construction would report the advance."""
+        now = [0.0]
+        bench_module = importlib.import_module("remogen.runtime.bench")
+        monkeypatch.setattr(bench_module, "time",
+                            types.SimpleNamespace(perf_counter=lambda: now[0]))
         real = Engine.__init__
 
         def slow_init(self, *args, **kwargs):
-            time.sleep(0.2)
+            now[0] += 0.2
             real(self, *args, **kwargs)
 
         monkeypatch.setattr(Engine, "__init__", slow_init)

@@ -12,9 +12,17 @@ import pytest
 
 from remogen import cli
 from remogen.cli import main
-from remogen.errors import DegenerateInputError, EmptyInputError, InsufficientFramesError
+from remogen.errors import EmptyInputError, InsufficientFramesError
 from remogen.motion import FeatureLayout, MotionSegment, featurize, synthetic_sequence
-from remogen.runtime import load_motion, load_voxels, save_motion
+from remogen.runtime import (
+    WeightArchive,
+    init_weights,
+    load_config,
+    load_motion,
+    load_voxels,
+    save_archive,
+    save_motion,
+)
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +153,32 @@ class TestStream:
         assert [json.loads(line) for line in rest.splitlines()] == [{"t": 1, "kind": "end"}]
 
 
+    def test_nan_decoder_weight_writes_only_json_lines(self, tmp_path, monkeypatch, capsys):
+        """A NaN decoder weight makes every emitted pose NaN: stream exits 4,
+        and each line it wrote to stdout before that is JSON."""
+        config = tmp_path / "compact.cfg"
+        config.write_text("history_len = 2\nfuture_len = 8\nsteps = 5\nlatent_dim = 16\n"
+                          "text_dim = 16\nwidth = 32\nheads = 2\nn_blocks = 2\n"
+                          "ffn_hidden = 64\nvae_hidden = 64\ninjection_layers = 0,1\n")
+        tensors = dict(init_weights(load_config(config), seed=3).tensors)
+        w3 = tensors["prior.vae_dec.w3"].copy()
+        w3[0, 0] = np.nan
+        tensors["prior.vae_dec.w3"] = w3
+        weights = tmp_path / "nan.rmgw"
+        save_archive(WeightArchive(tensors), weights)
+        pose = [float(v) for v in featurize(synthetic_sequence(1, seed=4)).frames[0]]
+        records = "".join(json.dumps({"t": t, "kind": "partner_pose", "pose": pose}) + "\n"
+                          for t in range(4))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(records))
+        capsys.readouterr()
+        rc = main(["stream", "--weights", str(weights), "--fwsr", "--config", str(config)])
+        captured = capsys.readouterr()
+        assert rc == 4, captured.err
+        assert "numeric error" in captured.err
+        for line in captured.out.splitlines():
+            json.loads(line, parse_constant=lambda name: pytest.fail(f"bare {name}: {line}"))
+
+
 class TestVoxelizeAndMetrics:
     def test_voxelize_then_metrics(self, tmp_path, weights_path):
         pts = tmp_path / "points.xyz"
@@ -213,8 +247,7 @@ class TestVoxelizeAndMetrics:
         assert main(["metrics", *(a for kv in paths.items() for a in kv)]) == 2
         assert f"{empty} holds no frames" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("error", [EmptyInputError, InsufficientFramesError,
-                                       DegenerateInputError])
+    @pytest.mark.parametrize("error", [EmptyInputError, InsufficientFramesError])
     def test_every_package_error_has_an_exit_code(self, tmp_path, capsys, monkeypatch,
                                                   error):
         def failing(*args, **kwargs):
@@ -248,6 +281,21 @@ class TestVoxelizeAndMetrics:
                    "--dims", "4", "4", "4", "--out", str(out)])
         assert rc == 3
         assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [
+        ["--bounds", "0", "0", "0", "inf", "1", "1", "--resolution", "0.1"],
+        ["--bounds", "0", "0", "0", "1", "1", "1", "--dims", "4294967297", "1", "1"],
+        ["--bounds", "0", "0", "0", "inf", "1", "1", "--dims", "2", "2", "2"],
+        ["--bounds", "nan", "0", "0", "1", "1", "1", "--dims", "2", "2", "2"],
+    ])
+    def test_voxelize_refuses_a_grid_it_cannot_write(self, tmp_path, capsys, grid):
+        pts = tmp_path / "p.xyz"
+        pts.write_text("0 0 0\n")
+        out = tmp_path / "v.rmgv"
+        rc = main(["voxelize", "--points", str(pts), *grid, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("resolution", ["0", "-0.1", "nan"])

@@ -193,7 +193,7 @@ class TestDecoderSensitivity:
         fwsr = seeded_fwsr_params(Rng(1), params.feature_dim, params.latent_dim)
         with pytest.raises(NumericError):
             refine_latent(z0, m_h, np.zeros((0, params.feature_dim), dtype=F32),
-                          SensitivityVector.zeros(params.latent_dim), fwsr)
+                          SensitivityVector(np.zeros(params.latent_dim, dtype=F32)), fwsr)
 
 
 class TestRefineLatent:
@@ -203,14 +203,14 @@ class TestRefineLatent:
         gen = Rng(4).generator("z")
         z0 = gen.standard_normal(DZ, dtype=F32)
         out = refine_latent(z0, history(), gen.standard_normal((2, D)).astype(F32),
-                            SensitivityVector.zeros(DZ), params)
+                            SensitivityVector(np.zeros(DZ, dtype=F32)), params)
         assert np.array_equal(out, z0)
 
     def test_zero_sensitivity_no_suppression(self):
         params = hand_params(0.5, 0.2, beta_sens=1.0, d_z=1)
         z0 = np.array([1.0], dtype=F32)
         out_free = refine_latent(z0, history(), np.zeros((0, D), dtype=F32),
-                                 SensitivityVector.zeros(1), params)
+                                 SensitivityVector(np.zeros(1, dtype=F32)), params)
         # s = 0 leaves the raw delta: 0.5 * 1 + 0.2 = 0.7
         np.testing.assert_allclose(out_free, [1.7], atol=1e-6)
 
@@ -337,7 +337,7 @@ class TestRefineLatent:
         with pytest.raises(DimensionError):
             refine_latent(np.zeros(2, dtype=F32), history(),
                           np.zeros((0, D), dtype=F32),
-                          SensitivityVector.zeros(1), params)
+                          SensitivityVector(np.zeros(1, dtype=F32)), params)
 
 
 class TestDynamicContext:

@@ -1,6 +1,7 @@
-"""Metric tests: closed-form Frechet cases, retrieval, jerk, collision oracle."""
+"""Metric tests: closed-form Frechet cases, diversity, jerk, collision oracle."""
 import numpy as np
 import pytest
+from scene_reference import occupied
 
 from remogen.errors import ConfigError, DimensionError, InsufficientFramesError
 from remogen.metrics import (
@@ -13,9 +14,8 @@ from remogen.metrics import (
     frechet_gaussian,
     gaussian_stats,
     peak_jerk,
-    retrieval_metrics,
 )
-from remogen.scene import GridSpec, Occupancy, VoxelGrid, query_occupancy
+from remogen.scene import GridSpec, VoxelGrid
 from remogen.tensorcore import Rng
 
 F32 = np.float32
@@ -65,39 +65,6 @@ class TestFrechetDistance:
     def test_stats_need_two_vectors(self):
         with pytest.raises(DimensionError):
             gaussian_stats(EmbeddingSet(np.zeros((1, 2))))
-
-
-class TestRetrievalMetrics:
-    def test_identity_pairing_perfect(self):
-        gen = Rng(4).generator("ret")
-        emb = EmbeddingSet(gen.standard_normal((8, 5)))
-        report = retrieval_metrics(emb, emb, batch=4)
-        assert report.r_precision[1] == 1.0
-        assert report.mm_dist == pytest.approx(0.0)
-        assert report.batches == 2
-
-    def test_one_hot_pairs_top3(self):
-        eye = np.eye(4)
-        report = retrieval_metrics(EmbeddingSet(eye), EmbeddingSet(eye), batch=4)
-        assert report.r_precision[3] == 1.0
-
-    def test_monotone_in_k(self):
-        gen = Rng(5).generator("ret")
-        m = EmbeddingSet(gen.standard_normal((64, 6)))
-        t = EmbeddingSet(gen.standard_normal((64, 6)))
-        report = retrieval_metrics(m, t, batch=64)
-        assert report.r_precision[1] <= report.r_precision[2] <= report.r_precision[3]
-
-    def test_partial_batch_dropped(self):
-        gen = Rng(6).generator("ret")
-        m = EmbeddingSet(gen.standard_normal((70, 4)))
-        report = retrieval_metrics(m, m, batch=64)
-        assert report.batches == 1
-
-    def test_too_few_pairs(self):
-        with pytest.raises(ConfigError):
-            retrieval_metrics(EmbeddingSet(np.zeros((8, 2))),
-                              EmbeddingSet(np.zeros((8, 2))), batch=64)
 
 
 class TestDiversity:
@@ -195,7 +162,7 @@ class TestCollisionMetrics:
         for ti in range(t):
             frame_hit = False
             for ji in range(j):
-                if query_occupancy(grid, ego[ti, ji]) is Occupancy.OCCUPIED:
+                if occupied(grid, ego[ti, ji]):
                     frame_hit = True
                 for pj in range(j):
                     if np.linalg.norm(ego[ti, ji] - partner[ti, pj]) <= radius:
@@ -227,10 +194,3 @@ class TestReferenceEmbedder:
         e = ReferenceEmbedder(dim=8, window=8)
         v = e.embed_motion(gen.standard_normal((3, 12)).astype(F32))
         assert v.shape == (8,)
-
-    def test_text_embedding(self):
-        e = ReferenceEmbedder(dim=16)
-        a = e.embed_text("walk forward")
-        b = e.embed_text("walk forward")
-        assert np.array_equal(a, b)
-        assert a.shape == (16,)

@@ -6,7 +6,6 @@ import pytest
 
 from remogen.errors import ConfigError, DimensionError, EmptyInputError
 from remogen.mim import (
-    ContextTokens,
     MimBlockParams,
     MimParams,
     ModulationDelta,
@@ -81,6 +80,11 @@ def random_block(gen, width, heads=1, t_kv_dim=None):
         gate=gen.standard_normal(width).astype(F32))
 
 
+def run_block(h, c, p):
+    """mim_block_forward of block p over ego tokens h and context tokens c."""
+    return mim_block_forward(h, prepare_context(c, p, len(h)), p)
+
+
 def naive_mim_block(h, c, p):
     """Independent restatement of the block chain using shared kernels stepwise.
 
@@ -92,9 +96,9 @@ def naive_mim_block(h, c, p):
     h_prime = h + mha_forward(layer_norm(h, p.self_attn.ln_gain, p.self_attn.ln_offset),
                               layer_norm(h, p.self_attn.ln_gain, p.self_attn.ln_offset),
                               p.self_attn, acc=F32)
-    bias = relative_bias(h.shape[0], c.tokens.shape[0], p.rel_bias)
+    bias = relative_bias(h.shape[0], c.shape[0], p.rel_bias)
     r = mha_forward(layer_norm(h_prime, p.cross_attn.ln_gain, p.cross_attn.ln_offset),
-                    c.tokens, p.cross_attn, bias, acc=F32)
+                    c, p.cross_attn, bias, acc=F32)
     film = ((r.astype(F32) @ p.film_w.astype(F32)).astype(np.float64)
             + p.film_b.astype(np.float64))
     d = h.shape[1]
@@ -119,9 +123,8 @@ class TestEncodeOthers:
         window = gen.standard_normal((5, 12)).astype(F32)
         a = encode_others(window, others_encoder)
         b = encode_others(window, others_encoder)
-        assert a.tokens.shape == (5, 16)
-        assert a.source == "others"
-        assert np.array_equal(a.tokens, b.tokens)
+        assert a.shape == (5, 16) and a.dtype == F32
+        assert np.array_equal(a, b)
 
     def test_causality_prefix_equality(self, others_encoder):
         gen = Rng(2).generator("win")
@@ -130,12 +133,12 @@ class TestEncodeOthers:
         w2[4:] = gen.standard_normal((2, 12)).astype(F32)
         a = encode_others(w1, others_encoder)
         b = encode_others(w2, others_encoder)
-        np.testing.assert_array_equal(a.tokens[:4], b.tokens[:4])
-        assert not np.array_equal(a.tokens[4:], b.tokens[4:])
+        np.testing.assert_array_equal(a[:4], b[:4])
+        assert not np.array_equal(a[4:], b[4:])
 
     def test_zero_input_zero_tokens_when_bias_free(self, others_encoder):
         out = encode_others(np.zeros((4, 12), dtype=F32), others_encoder)
-        assert np.all(out.tokens == 0)
+        assert np.all(out == 0)
 
     def test_dim_mismatch(self, others_encoder):
         with pytest.raises(DimensionError):
@@ -151,27 +154,26 @@ def scene_encoder():
 class TestEncodeScene:
     def test_token_count(self, scene_encoder):
         block = EgoVoxelBlock(np.zeros((EGO_DIMS,) * 3, dtype=bool),
-                              RigidTransform.identity())
+                              RigidTransform(np.eye(3), np.zeros(3)))
         out = encode_scene(block, scene_encoder)
-        assert out.tokens.shape == (SCENE_TOKENS, 16)
-        assert out.source == "scene"
+        assert out.shape == (SCENE_TOKENS, 16) and out.dtype == F32
 
     def test_free_vs_occupied_differ(self, scene_encoder):
         free = EgoVoxelBlock(np.zeros((EGO_DIMS,) * 3, dtype=bool),
-                             RigidTransform.identity())
+                             RigidTransform(np.eye(3), np.zeros(3)))
         full = EgoVoxelBlock(np.ones((EGO_DIMS,) * 3, dtype=bool),
-                             RigidTransform.identity())
+                             RigidTransform(np.eye(3), np.zeros(3)))
         a = encode_scene(free, scene_encoder)
         b = encode_scene(full, scene_encoder)
-        assert not np.array_equal(a.tokens, b.tokens)
+        assert not np.array_equal(a, b)
 
     def test_deterministic(self, scene_encoder):
         gen = Rng(5).generator("occ")
         block = EgoVoxelBlock(gen.uniform(size=(EGO_DIMS,) * 3) > 0.5,
-                              RigidTransform.identity())
+                              RigidTransform(np.eye(3), np.zeros(3)))
         a = encode_scene(block, scene_encoder)
         b = encode_scene(block, scene_encoder)
-        assert np.array_equal(a.tokens, b.tokens)
+        assert np.array_equal(a, b)
 
 
 class TestMimBlockForward:
@@ -189,10 +191,10 @@ class TestMimBlockForward:
                                      p.ffn.ln_gain, p.ffn.ln_offset),
                            gate=np.ones(width, dtype=F32))
         h = gen.standard_normal((3, width)).astype(F32)
-        c = ContextTokens(gen.standard_normal((2, width)).astype(F32))
+        c = gen.standard_normal((2, width)).astype(F32)
         normed = layer_norm(h, p.self_attn.ln_gain, p.self_attn.ln_offset)
         residual = mha_forward(normed, normed, p.self_attn)
-        np.testing.assert_allclose(mim_block_forward(h, c, p), residual, atol=1e-6)
+        np.testing.assert_allclose(run_block(h, c, p), residual, atol=1e-6)
 
     def test_zero_gate_exactly_neutral(self):
         gen = Rng(7).generator("blk")
@@ -200,16 +202,16 @@ class TestMimBlockForward:
         p = MimBlockParams(p.self_attn, p.cross_attn, p.rel_bias, p.film_w, p.film_b,
                            p.ffn, gate=np.zeros(4, dtype=F32))
         h = gen.standard_normal((3, 4)).astype(F32)
-        c = ContextTokens(gen.standard_normal((5, 4)).astype(F32))
-        assert np.all(mim_block_forward(h, c, p) == 0)
+        c = gen.standard_normal((5, 4)).astype(F32)
+        assert np.all(run_block(h, c, p) == 0)
 
     def test_scalar_hand_evaluation(self):
         film_b = np.array([np.arctanh(0.5), np.arctanh(0.2)], dtype=F32)
         p = identity_block(width=1, gate=1.0, self_wo=0.0, film_b=film_b)
         h = np.array([[1.0]], dtype=F32)
-        c = ContextTokens(np.array([[0.3]], dtype=F32))
+        c = np.array([[0.3]], dtype=F32)
         # h' = 1; gamma, beta fixed by the bias: delta = 0.5 * 1 + 0.2 = 0.7
-        np.testing.assert_allclose(mim_block_forward(h, c, p), [[0.7]], atol=1e-6)
+        np.testing.assert_allclose(run_block(h, c, p), [[0.7]], atol=1e-6)
 
     def test_duplicate_context_tokens_renormalize(self):
         # Bias-free so key positions play no role, then duplicating every
@@ -221,8 +223,8 @@ class TestMimBlockForward:
                            p.film_w, p.film_b, p.ffn, p.gate)
         h = gen.standard_normal((2, 4)).astype(F32)
         tokens = gen.standard_normal((3, 4)).astype(F32)
-        once = mim_block_forward(h, ContextTokens(tokens), p)
-        twice = mim_block_forward(h, ContextTokens(np.vstack([tokens, tokens])), p)
+        once = run_block(h, tokens, p)
+        twice = run_block(h, np.vstack([tokens, tokens]), p)
         np.testing.assert_allclose(once, twice, atol=1e-6)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -233,15 +235,15 @@ class TestMimBlockForward:
         t_c = int(gen.integers(1, 5))
         p = random_block(gen, width)
         h = gen.standard_normal((t, width)).astype(F32)
-        c = ContextTokens(gen.standard_normal((t_c, width)).astype(F32))
-        np.testing.assert_allclose(mim_block_forward(h, c, p), naive_mim_block(h, c, p),
+        c = gen.standard_normal((t_c, width)).astype(F32)
+        np.testing.assert_allclose(run_block(h, c, p), naive_mim_block(h, c, p),
                                    atol=1e-6)
 
     def test_width_mismatch(self):
         p = identity_block(width=2)
         with pytest.raises(DimensionError):
             mim_block_forward(np.zeros((2, 3), dtype=F32),
-                              ContextTokens(np.zeros((1, 2), dtype=F32)), p)
+                              prepare_context(np.zeros((1, 2), dtype=F32), p, 2), p)
 
 
 class TestModuleDeltas:
@@ -251,7 +253,7 @@ class TestModuleDeltas:
         gen = Rng(10).generator("m")
         h = gen.standard_normal((5, 16)).astype(F32)
         c = encode_others(gen.standard_normal((3, 12)).astype(F32), params.encoder)
-        delta = module_deltas(h, c, params)
+        delta = module_deltas(h, prepare_context(c, params.stacked, 5), params)
         assert delta.layers == (0, 1, 2)
         assert delta.values.shape == (3, 5, 16)
         assert np.all(delta.values == 0)
@@ -274,32 +276,30 @@ class TestStackedModule:
         params = hot_module(source, seed=t_c)
         gen = Rng(t_c).generator("stack", source)
         h = gen.standard_normal((5, 128)).astype(F32)
-        c = ContextTokens(gen.standard_normal((t_c, 128)).astype(F32), source=source)
-        delta = module_deltas(h, c, params)
+        c = gen.standard_normal((t_c, 128)).astype(F32)
+        delta = module_deltas(h, prepare_context(c, params.stacked, 5), params)
         assert delta.layers == (0, 1, 2, 3)
         for idx, block in params.blocks.items():
             alone = MimParams("m", source, params.encoder, {idx: block})
-            single = module_deltas(h, c, alone)
+            single = module_deltas(h, prepare_context(c, alone.stacked, 5), alone)
             assert single.layers == (idx,)
             assert np.any(single.values != 0)
             row = delta.values[delta.layers.index(idx)]
             np.testing.assert_array_equal(row, single.values[0])
-            np.testing.assert_array_equal(row, mim_block_forward(h, c, block))
+            np.testing.assert_array_equal(row, run_block(h, c, block))
 
     @pytest.mark.parametrize("t_c", [2, 64])
     def test_context_prepared_once_reused_over_steps(self, t_c):
         params = hot_module("others", seed=40 + t_c)
         gen = Rng(t_c).generator("reuse")
-        c = ContextTokens(gen.standard_normal((t_c, 128)).astype(F32))
+        c = gen.standard_normal((t_c, 128)).astype(F32)
         prepared = prepare_context(c, params.stacked, 5)
         for _ in range(10):
             h = gen.standard_normal((5, 128)).astype(F32)
             reused = module_deltas(h, prepared, params)
             fresh = module_deltas(h, prepare_context(c, params.stacked, 5), params)
-            tokens = module_deltas(h, c, params)
             for k in range(len(params.blocks)):
                 np.testing.assert_array_equal(reused.values[k], fresh.values[k])
-                np.testing.assert_array_equal(reused.values[k], tokens.values[k])
 
     def test_stacked_weights_built_once_on_first_use(self):
         params = hot_module("others", seed=50, width=16, heads=2, ffn_hidden=32)
@@ -331,8 +331,7 @@ class TestStackedModule:
 
     def test_prepared_context_shape_is_checked(self):
         params = hot_module("others", seed=52, width=16, heads=2, ffn_hidden=32)
-        c = ContextTokens(np.ones((3, 16), dtype=F32))
-        prepared = prepare_context(c, params.stacked, 5)
+        prepared = prepare_context(np.ones((3, 16), dtype=F32), params.stacked, 5)
         with pytest.raises(DimensionError):
             module_deltas(np.ones((4, 16), dtype=F32), prepared, params)
 

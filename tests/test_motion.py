@@ -1,18 +1,15 @@
-"""Motion representation tests: canonicalization, featurization, history, normalizer."""
+"""Motion representation tests: rigid transforms, featurization, history, normalizer."""
 import numpy as np
 import pytest
 
-from remogen.errors import DegenerateInputError, DimensionError, EmptyInputError
+from remogen.errors import DimensionError
 from remogen.motion import (
     FeatureLayout,
     HistoryWindow,
     MotionSegment,
     Normalizer,
     RigidTransform,
-    canonical_transform,
-    canonicalize,
     featurize,
-    fit_normalizer,
     joint_positions_from_features,
     normalize,
     rest_sequence,
@@ -20,7 +17,6 @@ from remogen.motion import (
     rotation_from_6d,
     rotation_to_6d,
     synthetic_sequence,
-    transform_sequence,
     update_history,
 )
 from remogen.tensorcore import Rng
@@ -50,73 +46,20 @@ class TestFeatureLayout:
         assert FeatureLayout.from_id("body22").joints == 22
 
 
-class TestCanonicalTransform:
-    def test_already_canonical_gives_identity(self):
-        joints = np.zeros((3, 3))
-        joints[1] = [-0.1, 0.0, 0.9]  # left hip
-        joints[2] = [0.1, 0.0, 0.9]   # right hip
-        t = canonical_transform(joints)
-        np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(t.translation, 0, atol=1e-12)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_inverts_known_yaw_and_horizontal_shift(self, seed):
-        # Canonicalization only removes yaw and the horizontal offset, so a
-        # yaw + XY translation is the exactly invertible case.
-        gen = Rng(seed).generator("canon")
-        base = rest_sequence(4)
-        yaw = float(gen.uniform(-np.pi, np.pi))
-        shift = np.array([gen.uniform(-3, 3), gen.uniform(-3, 3), 0.0])
-        moved = transform_sequence(
-            base, RigidTransform(rotation_about_axis([0, 0, 1.0], yaw), shift))
-        t = canonical_transform(moved.joint_positions[0])
-        restored = transform_sequence(moved, t)
-        assert np.max(np.abs(restored.joint_positions - base.joint_positions)) < 1e-6
-        assert np.max(np.abs(restored.root_orientation - base.root_orientation)) < 1e-6
-        # The returned transform inverts the applied motion.
-        np.testing.assert_allclose(t.rotation, rotation_about_axis([0, 0, 1.0], -yaw),
-                                   atol=1e-6)
-
-    def test_idempotent_on_canonical_sequences(self):
-        seq = synthetic_sequence(6, seed=3)
-        canon, _ = canonicalize(seq)
-        again = canonical_transform(canon.joint_positions[0])
-        np.testing.assert_allclose(again.rotation, np.eye(3), atol=1e-6)
-        np.testing.assert_allclose(again.translation, 0, atol=1e-6)
-
-    def test_stacked_hips_degenerate(self):
-        joints = np.zeros((3, 3))
-        joints[1] = [0.0, 0.0, 0.8]
-        joints[2] = [0.0, 0.0, 1.0]
-        with pytest.raises(DegenerateInputError):
-            canonical_transform(joints)
-
-
-class TestTransformSequence:
-    def test_identity_unchanged(self):
-        seq = synthetic_sequence(5, seed=1)
-        out = transform_sequence(seq, RigidTransform.identity())
-        np.testing.assert_array_equal(out.joint_positions, seq.joint_positions)
-        np.testing.assert_array_equal(out.root_orientation, seq.root_orientation)
-
+class TestRigidTransform:
     def test_pure_translation(self):
-        seq = rest_sequence(3)
+        points = rest_sequence(3).joint_positions
         t = RigidTransform(np.eye(3), np.array([1.0, -2.0, 0.5]))
-        out = transform_sequence(seq, t)
-        np.testing.assert_allclose(out.joint_positions,
-                                   seq.joint_positions + t.translation, atol=1e-12)
-        np.testing.assert_array_equal(out.root_orientation, seq.root_orientation)
-        np.testing.assert_array_equal(out.body_rotations, seq.body_rotations)
+        np.testing.assert_allclose(t.apply_points(points), points + t.translation, atol=1e-12)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_round_trip(self, seed):
-        gen = Rng(seed).generator("rt")
-        seq = synthetic_sequence(5, seed=seed)
-        t = RigidTransform(rotation_about_axis(gen.standard_normal(3), gen.uniform(0, np.pi)),
-                           gen.uniform(-2, 2, size=3))
-        back = transform_sequence(transform_sequence(seq, t), t, inverse=True)
-        assert np.max(np.abs(back.joint_positions - seq.joint_positions)) < 1e-6
-        assert np.max(np.abs(back.root_orientation - seq.root_orientation)) < 1e-6
+    def test_quarter_yaw_turns_x_into_y(self):
+        t = RigidTransform(rotation_about_axis([0, 0, 1.0], np.pi / 2), np.array([0.0, 0.0, 1.0]))
+        np.testing.assert_allclose(t.apply_points(np.array([[1.0, 0.0, 0.0]])),
+                                   [[0.0, 1.0, 1.0]], atol=1e-12)
+
+    def test_improper_rotation_refused(self):
+        with pytest.raises(DimensionError):
+            RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
 
 class TestRotation6d:
@@ -221,33 +164,33 @@ class TestUpdateHistory:
                            MotionSegment(np.zeros((2, 5), dtype=F32)))
 
 
+def population_normalizer(frames):
+    """Mean and population std over (N, D) frames, as a weight archive would hold them."""
+    frames = np.asarray(frames, dtype=np.float64)
+    return Normalizer(frames.mean(axis=0), frames.std(axis=0))
+
+
 class TestNormalizer:
     def test_constant_channel_floored(self):
         frames = np.full((5, 3), 2.5, dtype=F32)
-        n = fit_normalizer(frames)
+        n = population_normalizer(frames)
         assert np.all(n.std == pytest.approx(1e-6))
         assert np.all(normalize(frames, n) == 0)
 
     def test_two_point_channel(self):
         frames = np.array([[1.0], [3.0]], dtype=F32)
-        n = fit_normalizer(frames)
-        assert n.mean[0] == pytest.approx(2.0)
-        assert n.std[0] == pytest.approx(1.0)
+        n = Normalizer(np.array([2.0]), np.array([1.0]))
         np.testing.assert_allclose(normalize(frames, n).ravel(), [-1.0, 1.0], atol=1e-6)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_round_trip(self, seed):
         gen = Rng(seed).generator("norm")
         frames = (gen.standard_normal((20, 7)) * 5 + 3).astype(F32)
-        n = fit_normalizer(frames)
+        n = population_normalizer(frames)
         back = normalize(normalize(frames, n), n, inverse=True)
         assert np.max(np.abs(back - frames)) < 1e-6
 
-    def test_fit_needs_frames(self):
-        with pytest.raises(EmptyInputError):
-            fit_normalizer(np.zeros((1, 3), dtype=F32))
-
     def test_identity(self):
-        n = Normalizer.identity(4)
+        n = Normalizer(np.zeros(4, dtype=F32), np.ones(4, dtype=F32))
         x = np.arange(8, dtype=F32).reshape(2, 4)
         np.testing.assert_array_equal(normalize(x, n), x)

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+from scene_reference import unpacked
 
 from remogen.errors import ConfigError, FormatError, RemogenError
 from remogen.motion import FeatureLayout, MotionSegment, featurize, synthetic_sequence
@@ -301,7 +302,7 @@ class EngineCalls(RuleBasedStateMachine):
     @rule(kind=st.sampled_from(["grid", "none", "int", "array"]))
     def set_scene(self, kind):
         grid = _sm_inputs()[1]
-        scene = {"grid": grid, "none": None, "int": 5, "array": grid.occupancy_array()}[kind]
+        scene = {"grid": grid, "none": None, "int": 5, "array": unpacked(grid)}[kind]
         self._call("set_scene", scene)
 
     @rule(kind=st.sampled_from(["good", "nan"]))

@@ -10,6 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scene_reference import empty_grid
 
 from remogen.cli import main
 from remogen.errors import ConfigError, CorruptArchiveError, FormatError, NumericError
@@ -229,7 +230,7 @@ class TestMotionCodec:
 class TestVoxelCodec:
     def test_empty_4cube_payload(self, tmp_path):
         path = tmp_path / "empty.rmgv"
-        grid = VoxelGrid.empty(GridSpec([0, 0, 0], [1, 1, 1], (4, 4, 4)))
+        grid = empty_grid(GridSpec([0, 0, 0], [1, 1, 1], (4, 4, 4)))
         save_voxels(grid, path)
         raw = path.read_bytes()
         payload = raw[5 + 48 + 12:]
@@ -246,7 +247,7 @@ class TestVoxelCodec:
 
     def test_room_scale_header_accepted(self, tmp_path):
         path = tmp_path / "room.rmgv"
-        save_voxels(VoxelGrid.empty(room_grid_spec()), path)
+        save_voxels(empty_grid(room_grid_spec()), path)
         loaded = load_voxels(path)
         assert loaded.spec.dims == (300, 400, 100)
 
@@ -281,9 +282,21 @@ class TestVoxelCodec:
         assert main(["metrics", "--pred", str(motion), "--ref", str(motion),
                      "--scene", str(path)]) == 3
 
+    @pytest.mark.parametrize("corner", [np.inf, -np.inf, np.nan])
+    def test_non_finite_corner_is_format_error(self, tmp_path, corner):
+        path = tmp_path / "inf.rmgv"
+        path.write_bytes(VOXEL_MAGIC + struct.pack("<6d", 0, 0, 0, corner, 1, 1)
+                         + struct.pack("<3I", 2, 2, 2) + b"\x00")
+        with pytest.raises(FormatError, match="finite"):
+            load_voxels(path)
+        motion = tmp_path / "m.rmgm"
+        save_motion(featurize(synthetic_sequence(8, seed=1)), motion, FeatureLayout())
+        assert main(["metrics", "--pred", str(motion), "--ref", str(motion),
+                     "--scene", str(path)]) == 3
+
     def test_payload_size_mismatch(self, tmp_path):
         path = tmp_path / "short.rmgv"
-        save_voxels(VoxelGrid.empty(GridSpec([0, 0, 0], [1, 1, 1], (4, 4, 4))), path)
+        save_voxels(empty_grid(GridSpec([0, 0, 0], [1, 1, 1], (4, 4, 4))), path)
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(FormatError):
             load_voxels(path)
@@ -326,7 +339,7 @@ class TestSavesReplaceFiles:
         path = tmp_path / "s.rmgv"
         save_voxels(full, path)
         loaded = load_voxels(path)
-        save_voxels(VoxelGrid.empty(GridSpec([0, 0, 0], [1, 1, 1], (2, 2, 2))), path)
+        save_voxels(empty_grid(GridSpec([0, 0, 0], [1, 1, 1], (2, 2, 2))), path)
         assert np.array_equal(loaded.packed, full.packed)
         assert loaded.occupied_count() == spec.cell_count
         assert list(tmp_path.glob("*.tmp")) == []
@@ -436,13 +449,22 @@ class TestStreamRecords:
         ties = (np.arange(-2048, 2048) / 128.0).astype(F32)   # exact m/128
         scaled = (gen.standard_normal(50_000) * 10.0 ** gen.integers(-9, 9, 50_000)).astype(F32)
         for pose in (bits.view(F32), special, ties, scaled):
+            # Non-finite values have no JSON form; format_record refuses them.
+            pose = pose[np.isfinite(pose)]
             rec = StreamRecord(t=0, kind="ego_pose", pose=pose)
             reference = json.dumps({"t": 0, "kind": "ego_pose",
                                     "pose": [round(float(v), 6) for v in rec.pose]},
                                    separators=(",", ":"))
-            # Random bit patterns include signalling NaNs, which flag the cast.
-            with np.errstate(invalid="ignore"):
-                assert format_record(rec) == reference
+            assert format_record(rec) == reference
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pose_is_numeric_error(self, bad):
+        pose = np.array([0.25, bad, 1.0], dtype=F32)
+        with pytest.raises(NumericError, match="t=5"):
+            format_record(StreamRecord(t=5, kind="ego_pose", pose=pose))
+        with pytest.raises(NumericError):
+            format_record(StreamRecord(t=0, kind="ego_pose", pose=np.ones(2, dtype=F32),
+                                       latency_ms=float(bad)))
 
     def test_alpha_record(self):
         back = parse_record('{"t": 0, "kind": "alpha", "alpha": {"hhi": 0.5}}')
@@ -1064,7 +1086,8 @@ class TestModuleBatching:
         prepare, deltas = engine_mod.prepare_context, engine_mod.module_deltas
 
         def counting_prepare(c, params, t):
-            calls["prepare"].append(c.source)
+            calls["prepare"].append(next(mid for mid, m in engine.mims.items()
+                                         if m.stacked is params))
             return prepare(c, params, t)
 
         def counting_deltas(h, c, params):
@@ -1080,7 +1103,7 @@ class TestModuleBatching:
         engine.set_scene(VoxelGrid.from_bool_array(spec, occ))
         engine.run_ticks(16, partner_frames)
         segments = 16 // both.future_len
-        assert sorted(calls["prepare"]) == ["others"] * segments + ["scene"] * segments
+        assert sorted(calls["prepare"]) == ["hhi"] * segments + ["hsi"] * segments
         assert sorted(calls["deltas"]) == (["hhi"] * segments * both.steps
                                            + ["hsi"] * segments * both.steps)
 

@@ -3,7 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scene_reference import reference_ego_occupancy, reference_query_points
+from scene_reference import (
+    empty_grid,
+    occupied,
+    reference_cells,
+    reference_ego_occupancy,
+    reference_query_points,
+    unpacked,
+)
 
 from remogen.errors import DimensionError
 from remogen.motion import RigidTransform, rotation_about_axis
@@ -13,16 +20,18 @@ from remogen.scene import (
     EGO_DIMS,
     EgoVoxelBlock,
     GridSpec,
-    Occupancy,
     VoxelGrid,
+    _cell_indices,
     ego_cell_centers,
     extract_ego_voxels,
     room_grid_spec,
-    query_occupancy,
     query_points,
     voxelize_points,
 )
 from remogen.tensorcore import Rng
+
+
+IDENTITY = RigidTransform(np.eye(3), np.zeros(3))
 
 
 def small_spec():
@@ -43,6 +52,29 @@ class TestGridSpec:
         with pytest.raises(DimensionError):
             GridSpec([0, 0, 0], [1, -1, 1], (2, 2, 2))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_corner_refused(self, bad):
+        with pytest.raises(DimensionError, match="finite"):
+            GridSpec([0, 0, 0], [bad, 1, 1], (2, 2, 2))
+        with pytest.raises(DimensionError, match="finite"):
+            GridSpec([0, bad, 0], [1, 1, 1], (2, 2, 2))
+        with pytest.raises(DimensionError, match="finite"):
+            GridSpec.from_resolution([0, 0, 0], [bad, 1, 1], 0.1)
+
+    def test_axis_above_the_uint32_dims_field_refused(self):
+        # Specs only: no grid of this size is built.
+        assert GridSpec([0, 0, 0], [1, 1, 1], (2 ** 32 - 1, 1, 1)).dims[0] == 2 ** 32 - 1
+        with pytest.raises(DimensionError, match="exceed"):
+            GridSpec([0, 0, 0], [1, 1, 1], (1, 2 ** 32, 1))
+        with pytest.raises(DimensionError, match="exceed"):
+            GridSpec.from_resolution([0, 0, 0], [1, 1, 1], 1e-10)
+
+    def test_resolution_whose_cell_count_overflows_refused(self):
+        with pytest.raises(DimensionError):
+            GridSpec.from_resolution([0, 0, 0], [1e308, 1, 1], 1e-10)
+        with pytest.raises(DimensionError):
+            GridSpec.from_resolution([0, 0, 0], [1, 1, 1], 0.0)
+
 
 class TestVoxelizePoints:
     def test_empty_points_empty_grid(self):
@@ -54,7 +86,7 @@ class TestVoxelizePoints:
         center = spec.min_corner + spec.voxel_size * np.array([1.5, 2.5, 0.5])
         grid = voxelize_points(center[None, :], spec)
         assert grid.occupied_count() == 1
-        assert grid.occupancy_array()[1, 2, 0]
+        assert unpacked(grid)[1, 2, 0]
 
     def test_out_of_bounds_points_ignored(self):
         grid = voxelize_points(np.array([[5.0, 5.0, 5.0], [-1.0, 0.5, 0.5]]), small_spec())
@@ -71,7 +103,7 @@ class TestVoxelizePoints:
                         for k in range(3))
             if all(0 <= idx[k] < spec.dims[k] for k in range(3)):
                 expected.add(idx)
-        occ = grid.occupancy_array()
+        occ = unpacked(grid)
         got = set(zip(*np.nonzero(occ)))
         assert got == expected
 
@@ -82,17 +114,25 @@ class TestVoxelizePoints:
         grid = voxelize_points(points, spec)
         for p in points:
             if np.all(p < spec.max_corner):
-                assert query_occupancy(grid, p) is Occupancy.OCCUPIED
+                assert occupied(grid, p)
+
+
+def full_grid(spec):
+    return VoxelGrid.from_bool_array(spec, np.ones(spec.dims, dtype=bool))
 
 
 class TestQueryOccupancy:
     def test_below_min_is_out_of_bounds(self):
-        grid = VoxelGrid.empty(small_spec())
-        assert query_occupancy(grid, [-0.1, 0.5, 0.5]) is Occupancy.OUT_OF_BOUNDS
+        spec = small_spec()
+        point = np.array([[-0.1, 0.5, 0.5]])
+        assert not _cell_indices(point, spec)[1][0]
+        assert not occupied(full_grid(spec), point)
 
     def test_at_max_corner_is_out_of_bounds(self):
-        grid = VoxelGrid.empty(small_spec())
-        assert query_occupancy(grid, [1.0, 0.5, 0.5]) is Occupancy.OUT_OF_BOUNDS
+        spec = small_spec()
+        point = np.array([[1.0, 0.5, 0.5]])
+        assert not _cell_indices(point, spec)[1][0]
+        assert not occupied(full_grid(spec), point)
 
     def test_min_corner_of_occupied_cell_owned(self):
         spec = small_spec()
@@ -100,8 +140,10 @@ class TestQueryOccupancy:
         occ[2, 1, 0] = True
         grid = VoxelGrid.from_bool_array(spec, occ)
         corner = spec.min_corner + spec.voxel_size * np.array([2, 1, 0])
-        assert query_occupancy(grid, corner) is Occupancy.OCCUPIED
-        assert query_occupancy(grid, corner - np.array([1e-9, 0, 0])) is Occupancy.FREE
+        assert occupied(grid, corner)
+        before = corner - np.array([1e-9, 0, 0])
+        assert _cell_indices(before, spec)[1][0]
+        assert not occupied(grid, before)
 
 
 class TestBitPacking:
@@ -110,9 +152,9 @@ class TestBitPacking:
         gen = Rng(5).generator("bits")
         occ = gen.uniform(size=spec.dims) > 0.5
         grid = VoxelGrid.from_bool_array(spec, occ)
-        again = VoxelGrid.from_bool_array(spec, grid.occupancy_array())
+        again = VoxelGrid.from_bool_array(spec, unpacked(grid))
         assert np.array_equal(grid.packed, again.packed)
-        assert np.array_equal(grid.occupancy_array(), occ)
+        assert np.array_equal(unpacked(grid), occ)
 
     def test_flat_index_convention(self):
         spec = GridSpec([0, 0, 0], [1, 1, 1], (2, 3, 4))
@@ -125,14 +167,14 @@ class TestBitPacking:
 
 class TestExtractEgoVoxels:
     def test_empty_world_all_free(self):
-        grid = VoxelGrid.empty(GridSpec([-2, -2, 0], [2, 2, 2], (8, 8, 8)))
-        block = extract_ego_voxels(grid, RigidTransform.identity())
+        grid = empty_grid(GridSpec([-2, -2, 0], [2, 2, 2], (8, 8, 8)))
+        block = extract_ego_voxels(grid, IDENTITY)
         assert not block.occupancy.any()
 
     def test_full_world_all_occupied(self):
         spec = GridSpec([-2, -2, -0.5], [2, 2, 2], (8, 8, 8))
         grid = VoxelGrid.from_bool_array(spec, np.ones(spec.dims, dtype=bool))
-        block = extract_ego_voxels(grid, RigidTransform.identity())
+        block = extract_ego_voxels(grid, IDENTITY)
         assert block.occupancy.all()
 
     def test_wall_plane_matches_per_cell_oracle(self):
@@ -142,20 +184,20 @@ class TestExtractEgoVoxels:
         first_wall = int(np.ceil((1.0 - spec.min_corner[0]) / spec.voxel_size[0]))
         occ[first_wall:, :, :] = True
         grid = VoxelGrid.from_bool_array(spec, occ)
-        ego = RigidTransform.identity()
+        ego = IDENTITY
         block = extract_ego_voxels(grid, ego)
         centers = ego_cell_centers().reshape(-1, 3)
         for cell, point in zip(block.occupancy.reshape(-1), centers):
-            assert cell == (query_occupancy(grid, point) is Occupancy.OCCUPIED)
+            assert cell == occupied(grid, point)
 
     def test_identity_extraction_equals_direct_subsample(self):
         spec = GridSpec([-1, -1, 0], [1, 1, 1.5], (30, 30, 30))
         gen = Rng(8).generator("ego")
         occ = gen.uniform(size=spec.dims) > 0.7
         grid = VoxelGrid.from_bool_array(spec, occ)
-        block = extract_ego_voxels(grid, RigidTransform.identity())
+        block = extract_ego_voxels(grid, IDENTITY)
         centers = ego_cell_centers().reshape(-1, 3)
-        oracle = np.array([query_occupancy(grid, p) is Occupancy.OCCUPIED for p in centers])
+        oracle = np.array([occupied(grid, p) for p in centers])
         assert np.array_equal(block.occupancy.reshape(-1), oracle)
 
     def test_yawed_frame_rotates_the_box(self):
@@ -171,19 +213,19 @@ class TestExtractEgoVoxels:
         assert not np.array_equal(rotated.occupancy, aligned.occupancy)
         centers = ego_cell_centers().reshape(-1, 3)
         world = quarter.apply_points(centers)
-        oracle = np.array([query_occupancy(grid, p) is Occupancy.OCCUPIED for p in world])
+        oracle = np.array([occupied(grid, p) for p in world])
         assert np.array_equal(rotated.occupancy.reshape(-1), oracle)
 
     def test_out_of_bounds_maps_to_free(self):
         spec = GridSpec([-0.1, -0.1, 0.0], [0.1, 0.1, 0.1], (2, 2, 2))
         grid = VoxelGrid.from_bool_array(spec, np.ones(spec.dims, dtype=bool))
-        block = extract_ego_voxels(grid, RigidTransform.identity())
+        block = extract_ego_voxels(grid, IDENTITY)
         # Ego box extends far beyond this tiny grid; those cells read free.
         assert not block.occupancy.all()
 
     def test_block_shape_enforced(self):
         with pytest.raises(DimensionError):
-            EgoVoxelBlock(np.zeros((8, 8, 8), dtype=bool), RigidTransform.identity())
+            EgoVoxelBlock(np.zeros((8, 8, 8), dtype=bool), IDENTITY)
         assert (EGO_BOX_MAX - EGO_BOX_MIN)[0] == pytest.approx(1.2)
         assert EGO_DIMS == 32
 
@@ -202,13 +244,13 @@ class TestPackedLookup:
             faces[20 * k:20 * k + 10, k] = spec.max_corner[k]
             faces[20 * k + 10:20 * k + 20, k] = spec.min_corner[k]
         points = np.vstack([inner, faces, spec.max_corner, spec.min_corner])
-        occ = grid.occupancy_array()
+        occ = unpacked(grid)
         idx = np.floor((points - spec.min_corner) / spec.voxel_size).astype(int)
         inside = np.all((idx >= 0) & (idx < np.asarray(dims)), axis=1)
-        expected = np.full(len(points), Occupancy.OUT_OF_BOUNDS.value, dtype=np.uint8)
-        hit = occ[tuple(idx[inside].T)]
-        expected[inside] = np.where(hit, Occupancy.OCCUPIED.value, Occupancy.FREE.value)
+        expected = np.zeros(len(points), dtype=bool)
+        expected[inside] = occ[tuple(idx[inside].T)]
         assert inside.any() and not inside.all()
+        np.testing.assert_array_equal(_cell_indices(points, spec)[1], inside)
         np.testing.assert_array_equal(query_points(grid, points), expected)
 
     def test_room_query_does_not_unpack_the_grid(self):
@@ -255,10 +297,11 @@ class TestLongAxisLookup:
             block = extract_ego_voxels(grid, frame)
             np.testing.assert_array_equal(block.occupancy, reference_ego_occupancy(grid, frame))
             world = frame.apply_points(ego_cell_centers().reshape(-1, 3))
-            states = query_points(grid, world)
-            np.testing.assert_array_equal(states, reference_query_points(grid, world))
-            out = states == Occupancy.OUT_OF_BOUNDS.value
-            partly_outside += bool(out.any() and not out.all())
+            np.testing.assert_array_equal(query_points(grid, world),
+                                          reference_query_points(grid, world))
+            inside = _cell_indices(world, spec)[1]
+            np.testing.assert_array_equal(inside, reference_cells(spec, world)[1])
+            partly_outside += bool(inside.any() and not inside.all())
         assert partly_outside >= 20
 
     def test_faces_and_corners_match_reference(self):
@@ -272,16 +315,17 @@ class TestLongAxisLookup:
             faces[40 * k:40 * k + 20, k] = lo[k]
             faces[40 * k + 20:40 * k + 40, k] = hi[k]
         points = np.vstack([corners, faces, np.nextafter(hi, lo), np.nextafter(lo, hi)])
-        states = query_points(grid, points)
-        np.testing.assert_array_equal(states, reference_query_points(grid, points))
-        assert (states == Occupancy.OUT_OF_BOUNDS.value).any()
-        assert (states != Occupancy.OUT_OF_BOUNDS.value).any()
+        np.testing.assert_array_equal(query_points(grid, points),
+                                      reference_query_points(grid, points))
+        inside = _cell_indices(points, spec)[1]
+        np.testing.assert_array_equal(inside, reference_cells(spec, points)[1])
+        assert not inside.all() and inside.any()
 
     def test_empty_input(self):
         grid = random_room_grid(9)
         for points in (np.zeros((0, 3)), []):
             states = query_points(grid, points)
-            assert states.shape == (0,) and states.dtype == np.uint8
+            assert states.shape == (0,) and states.dtype == bool
             np.testing.assert_array_equal(states, reference_query_points(grid, points))
 
     def test_nan_coordinates_are_out_of_bounds(self):
@@ -296,5 +340,7 @@ class TestLongAxisLookup:
         finite[nan_rows] = False
         np.testing.assert_array_equal(states[finite],
                                       reference_query_points(grid, points[finite]))
-        assert (states[nan_rows] == Occupancy.OUT_OF_BOUNDS.value).all()
-        assert (states[finite] != Occupancy.OUT_OF_BOUNDS.value).all()
+        with np.errstate(invalid="ignore"):
+            inside = _cell_indices(points, grid.spec)[1]
+        np.testing.assert_array_equal(inside, finite)
+        assert not states[nan_rows].any()
