@@ -288,6 +288,8 @@ class TestVoxelizeAndMetrics:
         ["--bounds", "0", "0", "0", "1", "1", "1", "--dims", "4294967297", "1", "1"],
         ["--bounds", "0", "0", "0", "inf", "1", "1", "--dims", "2", "2", "2"],
         ["--bounds", "nan", "0", "0", "1", "1", "1", "--dims", "2", "2", "2"],
+        ["--bounds", "0", "0", "0", "1", "1", "1", "--resolution", "3"],
+        ["--bounds", "0", "0", "0", "1", "1", "1", "--dims", "0", "1", "1"],
     ])
     def test_voxelize_refuses_a_grid_it_cannot_write(self, tmp_path, capsys, grid):
         pts = tmp_path / "p.xyz"

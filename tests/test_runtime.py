@@ -294,6 +294,18 @@ class TestVoxelCodec:
         assert main(["metrics", "--pred", str(motion), "--ref", str(motion),
                      "--scene", str(path)]) == 3
 
+    @pytest.mark.parametrize("bounds, dims", [
+        ((0, 0, 0, 1, 1, 1), (0, 2, 2)),
+        ((0, 0, 0, 1, -1, 1), (2, 2, 2)),
+        ((0, 0, 0, 1, 1, 0), (2, 2, 2)),
+    ], ids=["zero_axis", "inverted_corners", "flat_box"])
+    def test_header_spec_that_is_no_grid_is_format_error(self, tmp_path, bounds, dims):
+        path = tmp_path / "bad.rmgv"
+        path.write_bytes(VOXEL_MAGIC + struct.pack("<6d", *bounds)
+                         + struct.pack("<3I", *dims) + b"\x00")
+        with pytest.raises(FormatError, match="invalid voxel grid spec"):
+            load_voxels(path)
+
     def test_payload_size_mismatch(self, tmp_path):
         path = tmp_path / "short.rmgv"
         save_voxels(empty_grid(GridSpec([0, 0, 0], [1, 1, 1], (4, 4, 4))), path)

@@ -69,6 +69,12 @@ class TestGridSpec:
         with pytest.raises(DimensionError, match="exceed"):
             GridSpec.from_resolution([0, 0, 0], [1, 1, 1], 1e-10)
 
+    @pytest.mark.parametrize("resolution", [np.inf, np.nan, -0.1, 3.0])
+    def test_resolution_that_gives_no_whole_cell_refused(self, resolution):
+        # 3.0 on a unit extent rounds to zero cells; inf gives zero, nan gives nan.
+        with pytest.raises(DimensionError):
+            GridSpec.from_resolution([0, 0, 0], [1, 1, 1], resolution)
+
     def test_resolution_whose_cell_count_overflows_refused(self):
         with pytest.raises(DimensionError):
             GridSpec.from_resolution([0, 0, 0], [1e308, 1, 1], 1e-10)
