@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError, NumericError, RemogenError
-from .metrics import ReferenceEmbedder, collision_metrics, diversity, frechet_distance, peak_jerk
+from .metrics import collision_pct, diversity, embed_windows, frechet_distance, peak_jerk
 from .motion import FeatureLayout, joint_positions_from_features
 from .runtime import (
     Engine,
@@ -93,10 +93,13 @@ def _cmd_stream(args) -> int:
 
 
 def _load_frames(path: str):
-    """load_motion, with a file that holds no frames a ConfigError."""
+    """load_motion, with a file that holds no frames a ConfigError and one
+    that holds a non-finite value a NumericError."""
     segment, layout = load_motion(path)
     if not len(segment):
         raise ConfigError(f"{path} holds no frames")
+    if not np.isfinite(segment.frames).all():
+        raise NumericError(f"{path} holds non-finite frames")
     return segment, layout
 
 
@@ -106,18 +109,12 @@ def _cmd_metrics(args) -> int:
     if ref_layout != layout:
         raise ConfigError(f"pred layout {layout.layout_id!r} differs from "
                           f"ref layout {ref_layout.layout_id!r}")
-    embedder = ReferenceEmbedder()
-
-    def windows(frames):
-        w = embedder.window
-        chunks = [frames[i:i + w] for i in range(0, max(len(frames) - w + 1, 1), w)]
-        return [c for c in chunks if len(c)]
-
-    pred_emb = embedder.embed_motion_set(windows(pred_seg.frames), source="pred")
-    ref_emb = embedder.embed_motion_set(windows(ref_seg.frames), source="ref")
+    pred_emb = embed_windows(pred_seg.frames)
+    ref_emb = embed_windows(ref_seg.frames)
     report = {
-        "fid": frechet_distance(pred_emb, ref_emb) if pred_emb.n > 1 and ref_emb.n > 1 else None,
-        "diversity_pred": diversity(pred_emb) if pred_emb.n > 1 else None,
+        "fid": (frechet_distance(pred_emb, ref_emb)
+                if len(pred_emb) > 1 and len(ref_emb) > 1 else None),
+        "diversity_pred": diversity(pred_emb) if len(pred_emb) > 1 else None,
         "peak_jerk_pred": peak_jerk(joint_positions_from_features(pred_seg.frames, layout),
                                     pred_seg.fps) if len(pred_seg) >= 4 else None,
         "peak_jerk_ref": peak_jerk(joint_positions_from_features(ref_seg.frames, ref_layout),
@@ -132,11 +129,9 @@ def _cmd_metrics(args) -> int:
             partner_joints = joint_positions_from_features(partner_seg.frames[:t],
                                                            partner_layout)
         t = len(pred_seg) if partner_joints is None else partner_joints.shape[0]
-        coll = collision_metrics(joint_positions_from_features(pred_seg.frames[:t], layout),
-                                 grid=grid, partner_joints=partner_joints)
-        report["collision_pct"] = coll.collision_pct
-        report["contact_precision"] = coll.contact_precision
-        report["contact_recall"] = coll.contact_recall
+        report["collision_pct"] = collision_pct(
+            joint_positions_from_features(pred_seg.frames[:t], layout),
+            grid=grid, partner_joints=partner_joints)
     print(json.dumps(report, indent=2))
     return 0
 

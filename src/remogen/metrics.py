@@ -1,77 +1,55 @@
-"""Evaluation suite: embedding-space metrics, kinematic smoothness, contact and
-collision rates.
+"""Evaluation metrics over plain arrays: embedding-space Frechet distance and
+diversity, kinematic peak jerk, and the per-frame collision rate.
 
-All embedding metrics are encoder-agnostic; ReferenceEmbedder provides a
-fixed seeded random projection so the suite runs without any pretrained
-evaluator.
+Embeddings are (N, E) float64 arrays from a fixed seeded random projection of
+motion windows, so the suite runs without any pretrained evaluator. Joint
+positions are (T, J, 3).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+import functools
+from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionError,
-    InsufficientFramesError,
-    NumericError,
-)
+from .errors import ConfigError, DimensionError, InsufficientFramesError, NumericError
 from .scene import VoxelGrid, query_points
-from .tensorcore import F64, Rng
+from .tensorcore import F64, Rng, require_finite
+
+EMBED_DIM = 16
+EMBED_WINDOW = 8
+# Sets up to this many vectors score every pair; larger ones draw SAMPLED_PAIRS.
+ALL_PAIRS_LIMIT = 512
+SAMPLED_PAIRS = 300
+# A frame collides when an ego joint lies within this distance of a partner joint.
+COLLISION_RADIUS = 0.05
 
 
-@dataclass(frozen=True)
-class EmbeddingSet:
-    """N embedding vectors of equal width plus a source tag."""
-
-    vectors: np.ndarray
-    source: str = ""
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=F64)
-        if v.ndim != 2 or v.shape[0] < 1:
-            raise DimensionError("embedding set must be (N >= 1, E)")
-        if not np.all(np.isfinite(v)):
-            raise NumericError("non-finite embeddings")
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def e(self) -> int:
-        return self.vectors.shape[1]
+@functools.cache
+def _projection(in_dim: int) -> np.ndarray:
+    gen = Rng(7).generator("embedder", in_dim, EMBED_DIM)
+    return gen.standard_normal((in_dim, EMBED_DIM)) / np.sqrt(in_dim)
 
 
-@dataclass(frozen=True)
-class GaussianStats:
-    """Sample mean and covariance of an embedded feature distribution."""
+def embed_windows(frames: np.ndarray) -> np.ndarray:
+    """(N, EMBED_DIM) unit embeddings of a (T, D) clip, one per consecutive
+    EMBED_WINDOW-frame window; a shorter clip is padded with its last frame.
 
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mean, dtype=F64)
-        c = np.asarray(self.cov, dtype=F64)
-        if m.ndim != 1 or c.shape != (m.shape[0], m.shape[0]):
-            raise DimensionError("stats need a mean vector and matching covariance")
-        if np.max(np.abs(c - c.T)) > 1e-8:
-            raise NumericError("covariance is not symmetric")
-        object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "cov", (c + c.T) / 2.0)
-
-
-def gaussian_stats(emb: EmbeddingSet) -> GaussianStats:
-    """Mean and sample covariance (ddof=1) of an embedding set; needs N >= 2."""
-    if emb.n < 2:
-        raise DimensionError("need at least 2 vectors for covariance")
-    mean = emb.vectors.mean(axis=0)
-    cov = np.cov(emb.vectors, rowvar=False)
-    cov = np.atleast_2d(cov)
-    return GaussianStats(mean, cov)
+    Each window is standardized per channel, flattened and projected.
+    """
+    f = np.asarray(frames, dtype=F64)
+    if f.ndim != 2 or f.shape[0] < 1:
+        raise DimensionError("motion clip must be (T, D)")
+    if f.shape[0] < EMBED_WINDOW:
+        f = np.vstack([f, np.tile(f[-1:], (EMBED_WINDOW - f.shape[0], 1))])
+    out = []
+    for start in range(0, f.shape[0] - EMBED_WINDOW + 1, EMBED_WINDOW):
+        w = f[start:start + EMBED_WINDOW]
+        w = (w - w.mean(axis=0)) / np.maximum(w.std(axis=0), 1e-6)
+        v = w.reshape(-1) @ _projection(w.size)
+        norm = np.linalg.norm(v)
+        out.append(v / norm if norm > 0 else v)
+    return require_finite(np.stack(out), "embeddings")
 
 
 def _psd_sqrt_trace(a: np.ndarray, b: np.ndarray) -> float:
@@ -87,51 +65,44 @@ def _psd_sqrt_trace(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
 
 
-def frechet_gaussian(a: GaussianStats, b: GaussianStats) -> float:
-    """Frechet distance between two Gaussians given their exact moments.
+def frechet_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Frechet distance between Gaussians fit to two (N >= 2, E) sets.
 
-    ||mu_a - mu_b||^2 + Tr(cov_a + cov_b - 2 (cov_a cov_b)^(1/2)), with the
-    matrix square root taken through a symmetric PSD eigendecomposition.
+    ||mu_a - mu_b||^2 + Tr(C_a + C_b - 2 (C_a C_b)^(1/2)) with sample
+    covariances (ddof=1), clamped at 0: rounding can take two equal sets a
+    little below it.
     """
-    if a.mean.shape != b.mean.shape:
+    moments = []
+    for v in (a, b):
+        v = np.asarray(v, dtype=F64)
+        if v.ndim != 2 or v.shape[0] < 2:
+            raise DimensionError("Frechet distance needs (N >= 2, E) embeddings")
+        c = np.atleast_2d(np.cov(v, rowvar=False))
+        moments.append((v.mean(axis=0), (c + c.T) / 2.0))
+    (mu_a, c_a), (mu_b, c_b) = moments
+    if mu_a.shape != mu_b.shape:
         raise DimensionError("embedding widths differ")
-    diff = float(np.sum((a.mean - b.mean) ** 2))
-    trace = float(np.trace(a.cov) + np.trace(b.cov)) - 2.0 * _psd_sqrt_trace(a.cov, b.cov)
-    return diff + trace
+    diff = float(np.sum((mu_a - mu_b) ** 2))
+    trace = float(np.trace(c_a) + np.trace(c_b)) - 2.0 * _psd_sqrt_trace(c_a, c_b)
+    return max(diff + trace, 0.0)
 
 
-def frechet_distance(a: EmbeddingSet, b: EmbeddingSet) -> float:
-    """Frechet distance between the empirical distributions of two sets."""
-    if a.e != b.e:
-        raise DimensionError("embedding widths differ")
-    return frechet_gaussian(gaussian_stats(a), gaussian_stats(b))
-
-
-ALL_PAIRS_LIMIT = 512
-DEFAULT_SAMPLED_PAIRS = 300
-
-
-def diversity(emb: EmbeddingSet, pairs: Optional[int] = None,
-              rng: Optional[Rng] = None) -> float:
-    """Mean embedding distance over sampled index pairs (all pairs when small).
-
-    With pairs=None, sets up to ALL_PAIRS_LIMIT vectors use every pair and
-    larger sets fall back to DEFAULT_SAMPLED_PAIRS seeded draws.
-    """
-    if emb.n < 2:
-        raise DimensionError("diversity needs at least 2 vectors")
-    v = emb.vectors
-    if pairs is None and emb.n <= ALL_PAIRS_LIMIT:
+def diversity(v: np.ndarray) -> float:
+    """Mean distance between the vectors of an (N >= 2, E) set: over every
+    pair up to ALL_PAIRS_LIMIT vectors, else over SAMPLED_PAIRS seeded draws."""
+    v = np.asarray(v, dtype=F64)
+    if v.ndim != 2 or v.shape[0] < 2:
+        raise DimensionError("diversity needs (N >= 2, E) embeddings")
+    n = v.shape[0]
+    if n <= ALL_PAIRS_LIMIT:
         dist = np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)
-        iu = np.triu_indices(emb.n, k=1)
-        return float(dist[iu].mean())
-    n_pairs = pairs if pairs is not None else DEFAULT_SAMPLED_PAIRS
-    gen = (rng or Rng(0)).generator("diversity", emb.n, n_pairs)
+        return float(dist[np.triu_indices(n, k=1)].mean())
+    gen = Rng(0).generator("diversity", n, SAMPLED_PAIRS)
     total = 0.0
-    for _ in range(n_pairs):
-        i, j = gen.choice(emb.n, size=2, replace=False)
+    for _ in range(SAMPLED_PAIRS):
+        i, j = gen.choice(n, size=2, replace=False)
         total += float(np.linalg.norm(v[i] - v[j]))
-    return total / n_pairs
+    return total / SAMPLED_PAIRS
 
 
 def peak_jerk(joint_positions: np.ndarray, fps: float) -> float:
@@ -145,36 +116,17 @@ def peak_jerk(joint_positions: np.ndarray, fps: float) -> float:
     return float(np.max(np.linalg.norm(third, axis=-1)))
 
 
-@dataclass(frozen=True)
-class CollisionReport:
-    collision_pct: float
-    contact_precision: Optional[float]
-    contact_recall: Optional[float]
-    predicted_contacts: Optional[np.ndarray] = None
-
-
-def collision_metrics(ego_joints: np.ndarray, grid: Optional[VoxelGrid] = None,
-                      partner_joints: Optional[np.ndarray] = None,
-                      radius: float = 0.05, contact_radius: float = 0.1,
-                      reference_contacts: Optional[np.ndarray] = None) -> CollisionReport:
-    """Per-frame collision percentage plus contact precision/recall.
-
-    A frame collides when any ego joint queries an occupied scene voxel or
-    lies within `radius` of any partner joint. Contacts use the looser
-    `contact_radius` against the partner and are scored against the supplied
-    reference labels when present.
-    """
+def collision_pct(ego_joints: np.ndarray, grid: Optional[VoxelGrid] = None,
+                  partner_joints: Optional[np.ndarray] = None) -> float:
+    """Percentage of frames in which an ego joint lies in an occupied cell of
+    `grid` or within COLLISION_RADIUS of a partner joint of the same frame."""
     ego = np.asarray(ego_joints, dtype=F64)
     if ego.ndim != 3 or ego.shape[2] != 3:
         raise DimensionError("ego joints must be (T, J, 3)")
     if grid is None and partner_joints is None:
         raise ConfigError("need a scene grid, partner joints, or both")
-    if radius <= 0 or contact_radius <= 0:
-        raise ConfigError("radii must be positive")
     t = ego.shape[0]
     collide = np.zeros(t, dtype=bool)
-    contacts = None
-
     if grid is not None:
         occupied = query_points(grid, ego.reshape(-1, 3)).reshape(t, ego.shape[1])
         collide |= np.any(occupied, axis=1)
@@ -183,59 +135,5 @@ def collision_metrics(ego_joints: np.ndarray, grid: Optional[VoxelGrid] = None,
         if partner.ndim != 3 or partner.shape[0] != t:
             raise DimensionError("partner joints must be (T, J_p, 3) matching T")
         d = np.linalg.norm(ego[:, :, None, :] - partner[:, None, :, :], axis=-1)
-        min_d = d.reshape(t, -1).min(axis=1)
-        collide |= min_d <= radius
-        contacts = min_d <= contact_radius
-
-    precision = recall = None
-    if contacts is not None and reference_contacts is not None:
-        ref = np.asarray(reference_contacts, dtype=bool).reshape(-1)
-        if ref.shape[0] != t:
-            raise DimensionError("reference contacts must have one label per frame")
-        tp = float(np.sum(contacts & ref))
-        pred_pos = float(np.sum(contacts))
-        ref_pos = float(np.sum(ref))
-        precision = tp / pred_pos if pred_pos > 0 else 1.0
-        recall = tp / ref_pos if ref_pos > 0 else 1.0
-    return CollisionReport(collision_pct=100.0 * float(np.mean(collide)),
-                           contact_precision=precision, contact_recall=recall,
-                           predicted_contacts=contacts)
-
-
-class ReferenceEmbedder:
-    """Fixed seeded random projection of flattened, normalized motion windows.
-
-    Stands in for a learned motion encoder; every metric above only sees
-    the resulting EmbeddingSet, so swapping the encoder is transparent.
-    """
-
-    def __init__(self, dim: int = 16, window: int = 8, seed: int = 7):
-        self.dim = dim
-        self.window = window
-        self.seed = seed
-        self._proj_cache: dict = {}
-
-    def _projection(self, in_dim: int) -> np.ndarray:
-        if in_dim not in self._proj_cache:
-            gen = Rng(self.seed).generator("embedder", in_dim, self.dim)
-            self._proj_cache[in_dim] = gen.standard_normal((in_dim, self.dim)) / np.sqrt(in_dim)
-        return self._proj_cache[in_dim]
-
-    def embed_motion(self, frames: np.ndarray) -> np.ndarray:
-        """Embed one motion clip: window-crop, per-channel standardize, project."""
-        f = np.asarray(frames, dtype=F64)
-        if f.ndim != 2 or f.shape[0] < 1:
-            raise DimensionError("motion clip must be (T, D)")
-        if f.shape[0] >= self.window:
-            f = f[: self.window]
-        else:
-            pad = np.tile(f[-1:], (self.window - f.shape[0], 1))
-            f = np.vstack([f, pad])
-        std = f.std(axis=0)
-        f = (f - f.mean(axis=0)) / np.maximum(std, 1e-6)
-        v = f.reshape(-1) @ self._projection(f.size)
-        norm = np.linalg.norm(v)
-        return v / norm if norm > 0 else v
-
-    def embed_motion_set(self, clips: Sequence[np.ndarray], source: str = "") -> EmbeddingSet:
-        return EmbeddingSet(np.stack([self.embed_motion(c) for c in clips]), source=source)
+        collide |= d.reshape(t, -1).min(axis=1) <= COLLISION_RADIUS
+    return 100.0 * float(np.mean(collide))

@@ -135,13 +135,14 @@ class HistoryWindow:
         return HistoryWindow(np.vstack([self.frames[1:], frame]))
 
 
-def update_history(m_h: HistoryWindow, m_f: MotionSegment) -> HistoryWindow:
-    """Slide the window over a new segment: last H rows of concat(history, segment)."""
-    if len(m_f) and m_f.dim != m_h.dim:
-        raise DimensionError(f"segment width {m_f.dim} != history width {m_h.dim}")
-    if len(m_f) == 0:
+def update_history(m_h: HistoryWindow, frames: np.ndarray) -> HistoryWindow:
+    """Slide the window over a new segment's (n, D) frames: last H rows of
+    concat(history, frames)."""
+    if len(frames) and frames.shape[1] != m_h.dim:
+        raise DimensionError(f"segment width {frames.shape[1]} != history width {m_h.dim}")
+    if len(frames) == 0:
         return m_h
-    stacked = np.vstack([m_h.frames, m_f.frames])
+    stacked = np.vstack([m_h.frames, frames])
     return HistoryWindow(stacked[-len(m_h):])
 
 
@@ -158,7 +159,6 @@ class RawPoseSequence:
     root_orientation: np.ndarray  # (T, 3, 3)
     body_rotations: np.ndarray    # (T, J-1, 3, 3)
     joint_positions: np.ndarray   # (T, J, 3)
-    fps: float = 10.0
 
     def __post_init__(self):
         t = np.asarray(self.root_translation, dtype=F64)
@@ -250,7 +250,7 @@ def featurize(seq: RawPoseSequence, layout: Optional[FeatureLayout] = None) -> M
     frames[:, layout.span("root_delta_rotation_6d")] = delta_r6
     frames[:, layout.span("joint_positions")] = positions
     frames[:, layout.span("joint_velocities")] = velocities
-    return MotionSegment(frames, fps=seq.fps)
+    return MotionSegment(frames)
 
 
 def joint_positions_from_features(frames: np.ndarray, layout: Optional[FeatureLayout] = None) -> np.ndarray:
@@ -338,7 +338,7 @@ def _forward_kinematics(root_t: np.ndarray, root_r: np.ndarray,
     return positions
 
 
-def synthetic_sequence(n_frames: int, seed: int = 0, fps: float = 10.0) -> RawPoseSequence:
+def synthetic_sequence(n_frames: int, seed: int = 0) -> RawPoseSequence:
     """Seeded wandering walk of the 22-joint chain with smooth joint swings,
     its root advancing 0.08 m per frame."""
     if n_frames < 1:
@@ -372,10 +372,10 @@ def synthetic_sequence(n_frames: int, seed: int = 0, fps: float = 10.0) -> RawPo
     positions = np.stack([
         _forward_kinematics(root_t[t], root_r[t], local[t]) for t in range(n_frames)
     ])
-    return RawPoseSequence(root_t, root_r, local, positions, fps=fps)
+    return RawPoseSequence(root_t, root_r, local, positions)
 
 
-def rest_sequence(n_frames: int, fps: float = 10.0) -> RawPoseSequence:
+def rest_sequence(n_frames: int) -> RawPoseSequence:
     """Static rest pose, useful as a rollout seed."""
     if n_frames < 1:
         raise EmptyInputError("need at least one frame")
@@ -384,10 +384,9 @@ def rest_sequence(n_frames: int, fps: float = 10.0) -> RawPoseSequence:
     root_r = np.tile(np.eye(3), (n_frames, 1, 1))
     local = np.tile(np.eye(3), (n_frames, j - 1, 1, 1))
     positions = np.tile(_forward_kinematics(root_t[0], root_r[0], local[0]), (n_frames, 1, 1))
-    return RawPoseSequence(root_t, root_r, local, positions, fps=fps)
+    return RawPoseSequence(root_t, root_r, local, positions)
 
 
-def rest_history(h: int, layout: Optional[FeatureLayout] = None, fps: float = 10.0) -> HistoryWindow:
+def rest_history(h: int, layout: Optional[FeatureLayout] = None) -> HistoryWindow:
     """History window seeded with h featurized rest-pose frames."""
-    seg = featurize(rest_sequence(h, fps=fps), layout)
-    return HistoryWindow(seg.frames)
+    return HistoryWindow(featurize(rest_sequence(h), layout).frames)

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .motion import FeatureLayout, HistoryWindow, MotionSegment
+from .motion import FeatureLayout, HistoryWindow
 from .tensorcore import (
     F32,
     F64,
@@ -308,12 +308,12 @@ def _first_layer(history: HistoryProjection, zs: np.ndarray,
 
 
 def decode_segment(m_h: HistoryProjection, z: np.ndarray, params: PriorParams,
-                   fps: float = 10.0, frames: slice = slice(None)) -> MotionSegment:
+                   frames: slice = slice(None)) -> np.ndarray:
     """VAE decoder: a projected history window plus clean latent to the
-    future segment's frames in the contiguous range `frames` (all F by
-    default)."""
+    future segment's (n, D) float32 frames in the contiguous range `frames`
+    (all F by default)."""
     z = np.asarray(z, dtype=F32).reshape(1, -1)
-    return MotionSegment(decode_batch(m_h, z, params, frames)[0], fps=fps)
+    return decode_batch(m_h, z, params, frames)[0]
 
 
 def decode_batch(m_h: HistoryProjection, zs: np.ndarray, params: PriorParams,

@@ -53,7 +53,6 @@ from ..mim import (
 from ..motion import (
     FeatureLayout,
     HistoryWindow,
-    MotionSegment,
     Normalizer,
     RigidTransform,
     normalize,
@@ -171,7 +170,7 @@ class Engine:
         self._pending_text: Optional[str] = None
         self._pending_alpha: Optional[dict] = None
 
-        seed_history = rest_history(cfg.history_len, self.layout, fps=cfg.fps)
+        seed_history = rest_history(cfg.history_len, self.layout)
         self.history = HistoryWindow(normalize(seed_history.frames, self.normalizer))
         self.dyn = DynamicContext(cfg.history_len, self.layout.dim)
         self.ticks = 0
@@ -296,21 +295,21 @@ class Engine:
                                self.cfg.guidance_scale, self.gen)
 
     def _start_segment(self, frames: slice
-                       ) -> tuple[np.ndarray, HistoryProjection, MotionSegment]:
+                       ) -> tuple[np.ndarray, HistoryProjection, np.ndarray]:
         """The segment start every mode makes: apply the queued text and
         weights, mark the partner window, sample z0, then project the history
         once and decode `frames` of the segment from that projection.
 
-        Returns z0, the projection and the decoded frames.
+        Returns z0, the projection and the decoded (n, D) frames.
         """
         self._apply_pending()
         self.dyn.mark_segment_start()
         z0 = self._sample_z0()
         with self._track("decode"):
             projection = project_history(self.history, self.prior)
-            segment = decode_segment(projection, z0, self.prior, fps=self.cfg.fps,
-                                     frames=frames)
-        return z0, projection, segment
+            decoded = require_finite(decode_segment(projection, z0, self.prior,
+                                                    frames=frames), "decoded frames")
+        return z0, projection, decoded
 
     def _emit(self, normalized_frame: np.ndarray) -> np.ndarray:
         # A (D,) array of its own, not a row view that keeps a (1, D) base alive.
@@ -331,12 +330,12 @@ class Engine:
                 return []
             segment = self._start_segment(slice(None))[2]
             self.history = update_history(self.history, segment)
-            return [self._emit(f) for f in segment.frames]
+            return [self._emit(f) for f in segment]
 
         if self.mode == "slide":
             # The baseline's full cost: the whole segment is decoded, and
             # only frame 0 is kept.
-            first = self._start_segment(slice(None))[2].frames[0]
+            first = self._start_segment(slice(None))[2][0]
             self.history = self.history.slide(first)
             return [self._emit(first)]
 
@@ -345,7 +344,7 @@ class Engine:
         # tick's projection with the frame-0 decode.
         if phase == 0:
             self._z0, self._boundary, segment = self._start_segment(slice(0, 1))
-            frame = segment.frames[0]
+            frame = segment[0]
             self._rolling = self.history.slide(frame)
         else:
             if phase == 1:
@@ -359,8 +358,9 @@ class Engine:
                 z = refine_latent(self._z0, self._rolling, self.dyn.window(phase),
                                   self._sensitivity, self.fwsr_params.float64_weights)
                 with self._track("fwsr_decode"):
-                    frame = decode_segment(self._decode_history, z, self.prior, fps=self.cfg.fps,
-                                           frames=slice(phase, phase + 1)).frames[0]
+                    frame = require_finite(decode_segment(
+                        self._decode_history, z, self.prior,
+                        frames=slice(phase, phase + 1)), "decoded frames")[0]
                 self._rolling = self._rolling.slide(frame)
         if phase == self.cfg.future_len - 1:
             self.history = self._rolling

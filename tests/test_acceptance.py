@@ -21,14 +21,7 @@ from remogen.fwsr import (
     refine_latent,
     seeded_fwsr_params,
 )
-from remogen.metrics import (
-    EmbeddingSet,
-    GaussianStats,
-    collision_metrics,
-    frechet_distance,
-    frechet_gaussian,
-    peak_jerk,
-)
+from remogen.metrics import COLLISION_RADIUS, collision_pct, frechet_distance, peak_jerk
 from remogen.mim import (
     MimBlockParams,
     ModulationDelta,
@@ -415,9 +408,9 @@ def test_c06_refinement_algorithm_conformance(compact_archive, monkeypatch):
         assert denoiser_per_tick[0] > 0 and denoiser_per_tick[1:] == [0] * (f_len - 1)
         # Zero-gated refinement reproduces the shifted-history re-decode
         # (init_weights leaves the normalizer at the identity).
-        full = real_decode(project_history(m_h, engine.prior), engine._z0, engine.prior).frames
+        full = real_decode(project_history(m_h, engine.prior), engine._z0, engine.prior)
         shifted = real_decode(project_history(m_h.slide(full[0]), engine.prior), engine._z0,
-                              engine.prior).frames
+                              engine.prior)
         assert np.array_equal(out[0], full[0])
         assert np.array_equal(out[1:], shifted[1:])
     report("C6", "50 refinement runs: F-1 refines, F-1 decodes, 0 denoiser calls, "
@@ -481,12 +474,13 @@ def test_c08_sampler_sanity():
 
 def test_c09_metric_oracles():
     """Closed-form FID, flat-jerk, brute-force collision."""
-    a = GaussianStats(np.array([0.0]), np.array([[1.0]]))
-    b = GaussianStats(np.array([2.0]), np.array([[1.0]]))
-    assert frechet_gaussian(a, b) == pytest.approx(4.0, abs=1e-6)
+    # Sample means 0 and 2, sample variances (ddof=1) both 2: the distance
+    # is (0 - 2)^2 + (sqrt(2) - sqrt(2))^2.
+    a = np.array([[-1.0], [1.0]])
+    assert frechet_distance(a, a + 2.0) == pytest.approx(4.0, abs=1e-6)
 
     gen = Rng(9).generator("c9")
-    emb = EmbeddingSet(gen.standard_normal((64, 8)))
+    emb = gen.standard_normal((64, 8))
     assert frechet_distance(emb, emb) == pytest.approx(0.0, abs=1e-6)
 
     t = np.arange(20, dtype=F64)
@@ -499,8 +493,8 @@ def test_c09_metric_oracles():
         spec = GridSpec([-1, -1, -1], [1, 1, 1], (5, 5, 5))
         grid = VoxelGrid.from_bool_array(spec, g.uniform(size=spec.dims) > 0.5)
         ego = g.uniform(-1.3, 1.3, size=(frames, joints, 3))
-        partner = g.uniform(-1.3, 1.3, size=(frames, joints, 3))
-        got = collision_metrics(ego, grid=grid, partner_joints=partner, radius=0.3)
+        partner = ego + g.uniform(-COLLISION_RADIUS, COLLISION_RADIUS, size=(frames, joints, 3))
+        got = collision_pct(ego, grid=grid, partner_joints=partner)
         hits = 0
         for ti in range(frames):
             hit = False
@@ -508,10 +502,10 @@ def test_c09_metric_oracles():
                 if occupied(grid, ego[ti, ji]):
                     hit = True
                 for pj in range(joints):
-                    if np.linalg.norm(ego[ti, ji] - partner[ti, pj]) <= 0.3:
+                    if np.linalg.norm(ego[ti, ji] - partner[ti, pj]) <= COLLISION_RADIUS:
                         hit = True
             hits += hit
-        assert got.collision_pct == pytest.approx(100.0 * hits / frames)
+        assert got == pytest.approx(100.0 * hits / frames)
     report("C9", "closed-form FID, flat jerk and brute-force collision oracles hold")
 
 

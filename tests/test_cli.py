@@ -116,6 +116,30 @@ class TestGenerate:
         assert main(["bench", "--weights", str(garbage), "--frames", "8",
                      "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("weight, flags", [
+        ("prior.vae_dec.w3", []),
+        ("prior.vae_dec.w3", ["--fwsr"]),
+        ("fwsr.cross_attn.w_q", ["--fwsr"]),
+    ])
+    def test_nan_weight_is_numeric_error_and_writes_no_file(self, tmp_path, weights_path,
+                                                            capsys, weight, flags):
+        """A NaN weight that makes a decoded frame NaN exits 4 before any file
+        is written."""
+        from remogen.runtime import load_archive
+
+        tensors = dict(load_archive(weights_path).tensors)
+        bad = tensors[weight].copy()
+        bad[0, 0] = np.nan
+        tensors[weight] = bad
+        weights = tmp_path / "nan.rmgw"
+        save_archive(WeightArchive(tensors), weights)
+        out = tmp_path / "x.rmgm"
+        capsys.readouterr()
+        assert main(["generate", "--weights", str(weights), "--segments", "1",
+                     "--out", str(out), *flags]) == 4
+        assert "non-finite values in decoded frames" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_weights_is_format_error(self, tmp_path):
         bad = tmp_path / "missing.rmgw"
         bad.write_bytes(b"garbage")
@@ -246,6 +270,54 @@ class TestVoxelizeAndMetrics:
         capsys.readouterr()
         assert main(["metrics", *(a for kv in paths.items() for a in kv)]) == 2
         assert f"{empty} holds no frames" in capsys.readouterr().err
+
+    def test_fid_of_a_file_against_itself_is_zero(self, tmp_path, capsys):
+        """Rounding takes the Frechet distance of equal sets a little below
+        zero; the report prints 0.0."""
+        a = tmp_path / "a.rmgm"
+        save_motion(featurize(synthetic_sequence(16, seed=1)), a, FeatureLayout())
+        capsys.readouterr()
+        assert main(["metrics", "--pred", str(a), "--ref", str(a)]) == 0
+        assert json.loads(capsys.readouterr().out)["fid"] == 0.0
+
+    def test_report_keys(self, tmp_path, capsys):
+        """With --scene and --partner the report holds these keys, in order."""
+        vox = tmp_path / "scene.rmgv"
+        pts = tmp_path / "points.xyz"
+        pts.write_text("0.5 0.5 0.5\n")
+        assert main(["voxelize", "--points", str(pts), "--bounds", "0", "0", "0", "1", "1", "1",
+                     "--dims", "4", "4", "4", "--out", str(vox)]) == 0
+        paths = []
+        for seed in range(3):
+            paths.append(tmp_path / f"{seed}.rmgm")
+            save_motion(featurize(synthetic_sequence(16, seed=seed)), paths[-1],
+                        FeatureLayout())
+        capsys.readouterr()
+        assert main(["metrics", "--pred", str(paths[0]), "--ref", str(paths[1]),
+                     "--partner", str(paths[2]), "--scene", str(vox)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["fid", "diversity_pred", "peak_jerk_pred", "peak_jerk_ref",
+                                "collision_pct"]
+
+    @pytest.mark.parametrize("flag", ["--pred", "--ref", "--partner"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_frame_is_numeric_error(self, tmp_path, capsys, flag, value):
+        """A motion file with a non-finite value in any frame is refused with
+        exit 4 and a message naming the file, whichever input it is."""
+        full = tmp_path / "full.rmgm"
+        segment = featurize(synthetic_sequence(16, seed=1))
+        save_motion(segment, full, FeatureLayout())
+        frames = segment.frames.copy()
+        frames[3, FeatureLayout().span("joint_positions").start] = value
+        bad = tmp_path / "bad.rmgm"
+        save_motion(MotionSegment(frames), bad, FeatureLayout())
+        paths = {"--pred": str(full), "--ref": str(full), "--partner": str(full),
+                 flag: str(bad)}
+        capsys.readouterr()
+        assert main(["metrics", *(a for kv in paths.items() for a in kv)]) == 4
+        captured = capsys.readouterr()
+        assert f"{bad} holds non-finite frames" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("error", [EmptyInputError, InsufficientFramesError])
     def test_every_package_error_has_an_exit_code(self, tmp_path, capsys, monkeypatch,

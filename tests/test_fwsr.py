@@ -443,9 +443,9 @@ class TestRefineSegment:
                 m_h = engine.history
                 out = np.stack(engine.run_ticks(f_len))
                 full = decode_segment(project_history(m_h, engine.prior), engine._z0,
-                                      engine.prior).frames
+                                      engine.prior)
                 shifted = decode_segment(project_history(m_h.slide(full[0]), engine.prior),
-                                         engine._z0, engine.prior).frames
+                                         engine._z0, engine.prior)
                 assert np.array_equal(out[0], full[0])
                 assert np.array_equal(out[1:], shifted[1:])
 

@@ -1,4 +1,5 @@
-"""Layout guard: every public name in src/remogen has a program reference.
+"""Layout guards: every public name in src/remogen has a program reference,
+and every defaulted parameter of one is passed by a program call.
 
 A public top-level function or class, or a public method of a top-level
 class, that only the tests reach is code to read, test and keep bit-exact
@@ -55,29 +56,34 @@ def _export_strings(tree: ast.Module) -> set:
             and target.id == "__all__" for elt in ast.walk(node.value)}
 
 
-def program_references() -> dict:
-    """bare name -> [(path, line)] of every program use of that name."""
-    refs: dict = {}
+def program_trees():
+    """(path, parsed module) of each program file."""
     for base in PROGRAM:
         for path in sorted(base.rglob("*.py")):
             if any(part.startswith(".") for part in path.relative_to(base).parts):
                 continue   # perfbench/.work holds build outputs, not program code
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            external, exports = _external_modules(tree), _export_strings(tree)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    if isinstance(node.value, ast.Name) and node.value.id in external:
-                        continue
-                    name = node.attr
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    if id(node) in exports:
-                        continue
-                    name = node.value
-                else:
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def program_references() -> dict:
+    """bare name -> [(path, line)] of every program use of that name."""
+    refs: dict = {}
+    for path, tree in program_trees():
+        external, exports = _external_modules(tree), _export_strings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.value, ast.Name) and node.value.id in external:
                     continue
-                refs.setdefault(name, []).append((path, node.lineno))
+                name = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if id(node) in exports:
+                    continue
+                name = node.value
+            else:
+                continue
+            refs.setdefault(name, []).append((path, node.lineno))
     return refs
 
 
@@ -92,3 +98,107 @@ def test_every_public_name_has_a_program_reference():
     assert not test_only, ("public names with no program reference; move them into "
                            "tests/ or delete them:\n" + "\n".join(test_only))
 
+
+
+# Defaulted parameters ---------------------------------------------------------
+#
+# A default that no program call overrides is a knob nobody turns: every run
+# takes the same value, so it is a constant written as a parameter. The scan
+# matches calls to definitions by bare name, like the guard above; a call
+# passes a parameter by position, by keyword, or through *args or **kwargs.
+
+# cli.main(argv): the console script calls main() and reads sys.argv, so only
+# the tests pass argv.
+DEFAULT_ALLOWED = {"cli.main(argv)"}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if (isinstance(target, ast.Name) and target.id == "dataclass") or (
+                isinstance(target, ast.Attribute) and target.attr == "dataclass"):
+            return True
+    return False
+
+
+def _signature(fn: ast.FunctionDef, bound: bool) -> tuple:
+    """(positional parameter names as a call sees them, {defaulted name})."""
+    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    defaulted = set(positional[len(positional) - len(fn.args.defaults):])
+    defaulted |= {a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                  if d is not None}
+    return (positional[1:] if bound else positional), defaulted
+
+
+def _is_static(fn: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+
+
+def defaulted_parameters() -> list:
+    """(label, bare call name, positional names, defaulted name) for each
+    defaulted parameter of a public function, a public method or a
+    constructor in src/remogen. A constructor is called by its class name."""
+    out = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).with_suffix("").as_posix().replace("/", ".")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not _public(node.name):
+                continue
+            sigs = []
+            if isinstance(node, ast.FunctionDef):
+                sigs.append((node.name, node.name, *_signature(node, False)))
+            elif isinstance(node, ast.ClassDef):
+                if _is_dataclass(node):
+                    fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                              and isinstance(item.target, ast.Name)]
+                    sigs.append((node.name, node.name, [f.target.id for f in fields],
+                                 {f.target.id for f in fields if f.value is not None}))
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    if item.name == "__init__":
+                        sigs.append((node.name, node.name, *_signature(item, True)))
+                    elif _public(item.name):
+                        sigs.append((f"{node.name}.{item.name}", item.name,
+                                     *_signature(item, not _is_static(item))))
+            for label, name, positional, defaulted in sigs:
+                for param in sorted(defaulted):
+                    out.append((f"{module}.{label}({param})", name, positional, param))
+    return out
+
+
+def program_calls() -> dict:
+    """bare callee name -> [(positional count, keyword names, spreads)] of each
+    program call; spreads is True when the call passes *args or **kwargs."""
+    calls: dict = {}
+    for _, tree in program_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            spreads = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, spreads))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_by_a_program_call():
+    calls = program_calls()
+    params = defaulted_parameters()
+    assert DEFAULT_ALLOWED <= {label for label, *_ in params}, "stale allowlist entry"
+    unpassed = []
+    for label, name, positional, param in params:
+        index = positional.index(param) if param in positional else None
+        passed = any(spreads or param in keywords
+                     or (index is not None and n_positional > index)
+                     for n_positional, keywords, spreads in calls.get(name, ()))
+        if not passed and label not in DEFAULT_ALLOWED:
+            unpassed.append(label)
+    assert not unpassed, ("defaulted parameters that no program call passes; make them "
+                          "constants or required:\n" + "\n".join(unpassed))

@@ -1,18 +1,20 @@
-"""Metric tests: closed-form Frechet cases, diversity, jerk, collision oracle."""
+"""Metric tests: closed-form Frechet cases, diversity, embeddings, jerk,
+collision oracle."""
 import numpy as np
 import pytest
 from scene_reference import occupied
 
-from remogen.errors import ConfigError, DimensionError, InsufficientFramesError
+from remogen.errors import ConfigError, DimensionError, InsufficientFramesError, NumericError
 from remogen.metrics import (
-    EmbeddingSet,
-    GaussianStats,
-    ReferenceEmbedder,
-    collision_metrics,
+    ALL_PAIRS_LIMIT,
+    COLLISION_RADIUS,
+    EMBED_DIM,
+    EMBED_WINDOW,
+    SAMPLED_PAIRS,
+    collision_pct,
     diversity,
+    embed_windows,
     frechet_distance,
-    frechet_gaussian,
-    gaussian_stats,
     peak_jerk,
 )
 from remogen.scene import GridSpec, VoxelGrid
@@ -21,74 +23,108 @@ from remogen.tensorcore import Rng
 F32 = np.float32
 
 
+def points_with_moments(mean, var):
+    """2E points whose sample mean is `mean` and sample covariance (ddof=1)
+    is diag(var): mean +- s_i e_i for each axis i, with 2 s_i^2 / (2E - 1) = var_i."""
+    mean, var = np.asarray(mean, dtype=np.float64), np.asarray(var, dtype=np.float64)
+    e = mean.shape[0]
+    offsets = np.diag(np.sqrt(var * (2 * e - 1) / 2.0))
+    return mean + np.concatenate([offsets, -offsets])
+
+
 class TestFrechetDistance:
     def test_same_set_is_zero(self):
         gen = Rng(1).generator("fid")
-        emb = EmbeddingSet(gen.standard_normal((40, 6)))
+        emb = gen.standard_normal((40, 6))
         assert frechet_distance(emb, emb) == pytest.approx(0.0, abs=1e-6)
 
+    def test_never_negative_on_equal_sets(self):
+        """Rounding takes Tr(2C - 2 C) a little below zero for most sets; the
+        distance is clamped at 0."""
+        gen = Rng(1).generator("fid-clamp")
+        for _ in range(20):
+            emb = gen.standard_normal((12, 16))
+            assert frechet_distance(emb, emb) >= 0.0
+
+    def test_points_with_moments_have_them(self):
+        pts = points_with_moments([1.0, -2.0, 0.5], [1.0, 4.0, 0.25])
+        assert np.allclose(pts.mean(axis=0), [1.0, -2.0, 0.5], atol=1e-12)
+        assert np.allclose(np.cov(pts, rowvar=False), np.diag([1.0, 4.0, 0.25]), atol=1e-12)
+
     def test_one_dimensional_closed_form(self):
-        a = GaussianStats(np.array([0.0]), np.array([[1.0]]))
-        b = GaussianStats(np.array([2.0]), np.array([[1.0]]))
+        a = points_with_moments([0.0], [1.0])
+        b = points_with_moments([2.0], [1.0])
         # (mu_a - mu_b)^2 + (sigma_a - sigma_b)^2
-        assert frechet_gaussian(a, b) == pytest.approx(4.0, abs=1e-6)
+        assert frechet_distance(a, b) == pytest.approx(4.0, abs=1e-6)
 
     def test_diagonal_case_matches_scalar_sum(self):
         var_a = np.array([1.0, 4.0])
         var_b = np.array([9.0, 0.25])
         mu_a = np.array([0.0, 1.0])
         mu_b = np.array([2.0, -1.0])
-        a = GaussianStats(mu_a, np.diag(var_a))
-        b = GaussianStats(mu_b, np.diag(var_b))
+        a = points_with_moments(mu_a, var_a)
+        b = points_with_moments(mu_b, var_b)
         expected = sum((mu_a[i] - mu_b[i]) ** 2
                        + (np.sqrt(var_a[i]) - np.sqrt(var_b[i])) ** 2 for i in range(2))
-        assert frechet_gaussian(a, b) == pytest.approx(expected, abs=1e-6)
+        assert frechet_distance(a, b) == pytest.approx(expected, abs=1e-6)
 
     def test_symmetry(self):
         gen = Rng(2).generator("fid")
-        a = EmbeddingSet(gen.standard_normal((30, 5)))
-        b = EmbeddingSet(gen.standard_normal((25, 5)) + 1.0)
+        a = gen.standard_normal((30, 5))
+        b = gen.standard_normal((25, 5)) + 1.0
         assert frechet_distance(a, b) == pytest.approx(frechet_distance(b, a), abs=1e-6)
 
     def test_nonnegative_on_random_pairs(self):
         gen = Rng(3).generator("fid")
         for _ in range(5):
-            a = EmbeddingSet(gen.standard_normal((20, 4)))
-            b = EmbeddingSet(gen.standard_normal((20, 4)) * gen.uniform(0.5, 2))
-            assert frechet_distance(a, b) >= -1e-9
+            a = gen.standard_normal((20, 4))
+            b = gen.standard_normal((20, 4)) * gen.uniform(0.5, 2)
+            assert frechet_distance(a, b) >= 0.0
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionError):
-            frechet_distance(EmbeddingSet(np.zeros((3, 2))),
-                             EmbeddingSet(np.zeros((3, 3))))
+            frechet_distance(np.zeros((3, 2)), np.zeros((3, 3)))
 
-    def test_stats_need_two_vectors(self):
+    def test_needs_two_vectors(self):
         with pytest.raises(DimensionError):
-            gaussian_stats(EmbeddingSet(np.zeros((1, 2))))
+            frechet_distance(np.zeros((1, 2)), np.zeros((3, 2)))
 
 
 class TestDiversity:
     def test_identical_vectors_zero(self):
-        emb = EmbeddingSet(np.ones((10, 3)))
-        assert diversity(emb) == 0.0
+        assert diversity(np.ones((10, 3))) == 0.0
 
     def test_two_points(self):
-        emb = EmbeddingSet(np.array([[0.0, 0.0], [3.0, 4.0]]))
-        assert diversity(emb) == pytest.approx(5.0)
+        assert diversity(np.array([[0.0, 0.0], [3.0, 4.0]])) == pytest.approx(5.0)
+
+    def test_needs_two_vectors(self):
+        with pytest.raises(DimensionError):
+            diversity(np.zeros((1, 4)))
+
+    def _unit_set(self, n):
+        v = Rng(7).generator("div", n).standard_normal((n, 16))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
 
     def test_sampled_close_to_all_pairs(self):
-        gen = Rng(7).generator("div")
-        v = gen.standard_normal((100, 16))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        emb = EmbeddingSet(v)
-        exact = diversity(emb)  # all pairs (N <= 512)
-        sampled = diversity(emb, pairs=300, rng=Rng(3))
-        assert abs(sampled - exact) / exact < 0.05
+        n = ALL_PAIRS_LIMIT + 88
+        v = self._unit_set(n)
+        dist = np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)
+        exact = float(dist[np.triu_indices(n, k=1)].mean())
+        assert abs(diversity(v) - exact) / exact < 0.05
 
-    def test_deterministic_given_seed(self):
-        gen = Rng(8).generator("div")
-        emb = EmbeddingSet(gen.standard_normal((50, 4)))
-        assert diversity(emb, pairs=40, rng=Rng(5)) == diversity(emb, pairs=40, rng=Rng(5))
+    def test_sampled_pairs_are_the_seeded_draws(self):
+        n = ALL_PAIRS_LIMIT + 1
+        v = self._unit_set(n)
+        gen = Rng(0).generator("diversity", n, SAMPLED_PAIRS)
+        draws = [gen.choice(n, size=2, replace=False) for _ in range(SAMPLED_PAIRS)]
+        expected = sum(float(np.linalg.norm(v[i] - v[j])) for i, j in draws) / SAMPLED_PAIRS
+        assert diversity(v) == expected
+        assert diversity(v) == diversity(v.copy())
+
+    def test_all_pairs_up_to_the_limit(self):
+        v = self._unit_set(ALL_PAIRS_LIMIT)
+        dist = np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)
+        assert diversity(v) == float(dist[np.triu_indices(ALL_PAIRS_LIMIT, k=1)].mean())
 
 
 class TestPeakJerk:
@@ -125,26 +161,20 @@ class TestCollisionMetrics:
     def test_far_from_everything(self):
         ego = np.zeros((5, 2, 3))
         partner = np.full((5, 2, 3), 10.0)
-        report = collision_metrics(ego, partner_joints=partner)
-        assert report.collision_pct == 0.0
+        assert collision_pct(ego, partner_joints=partner) == 0.0
 
     def test_inside_occupied_voxel_every_frame(self):
         spec = GridSpec([0, 0, 0], [1, 1, 1], (2, 2, 2))
         grid = VoxelGrid.from_bool_array(spec, np.ones(spec.dims, dtype=bool))
         ego = np.full((4, 1, 3), 0.5)
-        report = collision_metrics(ego, grid=grid)
-        assert report.collision_pct == 100.0
+        assert collision_pct(ego, grid=grid) == 100.0
 
-    def test_exact_contacts_perfect_precision_recall(self):
-        ego = np.zeros((6, 1, 3))
-        partner = np.full((6, 1, 3), 5.0)
-        partner[2] = 0.05  # close contact at frame 2
-        report = collision_metrics(ego, partner_joints=partner, contact_radius=0.1)
-        ref = report.predicted_contacts
-        scored = collision_metrics(ego, partner_joints=partner, contact_radius=0.1,
-                                   reference_contacts=ref)
-        assert scored.contact_precision == 1.0
-        assert scored.contact_recall == 1.0
+    def test_partner_at_the_radius_collides(self):
+        ego = np.zeros((4, 1, 3))
+        partner = np.full((4, 1, 3), 5.0)
+        partner[1, 0] = [COLLISION_RADIUS, 0.0, 0.0]
+        partner[2, 0] = [np.nextafter(COLLISION_RADIUS, 1.0), 0.0, 0.0]
+        assert collision_pct(ego, partner_joints=partner) == 25.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force_oracle(self, seed):
@@ -154,9 +184,9 @@ class TestCollisionMetrics:
         occ = gen.uniform(size=spec.dims) > 0.6
         grid = VoxelGrid.from_bool_array(spec, occ)
         ego = gen.uniform(-1.4, 1.4, size=(t, j, 3))
-        partner = gen.uniform(-1.4, 1.4, size=(t, j, 3))
-        radius = 0.4
-        report = collision_metrics(ego, grid=grid, partner_joints=partner, radius=radius)
+        # Partner joints near the ego's, so about half fall within the radius.
+        partner = ego + gen.uniform(-COLLISION_RADIUS, COLLISION_RADIUS, size=(t, j, 3))
+        got = collision_pct(ego, grid=grid, partner_joints=partner)
 
         hits = 0
         for ti in range(t):
@@ -165,32 +195,44 @@ class TestCollisionMetrics:
                 if occupied(grid, ego[ti, ji]):
                     frame_hit = True
                 for pj in range(j):
-                    if np.linalg.norm(ego[ti, ji] - partner[ti, pj]) <= radius:
+                    if np.linalg.norm(ego[ti, ji] - partner[ti, pj]) <= COLLISION_RADIUS:
                         frame_hit = True
             hits += frame_hit
-        assert report.collision_pct == pytest.approx(100.0 * hits / t)
+        assert got == pytest.approx(100.0 * hits / t)
 
     def test_needs_some_context(self):
         with pytest.raises(ConfigError):
-            collision_metrics(np.zeros((3, 1, 3)))
+            collision_pct(np.zeros((3, 1, 3)))
 
 
-class TestReferenceEmbedder:
+class TestEmbedWindows:
     def test_deterministic(self):
         gen = Rng(10).generator("emb")
         clip = gen.standard_normal((8, 12)).astype(F32)
-        e = ReferenceEmbedder(dim=16)
-        assert np.array_equal(e.embed_motion(clip), e.embed_motion(clip))
+        assert np.array_equal(embed_windows(clip), embed_windows(clip))
 
     def test_output_dim_and_norm(self):
         gen = Rng(11).generator("emb")
-        e = ReferenceEmbedder(dim=16)
-        v = e.embed_motion(gen.standard_normal((8, 12)).astype(F32))
-        assert v.shape == (16,)
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-6)
+        v = embed_windows(gen.standard_normal((8, 12)).astype(F32))
+        assert v.shape == (1, EMBED_DIM)
+        assert np.linalg.norm(v[0]) == pytest.approx(1.0, abs=1e-6)
+
+    def test_one_embedding_per_whole_window(self):
+        gen = Rng(13).generator("emb")
+        clip = gen.standard_normal((3 * EMBED_WINDOW + 5, 12)).astype(F32)
+        v = embed_windows(clip)
+        assert v.shape == (3, EMBED_DIM)
+        assert np.array_equal(v[1], embed_windows(clip[EMBED_WINDOW:2 * EMBED_WINDOW])[0])
 
     def test_short_clip_padded(self):
         gen = Rng(12).generator("emb")
-        e = ReferenceEmbedder(dim=8, window=8)
-        v = e.embed_motion(gen.standard_normal((3, 12)).astype(F32))
-        assert v.shape == (8,)
+        clip = gen.standard_normal((3, 12)).astype(F32)
+        padded = np.vstack([clip, np.repeat(clip[-1:], EMBED_WINDOW - 3, axis=0)])
+        assert embed_windows(clip).shape == (1, EMBED_DIM)
+        assert np.array_equal(embed_windows(clip), embed_windows(padded))
+
+    def test_non_finite_embedding_is_numeric_error(self):
+        clip = np.zeros((EMBED_WINDOW, 12), dtype=F32)
+        clip[3, 2] = np.nan
+        with pytest.raises(NumericError):
+            embed_windows(clip)

@@ -6,7 +6,6 @@ from remogen.errors import DimensionError
 from remogen.motion import (
     FeatureLayout,
     HistoryWindow,
-    MotionSegment,
     Normalizer,
     RigidTransform,
     featurize,
@@ -132,36 +131,34 @@ class TestFeaturize:
 class TestUpdateHistory:
     def test_default_config_takes_last_rows(self):
         h = HistoryWindow(np.zeros((2, 4), dtype=F32))
-        seg = MotionSegment(np.arange(32, dtype=F32).reshape(8, 4))
+        seg = np.arange(32, dtype=F32).reshape(8, 4)
         out = update_history(h, seg)
-        np.testing.assert_array_equal(out.frames, seg.frames[6:8])
+        np.testing.assert_array_equal(out.frames, seg[6:8])
 
     def test_empty_segment_is_noop(self):
         h = HistoryWindow(np.ones((2, 4), dtype=F32))
-        out = update_history(h, MotionSegment(np.zeros((0, 4), dtype=F32)))
+        out = update_history(h, np.zeros((0, 4), dtype=F32))
         np.testing.assert_array_equal(out.frames, h.frames)
 
     def test_short_segment_keeps_old_rows(self):
         h = HistoryWindow(np.arange(12, dtype=F32).reshape(3, 4))
-        seg = MotionSegment(np.full((1, 4), 99, dtype=F32))
+        seg = np.full((1, 4), 99, dtype=F32)
         out = update_history(h, seg)
         np.testing.assert_array_equal(out.frames[:2], h.frames[1:])
-        np.testing.assert_array_equal(out.frames[2], seg.frames[0])
+        np.testing.assert_array_equal(out.frames[2], seg[0])
 
     def test_row_count_invariant(self):
         gen = Rng(0).generator("hist")
         for h_len in (1, 2, 5):
             h = HistoryWindow(gen.standard_normal((h_len, 3)).astype(F32))
             for f_len in (0, 1, 4, 9):
-                seg = MotionSegment(gen.standard_normal((f_len, 3)).astype(F32)) \
-                    if f_len else MotionSegment(np.zeros((0, 3), dtype=F32))
-                h = update_history(h, seg)
+                h = update_history(h, gen.standard_normal((f_len, 3)).astype(F32))
                 assert len(h) == h_len
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionError):
             update_history(HistoryWindow(np.zeros((2, 4), dtype=F32)),
-                           MotionSegment(np.zeros((2, 5), dtype=F32)))
+                           np.zeros((2, 5), dtype=F32))
 
 
 def population_normalizer(frames):

@@ -90,15 +90,15 @@ class TestVae:
         z = Rng(2).generator("z").standard_normal(8, dtype=F32)
         a = decode_segment(small_projection, z, small_params)
         b = decode_segment(small_projection, z, small_params)
-        assert a.frames.shape == (4, 12)
-        assert np.array_equal(a.frames, b.frames)
+        assert a.shape == (4, 12) and a.dtype == F32
+        assert np.array_equal(a, b)
 
     def test_default_future_length(self):
         params = seeded_prior_params(Rng(0))
         hist = HistoryWindow(np.zeros((2, params.feature_dim), dtype=F32))
         seg = decode_segment(project_history(hist, params),
                              np.zeros(params.latent_dim, dtype=F32), params)
-        assert seg.frames.shape == (8, params.feature_dim)
+        assert seg.shape == (8, params.feature_dim)
 
     def test_decode_smooth_in_latent(self, small_params, small_projection):
         z = Rng(3).generator("z").standard_normal(8, dtype=F32)
@@ -106,7 +106,7 @@ class TestVae:
         z2[0] += 1e-6
         a = decode_segment(small_projection, z, small_params)
         b = decode_segment(small_projection, z2, small_params)
-        assert np.max(np.abs(a.frames - b.frames)) < 1e-3
+        assert np.max(np.abs(a - b)) < 1e-3
 
     @pytest.mark.parametrize("compact", [False, True], ids=["engine", "compact"])
     def test_one_frame_range_equals_full_decode(self, compact, small_params):
@@ -124,8 +124,8 @@ class TestVae:
             f = case % f_len
             if case % 2 == 0:
                 z = gen.standard_normal(params.latent_dim, dtype=F32)
-                full = decode_segment(m_h, z, params).frames
-                one = decode_segment(m_h, z, params, frames=slice(f, f + 1)).frames
+                full = decode_segment(m_h, z, params)
+                one = decode_segment(m_h, z, params, frames=slice(f, f + 1))
                 assert one.shape == (1, d)
                 assert np.array_equal(one[0], full[f]), (case, f)
             else:
@@ -137,11 +137,11 @@ class TestVae:
 
     def test_frame_range_is_a_contiguous_slice(self, small_params, small_projection):
         z = Rng(41).generator("z").standard_normal(8, dtype=F32)
-        full = decode_segment(small_projection, z, small_params).frames
-        middle = decode_segment(small_projection, z, small_params, frames=slice(1, 3)).frames
+        full = decode_segment(small_projection, z, small_params)
+        middle = decode_segment(small_projection, z, small_params, frames=slice(1, 3))
         np.testing.assert_array_equal(middle, full[1:3])
         np.testing.assert_array_equal(
-            decode_segment(small_projection, z, small_params, frames=slice(None, 4)).frames,
+            decode_segment(small_projection, z, small_params, frames=slice(None, 4)),
             full)
 
     @pytest.mark.parametrize("frames", [slice(2, 2), slice(3, 1), slice(0, 5), slice(4, 5),
@@ -181,7 +181,7 @@ class TestVae:
                 via = decode_batch(projection, zs, params, frames)
                 assert np.array_equal(via, reference[:, frames]), frames
                 for z, row in zip(zs, via):
-                    one = decode_segment(projection, z, params, frames=frames).frames
+                    one = decode_segment(projection, z, params, frames=frames)
                     assert np.array_equal(one, row), frames
 
     def test_projection_dimension_errors(self, small_params, small_history):
@@ -490,15 +490,15 @@ class TestRollout:
         params = engine.prior
         gen = Rng(cfg.seed).generator("engine")
         texts = (embed_text(text, params.text_dim), null_embedding(params.text_dim))
-        history = rest_history(cfg.history_len, FeatureLayout(cfg.joints), fps=cfg.fps)
+        history = rest_history(cfg.history_len, FeatureLayout(cfg.joints))
         frames = []
         for _ in range(3):
             def denoise(z_t, t, m_h=history):
                 return predict_clean_latent(params, reference_tokens(params, z_t, t, m_h, texts))
 
             z0 = ddpm_sample(denoise, params.latent_dim, cfg.steps, cfg.guidance_scale, gen)
-            seg = decode_segment(project_history(history, params), z0, params, fps=cfg.fps)
-            frames.append(seg.frames)
+            seg = decode_segment(project_history(history, params), z0, params)
+            frames.append(seg)
             history = update_history(history, seg)
         assert np.array_equal(out, np.vstack(frames))
 

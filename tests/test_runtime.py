@@ -845,6 +845,32 @@ class TestEngineWiring:
             emitted += len(got)
         assert emitted > 0
 
+    @pytest.mark.parametrize("mode, weight, tick", [
+        ("segment", "prior.vae_dec.w3", COMPACT_CFG.future_len - 1),
+        ("slide", "prior.vae_dec.w3", 0),
+        ("fwsr", "prior.vae_dec.w3", 0),
+        # The refiner's query makes the refined latent NaN: tick 1 is the
+        # first refinement tick.
+        ("fwsr", "fwsr.cross_attn.w_q", 1),
+    ])
+    def test_non_finite_decoded_frame_is_refused(self, mode, weight, tick, partner_frames):
+        """A NaN weight that makes a decoded frame NaN raises NumericError on
+        the tick that decodes it, before the history or fwsr's rolling window
+        takes the frame; the ticks before it emit finite frames."""
+        cfg = dataclasses.replace(COMPACT_CFG, steps=2, alpha={"hhi": 1.0})
+        tensors = dict(init_weights(cfg, 3).tensors)
+        bad = tensors[weight].copy()
+        bad[0, 0] = np.nan
+        tensors[weight] = bad
+        engine = Engine(WeightArchive(tensors), cfg, mode=mode)
+        for partner in partner_frames[:tick]:
+            assert all(np.isfinite(f).all() for f in engine.tick(partner))
+        history, rolling = engine.history.frames.copy(), engine._rolling
+        with pytest.raises(NumericError, match="decoded frames"):
+            engine.tick(partner_frames[tick])
+        np.testing.assert_array_equal(engine.history.frames, history)
+        assert engine._rolling is rolling
+
     def test_zero_gate_archive_neutral_under_alpha(self, cfg, archive, partner_frames):
         plain = Engine(archive, cfg)
         steered = Engine(archive, cfg)
@@ -940,7 +966,7 @@ class TestEngineWiring:
         batch = decode_batch(projection, zs, engine.prior)
         for row, z in zip(batch, zs):
             np.testing.assert_array_equal(
-                row, decode_segment(projection, z, engine.prior).frames)
+                row, decode_segment(projection, z, engine.prior))
 
     @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
     def test_decode_frame_ranges_per_mode(self, mode, cfg, archive, monkeypatch):
