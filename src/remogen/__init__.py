@@ -13,6 +13,7 @@ from .errors import (
     CorruptArchiveError,
     DimensionError,
     EmptyInputError,
+    EngineStateError,
     FormatError,
     InsufficientFramesError,
     NumericError,
@@ -23,4 +24,5 @@ __all__ = [
     "tensorcore", "motion", "scene", "prior", "mim", "fwsr", "metrics", "runtime",
     "RemogenError", "DimensionError", "NumericError", "EmptyInputError",
     "ConfigError", "FormatError", "CorruptArchiveError", "InsufficientFramesError",
+    "EngineStateError",
 ]

@@ -125,12 +125,9 @@ def _cmd_metrics(args) -> int:
         partner_joints = None
         if args.partner:
             partner_seg, partner_layout = _load_frames(args.partner)
-            t = min(len(pred_seg), len(partner_seg))
-            partner_joints = joint_positions_from_features(partner_seg.frames[:t],
-                                                           partner_layout)
-        t = len(pred_seg) if partner_joints is None else partner_joints.shape[0]
+            partner_joints = joint_positions_from_features(partner_seg.frames, partner_layout)
         report["collision_pct"] = collision_pct(
-            joint_positions_from_features(pred_seg.frames[:t], layout),
+            joint_positions_from_features(pred_seg.frames, layout),
             grid=grid, partner_joints=partner_joints)
     print(json.dumps(report, indent=2))
     return 0

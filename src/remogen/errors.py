@@ -31,3 +31,7 @@ class CorruptArchiveError(FormatError):
 
 class InsufficientFramesError(RemogenError, ValueError):
     """Too few frames for a finite-difference metric."""
+
+
+class EngineStateError(RemogenError, RuntimeError):
+    """An engine whose earlier tick failed refuses further ticks."""

@@ -29,11 +29,9 @@ params.
 
 The runtime engine holds one segment's refinement state and drives these
 pieces one tick at a time; refine_latent is the one refinement step. The
-engine passes it FwsrParams.float64_weights: the same params with read-only
-float64 twins of dyn_w, both attentions' projections and film_w (0.47 MB at
-the default sizes), built on the engine's first refinement tick and kept
-with the params. The products cast float32 weights to exactly those
-operands, so refine_latent gives the same bits with either.
+engine passes it FwsrParams.float64_weights, the params with each matrix
+swapped for its read-only float64 twin by one tensorcore.map_leaves walk
+(0.47 MB at the default sizes); refine_latent gives the same bits with either.
 """
 from __future__ import annotations
 
@@ -51,14 +49,15 @@ from .tensorcore import (
     AttentionParams,
     RelBiasParams,
     Rng,
-    float64_twin,
     fuse_qkv,
     layer_norm,
     linear,
+    map_leaves,
     mha_forward,
     relative_bias,
     seeded_init,
     sinusoidal_embedding,
+    twin_matrix,
 )
 
 
@@ -96,23 +95,17 @@ class FwsrParams:
 
     @cached_property
     def float64_weights(self) -> "FwsrParams":
-        """These params with read-only float64 twins of dyn_w, both attentions'
-        projections and film_w, the operands refine_latent's products cast
-        them to; refine_latent gives the same bits with either.
+        """These params with each matrix a read-only float64 twin (twin_matrix):
+        dyn_w, both attentions' projections, the relative bias map and film_w,
+        the operands refine_latent's products cast them to; refine_latent
+        gives the same bits with either.
 
         Built on first use and kept as long as these params are.
         """
-        def attention(p: AttentionParams) -> AttentionParams:
-            return dataclasses.replace(p, w_q=float64_twin(p.w_q), w_k=float64_twin(p.w_k),
-                                       w_v=float64_twin(p.w_v), w_o=float64_twin(p.w_o))
-
+        twins = map_leaves(twin_matrix, self, "fwsr")
         # The dynamic context is self-attention: keep only its fused projection.
-        dyn_attn = attention(self.dyn_attn)
-        dyn_attn.w_qkv.flags.writeable = False
-        return dataclasses.replace(self, dyn_w=float64_twin(self.dyn_w),
-                                   dyn_attn=fuse_qkv(dyn_attn),
-                                   cross_attn=attention(self.cross_attn),
-                                   film_w=float64_twin(self.film_w))
+        twins.dyn_attn.w_qkv.flags.writeable = False
+        return dataclasses.replace(twins, dyn_attn=fuse_qkv(twins.dyn_attn))
 
     @cached_property
     def _context_rows(self) -> dict:
@@ -227,6 +220,6 @@ def seeded_fwsr_params(rng: Rng, feature_dim: int, latent_dim: int,
         dyn_w=u("dyn.w", (feature_dim, latent_dim)), dyn_b=zeros(latent_dim),
         dyn_attn=attn("dyn", latent_dim),
         cross_attn=attn("cross", latent_dim),
-        rel_bias=RelBiasParams(omega=0.25, w_b=u("relb", (2, heads))),
+        rel_bias=RelBiasParams(u("relb", (2, heads))),
         film_w=film_w, film_b=zeros(2 * latent_dim),
         beta_sens=beta_sens)

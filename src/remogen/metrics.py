@@ -119,7 +119,9 @@ def peak_jerk(joint_positions: np.ndarray, fps: float) -> float:
 def collision_pct(ego_joints: np.ndarray, grid: Optional[VoxelGrid] = None,
                   partner_joints: Optional[np.ndarray] = None) -> float:
     """Percentage of frames in which an ego joint lies in an occupied cell of
-    `grid` or within COLLISION_RADIUS of a partner joint of the same frame."""
+    `grid` or within COLLISION_RADIUS of a partner joint of the same frame.
+    The grid checks all T ego frames, the partner the first min(T, T_p), those
+    both hold; the share is of all T with a grid, else of min(T, T_p)."""
     ego = np.asarray(ego_joints, dtype=F64)
     if ego.ndim != 3 or ego.shape[2] != 3:
         raise DimensionError("ego joints must be (T, J, 3)")
@@ -132,8 +134,11 @@ def collision_pct(ego_joints: np.ndarray, grid: Optional[VoxelGrid] = None,
         collide |= np.any(occupied, axis=1)
     if partner_joints is not None:
         partner = np.asarray(partner_joints, dtype=F64)
-        if partner.ndim != 3 or partner.shape[0] != t:
-            raise DimensionError("partner joints must be (T, J_p, 3) matching T")
-        d = np.linalg.norm(ego[:, :, None, :] - partner[:, None, :, :], axis=-1)
-        collide |= d.reshape(t, -1).min(axis=1) <= COLLISION_RADIUS
+        if partner.ndim != 3 or partner.shape[0] < 1 or partner.shape[2] != 3:
+            raise DimensionError("partner joints must be (T_p >= 1, J_p, 3)")
+        n = min(t, partner.shape[0])
+        d = np.linalg.norm(ego[:n, :, None, :] - partner[:n, None, :, :], axis=-1)
+        collide[:n] |= d.min(axis=(1, 2)) <= COLLISION_RADIUS
+        if grid is None:
+            collide = collide[:n]
     return 100.0 * float(np.mean(collide))

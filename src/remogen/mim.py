@@ -13,13 +13,13 @@ the denoiser's embedded tokens:
 
 All L injection blocks of a module see the same tokens h, so module_deltas
 runs them as one (L, T, width) pass over weights stacked along a leading L
-axis (MimParams.stacked, built on first use and kept with the params; its
-self-attention projects Q, K and V with one fused weight). The work that
-depends only on the context - the cross-attention key/value projection and
-the relative bias - is done by prepare_context, which the engine calls once
-per segment and not once per denoising step. hhi and hsi are not stacked with
-each other: their contexts differ in length. Each layer's residual equals its
-block run alone bit for bit.
+axis by one tensorcore.map_leaves walk (MimParams.stacked, built on first
+use and kept with the params; its self-attention uses one fused QKV). The
+work that depends only on the context - the cross-attention key/value
+projection and the relative bias - is done by prepare_context, which the
+engine calls once per segment and not once per denoising step. hhi and hsi
+are not stacked with each other: their contexts differ in length. Each
+layer's residual equals its block run alone bit for bit.
 
 The gate is a per-channel vector, zero at init, so a fresh module leaves the
 frozen prior bit-identical. A module's residuals stay one (L, T, width) stack
@@ -60,6 +60,7 @@ from .tensorcore import (
     fuse_qkv,
     layer_norm,
     linear,
+    map_leaves,
     matmul,
     mha_forward,
     relative_bias,
@@ -109,21 +110,6 @@ class MimBlockParams:
     gate: np.ndarray  # (d,) per-channel output gate
 
 
-def _stack(leaves: list):
-    """Stack same-shaped parameter trees along a new leading axis; vectors become (L, 1, n)."""
-    first = leaves[0]
-    if isinstance(first, np.ndarray):
-        out = np.stack(leaves)
-        return out[:, None, :] if first.ndim == 1 else out
-    if dataclasses.is_dataclass(first):
-        return type(first)(**{f.name: _stack([getattr(leaf, f.name) for leaf in leaves])
-                              for f in dataclasses.fields(first)})
-    if any(leaf != first for leaf in leaves):
-        raise ConfigError(f"blocks differ in a structural value ({leaves}); "
-                          "they cannot run stacked")
-    return first
-
-
 @dataclass(frozen=True)
 class MimParams:
     """One Meta-Interaction module: its encoder and one block per injection layer."""
@@ -138,11 +124,25 @@ class MimParams:
         """The blocks in ascending layer order, stacked along a leading L axis.
 
         Built on first use and kept as long as these params are; a copy of
-        the block weights. The self-attention's w_q, w_k and w_v are views of
-        its fused (L, width, 3 * width) projection, the only copy of them.
+        the block weights: one map_leaves walk over the first block stacks
+        each weight with the other blocks' weights of its path, vectors as
+        (L, 1, n). The self-attention's w_q, w_k and w_v are views of its
+        fused (L, width, 3 * width) projection, the only copy of them.
         """
-        stack = _stack([self.blocks[idx] for idx in sorted(self.blocks)])
-        return dataclasses.replace(stack, self_attn=fuse_qkv(stack.self_attn))
+        first, *rest = (self.blocks[idx] for idx in sorted(self.blocks))
+        others = [{} for _ in rest]   # path -> leaf of each later block
+        for block, leaves in zip(rest, others):
+            if (block.self_attn.heads, block.cross_attn.heads) != \
+                    (first.self_attn.heads, first.cross_attn.heads):
+                raise ConfigError("blocks differ in their heads; they cannot run stacked")
+            map_leaves(leaves.setdefault, block, "")
+
+        def stack(path, leaf):
+            out = np.stack([leaf] + [leaves[path] for leaves in others])
+            return out[:, None, :] if leaf.ndim == 1 else out
+
+        stacked = map_leaves(stack, first, "")
+        return dataclasses.replace(stacked, self_attn=fuse_qkv(stacked.self_attn))
 
 
 @dataclass(frozen=True)
@@ -347,8 +347,7 @@ def seeded_mim_params(module_id: str, source: str, rng: Rng, feature_dim: int,
         blocks[int(idx)] = MimBlockParams(
             self_attn=_seeded_attention(sub.child("self"), width, width, heads),
             cross_attn=_seeded_attention(sub.child("cross"), width, width, heads),
-            rel_bias=RelBiasParams(omega=0.25,
-                                   w_b=seeded_init((2, heads), "uniform-fan", sub.child("relb"))),
+            rel_bias=RelBiasParams(seeded_init((2, heads), "uniform-fan", sub.child("relb"))),
             film_w=seeded_init((width, 2 * width), "uniform-fan", sub.child("film")),
             film_b=zeros(2 * width),
             ffn=FfnParams(seeded_init((width, ffn_hidden), "uniform-fan", sub.child("ffn1")),

@@ -12,14 +12,12 @@ rows. project_history multiplies a history window by the history rows once
 projection: each decode or probe against it multiplies only its latents by
 the d_z latent rows.
 
-The decoder and the sensitivity probe multiply read-only float64 twins of
-W1, W2 and W3 (PriorParams.decoder_w1, decoder_w2 and decoder_w3, 6.3 MB at
-the default sizes, 4.5 MB of it W3), and the probe also reads W3 W3^T
-(decoder_gram, 0.5 MB). Each is built on first use and kept as long as the
-params are; the float32 archive tensors stay the only stored copy of the
-weights. A twin is the operand a float64 product used to cast its float32
-weight to on every call, so the products keep their bits. project_history
-multiplies W1's history rows of the twin, and the denoiser gets no twin.
+The decoder and the probe multiply PriorParams.decoder, vae_dec with W1, W2
+and W3 swapped for read-only float64 twins by one tensorcore.map_leaves walk
+(6.3 MB at the default sizes), and the probe reads W3 W3^T (decoder_gram,
+0.5 MB); both are built on first use. A twin is the operand a float64 product
+casts its float32 weight to, so the products keep their bits. The denoiser
+gets no twin.
 
 Parameters are plain frozen dataclasses of arrays; nothing here mutates them,
 which is what keeps the prior structurally frozen. Archives from older
@@ -44,14 +42,15 @@ from .tensorcore import (
     FfnParams,
     Rng,
     ffn_forward,
-    float64_twin,
     gelu,
     gelu_slope,
     layer_norm,
     linear,
+    map_leaves,
     mha_forward,
     seeded_init,
     sinusoidal_embedding,
+    twin_matrix,
 )
 
 DEFAULT_LATENT_DIM = 64
@@ -158,20 +157,11 @@ class PriorParams:
         return self.history_len + 3
 
     @cached_property
-    def decoder_w1(self) -> np.ndarray:
-        """Float64 twin of the decoder's W1, (H * D + d_z, vae_hidden), read-only:
-        the history rows, then the d_z latent rows."""
-        return float64_twin(self.vae_dec.w1)
-
-    @cached_property
-    def decoder_w2(self) -> np.ndarray:
-        """Float64 twin of the decoder's W2, (vae_hidden, vae_hidden), read-only."""
-        return float64_twin(self.vae_dec.w2)
-
-    @cached_property
-    def decoder_w3(self) -> np.ndarray:
-        """Float64 twin of the decoder's W3, (vae_hidden, F * D), read-only."""
-        return float64_twin(self.vae_dec.w3)
+    def decoder(self) -> MlpParams:
+        """vae_dec with W1 (history rows, then the d_z latent rows), W2 and W3
+        read-only float64 twins (twin_matrix); the biases stay the float32
+        archive tensors. Built on first use, kept as long as these params are."""
+        return map_leaves(twin_matrix, self.vae_dec, "prior.vae_dec")
 
     @cached_property
     def decoder_gram(self) -> np.ndarray:
@@ -181,7 +171,7 @@ class PriorParams:
         Built on the first sensitivity probe and kept as long as these params
         are.
         """
-        w3 = self.decoder_w3
+        w3 = self.decoder.w3
         gram = w3 @ w3.T
         gram.flags.writeable = False
         return gram
@@ -283,7 +273,7 @@ def _check_history(m_h: HistoryWindow, params: PriorParams) -> None:
 def project_history(m_h: HistoryWindow, params: PriorParams) -> HistoryProjection:
     """Project a history window through the decoder's history rows of W1."""
     _check_history(m_h, params)
-    w1_h = params.decoder_w1[:-params.latent_dim]
+    w1_h = params.decoder.w1[:-params.latent_dim]
     return HistoryProjection(m_h, m_h.frames.reshape(1, -1).astype(F64) @ w1_h)
 
 
@@ -302,7 +292,7 @@ def _first_layer(history: HistoryProjection, zs: np.ndarray,
     if zs.ndim != 2 or zs.shape[1] != params.latent_dim:
         raise DimensionError(f"latent batch has shape {zs.shape}, "
                              f"expected (N, {params.latent_dim})")
-    a1 = (history.rows + zs.astype(F64) @ params.decoder_w1[-params.latent_dim:]).astype(F32)
+    a1 = (history.rows + zs.astype(F64) @ params.decoder.w1[-params.latent_dim:]).astype(F32)
     a1 += p.b1
     return a1
 
@@ -333,9 +323,10 @@ def decode_batch(m_h: HistoryProjection, zs: np.ndarray, params: PriorParams,
         raise DimensionError(f"frame range {frames} is not a non-empty contiguous "
                              f"range of the {f_len} future frames")
     h = gelu(_first_layer(m_h, zs, params))
-    h = gelu(linear(h, params.decoder_w2, params.vae_dec.b2))
+    dec = params.decoder
+    h = gelu(linear(h, dec.w2, dec.b2))
     cols = slice(start * d, stop * d)
-    out = linear(h, params.decoder_w3[:, cols], params.vae_dec.b3[cols])
+    out = linear(h, dec.w3[:, cols], dec.b3[cols])
     return out.reshape(h.shape[0], stop - start, d)
 
 
@@ -350,10 +341,10 @@ def decoder_sensitivity(m_h: HistoryProjection, z0: np.ndarray,
     the wide last layer is never multiplied.
     """
     a1 = _first_layer(m_h, np.asarray(z0, dtype=F32).reshape(1, -1), params)
-    w2 = params.decoder_w2
-    a2 = linear(gelu(a1), w2, params.vae_dec.b2)
-    w1_z = params.decoder_w1[-params.latent_dim:]
-    b = ((w1_z * gelu_slope(a1)) @ w2) * gelu_slope(a2)
+    dec = params.decoder
+    a2 = linear(gelu(a1), dec.w2, dec.b2)
+    w1_z = dec.w1[-params.latent_dim:]
+    b = ((w1_z * gelu_slope(a1)) @ dec.w2) * gelu_slope(a2)
     sq = np.einsum("dh,dh->d", b @ params.decoder_gram, b)
     # G is positive semi-definite; rounding may leave a zero row at -0.0 or -tiny.
     return np.sqrt(np.maximum(sq, 0.0)).astype(F32)

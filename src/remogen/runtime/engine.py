@@ -22,6 +22,11 @@ only the refined latent by the decoder's latent rows.
 
 Text and composition-weight changes are queued and applied at the next
 segment boundary, since one denoising pass is conditioned on a single text.
+
+A tick that raises after its partner frame is in (on a non-finite decoded
+frame, say) may leave the segment state half updated, so every later tick
+raises EngineStateError naming it. A bad partner frame is refused before
+anything changes and fails nothing.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, EngineStateError
 from ..fwsr import (
     DynamicContext,
     FwsrParams,
@@ -42,7 +47,6 @@ from ..fwsr import (
 # namespace when tracing; dropping the import breaks `--trace 1`.
 from ..prior import decode_batch  # noqa: F401
 from ..mim import (
-    MimParams,
     compose_deltas,
     encode_others,
     encode_scene,
@@ -88,24 +92,23 @@ MODULE_SOURCES = {"hhi": "others", "hsi": "scene"}
 MODES = ("segment", "fwsr", "slide")
 
 
-def _prior_params(cfg: EngineConfig, layout: FeatureLayout, rng: Rng) -> PriorParams:
-    return seeded_prior_params(rng, feature_dim=layout.dim,
-                               history_len=cfg.history_len, future_len=cfg.future_len,
-                               latent_dim=cfg.latent_dim, text_dim=cfg.text_dim,
-                               width=cfg.width, heads=cfg.heads, n_blocks=cfg.n_blocks,
-                               ffn_hidden=cfg.ffn_hidden, vae_hidden=cfg.vae_hidden)
-
-
-def _mim_params(cfg: EngineConfig, layout: FeatureLayout, module_id: str, source: str,
-                rng: Rng) -> MimParams:
-    return seeded_mim_params(module_id, source, rng, feature_dim=layout.dim,
-                             width=cfg.width, heads=cfg.heads, ffn_hidden=cfg.ffn_hidden,
-                             injection_layers=cfg.injection_layers)
-
-
-def _fwsr_params(cfg: EngineConfig, layout: FeatureLayout, rng: Rng) -> FwsrParams:
-    return seeded_fwsr_params(rng, feature_dim=layout.dim, latent_dim=cfg.latent_dim,
-                              heads=cfg.heads, beta_sens=cfg.beta_sens, zero_film=True)
+def _parts(cfg: EngineConfig, layout: FeatureLayout, rng: Rng) -> dict:
+    """{archive prefix: params} of every part in archive order, part p seeded
+    from rng.child(*p.split("."))."""
+    parts = {"prior": seeded_prior_params(
+        rng.child("prior"), feature_dim=layout.dim, history_len=cfg.history_len,
+        future_len=cfg.future_len, latent_dim=cfg.latent_dim, text_dim=cfg.text_dim,
+        width=cfg.width, heads=cfg.heads, n_blocks=cfg.n_blocks,
+        ffn_hidden=cfg.ffn_hidden, vae_hidden=cfg.vae_hidden)}
+    for module_id, source in MODULE_SOURCES.items():
+        parts[f"mim.{module_id}"] = seeded_mim_params(
+            module_id, source, rng.child("mim", module_id), feature_dim=layout.dim,
+            width=cfg.width, heads=cfg.heads, ffn_hidden=cfg.ffn_hidden,
+            injection_layers=cfg.injection_layers)
+    parts["fwsr"] = seeded_fwsr_params(rng.child("fwsr"), feature_dim=layout.dim,
+                                       latent_dim=cfg.latent_dim, heads=cfg.heads,
+                                       beta_sens=cfg.beta_sens, zero_film=True)
+    return parts
 
 
 # Shape templates for rebuild_params come from the same builders run on a
@@ -120,13 +123,9 @@ def init_weights(cfg: EngineConfig, seed: int) -> WeightArchive:
     training while leaving the prior's outputs untouched.
     """
     layout = FeatureLayout(cfg.joints)
-    rng = Rng(seed)
     tensors: dict = {}
-    tensors.update(flatten_params("prior", _prior_params(cfg, layout, rng.child("prior"))))
-    for module_id, source in MODULE_SOURCES.items():
-        mim = _mim_params(cfg, layout, module_id, source, rng.child("mim", module_id))
-        tensors.update(flatten_params(f"mim.{module_id}", mim))
-    tensors.update(flatten_params("fwsr", _fwsr_params(cfg, layout, rng.child("fwsr"))))
+    for prefix, params in _parts(cfg, layout, Rng(seed)).items():
+        tensors.update(flatten_params(prefix, params))
     tensors["norm.mean"] = np.zeros(layout.dim, dtype=F32)
     tensors["norm.std"] = np.ones(layout.dim, dtype=F32)
     return WeightArchive(tensors)
@@ -145,19 +144,14 @@ class Engine:
             raise ConfigError(f"unknown inference mode {self.mode!r}")
         self.recorder = recorder
 
+        # The prior is required; a module or the refiner loads if the archive has it.
         names = archive.names()
-        self.prior = rebuild_params("prior", _prior_params(cfg, self.layout, _SHAPES),
-                                    archive.tensors)
-        self.mims: dict = {}
-        for module_id, source in MODULE_SOURCES.items():
-            if any(n.startswith(f"mim.{module_id}.") for n in names):
-                template = _mim_params(cfg, self.layout, module_id, source, _SHAPES)
-                self.mims[module_id] = rebuild_params(f"mim.{module_id}", template,
-                                                      archive.tensors)
-        self.fwsr_params: Optional[FwsrParams] = None
-        if any(n.startswith("fwsr.") for n in names):
-            self.fwsr_params = rebuild_params("fwsr", _fwsr_params(cfg, self.layout, _SHAPES),
-                                              archive.tensors)
+        params = {prefix: rebuild_params(prefix, template, archive.tensors)
+                  for prefix, template in _parts(cfg, self.layout, _SHAPES).items()
+                  if prefix == "prior" or any(n.startswith(f"{prefix}.") for n in names)}
+        self.prior: PriorParams = params["prior"]
+        self.mims = {mid: params[f"mim.{mid}"] for mid in MODULE_SOURCES if f"mim.{mid}" in params}
+        self.fwsr_params: Optional[FwsrParams] = params.get("fwsr")
         if self.mode == "fwsr" and self.fwsr_params is None:
             raise ConfigError("fwsr mode requested but the archive has no fwsr weights")
         self.normalizer = Normalizer(archive.get("norm.mean"), archive.get("norm.std"))
@@ -174,6 +168,7 @@ class Engine:
         self.history = HistoryWindow(normalize(seed_history.frames, self.normalizer))
         self.dyn = DynamicContext(cfg.history_len, self.layout.dim)
         self.ticks = 0
+        self._failed_tick: Optional[int] = None
         # fwsr: the state of the segment being refined, set on its boundary tick
         self._z0: Optional[np.ndarray] = None
         self._boundary: Optional[HistoryProjection] = None
@@ -319,9 +314,20 @@ class Engine:
 
     def tick(self, partner_frame: Optional[np.ndarray] = None) -> list:
         """Advance one input frame; returns denormalized ego frames emitted now."""
+        if self._failed_tick is not None:
+            raise EngineStateError(f"tick {self._failed_tick} failed; this engine "
+                                   "refuses every later tick")
         with self._track("pre_post"):
             if partner_frame is not None:
                 self.dyn.push(self._normalized(partner_frame, "partner frame"))
+        tick = self.ticks
+        try:
+            return self._advance()
+        except BaseException:
+            self._failed_tick = tick
+            raise
+
+    def _advance(self) -> list:
         phase = self.ticks % self.cfg.future_len
         self.ticks += 1
 

@@ -12,8 +12,9 @@ function of its inputs, so values can be shared freely.
 Weights may be float32 or float64. A product casts each operand to acc, and
 a weight already in acc is used as it is, so a float64 twin of a float32
 weight (float64_twin) gives an F64 product the same bits without the cast on
-every call. The decoder and the refiner keep such twins; the denoiser and the
-Meta-Interaction modules do not.
+every call. The decoder and the refiner keep such twins (twin_matrix); the
+denoiser and the Meta-Interaction modules do not. map_leaves is the one walk
+over a params tree: archive load and save, block stacking and the twins.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import hashlib
 import mmap
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ F32 = np.float32
 F64 = np.float64
 
 LAYER_NORM_EPS = 1e-5
+REL_BIAS_OMEGA = 0.25   # angular step per token of the relative bias's sinusoid
 RNG_ALGORITHM = "philox4x64/v1"
 # An Rng with this algorithm draws nothing: seeded_init returns zero-stride
 # placeholders, so a seeded parameter builder yields a shape-only template.
@@ -72,6 +74,29 @@ def float64_twin(w: np.ndarray) -> np.ndarray:
     twin[...] = w
     twin.flags.writeable = False
     return twin
+
+
+def twin_matrix(_path: str, w: np.ndarray) -> np.ndarray:
+    """The map_leaves rule of the float64 twins: a matrix becomes its
+    float64_twin, and a vector stays the float32 array it is."""
+    return float64_twin(w) if w.ndim == 2 else w
+
+
+def map_leaves(fn: Callable[[str, np.ndarray], np.ndarray], tree, path: str):
+    """tree rebuilt with each array leaf replaced by fn(dotted path, leaf):
+    dataclass fields as path.field, tuple items as path.index, dict items in
+    sorted key order as path.key. Other values (ints, floats, strings) are
+    structural and kept. Nothing cached on a dataclass carries over."""
+    if isinstance(tree, np.ndarray):
+        return fn(path, tree)
+    if dataclasses.is_dataclass(tree):
+        return type(tree)(**{f.name: map_leaves(fn, getattr(tree, f.name), f"{path}.{f.name}")
+                             for f in dataclasses.fields(tree)})
+    if isinstance(tree, tuple):
+        return tuple(map_leaves(fn, item, f"{path}.{i}") for i, item in enumerate(tree))
+    if isinstance(tree, dict):
+        return {key: map_leaves(fn, tree[key], f"{path}.{key}") for key in sorted(tree)}
+    return tree
 
 
 def matmul(a: np.ndarray, b: np.ndarray, acc=F64) -> np.ndarray:
@@ -348,15 +373,13 @@ def mha_forward(q_in: np.ndarray, kv_in, p: AttentionParams,
 
 @dataclass(frozen=True)
 class RelBiasParams:
-    """Sinusoidal relative-index bias: b(dt) = [sin(omega*dt), cos(omega*dt)] @ w_b."""
+    """Sinusoidal relative-index bias: b(dt) = [sin(omega*dt), cos(omega*dt)] @ w_b
+    with omega = REL_BIAS_OMEGA."""
 
-    omega: float = 0.25
-    w_b: np.ndarray = None  # (2, heads), or (L, 2, heads) for L stacked blocks
+    w_b: np.ndarray  # (2, heads), or (L, 2, heads) for L stacked blocks
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise DimensionError("omega must be positive")
-        if self.w_b is None or self.w_b.ndim not in (2, 3) or self.w_b.shape[-2] != 2:
+        if self.w_b.ndim not in (2, 3) or self.w_b.shape[-2] != 2:
             raise DimensionError("w_b must be a (2, heads) map or a stack of them")
 
 
@@ -366,7 +389,8 @@ def relative_bias(t_q: int, t_kv: int, p: RelBiasParams) -> np.ndarray:
     if t_q < 1 or t_kv < 1:
         raise DimensionError("bias needs at least one query and one key")
     dt = np.arange(t_q, dtype=F64)[:, None] - np.arange(t_kv, dtype=F64)[None, :]
-    feats = np.stack([np.sin(p.omega * dt), np.cos(p.omega * dt)], axis=-1)  # (T_q, T_kv, 2)
+    angle = REL_BIAS_OMEGA * dt
+    feats = np.stack([np.sin(angle), np.cos(angle)], axis=-1)  # (T_q, T_kv, 2)
     w_b = np.asarray(p.w_b, dtype=F64)
     per_head = feats @ w_b[..., None, :, :]  # (..., T_q, T_kv, heads)
     return np.moveaxis(per_head, -1, -3).astype(F32)

@@ -55,7 +55,7 @@ from remogen.runtime import (
     stream_run,
 )
 from remogen.scene import EGO_DIMS, GridSpec, VoxelGrid, voxelize_points
-from remogen.tensorcore import AttentionParams, FfnParams, RelBiasParams, Rng
+from remogen.tensorcore import REL_BIAS_OMEGA, AttentionParams, FfnParams, RelBiasParams, Rng
 
 F32 = np.float32
 F64 = np.float64
@@ -211,7 +211,7 @@ def _o_rel_bias(t_q, t_kv, p):
     b = np.zeros((p.w_b.shape[1], t_q, t_kv))
     for i in range(t_q):
         for j in range(t_kv):
-            feats = np.array([np.sin(p.omega * (i - j)), np.cos(p.omega * (i - j))])
+            feats = np.array([np.sin(REL_BIAS_OMEGA * (i - j)), np.cos(REL_BIAS_OMEGA * (i - j))])
             b[:, i, j] = feats @ p.w_b.astype(F64)
     return b.astype(F32)
 
@@ -274,7 +274,7 @@ def _random_mim_block(gen, width, heads=1):
     hidden = 2 * width
     return MimBlockParams(
         self_attn=attn(), cross_attn=attn(),
-        rel_bias=RelBiasParams(0.25, gen.standard_normal((2, heads)).astype(F32)),
+        rel_bias=RelBiasParams(gen.standard_normal((2, heads)).astype(F32)),
         film_w=gen.standard_normal((width, 2 * width)).astype(F32),
         film_b=gen.standard_normal(2 * width).astype(F32),
         ffn=FfnParams(gen.standard_normal((width, hidden)).astype(F32),

@@ -246,6 +246,33 @@ class TestVoxelizeAndMetrics:
         report = json.loads(capsys.readouterr().out)
         assert report["peak_jerk_pred"] is not None and "collision_pct" in report
 
+    def test_short_partner_keeps_the_scene_check_of_every_pred_frame(self, tmp_path,
+                                                                     capsys):
+        """A --partner shorter than --pred limits the partner check alone: the
+        scene check still covers every pred frame. The ego walks into the
+        occupied box (x in [-4, -2]) only after the partner's 8 frames, and
+        the partner stands 50 m away."""
+        layout = FeatureLayout()
+        pts, vox = tmp_path / "points.xyz", tmp_path / "scene.rmgv"
+        pts.write_text("-3 0 1\n")
+        assert main(["voxelize", "--points", str(pts), "--bounds", "-4", "-2", "-1",
+                     "-2", "2", "3", "--dims", "1", "1", "1", "--out", str(vox)]) == 0
+        pred, partner = tmp_path / "pred.rmgm", tmp_path / "partner.rmgm"
+        save_motion(featurize(synthetic_sequence(32, seed=1)), pred, layout)
+        far = featurize(synthetic_sequence(8, seed=2)).frames.copy()
+        far[:, layout.span("root_translation").start] += 50.0
+        save_motion(MotionSegment(far), partner, layout)
+
+        def collision(*extra):
+            capsys.readouterr()
+            assert main(["metrics", "--pred", str(pred), "--ref", str(pred), *extra]) == 0
+            return json.loads(capsys.readouterr().out)["collision_pct"]
+
+        scene_alone = collision("--scene", str(vox))
+        assert 0.0 < scene_alone < 100.0
+        assert collision("--scene", str(vox), "--partner", str(partner)) == scene_alone
+        assert collision("--partner", str(partner)) == 0.0
+
     def test_metrics_layout_mismatch_is_config_error(self, tmp_path, capsys):
         pred = tmp_path / "pred.rmgm"
         ref = tmp_path / "ref.rmgm"

@@ -66,7 +66,7 @@ def hand_params(tanh_gamma, tanh_beta, beta_sens=1.0, d_z=1):
                              np.full(d_z, np.arctanh(tanh_beta))]).astype(F32)
     return FwsrParams(dyn_w=np.zeros((D, d_z), dtype=F32), dyn_b=np.zeros(d_z, dtype=F32),
                       dyn_attn=attn(d_z), cross_attn=attn(d_z),
-                      rel_bias=RelBiasParams(0.25, np.zeros((2, 1), dtype=F32)),
+                      rel_bias=RelBiasParams(np.zeros((2, 1), dtype=F32)),
                       film_w=np.zeros((d_z, 2 * d_z), dtype=F32), film_b=film_b,
                       beta_sens=beta_sens)
 

@@ -100,6 +100,39 @@ def test_every_public_name_has_a_program_reference():
 
 
 
+# One params walk --------------------------------------------------------------
+#
+# tensorcore.map_leaves is the one recursive walk over parameter trees. Code
+# that reads a dataclass's fields anywhere else is a second walk in the making.
+
+DATACLASS_INTROSPECTION = {"fields", "is_dataclass", "__dataclass_fields__"}
+
+
+def test_only_map_leaves_reads_dataclass_fields():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        walker = [(node.lineno, node.end_lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "map_leaves"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                name = next((a.name for a in node.names
+                             if a.name in DATACLASS_INTROSPECTION), None)
+            else:
+                continue
+            if name in DATACLASS_INTROSPECTION and not any(
+                    first <= node.lineno <= last for first, last in walker):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not found, ("dataclass fields read outside tensorcore.map_leaves; walk params "
+                       "trees with map_leaves:\n" + "\n".join(found))
+
+
 # Defaulted parameters ---------------------------------------------------------
 #
 # A default that no program call overrides is a knob nobody turns: every run

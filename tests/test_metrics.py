@@ -200,6 +200,20 @@ class TestCollisionMetrics:
             hits += frame_hit
         assert got == pytest.approx(100.0 * hits / t)
 
+    def test_partner_check_covers_the_frames_both_hold(self):
+        """The scene check scores every ego frame, the partner check only the
+        frames the partner has; without a grid only those are scored."""
+        spec = GridSpec([0, 0, 0], [1, 1, 1], (2, 2, 2))
+        grid = VoxelGrid.from_bool_array(spec, np.ones(spec.dims, dtype=bool))
+        ego = np.full((4, 1, 3), 5.0)
+        ego[3] = 0.5                                   # only frame 3 is in the grid
+        partner = np.full((2, 1, 3), 5.0)              # touches frames 0 and 1
+        assert collision_pct(ego, grid=grid, partner_joints=partner) == 75.0
+        assert collision_pct(ego, partner_joints=partner) == 100.0
+        assert collision_pct(ego[:1], grid=grid, partner_joints=partner) == 100.0
+        with pytest.raises(DimensionError):
+            collision_pct(ego, partner_joints=partner[:0])
+
     def test_needs_some_context(self):
         with pytest.raises(ConfigError):
             collision_pct(np.zeros((3, 1, 3)))

@@ -44,7 +44,7 @@ def identity_block(width=1, gate=1.0, self_wo=0.0, film_b=None):
 
     return MimBlockParams(
         self_attn=attn(self_wo), cross_attn=attn(1.0),
-        rel_bias=RelBiasParams(0.25, np.zeros((2, 1), dtype=F32)),
+        rel_bias=RelBiasParams(np.zeros((2, 1), dtype=F32)),
         film_w=np.zeros((width, 2 * width), dtype=F32),
         film_b=np.zeros(2 * width, dtype=F32) if film_b is None else film_b,
         ffn=FfnParams(np.ones((width, 4), dtype=F32), np.zeros(4, dtype=F32),
@@ -68,7 +68,7 @@ def random_block(gen, width, heads=1, t_kv_dim=None):
     hidden = 2 * width
     return MimBlockParams(
         self_attn=attn(width, width), cross_attn=attn(width, d_c),
-        rel_bias=RelBiasParams(0.25, gen.standard_normal((2, heads)).astype(F32)),
+        rel_bias=RelBiasParams(gen.standard_normal((2, heads)).astype(F32)),
         film_w=gen.standard_normal((width, 2 * width)).astype(F32),
         film_b=gen.standard_normal(2 * width).astype(F32),
         ffn=FfnParams(gen.standard_normal((width, hidden)).astype(F32),
@@ -219,7 +219,7 @@ class TestMimBlockForward:
         gen = Rng(8).generator("dup")
         p = random_block(gen, 4)
         p = MimBlockParams(p.self_attn, p.cross_attn,
-                           RelBiasParams(0.25, np.zeros((2, 1), dtype=F32)),
+                           RelBiasParams(np.zeros((2, 1), dtype=F32)),
                            p.film_w, p.film_b, p.ffn, p.gate)
         h = gen.standard_normal((2, 4)).astype(F32)
         tokens = gen.standard_normal((3, 4)).astype(F32)
@@ -325,7 +325,7 @@ class TestStackedModule:
         params = hot_module("others", seed=51, width=16, heads=2, ffn_hidden=32)
         blocks = dict(params.blocks)
         blocks[1] = dataclasses.replace(
-            blocks[1], rel_bias=RelBiasParams(0.5, blocks[1].rel_bias.w_b))
+            blocks[1], self_attn=dataclasses.replace(blocks[1].self_attn, heads=4))
         with pytest.raises(ConfigError):
             dataclasses.replace(params, blocks=blocks).stacked
 

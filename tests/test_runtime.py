@@ -1,5 +1,6 @@
 """Runtime tests: the three codecs, config parsing, stream loop, engine wiring."""
 import dataclasses
+import hashlib
 import io
 import json
 import gc
@@ -13,7 +14,13 @@ import pytest
 from scene_reference import empty_grid
 
 from remogen.cli import main
-from remogen.errors import ConfigError, CorruptArchiveError, FormatError, NumericError
+from remogen.errors import (
+    ConfigError,
+    CorruptArchiveError,
+    EngineStateError,
+    FormatError,
+    NumericError,
+)
 from remogen.motion import FeatureLayout, MotionSegment, featurize, synthetic_sequence
 from remogen.runtime import (
     Engine,
@@ -744,6 +751,18 @@ class TestStreamRun:
         assert strip_latency(a) != strip_latency(b)
 
 
+# (mode, weight, tick): a NaN at weight[0, 0] makes this tick of a compact
+# hhi engine decode a non-finite frame.
+FAILING_TICKS = [
+    ("segment", "prior.vae_dec.w3", COMPACT_CFG.future_len - 1),
+    ("slide", "prior.vae_dec.w3", 0),
+    ("fwsr", "prior.vae_dec.w3", 0),
+    # The refiner's query makes the refined latent NaN: tick 1 is the
+    # first refinement tick.
+    ("fwsr", "fwsr.cross_attn.w_q", 1),
+]
+
+
 class TestEngineWiring:
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), True,
                                         False, "0.5", None, 1j], ids=repr)
@@ -845,24 +864,22 @@ class TestEngineWiring:
             emitted += len(got)
         assert emitted > 0
 
-    @pytest.mark.parametrize("mode, weight, tick", [
-        ("segment", "prior.vae_dec.w3", COMPACT_CFG.future_len - 1),
-        ("slide", "prior.vae_dec.w3", 0),
-        ("fwsr", "prior.vae_dec.w3", 0),
-        # The refiner's query makes the refined latent NaN: tick 1 is the
-        # first refinement tick.
-        ("fwsr", "fwsr.cross_attn.w_q", 1),
-    ])
-    def test_non_finite_decoded_frame_is_refused(self, mode, weight, tick, partner_frames):
-        """A NaN weight that makes a decoded frame NaN raises NumericError on
-        the tick that decodes it, before the history or fwsr's rolling window
-        takes the frame; the ticks before it emit finite frames."""
+    @staticmethod
+    def nan_weight_engine(mode: str, weight: str) -> Engine:
+        """A compact hhi engine whose archive holds a NaN at weight[0, 0]."""
         cfg = dataclasses.replace(COMPACT_CFG, steps=2, alpha={"hhi": 1.0})
         tensors = dict(init_weights(cfg, 3).tensors)
         bad = tensors[weight].copy()
         bad[0, 0] = np.nan
         tensors[weight] = bad
-        engine = Engine(WeightArchive(tensors), cfg, mode=mode)
+        return Engine(WeightArchive(tensors), cfg, mode=mode)
+
+    @pytest.mark.parametrize("mode, weight, tick", FAILING_TICKS)
+    def test_non_finite_decoded_frame_is_refused(self, mode, weight, tick, partner_frames):
+        """A NaN weight that makes a decoded frame NaN raises NumericError on
+        the tick that decodes it, before the history or fwsr's rolling window
+        takes the frame; the ticks before it emit finite frames."""
+        engine = self.nan_weight_engine(mode, weight)
         for partner in partner_frames[:tick]:
             assert all(np.isfinite(f).all() for f in engine.tick(partner))
         history, rolling = engine.history.frames.copy(), engine._rolling
@@ -870,6 +887,22 @@ class TestEngineWiring:
             engine.tick(partner_frames[tick])
         np.testing.assert_array_equal(engine.history.frames, history)
         assert engine._rolling is rolling
+
+    @pytest.mark.parametrize("mode, weight, tick", FAILING_TICKS)
+    def test_every_tick_after_a_failed_tick_names_it(self, mode, weight, tick,
+                                                    partner_frames):
+        """Once a tick has raised, every later tick raises EngineStateError
+        naming it, and the tick count stays where the failed tick left it."""
+        engine = self.nan_weight_engine(mode, weight)
+        for partner in partner_frames[:tick]:
+            engine.tick(partner)
+        with pytest.raises(NumericError):
+            engine.tick(partner_frames[tick])
+        ticks = engine.ticks
+        for partner in [partner_frames[tick + 1], None, partner_frames[tick + 2]]:
+            with pytest.raises(EngineStateError, match=f"tick {tick} failed"):
+                engine.tick(partner)
+        assert engine.ticks == ticks
 
     def test_zero_gate_archive_neutral_under_alpha(self, cfg, archive, partner_frames):
         plain = Engine(archive, cfg)
@@ -891,12 +924,30 @@ class TestEngineWiring:
         with pytest.raises(ConfigError):
             Engine(WeightArchive(tensors), cfg)
 
-    def test_flatten_rebuild_round_trip(self, cfg, archive):
+    def test_flatten_rebuild_round_trip(self):
+        """flatten_params of each part of an engine's params yields the
+        archive's names in the archive's order, and rebuild_params of that
+        dict gives back the very arrays and the structural values. The digest
+        pins the RMGW1 names and their order as init_weights writes them."""
+        cfg = EngineConfig()
+        archive = init_weights(cfg, 7)
         engine = Engine(archive, cfg)
-        flat = flatten_params("prior", engine.prior)
-        rebuilt = rebuild_params("prior", engine.prior, flat)
-        assert np.array_equal(rebuilt.denoiser.out_w, engine.prior.denoiser.out_w)
-        assert rebuilt.latent_dim == engine.prior.latent_dim
+        parts = {"prior": engine.prior, "mim.hhi": engine.mims["hhi"],
+                 "mim.hsi": engine.mims["hsi"], "fwsr": engine.fwsr_params}
+        names = []
+        for prefix, params in parts.items():
+            flat = flatten_params(prefix, params)
+            assert all(flat[name] is archive.tensors[name] for name in flat)
+            rebuilt = flatten_params(prefix, rebuild_params(prefix, params, flat))
+            assert list(rebuilt) == list(flat)
+            assert all(rebuilt[name] is flat[name] for name in flat)
+            names += flat
+        assert names + ["norm.mean", "norm.std"] == archive.names()
+        digest = hashlib.blake2b("\n".join(archive.names()).encode(), digest_size=8)
+        assert (len(names), digest.hexdigest()) == (280, "a8a5d0eb1d19ec41")
+        prior = rebuild_params("prior", engine.prior, archive.tensors)
+        assert (prior.latent_dim, prior.denoiser.blocks[0].attn.heads) == \
+            (cfg.latent_dim, cfg.heads)
 
     def test_archive_with_vae_encoder_tensors_still_loads(self, tmp_path, partner_frames):
         """Archives written while the prior still had a VAE encoder also hold
@@ -1225,8 +1276,6 @@ class TestFloat64Twins:
     decoder's and the refiner's weights, each built once on first use, kept
     with its params and read-only."""
 
-    PRIOR_TWINS = ("decoder_w1", "decoder_w2", "decoder_w3")
-
     @staticmethod
     def check_twin(twin, weight):
         assert twin.dtype == np.float64
@@ -1240,8 +1289,7 @@ class TestFloat64Twins:
         cfg = dataclasses.replace(COMPACT_CFG, alpha={"hhi": 1.0})
         engine = Engine(init_weights(cfg, 3), cfg, mode="fwsr")
         prior, fwsr = engine.prior, engine.fwsr_params
-        built = ("decoder_gram",) + self.PRIOR_TWINS
-        assert not any(name in vars(prior) for name in built)
+        assert not any(name in vars(prior) for name in ("decoder", "decoder_gram"))
         assert "float64_weights" not in vars(fwsr)
 
         weights, real = [], tensorcore._product
@@ -1259,11 +1307,11 @@ class TestFloat64Twins:
             if phase >= 2:
                 assert weights and set(weights) == {np.dtype(np.float64)}, phase
 
-        p = prior.vae_dec
-        for name, weight in zip(self.PRIOR_TWINS, (p.w1, p.w2, p.w3)):
-            twin = vars(prior)[name]
-            assert getattr(prior, name) is twin
-            self.check_twin(twin, weight)
+        decoder, p = vars(prior)["decoder"], prior.vae_dec
+        assert prior.decoder is decoder
+        for name in ("w1", "w2", "w3"):
+            self.check_twin(getattr(decoder, name), getattr(p, name))
+        assert all(getattr(decoder, b) is getattr(p, b) for b in ("b1", "b2", "b3"))
         gram = vars(prior)["decoder_gram"]
         assert prior.decoder_gram is gram and not gram.flags.writeable
 

@@ -175,26 +175,26 @@ class TestGelu:
 
 class TestRelativeBias:
     def test_zero_offset_hits_cosine_axis(self):
-        p = RelBiasParams(omega=0.25, w_b=np.eye(2, dtype=F32))
+        p = RelBiasParams(w_b=np.eye(2, dtype=F32))
         b = relative_bias(1, 1, p)
         # dt = 0: features are [sin 0, cos 0] = [0, 1]
         np.testing.assert_allclose(b[:, 0, 0], np.eye(2, dtype=F32) @ np.array([0.0, 1.0]),
                                    atol=1e-7)
 
     def test_known_scalar_value(self):
-        p = RelBiasParams(omega=0.25, w_b=np.eye(2, dtype=F32))
+        p = RelBiasParams(w_b=np.eye(2, dtype=F32))
         b = relative_bias(3, 1, p)
         # dt = 2 with identity map: [sin 0.5, cos 0.5]
         np.testing.assert_allclose(b[:, 2, 0], [0.4794, 0.8776], atol=1e-4)
 
     def test_shift_invariance(self):
-        p = RelBiasParams(omega=0.25, w_b=np.array([[0.3, -1.1], [0.7, 0.2]], dtype=F32))
+        p = RelBiasParams(w_b=np.array([[0.3, -1.1], [0.7, 0.2]], dtype=F32))
         b = relative_bias(5, 5, p)
         np.testing.assert_array_equal(b[:, 1:, 1:], b[:, :-1, :-1])
 
     @pytest.mark.parametrize("t", [1, 2, 7, 16])
     def test_function_of_offset_only(self, t):
-        p = RelBiasParams(omega=0.25, w_b=np.array([[1.0, 0.5], [-0.25, 2.0]], dtype=F32))
+        p = RelBiasParams(w_b=np.array([[1.0, 0.5], [-0.25, 2.0]], dtype=F32))
         b = relative_bias(t, t, p)
         for i in range(t):
             for j in range(t):
@@ -202,8 +202,6 @@ class TestRelativeBias:
                 np.testing.assert_allclose(b[:, i, j], ref, atol=0)
 
     def test_rejects_bad_params(self):
-        with pytest.raises(DimensionError):
-            RelBiasParams(omega=-1.0, w_b=np.eye(2, dtype=F32))
         with pytest.raises(DimensionError):
             relative_bias(0, 3, RelBiasParams(w_b=np.eye(2, dtype=F32)))
 
@@ -296,10 +294,10 @@ class TestStackedWeights:
     def test_stacked_relative_bias(self):
         gen = Rng(6).generator("stack-bias")
         maps = [gen.standard_normal((2, 4)).astype(F32) for _ in range(L_BLOCKS)]
-        out = relative_bias(5, 7, RelBiasParams(0.25, np.stack(maps)))
+        out = relative_bias(5, 7, RelBiasParams(np.stack(maps)))
         assert out.shape == (L_BLOCKS, 4, 5, 7)
         for l, w_b in enumerate(maps):
-            np.testing.assert_array_equal(out[l], relative_bias(5, 7, RelBiasParams(0.25, w_b)))
+            np.testing.assert_array_equal(out[l], relative_bias(5, 7, RelBiasParams(w_b)))
 
     def test_bad_shapes_raise_dimension_error(self):
         """Under either accumulator."""
@@ -331,7 +329,7 @@ class TestStackedWeights:
             AttentionParams(2, 8, attn_s.w_q, attn[0].w_k, attn_s.w_v, attn_s.w_o,
                             attn_s.ln_gain, attn_s.ln_offset)
         with pytest.raises(DimensionError):
-            relative_bias(2, 2, RelBiasParams(0.25, np.ones((3, 3, 4), dtype=F32)))
+            relative_bias(2, 2, RelBiasParams(np.ones((3, 3, 4), dtype=F32)))
 
     @pytest.mark.parametrize("heads,width,t_q,t_kv", SHAPES)
     def test_float32_products_match_each_block(self, heads, width, t_q, t_kv):
