@@ -28,10 +28,12 @@ the dynamic context depend only on its token count and are cached on the
 params.
 
 The runtime engine holds one segment's refinement state and drives these
-pieces one tick at a time; refine_latent is the one refinement step. The
-engine passes it FwsrParams.float64_weights, the params with each matrix
-swapped for its read-only float64 twin by one tensorcore.map_leaves walk
-(0.47 MB at the default sizes); refine_latent gives the same bits with either.
+pieces one tick at a time; refine_latent is the one refinement step. Each
+step reads the engine's ego history and its partner window (the last
+history_len partner frames) as they stand on that tick. The engine passes
+it FwsrParams.float64_weights, the params with each matrix swapped for its
+read-only float64 twin by one tensorcore.map_leaves walk (0.47 MB at the
+default sizes); refine_latent gives the same bits with either.
 """
 from __future__ import annotations
 
@@ -122,44 +124,6 @@ class FwsrParams:
             rows[n] = (sinusoidal_embedding(np.arange(n), self.dyn_w.shape[1]),
                        relative_bias(1, n, self.rel_bias))
         return rows[n]
-
-
-class DynamicContext:
-    """Stream of observed context frames with a per-segment window cursor.
-
-    push() appends live observations; mark_segment_start() pins the cursor so
-    window(f) exposes exactly the frames observable at refinement iteration f,
-    and drops the frames no window can read from then on: all but the last
-    history_len before the cursor. When the stream runs dry the last available
-    window is reused, which keeps mid-segment refinement total.
-    """
-
-    def __init__(self, history_len: int, feature_dim: int):
-        self.history_len = int(history_len)
-        self.feature_dim = int(feature_dim)
-        self._frames: list = []
-        self._base = 0
-
-    def push(self, frame: np.ndarray) -> None:
-        f = np.asarray(frame, dtype=F32).reshape(-1)
-        if f.shape[0] != self.feature_dim:
-            raise DimensionError("dynamic frame width mismatch")
-        self._frames.append(f)
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
-    def mark_segment_start(self) -> None:
-        del self._frames[:max(len(self._frames) - self.history_len, 0)]
-        self._base = len(self._frames)
-
-    def window(self, step: int = 0) -> np.ndarray:
-        """Last H frames among those observable at refinement step `step`."""
-        visible = self._frames[: min(self._base + step, len(self._frames))]
-        rows = visible[-self.history_len:]
-        if not rows:
-            return np.zeros((0, self.feature_dim), dtype=F32)
-        return np.stack(rows)
 
 
 def refine_latent(z0: np.ndarray, m_h: HistoryWindow, x_dyn_window: np.ndarray,

@@ -127,23 +127,16 @@ class HistoryWindow:
     def dim(self) -> int:
         return self.frames.shape[1]
 
-    def slide(self, frame: np.ndarray) -> "HistoryWindow":
-        """Drop the oldest row, append one new frame."""
-        frame = np.asarray(frame, dtype=F32).reshape(1, -1)
-        if frame.shape[1] != self.dim:
-            raise DimensionError("frame width does not match history")
-        return HistoryWindow(np.vstack([self.frames[1:], frame]))
-
-
-def update_history(m_h: HistoryWindow, frames: np.ndarray) -> HistoryWindow:
-    """Slide the window over a new segment's (n, D) frames: last H rows of
-    concat(history, frames)."""
-    if len(frames) and frames.shape[1] != m_h.dim:
-        raise DimensionError(f"segment width {frames.shape[1]} != history width {m_h.dim}")
-    if len(frames) == 0:
-        return m_h
-    stacked = np.vstack([m_h.frames, frames])
-    return HistoryWindow(stacked[-len(m_h):])
+    def slide(self, frames: np.ndarray) -> "HistoryWindow":
+        """The last H rows of this window followed by one (D,) frame or (n, D)
+        frames; (0, D) frames leave the rows as they are."""
+        frames = np.asarray(frames, dtype=F32)
+        if frames.ndim == 1:
+            frames = frames[None]
+        if frames.ndim != 2 or frames.shape[1] != self.dim:
+            raise DimensionError(f"frames of shape {frames.shape} do not fit a history "
+                                 f"of width {self.dim}")
+        return HistoryWindow(np.vstack([self.frames, frames])[-len(self):])
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,17 @@ Every mode starts a segment the same way (Engine._start_segment): sample
 z0, project the history through the decoder's history rows once
 (prior.project_history) and decode the frames it needs from that projection.
 
+The engine keeps one window per stream of frames: the ego history, which
+slides by every frame a mode emits and every pose observe_ego is given, and
+the partner window, the last history_len normalized partner frames.
+Sampling, decoding and refinement read them as they stand on their tick.
+
 In fwsr mode the engine holds the segment's refinement state itself: z0,
-the boundary history projection, the sensitivity vector, the projected
-decode history and the rolling history. The boundary projection is shared
-by the frame-0 decode and the sensitivity probe; the decode history is
-projected on the first refinement tick. A refinement tick then multiplies
-only the refined latent by the decoder's latent rows.
+the boundary history projection, the sensitivity vector and the projected
+decode history. The boundary projection is shared by the frame-0 decode and
+the sensitivity probe; the decode history is projected on the first
+refinement tick. A refinement tick then multiplies only the refined latent
+by the decoder's latent rows.
 
 Text and composition-weight changes are queued and applied at the next
 segment boundary, since one denoising pass is conditioned on a single text.
@@ -37,7 +42,6 @@ import numpy as np
 
 from ..errors import ConfigError, EngineStateError
 from ..fwsr import (
-    DynamicContext,
     FwsrParams,
     SensitivityVector,
     refine_latent,
@@ -63,7 +67,6 @@ from ..motion import (
     rest_history,
     rotation_about_axis,
     rotation_from_6d,
-    update_history,
 )
 from ..prior import (
     HistoryProjection,
@@ -166,7 +169,8 @@ class Engine:
 
         seed_history = rest_history(cfg.history_len, self.layout)
         self.history = HistoryWindow(normalize(seed_history.frames, self.normalizer))
-        self.dyn = DynamicContext(cfg.history_len, self.layout.dim)
+        # The last history_len normalized partner frames, oldest first.
+        self.partner_window = np.zeros((0, self.layout.dim), dtype=F32)
         self.ticks = 0
         self._failed_tick: Optional[int] = None
         # fwsr: the state of the segment being refined, set on its boundary tick
@@ -174,7 +178,6 @@ class Engine:
         self._boundary: Optional[HistoryProjection] = None
         self._sensitivity: Optional[SensitivityVector] = None
         self._decode_history: Optional[HistoryProjection] = None
-        self._rolling: Optional[HistoryWindow] = None
 
     # -- state fed from outside ------------------------------------------------
 
@@ -201,7 +204,12 @@ class Engine:
         return dict(alpha)
 
     def observe_ego(self, pose: np.ndarray) -> None:
-        """Teacher-forced ego observation; slides the sampler history."""
+        """Teacher-forced ego observation, in every mode the newest history row.
+
+        The next segment start samples from it. In fwsr mode the refiner
+        reads it from the next tick on; the decode history projected on a
+        segment's tick 1 stays fixed for the rest of that segment.
+        """
         self.history = self.history.slide(self._normalized(pose, "ego pose"))
 
     def _normalized(self, pose: np.ndarray, what: str) -> np.ndarray:
@@ -238,7 +246,7 @@ class Engine:
     def _module_context(self, module_id: str):
         params = self.mims[module_id]
         if params.source == "others":
-            window = self.dyn.window(0)
+            window = self.partner_window
             if not len(window):
                 window = np.zeros((1, self.layout.dim), dtype=F32)
             return encode_others(window, params.encoder)
@@ -292,13 +300,12 @@ class Engine:
     def _start_segment(self, frames: slice
                        ) -> tuple[np.ndarray, HistoryProjection, np.ndarray]:
         """The segment start every mode makes: apply the queued text and
-        weights, mark the partner window, sample z0, then project the history
-        once and decode `frames` of the segment from that projection.
+        weights, sample z0, then project the history once and decode `frames`
+        of the segment from that projection.
 
         Returns z0, the projection and the decoded (n, D) frames.
         """
         self._apply_pending()
-        self.dyn.mark_segment_start()
         z0 = self._sample_z0()
         with self._track("decode"):
             projection = project_history(self.history, self.prior)
@@ -319,7 +326,9 @@ class Engine:
                                    "refuses every later tick")
         with self._track("pre_post"):
             if partner_frame is not None:
-                self.dyn.push(self._normalized(partner_frame, "partner frame"))
+                frame = self._normalized(partner_frame, "partner frame")
+                self.partner_window = np.vstack(
+                    [self.partner_window, frame])[-self.cfg.history_len:]
         tick = self.ticks
         try:
             return self._advance()
@@ -328,30 +337,24 @@ class Engine:
             raise
 
     def _advance(self) -> list:
+        """This tick's (n, D) normalized frames, n = 0 on most segment-mode
+        ticks, slide the history and are returned denormalized."""
         phase = self.ticks % self.cfg.future_len
         self.ticks += 1
 
         if self.mode == "segment":
             if self.ticks % self.cfg.future_len != 0:
                 return []
-            segment = self._start_segment(slice(None))[2]
-            self.history = update_history(self.history, segment)
-            return [self._emit(f) for f in segment]
-
-        if self.mode == "slide":
+            frames = self._start_segment(slice(None))[2]
+        elif self.mode == "slide":
             # The baseline's full cost: the whole segment is decoded, and
             # only frame 0 is kept.
-            first = self._start_segment(slice(None))[2][0]
-            self.history = self.history.slide(first)
-            return [self._emit(first)]
-
+            frames = self._start_segment(slice(None))[2][:1]
         # fwsr mode: sample z0 at the segment boundary, then refine it and
         # decode one frame per tick. The probe on tick 1 shares the boundary
         # tick's projection with the frame-0 decode.
-        if phase == 0:
-            self._z0, self._boundary, segment = self._start_segment(slice(0, 1))
-            frame = segment[0]
-            self._rolling = self.history.slide(frame)
+        elif phase == 0:
+            self._z0, self._boundary, frames = self._start_segment(slice(0, 1))
         else:
             if phase == 1:
                 with self._track("sensitivity"):
@@ -360,17 +363,15 @@ class Engine:
             with self._track("fwsr_refine"):
                 if phase == 1:
                     # Every refined frame decodes against the first updated history.
-                    self._decode_history = project_history(self._rolling, self.prior)
-                z = refine_latent(self._z0, self._rolling, self.dyn.window(phase),
+                    self._decode_history = project_history(self.history, self.prior)
+                z = refine_latent(self._z0, self.history, self.partner_window,
                                   self._sensitivity, self.fwsr_params.float64_weights)
                 with self._track("fwsr_decode"):
-                    frame = require_finite(decode_segment(
+                    frames = require_finite(decode_segment(
                         self._decode_history, z, self.prior,
-                        frames=slice(phase, phase + 1)), "decoded frames")[0]
-                self._rolling = self._rolling.slide(frame)
-        if phase == self.cfg.future_len - 1:
-            self.history = self._rolling
-        return [self._emit(frame)]
+                        frames=slice(phase, phase + 1)), "decoded frames")
+        self.history = self.history.slide(frames)
+        return [self._emit(f) for f in frames]
 
     def run_ticks(self, n_frames: int, partner_frames: Optional[np.ndarray] = None) -> list:
         """Drive enough ticks to emit at least n_frames; returns emitted frames."""

@@ -156,10 +156,9 @@ def query_points(grid: VoxelGrid, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EgoVoxelBlock:
-    """32^3 occupancy crop around the ego, tagged with the frame used to extract it."""
+    """32^3 occupancy crop around the ego."""
 
     occupancy: np.ndarray  # (32, 32, 32) bool
-    frame: RigidTransform
 
     def __post_init__(self):
         occ = np.asarray(self.occupancy, dtype=bool)
@@ -190,4 +189,4 @@ def extract_ego_voxels(grid: VoxelGrid, ego_to_world: RigidTransform) -> EgoVoxe
     """
     world = ego_to_world.apply_points(ego_cell_centers().reshape(-1, 3))
     occ = query_points(grid, world).reshape(EGO_DIMS, EGO_DIMS, EGO_DIMS)
-    return EgoVoxelBlock(occ, ego_to_world)
+    return EgoVoxelBlock(occ)

@@ -1,5 +1,7 @@
 """Bench tests: the recorder's scopes, the bench clock and the printed rows."""
 import importlib
+import inspect
+import re
 import time
 import types
 
@@ -7,7 +9,13 @@ import numpy as np
 import pytest
 
 from remogen.runtime import EngineConfig, init_weights
-from remogen.runtime.bench import LatencyRecorder, bench, format_breakdown, format_bench
+from remogen.runtime.bench import (
+    _COMPONENT_ROWS,
+    LatencyRecorder,
+    bench,
+    format_breakdown,
+    format_bench,
+)
 from remogen.runtime.engine import MODES, Engine
 
 COMPACT_CFG = EngineConfig(latent_dim=16, text_dim=16, width=32, heads=2, n_blocks=2,
@@ -93,3 +101,14 @@ class TestFormatBench:
         results = {"fwsr": recorded({}, frames=10, total=0.01),
                    "slide": recorded({}, frames=5, total=0.02)}
         assert format_bench(results).splitlines()[-1] == "slide/fwsr per-frame ratio: 4.00x"
+
+
+class TestComponentRows:
+    def test_every_engine_scope_has_a_row(self):
+        """The scopes Engine opens with self._track("...") are exactly the
+        components `remogen bench` prints, so a new scope cannot drop out of it."""
+        engine_module = importlib.import_module("remogen.runtime.engine")
+        scopes = re.findall(r'self\._track\("([^"]+)"\)', inspect.getsource(engine_module))
+        rows = [key for key, _ in _COMPONENT_ROWS]
+        assert len(set(rows)) == len(rows)
+        assert set(scopes) == set(rows)

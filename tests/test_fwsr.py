@@ -8,13 +8,12 @@ from sensitivity_oracle import estimate_sensitivity
 
 from remogen.errors import DimensionError, NumericError
 from remogen.fwsr import (
-    DynamicContext,
     FwsrParams,
     SensitivityVector,
     refine_latent,
     seeded_fwsr_params,
 )
-from remogen.motion import HistoryWindow, featurize, synthetic_sequence
+from remogen.motion import HistoryWindow, featurize, normalize, synthetic_sequence
 from remogen.prior import (
     decode_segment,
     decoder_sensitivity,
@@ -340,45 +339,6 @@ class TestRefineLatent:
                           SensitivityVector(np.zeros(1, dtype=F32)), params)
 
 
-class TestDynamicContext:
-    def test_window_tracks_cursor(self):
-        dyn = DynamicContext(history_len=2, feature_dim=3)
-        for i in range(4):
-            dyn.push(np.full(3, i, dtype=F32))
-        dyn.mark_segment_start()
-        dyn.push(np.full(3, 9, dtype=F32))
-        # Step 0 sees only pre-segment frames; step 1 reveals the new one.
-        np.testing.assert_array_equal(dyn.window(0)[:, 0], [2, 3])
-        np.testing.assert_array_equal(dyn.window(1)[:, 0], [3, 9])
-
-    def test_exhausted_stream_repeats_last_window(self):
-        dyn = DynamicContext(history_len=2, feature_dim=3)
-        dyn.push(np.zeros(3, dtype=F32))
-        dyn.push(np.ones(3, dtype=F32))
-        dyn.mark_segment_start()
-        np.testing.assert_array_equal(dyn.window(5), dyn.window(50))
-
-    def test_cursor_drops_frames_no_window_reads(self):
-        dyn = DynamicContext(history_len=2, feature_dim=3)
-        dyn.mark_segment_start()
-        assert len(dyn) == 0
-        dyn.push(np.zeros(3, dtype=F32))
-        dyn.mark_segment_start()
-        assert len(dyn) == 1
-        for i in range(1, 10):
-            dyn.push(np.full(3, i, dtype=F32))
-        dyn.mark_segment_start()
-        assert len(dyn) == 2
-        np.testing.assert_array_equal(dyn.window(0)[:, 0], [8, 9])
-        dyn.push(np.full(3, 10, dtype=F32))
-        np.testing.assert_array_equal(dyn.window(1)[:, 0], [9, 10])
-        np.testing.assert_array_equal(dyn.window(7)[:, 0], [9, 10])
-
-    def test_empty_stream_empty_window(self):
-        dyn = DynamicContext(history_len=2, feature_dim=3)
-        assert dyn.window(3).shape == (0, 3)
-
-
 # A compact engine with the defaults' structure, in fwsr mode. init_weights
 # leaves the normalizer at the identity, so emitted frames and the engine's
 # normalized frames are the same numbers.
@@ -517,3 +477,44 @@ class TestRefineSegment:
         assert engine_calls["refine"] == 2 * (f_len - 1)
         assert engine_calls["decodes"] == [slice(f, f + 1) for f in range(f_len)] * 2
         assert len(recorder.durations["fwsr_decode"]) == 2 * (f_len - 1)
+
+
+class TestObservedEgo:
+    """A pose given to observe_ego in the middle of an fwsr segment becomes
+    the newest history row, and the refiner reads it on the next tick."""
+
+    CFG = dataclasses.replace(COMPACT_FWSR, alpha={"hhi": 1.0})
+
+    @pytest.mark.parametrize("phase", [1, 3, COMPACT_FWSR.future_len - 1])
+    def test_pose_observed_before_a_refinement_tick_moves_its_frame(self, phase, partner,
+                                                                    monkeypatch):
+        """Two engines see the same partner frames; one also observes a pose
+        before refinement tick `phase`. That tick's frame differs, the pose
+        is the newest history row the refiner read, and the decode history
+        projected on tick 1 holds it only if it came before tick 1."""
+        import remogen.runtime.engine as engine_module
+        from test_golden import golden_archive
+
+        archive = golden_archive(self.CFG)  # non-zero module gates and FiLM head
+        plain, observed = Engine(archive, self.CFG), Engine(archive, self.CFG)
+        pose = featurize(synthetic_sequence(3, seed=11)).frames[2]
+        for frame in partner[:phase]:
+            plain.tick(frame)
+            observed.tick(frame)
+        expected = plain.tick(partner[phase])[0]
+        observed.observe_ego(pose)
+        normalized = normalize(pose[None], observed.normalizer)[0]
+        np.testing.assert_array_equal(observed.history.frames[-1], normalized)
+        reads, real_refine = [], engine_module.refine_latent
+
+        def refine(z0, m_h, *args):
+            reads.append(m_h.frames[-1].copy())
+            return real_refine(z0, m_h, *args)
+
+        monkeypatch.setattr(engine_module, "refine_latent", refine)
+        got = observed.tick(partner[phase])[0]
+        assert not np.array_equal(got, expected)
+        assert len(reads) == 1
+        np.testing.assert_array_equal(reads[0], normalized)
+        held = np.any(np.all(observed._decode_history.window.frames == normalized, axis=1))
+        assert held == (phase == 1)

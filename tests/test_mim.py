@@ -18,7 +18,6 @@ from remogen.mim import (
     prepare_context,
     seeded_mim_params,
 )
-from remogen.motion import RigidTransform
 from remogen.scene import EGO_DIMS, EgoVoxelBlock
 from remogen.tensorcore import (
     AttentionParams,
@@ -153,24 +152,20 @@ def scene_encoder():
 
 class TestEncodeScene:
     def test_token_count(self, scene_encoder):
-        block = EgoVoxelBlock(np.zeros((EGO_DIMS,) * 3, dtype=bool),
-                              RigidTransform(np.eye(3), np.zeros(3)))
+        block = EgoVoxelBlock(np.zeros((EGO_DIMS,) * 3, dtype=bool))
         out = encode_scene(block, scene_encoder)
         assert out.shape == (SCENE_TOKENS, 16) and out.dtype == F32
 
     def test_free_vs_occupied_differ(self, scene_encoder):
-        free = EgoVoxelBlock(np.zeros((EGO_DIMS,) * 3, dtype=bool),
-                             RigidTransform(np.eye(3), np.zeros(3)))
-        full = EgoVoxelBlock(np.ones((EGO_DIMS,) * 3, dtype=bool),
-                             RigidTransform(np.eye(3), np.zeros(3)))
+        free = EgoVoxelBlock(np.zeros((EGO_DIMS,) * 3, dtype=bool))
+        full = EgoVoxelBlock(np.ones((EGO_DIMS,) * 3, dtype=bool))
         a = encode_scene(free, scene_encoder)
         b = encode_scene(full, scene_encoder)
         assert not np.array_equal(a, b)
 
     def test_deterministic(self, scene_encoder):
         gen = Rng(5).generator("occ")
-        block = EgoVoxelBlock(gen.uniform(size=(EGO_DIMS,) * 3) > 0.5,
-                              RigidTransform(np.eye(3), np.zeros(3)))
+        block = EgoVoxelBlock(gen.uniform(size=(EGO_DIMS,) * 3) > 0.5)
         a = encode_scene(block, scene_encoder)
         b = encode_scene(block, scene_encoder)
         assert np.array_equal(a, b)

@@ -16,7 +16,6 @@ from remogen.motion import (
     rotation_from_6d,
     rotation_to_6d,
     synthetic_sequence,
-    update_history,
 )
 from remogen.tensorcore import Rng
 
@@ -128,37 +127,40 @@ class TestFeaturize:
             featurize(rest_sequence(2), FeatureLayout(joints=23))
 
 
-class TestUpdateHistory:
-    def test_default_config_takes_last_rows(self):
+class TestHistorySlide:
+    def test_segment_takes_last_rows(self):
         h = HistoryWindow(np.zeros((2, 4), dtype=F32))
         seg = np.arange(32, dtype=F32).reshape(8, 4)
-        out = update_history(h, seg)
-        np.testing.assert_array_equal(out.frames, seg[6:8])
+        np.testing.assert_array_equal(h.slide(seg).frames, seg[6:8])
 
     def test_empty_segment_is_noop(self):
         h = HistoryWindow(np.ones((2, 4), dtype=F32))
-        out = update_history(h, np.zeros((0, 4), dtype=F32))
+        out = h.slide(np.zeros((0, 4), dtype=F32))
         np.testing.assert_array_equal(out.frames, h.frames)
 
-    def test_short_segment_keeps_old_rows(self):
+    @pytest.mark.parametrize("shape", [(4,), (1, 4)], ids=["frame", "one-row segment"])
+    def test_short_segment_keeps_old_rows(self, shape):
         h = HistoryWindow(np.arange(12, dtype=F32).reshape(3, 4))
-        seg = np.full((1, 4), 99, dtype=F32)
-        out = update_history(h, seg)
+        out = h.slide(np.full(shape, 99, dtype=F32))
         np.testing.assert_array_equal(out.frames[:2], h.frames[1:])
-        np.testing.assert_array_equal(out.frames[2], seg[0])
+        np.testing.assert_array_equal(out.frames[2], np.full(4, 99, dtype=F32))
 
     def test_row_count_invariant(self):
         gen = Rng(0).generator("hist")
         for h_len in (1, 2, 5):
             h = HistoryWindow(gen.standard_normal((h_len, 3)).astype(F32))
             for f_len in (0, 1, 4, 9):
-                h = update_history(h, gen.standard_normal((f_len, 3)).astype(F32))
+                h = h.slide(gen.standard_normal((f_len, 3)).astype(F32))
                 assert len(h) == h_len
+            h = h.slide(gen.standard_normal(3).astype(F32))
+            assert len(h) == h_len
 
-    def test_width_mismatch(self):
+    @pytest.mark.parametrize("frames", [np.zeros((2, 5)), np.zeros(5), np.zeros((0, 5)),
+                                        np.zeros((1, 2, 4))],
+                             ids=["rows", "frame", "empty", "3-d"])
+    def test_wrong_shape(self, frames):
         with pytest.raises(DimensionError):
-            update_history(HistoryWindow(np.zeros((2, 4), dtype=F32)),
-                           np.zeros((2, 5), dtype=F32))
+            HistoryWindow(np.zeros((2, 4), dtype=F32)).slide(frames)
 
 
 def population_normalizer(frames):

@@ -15,7 +15,6 @@ from remogen.motion import (
     FeatureLayout,
     HistoryWindow,
     rest_history,
-    update_history,
 )
 from remogen.prior import (
     HistoryProjection,
@@ -499,7 +498,7 @@ class TestRollout:
             z0 = ddpm_sample(denoise, params.latent_dim, cfg.steps, cfg.guidance_scale, gen)
             seg = decode_segment(project_history(history, params), z0, params)
             frames.append(seg)
-            history = update_history(history, seg)
+            history = history.slide(seg)
         assert np.array_equal(out, np.vstack(frames))
 
     def test_history_passed_to_providers(self, rollout_archive, monkeypatch):

@@ -17,11 +17,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 from scene_reference import unpacked
 
 from remogen.errors import ConfigError, FormatError, RemogenError
-from remogen.motion import FeatureLayout, MotionSegment, featurize, synthetic_sequence
+from remogen.motion import (
+    FeatureLayout,
+    MotionSegment,
+    featurize,
+    normalize,
+    synthetic_sequence,
+)
 from remogen.runtime import (
     Engine,
     EngineConfig,
@@ -255,9 +261,12 @@ def _pose(kind: str, i: int) -> np.ndarray:
 
 class EngineCalls(RuleBasedStateMachine):
     """Any sequence of calls on an engine, good or bad. A call either raises a
-    RemogenError and leaves the engine's clock, history and partner buffer as
+    RemogenError and leaves the engine's clock, history and partner window as
     they were, or is accepted and replayed on a twin engine that sees only
-    accepted calls; after every accepted tick both have emitted the same bits."""
+    accepted calls; after every accepted tick both have emitted the same bits.
+
+    The history's newest row is always the newest ego frame: the last pose an
+    accepted tick emitted, or the pose an accepted observe_ego was given."""
 
     @initialize(mode=st.sampled_from(MODES))
     def build(self, mode):
@@ -267,25 +276,38 @@ class EngineCalls(RuleBasedStateMachine):
         self.calls = 0
 
     def _call(self, name, *args):
+        """(engine's result, twin's result) of an accepted call; None for a
+        refused one."""
         self.calls += 1
         e = self.engine
-        before = (e.ticks, e.history.frames.copy(), len(e.dyn))
+        before = (e.ticks, e.history.frames.copy(), e.partner_window.copy())
         try:
             out = getattr(e, name)(*args)
         except RemogenError:
-            assert (e.ticks, len(e.dyn)) == (before[0], before[2])
+            assert e.ticks == before[0]
             np.testing.assert_array_equal(e.history.frames, before[1])
-            return None, None
+            np.testing.assert_array_equal(e.partner_window, before[2])
+            return None
         return out, getattr(self.twin, name)(*args)
+
+    @invariant()
+    def partner_window_holds_at_most_history_len_rows(self):
+        assert len(self.engine.partner_window) <= SM_CFG.history_len
 
     @rule(kind=st.sampled_from(["good", "good", "nan", "wide", "none"]))
     def tick(self, kind):
         frame = None if kind == "none" else _pose(kind, self.calls)
-        out, twin_out = self._call("tick", frame)
-        if out is not None:
-            assert len(out) == len(twin_out)
-            for a, b in zip(out, twin_out):
-                np.testing.assert_array_equal(a, b)
+        result = self._call("tick", frame)
+        if result is None:
+            return
+        out, twin_out = result
+        assert len(out) == len(twin_out)
+        for a, b in zip(out, twin_out):
+            np.testing.assert_array_equal(a, b)
+        if out:
+            e = self.engine
+            newest = normalize(e.history.frames[-1:], e.normalizer, inverse=True)[0]
+            assert newest.tobytes() == out[-1].tobytes()
 
     @rule(text=st.one_of(st.text(max_size=8), st.integers(), st.none()))
     def set_text(self, text):
@@ -307,7 +329,11 @@ class EngineCalls(RuleBasedStateMachine):
 
     @rule(kind=st.sampled_from(["good", "nan"]))
     def observe_ego(self, kind):
-        self._call("observe_ego", _pose(kind, self.calls))
+        pose = _pose(kind, self.calls)
+        if self._call("observe_ego", pose) is not None:
+            e = self.engine
+            newest = normalize(pose[None], e.normalizer)[0]
+            assert newest.tobytes() == e.history.frames[-1].tobytes()
 
 
 EngineCalls.TestCase.settings = settings(max_examples=30, stateful_step_count=24,

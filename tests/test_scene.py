@@ -231,7 +231,7 @@ class TestExtractEgoVoxels:
 
     def test_block_shape_enforced(self):
         with pytest.raises(DimensionError):
-            EgoVoxelBlock(np.zeros((8, 8, 8), dtype=bool), IDENTITY)
+            EgoVoxelBlock(np.zeros((8, 8, 8), dtype=bool))
         assert (EGO_BOX_MAX - EGO_BOX_MIN)[0] == pytest.approx(1.2)
         assert EGO_DIMS == 32
 
