@@ -13,7 +13,6 @@ from .errors import (
     CorruptArchiveError,
     DimensionError,
     EmptyInputError,
-    EngineStateError,
     FormatError,
     InsufficientFramesError,
     NumericError,
@@ -24,5 +23,4 @@ __all__ = [
     "tensorcore", "motion", "scene", "prior", "mim", "fwsr", "metrics", "runtime",
     "RemogenError", "DimensionError", "NumericError", "EmptyInputError",
     "ConfigError", "FormatError", "CorruptArchiveError", "InsufficientFramesError",
-    "EngineStateError",
 ]

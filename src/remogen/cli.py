@@ -53,6 +53,13 @@ def _non_negative(value: int, flag: str) -> int:
     return value
 
 
+def _check_partner_fps(path: str, partner: MotionSegment, fps: float, of: str) -> None:
+    """ConfigError unless the partner runs at fps, the frame rate of `of`:
+    the partner is read frame by frame against it."""
+    if partner.fps != fps:
+        raise ConfigError(f"partner {path} runs at {partner.fps:g} fps, {of} at {fps:g}")
+
+
 def _cmd_init_weights(args) -> int:
     cfg = _seed_override(EngineConfig(seed=args.seed))
     save_archive(init_weights(cfg, cfg.seed), args.out)
@@ -71,6 +78,7 @@ def _cmd_generate(args) -> int:
     partner = None
     if args.partner:
         partner_seg, _ = load_motion(args.partner)
+        _check_partner_fps(args.partner, partner_seg, cfg.fps, "the config")
         partner = partner_seg.frames
     engine.set_text(args.text)
     frames = engine.run_ticks(segments * cfg.future_len, partner)
@@ -125,6 +133,7 @@ def _cmd_metrics(args) -> int:
         partner_joints = None
         if args.partner:
             partner_seg, partner_layout = _load_frames(args.partner)
+            _check_partner_fps(args.partner, partner_seg, pred_seg.fps, "--pred")
             partner_joints = joint_positions_from_features(partner_seg.frames, partner_layout)
         report["collision_pct"] = collision_pct(
             joint_positions_from_features(pred_seg.frames, layout),

@@ -31,7 +31,3 @@ class CorruptArchiveError(FormatError):
 
 class InsufficientFramesError(RemogenError, ValueError):
     """Too few frames for a finite-difference metric."""
-
-
-class EngineStateError(RemogenError, RuntimeError):
-    """An engine whose earlier tick failed refuses further ticks."""

@@ -12,35 +12,30 @@ emission. One tick corresponds to one input frame of wall-clock time:
 Every mode starts a segment the same way (Engine._start_segment): sample
 z0, project the history through the decoder's history rows once
 (prior.project_history) and decode the frames it needs from that projection.
+Engine.segment holds z0 and that projection; in fwsr mode also the
+sensitivity vector and the decode history projected on the first refinement
+tick. The probe shares the boundary projection with the frame-0 decode, and a
+refinement tick multiplies only the refined latent by the decoder's latent rows.
 
 The engine keeps one window per stream of frames: the ego history, which
 slides by every frame a mode emits and every pose observe_ego is given, and
 the partner window, the last history_len normalized partner frames.
 Sampling, decoding and refinement read them as they stand on their tick.
 
-In fwsr mode the engine holds the segment's refinement state itself: z0,
-the boundary history projection, the sensitivity vector and the projected
-decode history. The boundary projection is shared by the frame-0 decode and
-the sensitivity probe; the decode history is projected on the first
-refinement tick. A refinement tick then multiplies only the refined latent
-by the decoder's latent rows.
+Text and composition weights are read only at a segment start, so a change
+takes effect at the next one: one denoising pass has a single text.
 
-Text and composition-weight changes are queued and applied at the next
-segment boundary, since one denoising pass is conditioned on a single text.
-
-A tick that raises after its partner frame is in (on a non-finite decoded
-frame, say) may leave the segment state half updated, so every later tick
-raises EngineStateError naming it. A bad partner frame is refused before
-anything changes and fails nothing.
+A tick that raises (on a non-finite decoded frame, say) leaves the engine
+exactly as it was, so a caller may skip it and go on.
 """
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from ..errors import ConfigError, EngineStateError
+from ..errors import ConfigError
 from ..fwsr import (
     FwsrParams,
     SensitivityVector,
@@ -134,8 +129,23 @@ def init_weights(cfg: EngineConfig, seed: int) -> WeightArchive:
     return WeightArchive(tensors)
 
 
+class Segment(NamedTuple):
+    """The segment being generated; fwsr fills the last two on its first refinement tick."""
+
+    z0: np.ndarray
+    boundary: HistoryProjection
+    sensitivity: Optional[SensitivityVector] = None
+    decode_history: Optional[HistoryProjection] = None
+
+
 class Engine:
-    """Stateful streaming generator over one weight archive and config."""
+    """Stateful streaming generator over one weight archive and config.
+
+    A tick rebinds its state and never changes it in place (HistoryWindow.slide
+    and np.vstack return new objects, a Segment is replaced whole), so the
+    clock, windows, segment and generator state it saves on entry are the
+    engine as it was, and a tick that raises restores them.
+    """
 
     def __init__(self, archive: WeightArchive, cfg: EngineConfig,
                  mode: Optional[str] = None,
@@ -164,20 +174,13 @@ class Engine:
 
         self.text = ""
         self.alpha = self._checked_alpha(cfg.alpha)
-        self._pending_text: Optional[str] = None
-        self._pending_alpha: Optional[dict] = None
 
         seed_history = rest_history(cfg.history_len, self.layout)
         self.history = HistoryWindow(normalize(seed_history.frames, self.normalizer))
         # The last history_len normalized partner frames, oldest first.
         self.partner_window = np.zeros((0, self.layout.dim), dtype=F32)
         self.ticks = 0
-        self._failed_tick: Optional[int] = None
-        # fwsr: the state of the segment being refined, set on its boundary tick
-        self._z0: Optional[np.ndarray] = None
-        self._boundary: Optional[HistoryProjection] = None
-        self._sensitivity: Optional[SensitivityVector] = None
-        self._decode_history: Optional[HistoryProjection] = None
+        self.segment: Optional[Segment] = None
 
     # -- state fed from outside ------------------------------------------------
 
@@ -189,10 +192,10 @@ class Engine:
     def set_text(self, text: str) -> None:
         if not isinstance(text, str):
             raise ConfigError(f"text must be a string, not {type(text).__name__}")
-        self._pending_text = text
+        self.text = text
 
     def set_alpha(self, alpha: dict) -> None:
-        self._pending_alpha = self._checked_alpha(alpha)
+        self.alpha = self._checked_alpha(alpha)
 
     def _checked_alpha(self, alpha: dict) -> dict:
         """A copy of alpha; ConfigError if it names a module the archive lacks
@@ -224,14 +227,6 @@ class Engine:
         if self.recorder is None:
             return nullcontext()
         return self.recorder.track(name)
-
-    def _apply_pending(self) -> None:
-        if self._pending_text is not None:
-            self.text = self._pending_text
-            self._pending_text = None
-        if self._pending_alpha is not None:
-            self.alpha = self._pending_alpha
-            self._pending_alpha = None
 
     def _ego_anchor(self) -> RigidTransform:
         """Floor-level yaw frame of the current ego root, in world coordinates."""
@@ -297,21 +292,19 @@ class Engine:
             return ddpm_sample(denoise, self.prior.latent_dim, self.cfg.steps,
                                self.cfg.guidance_scale, self.gen)
 
-    def _start_segment(self, frames: slice
-                       ) -> tuple[np.ndarray, HistoryProjection, np.ndarray]:
-        """The segment start every mode makes: apply the queued text and
-        weights, sample z0, then project the history once and decode `frames`
-        of the segment from that projection.
+    def _start_segment(self, frames: slice) -> np.ndarray:
+        """The segment start every mode makes: sample z0, then project the
+        history once and decode `frames` of the segment from that projection.
 
-        Returns z0, the projection and the decoded (n, D) frames.
+        Sets self.segment and returns the decoded (n, D) frames.
         """
-        self._apply_pending()
         z0 = self._sample_z0()
         with self._track("decode"):
             projection = project_history(self.history, self.prior)
             decoded = require_finite(decode_segment(projection, z0, self.prior,
                                                     frames=frames), "decoded frames")
-        return z0, projection, decoded
+        self.segment = Segment(z0, projection)
+        return decoded
 
     def _emit(self, normalized_frame: np.ndarray) -> np.ndarray:
         # A (D,) array of its own, not a row view that keeps a (1, D) base alive.
@@ -321,19 +314,18 @@ class Engine:
 
     def tick(self, partner_frame: Optional[np.ndarray] = None) -> list:
         """Advance one input frame; returns denormalized ego frames emitted now."""
-        if self._failed_tick is not None:
-            raise EngineStateError(f"tick {self._failed_tick} failed; this engine "
-                                   "refuses every later tick")
-        with self._track("pre_post"):
-            if partner_frame is not None:
-                frame = self._normalized(partner_frame, "partner frame")
-                self.partner_window = np.vstack(
-                    [self.partner_window, frame])[-self.cfg.history_len:]
-        tick = self.ticks
+        saved = (self.ticks, self.history, self.partner_window, self.segment,
+                 self.gen.bit_generator.state)
         try:
+            with self._track("pre_post"):
+                if partner_frame is not None:
+                    frame = self._normalized(partner_frame, "partner frame")
+                    self.partner_window = np.vstack(
+                        [self.partner_window, frame])[-self.cfg.history_len:]
             return self._advance()
         except BaseException:
-            self._failed_tick = tick
+            (self.ticks, self.history, self.partner_window, self.segment,
+             self.gen.bit_generator.state) = saved
             raise
 
     def _advance(self) -> list:
@@ -345,30 +337,33 @@ class Engine:
         if self.mode == "segment":
             if self.ticks % self.cfg.future_len != 0:
                 return []
-            frames = self._start_segment(slice(None))[2]
+            frames = self._start_segment(slice(None))
         elif self.mode == "slide":
             # The baseline's full cost: the whole segment is decoded, and
             # only frame 0 is kept.
-            frames = self._start_segment(slice(None))[2][:1]
+            frames = self._start_segment(slice(None))[:1]
         # fwsr mode: sample z0 at the segment boundary, then refine it and
         # decode one frame per tick. The probe on tick 1 shares the boundary
         # tick's projection with the frame-0 decode.
         elif phase == 0:
-            self._z0, self._boundary, frames = self._start_segment(slice(0, 1))
+            frames = self._start_segment(slice(0, 1))
         else:
+            seg = self.segment
             if phase == 1:
                 with self._track("sensitivity"):
-                    self._sensitivity = SensitivityVector(
-                        decoder_sensitivity(self._boundary, self._z0, self.prior))
+                    sensitivity = SensitivityVector(
+                        decoder_sensitivity(seg.boundary, seg.z0, self.prior))
             with self._track("fwsr_refine"):
                 if phase == 1:
                     # Every refined frame decodes against the first updated history.
-                    self._decode_history = project_history(self.history, self.prior)
-                z = refine_latent(self._z0, self.history, self.partner_window,
-                                  self._sensitivity, self.fwsr_params.float64_weights)
+                    seg = self.segment = seg._replace(
+                        sensitivity=sensitivity,
+                        decode_history=project_history(self.history, self.prior))
+                z = refine_latent(seg.z0, self.history, self.partner_window,
+                                  seg.sensitivity, self.fwsr_params.float64_weights)
                 with self._track("fwsr_decode"):
                     frames = require_finite(decode_segment(
-                        self._decode_history, z, self.prior,
+                        seg.decode_history, z, self.prior,
                         frames=slice(phase, phase + 1)), "decoded frames")
         self.history = self.history.slide(frames)
         return [self._emit(f) for f in frames]

@@ -408,8 +408,9 @@ def test_c06_refinement_algorithm_conformance(compact_archive, monkeypatch):
         assert denoiser_per_tick[0] > 0 and denoiser_per_tick[1:] == [0] * (f_len - 1)
         # Zero-gated refinement reproduces the shifted-history re-decode
         # (init_weights leaves the normalizer at the identity).
-        full = real_decode(project_history(m_h, engine.prior), engine._z0, engine.prior)
-        shifted = real_decode(project_history(m_h.slide(full[0]), engine.prior), engine._z0,
+        z0 = engine.segment.z0
+        full = real_decode(project_history(m_h, engine.prior), z0, engine.prior)
+        shifted = real_decode(project_history(m_h.slide(full[0]), engine.prior), z0,
                               engine.prior)
         assert np.array_equal(out[0], full[0])
         assert np.array_equal(out[1:], shifted[1:])

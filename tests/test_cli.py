@@ -75,6 +75,20 @@ class TestGenerate:
                    "--alpha", "hhi=1.0"])
         assert rc == 0
 
+    def test_partner_at_another_frame_rate_is_config_error(self, tmp_path, weights_path,
+                                                           capsys):
+        """A partner recorded at 30 fps is not played against the config's
+        10 fps: exit 2, a message naming both rates, and no file written."""
+        partner_path = tmp_path / "partner30.rmgm"
+        frames = featurize(synthetic_sequence(16, seed=7)).frames
+        save_motion(MotionSegment(frames, fps=30.0), partner_path, FeatureLayout())
+        out = tmp_path / "react.rmgm"
+        capsys.readouterr()
+        rc = main(["generate", "--weights", str(weights_path), "--segments", "1",
+                   "--out", str(out), "--partner", str(partner_path), "--alpha", "hhi=1.0"])
+        assert rc == 2 and not out.exists()
+        assert "runs at 30 fps, the config at 10" in capsys.readouterr().err
+
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_non_finite_alpha_is_config_error(self, tmp_path, weights_path, weight):
         out = tmp_path / "x.rmgm"
@@ -272,6 +286,22 @@ class TestVoxelizeAndMetrics:
         assert 0.0 < scene_alone < 100.0
         assert collision("--scene", str(vox), "--partner", str(partner)) == scene_alone
         assert collision("--partner", str(partner)) == 0.0
+
+    @pytest.mark.parametrize("pred_fps, partner_fps", [(10.0, 30.0), (30.0, 10.0)])
+    def test_partner_at_another_frame_rate_is_config_error(self, tmp_path, capsys,
+                                                           pred_fps, partner_fps):
+        """Collisions are scored frame by frame, so a partner whose frame
+        rate is not the pred's is refused with exit 2 and no report."""
+        pred, partner = tmp_path / "pred.rmgm", tmp_path / "partner.rmgm"
+        for path, fps, seed in ((pred, pred_fps, 1), (partner, partner_fps, 2)):
+            frames = featurize(synthetic_sequence(16, seed=seed)).frames
+            save_motion(MotionSegment(frames, fps=fps), path, FeatureLayout())
+        capsys.readouterr()
+        assert main(["metrics", "--pred", str(pred), "--ref", str(pred),
+                     "--partner", str(partner)]) == 2
+        captured = capsys.readouterr()
+        assert f"runs at {partner_fps:g} fps, --pred at {pred_fps:g}" in captured.err
+        assert captured.out == ""
 
     def test_metrics_layout_mismatch_is_config_error(self, tmp_path, capsys):
         pred = tmp_path / "pred.rmgm"

@@ -402,10 +402,10 @@ class TestRefineSegment:
             for _ in range(2):
                 m_h = engine.history
                 out = np.stack(engine.run_ticks(f_len))
-                full = decode_segment(project_history(m_h, engine.prior), engine._z0,
-                                      engine.prior)
+                z0 = engine.segment.z0
+                full = decode_segment(project_history(m_h, engine.prior), z0, engine.prior)
                 shifted = decode_segment(project_history(m_h.slide(full[0]), engine.prior),
-                                         engine._z0, engine.prior)
+                                         z0, engine.prior)
                 assert np.array_equal(out[0], full[0])
                 assert np.array_equal(out[1:], shifted[1:])
 
@@ -459,7 +459,7 @@ class TestRefineSegment:
             probes.clear()
             histories.clear()
             out = engine.run_ticks(f_len, partner[segment * f_len:])
-            assert len(probes) == 1 and probes[0][1] is engine._z0
+            assert len(probes) == 1 and probes[0][1] is engine.segment.z0
             boundary, decode_history = probes[0][0], histories[1]
             assert histories[0] is boundary
             np.testing.assert_array_equal(boundary.window.frames, m_h.frames)
@@ -516,5 +516,6 @@ class TestObservedEgo:
         assert not np.array_equal(got, expected)
         assert len(reads) == 1
         np.testing.assert_array_equal(reads[0], normalized)
-        held = np.any(np.all(observed._decode_history.window.frames == normalized, axis=1))
+        decoded_against = observed.segment.decode_history.window.frames
+        held = np.any(np.all(decoded_against == normalized, axis=1))
         assert held == (phase == 1)

@@ -261,9 +261,10 @@ def _pose(kind: str, i: int) -> np.ndarray:
 
 class EngineCalls(RuleBasedStateMachine):
     """Any sequence of calls on an engine, good or bad. A call either raises a
-    RemogenError and leaves the engine's clock, history and partner window as
-    they were, or is accepted and replayed on a twin engine that sees only
-    accepted calls; after every accepted tick both have emitted the same bits.
+    RemogenError and leaves the engine's clock, history, partner window,
+    segment and generator state as they were, or is accepted and replayed on
+    a twin engine that sees only accepted calls; after every accepted tick
+    both have emitted the same bits.
 
     The history's newest row is always the newest ego frame: the last pose an
     accepted tick emitted, or the pose an accepted observe_ego was given."""
@@ -280,13 +281,16 @@ class EngineCalls(RuleBasedStateMachine):
         refused one."""
         self.calls += 1
         e = self.engine
-        before = (e.ticks, e.history.frames.copy(), e.partner_window.copy())
+        before = (e.ticks, e.history.frames.copy(), e.partner_window.copy(), e.segment)
+        gen_state = e.gen.bit_generator.state
         try:
             out = getattr(e, name)(*args)
         except RemogenError:
             assert e.ticks == before[0]
             np.testing.assert_array_equal(e.history.frames, before[1])
             np.testing.assert_array_equal(e.partner_window, before[2])
+            assert e.segment is before[3]
+            np.testing.assert_equal(e.gen.bit_generator.state, gen_state)
             return None
         return out, getattr(self.twin, name)(*args)
 

@@ -17,7 +17,6 @@ from remogen.cli import main
 from remogen.errors import (
     ConfigError,
     CorruptArchiveError,
-    EngineStateError,
     FormatError,
     NumericError,
 )
@@ -769,18 +768,29 @@ FAILING_TICKS = [
 ]
 
 
+def tick_state(engine: Engine) -> tuple:
+    """The objects a tick rebinds, besides the generator state."""
+    return engine.ticks, engine.history, engine.partner_window, engine.segment
+
+
+def assert_same_state(engine: Engine, state: tuple, gen_state: dict) -> None:
+    assert all(a is b for a, b in zip(tick_state(engine), state))
+    np.testing.assert_equal(engine.gen.bit_generator.state, gen_state)
+
+
 class TestEngineWiring:
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), True,
                                         False, "0.5", None, 1j], ids=repr)
     def test_set_alpha_checks_weights_as_the_config_does(self, cfg, archive, weight):
         engine = Engine(archive, cfg)
+        alpha = engine.alpha
         with pytest.raises(ConfigError):
             engine.set_alpha({"hhi": 0.5, "hsi": weight})
-        assert engine._pending_alpha is None
+        assert engine.alpha is alpha
         with pytest.raises(ConfigError):
             EngineConfig(alpha={"hhi": 0.5, "hsi": weight})
         engine.set_alpha({"hhi": np.float32(0.25), "hsi": 1})
-        assert engine._pending_alpha == {"hhi": 0.25, "hsi": 1}
+        assert engine.alpha == {"hhi": 0.25, "hsi": 1}
 
     def test_config_alpha_names_only_modules_the_archive_has(self, cfg, archive):
         """The config's alpha is checked as set_alpha checks it: an unknown
@@ -800,7 +810,7 @@ class TestEngineWiring:
         engine.set_text("wave")
         with pytest.raises(ConfigError):
             engine.set_text(text)
-        assert engine._pending_text == "wave"
+        assert engine.text == "wave"
         engine.run_ticks(cfg.future_len)
         assert engine.text == "wave"
 
@@ -910,20 +920,65 @@ class TestEngineWiring:
         assert engine.history is history
 
     @pytest.mark.parametrize("mode, weight, tick", FAILING_TICKS)
-    def test_every_tick_after_a_failed_tick_names_it(self, mode, weight, tick,
-                                                    partner_frames):
-        """Once a tick has raised, every later tick raises EngineStateError
-        naming it, and the tick count stays where the failed tick left it."""
+    def test_a_failed_tick_fails_alike_when_repeated(self, mode, weight, tick,
+                                                     partner_frames):
+        """A tick that raises leaves the engine as it was, so repeating it
+        raises the same NumericError each time and changes nothing."""
         engine = self.nan_weight_engine(mode, weight)
         for partner in partner_frames[:tick]:
             engine.tick(partner)
-        with pytest.raises(NumericError):
-            engine.tick(partner_frames[tick])
-        ticks = engine.ticks
-        for partner in [partner_frames[tick + 1], None, partner_frames[tick + 2]]:
-            with pytest.raises(EngineStateError, match=f"tick {tick} failed"):
-                engine.tick(partner)
-        assert engine.ticks == ticks
+        state, gen_state = tick_state(engine), engine.gen.bit_generator.state
+        messages = []
+        for _ in range(3):
+            with pytest.raises(NumericError) as raised:
+                engine.tick(partner_frames[tick])
+            messages.append(str(raised.value))
+            assert_same_state(engine, state, gen_state)
+        assert messages == messages[:1] * 3
+
+    @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
+    def test_a_transient_fault_is_rolled_back(self, mode, monkeypatch):
+        """A decode that runs and then raises, on any one tick of the first
+        two segments (boundaries, fwsr's probe tick and its refinement
+        ticks), leaves the clock, both windows, the segment and the generator
+        state as they were. A caller that skips the tick then gets every later
+        frame of a twin engine that never saw it, byte for byte."""
+        import remogen.runtime.engine as engine_module
+        from test_golden import golden_archive
+
+        cfg = dataclasses.replace(COMPACT_CFG, steps=2, alpha={"hhi": 1.0})
+        archive = golden_archive(cfg)  # non-zero module gates and FiLM head
+        f_len = cfg.future_len
+        partner = featurize(synthetic_sequence(4 * f_len, seed=4)).frames
+        real_decode, armed = engine_module.decode_segment, []
+
+        def decode(*args, **kwargs):
+            out = real_decode(*args, **kwargs)
+            if armed:
+                armed.clear()
+                raise NumericError("transient fault")
+            return out
+
+        monkeypatch.setattr(engine_module, "decode_segment", decode)
+        # Segment mode decodes only on the last tick of a segment.
+        failing = [k for k in range(2 * f_len) if mode != "segment" or k % f_len == f_len - 1]
+        for k in failing:
+            engine, twin = Engine(archive, cfg, mode=mode), Engine(archive, cfg, mode=mode)
+            for frame in partner[:k]:
+                engine.tick(frame)
+                twin.tick(frame)
+            state, gen_state = tick_state(engine), engine.gen.bit_generator.state
+            armed.append(k)
+            with pytest.raises(NumericError, match="transient fault"):
+                engine.tick(partner[k])
+            assert not armed
+            assert_same_state(engine, state, gen_state)
+            emitted = 0
+            for frame in partner[k + 1:]:
+                got, expected = engine.tick(frame), twin.tick(frame)
+                assert [f.tobytes() for f in got] == [f.tobytes() for f in expected], k
+                emitted += len(got)
+            assert emitted >= f_len, k
 
     def test_zero_gate_archive_neutral_under_alpha(self, cfg, archive, partner_frames):
         plain = Engine(archive, cfg)
@@ -1024,10 +1079,11 @@ class TestEngineWiring:
                 history = engine.history
                 engine.tick(partner_frames[2 * segment])
                 engine.tick(partner_frames[2 * segment + 1])
-                oracle = estimate_sensitivity(window_decoder(engine.prior), history, engine._z0)
+                oracle = estimate_sensitivity(window_decoder(engine.prior), history,
+                                              engine.segment.z0)
                 # The oracle's float32 rounding over its 2e-3 step: at most
                 # 7.7e-4 relative on seeded compact and engine-size priors.
-                np.testing.assert_allclose(engine._sensitivity.s, oracle, rtol=1e-3)
+                np.testing.assert_allclose(engine.segment.sensitivity.s, oracle, rtol=1e-3)
                 engine.run_ticks(c.future_len - 2)
 
         # The oracle decodes its probes in one batch; each row is the
