@@ -51,6 +51,7 @@ from .tensorcore import (
     AttentionParams,
     RelBiasParams,
     Rng,
+    attention_kv,
     fuse_qkv,
     layer_norm,
     linear,
@@ -89,7 +90,7 @@ class FwsrParams:
     rel_bias: RelBiasParams
     film_w: np.ndarray  # (d_z, 2 d_z)
     film_b: np.ndarray
-    beta_sens: float = 1.0
+    beta_sens: float
 
     def __post_init__(self):
         if self.beta_sens < 0:
@@ -146,7 +147,8 @@ def refine_latent(z0: np.ndarray, m_h: HistoryWindow, x_dyn_window: np.ndarray,
     normed = layer_norm(tokens, params.dyn_attn.ln_gain, params.dyn_attn.ln_offset)
     c_dyn = tokens + mha_forward(normed, normed, params.dyn_attn)
 
-    r = mha_forward(z0[None, :], c_dyn, params.cross_attn, bias)
+    kv = attention_kv(c_dyn, params.cross_attn)
+    r = mha_forward(z0[None, :], kv, params.cross_attn, bias)
 
     film = linear(r, params.film_w, params.film_b)[0]
     gamma, beta = film[:d_z].astype(F64), film[d_z:].astype(F64)
@@ -157,13 +159,12 @@ def refine_latent(z0: np.ndarray, m_h: HistoryWindow, x_dyn_window: np.ndarray,
     return (z0.astype(F64) + d_safe).astype(F32)
 
 
-def seeded_fwsr_params(rng: Rng, feature_dim: int, latent_dim: int,
-                       heads: int = 4, beta_sens: float = 1.0,
-                       zero_film: bool = True) -> FwsrParams:
-    """Seeded refinement weights; the FiLM head starts at zero unless asked otherwise."""
+def seeded_fwsr_params(rng: Rng, feature_dim: int, latent_dim: int, heads: int,
+                       beta_sens: float, zero_film: bool) -> FwsrParams:
+    """Seeded refinement weights; zero_film starts the FiLM head at zero."""
 
     def u(name, shape):
-        return seeded_init(shape, "uniform-fan", rng.child("fwsr", name))
+        return seeded_init(shape, rng.child("fwsr", name))
 
     def zeros(shape):
         return np.zeros(shape, dtype=F32)
@@ -172,10 +173,10 @@ def seeded_fwsr_params(rng: Rng, feature_dim: int, latent_dim: int,
         sub = rng.child("fwsr", name)
         return AttentionParams(
             heads=heads, width=latent_dim,
-            w_q=seeded_init((q_in, latent_dim), "uniform-fan", sub.child("wq")),
-            w_k=seeded_init((latent_dim, latent_dim), "uniform-fan", sub.child("wk")),
-            w_v=seeded_init((latent_dim, latent_dim), "uniform-fan", sub.child("wv")),
-            w_o=seeded_init((latent_dim, latent_dim), "uniform-fan", sub.child("wo")),
+            w_q=seeded_init((q_in, latent_dim), sub.child("wq")),
+            w_k=seeded_init((latent_dim, latent_dim), sub.child("wk")),
+            w_v=seeded_init((latent_dim, latent_dim), sub.child("wv")),
+            w_o=seeded_init((latent_dim, latent_dim), sub.child("wo")),
             ln_gain=np.ones(latent_dim, dtype=F32), ln_offset=zeros(latent_dim))
 
     film_w = zeros((latent_dim, 2 * latent_dim)) if zero_film \

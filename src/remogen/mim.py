@@ -313,14 +313,14 @@ def compose_deltas(deltas: Sequence[ModulationDelta], alpha: dict) -> Modulation
 
 
 def seeded_mim_params(module_id: str, source: str, rng: Rng, feature_dim: int,
-                      width: int = 128, heads: int = 4, ffn_hidden: int = 256,
-                      injection_layers: Sequence[int] = (0, 1, 2, 3)) -> MimParams:
+                      width: int, heads: int, ffn_hidden: int,
+                      injection_layers: Sequence[int]) -> MimParams:
     """Seeded module weights; the output gate starts at zero."""
     if source not in ("others", "scene"):
         raise ConfigError("module source must be 'others' or 'scene'")
 
     def u(name, shape):
-        return seeded_init(shape, "uniform-fan", rng.child(module_id, name))
+        return seeded_init(shape, rng.child(module_id, name))
 
     def zeros(shape):
         return np.zeros(shape, dtype=F32)
@@ -347,12 +347,12 @@ def seeded_mim_params(module_id: str, source: str, rng: Rng, feature_dim: int,
         blocks[int(idx)] = MimBlockParams(
             self_attn=_seeded_attention(sub.child("self"), width, width, heads),
             cross_attn=_seeded_attention(sub.child("cross"), width, width, heads),
-            rel_bias=RelBiasParams(seeded_init((2, heads), "uniform-fan", sub.child("relb"))),
-            film_w=seeded_init((width, 2 * width), "uniform-fan", sub.child("film")),
+            rel_bias=RelBiasParams(seeded_init((2, heads), sub.child("relb"))),
+            film_w=seeded_init((width, 2 * width), sub.child("film")),
             film_b=zeros(2 * width),
-            ffn=FfnParams(seeded_init((width, ffn_hidden), "uniform-fan", sub.child("ffn1")),
+            ffn=FfnParams(seeded_init((width, ffn_hidden), sub.child("ffn1")),
                           zeros(ffn_hidden),
-                          seeded_init((ffn_hidden, width), "uniform-fan", sub.child("ffn2")),
+                          seeded_init((ffn_hidden, width), sub.child("ffn2")),
                           zeros(width),
                           ln_gain=np.ones(width, dtype=F32), ln_offset=zeros(width)),
             gate=zeros(width))
@@ -362,9 +362,9 @@ def seeded_mim_params(module_id: str, source: str, rng: Rng, feature_dim: int,
 def _seeded_attention(rng: Rng, q_in: int, width: int, heads: int) -> AttentionParams:
     return AttentionParams(
         heads=heads, width=width,
-        w_q=seeded_init((q_in, width), "uniform-fan", rng.child("wq")),
-        w_k=seeded_init((width, width), "uniform-fan", rng.child("wk")),
-        w_v=seeded_init((width, width), "uniform-fan", rng.child("wv")),
-        w_o=seeded_init((width, width), "uniform-fan", rng.child("wo")),
+        w_q=seeded_init((q_in, width), rng.child("wq")),
+        w_k=seeded_init((width, width), rng.child("wk")),
+        w_v=seeded_init((width, width), rng.child("wv")),
+        w_o=seeded_init((width, width), rng.child("wo")),
         ln_gain=np.ones(width, dtype=F32),
         ln_offset=np.zeros(width, dtype=F32))

@@ -9,6 +9,7 @@ its latest history row for the scene crop (Engine._ego_anchor).
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,7 +61,8 @@ class FeatureLayout:
 
     @classmethod
     def from_id(cls, layout_id: str) -> "FeatureLayout":
-        if not layout_id.startswith("body"):
+        """The layout of a canonical id, bodyN with N >= 1 and no leading zero."""
+        if re.fullmatch(r"body[1-9][0-9]*", layout_id) is None:
             raise DimensionError(f"unknown layout id {layout_id!r}")
         return cls(joints=int(layout_id[4:]))
 

@@ -29,12 +29,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .motion import FeatureLayout, HistoryWindow
+from .motion import HistoryWindow
 from .tensorcore import (
     F32,
     F64,
@@ -53,41 +53,12 @@ from .tensorcore import (
     twin_matrix,
 )
 
-DEFAULT_LATENT_DIM = 64
-DEFAULT_TEXT_DIM = 32
-DEFAULT_WIDTH = 128
-DEFAULT_HEADS = 4
-DEFAULT_BLOCKS = 4
-DEFAULT_FFN_HIDDEN = 256
-DEFAULT_VAE_HIDDEN = 256
-
-@dataclass(frozen=True)
-class TextEmbedding:
-    """Deterministic text feature; the null embedding drives the unconditional branch."""
-
-    values: np.ndarray
-    null_flag: bool = False
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=F32)
-        if v.ndim != 1:
-            raise DimensionError("text embedding must be a vector")
-        object.__setattr__(self, "values", v)
-
-
-def null_embedding(dim: int = DEFAULT_TEXT_DIM) -> TextEmbedding:
-    return TextEmbedding(np.zeros(dim, dtype=F32), null_flag=True)
-
-
-def embed_text(text: str, dim: int = DEFAULT_TEXT_DIM) -> TextEmbedding:
-    """Hash-bag embedding: case/whitespace normalized tokens, signed buckets, unit norm.
-
-    This is the deterministic reference embedder; a learned encoder can be
-    swapped in anywhere a TextEmbedding is accepted.
-    """
+def embed_text(text: str, dim: int) -> Optional[np.ndarray]:
+    """Hash-bag embedding: case/whitespace normalized tokens, signed buckets,
+    unit norm; a float32 (dim,) vector, or None when the text has no tokens."""
     tokens = text.lower().split()
     if not tokens:
-        return null_embedding(dim)
+        return None
     v = np.zeros(dim, dtype=F64)
     for tok in tokens:
         digest = hashlib.blake2b(tok.encode("utf-8"), digest_size=8).digest()
@@ -97,7 +68,7 @@ def embed_text(text: str, dim: int = DEFAULT_TEXT_DIM) -> TextEmbedding:
     norm = np.linalg.norm(v)
     if norm > 0:
         v = v / norm
-    return TextEmbedding(v.astype(F32), null_flag=False)
+    return v.astype(F32)
 
 
 @dataclass(frozen=True)
@@ -202,19 +173,14 @@ class PriorParams:
         return rows[t]
 
 
-def seeded_prior_params(rng: Rng, feature_dim: Optional[int] = None,
-                        history_len: int = 2, future_len: int = 8,
-                        latent_dim: int = DEFAULT_LATENT_DIM,
-                        text_dim: int = DEFAULT_TEXT_DIM,
-                        width: int = DEFAULT_WIDTH, heads: int = DEFAULT_HEADS,
-                        n_blocks: int = DEFAULT_BLOCKS,
-                        ffn_hidden: int = DEFAULT_FFN_HIDDEN,
-                        vae_hidden: int = DEFAULT_VAE_HIDDEN) -> PriorParams:
+def seeded_prior_params(rng: Rng, feature_dim: int, history_len: int, future_len: int,
+                        latent_dim: int, text_dim: int, width: int, heads: int,
+                        n_blocks: int, ffn_hidden: int, vae_hidden: int) -> PriorParams:
     """Prior weights from a seed; every tensor gets its own derived stream."""
-    d = feature_dim if feature_dim is not None else FeatureLayout().dim
+    d = feature_dim
 
     def u(name, shape):
-        return seeded_init(shape, "uniform-fan", rng.child(name))
+        return seeded_init(shape, rng.child(name))
 
     def z(shape):
         return np.zeros(shape, dtype=F32)
@@ -350,12 +316,13 @@ def decoder_sensitivity(m_h: HistoryProjection, z0: np.ndarray,
     return np.sqrt(np.maximum(sq, 0.0)).astype(F32)
 
 
-def segment_tokens(params: PriorParams, m_h: HistoryWindow,
-                   texts: Sequence[TextEmbedding]) -> np.ndarray:
-    """The token rows of a segment that no DDPM step changes, (B, H+3, width).
+def segment_tokens(params: PriorParams, m_h: HistoryWindow, text: str) -> np.ndarray:
+    """The token rows of a segment that no DDPM step changes, (2, H+3, width).
 
-    Row b holds the text token of texts[b] and the H history tokens, each with
-    its position added, in the layout denoiser_tokens completes: [time, text,
+    Row 0 is conditioned on text, row 1 is the null row of classifier-free
+    guidance; a text with no tokens conditions row 0 on the null token too.
+    Each row holds its text token and the H history tokens, each with its
+    position added, in the layout denoiser_tokens completes: [time, text,
     history x H, latent]. The time and latent rows are left zero.
     """
     den = params.denoiser
@@ -364,16 +331,12 @@ def segment_tokens(params: PriorParams, m_h: HistoryWindow,
     hist_tok = linear(m_h.frames, den.hist_w, den.hist_b)
     # float32 adds: one binary64 add rounded to binary32 gives the same bits.
     hist_tok += pos[2:-1]
-    prefix = np.zeros((len(texts), params.n_tokens, params.width), dtype=F32)
-    for row, txt in zip(prefix, texts):
-        if txt.null_flag:
-            text_tok = den.null_token
-        else:
-            if txt.values.shape[0] != params.text_dim:
-                raise DimensionError("text embedding dim does not match prior")
-            text_tok = linear(txt.values[None, :], den.text_w, den.text_b)[0]
-        row[1] = text_tok + pos[1]
-        row[2:-1] = hist_tok
+    v = embed_text(text, params.text_dim)
+    text_tok = den.null_token if v is None else linear(v[None, :], den.text_w, den.text_b)[0]
+    prefix = np.zeros((2, params.n_tokens, params.width), dtype=F32)
+    prefix[0, 1] = text_tok + pos[1]
+    prefix[1, 1] = den.null_token + pos[1]
+    prefix[:, 2:-1] = hist_tok
     return prefix
 
 

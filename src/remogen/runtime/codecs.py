@@ -228,7 +228,7 @@ def load_motion(path: PathLike) -> tuple[MotionSegment, FeatureLayout]:
         raise FormatError(f"frame rate {fps} is not a positive number")
     try:
         layout = FeatureLayout.from_id(layout_id)
-    except ValueError as exc:  # DimensionError, or a joint count that is no integer
+    except DimensionError as exc:
         raise FormatError(f"unknown layout id {layout_id!r}") from exc
     if layout.joints != joints or layout.dim != d:
         raise FormatError(f"declared J={joints}, D={d} disagree with layout "

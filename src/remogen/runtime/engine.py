@@ -70,8 +70,6 @@ from ..prior import (
     decode_segment,
     decoder_sensitivity,
     denoiser_tokens,
-    embed_text,
-    null_embedding,
     predict_clean_latent,
     project_history,
     seeded_prior_params,
@@ -167,7 +165,8 @@ class Engine:
         self.fwsr_params: Optional[FwsrParams] = params.get("fwsr")
         if self.mode == "fwsr" and self.fwsr_params is None:
             raise ConfigError("fwsr mode requested but the archive has no fwsr weights")
-        self.normalizer = Normalizer(archive.get("norm.mean"), archive.get("norm.std"))
+        self.normalizer = Normalizer(*(require_finite(archive.get(name), name)
+                                       for name in ("norm.mean", "norm.std")))
 
         self.scene_grid: Optional[VoxelGrid] = None
         self.gen = Rng(cfg.seed).generator("engine")
@@ -274,9 +273,7 @@ class Engine:
         module's names, so they are called here under those names.
         """
         contexts = self._prepared_contexts()
-        texts = (embed_text(self.text, self.prior.text_dim),
-                 null_embedding(self.prior.text_dim))
-        prefix = segment_tokens(self.prior, self.history, texts)
+        prefix = segment_tokens(self.prior, self.history, self.text)
 
         def denoise(z_t, t):
             tokens = denoiser_tokens(self.prior, z_t, t, prefix)

@@ -9,6 +9,10 @@ the refiner keep float64. Either way the attention core (QK^T, softmax and
 the mix of V), layer norm and GELU stay in float64. Everything here is a pure
 function of its inputs, so values can be shared freely.
 
+Attention has two forms: self-attention, mha_forward(x, x, p), and
+cross-attention to a context projected once by attention_kv,
+mha_forward(q, attention_kv(context, p), p).
+
 Weights may be float32 or float64. A product casts each operand to acc, and
 a weight already in acc is used as it is, so a float64 twin of a float32
 weight (float64_twin) gives an F64 product the same bits without the cast on
@@ -108,21 +112,18 @@ def matmul(a: np.ndarray, b: np.ndarray, acc=F64) -> np.ndarray:
     return _product(a, b, acc).astype(F32, copy=False)
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray] = None,
-           acc=F64) -> np.ndarray:
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, acc=F64) -> np.ndarray:
     """Affine map x @ w + b, the product accumulated in acc. Weight is
     (in_dim, out_dim), or (L, in_dim, out_dim) for L stacked blocks with the
     bias stored as (L, 1, out_dim); the bias broadcasts to the shape of x @ w."""
     y = matmul(x, w, acc)
-    if b is not None:
-        # In place and in float32 for a float32 bias: one binary64 add rounded
-        # to binary32 is the correctly rounded float32 sum, so this is the
-        # float64 add-then-round bit for bit.
-        try:
-            y += b
-        except ValueError as exc:
-            raise DimensionError(
-                f"bias shape {np.shape(b)} does not fit output {y.shape}") from exc
+    # In place and in float32 for a float32 bias: one binary64 add rounded to
+    # binary32 is the correctly rounded float32 sum, so this is the float64
+    # add-then-round bit for bit.
+    try:
+        y += b
+    except ValueError as exc:
+        raise DimensionError(f"bias shape {np.shape(b)} does not fit output {y.shape}") from exc
     return y
 
 
@@ -188,31 +189,27 @@ class Rng:
         return Rng(mixed, self.algorithm)
 
 
-def seeded_init(shape: Sequence[int], scheme: str, rng: Rng) -> np.ndarray:
-    """Deterministic tensor init. Schemes: "uniform-fan" (Glorot-style), "zeros".
+def seeded_init(shape: Sequence[int], rng: Rng) -> np.ndarray:
+    """Deterministic Glorot-style tensor init.
 
-    "uniform-fan" draws from U(-b, b) with b = sqrt(6 / (fan_in + fan_out)),
-    reading fan_in from the first axis and fan_out from the last: Glorot
-    uniform for an (in, out) weight, and for a vector both are its length.
-    A (kernel, c_in, out) convolution weight thus takes fan_in = kernel, not
+    Draws from U(-b, b) with b = sqrt(6 / (fan_in + fan_out)), reading fan_in
+    from the first axis and fan_out from the last: Glorot uniform for an
+    (in, out) weight, and for a vector both are its length. A
+    (kernel, c_in, out) convolution weight thus takes fan_in = kernel, not
     the kernel * c_in of the usual convolutional convention.
 
-    A SHAPE_ONLY rng makes "uniform-fan" return a read-only zero-stride
-    placeholder of the shape instead of drawing.
+    A SHAPE_ONLY rng returns a read-only zero-stride placeholder of the shape
+    instead of drawing.
     """
     shape = tuple(int(s) for s in shape)
     if any(s < 1 for s in shape):
         raise DimensionError(f"invalid init shape {shape}")
-    if scheme == "zeros":
-        return np.zeros(shape, dtype=F32)
-    if scheme == "uniform-fan":
-        if rng.algorithm == SHAPE_ONLY:
-            return np.broadcast_to(np.zeros((), dtype=F32), shape)
-        fan_in, fan_out = shape[0], shape[-1]
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        gen = rng.generator("init", scheme, *shape)
-        return gen.uniform(-bound, bound, size=shape).astype(F32)
-    raise DimensionError(f"unknown init scheme {scheme!r}")
+    if rng.algorithm == SHAPE_ONLY:
+        return np.broadcast_to(np.zeros((), dtype=F32), shape)
+    fan_in, fan_out = shape[0], shape[-1]
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    gen = rng.generator("init", "uniform-fan", *shape)
+    return gen.uniform(-bound, bound, size=shape).astype(F32)
 
 
 @dataclass(frozen=True)
@@ -279,13 +276,12 @@ def _split_heads(x: np.ndarray, w: np.ndarray, p: AttentionParams, acc=F64) -> n
 
 
 def attention_kv(kv_in: np.ndarray, p: AttentionParams, acc=F64) -> tuple:
-    """The key and value projections of mha_forward, as a pair it takes in place of kv_in.
+    """The (k, v) pair that mha_forward cross-attends to.
 
     kv_in is (T_kv, kv_in_width) or (batch, T_kv, kv_in_width); k and v are
     float64 (..., T_kv, heads, width // heads), with a leading L axis when
-    the projections are stacked, projected with acc as mha_forward would.
-    Projecting a fixed context once and passing the pair to every later call
-    with the same acc gives the same bits as passing the tokens.
+    the projections are stacked, the weight products accumulated in acc. A
+    fixed context is projected once and its pair passed to every later call.
     """
     kv_in = np.asarray(kv_in)
     if kv_in.ndim not in (2, 3):
@@ -303,19 +299,20 @@ def mha_forward(q_in: np.ndarray, kv_in, p: AttentionParams,
                 bias: Optional[np.ndarray] = None, acc=F64) -> np.ndarray:
     """Multi-head attention softmax(QK^T/sqrt(dh) + bias) V, projected by W_O.
 
-    Inputs are (tokens, width), or (batch, tokens, width) with one batch size
-    for both; row b of a batched call equals the 2-D call on q_in[b], kv_in[b]
-    bit for bit. kv_in may also be the (k, v) pair attention_kv returns for
-    it. Stacked (L, in, width) projections run L blocks at once: a 2-D input
-    is shared by all of them, a batched one gives block l row l, and block l
-    of the (L, T_q, width) result equals the 2-D call with block l's weights
-    bit for bit. bias, when given, is (heads, T_q, T_kv), shared by the whole
-    batch, or one such bias per batch row or block; it adds to the
-    pre-softmax logits of each head. No normalization is applied here.
+    kv_in takes one of two forms:
+      - q_in itself: self-attention. Q, K and V are projected with one
+        product against p.w_qkv.
+      - the (k, v) pair attention_kv returns: cross-attention to a context
+        projected beforehand. Only Q is projected here.
 
-    Self-attention, kv_in the very array q_in, projects Q, K and V with one
-    product against p.w_qkv; the result equals that of separate projections
-    (kv_in a copy of q_in) bit for bit.
+    q_in is (tokens, width), or (batch, tokens, width); row b of a batched
+    call equals the 2-D call on q_in[b] bit for bit. Stacked (L, in, width)
+    projections run L blocks at once: a 2-D input is shared by all of them, a
+    batched one gives block l row l, and block l of the (L, T_q, width)
+    result equals the 2-D call with block l's weights bit for bit. bias, when
+    given, is (heads, T_q, T_kv), shared by the whole batch, or one such bias
+    per batch row or block; it adds to the pre-softmax logits of each head.
+    No normalization is applied here.
 
     The weight products, the Q/K/V projections and W_O, accumulate in acc;
     an F32 projection is cast up to float64 before the core. Both
@@ -327,10 +324,6 @@ def mha_forward(q_in: np.ndarray, kv_in, p: AttentionParams,
     """
     self_attention = kv_in is q_in
     q_in = np.asarray(q_in)
-    if not self_attention and not isinstance(kv_in, tuple):
-        kv_in = np.asarray(kv_in)
-        if kv_in.ndim != q_in.ndim or q_in.shape[:-2] != kv_in.shape[:-2]:
-            raise DimensionError("attention inputs must share one batch size")
     if q_in.ndim not in (2, 3):
         raise DimensionError("attention inputs must be (tokens, width) or "
                              "(batch, tokens, width)")
@@ -342,7 +335,7 @@ def mha_forward(q_in: np.ndarray, kv_in, p: AttentionParams,
         qkv = _split_heads(q_in, p.w_qkv, p, acc)   # views of one product
         q, k, v = qkv[..., 0, :, :], qkv[..., 1, :, :], qkv[..., 2, :, :]
     else:
-        k, v = kv_in if isinstance(kv_in, tuple) else attention_kv(kv_in, p, acc)
+        k, v = kv_in
         require_finite(q_in, "attention query input")
         q = _split_heads(q_in, p.w_q, p, acc)[..., 0, :, :]
 

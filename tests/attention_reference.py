@@ -18,11 +18,10 @@ def _heads(x, w, p, acc):
 
 
 def reference_mha(q_in, kv_in, p, bias=None, acc=F64):
-    """mha_forward(q_in, kv_in, p, bias, acc) with separate Q/K/V projections
-    and einsum contractions; kv_in may be an attention_kv (k, v) pair."""
+    """mha_forward of q_in attending to the tokens kv_in, with separate Q/K/V
+    projections and einsum contractions."""
     q = _heads(q_in, p.w_q, p, acc)
-    k, v = kv_in if isinstance(kv_in, tuple) else (_heads(kv_in, p.w_k, p, acc),
-                                                   _heads(kv_in, p.w_v, p, acc))
+    k, v = _heads(kv_in, p.w_k, p, acc), _heads(kv_in, p.w_v, p, acc)
     logits = np.einsum("...qhd,...khd->...hqk", q, k) / np.sqrt(p.width // p.heads)
     if bias is not None:
         logits = logits + bias

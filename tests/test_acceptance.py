@@ -339,14 +339,14 @@ def test_c05_sensitivity_linear_decoders():
         np.testing.assert_allclose(s, np.linalg.norm(a, axis=0), atol=1e-4)
 
     worst = 0.0
-    sizes = {"compact": dict(latent_dim=COMPACT.latent_dim, text_dim=COMPACT.text_dim,
-                             width=COMPACT.width, heads=COMPACT.heads,
-                             n_blocks=COMPACT.n_blocks, ffn_hidden=COMPACT.ffn_hidden,
-                             vae_hidden=COMPACT.vae_hidden),
-             "engine": {}}
-    for size, dims in sizes.items():
+    for size, cfg in {"compact": COMPACT, "engine": EngineConfig()}.items():
         for seed in range(8):
-            params = seeded_prior_params(Rng(seed).child("c5", size), **dims)
+            params = seeded_prior_params(
+                Rng(seed).child("c5", size), feature_dim=FeatureLayout(cfg.joints).dim,
+                history_len=cfg.history_len, future_len=cfg.future_len,
+                latent_dim=cfg.latent_dim, text_dim=cfg.text_dim, width=cfg.width,
+                heads=cfg.heads, n_blocks=cfg.n_blocks, ffn_hidden=cfg.ffn_hidden,
+                vae_hidden=cfg.vae_hidden)
             gen = Rng(seed).generator("c5", size, "point")
             h = HistoryWindow(gen.standard_normal((params.history_len, params.feature_dim))
                               .astype(F32))

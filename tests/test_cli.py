@@ -3,6 +3,7 @@ import io
 import json
 import os
 import select
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,32 @@ class TestGenerate:
                      "--out", str(out), *flags]) == 4
         assert "non-finite values in decoded frames" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("tensor", ["norm.mean", "norm.std"])
+    @pytest.mark.parametrize("command", ["generate", "stream"])
+    def test_non_finite_normalizer_exits_4_before_the_first_tick(
+            self, tmp_path, weights_path, monkeypatch, capsys, command, tensor, value):
+        """A non-finite norm.mean or norm.std is refused when the engine is
+        built, naming the tensor: generate writes no file, and stream reads no
+        record and writes no line."""
+        from remogen.runtime import load_archive
+
+        tensors = dict(load_archive(weights_path).tensors)
+        bad = tensors[tensor].copy()
+        bad[5] = value
+        tensors[tensor] = bad
+        weights = tmp_path / "bad-norm.rmgw"
+        save_archive(WeightArchive(tensors), weights)
+        out = tmp_path / "x.rmgm"
+        stdin = io.StringIO('{"t": 0, "kind": "partner_pose", "pose": [0.0]}\n')
+        monkeypatch.setattr(sys, "stdin", stdin)
+        capsys.readouterr()
+        argv = {"generate": ["--segments", "1", "--out", str(out)], "stream": []}[command]
+        assert main([command, "--weights", str(weights), *argv]) == 4
+        captured = capsys.readouterr()
+        assert f"non-finite values in {tensor}" in captured.err
+        assert captured.out == "" and stdin.tell() == 0 and not out.exists()
 
     def test_missing_weights_is_format_error(self, tmp_path):
         bad = tmp_path / "missing.rmgw"
@@ -311,6 +338,24 @@ class TestVoxelizeAndMetrics:
         save_motion(MotionSegment(frames), ref, FeatureLayout(10))
         assert main(["metrics", "--pred", str(pred), "--ref", str(ref)]) == 2
         assert "differs from ref layout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layout_id,joints", [("body0", 0), ("body007", 7)])
+    def test_non_canonical_layout_id_is_format_error(self, tmp_path, capsys, layout_id,
+                                                     joints):
+        """A motion file whose layout id is no canonical bodyN, N >= 1, exits
+        3. A body0 file, with no joints, once crashed peak_jerk."""
+        from remogen.runtime.codecs import MOTION_MAGIC
+
+        t, d = 16, FeatureLayout(joints).dim
+        ident = layout_id.encode("utf-8")
+        path = tmp_path / "odd.rmgm"
+        path.write_bytes(MOTION_MAGIC + struct.pack("<IfIII", 1, 10.0, joints, d, t)
+                         + struct.pack("<I", len(ident)) + ident + bytes(4 * t * d))
+        capsys.readouterr()
+        assert main(["metrics", "--pred", str(path), "--ref", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert f"unknown layout id {layout_id!r}" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flag", ["--pred", "--ref", "--partner"])
     def test_zero_frame_motion_file_is_config_error(self, tmp_path, weights_path, capsys,

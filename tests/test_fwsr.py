@@ -13,7 +13,7 @@ from remogen.fwsr import (
     refine_latent,
     seeded_fwsr_params,
 )
-from remogen.motion import HistoryWindow, featurize, normalize, synthetic_sequence
+from remogen.motion import FeatureLayout, HistoryWindow, featurize, normalize, synthetic_sequence
 from remogen.prior import (
     decode_segment,
     decoder_sensitivity,
@@ -26,6 +26,7 @@ from remogen.tensorcore import (
     AttentionParams,
     RelBiasParams,
     Rng,
+    attention_kv,
     layer_norm,
     linear,
     mha_forward,
@@ -110,15 +111,20 @@ class TestEstimateSensitivity:
 # Prior sizes the probe is checked at: compact (as the acceptance sweeps use)
 # and the engine defaults.
 PRIOR_SIZES = {
-    "compact": dict(latent_dim=16, text_dim=16, width=32, heads=2, n_blocks=2,
-                    ffn_hidden=64, vae_hidden=64),
-    "engine": {},
+    "compact": EngineConfig(latent_dim=16, text_dim=16, width=32, heads=2, n_blocks=2,
+                            ffn_hidden=64, vae_hidden=64, injection_layers=(0, 1)),
+    "engine": EngineConfig(),
 }
 
 
 def seeded_probe_point(size, seed):
     """A seeded prior with a random history window and latent to probe at."""
-    params = seeded_prior_params(Rng(seed).child("prior"), **PRIOR_SIZES[size])
+    cfg = PRIOR_SIZES[size]
+    params = seeded_prior_params(
+        Rng(seed).child("prior"), feature_dim=FeatureLayout(cfg.joints).dim,
+        history_len=cfg.history_len, future_len=cfg.future_len, latent_dim=cfg.latent_dim,
+        text_dim=cfg.text_dim, width=cfg.width, heads=cfg.heads, n_blocks=cfg.n_blocks,
+        ffn_hidden=cfg.ffn_hidden, vae_hidden=cfg.vae_hidden)
     gen = Rng(seed).generator("probe")
     m_h = HistoryWindow(gen.standard_normal((params.history_len, params.feature_dim))
                         .astype(F32))
@@ -189,7 +195,8 @@ class TestDecoderSensitivity:
     def test_nonfinite_latent_fails_the_refiner(self):
         params, m_h, z0 = seeded_probe_point("compact", 0)
         z0[3] = np.nan
-        fwsr = seeded_fwsr_params(Rng(1), params.feature_dim, params.latent_dim)
+        fwsr = seeded_fwsr_params(Rng(1), params.feature_dim, params.latent_dim, heads=4,
+                                  beta_sens=1.0, zero_film=True)
         with pytest.raises(NumericError):
             refine_latent(z0, m_h, np.zeros((0, params.feature_dim), dtype=F32),
                           SensitivityVector(np.zeros(params.latent_dim, dtype=F32)), fwsr)
@@ -198,7 +205,7 @@ class TestDecoderSensitivity:
 class TestRefineLatent:
     def test_zero_film_head_is_identity(self):
         params = seeded_fwsr_params(Rng(3), feature_dim=D, latent_dim=DZ,
-                                    heads=2, zero_film=True)
+                                    heads=2, beta_sens=1.0, zero_film=True)
         gen = Rng(4).generator("z")
         z0 = gen.standard_normal(DZ, dtype=F32)
         out = refine_latent(z0, history(), gen.standard_normal((2, D)).astype(F32),
@@ -235,22 +242,14 @@ class TestRefineLatent:
         sens = SensitivityVector(np.abs(gen.standard_normal(d_z)).astype(F32))
         got = refine_latent(z0, m_h, window, sens, params)
 
-        from remogen.tensorcore import (
-            layer_norm,
-            linear,
-            mha_forward,
-            relative_bias,
-            sinusoidal_embedding,
-        )
-
         rows = np.vstack([m_h.frames, window])
         toks = linear(rows, params.dyn_w, params.dyn_b)
         pos = sinusoidal_embedding(np.arange(len(rows)), d_z).astype(np.float64)
         toks = (toks.astype(np.float64) + pos).astype(F32)
         normed = layer_norm(toks, params.dyn_attn.ln_gain, params.dyn_attn.ln_offset)
         c_dyn = toks + mha_forward(normed, normed, params.dyn_attn)
-        r = mha_forward(z0[None, :], c_dyn, params.cross_attn,
-                        relative_bias(1, len(rows), params.rel_bias))
+        r = mha_forward(z0[None, :], attention_kv(c_dyn, params.cross_attn),
+                        params.cross_attn, relative_bias(1, len(rows), params.rel_bias))
         film = (r.astype(np.float64) @ params.film_w.astype(np.float64)
                 + params.film_b.astype(np.float64))[0]
         d_raw = np.tanh(film[:d_z]) * z0 + np.tanh(film[d_z:])
@@ -258,7 +257,8 @@ class TestRefineLatent:
         np.testing.assert_allclose(got, expected.astype(F32), atol=1e-6)
 
     def test_context_rows_cached_per_token_count(self):
-        params = seeded_fwsr_params(Rng(5), feature_dim=D, latent_dim=DZ, heads=2)
+        params = seeded_fwsr_params(Rng(5), feature_dim=D, latent_dim=DZ, heads=2,
+                                    beta_sens=1.0, zero_film=True)
         for n in (2, 3, 4, 3):
             pos, bias = params.context_rows(n)
             np.testing.assert_array_equal(pos, sinusoidal_embedding(np.arange(n), DZ))
@@ -289,8 +289,8 @@ class TestRefineLatent:
             toks = (toks.astype(np.float64) + pos.astype(np.float64)).astype(F32)
             normed = layer_norm(toks, params.dyn_attn.ln_gain, params.dyn_attn.ln_offset)
             c_dyn = toks + mha_forward(normed, normed, params.dyn_attn)
-            r = mha_forward(z0[None, :], c_dyn, params.cross_attn,
-                            relative_bias(1, len(rows), params.rel_bias))
+            r = mha_forward(z0[None, :], attention_kv(c_dyn, params.cross_attn),
+                            params.cross_attn, relative_bias(1, len(rows), params.rel_bias))
             film = linear(r, params.film_w, params.film_b)[0].astype(np.float64)
             d_raw = np.tanh(film[:8]) * z0.astype(np.float64) + np.tanh(film[8:])
             d_safe = d_raw / (1.0 + params.beta_sens * sens.s.astype(np.float64))
@@ -299,7 +299,7 @@ class TestRefineLatent:
 
     def test_empty_window_of_any_shape(self):
         params = seeded_fwsr_params(Rng(6), feature_dim=D, latent_dim=DZ, heads=2,
-                                    zero_film=False)
+                                    beta_sens=1.0, zero_film=False)
         gen = Rng(7).generator("empty")
         z0 = gen.standard_normal(DZ, dtype=F32)
         m_h = history(gen)

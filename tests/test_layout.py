@@ -235,3 +235,23 @@ def test_every_defaulted_parameter_is_passed_by_a_program_call():
             unpassed.append(label)
     assert not unpassed, ("defaulted parameters that no program call passes; make them "
                           "constants or required:\n" + "\n".join(unpassed))
+
+
+# Model sizes ------------------------------------------------------------------
+#
+# EngineConfig is the one place that sets the default model sizes. A size
+# defaulted anywhere else is a second copy that can drift from it unseen: a
+# call that forgets to pass it builds another model than the config names.
+
+MODEL_SIZES = ("history_len", "future_len", "latent_dim", "text_dim", "width", "heads",
+               "n_blocks", "ffn_hidden", "vae_hidden", "injection_layers", "beta_sens")
+
+
+def test_only_engine_config_defaults_a_model_size():
+    from remogen.runtime.config import EngineConfig
+
+    assert set(MODEL_SIZES) <= set(EngineConfig.__annotations__), "stale model-size name"
+    found = [label for label, _, _, param in defaulted_parameters()
+             if param in MODEL_SIZES and not label.startswith("runtime.config.")]
+    assert not found, ("model sizes defaulted outside runtime/config.py; take them from "
+                       "EngineConfig:\n" + "\n".join(found))

@@ -24,6 +24,7 @@ from remogen.tensorcore import (
     FfnParams,
     RelBiasParams,
     Rng,
+    attention_kv,
     layer_norm,
     mha_forward,
     relative_bias,
@@ -92,12 +93,11 @@ def naive_mim_block(h, c, p):
     from remogen.tensorcore import ffn_forward
 
     h = h.astype(F32)
-    h_prime = h + mha_forward(layer_norm(h, p.self_attn.ln_gain, p.self_attn.ln_offset),
-                              layer_norm(h, p.self_attn.ln_gain, p.self_attn.ln_offset),
-                              p.self_attn, acc=F32)
+    normed = layer_norm(h, p.self_attn.ln_gain, p.self_attn.ln_offset)
+    h_prime = h + mha_forward(normed, normed, p.self_attn, acc=F32)
     bias = relative_bias(h.shape[0], c.shape[0], p.rel_bias)
     r = mha_forward(layer_norm(h_prime, p.cross_attn.ln_gain, p.cross_attn.ln_offset),
-                    c, p.cross_attn, bias, acc=F32)
+                    attention_kv(c, p.cross_attn, F32), p.cross_attn, bias, acc=F32)
     film = ((r.astype(F32) @ p.film_w.astype(F32)).astype(np.float64)
             + p.film_b.astype(np.float64))
     d = h.shape[1]
@@ -257,7 +257,8 @@ class TestModuleDeltas:
 def hot_module(source, seed, width=128, heads=4, ffn_hidden=256):
     """A seeded module at engine size whose blocks all have random non-zero gates."""
     params = seeded_mim_params("m", source, Rng(seed), feature_dim=12, width=width,
-                               heads=heads, ffn_hidden=ffn_hidden)
+                               heads=heads, ffn_hidden=ffn_hidden,
+                               injection_layers=(0, 1, 2, 3))
     gen = Rng(seed).generator("gates")
     blocks = {idx: dataclasses.replace(b, gate=gen.uniform(0.05, 0.15, width).astype(F32))
               for idx, b in params.blocks.items()}

@@ -42,6 +42,14 @@ class TestFeatureLayout:
     def test_layout_variant(self):
         assert FeatureLayout(joints=23).dim == 12 * 23 + 12
         assert FeatureLayout.from_id("body22").joints == 22
+        assert FeatureLayout.from_id("body1").joints == 1
+
+    @pytest.mark.parametrize("layout_id", ["body0", "body007", "body-1", "body+3", "body 5",
+                                           "body\u0663", "body22x", "body", "Body22", ""])
+    def test_only_canonical_ids_name_a_layout(self, layout_id):
+        """bodyN with N >= 1 written without a sign, spaces or leading zeros."""
+        with pytest.raises(DimensionError):
+            FeatureLayout.from_id(layout_id)
 
 
 class TestRigidTransform:

@@ -24,7 +24,6 @@ from remogen.prior import (
     decoder_sensitivity,
     denoiser_tokens,
     embed_text,
-    null_embedding,
     posterior_table,
     predict_clean_latent,
     project_history,
@@ -63,23 +62,23 @@ def small_projection(small_params, small_history):
 
 class TestEmbedText:
     def test_empty_string_is_null(self):
-        w = embed_text("")
-        assert w.null_flag and np.all(w.values == 0)
-        assert embed_text("   ").null_flag
+        assert embed_text("", 32) is None
+        assert embed_text("   ", 32) is None
 
     def test_deterministic(self):
-        a = embed_text("walk forward quickly")
-        b = embed_text("walk forward quickly")
-        assert np.array_equal(a.values, b.values)
+        a = embed_text("walk forward quickly", 32)
+        b = embed_text("walk forward quickly", 32)
+        assert a.shape == (32,) and a.dtype == F32
+        assert np.array_equal(a, b)
 
     def test_case_and_whitespace_normalized(self):
-        a = embed_text("Walk  Forward")
-        b = embed_text("walk forward")
-        assert np.array_equal(a.values, b.values)
+        a = embed_text("Walk  Forward", 32)
+        b = embed_text("walk forward", 32)
+        assert np.array_equal(a, b)
 
     def test_distinct_texts_not_parallel(self):
-        a = embed_text("walk forward").values
-        b = embed_text("sit down").values
+        a = embed_text("walk forward", 32)
+        b = embed_text("sit down", 32)
         cos = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
         assert cos < 1.0 - 1e-6
 
@@ -92,8 +91,8 @@ class TestVae:
         assert a.shape == (4, 12) and a.dtype == F32
         assert np.array_equal(a, b)
 
-    def test_default_future_length(self):
-        params = seeded_prior_params(Rng(0))
+    def test_default_future_length(self, engine_prior):
+        params = engine_prior
         hist = HistoryWindow(np.zeros((2, params.feature_dim), dtype=F32))
         seg = decode_segment(project_history(hist, params),
                              np.zeros(params.latent_dim, dtype=F32), params)
@@ -214,21 +213,21 @@ class TestVae:
                 decoder_sensitivity(bad, z, small_params)
 
 
-def embed(params, z_t, t, m_h, texts):
-    """The tokens of one step: the segment's rows, then the step's."""
-    return denoiser_tokens(params, z_t, t, segment_tokens(params, m_h, texts))
+def embed(params, z_t, t, m_h, text):
+    """The (text, null) tokens of one step: the segment's rows, then the step's."""
+    return denoiser_tokens(params, z_t, t, segment_tokens(params, m_h, text))
 
 
-def clean_latent(params, z_t, t, m_h, texts, deltas=None):
-    """The denoiser on one (z_t, t, m_h): embed the texts, then run the blocks."""
-    return predict_clean_latent(params, embed(params, z_t, t, m_h, texts), deltas)
+def clean_latent(params, z_t, t, m_h, text, deltas=None):
+    """The denoiser on one (z_t, t, m_h): embed the text, then run the blocks."""
+    return predict_clean_latent(params, embed(params, z_t, t, m_h, text), deltas)
 
 
 class TestPredictCleanLatent:
     def test_zero_deltas_bit_equal(self, small_params, small_history):
         gen = Rng(6).generator("z")
         z_t = gen.standard_normal(8, dtype=F32)
-        w = (embed_text("turn left", dim=8),)
+        w = "turn left"
         bare = clean_latent(small_params, z_t, 3, small_history, w)
         zero = ModulationDelta("m", (0, 1), np.zeros((2, 5, 16), dtype=F32))
         with_zero = clean_latent(small_params, z_t, 3, small_history, w, zero)
@@ -236,14 +235,14 @@ class TestPredictCleanLatent:
 
     def test_deterministic(self, small_params, small_history):
         z_t = Rng(7).generator("z").standard_normal(8, dtype=F32)
-        w = (null_embedding(8),)
+        w = ""
         a = clean_latent(small_params, z_t, 0, small_history, w)
         b = clean_latent(small_params, z_t, 0, small_history, w)
         assert np.array_equal(a, b)
 
     def test_large_delta_changes_output(self, small_params, small_history):
         z_t = Rng(8).generator("z").standard_normal(8, dtype=F32)
-        w = (null_embedding(8),)
+        w = ""
         bare = clean_latent(small_params, z_t, 1, small_history, w)
         kicked = np.zeros((5, 16), dtype=F32)
         kicked[0, 0] = 10.0
@@ -254,91 +253,86 @@ class TestPredictCleanLatent:
     def test_unknown_injection_layer(self, small_params, small_history):
         z_t = np.zeros(8, dtype=F32)
         with pytest.raises(ConfigError):
-            clean_latent(small_params, z_t, 0, small_history, (null_embedding(8),),
+            clean_latent(small_params, z_t, 0, small_history, "",
                          ModulationDelta("m", (9,), np.zeros((1, 5, 16), dtype=F32)))
 
     @pytest.mark.parametrize("layers", ["none", "zero", "some"])
     def test_batched_rows_equal_single_calls(self, small_params, small_history, layers):
         z_t = Rng(10).generator("z").standard_normal(8, dtype=F32)
-        texts = (embed_text("turn left", dim=8), null_embedding(8))
+        tokens = embed(small_params, z_t, 4, small_history, "turn left")
         deltas = None
         if layers == "zero":
             deltas = ModulationDelta("m", (0, 1), np.zeros((2, 5, 16), dtype=F32))
         elif layers == "some":
             kick = Rng(11).generator("d").standard_normal((5, 16)).astype(F32)
             deltas = ModulationDelta("m", (1,), kick[None])
-        batched = clean_latent(small_params, z_t, 4, small_history, texts, deltas)
+        batched = predict_clean_latent(small_params, tokens, deltas)
         assert batched.shape == (2, 8)
-        for row, w in zip(batched, texts):
-            single = clean_latent(small_params, z_t, 4, small_history, (w,), deltas)
+        for b, row in enumerate(batched):
+            single = predict_clean_latent(small_params, tokens[b:b + 1], deltas)
             assert single.shape == (1, 8)
             np.testing.assert_array_equal(row, single[0])
         if layers == "some":
-            bare = clean_latent(small_params, z_t, 4, small_history, texts)
+            bare = predict_clean_latent(small_params, tokens)
             assert not np.array_equal(batched, bare)
 
     def test_batched_delta_shape_checked(self, small_params, small_history):
-        texts = (null_embedding(8), null_embedding(8))
         with pytest.raises(DimensionError):
             clean_latent(small_params, np.zeros(8, dtype=F32), 0, small_history,
-                         texts, ModulationDelta("m", (0,), np.zeros((1, 4, 16), dtype=F32)))
+                         "", ModulationDelta("m", (0,), np.zeros((1, 4, 16), dtype=F32)))
 
     def test_zero_rows_of_a_stack_are_skipped(self, small_params, small_history):
         z_t = Rng(12).generator("z").standard_normal(8, dtype=F32)
-        texts = (embed_text("turn left", dim=8), null_embedding(8))
+        text = "turn left"
         kick = Rng(13).generator("d").standard_normal((5, 16)).astype(F32)
         stacked = ModulationDelta("m", (0, 1), np.stack([np.zeros_like(kick), kick]))
         alone = ModulationDelta("m", (1,), kick[None])
         np.testing.assert_array_equal(
-            clean_latent(small_params, z_t, 2, small_history, texts, stacked),
-            clean_latent(small_params, z_t, 2, small_history, texts, alone))
+            clean_latent(small_params, z_t, 2, small_history, text, stacked),
+            clean_latent(small_params, z_t, 2, small_history, text, alone))
 
     def test_token_count(self, small_params, small_history):
-        toks = embed(small_params, np.zeros(8, dtype=F32), 0, small_history,
-                     (null_embedding(8),))
-        assert toks.shape == (1, 2 + 3, 16)
+        toks = embed(small_params, np.zeros(8, dtype=F32), 0, small_history, "")
+        assert toks.shape == (2, 2 + 3, 16)
 
-    def test_batched_tokens_equal_single_calls(self, small_params, small_history):
+    def test_null_row_does_not_depend_on_text(self, small_params, small_history):
+        """Row 1 is the null row whatever the text; a text with no tokens
+        conditions row 0 on the null token too."""
         z_t = Rng(13).generator("z").standard_normal(8, dtype=F32)
-        texts = (embed_text("wave", dim=8), null_embedding(8), embed_text("sit", dim=8))
-        toks = embed(small_params, z_t, 2, small_history, texts)
-        assert toks.shape == (3, 5, 16)
-        for row, w in zip(toks, texts):
-            np.testing.assert_array_equal(
-                row, embed(small_params, z_t, 2, small_history, (w,))[0])
+        null = embed(small_params, z_t, 2, small_history, "")
+        np.testing.assert_array_equal(null[0], null[1])
+        for text in ("wave", "sit"):
+            toks = embed(small_params, z_t, 2, small_history, text)
+            np.testing.assert_array_equal(toks[1], null[1])
+            assert not np.array_equal(toks[0], null[0])
 
     @pytest.mark.parametrize("t", [0, 3, 9])
     def test_hoisted_tokens_equal_per_step_reference(self, small_params, small_history, t):
         """Rows built once per segment plus the step's rows equal the per-step
-        float64 embedding bit for bit, for any texts, history and step."""
+        float64 embedding bit for bit, for any text, history and step."""
         gen = Rng(14 + t).generator("tokens")
-        texts = (embed_text("wave", dim=8), null_embedding(8), embed_text("sit down", dim=8))
-        for _ in range(5):
+        for text in ("wave", "", "sit down"):
             m_h = HistoryWindow(gen.standard_normal((2, 12)).astype(F32) * 3)
-            prefix = segment_tokens(small_params, m_h, texts)
+            prefix = segment_tokens(small_params, m_h, text)
             for _ in range(3):
                 z_t = gen.standard_normal(8, dtype=F32) * 2
                 np.testing.assert_array_equal(
                     denoiser_tokens(small_params, z_t, t, prefix),
-                    reference_tokens(small_params, z_t, t, m_h, texts))
+                    reference_tokens(small_params, z_t, t, m_h, text))
 
     def test_segment_rows_are_not_shared_with_a_step(self, small_params, small_history):
-        texts = (null_embedding(8),)
-        prefix = segment_tokens(small_params, small_history, texts)
+        prefix = segment_tokens(small_params, small_history, "")
         before = prefix.copy()
         toks = denoiser_tokens(small_params, np.ones(8, dtype=F32), 1, prefix)
         toks[:] = 0
         np.testing.assert_array_equal(prefix, before)
         np.testing.assert_array_equal(small_params.time_token(1),
                                       reference_tokens(small_params, np.ones(8, dtype=F32), 1,
-                                                       small_history, texts)[0, :1])
+                                                       small_history, "")[0, :1])
 
     def test_segment_tokens_check_dimensions(self, small_params, small_history):
         with pytest.raises(DimensionError):
-            segment_tokens(small_params, HistoryWindow(np.zeros((3, 12), dtype=F32)),
-                           (null_embedding(8),))
-        with pytest.raises(DimensionError):
-            segment_tokens(small_params, small_history, (embed_text("wave", dim=6),))
+            segment_tokens(small_params, HistoryWindow(np.zeros((3, 12), dtype=F32)), "")
 
 
 def pair_stub(fn):
@@ -376,7 +370,6 @@ class TestDdpmSample:
     def test_deltas_provider_called_each_step(self, small_params, small_history):
         """A per-step deltas provider inside denoise, as the engine builds it,
         sees each step's tokens once, with t counting down."""
-        texts = (embed_text("x", 8), null_embedding(8))
         seen = []
 
         def provider(tokens, t):
@@ -384,7 +377,7 @@ class TestDdpmSample:
             seen.append(t)
             return None
 
-        prefix = segment_tokens(small_params, small_history, texts)
+        prefix = segment_tokens(small_params, small_history, "x")
 
         def denoise(z_t, t):
             tokens = denoiser_tokens(small_params, z_t, t, prefix)
@@ -407,10 +400,8 @@ class TestDdpmSample:
         assert np.array_equal(out, clean)
 
     def test_deterministic_given_seed(self, small_params, small_history):
-        texts = (embed_text("spin", 8), null_embedding(8))
-
         def denoise(z_t, t):
-            return clean_latent(small_params, z_t, t, small_history, texts)
+            return clean_latent(small_params, z_t, t, small_history, "spin")
 
         a = ddpm_sample(denoise, 8, 4, 2.0, Rng(3).generator("ddpm", 0))
         b = ddpm_sample(denoise, 8, 4, 2.0, Rng(3).generator("ddpm", 0))
@@ -488,12 +479,11 @@ class TestRollout:
 
         params = engine.prior
         gen = Rng(cfg.seed).generator("engine")
-        texts = (embed_text(text, params.text_dim), null_embedding(params.text_dim))
         history = rest_history(cfg.history_len, FeatureLayout(cfg.joints))
         frames = []
         for _ in range(3):
             def denoise(z_t, t, m_h=history):
-                return predict_clean_latent(params, reference_tokens(params, z_t, t, m_h, texts))
+                return predict_clean_latent(params, reference_tokens(params, z_t, t, m_h, text))
 
             z0 = ddpm_sample(denoise, params.latent_dim, cfg.steps, cfg.guidance_scale, gen)
             seg = decode_segment(project_history(history, params), z0, params)
@@ -510,8 +500,8 @@ class TestRollout:
         segments, steps_seen = [], []
         real_segment, real_tokens = engine_module.segment_tokens, engine_module.denoiser_tokens
 
-        def recording_segment(params, m_h, texts):
-            prefix = real_segment(params, m_h, texts)
+        def recording_segment(params, m_h, text):
+            prefix = real_segment(params, m_h, text)
             segments.append((m_h.frames.copy(), prefix.copy()))
             return prefix
 

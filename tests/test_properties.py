@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 from scene_reference import unpacked
 
-from remogen.errors import ConfigError, FormatError, RemogenError
+from remogen.errors import ConfigError, FormatError, NumericError, RemogenError
 from remogen.motion import (
     FeatureLayout,
     MotionSegment,
@@ -264,14 +264,36 @@ class EngineCalls(RuleBasedStateMachine):
     RemogenError and leaves the engine's clock, history, partner window,
     segment and generator state as they were, or is accepted and replayed on
     a twin engine that sees only accepted calls; after every accepted tick
-    both have emitted the same bits.
+    both have emitted the same finite bits. A refused tick is refused the
+    same way when it is repeated.
+
+    Half the engines, with their twins, are built from an archive in which
+    one weight is not finite. A tick with a good partner pose or none then
+    emits finite frames or raises NumericError.
 
     The history's newest row is always the newest ego frame: the last pose an
     accepted tick emitted, or the pose an accepted observe_ego was given."""
 
-    @initialize(mode=st.sampled_from(MODES))
-    def build(self, mode):
+    @initialize(mode=st.sampled_from(MODES), bad_weight=st.one_of(st.none(), st.tuples(
+        st.deferred(lambda: st.sampled_from(sorted(_sm_inputs()[0].names()))),
+        st.integers(min_value=0), st.sampled_from([np.nan, np.inf, -np.inf]))))
+    def build(self, mode, bad_weight):
+        """bad_weight, when given, is (tensor name, flat index modulo its size,
+        value): that element of the archive is made non-finite. norm.mean and
+        norm.std are refused when the engine is built; the engine is then
+        built from the good archive."""
         archive = _sm_inputs()[0]
+        if bad_weight is not None:
+            name, where, value = bad_weight
+            tensors = dict(archive.tensors)
+            bad = tensors[name].copy()
+            bad.reshape(-1)[where % bad.size] = value
+            tensors[name] = bad
+            if name.startswith("norm."):
+                with pytest.raises(NumericError, match=f"non-finite values in {name}"):
+                    Engine(WeightArchive(tensors), SM_CFG, mode=mode)
+            else:
+                archive = WeightArchive(tensors)
         self.engine = Engine(archive, SM_CFG, mode=mode)
         self.twin = Engine(archive, SM_CFG, mode=mode)
         self.calls = 0
@@ -283,14 +305,24 @@ class EngineCalls(RuleBasedStateMachine):
         e = self.engine
         before = (e.ticks, e.history.frames.copy(), e.partner_window.copy(), e.segment)
         gen_state = e.gen.bit_generator.state
-        try:
-            out = getattr(e, name)(*args)
-        except RemogenError:
+
+        def assert_unchanged():
             assert e.ticks == before[0]
             np.testing.assert_array_equal(e.history.frames, before[1])
             np.testing.assert_array_equal(e.partner_window, before[2])
             assert e.segment is before[3]
             np.testing.assert_equal(e.gen.bit_generator.state, gen_state)
+
+        try:
+            out = getattr(e, name)(*args)
+        except RemogenError as exc:
+            assert_unchanged()
+            self.refused = exc
+            if name == "tick":
+                with pytest.raises(type(exc)) as again:
+                    e.tick(*args)
+                assert str(again.value) == str(exc)
+                assert_unchanged()
             return None
         return out, getattr(self.twin, name)(*args)
 
@@ -303,10 +335,13 @@ class EngineCalls(RuleBasedStateMachine):
         frame = None if kind == "none" else _pose(kind, self.calls)
         result = self._call("tick", frame)
         if result is None:
+            if kind in ("good", "none"):
+                assert isinstance(self.refused, NumericError), self.refused
             return
         out, twin_out = result
         assert len(out) == len(twin_out)
         for a, b in zip(out, twin_out):
+            assert np.isfinite(a).all()
             np.testing.assert_array_equal(a, b)
         if out:
             e = self.engine

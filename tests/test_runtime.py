@@ -45,7 +45,7 @@ from remogen.runtime import (
     stream_run,
 )
 from remogen.runtime.bench import LatencyRecorder
-from remogen.runtime.codecs import ARCHIVE_MAGIC, VOXEL_MAGIC
+from remogen.runtime.codecs import ARCHIVE_MAGIC, MOTION_MAGIC, VOXEL_MAGIC
 from remogen.runtime.weights import flatten_params, rebuild_params
 from remogen.scene import GridSpec, VoxelGrid, room_grid_spec
 from remogen.tensorcore import Rng
@@ -195,6 +195,14 @@ class TestWeightArchiveCodec:
             load_archive(path)
 
 
+def write_motion(path, layout_id: str, joints: int, frames: np.ndarray) -> None:
+    """An RMGM1 file at 10 fps written field by field, whatever its layout id."""
+    t, d = frames.shape
+    ident = layout_id.encode("utf-8")
+    path.write_bytes(MOTION_MAGIC + struct.pack("<IfIII", 1, 10.0, joints, d, t)
+                     + struct.pack("<I", len(ident)) + ident + frames.astype("<f4").tobytes())
+
+
 class TestMotionCodec:
     def test_single_frame_round_trip(self, tmp_path):
         layout = FeatureLayout()
@@ -227,6 +235,15 @@ class TestMotionCodec:
         save_motion(MotionSegment(np.zeros((2, layout.dim), dtype=F32)), path, layout)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FormatError):
+            load_motion(path)
+
+    @pytest.mark.parametrize("layout_id,joints", [("body0", 0), ("body007", 7)])
+    def test_non_canonical_layout_id_is_format_error(self, tmp_path, layout_id, joints):
+        """A header whose layout id is no canonical bodyN, N >= 1, is refused,
+        even when its J and D agree with the id's joint count."""
+        path = tmp_path / "odd.rmgm"
+        write_motion(path, layout_id, joints, np.zeros((16, FeatureLayout(joints).dim)))
+        with pytest.raises(FormatError, match="unknown layout id"):
             load_motion(path)
 
     def test_save_load_save_byte_identical(self, tmp_path):
@@ -1281,7 +1298,6 @@ class TestModuleBatching:
         The text and history rows are embedded once per segment; every step's
         tokens equal the per-step reference embedding of (text, null)."""
         import remogen.prior as prior_mod
-        from remogen.prior import embed_text, null_embedding
         from remogen.runtime import engine as engine_mod
         from token_reference import reference_tokens
 
@@ -1289,9 +1305,9 @@ class TestModuleBatching:
         real_deltas = engine_mod.module_deltas
         segments, embeds, module_inputs = [], [], []
 
-        def recording_segment(params, m_h, texts):
-            prefix = real_segment(params, m_h, texts)
-            segments.append((prefix, m_h, tuple(texts)))
+        def recording_segment(params, m_h, text):
+            prefix = real_segment(params, m_h, text)
+            segments.append((prefix, m_h, text))
             return prefix
 
         def counting_tokens(params, z_t, t, prefix):
@@ -1314,21 +1330,17 @@ class TestModuleBatching:
         assert len(segments) == samples
         assert len(embeds) == samples * cfg.steps
         assert len(module_inputs) == len(embeds)
-        text, null = embed_text("wave", cfg.text_dim), null_embedding(cfg.text_dim)
-        for k, (prefix, m_h, texts) in enumerate(segments):
-            assert len(texts) == 2
-            assert not texts[0].null_flag and np.array_equal(texts[0].values, text.values)
-            assert texts[1].null_flag
+        for k, (prefix, m_h, text) in enumerate(segments):
+            assert text == "wave"
             steps = embeds[k * cfg.steps:(k + 1) * cfg.steps]
             inputs = module_inputs[k * cfg.steps:(k + 1) * cfg.steps]
             assert [t for _, t, _, _ in steps] == list(range(cfg.steps - 1, -1, -1))
             for (z_t, t, step_prefix, tokens), h in zip(steps, inputs):
                 assert step_prefix is prefix
-                np.testing.assert_array_equal(
-                    tokens, reference_tokens(engine.prior, z_t, t, m_h, (text, null)))
+                reference = reference_tokens(engine.prior, z_t, t, m_h, text)
+                np.testing.assert_array_equal(tokens, reference)
                 assert h.shape == (engine.prior.n_tokens, cfg.width)
-                np.testing.assert_array_equal(
-                    h, reference_tokens(engine.prior, z_t, t, m_h, (null,))[0])
+                np.testing.assert_array_equal(h, reference[1])
 
     @pytest.mark.parametrize("mode", ["segment", "fwsr"])
     def test_stacked_weights_live_with_the_engine(self, cfg, hot_archive, partner_frames,

@@ -56,6 +56,11 @@ def naive_attention(q_in, kv_in, p, bias=None):
     return (out @ p.w_o.astype(np.float64)).astype(F32)
 
 
+def cross_attention(q_in, kv_in, p, bias=None, acc=F64):
+    """mha_forward of q_in attending to the tokens kv_in, projected by attention_kv."""
+    return mha_forward(q_in, attention_kv(kv_in, p, acc), p, bias, acc)
+
+
 def random_attention_params(gen, heads, width):
     mats = [gen.standard_normal((width, width)).astype(F32) for _ in range(4)]
     return AttentionParams(heads, width, *mats,
@@ -68,7 +73,7 @@ class TestMhaForward:
         p = identity_attention(4)
         q = np.ones((1, 4), dtype=F32)
         v = np.array([[2.0, -1.0, 0.5, 7.0]], dtype=F32)
-        out = mha_forward(q, v, p)
+        out = cross_attention(q, v, p)
         np.testing.assert_allclose(out, v, atol=1e-6)
 
     def test_masked_key_is_ignored(self):
@@ -76,7 +81,7 @@ class TestMhaForward:
         q = np.zeros((1, 4), dtype=F32)
         kv = np.array([[1.0, 2.0, 3.0, 4.0], [9.0, 9.0, 9.0, 9.0]], dtype=F32)
         bias = np.array([[[0.0, -1e9]]], dtype=F32)
-        out = mha_forward(q, kv, p, bias)
+        out = cross_attention(q, kv, p, bias)
         np.testing.assert_allclose(out, kv[:1], atol=1e-6)
 
     def test_matches_oracle_seed7(self):
@@ -84,7 +89,7 @@ class TestMhaForward:
         q = gen.standard_normal((4, 8)).astype(F32)
         kv = gen.standard_normal((4, 8)).astype(F32)
         p = random_attention_params(gen, heads=2, width=8)
-        np.testing.assert_allclose(mha_forward(q, kv, p), naive_attention(q, kv, p),
+        np.testing.assert_allclose(cross_attention(q, kv, p), naive_attention(q, kv, p),
                                    atol=1e-6)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -97,7 +102,7 @@ class TestMhaForward:
         kv = gen.standard_normal((t_kv, width)).astype(F32)
         p = random_attention_params(gen, heads, width)
         bias = gen.standard_normal((heads, t_q, t_kv)).astype(F32)
-        np.testing.assert_allclose(mha_forward(q, kv, p, bias),
+        np.testing.assert_allclose(cross_attention(q, kv, p, bias),
                                    naive_attention(q, kv, p, bias), atol=1e-6)
 
     def test_bias_row_shift_invariance(self):
@@ -107,19 +112,19 @@ class TestMhaForward:
         p = random_attention_params(gen, 2, 8)
         bias = gen.standard_normal((2, 3, 5)).astype(F32)
         shifted = bias + 17.5
-        np.testing.assert_allclose(mha_forward(q, kv, p, bias),
-                                   mha_forward(q, kv, p, shifted), atol=1e-5)
+        np.testing.assert_allclose(cross_attention(q, kv, p, bias),
+                                   cross_attention(q, kv, p, shifted), atol=1e-5)
 
     def test_shape_and_finiteness_errors(self):
         p = identity_attention(4)
         with pytest.raises(DimensionError):
-            mha_forward(np.ones((2, 3), dtype=F32), np.ones((2, 4), dtype=F32), p)
+            cross_attention(np.ones((2, 3), dtype=F32), np.ones((2, 4), dtype=F32), p)
         with pytest.raises(DimensionError):
-            mha_forward(np.ones((2, 4), dtype=F32), np.ones((2, 4), dtype=F32), p,
-                        bias=np.ones((1, 3, 3), dtype=F32))
+            cross_attention(np.ones((2, 4), dtype=F32), np.ones((2, 4), dtype=F32), p,
+                            bias=np.ones((1, 3, 3), dtype=F32))
         bad = np.full((2, 4), np.nan, dtype=F32)
         with pytest.raises(NumericError):
-            mha_forward(bad, np.ones((2, 4), dtype=F32), p)
+            cross_attention(bad, np.ones((2, 4), dtype=F32), p)
 
     @pytest.mark.parametrize("with_bias", [False, True])
     @pytest.mark.parametrize("heads,width,t_q,t_kv", [(4, 128, 5, 5), (4, 128, 5, 2),
@@ -130,26 +135,26 @@ class TestMhaForward:
         kv = gen.standard_normal((3, t_kv, width)).astype(F32)
         p = random_attention_params(gen, heads, width)
         bias = gen.standard_normal((heads, t_q, t_kv)).astype(F32) if with_bias else None
-        out = mha_forward(q, kv, p, bias)
+        out = cross_attention(q, kv, p, bias)
         assert out.shape == (3, t_q, width)
         for b in range(3):
-            np.testing.assert_array_equal(out[b], mha_forward(q[b], kv[b], p, bias))
+            np.testing.assert_array_equal(out[b], cross_attention(q[b], kv[b], p, bias))
 
     def test_batch_shape_errors(self):
         p = identity_attention(4)
         with pytest.raises(DimensionError):
-            mha_forward(np.ones((2, 3, 4), dtype=F32), np.ones((3, 4), dtype=F32), p)
+            cross_attention(np.ones((2, 3, 4), dtype=F32), np.ones((3, 4), dtype=F32), p)
         with pytest.raises(DimensionError):
-            mha_forward(np.ones((2, 3, 4), dtype=F32), np.ones((1, 3, 4), dtype=F32), p)
+            cross_attention(np.ones((2, 3, 4), dtype=F32), np.ones((1, 3, 4), dtype=F32), p)
         with pytest.raises(DimensionError):
-            mha_forward(np.ones((1, 2, 3, 4), dtype=F32), np.ones((1, 2, 3, 4), dtype=F32), p)
+            cross_attention(np.ones((1, 2, 3, 4), dtype=F32), np.ones((1, 2, 3, 4), dtype=F32), p)
 
     def test_deterministic(self):
         gen = Rng(9).generator("det")
         q = gen.standard_normal((4, 8)).astype(F32)
         kv = gen.standard_normal((6, 8)).astype(F32)
         p = random_attention_params(gen, 2, 8)
-        assert np.array_equal(mha_forward(q, kv, p), mha_forward(q, kv, p))
+        assert np.array_equal(cross_attention(q, kv, p), cross_attention(q, kv, p))
 
 
 class TestGelu:
@@ -252,34 +257,35 @@ class TestStackedWeights:
         x = gen.standard_normal(shape).astype(F32)
         rows = [x if shared_input else x[l] for l in range(L_BLOCKS)]
         with_bias = linear(x, ffn_s.w1, ffn_s.b1)
-        no_bias = linear(x, ffn_s.w1)
+        no_bias = matmul(x, ffn_s.w1)
         normed = layer_norm(x, ffn_s.ln_gain, ffn_s.ln_offset)
         out = ffn_forward(x, ffn_s)
         assert out.shape == (L_BLOCKS, t_q, width)
         for l, f in enumerate(ffn):
             np.testing.assert_array_equal(with_bias[l], linear(rows[l], f.w1, f.b1))
-            np.testing.assert_array_equal(no_bias[l], linear(rows[l], f.w1))
+            np.testing.assert_array_equal(no_bias[l], matmul(rows[l], f.w1))
             np.testing.assert_array_equal(normed[l],
                                           layer_norm(rows[l], f.ln_gain, f.ln_offset))
             np.testing.assert_array_equal(out[l], ffn_forward(rows[l], f))
 
-    @pytest.mark.parametrize("projected", [False, True])
+    @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("with_bias", [False, True])
     @pytest.mark.parametrize("heads,width,t_q,t_kv", SHAPES)
-    def test_mha_forward(self, projected, with_bias, heads, width, t_q, t_kv):
+    def test_mha_forward(self, shared, with_bias, heads, width, t_q, t_kv):
+        """Cross-attention to a context shared by all blocks, or to one copy of
+        it per block."""
         gen = Rng(3 * width + t_kv).generator("stack-mha")
         attn, attn_s, _, _ = random_blocks(gen, heads, width, 2 * width)
         q = gen.standard_normal((L_BLOCKS, t_q, width)).astype(F32)
         context = gen.standard_normal((t_kv, width)).astype(F32)
         bias = (gen.standard_normal((L_BLOCKS, heads, t_q, t_kv)).astype(F32)
                 if with_bias else None)
-        kv = attention_kv(context, attn_s) if projected \
-            else np.broadcast_to(context, (L_BLOCKS, t_kv, width))
-        out = mha_forward(q, kv, attn_s, bias)
+        tokens = context if shared else np.broadcast_to(context, (L_BLOCKS, t_kv, width))
+        out = cross_attention(q, tokens, attn_s, bias)
         assert out.shape == (L_BLOCKS, t_q, width)
         for l, a in enumerate(attn):
             b = None if bias is None else bias[l]
-            np.testing.assert_array_equal(out[l], mha_forward(q[l], context, a, b))
+            np.testing.assert_array_equal(out[l], cross_attention(q[l], context, a, b))
 
     def test_shared_input_and_projected_pair_match_tokens(self):
         gen = Rng(5).generator("stack-shared")
@@ -306,7 +312,7 @@ class TestStackedWeights:
         wrong_l = np.ones((L_BLOCKS + 1, 4, 8), dtype=F32)
         for acc in (F64, F32):
             with pytest.raises(DimensionError):
-                linear(wrong_l, ffn_s.w1, acc=acc)
+                matmul(wrong_l, ffn_s.w1, acc)
             with pytest.raises(DimensionError):
                 linear(np.ones((4, 8), dtype=F32), ffn_s.w1, ffn[0].b1[None, None, :3], acc)
             with pytest.raises(DimensionError):
@@ -351,14 +357,15 @@ class TestStackedWeights:
             np.testing.assert_array_equal(linear_out[l], linear(x, f.w1, f.b1, F32))
             np.testing.assert_array_equal(ffn_out[l], ffn_forward(q[l], f, F32))
             np.testing.assert_array_equal(self_out[l], mha_forward(x, x, a, acc=F32))
-            np.testing.assert_array_equal(cross_out[l], mha_forward(q[l], context, a, acc=F32))
+            np.testing.assert_array_equal(cross_out[l],
+                                          cross_attention(q[l], context, a, acc=F32))
 
 
 def glorot_attention(rng, heads, width, blocks=None):
     """(width, width) attention params with seeded Glorot weights, stacked over
     blocks when given."""
     lead = () if blocks is None else (blocks,)
-    w = [seeded_init(lead + (width, width), "uniform-fan", rng.child(name)) for name in "qkvo"]
+    w = [seeded_init(lead + (width, width), rng.child(name)) for name in "qkvo"]
     vec = (width,) if blocks is None else (blocks, 1, width)
     return AttentionParams(heads, width, *w, ln_gain=np.ones(vec, dtype=F32),
                            ln_offset=np.zeros(vec, dtype=F32))
@@ -396,16 +403,15 @@ class TestEinsumReference:
         bias = (gen.standard_normal((*lead, heads, t_q, t_k)).astype(F32)
                 if with_bias else None)
         if t_kv is None:
-            inputs = [q]
+            out = mha_forward(q, q, p, bias)
+            ref = reference_mha(q, q, p, bias)
         else:
             context = gen.standard_normal((t_kv, width)).astype(F32)
             tokens = context if blocks is None else np.broadcast_to(context, (blocks, t_kv, width))
-            inputs = [tokens, attention_kv(context, p)]
-        for kv in inputs:
-            out = mha_forward(q, kv, p, bias)
-            ref = reference_mha(q, kv, p, bias)
-            assert out.shape == ref.shape == (*q_shape, width)
-            np.testing.assert_array_max_ulp(out, ref, maxulp=1)
+            out = mha_forward(q, attention_kv(context, p), p, bias)
+            ref = reference_mha(q, tokens, p, bias)
+        assert out.shape == ref.shape == (*q_shape, width)
+        np.testing.assert_array_max_ulp(out, ref, maxulp=1)
 
     @pytest.mark.parametrize("with_bias", [False, True])
     @pytest.mark.parametrize("name,blocks,q_shape,t_kv,heads,width", MODULE_ATTENTION)
@@ -438,7 +444,7 @@ class TestAccumulator:
         gen = Rng(9).generator("acc")
         attn, attn_s, ffn, ffn_s = random_blocks(gen, 2, 8, 16)
         x = np.ones((4, 8), dtype=F32)
-        calls = [lambda: matmul(x, ffn[0].w1, acc), lambda: linear(x, ffn[0].w1, acc=acc),
+        calls = [lambda: matmul(x, ffn[0].w1, acc), lambda: linear(x, ffn[0].w1, ffn[0].b1, acc),
                  lambda: ffn_forward(x, ffn_s, acc), lambda: attention_kv(x, attn_s, acc),
                  lambda: mha_forward(x, x, attn_s, acc=acc),
                  lambda: mha_forward(x, attention_kv(x, attn_s), attn_s, acc=acc)]
@@ -458,32 +464,25 @@ class TestAccumulator:
 
 
 class TestSeededInit:
-    def test_zeros_scheme(self):
-        assert np.all(seeded_init((3, 5), "zeros", Rng(1)) == 0)
-
     def test_shape_only_rng_allocates_nothing(self):
-        t = seeded_init((300, 2000), "uniform-fan", Rng(3, SHAPE_ONLY).child("w"))
+        t = seeded_init((300, 2000), Rng(3, SHAPE_ONLY).child("w"))
         assert t.shape == (300, 2000) and t.strides == (0, 0)
 
     def test_same_seed_bit_identical(self):
-        a = seeded_init((4, 4), "uniform-fan", Rng(42))
-        b = seeded_init((4, 4), "uniform-fan", Rng(42))
+        a = seeded_init((4, 4), Rng(42))
+        b = seeded_init((4, 4), Rng(42))
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = seeded_init((4, 4), "uniform-fan", Rng(1))
-        b = seeded_init((4, 4), "uniform-fan", Rng(2))
+        a = seeded_init((4, 4), Rng(1))
+        b = seeded_init((4, 4), Rng(2))
         assert not np.array_equal(a, b)
 
     def test_child_streams_differ(self):
         rng = Rng(7)
-        a = seeded_init((4, 4), "uniform-fan", rng.child("a"))
-        b = seeded_init((4, 4), "uniform-fan", rng.child("b"))
+        a = seeded_init((4, 4), rng.child("a"))
+        b = seeded_init((4, 4), rng.child("b"))
         assert not np.array_equal(a, b)
-
-    def test_unknown_scheme(self):
-        with pytest.raises(DimensionError):
-            seeded_init((2, 2), "orthogonal", Rng(0))
 
 
 def test_layer_norm_normalizes_rows():
@@ -526,14 +525,15 @@ class TestLeanKernels:
     @pytest.mark.parametrize("heads,width,t", [(4, 128, 5), (4, 128, 64), (2, 8, 9),
                                                (1, 16, 1)])
     def test_self_attention_dispatch_keeps_bits(self, lead, blocks, heads, width, t):
-        """mha_forward(x, x, p) takes the fused path, mha_forward(x, x.copy(), p)
-        the separate one; with or without fuse_qkv views they agree."""
+        """mha_forward(x, x, p) projects Q, K and V with one fused product,
+        mha_forward(x, attention_kv(x, p), p) projects them apart; with or
+        without fuse_qkv views they agree."""
         gen = Rng(2 * width + t).generator("dispatch", len(lead), blocks or 0)
         p = self.attention(gen, heads, width, blocks)
         x = gen.standard_normal(lead + (t, width)).astype(F32)
         bias = gen.standard_normal((heads, t, t)).astype(F32)
         for b in (None, bias):
-            separate = mha_forward(x, x.copy(), p, b)
+            separate = cross_attention(x, x, p, b)
             np.testing.assert_array_equal(mha_forward(x, x, p, b), separate)
             np.testing.assert_array_equal(mha_forward(x, x, fuse_qkv(p), b), separate)
 
