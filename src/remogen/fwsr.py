@@ -11,8 +11,8 @@ re-running the diffusion chain:
     d_safe     = d_raw / (1 + beta_sens * s)          (per latent dimension)
     z_refined  = z0 + d_safe
 
-where s is the decoder sensitivity vector: per latent dimension, the norm
-of the decoder's response to z0 at the segment's history
+where s is the decoder sensitivity, a float32 (d_z,) array: per latent
+dimension, the norm of the decoder's response to z0 at the segment's history
 (prior.decoder_sensitivity computes it exactly from the decoder Jacobian).
 Only refinement reads s, so it is probed once per segment, on the first
 refinement step, and the segment's first frame never waits for it. The
@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import DimensionError
 from .motion import HistoryWindow
 from .tensorcore import (
     F32,
@@ -62,21 +62,6 @@ from .tensorcore import (
     sinusoidal_embedding,
     twin_matrix,
 )
-
-
-@dataclass(frozen=True)
-class SensitivityVector:
-    """Non-negative per-latent-dimension decoder response magnitudes."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.s, dtype=F32)
-        if v.ndim != 1:
-            raise DimensionError("sensitivity must be a vector")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise NumericError("sensitivity entries must be finite and non-negative")
-        object.__setattr__(self, "s", v)
 
 
 @dataclass(frozen=True)
@@ -128,12 +113,16 @@ class FwsrParams:
 
 
 def refine_latent(z0: np.ndarray, m_h: HistoryWindow, x_dyn_window: np.ndarray,
-                  s: SensitivityVector, params: FwsrParams) -> np.ndarray:
-    """One refinement of the segment latent from the current dynamic context."""
+                  s: np.ndarray, params: FwsrParams) -> np.ndarray:
+    """One refinement of the segment latent from the current dynamic context.
+
+    s is the (d_z,) float32 decoder sensitivity (prior.decoder_sensitivity).
+    """
     z0 = np.asarray(z0, dtype=F32).reshape(-1)
     d_z = z0.shape[0]
-    if s.s.shape[0] != d_z:
-        raise DimensionError("sensitivity dim does not match latent")
+    if np.shape(s) != (d_z,):
+        raise DimensionError(f"sensitivity of shape {np.shape(s)} does not match "
+                             f"the ({d_z},) latent")
     # An empty window, of any shape, reshapes to (0, D).
     window = np.asarray(x_dyn_window, dtype=F32).reshape(-1, m_h.dim)
 
@@ -153,7 +142,7 @@ def refine_latent(z0: np.ndarray, m_h: HistoryWindow, x_dyn_window: np.ndarray,
     film = linear(r, params.film_w, params.film_b)[0]
     gamma, beta = film[:d_z].astype(F64), film[d_z:].astype(F64)
     d_raw = np.tanh(gamma) * z0.astype(F64) + np.tanh(beta)
-    d_safe = d_raw / (1.0 + params.beta_sens * s.s.astype(F64))
+    d_safe = d_raw / (1.0 + params.beta_sens * s.astype(F64))
     if not d_safe.any():
         return z0
     return (z0.astype(F64) + d_safe).astype(F32)

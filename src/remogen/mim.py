@@ -22,11 +22,11 @@ are not stacked with each other: their contexts differ in length. Each
 layer's residual equals its block run alone bit for bit.
 
 The gate is a per-channel vector, zero at init, so a fresh module leaves the
-frozen prior bit-identical. A module's residuals stay one (L, T, width) stack
-(ModulationDelta) from module_deltas through compose_deltas to the denoiser.
-Multiple modules compose by weighted sum with one L2 clamp over the whole
-stack that keeps the fused residual no larger than the strongest individual
-branch.
+frozen prior bit-identical. A module's residuals stay one float32 (L, T,
+width) array from module_deltas through compose_deltas to the engine, which
+hands its rows to the denoiser by injection layer. Multiple modules compose
+by weighted sum with one L2 clamp over the whole stack that keeps the fused
+residual no larger than the strongest individual branch.
 
 Precision is set by layer family. Every weight product of a module - the TCN
 encoder, the scene patch embedding and self-attention, the context's
@@ -46,7 +46,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, EmptyInputError
+from .errors import ConfigError, DimensionError
 from .scene import EGO_DIMS, EgoVoxelBlock
 from .tensorcore import (
     F32,
@@ -154,33 +154,14 @@ class PreparedContext:
     bias: np.ndarray  # (heads, T, T_c), or (L, heads, T, T_c) for stacked blocks
 
 
-@dataclass(frozen=True)
-class ModulationDelta:
-    """Token residuals of one module (or a composition): values[k] is the
-    (T, width) residual added after denoiser block layers[k]."""
-
-    module_id: str
-    layers: tuple  # strictly ascending injection layer indices
-    values: np.ndarray  # (len(layers), T, width)
-
-    def __post_init__(self):
-        layers = tuple(int(i) for i in self.layers)
-        if any(b <= a for a, b in zip(layers, layers[1:])):
-            raise DimensionError(f"delta layers {layers} are not strictly ascending")
-        values = np.asarray(self.values, dtype=F32)
-        if values.ndim != 3 or values.shape[0] != len(layers):
-            raise DimensionError(f"delta values of shape {values.shape} are not "
-                                 f"({len(layers)}, T, width)")
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "values", values)
-
-    def flat_norm(self) -> float:
-        # One (T, width) slab at a time: a single sum over the stack adds in
-        # another order and changes the last bits of the clamp scale.
-        total = 0.0
-        for arr in self.values:
-            total += float(np.sum(arr.astype(F64) ** 2))
-        return float(np.sqrt(total))
+def flat_norm(stack: np.ndarray) -> float:
+    """The L2 norm of a residual stack over all its layers jointly, in float64."""
+    # One (T, width) slab at a time: a single sum over the stack adds in
+    # another order and changes the last bits of the clamp scale.
+    total = 0.0
+    for arr in stack:
+        total += float(np.sum(arr.astype(F64) ** 2))
+    return float(np.sqrt(total))
 
 
 def _causal_conv_gated(x: np.ndarray, layer: TcnLayerParams) -> np.ndarray:
@@ -268,48 +249,32 @@ def mim_block_forward(h: np.ndarray, c: PreparedContext,
     return ((h_ffn.astype(F64) - h.astype(F64)) * params.gate.astype(F64)).astype(F32)
 
 
-def module_deltas(h: np.ndarray, c: PreparedContext, params: MimParams) -> ModulationDelta:
-    """Every injection-layer residual of a module in one stacked pass over h.
+def module_deltas(h: np.ndarray, c: PreparedContext, params: MimParams) -> np.ndarray:
+    """Every injection-layer residual of a module in one stacked pass over h:
+    (L, T, width) float32, row k for the k-th of sorted(params.blocks).
 
     c is prepare_context(tokens, params.stacked, len(h)).
     """
-    return ModulationDelta(module_id=params.module_id, layers=tuple(sorted(params.blocks)),
-                           values=mim_block_forward(h, c, params.stacked))
+    return mim_block_forward(h, c, params.stacked)
 
 
-def compose_deltas(deltas: Sequence[ModulationDelta], alpha: dict) -> ModulationDelta:
+def compose_deltas(deltas: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
     """Weighted sum of module residual stacks with the per-sample L2 clamp.
 
-    alpha maps each module id to its weight. The clamp scale is
-    s = min(1, m / (||total|| + CLAMP_EPS)) with m the largest unweighted
-    module norm, both taken over all layers jointly. A single module with
-    weight exactly 1 passes through bit-identically.
+    deltas are (L, T, width) stacks of one shape, weights[k] the weight of
+    deltas[k]. The clamp scale is s = min(1, m / (||total|| + CLAMP_EPS))
+    with m the largest unweighted module norm, both taken over all layers
+    jointly (flat_norm). A single module with weight exactly 1 passes
+    through bit-identically, as a copy.
     """
-    if not deltas:
-        raise EmptyInputError("no deltas to compose")
-    first = deltas[0]
-    for d in deltas[1:]:
-        if d.layers != first.layers:
-            raise DimensionError("deltas do not share an injection layer set")
-        if d.values.shape != first.values.shape:
-            raise DimensionError(f"delta shapes differ: {d.values.shape} vs "
-                                 f"{first.values.shape}")
-    missing = [d.module_id for d in deltas if d.module_id not in alpha]
-    if missing:
-        raise ConfigError(f"no composition weight for modules {missing}")
-    weights = [float(alpha[d.module_id]) for d in deltas]
-
     if len(deltas) == 1 and weights[0] == 1.0:
-        return ModulationDelta(first.module_id, first.layers, first.values.copy())
-
-    total = np.zeros(first.values.shape, dtype=F64)
+        return deltas[0].copy()
+    total = np.zeros(deltas[0].shape, dtype=F64)
     for d, a in zip(deltas, weights):
-        total += a * d.values.astype(F64)
-    m = max(d.flat_norm() for d in deltas)
-    norm = float(np.sqrt(sum(np.sum(v ** 2) for v in total)))  # per slab, as flat_norm
-    s = min(1.0, m / (norm + CLAMP_EPS))
-    return ModulationDelta("+".join(d.module_id for d in deltas), first.layers,
-                           (s * total).astype(F32))
+        total += a * d.astype(F64)
+    m = max(flat_norm(d) for d in deltas)
+    s = min(1.0, m / (flat_norm(total) + CLAMP_EPS))
+    return (s * total).astype(F32)
 
 
 def seeded_mim_params(module_id: str, source: str, rng: Rng, feature_dim: int,

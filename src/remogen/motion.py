@@ -35,6 +35,11 @@ class FeatureLayout:
 
     joints: int = 22
 
+    def __post_init__(self):
+        # body0 is no layout id load_motion accepts, so no file may be saved with it.
+        if self.joints < 1:
+            raise DimensionError(f"a feature layout needs at least one joint, got {self.joints}")
+
     @property
     def dim(self) -> int:
         return 3 + 6 * self.joints + 3 + 6 + 3 * self.joints + 3 * self.joints

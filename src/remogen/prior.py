@@ -7,10 +7,10 @@ count. The segment-autoregressive rollout that slides the history window
 after each generated segment is driven by the runtime engine.
 
 The decoder's first layer is split into its history rows and its latent
-rows. project_history multiplies a history window by the history rows once
-(HistoryProjection), and the decoder and the sensitivity probe take that
-projection: each decode or probe against it multiplies only its latents by
-the d_z latent rows.
+rows. project_history multiplies a history window by the history rows once,
+into (1, vae_hidden) float64 rows, and the decoder and the sensitivity probe
+take those rows: each decode or probe against them multiplies only its
+latents by the d_z latent rows.
 
 The decoder and the probe multiply PriorParams.decoder, vae_dec with W1, W2
 and W3 swapped for read-only float64 twins by one tensorcore.map_leaves walk
@@ -217,62 +217,51 @@ def seeded_prior_params(rng: Rng, feature_dim: int, history_len: int, future_len
                        vae_dec=vae_dec, denoiser=denoiser)
 
 
-@dataclass(frozen=True)
-class HistoryProjection:
-    """A history window with its share of the decoder's first layer.
-
-    rows is flat(window) @ W1[:H*D] in float64, unrounded, (1, vae_hidden):
-    the part of layer 1 that no latent changes. project_history builds it
-    once per window; every decode and probe against the window then
-    multiplies only its latents by W1's d_z latent rows.
-    """
-
-    window: HistoryWindow
-    rows: np.ndarray
-
-
 def _check_history(m_h: HistoryWindow, params: PriorParams) -> None:
     if len(m_h) != params.history_len or m_h.dim != params.feature_dim:
         raise DimensionError("history window does not match prior dimensions")
 
 
-def project_history(m_h: HistoryWindow, params: PriorParams) -> HistoryProjection:
-    """Project a history window through the decoder's history rows of W1."""
+def project_history(m_h: HistoryWindow, params: PriorParams) -> np.ndarray:
+    """Project a history window through the decoder's history rows of W1.
+
+    The rows flat(m_h) @ W1[:H*D], (1, vae_hidden) float64 and unrounded, are
+    the part of layer 1 that no latent changes: every decode and probe
+    against the window multiplies only its latents by W1's d_z latent rows.
+    """
     _check_history(m_h, params)
     w1_h = params.decoder.w1[:-params.latent_dim]
-    return HistoryProjection(m_h, m_h.frames.reshape(1, -1).astype(F64) @ w1_h)
+    return m_h.frames.reshape(1, -1).astype(F64) @ w1_h
 
 
-def _first_layer(history: HistoryProjection, zs: np.ndarray,
-                 params: PriorParams) -> np.ndarray:
-    """The decoder's first affine layer for N latents that share one history,
-    (N, vae_hidden) float32, before its GELU: the history's projection plus
+def _first_layer(history: np.ndarray, zs: np.ndarray, params: PriorParams) -> np.ndarray:
+    """The decoder's first affine layer for N latents that share one projected
+    history, (N, vae_hidden) float32, before its GELU: the history rows plus
     each latent's product with W1's latent rows, summed in float64, rounded
     once, then b1 added."""
     p = params.vae_dec
-    _check_history(history.window, params)
-    if history.rows.shape != (1, p.w1.shape[1]):
-        raise DimensionError(f"history projection is {history.rows.shape}, "
+    if history.shape != (1, p.w1.shape[1]):
+        raise DimensionError(f"history projection is {history.shape}, "
                              f"expected (1, {p.w1.shape[1]})")
     zs = np.asarray(zs, dtype=F32)
     if zs.ndim != 2 or zs.shape[1] != params.latent_dim:
         raise DimensionError(f"latent batch has shape {zs.shape}, "
                              f"expected (N, {params.latent_dim})")
-    a1 = (history.rows + zs.astype(F64) @ params.decoder.w1[-params.latent_dim:]).astype(F32)
+    a1 = (history + zs.astype(F64) @ params.decoder.w1[-params.latent_dim:]).astype(F32)
     a1 += p.b1
     return a1
 
 
-def decode_segment(m_h: HistoryProjection, z: np.ndarray, params: PriorParams,
+def decode_segment(m_h: np.ndarray, z: np.ndarray, params: PriorParams,
                    frames: slice = slice(None)) -> np.ndarray:
-    """VAE decoder: a projected history window plus clean latent to the
-    future segment's (n, D) float32 frames in the contiguous range `frames`
-    (all F by default)."""
+    """VAE decoder: a projected history window (project_history) plus clean
+    latent to the future segment's (n, D) float32 frames in the contiguous
+    range `frames` (all F by default)."""
     z = np.asarray(z, dtype=F32).reshape(1, -1)
     return decode_batch(m_h, z, params, frames)[0]
 
 
-def decode_batch(m_h: HistoryProjection, zs: np.ndarray, params: PriorParams,
+def decode_batch(m_h: np.ndarray, zs: np.ndarray, params: PriorParams,
                  frames: slice = slice(None)) -> np.ndarray:
     """VAE decoder over N latents that share one projected history window;
     (N, n, D).
@@ -296,9 +285,10 @@ def decode_batch(m_h: HistoryProjection, zs: np.ndarray, params: PriorParams,
     return out.reshape(h.shape[0], stop - start, d)
 
 
-def decoder_sensitivity(m_h: HistoryProjection, z0: np.ndarray,
+def decoder_sensitivity(m_h: np.ndarray, z0: np.ndarray,
                         params: PriorParams) -> np.ndarray:
-    """Exact decoder response per latent dimension at (m_h, z0), float32 (d_z,).
+    """Exact decoder response per latent dimension at (m_h, z0), float32 (d_z,);
+    m_h is a projected history window (project_history).
 
     s_d is the norm of d(decoded segment)/d(z0_d) over all F x D outputs.
     One forward row gives the GELU slopes g1, g2 at the two hidden layers, so
@@ -354,26 +344,23 @@ def denoiser_tokens(params: PriorParams, z_t: np.ndarray, t: int,
     return tokens
 
 
-def predict_clean_latent(params: PriorParams, tokens: np.ndarray, deltas=None) -> np.ndarray:
+def predict_clean_latent(params: PriorParams, tokens: np.ndarray,
+                         residuals: Optional[dict] = None) -> np.ndarray:
     """Denoiser blocks: (B, T, width) tokens from denoiser_tokens to (B, d_z)
     clean-latent predictions.
 
     Row b depends on tokens[b] alone and equals the one-row batch
-    tokens[b:b+1] bit for bit. deltas, when given, is a ModulationDelta: after
-    denoiser block deltas.layers[k], its (T, width) residual deltas.values[k]
-    is added to every row's token activations. An all-zero residual is
-    skipped, so it leaves the output bit-identical to the bare prior.
+    tokens[b:b+1] bit for bit. residuals, when given, maps a denoiser block
+    index to a (T, width) residual that is added to every row's token
+    activations after that block. An all-zero residual is skipped, so it
+    leaves the output bit-identical to the bare prior.
     """
     x = tokens
-    residuals = {}
-    if deltas is not None:
-        if not all(0 <= i < params.n_blocks for i in deltas.layers):
-            raise ConfigError(f"injection layers {deltas.layers} outside denoiser blocks "
-                              f"[0, {params.n_blocks})")
-        if deltas.values.shape[1:] != x.shape[1:]:
-            raise DimensionError(f"delta residuals are {deltas.values.shape[1:]}, "
-                                 f"tokens are {x.shape[1:]}")
-        residuals = {i: row for i, row in zip(deltas.layers, deltas.values) if row.any()}
+    residuals = residuals or {}
+    if not all(0 <= i < params.n_blocks for i in residuals):
+        raise ConfigError(f"injection layers {sorted(residuals)} outside denoiser blocks "
+                          f"[0, {params.n_blocks})")
+    residuals = {i: row for i, row in residuals.items() if row.any()}
     for i, blk in enumerate(params.denoiser.blocks):
         normed = layer_norm(x, blk.attn.ln_gain, blk.attn.ln_offset)
         x = x + mha_forward(normed, normed, blk.attn)

@@ -11,11 +11,17 @@ emission. One tick corresponds to one input frame of wall-clock time:
 
 Every mode starts a segment the same way (Engine._start_segment): sample
 z0, project the history through the decoder's history rows once
-(prior.project_history) and decode the frames it needs from that projection.
-Engine.segment holds z0 and that projection; in fwsr mode also the
-sensitivity vector and the decode history projected on the first refinement
-tick. The probe shares the boundary projection with the frame-0 decode, and a
-refinement tick multiplies only the refined latent by the decoder's latent rows.
+(prior.project_history, (1, vae_hidden) float64 rows) and decode the frames
+it needs from those rows. Engine.segment holds z0 and the rows; in fwsr mode
+also the (d_z,) float32 sensitivity and the decode history projected on the
+first refinement tick. The probe shares the boundary rows with the frame-0
+decode, and a refinement tick multiplies only the refined latent by the
+decoder's latent rows.
+
+While sampling, each DDPM step composes the active modules' (L, T, width)
+residual stacks into one and hands its row k to the denoiser as the residual
+of block sorted(blocks)[k]; every module's blocks come from one
+cfg.injection_layers.
 
 The engine keeps one window per stream of frames: the ego history, which
 slides by every frame a mode emits and every pose observe_ego is given, and
@@ -26,7 +32,9 @@ Text and composition weights are read only at a segment start, so a change
 takes effect at the next one: one denoising pass has a single text.
 
 A tick that raises (on a non-finite decoded frame, say) leaves the engine
-exactly as it was, so a caller may skip it and go on.
+exactly as it was, so a caller may skip it and go on. A tick runs with
+numpy's floating-point reports off: a non-finite value is reported once, by
+the NumericError of a finiteness check.
 """
 from __future__ import annotations
 
@@ -36,12 +44,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 import numpy as np
 
 from ..errors import ConfigError
-from ..fwsr import (
-    FwsrParams,
-    SensitivityVector,
-    refine_latent,
-    seeded_fwsr_params,
-)
+from ..fwsr import FwsrParams, refine_latent, seeded_fwsr_params
 # Unused here, but perfbench/spans.py wraps this name in this module's
 # namespace when tracing; dropping the import breaks `--trace 1`.
 from ..prior import decode_batch  # noqa: F401
@@ -64,7 +67,6 @@ from ..motion import (
     rotation_from_6d,
 )
 from ..prior import (
-    HistoryProjection,
     PriorParams,
     ddpm_sample,
     decode_segment,
@@ -128,12 +130,16 @@ def init_weights(cfg: EngineConfig, seed: int) -> WeightArchive:
 
 
 class Segment(NamedTuple):
-    """The segment being generated; fwsr fills the last two on its first refinement tick."""
+    """The segment being generated; fwsr fills the last two on its first refinement tick.
+
+    boundary and decode_history are project_history rows; sensitivity is the
+    (d_z,) float32 decoder_sensitivity at the boundary rows and z0.
+    """
 
     z0: np.ndarray
-    boundary: HistoryProjection
-    sensitivity: Optional[SensitivityVector] = None
-    decode_history: Optional[HistoryProjection] = None
+    boundary: np.ndarray
+    sensitivity: Optional[np.ndarray] = None
+    decode_history: Optional[np.ndarray] = None
 
 
 class Engine:
@@ -273,17 +279,20 @@ class Engine:
         module's names, so they are called here under those names.
         """
         contexts = self._prepared_contexts()
+        weights = [float(self.alpha[mid]) for mid in contexts]
+        layers = sorted(self.mims[next(iter(contexts))].blocks) if contexts else []
         prefix = segment_tokens(self.prior, self.history, self.text)
 
         def denoise(z_t, t):
             tokens = denoiser_tokens(self.prior, z_t, t, prefix)
-            deltas = None
+            residuals = None
             if contexts:
                 with self._track("mim"):
-                    deltas = compose_deltas([module_deltas(tokens[1], c, self.mims[mid])
-                                             for mid, c in contexts.items()], self.alpha)
+                    stack = compose_deltas([module_deltas(tokens[1], c, self.mims[mid])
+                                            for mid, c in contexts.items()], weights)
+                    residuals = dict(zip(layers, stack))
             with self._track("denoiser"):
-                return predict_clean_latent(self.prior, tokens, deltas)
+                return predict_clean_latent(self.prior, tokens, residuals)
 
         with self._track("denoise_total"):
             return ddpm_sample(denoise, self.prior.latent_dim, self.cfg.steps,
@@ -314,12 +323,16 @@ class Engine:
         saved = (self.ticks, self.history, self.partner_window, self.segment,
                  self.gen.bit_generator.state)
         try:
-            with self._track("pre_post"):
-                if partner_frame is not None:
-                    frame = self._normalized(partner_frame, "partner frame")
-                    self.partner_window = np.vstack(
-                        [self.partner_window, frame])[-self.cfg.history_len:]
-            return self._advance()
+            # A non-finite weight reaches numpy as inf - inf or the like; a
+            # finiteness check raises NumericError for it, and numpy's
+            # RuntimeWarning would only say the same thing first.
+            with np.errstate(all="ignore"):
+                with self._track("pre_post"):
+                    if partner_frame is not None:
+                        frame = self._normalized(partner_frame, "partner frame")
+                        self.partner_window = np.vstack(
+                            [self.partner_window, frame])[-self.cfg.history_len:]
+                return self._advance()
         except BaseException:
             (self.ticks, self.history, self.partner_window, self.segment,
              self.gen.bit_generator.state) = saved
@@ -348,8 +361,8 @@ class Engine:
             seg = self.segment
             if phase == 1:
                 with self._track("sensitivity"):
-                    sensitivity = SensitivityVector(
-                        decoder_sensitivity(seg.boundary, seg.z0, self.prior))
+                    sensitivity = require_finite(
+                        decoder_sensitivity(seg.boundary, seg.z0, self.prior), "sensitivity")
             with self._track("fwsr_refine"):
                 if phase == 1:
                     # Every refined frame decodes against the first updated history.

@@ -52,12 +52,11 @@ def _serve(engine: Engine, source: IO[str], sink: IO[str], log: IO[str]) -> int:
             continue
         if record.kind == "end":
             break
+        if record.pose is not None and record.pose.shape[0] != engine.layout.dim:
+            # Wrong feature width means the whole stream is miswired.
+            raise ConfigError(f"{record.kind} has {record.pose.shape[0]} channels, "
+                              f"engine expects {engine.layout.dim}")
         if record.kind == "partner_pose":
-            if record.pose.shape[0] != engine.layout.dim:
-                # Wrong feature width means the whole stream is miswired.
-                raise ConfigError(
-                    f"pose has {record.pose.shape[0]} channels, engine expects "
-                    f"{engine.layout.dim}")
             start = time.perf_counter()
             frames = engine.tick(record.pose)
             latency_ms = (time.perf_counter() - start) * 1000.0
@@ -69,8 +68,6 @@ def _serve(engine: Engine, source: IO[str], sink: IO[str], log: IO[str]) -> int:
             if frames:
                 sink.flush()
         elif record.kind == "ego_pose":
-            if record.pose.shape[0] != engine.layout.dim:
-                raise ConfigError("ego pose width does not match the engine")
             engine.observe_ego(record.pose)
         elif record.kind == "text":
             engine.set_text(record.text)

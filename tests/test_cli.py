@@ -155,6 +155,32 @@ class TestGenerate:
         assert "non-finite values in decoded frames" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_inf_weight_writes_only_the_numeric_error_line(self, tmp_path, weights_path,
+                                                           value):
+        """An infinite denoiser weight turns into inf - inf inside the tick;
+        generate exits 4, and its stderr is the one `numeric error:` line,
+        with no numpy RuntimeWarning before it."""
+        from remogen.runtime import load_archive
+
+        tensors = dict(load_archive(weights_path).tensors)
+        name = "prior.denoiser.blocks.0.ffn.w1"
+        bad = tensors[name].copy()
+        bad[0, 0] = value
+        tensors[name] = bad
+        weights = tmp_path / "inf.rmgw"
+        save_archive(WeightArchive(tensors), weights)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "remogen.cli", "generate",
+             "--weights", str(weights), "--segments", "1", "--out", str(tmp_path / "x.rmgm")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 4, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric error: "), proc.stderr
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("tensor", ["norm.mean", "norm.std"])
     @pytest.mark.parametrize("command", ["generate", "stream"])
@@ -346,7 +372,7 @@ class TestVoxelizeAndMetrics:
         3. A body0 file, with no joints, once crashed peak_jerk."""
         from remogen.runtime.codecs import MOTION_MAGIC
 
-        t, d = 16, FeatureLayout(joints).dim
+        t, d = 16, 12 * joints + 12  # FeatureLayout(0) is refused
         ident = layout_id.encode("utf-8")
         path = tmp_path / "odd.rmgm"
         path.write_bytes(MOTION_MAGIC + struct.pack("<IfIII", 1, 10.0, joints, d, t)

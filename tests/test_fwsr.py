@@ -9,7 +9,6 @@ from sensitivity_oracle import estimate_sensitivity
 from remogen.errors import DimensionError, NumericError
 from remogen.fwsr import (
     FwsrParams,
-    SensitivityVector,
     refine_latent,
     seeded_fwsr_params,
 )
@@ -103,11 +102,6 @@ class TestEstimateSensitivity:
         with pytest.raises(NumericError):
             estimate_sensitivity(bad, history(), np.zeros(DZ, dtype=F32))
 
-    def test_nonnegative_invariant(self):
-        with pytest.raises(NumericError):
-            SensitivityVector(np.array([-0.5], dtype=F32))
-
-
 # Prior sizes the probe is checked at: compact (as the acceptance sweeps use)
 # and the engine defaults.
 PRIOR_SIZES = {
@@ -199,7 +193,7 @@ class TestDecoderSensitivity:
                                   beta_sens=1.0, zero_film=True)
         with pytest.raises(NumericError):
             refine_latent(z0, m_h, np.zeros((0, params.feature_dim), dtype=F32),
-                          SensitivityVector(np.zeros(params.latent_dim, dtype=F32)), fwsr)
+                          np.zeros(params.latent_dim, dtype=F32), fwsr)
 
 
 class TestRefineLatent:
@@ -209,14 +203,14 @@ class TestRefineLatent:
         gen = Rng(4).generator("z")
         z0 = gen.standard_normal(DZ, dtype=F32)
         out = refine_latent(z0, history(), gen.standard_normal((2, D)).astype(F32),
-                            SensitivityVector(np.zeros(DZ, dtype=F32)), params)
+                            np.zeros(DZ, dtype=F32), params)
         assert np.array_equal(out, z0)
 
     def test_zero_sensitivity_no_suppression(self):
         params = hand_params(0.5, 0.2, beta_sens=1.0, d_z=1)
         z0 = np.array([1.0], dtype=F32)
         out_free = refine_latent(z0, history(), np.zeros((0, D), dtype=F32),
-                                 SensitivityVector(np.zeros(1, dtype=F32)), params)
+                                 np.zeros(1, dtype=F32), params)
         # s = 0 leaves the raw delta: 0.5 * 1 + 0.2 = 0.7
         np.testing.assert_allclose(out_free, [1.7], atol=1e-6)
 
@@ -224,7 +218,7 @@ class TestRefineLatent:
         params = hand_params(0.5, 0.2, beta_sens=1.0, d_z=1)
         z0 = np.array([1.0], dtype=F32)
         out = refine_latent(z0, history(), np.zeros((0, D), dtype=F32),
-                            SensitivityVector(np.array([1.0], dtype=F32)), params)
+                            np.array([1.0], dtype=F32), params)
         # delta_raw = 0.7, suppressed by (1 + 1*1) -> 0.35
         np.testing.assert_allclose(out, [1.35], atol=1e-6)
 
@@ -239,7 +233,7 @@ class TestRefineLatent:
         z0 = gen.standard_normal(d_z, dtype=F32)
         m_h = history(gen)
         window = gen.standard_normal((2, D)).astype(F32)
-        sens = SensitivityVector(np.abs(gen.standard_normal(d_z)).astype(F32))
+        sens = np.abs(gen.standard_normal(d_z)).astype(F32)
         got = refine_latent(z0, m_h, window, sens, params)
 
         rows = np.vstack([m_h.frames, window])
@@ -253,7 +247,7 @@ class TestRefineLatent:
         film = (r.astype(np.float64) @ params.film_w.astype(np.float64)
                 + params.film_b.astype(np.float64))[0]
         d_raw = np.tanh(film[:d_z]) * z0 + np.tanh(film[d_z:])
-        expected = z0 + d_raw / (1.0 + params.beta_sens * sens.s.astype(np.float64))
+        expected = z0 + d_raw / (1.0 + params.beta_sens * sens.astype(np.float64))
         np.testing.assert_allclose(got, expected.astype(F32), atol=1e-6)
 
     def test_context_rows_cached_per_token_count(self):
@@ -278,7 +272,7 @@ class TestRefineLatent:
             z0 = gen.standard_normal(8, dtype=F32)
             m_h = history(gen)
             window = gen.standard_normal((rows_in_window, D)).astype(F32)
-            sens = SensitivityVector(np.abs(gen.standard_normal(8)).astype(F32))
+            sens = np.abs(gen.standard_normal(8)).astype(F32)
             got = refine_latent(z0, m_h, window, sens, params)
             assert np.array_equal(
                 refine_latent(z0, m_h, window, sens, params.float64_weights), got)
@@ -293,7 +287,7 @@ class TestRefineLatent:
                             params.cross_attn, relative_bias(1, len(rows), params.rel_bias))
             film = linear(r, params.film_w, params.film_b)[0].astype(np.float64)
             d_raw = np.tanh(film[:8]) * z0.astype(np.float64) + np.tanh(film[8:])
-            d_safe = d_raw / (1.0 + params.beta_sens * sens.s.astype(np.float64))
+            d_safe = d_raw / (1.0 + params.beta_sens * sens.astype(np.float64))
             expected = (z0.astype(np.float64) + d_safe).astype(F32)
             assert np.array_equal(got, expected), rows_in_window
 
@@ -303,7 +297,7 @@ class TestRefineLatent:
         gen = Rng(7).generator("empty")
         z0 = gen.standard_normal(DZ, dtype=F32)
         m_h = history(gen)
-        s = SensitivityVector(np.full(DZ, 0.5, dtype=F32))
+        s = np.full(DZ, 0.5, dtype=F32)
         outs = [refine_latent(z0, m_h, w, s, params)
                 for w in ([], np.zeros(0, dtype=F32), np.zeros((0, D), dtype=F32),
                           np.zeros((0, 3), dtype=np.float64))]
@@ -317,13 +311,13 @@ class TestRefineLatent:
         deltas = []
         for s_val in (0.0, 0.5, 1.0, 4.0, 16.0):
             out = refine_latent(z0, history(), np.zeros((0, D), dtype=F32),
-                                SensitivityVector(np.array([s_val], dtype=F32)), params)
+                                np.array([s_val], dtype=F32), params)
             deltas.append(abs(float(out[0] - z0[0])))
         assert all(a >= b for a, b in zip(deltas, deltas[1:]))
 
     def test_monotone_suppression_in_strength(self):
         z0 = np.array([1.0], dtype=F32)
-        s = SensitivityVector(np.array([2.0], dtype=F32))
+        s = np.array([2.0], dtype=F32)
         deltas = []
         for strength in (0.0, 0.25, 1.0, 4.0, 16.0):
             params = hand_params(0.5, 0.2, beta_sens=strength, d_z=1)
@@ -336,7 +330,7 @@ class TestRefineLatent:
         with pytest.raises(DimensionError):
             refine_latent(np.zeros(2, dtype=F32), history(),
                           np.zeros((0, D), dtype=F32),
-                          SensitivityVector(np.zeros(1, dtype=F32)), params)
+                          np.zeros(1, dtype=F32), params)
 
 
 # A compact engine with the defaults' structure, in fwsr mode. init_weights
@@ -462,10 +456,10 @@ class TestRefineSegment:
             assert len(probes) == 1 and probes[0][1] is engine.segment.z0
             boundary, decode_history = probes[0][0], histories[1]
             assert histories[0] is boundary
-            np.testing.assert_array_equal(boundary.window.frames, m_h.frames)
+            np.testing.assert_array_equal(boundary, project_history(m_h, engine.prior))
             assert all(h is decode_history for h in histories[1:])
-            np.testing.assert_array_equal(decode_history.window.frames,
-                                          m_h.slide(out[0]).frames)
+            np.testing.assert_array_equal(
+                decode_history, project_history(m_h.slide(out[0]), engine.prior))
 
     def test_cost_contract(self, film_archive, partner, engine_calls):
         """Each segment makes F-1 refinements and F-1 one-frame decodes, in
@@ -504,7 +498,8 @@ class TestObservedEgo:
         expected = plain.tick(partner[phase])[0]
         observed.observe_ego(pose)
         normalized = normalize(pose[None], observed.normalizer)[0]
-        np.testing.assert_array_equal(observed.history.frames[-1], normalized)
+        before = observed.history
+        np.testing.assert_array_equal(before.frames[-1], normalized)
         reads, real_refine = [], engine_module.refine_latent
 
         def refine(z0, m_h, *args):
@@ -516,6 +511,9 @@ class TestObservedEgo:
         assert not np.array_equal(got, expected)
         assert len(reads) == 1
         np.testing.assert_array_equal(reads[0], normalized)
-        decoded_against = observed.segment.decode_history.window.frames
-        held = np.any(np.all(decoded_against == normalized, axis=1))
-        assert held == (phase == 1)
+        rows = observed.segment.decode_history
+        if phase == 1:
+            np.testing.assert_array_equal(rows, project_history(before, observed.prior))
+            assert not np.array_equal(rows, plain.segment.decode_history)
+        else:
+            np.testing.assert_array_equal(rows, plain.segment.decode_history)

@@ -4,15 +4,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from remogen.errors import ConfigError, DimensionError, EmptyInputError
+from remogen.errors import ConfigError, DimensionError
 from remogen.mim import (
     MimBlockParams,
     MimParams,
-    ModulationDelta,
     SCENE_TOKENS,
     compose_deltas,
     encode_others,
     encode_scene,
+    flat_norm,
     mim_block_forward,
     module_deltas,
     prepare_context,
@@ -249,9 +249,8 @@ class TestModuleDeltas:
         h = gen.standard_normal((5, 16)).astype(F32)
         c = encode_others(gen.standard_normal((3, 12)).astype(F32), params.encoder)
         delta = module_deltas(h, prepare_context(c, params.stacked, 5), params)
-        assert delta.layers == (0, 1, 2)
-        assert delta.values.shape == (3, 5, 16)
-        assert np.all(delta.values == 0)
+        assert delta.shape == (3, 5, 16) and delta.dtype == F32
+        assert np.all(delta == 0)
 
 
 def hot_module(source, seed, width=128, heads=4, ffn_hidden=256):
@@ -274,14 +273,15 @@ class TestStackedModule:
         h = gen.standard_normal((5, 128)).astype(F32)
         c = gen.standard_normal((t_c, 128)).astype(F32)
         delta = module_deltas(h, prepare_context(c, params.stacked, 5), params)
-        assert delta.layers == (0, 1, 2, 3)
+        layers = sorted(params.blocks)
+        assert delta.shape == (len(layers), 5, 128)
         for idx, block in params.blocks.items():
             alone = MimParams("m", source, params.encoder, {idx: block})
             single = module_deltas(h, prepare_context(c, alone.stacked, 5), alone)
-            assert single.layers == (idx,)
-            assert np.any(single.values != 0)
-            row = delta.values[delta.layers.index(idx)]
-            np.testing.assert_array_equal(row, single.values[0])
+            assert single.shape == (1, 5, 128)
+            assert np.any(single != 0)
+            row = delta[layers.index(idx)]
+            np.testing.assert_array_equal(row, single[0])
             np.testing.assert_array_equal(row, run_block(h, c, block))
 
     @pytest.mark.parametrize("t_c", [2, 64])
@@ -295,7 +295,7 @@ class TestStackedModule:
             reused = module_deltas(h, prepared, params)
             fresh = module_deltas(h, prepare_context(c, params.stacked, 5), params)
             for k in range(len(params.blocks)):
-                np.testing.assert_array_equal(reused.values[k], fresh.values[k])
+                np.testing.assert_array_equal(reused[k], fresh[k])
 
     def test_stacked_weights_built_once_on_first_use(self):
         params = hot_module("others", seed=50, width=16, heads=2, ffn_hidden=32)
@@ -332,22 +332,17 @@ class TestStackedModule:
             module_deltas(np.ones((4, 16), dtype=F32), prepared, params)
 
 
-def random_delta(gen, module_id, layers=(0, 1), shape=(3, 4)):
-    return ModulationDelta(module_id, layers,
-                           np.stack([gen.standard_normal(shape).astype(F32) for _ in layers]))
+def random_delta(gen, layers=(0, 1), shape=(3, 4)):
+    """A random (len(layers), *shape) float32 residual stack."""
+    return np.stack([gen.standard_normal(shape).astype(F32) for _ in layers])
 
 
-def copy_as(module_id, d):
-    return ModulationDelta(module_id, d.layers, d.values.copy())
-
-
-def per_layer_compose(deltas, alpha, eps=1e-6):
+def per_layer_compose(deltas, weights, layers, eps=1e-6):
     """Composition over {layer: (T, width)} dicts, one layer at a time: the
     reference the stacked compose_deltas must match bit for bit. Returns the
     composed layer map and the clamp scale."""
-    maps = [{idx: np.array(v) for idx, v in zip(d.layers, d.values)} for d in deltas]
+    maps = [{idx: np.array(v) for idx, v in zip(layers, d)} for d in deltas]
     keys = sorted(maps[0])
-    weights = [float(alpha[d.module_id]) for d in deltas]
     if len(deltas) == 1 and weights[0] == 1.0:
         return {k: v.copy() for k, v in maps[0].items()}, 1.0
     total = {k: np.zeros_like(maps[0][k], dtype=np.float64) for k in keys}
@@ -355,84 +350,72 @@ def per_layer_compose(deltas, alpha, eps=1e-6):
         for k in keys:
             total[k] += a * layer_map[k].astype(np.float64)
 
-    def flat_norm(layer_map):
+    def map_norm(layer_map):
         acc = 0.0
         for arr in layer_map.values():
             acc += float(np.sum(arr.astype(np.float64) ** 2))
         return float(np.sqrt(acc))
 
-    m = max(flat_norm(layer_map) for layer_map in maps)
+    m = max(map_norm(layer_map) for layer_map in maps)
     norm = float(np.sqrt(sum(np.sum(v ** 2) for v in total.values())))
     s = min(1.0, m / (norm + eps))
     return {k: (s * total[k]).astype(F32) for k in keys}, s
 
 
-class TestModulationDelta:
-    def test_layout_checked(self):
-        with pytest.raises(DimensionError):
-            ModulationDelta("m", (1, 0), np.zeros((2, 3, 4), dtype=F32))
-        with pytest.raises(DimensionError):
-            ModulationDelta("m", (0, 0), np.zeros((2, 3, 4), dtype=F32))
-        with pytest.raises(DimensionError):
-            ModulationDelta("m", (0, 1), np.zeros((3, 4), dtype=F32))
-        with pytest.raises(DimensionError):
-            ModulationDelta("m", (0, 1), np.zeros((3, 3, 4), dtype=F32))
-        d = ModulationDelta("m", [2], np.ones((1, 3, 4)))
-        assert d.layers == (2,) and d.values.dtype == F32
-
+class TestFlatNorm:
     def test_flat_norm_sums_one_layer_at_a_time(self):
         # One np.sum over the whole stack gives a different last bit for some
         # of these stacks than adding the layers' sums one after another.
         gen = Rng(17).generator("norm")
         for _ in range(200):
-            d = random_delta(gen, "m", (0, 1, 2, 3), (5, 128))
+            d = random_delta(gen, (0, 1, 2, 3), (5, 128))
             acc = 0.0
-            for arr in d.values:
+            for arr in d:
                 acc += float(np.sum(np.array(arr).astype(np.float64) ** 2))
-            assert d.flat_norm() == float(np.sqrt(acc))
+            assert flat_norm(d) == float(np.sqrt(acc))
 
 
 class TestComposeDeltas:
     def test_single_module_unit_alpha_bit_exact(self):
         gen = Rng(11).generator("c")
-        d = random_delta(gen, "hhi")
-        out = compose_deltas([d], {"hhi": 1.0})
-        assert out.layers == d.layers
-        assert np.array_equal(out.values, d.values)
-        assert out.values is not d.values
+        d = random_delta(gen)
+        out = compose_deltas([d], [1.0])
+        assert out.dtype == F32
+        assert np.array_equal(out, d)
+        assert out is not d
 
     def test_symmetric_half_weights_preserve_norm(self):
         gen = Rng(12).generator("c")
-        d = random_delta(gen, "hhi")
-        out = compose_deltas([d, copy_as("hsi", d)], {"hhi": 0.5, "hsi": 0.5})
-        assert out.flat_norm() == pytest.approx(d.flat_norm(), rel=1e-5)
+        d = random_delta(gen)
+        out = compose_deltas([d, d.copy()], [0.5, 0.5])
+        assert flat_norm(out) == pytest.approx(flat_norm(d), rel=1e-5)
 
     def test_reinforcing_modules_clamped(self):
         gen = Rng(13).generator("c")
-        d = random_delta(gen, "hhi")
-        out = compose_deltas([d, copy_as("hsi", d)], {"hhi": 1.0, "hsi": 1.0})
+        d = random_delta(gen)
+        out = compose_deltas([d, d.copy()], [1.0, 1.0])
         # total = 2 delta, clamp rescales back to the strongest branch norm
-        assert out.flat_norm() <= d.flat_norm() + 1e-6
-        assert out.flat_norm() == pytest.approx(d.flat_norm(), rel=1e-4)
+        assert flat_norm(out) <= flat_norm(d) + 1e-6
+        assert flat_norm(out) == pytest.approx(flat_norm(d), rel=1e-4)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_clamp_bound(self, seed):
         gen = Rng(seed).generator("bound")
         n = int(gen.integers(1, 5))
-        deltas = [random_delta(gen, f"m{i}") for i in range(n)]
-        alpha = {f"m{i}": float(gen.uniform(0, 2)) for i in range(n)}
-        out = compose_deltas(deltas, alpha)
-        assert out.flat_norm() <= max(d.flat_norm() for d in deltas) + 1e-6
+        deltas = [random_delta(gen) for _ in range(n)]
+        weights = [float(gen.uniform(0, 2)) for _ in range(n)]
+        out = compose_deltas(deltas, weights)
+        assert flat_norm(out) <= max(flat_norm(d) for d in deltas) + 1e-6
 
     def test_pre_clamp_linearity(self):
         gen = Rng(14).generator("lin")
         # Scale small enough that the clamp never engages.
-        d1 = ModulationDelta("a", (0,), gen.standard_normal((2, 3)).astype(F32)[None])
-        d2 = ModulationDelta("b", (0,), gen.standard_normal((2, 3)).astype(F32)[None])
-        base = compose_deltas([d1, d2], {"a": 0.1, "b": 0.2})
-        doubled = compose_deltas([d1, d2], {"a": 0.2, "b": 0.2})
-        gain = doubled.values[0] - base.values[0]
-        np.testing.assert_allclose(gain, 0.1 * d1.values[0], atol=1e-5)
+        d1 = gen.standard_normal((2, 3)).astype(F32)[None]
+        d2 = gen.standard_normal((2, 3)).astype(F32)[None]
+        base = compose_deltas([d1, d2], [0.1, 0.2])
+        doubled = compose_deltas([d1, d2], [0.2, 0.2])
+        gain = doubled[0] - base[0]
+        np.testing.assert_allclose(gain, 0.1 * d1[0], atol=1e-5)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("reinforcing", [True, False])
@@ -440,40 +423,22 @@ class TestComposeDeltas:
         gen = Rng(seed).generator("ref", str(reinforcing))
         layers = (0, 1, 2, 3) if seed % 2 == 0 else (1, 3)
         shape = (5, 128) if seed < 3 else (3, 4)
-        base = random_delta(gen, "m0", layers, shape)
+        base = random_delta(gen, layers, shape)
         n = 2 + seed % 3
         if reinforcing:
             # Modules pushing the same way at full weight: the sum outgrows
             # the strongest branch and the clamp engages.
-            deltas = [copy_as("m0", base)] + [
-                ModulationDelta(f"m{i}", layers,
-                                base.values + 0.1 * random_delta(gen, "x", layers, shape).values)
-                for i in range(1, n)]
-            alpha = {f"m{i}": float(gen.uniform(0.8, 1.2)) for i in range(n)}
+            deltas = [base.copy()] + [base + 0.1 * random_delta(gen, layers, shape)
+                                      for i in range(1, n)]
+            weights = [float(gen.uniform(0.8, 1.2)) for i in range(n)]
         else:
             # Modules that cancel each other: the sum stays below the bound.
-            deltas = [copy_as("m0", base)] + [
-                ModulationDelta(f"m{i}", layers, (-1) ** i * base.values
-                                + 0.1 * random_delta(gen, "x", layers, shape).values)
-                for i in range(1, n)]
-            alpha = {f"m{i}": 0.5 for i in range(n)}
-        expected, s = per_layer_compose(deltas, alpha)
+            deltas = [base.copy()] + [(-1) ** i * base + 0.1 * random_delta(gen, layers, shape)
+                                      for i in range(1, n)]
+            weights = [0.5] * n
+        expected, s = per_layer_compose(deltas, weights, layers)
         assert (s < 1.0) == reinforcing
-        out = compose_deltas(deltas, alpha)
-        assert out.layers == layers
+        out = compose_deltas(deltas, weights)
+        assert out.shape == (len(layers), *shape)
         for k, idx in enumerate(layers):
-            np.testing.assert_array_equal(out.values[k], expected[idx])
-
-    def test_empty_and_mismatch_errors(self):
-        gen = Rng(16).generator("e")
-        with pytest.raises(EmptyInputError):
-            compose_deltas([], {"x": 1.0})
-        d1 = random_delta(gen, "a", layers=(0,))
-        d2 = random_delta(gen, "b", layers=(1,))
-        with pytest.raises(DimensionError):
-            compose_deltas([d1, d2], {"a": 1.0, "b": 1.0})
-        d3 = random_delta(gen, "b", layers=(0,), shape=(2, 2))
-        with pytest.raises(DimensionError):
-            compose_deltas([d1, d3], {"a": 1.0, "b": 1.0})
-        with pytest.raises(ConfigError):
-            compose_deltas([d1], {"other": 1.0})
+            np.testing.assert_array_equal(out[k], expected[idx])

@@ -44,6 +44,12 @@ class TestFeatureLayout:
         assert FeatureLayout.from_id("body22").joints == 22
         assert FeatureLayout.from_id("body1").joints == 1
 
+    @pytest.mark.parametrize("joints", [0, -1])
+    def test_fewer_than_one_joint_is_refused(self, joints):
+        """A layout load_motion could not read back (body0) is never made."""
+        with pytest.raises(DimensionError, match="at least one joint"):
+            FeatureLayout(joints)
+
     @pytest.mark.parametrize("layout_id", ["body0", "body007", "body-1", "body+3", "body 5",
                                            "body\u0663", "body22x", "body", "Body22", ""])
     def test_only_canonical_ids_name_a_layout(self, layout_id):

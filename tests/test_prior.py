@@ -10,14 +10,12 @@ from schedule_reference import reference_coefficients, reference_sample
 from token_reference import reference_tokens
 
 from remogen.errors import ConfigError, DimensionError
-from remogen.mim import ModulationDelta
 from remogen.motion import (
     FeatureLayout,
     HistoryWindow,
     rest_history,
 )
 from remogen.prior import (
-    HistoryProjection,
     ddpm_sample,
     decode_batch,
     decode_segment,
@@ -171,9 +169,8 @@ class TestVae:
                                 .astype(F32))
             zs = gen.standard_normal((n, params.latent_dim), dtype=F32)
             projection = project_history(m_h, params)
-            assert projection.window is m_h
-            assert projection.rows.shape == (1, params.vae_dec.w1.shape[1])
-            assert projection.rows.dtype == np.float64
+            assert projection.shape == (1, params.vae_dec.w1.shape[1])
+            assert projection.dtype == np.float64
             reference = reference_decode(m_h, zs, params)
             for frames in ranges:
                 via = decode_batch(projection, zs, params, frames)
@@ -199,18 +196,17 @@ class TestVae:
                 decode_segment(projection, z, small_params)
             with pytest.raises(DimensionError):
                 decoder_sensitivity(projection, z, small_params)
-        # A projection of a window that does not fit, or built for a prior of
-        # another hidden width, is caught where it is used.
+        # A projection built for a prior of another hidden width is caught
+        # where it is used.
         z = np.zeros(small_params.latent_dim, dtype=F32)
-        misfit = HistoryProjection(HistoryWindow(frames[:, :-1]), projection.rows)
         narrow = seeded_prior_params(Rng(5), feature_dim=12, history_len=2, future_len=4,
                                      latent_dim=8, text_dim=8, width=16, heads=2,
                                      n_blocks=2, ffn_hidden=32, vae_hidden=16)
-        for bad in (misfit, project_history(small_history, narrow)):
-            with pytest.raises(DimensionError):
-                decode_segment(bad, z, small_params)
-            with pytest.raises(DimensionError):
-                decoder_sensitivity(bad, z, small_params)
+        bad = project_history(small_history, narrow)
+        with pytest.raises(DimensionError):
+            decode_segment(bad, z, small_params)
+        with pytest.raises(DimensionError):
+            decoder_sensitivity(bad, z, small_params)
 
 
 def embed(params, z_t, t, m_h, text):
@@ -218,9 +214,9 @@ def embed(params, z_t, t, m_h, text):
     return denoiser_tokens(params, z_t, t, segment_tokens(params, m_h, text))
 
 
-def clean_latent(params, z_t, t, m_h, text, deltas=None):
+def clean_latent(params, z_t, t, m_h, text, residuals=None):
     """The denoiser on one (z_t, t, m_h): embed the text, then run the blocks."""
-    return predict_clean_latent(params, embed(params, z_t, t, m_h, text), deltas)
+    return predict_clean_latent(params, embed(params, z_t, t, m_h, text), residuals)
 
 
 class TestPredictCleanLatent:
@@ -229,7 +225,7 @@ class TestPredictCleanLatent:
         z_t = gen.standard_normal(8, dtype=F32)
         w = "turn left"
         bare = clean_latent(small_params, z_t, 3, small_history, w)
-        zero = ModulationDelta("m", (0, 1), np.zeros((2, 5, 16), dtype=F32))
+        zero = {0: np.zeros((5, 16), dtype=F32), 1: np.zeros((5, 16), dtype=F32)}
         with_zero = clean_latent(small_params, z_t, 3, small_history, w, zero)
         assert np.array_equal(bare, with_zero)
 
@@ -247,46 +243,40 @@ class TestPredictCleanLatent:
         kicked = np.zeros((5, 16), dtype=F32)
         kicked[0, 0] = 10.0
         out = clean_latent(small_params, z_t, 1, small_history, w,
-                           ModulationDelta("m", (0,), kicked[None]))
+                           {0: kicked})
         assert not np.array_equal(bare, out)
 
     def test_unknown_injection_layer(self, small_params, small_history):
         z_t = np.zeros(8, dtype=F32)
         with pytest.raises(ConfigError):
             clean_latent(small_params, z_t, 0, small_history, "",
-                         ModulationDelta("m", (9,), np.zeros((1, 5, 16), dtype=F32)))
+                         {9: np.zeros((5, 16), dtype=F32)})
 
     @pytest.mark.parametrize("layers", ["none", "zero", "some"])
     def test_batched_rows_equal_single_calls(self, small_params, small_history, layers):
         z_t = Rng(10).generator("z").standard_normal(8, dtype=F32)
         tokens = embed(small_params, z_t, 4, small_history, "turn left")
-        deltas = None
+        residuals = None
         if layers == "zero":
-            deltas = ModulationDelta("m", (0, 1), np.zeros((2, 5, 16), dtype=F32))
+            residuals = {0: np.zeros((5, 16), dtype=F32), 1: np.zeros((5, 16), dtype=F32)}
         elif layers == "some":
-            kick = Rng(11).generator("d").standard_normal((5, 16)).astype(F32)
-            deltas = ModulationDelta("m", (1,), kick[None])
-        batched = predict_clean_latent(small_params, tokens, deltas)
+            residuals = {1: Rng(11).generator("d").standard_normal((5, 16)).astype(F32)}
+        batched = predict_clean_latent(small_params, tokens, residuals)
         assert batched.shape == (2, 8)
         for b, row in enumerate(batched):
-            single = predict_clean_latent(small_params, tokens[b:b + 1], deltas)
+            single = predict_clean_latent(small_params, tokens[b:b + 1], residuals)
             assert single.shape == (1, 8)
             np.testing.assert_array_equal(row, single[0])
         if layers == "some":
             bare = predict_clean_latent(small_params, tokens)
             assert not np.array_equal(batched, bare)
 
-    def test_batched_delta_shape_checked(self, small_params, small_history):
-        with pytest.raises(DimensionError):
-            clean_latent(small_params, np.zeros(8, dtype=F32), 0, small_history,
-                         "", ModulationDelta("m", (0,), np.zeros((1, 4, 16), dtype=F32)))
-
     def test_zero_rows_of_a_stack_are_skipped(self, small_params, small_history):
         z_t = Rng(12).generator("z").standard_normal(8, dtype=F32)
         text = "turn left"
         kick = Rng(13).generator("d").standard_normal((5, 16)).astype(F32)
-        stacked = ModulationDelta("m", (0, 1), np.stack([np.zeros_like(kick), kick]))
-        alone = ModulationDelta("m", (1,), kick[None])
+        stacked = {0: np.zeros_like(kick), 1: kick}
+        alone = {1: kick}
         np.testing.assert_array_equal(
             clean_latent(small_params, z_t, 2, small_history, text, stacked),
             clean_latent(small_params, z_t, 2, small_history, text, alone))

@@ -242,7 +242,8 @@ class TestMotionCodec:
         """A header whose layout id is no canonical bodyN, N >= 1, is refused,
         even when its J and D agree with the id's joint count."""
         path = tmp_path / "odd.rmgm"
-        write_motion(path, layout_id, joints, np.zeros((16, FeatureLayout(joints).dim)))
+        # 12 J + 12 channels, written out: FeatureLayout(0) is refused.
+        write_motion(path, layout_id, joints, np.zeros((16, 12 * joints + 12)))
         with pytest.raises(FormatError, match="unknown layout id"):
             load_motion(path)
 
@@ -645,9 +646,12 @@ class TestStreamRun:
                                      cfg, archive)
         assert skipped == 1 and "nope" in err
 
-    def test_wrong_pose_width_is_fatal(self, cfg, archive):
-        line = json.dumps({"t": 0, "kind": "partner_pose", "pose": [0.0] * 5})
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("kind", ["partner_pose", "ego_pose"])
+    def test_wrong_pose_width_is_fatal(self, cfg, archive, kind):
+        """One check for both pose kinds: the error names the kind and both widths."""
+        line = json.dumps({"t": 0, "kind": kind, "pose": [0.0] * 5})
+        dim = FeatureLayout(cfg.joints).dim
+        with pytest.raises(ConfigError, match=f"^{kind} has 5 channels, engine expects {dim}$"):
             stream_run(io.StringIO(line + "\n"), io.StringIO(), cfg, archive,
                        log=io.StringIO())
 
@@ -1100,7 +1104,7 @@ class TestEngineWiring:
                                               engine.segment.z0)
                 # The oracle's float32 rounding over its 2e-3 step: at most
                 # 7.7e-4 relative on seeded compact and engine-size priors.
-                np.testing.assert_allclose(engine.segment.sensitivity.s, oracle, rtol=1e-3)
+                np.testing.assert_allclose(engine.segment.sensitivity, oracle, rtol=1e-3)
                 engine.run_ticks(c.future_len - 2)
 
         # The oracle decodes its probes in one batch; each row is the
@@ -1184,7 +1188,6 @@ class TestSegmentStart:
         refined frames read the projection of the engine's history built on
         tick 1."""
         import remogen.runtime.engine as engine_module
-        from remogen.prior import HistoryProjection
 
         cfg = dataclasses.replace(COMPACT_CFG, alpha={"hhi": 1.0})
         engine = Engine(init_weights(cfg, 3), cfg, mode=mode)
@@ -1218,7 +1221,7 @@ class TestSegmentStart:
         expected_reads = {"segment": 2, "slide": 2 * f_len, "fwsr": 2 * f_len + 2}
         assert len(reads) == expected_reads[mode]
         for what, tick, m_h in reads:
-            assert isinstance(m_h, HistoryProjection), (what, tick)
+            assert (m_h.shape, m_h.dtype) == ((1, cfg.vae_hidden), np.float64), (what, tick)
             projection, built_on, source = built[id(m_h)]
             assert projection is m_h
             phase = tick % f_len
@@ -1534,22 +1537,32 @@ _DEAD_POINTS = {("remogen.runtime.engine", "decode_batch"),
                 ("remogen.prior", "denoiser_tokens")}
 
 
+# An fwsr config with hhi and hsi active: with a scene, it runs every layer.
+_EVERY_LAYER_CFG = dataclasses.replace(COMPACT_CFG, fwsr=True, alpha={"hhi": 1.0, "hsi": 1.0})
+
+
+def _every_layer_stream(sink: io.StringIO) -> None:
+    """An fwsr stream of two segments with hhi and hsi active and a small
+    scene, its ego poses written to sink."""
+    cfg = _EVERY_LAYER_CFG
+    spec = GridSpec([-1.5, -1.5, 0.0], [1.5, 1.5, 1.5], (30, 30, 15))
+    occ = Rng(32).generator("grid").uniform(size=spec.dims) < 0.3
+    frames = featurize(synthetic_sequence(2 * cfg.future_len, seed=2)).frames
+    stream_run(io.StringIO(stream_lines(frames)), sink, cfg, init_weights(cfg, 0),
+               log=io.StringIO(), scene_grid=VoxelGrid.from_bool_array(spec, occ))
+
+
 class TestTracePointsCalled:
     """Every point perfbench wraps is called in a run that exercises every
     layer: a traced metric on a point nothing calls reads 0."""
 
     @pytest.fixture(scope="class")
     def point_calls(self):
-        """Calls per (module, attr) point over an fwsr stream of two segments
-        with hhi and hsi active and a small scene."""
+        """Calls per (module, attr) point over _every_layer_stream."""
         import collections
         import importlib
 
         calls = collections.Counter()
-        cfg = dataclasses.replace(COMPACT_CFG, fwsr=True, alpha={"hhi": 1.0, "hsi": 1.0})
-        spec = GridSpec([-1.5, -1.5, 0.0], [1.5, 1.5, 1.5], (30, 30, 15))
-        occ = Rng(32).generator("grid").uniform(size=spec.dims) < 0.3
-        frames = featurize(synthetic_sequence(2 * cfg.future_len, seed=2)).frames
         with pytest.MonkeyPatch.context() as mp:
             for module, attr, _span in _perfbench_program_points():
                 target = importlib.import_module(module)
@@ -1560,9 +1573,7 @@ class TestTracePointsCalled:
                     return _real(*args, **kwargs)
 
                 mp.setattr(target, attr, counting)
-            stream_run(io.StringIO(stream_lines(frames)), io.StringIO(), cfg,
-                       init_weights(cfg, 0), log=io.StringIO(),
-                       scene_grid=VoxelGrid.from_bool_array(spec, occ))
+            _every_layer_stream(io.StringIO())
         return calls
 
     @pytest.mark.parametrize("point", [
@@ -1572,3 +1583,38 @@ class TestTracePointsCalled:
         for p in _perfbench_program_points()])
     def test_each_program_point_is_called(self, point_calls, point):
         assert point_calls[point] > 0
+
+
+class TestTracedLayerMetrics:
+    """perfbench's own Tracer notes what the traced functions return: a
+    function that returns another type breaks a `--trace 1` run."""
+
+    def test_every_layer_metric_is_finite(self, monkeypatch):
+        import importlib.util
+        import math
+        import sys
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        # No __pycache__ is written under perfbench/.
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec.loader.exec_module(spans)
+
+        sink = io.StringIO()
+        tracer = spans.Tracer("every-layer")
+        tracer.install()
+        try:
+            _every_layer_stream(sink)
+        finally:
+            tracer.uninstall()
+        poses = sum(json.loads(line)["kind"] == "ego_pose"
+                    for line in sink.getvalue().splitlines())
+        assert poses == 2 * _EVERY_LAYER_CFG.future_len
+        metrics = spans.layer_metrics(tracer.spans, poses, _EVERY_LAYER_CFG.steps)
+        assert {name: value for name, (value, _unit) in metrics.items()
+                if not math.isfinite(value)} == {}
+        crops = [note for *_, name, _s, _e, note in tracer.spans if name == "scene.ego_crop"]
+        assert crops and all(0.0 < note < 1.0 for note in crops)
+        assert metrics["traffic.ego_crop_occupied_frac"][0] == pytest.approx(np.mean(crops))
