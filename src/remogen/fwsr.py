@@ -29,8 +29,9 @@ params.
 
 The runtime engine holds one segment's refinement state and drives these
 pieces one tick at a time; refine_latent is the one refinement step. Each
-step reads the engine's ego history and its partner window (the last
-history_len partner frames) as they stand on that tick. The engine passes
+step reads the engine's two frame windows as they stand on that tick: the
+ego history, an (H, D) float32 array, and the partner window, the last
+history_len partner frames as an (n, D) float32 array. The engine passes
 it FwsrParams.float64_weights, the params with each matrix swapped for its
 read-only float64 twin by one tensorcore.map_leaves walk (0.47 MB at the
 default sizes); refine_latent gives the same bits with either.
@@ -44,7 +45,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError
-from .motion import HistoryWindow
 from .tensorcore import (
     F32,
     F64,
@@ -112,24 +112,28 @@ class FwsrParams:
         return rows[n]
 
 
-def refine_latent(z0: np.ndarray, m_h: HistoryWindow, x_dyn_window: np.ndarray,
+def refine_latent(z0: np.ndarray, m_h: np.ndarray, x_dyn_window: np.ndarray,
                   s: np.ndarray, params: FwsrParams) -> np.ndarray:
     """One refinement of the segment latent from the current dynamic context.
 
-    s is the (d_z,) float32 decoder sensitivity (prior.decoder_sensitivity).
+    m_h is the (H, D) ego history, H >= 1, and x_dyn_window the (n, D)
+    partner window, n >= 0; s is the (d_z,) float32 decoder sensitivity
+    (prior.decoder_sensitivity).
     """
     z0 = np.asarray(z0, dtype=F32).reshape(-1)
     d_z = z0.shape[0]
     if np.shape(s) != (d_z,):
         raise DimensionError(f"sensitivity of shape {np.shape(s)} does not match "
                              f"the ({d_z},) latent")
-    # An empty window, of any shape, reshapes to (0, D).
-    window = np.asarray(x_dyn_window, dtype=F32).reshape(-1, m_h.dim)
+    d = params.dyn_w.shape[0]
+    m_h = np.asarray(m_h, dtype=F32)
+    window = np.asarray(x_dyn_window, dtype=F32)
+    if m_h.ndim != 2 or m_h.shape[0] < 1 or m_h.shape[1] != d:
+        raise DimensionError(f"history of shape {m_h.shape} is not (H, {d}) with H >= 1")
+    if window.ndim != 2 or window.shape[1] != d:
+        raise DimensionError(f"partner window of shape {window.shape} is not (n, {d})")
 
-    rows = np.vstack([m_h.frames, window])
-    if rows.shape[1] != params.dyn_w.shape[0]:
-        raise DimensionError("dynamic rows do not match the projection input")
-    tokens = linear(rows, params.dyn_w, params.dyn_b)
+    tokens = linear(np.vstack([m_h, window]), params.dyn_w, params.dyn_b)
     pos, bias = params.context_rows(tokens.shape[0])
     # float32 adds: one binary64 add rounded to binary32 gives the same bits.
     tokens += pos

@@ -1,4 +1,4 @@
-"""Motion features, the rollout history window, and a synthetic body chain.
+"""Motion features, the rest-pose rollout history, and a synthetic body chain.
 
 A pose sequence enters as raw rigid-body quantities (root translation and
 orientation, local body-joint rotations, world joint positions) and is
@@ -36,7 +36,11 @@ class FeatureLayout:
     joints: int = 22
 
     def __post_init__(self):
-        # body0 is no layout id load_motion accepts, so no file may be saved with it.
+        # Only an int of at least 1 makes a layout id, bodyN, that load_motion
+        # accepts, so no other joint count may reach a saved file.
+        if isinstance(self.joints, bool) or not isinstance(self.joints, int):
+            raise DimensionError(f"a feature layout needs an integer joint count, "
+                                 f"got {self.joints!r}")
         if self.joints < 1:
             raise DimensionError(f"a feature layout needs at least one joint, got {self.joints}")
 
@@ -103,8 +107,9 @@ class MotionSegment:
         f = np.asarray(self.frames)
         if f.ndim != 2:
             raise DimensionError("segment frames must be 2-D (T, D)")
-        if self.fps <= 0:
-            raise DimensionError("fps must be positive")
+        # NaN fails both comparisons.
+        if not 0 < self.fps < np.inf:
+            raise DimensionError(f"fps must be a positive finite number, got {self.fps}")
         object.__setattr__(self, "frames", f.astype(F32, copy=False))
 
     def __len__(self) -> int:
@@ -113,37 +118,6 @@ class MotionSegment:
     @property
     def dim(self) -> int:
         return self.frames.shape[1]
-
-
-@dataclass(frozen=True)
-class HistoryWindow:
-    """Exactly H most recent feature frames; row count never changes."""
-
-    frames: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.frames)
-        if f.ndim != 2 or f.shape[0] < 1:
-            raise DimensionError("history window must be (H, D) with H >= 1")
-        object.__setattr__(self, "frames", f.astype(F32, copy=False))
-
-    def __len__(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.frames.shape[1]
-
-    def slide(self, frames: np.ndarray) -> "HistoryWindow":
-        """The last H rows of this window followed by one (D,) frame or (n, D)
-        frames; (0, D) frames leave the rows as they are."""
-        frames = np.asarray(frames, dtype=F32)
-        if frames.ndim == 1:
-            frames = frames[None]
-        if frames.ndim != 2 or frames.shape[1] != self.dim:
-            raise DimensionError(f"frames of shape {frames.shape} do not fit a history "
-                                 f"of width {self.dim}")
-        return HistoryWindow(np.vstack([self.frames, frames])[-len(self):])
 
 
 @dataclass(frozen=True)
@@ -387,6 +361,6 @@ def rest_sequence(n_frames: int) -> RawPoseSequence:
     return RawPoseSequence(root_t, root_r, local, positions)
 
 
-def rest_history(h: int, layout: Optional[FeatureLayout] = None) -> HistoryWindow:
-    """History window seeded with h featurized rest-pose frames."""
-    return HistoryWindow(featurize(rest_sequence(h), layout).frames)
+def rest_history(h: int, layout: Optional[FeatureLayout] = None) -> np.ndarray:
+    """h featurized rest-pose frames, a float32 (h, D) history."""
+    return featurize(rest_sequence(h), layout).frames

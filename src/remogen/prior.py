@@ -3,11 +3,11 @@
 A decoder-only segment VAE (history + latent to F future frames) paired with
 a latent denoiser sampled by a short DDPM chain under classifier-free
 guidance; the chain's posterior coefficients are one table cached per step
-count. The segment-autoregressive rollout that slides the history window
-after each generated segment is driven by the runtime engine.
+count. The segment-autoregressive rollout that slides the (H, D) float32
+history after each generated segment is driven by the runtime engine.
 
 The decoder's first layer is split into its history rows and its latent
-rows. project_history multiplies a history window by the history rows once,
+rows. project_history multiplies an (H, D) history by the history rows once,
 into (1, vae_hidden) float64 rows, and the decoder and the sensitivity probe
 take those rows: each decode or probe against them multiplies only its
 latents by the d_z latent rows.
@@ -34,7 +34,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .motion import HistoryWindow
 from .tensorcore import (
     F32,
     F64,
@@ -217,21 +216,23 @@ def seeded_prior_params(rng: Rng, feature_dim: int, history_len: int, future_len
                        vae_dec=vae_dec, denoiser=denoiser)
 
 
-def _check_history(m_h: HistoryWindow, params: PriorParams) -> None:
-    if len(m_h) != params.history_len or m_h.dim != params.feature_dim:
-        raise DimensionError("history window does not match prior dimensions")
+def _check_history(m_h: np.ndarray, params: PriorParams) -> None:
+    expected = (params.history_len, params.feature_dim)
+    if np.shape(m_h) != expected:
+        raise DimensionError(f"history of shape {np.shape(m_h)} does not match "
+                             f"the prior's {expected}")
 
 
-def project_history(m_h: HistoryWindow, params: PriorParams) -> np.ndarray:
-    """Project a history window through the decoder's history rows of W1.
+def project_history(m_h: np.ndarray, params: PriorParams) -> np.ndarray:
+    """Project an (H, D) history through the decoder's history rows of W1.
 
     The rows flat(m_h) @ W1[:H*D], (1, vae_hidden) float64 and unrounded, are
     the part of layer 1 that no latent changes: every decode and probe
-    against the window multiplies only its latents by W1's d_z latent rows.
+    against the history multiplies only its latents by W1's d_z latent rows.
     """
     _check_history(m_h, params)
     w1_h = params.decoder.w1[:-params.latent_dim]
-    return m_h.frames.reshape(1, -1).astype(F64) @ w1_h
+    return np.asarray(m_h, dtype=F32).reshape(1, -1).astype(F64) @ w1_h
 
 
 def _first_layer(history: np.ndarray, zs: np.ndarray, params: PriorParams) -> np.ndarray:
@@ -254,7 +255,7 @@ def _first_layer(history: np.ndarray, zs: np.ndarray, params: PriorParams) -> np
 
 def decode_segment(m_h: np.ndarray, z: np.ndarray, params: PriorParams,
                    frames: slice = slice(None)) -> np.ndarray:
-    """VAE decoder: a projected history window (project_history) plus clean
+    """VAE decoder: a projected history (project_history) plus clean
     latent to the future segment's (n, D) float32 frames in the contiguous
     range `frames` (all F by default)."""
     z = np.asarray(z, dtype=F32).reshape(1, -1)
@@ -263,7 +264,7 @@ def decode_segment(m_h: np.ndarray, z: np.ndarray, params: PriorParams,
 
 def decode_batch(m_h: np.ndarray, zs: np.ndarray, params: PriorParams,
                  frames: slice = slice(None)) -> np.ndarray:
-    """VAE decoder over N latents that share one projected history window;
+    """VAE decoder over N latents that share one projected history;
     (N, n, D).
 
     `frames` is a contiguous, non-empty range of the F future frames, n long.
@@ -288,7 +289,7 @@ def decode_batch(m_h: np.ndarray, zs: np.ndarray, params: PriorParams,
 def decoder_sensitivity(m_h: np.ndarray, z0: np.ndarray,
                         params: PriorParams) -> np.ndarray:
     """Exact decoder response per latent dimension at (m_h, z0), float32 (d_z,);
-    m_h is a projected history window (project_history).
+    m_h is a projected history (project_history).
 
     s_d is the norm of d(decoded segment)/d(z0_d) over all F x D outputs.
     One forward row gives the GELU slopes g1, g2 at the two hidden layers, so
@@ -306,7 +307,7 @@ def decoder_sensitivity(m_h: np.ndarray, z0: np.ndarray,
     return np.sqrt(np.maximum(sq, 0.0)).astype(F32)
 
 
-def segment_tokens(params: PriorParams, m_h: HistoryWindow, text: str) -> np.ndarray:
+def segment_tokens(params: PriorParams, m_h: np.ndarray, text: str) -> np.ndarray:
     """The token rows of a segment that no DDPM step changes, (2, H+3, width).
 
     Row 0 is conditioned on text, row 1 is the null row of classifier-free
@@ -318,7 +319,7 @@ def segment_tokens(params: PriorParams, m_h: HistoryWindow, text: str) -> np.nda
     den = params.denoiser
     _check_history(m_h, params)
     pos = params.token_positions
-    hist_tok = linear(m_h.frames, den.hist_w, den.hist_b)
+    hist_tok = linear(np.asarray(m_h, dtype=F32), den.hist_w, den.hist_b)
     # float32 adds: one binary64 add rounded to binary32 gives the same bits.
     hist_tok += pos[2:-1]
     v = embed_text(text, params.text_dim)

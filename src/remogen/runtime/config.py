@@ -189,7 +189,11 @@ def parse_record(line: str) -> StreamRecord:
         if not isinstance(pose, list):
             raise FormatError("pose must be a list of numbers")
         try:
-            pose = np.asarray(pose, dtype=F32)
+            # A number past the float32 range casts to inf, which the
+            # finiteness check below refuses; numpy's overflow warning
+            # would only say the same thing first.
+            with np.errstate(all="ignore"):
+                pose = np.asarray(pose, dtype=F32)
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"pose must be a list of numbers: {exc}") from exc
         if not np.isfinite(pose).all():

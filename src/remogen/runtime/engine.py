@@ -23,18 +23,20 @@ residual stacks into one and hands its row k to the denoiser as the residual
 of block sorted(blocks)[k]; every module's blocks come from one
 cfg.injection_layers.
 
-The engine keeps one window per stream of frames: the ego history, which
-slides by every frame a mode emits and every pose observe_ego is given, and
-the partner window, the last history_len normalized partner frames.
-Sampling, decoding and refinement read them as they stand on their tick.
+The engine keeps one window per stream of frames, each a float32 array of
+normalized frames, oldest first: the ego history, (H, D), which slides by
+every frame a mode emits and every pose observe_ego is given, and the
+partner window, the last history_len partner frames, (n, D) with n <= H.
+Both slide by one rule (Engine._slide). Sampling, decoding and refinement
+read them as they stand on their tick.
 
 Text and composition weights are read only at a segment start, so a change
 takes effect at the next one: one denoising pass has a single text.
 
 A tick that raises (on a non-finite decoded frame, say) leaves the engine
-exactly as it was, so a caller may skip it and go on. A tick runs with
-numpy's floating-point reports off: a non-finite value is reported once, by
-the NumericError of a finiteness check.
+exactly as it was, so a caller may skip it and go on. A tick and
+observe_ego run with numpy's floating-point reports off: a non-finite value
+is reported once, by the NumericError of a finiteness check.
 """
 from __future__ import annotations
 
@@ -58,7 +60,6 @@ from ..mim import (
 )
 from ..motion import (
     FeatureLayout,
-    HistoryWindow,
     Normalizer,
     RigidTransform,
     normalize,
@@ -145,10 +146,10 @@ class Segment(NamedTuple):
 class Engine:
     """Stateful streaming generator over one weight archive and config.
 
-    A tick rebinds its state and never changes it in place (HistoryWindow.slide
-    and np.vstack return new objects, a Segment is replaced whole), so the
-    clock, windows, segment and generator state it saves on entry are the
-    engine as it was, and a tick that raises restores them.
+    A tick rebinds its state and never changes it in place (_slide returns a
+    new array, a Segment is replaced whole), so the clock, windows, segment
+    and generator state it saves on entry are the engine as it was, and a
+    tick that raises restores them.
     """
 
     def __init__(self, archive: WeightArchive, cfg: EngineConfig,
@@ -180,9 +181,7 @@ class Engine:
         self.text = ""
         self.alpha = self._checked_alpha(cfg.alpha)
 
-        seed_history = rest_history(cfg.history_len, self.layout)
-        self.history = HistoryWindow(normalize(seed_history.frames, self.normalizer))
-        # The last history_len normalized partner frames, oldest first.
+        self.history = normalize(rest_history(cfg.history_len, self.layout), self.normalizer)
         self.partner_window = np.zeros((0, self.layout.dim), dtype=F32)
         self.ticks = 0
         self.segment: Optional[Segment] = None
@@ -218,7 +217,14 @@ class Engine:
         reads it from the next tick on; the decode history projected on a
         segment's tick 1 stays fixed for the rest of that segment.
         """
-        self.history = self.history.slide(self._normalized(pose, "ego pose"))
+        # Reports off as in tick: the finiteness check names a non-finite pose.
+        with np.errstate(all="ignore"):
+            self.history = self._slide(self.history, self._normalized(pose, "ego pose"))
+
+    def _slide(self, window: np.ndarray, frames: np.ndarray) -> np.ndarray:
+        """window followed by one (D,) frame or (n, D) frames, cut to its
+        last history_len rows: the one rule both frame windows slide by."""
+        return np.vstack([window, frames])[-self.cfg.history_len:]
 
     def _normalized(self, pose: np.ndarray, what: str) -> np.ndarray:
         """pose as one normalized frame; a non-finite one raises NumericError
@@ -235,7 +241,7 @@ class Engine:
 
     def _ego_anchor(self) -> RigidTransform:
         """Floor-level yaw frame of the current ego root, in world coordinates."""
-        frame = normalize(self.history.frames[-1:], self.normalizer, inverse=True)[0]
+        frame = normalize(self.history[-1:], self.normalizer, inverse=True)[0]
         root = frame[self.layout.span("root_translation")]
         rot6 = frame[self.layout.span("rotations_6d")][:6]
         r = rotation_from_6d(rot6)
@@ -329,9 +335,9 @@ class Engine:
             with np.errstate(all="ignore"):
                 with self._track("pre_post"):
                     if partner_frame is not None:
-                        frame = self._normalized(partner_frame, "partner frame")
-                        self.partner_window = np.vstack(
-                            [self.partner_window, frame])[-self.cfg.history_len:]
+                        self.partner_window = self._slide(
+                            self.partner_window,
+                            self._normalized(partner_frame, "partner frame"))
                 return self._advance()
         except BaseException:
             (self.ticks, self.history, self.partner_window, self.segment,
@@ -375,7 +381,7 @@ class Engine:
                     frames = require_finite(decode_segment(
                         seg.decode_history, z, self.prior,
                         frames=slice(phase, phase + 1)), "decoded frames")
-        self.history = self.history.slide(frames)
+        self.history = self._slide(self.history, frames)
         return [self._emit(f) for f in frames]
 
     def run_ticks(self, n_frames: int, partner_frames: Optional[np.ndarray] = None) -> list:

@@ -19,7 +19,7 @@ F32 = np.float32
 def reference_decode(m_h, zs, params):
     """(N, F, D) frames of N latents against one history window."""
     zs = np.asarray(zs, dtype=F32)
-    x = np.concatenate([np.tile(m_h.frames.reshape(1, -1), (zs.shape[0], 1)), zs], axis=1)
+    x = np.concatenate([np.tile(m_h.reshape(1, -1), (zs.shape[0], 1)), zs], axis=1)
     p = params.vae_dec
     h = gelu(linear(x, p.w1, p.b1))
     h = gelu(linear(h, p.w2, p.b2))

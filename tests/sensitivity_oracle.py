@@ -10,16 +10,15 @@ from typing import Callable
 import numpy as np
 
 from remogen.errors import DimensionError, NumericError
-from remogen.motion import HistoryWindow
 
 F32 = np.float32
 F64 = np.float64
 
-# (m_h, zs of shape (N, d_z)) -> decoded futures of shape (N, F, D)
-BatchDecoder = Callable[[HistoryWindow, np.ndarray], np.ndarray]
+# (m_h of shape (H, D), zs of shape (N, d_z)) -> decoded futures of shape (N, F, D)
+BatchDecoder = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def estimate_sensitivity(decoder: BatchDecoder, m_h: HistoryWindow, z0: np.ndarray,
+def estimate_sensitivity(decoder: BatchDecoder, m_h: np.ndarray, z0: np.ndarray,
                          h_step: float = 1e-3) -> np.ndarray:
     """Central-difference response norm of the decoder per latent dimension.
 

@@ -27,7 +27,6 @@ from remogen.mim import (
 )
 from remogen.motion import (
     FeatureLayout,
-    HistoryWindow,
     RigidTransform,
     featurize,
     synthetic_sequence,
@@ -243,8 +242,7 @@ def _o_sinusoid(n, dim):
 def _o_refine_latent(z0, m_h, window, s, p):
     z0 = np.asarray(z0, dtype=F64)
     d_z = z0.shape[0]
-    rows = np.vstack([m_h.frames, window]).astype(F64) if window.size \
-        else m_h.frames.astype(F64)
+    rows = np.vstack([m_h, window]).astype(F64)
     toks = _o_round(_o_linear(rows, p.dyn_w, p.dyn_b)
                     + _o_sinusoid(rows.shape[0], d_z))
     normed = _o_layer_norm(toks, p.dyn_attn.ln_gain, p.dyn_attn.ln_offset)
@@ -304,7 +302,7 @@ def test_c04_film_chain_oracles():
                                heads=1, beta_sens=float(gen.uniform(0, 2)),
                                zero_film=False)
         z0 = gen.standard_normal(d_z, dtype=F32)
-        m_h = HistoryWindow(gen.standard_normal((2, feature_dim)).astype(F32))
+        m_h = gen.standard_normal((2, feature_dim)).astype(F32)
         window = gen.standard_normal((int(gen.integers(0, 3)), feature_dim)).astype(F32)
         s = np.abs(gen.standard_normal(d_z)).astype(F32)
         got = refine_latent(z0, m_h, window, s, p)
@@ -318,7 +316,7 @@ def test_c04_film_chain_oracles():
 def test_c05_sensitivity_linear_decoders():
     """The finite-difference oracle recovers analytic column norms, and the
     shipped exact probe matches that oracle on seeded priors."""
-    m_h = HistoryWindow(np.zeros((2, 4), dtype=F32))
+    m_h = np.zeros((2, 4), dtype=F32)
     for d_z in (1, 2, 8, 16, 32):
         gen = Rng(d_z).generator("c5")
         a = gen.standard_normal((3 * d_z, d_z))
@@ -342,8 +340,7 @@ def test_c05_sensitivity_linear_decoders():
                 heads=cfg.heads, n_blocks=cfg.n_blocks, ffn_hidden=cfg.ffn_hidden,
                 vae_hidden=cfg.vae_hidden)
             gen = Rng(seed).generator("c5", size, "point")
-            h = HistoryWindow(gen.standard_normal((params.history_len, params.feature_dim))
-                              .astype(F32))
+            h = gen.standard_normal((params.history_len, params.feature_dim)).astype(F32)
             z0 = gen.standard_normal(params.latent_dim).astype(F32)
             exact = decoder_sensitivity(project_history(h, params), z0, params)
             oracle = estimate_sensitivity(window_decoder(params), h, z0)
@@ -404,8 +401,8 @@ def test_c06_refinement_algorithm_conformance(compact_archive, monkeypatch):
         # (init_weights leaves the normalizer at the identity).
         z0 = engine.segment.z0
         full = real_decode(project_history(m_h, engine.prior), z0, engine.prior)
-        shifted = real_decode(project_history(m_h.slide(full[0]), engine.prior), z0,
-                              engine.prior)
+        shifted = real_decode(project_history(np.vstack([m_h[1:], full[0]]), engine.prior),
+                              z0, engine.prior)
         assert np.array_equal(out[0], full[0])
         assert np.array_equal(out[1:], shifted[1:])
     report("C6", "50 refinement runs: F-1 refines, F-1 decodes, 0 denoiser calls, "
@@ -427,16 +424,15 @@ def test_c07_rollout_window_invariants():
             for n_seg in range(0, 6):
                 engine = Engine(archive, cfg, mode="segment")
                 engine.set_text("sweep")
-                frames = [engine.history.frames]
+                frames = [engine.history]
                 for _ in range(n_seg):
-                    np.testing.assert_array_equal(engine.history.frames,
+                    np.testing.assert_array_equal(engine.history,
                                                   np.vstack(frames)[-h_len:])
                     emitted = engine.run_ticks(f_len)
                     assert len(emitted) == f_len
                     frames.extend(emitted)
                 assert len(frames) - 1 == n_seg * f_len
-                np.testing.assert_array_equal(engine.history.frames,
-                                              np.vstack(frames)[-h_len:])
+                np.testing.assert_array_equal(engine.history, np.vstack(frames)[-h_len:])
                 checked += 1
     assert checked == 8 * 8 * 6
     report("C7", f"{checked} (H, F, n) segment-mode rollouts keep length and window "

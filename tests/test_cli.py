@@ -33,6 +33,16 @@ def weights_path(tmp_path_factory):
     return path
 
 
+def run_cli(*args, stdin=None):
+    """`remogen <args>` in a subprocess that prints every warning (-W
+    default) and imports this checkout's src."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "default", "-m", "remogen.cli", *args],
+                          input=stdin, capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestInitWeights:
     def test_creates_loadable_archive(self, weights_path):
         from remogen.runtime import load_archive
@@ -170,13 +180,8 @@ class TestGenerate:
         tensors[name] = bad
         weights = tmp_path / "inf.rmgw"
         save_archive(WeightArchive(tensors), weights)
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-W", "default", "-m", "remogen.cli", "generate",
-             "--weights", str(weights), "--segments", "1", "--out", str(tmp_path / "x.rmgm")],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli("generate", "--weights", str(weights), "--segments", "1",
+                       "--out", str(tmp_path / "x.rmgm"))
         assert proc.returncode == 4, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric error: "), proc.stderr
@@ -243,6 +248,39 @@ class TestStream:
         assert proc.returncode == 0, err.decode()
         assert [json.loads(line) for line in rest.splitlines()] == [{"t": 1, "kind": "end"}]
 
+
+    def test_partner_pose_past_float32_writes_only_the_skip_line(self, weights_path):
+        """1e39 is a finite JSON number that float32 cannot hold: the record
+        is skipped with one `skipping malformed record` line on stderr, and
+        no numpy RuntimeWarning before it."""
+        pose = [float(v) for v in featurize(synthetic_sequence(1, seed=4)).frames[0]]
+        pose[3] = 1e39
+        proc = run_cli("stream", "--weights", str(weights_path),
+                       stdin=json.dumps({"t": 0, "kind": "partner_pose", "pose": pose}) + "\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "skipping malformed record: pose entries must be finite numbers"], proc.stderr
+        assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+            {"t": 0, "kind": "end"}]
+
+    def test_ego_pose_normalized_past_float32_writes_only_the_numeric_error_line(
+            self, tmp_path, weights_path):
+        """An ego pose of 3e38 fits float32, and normalized by a std of 0.5 it
+        does not: stream exits 4 with the one `numeric error:` line on
+        stderr, and no numpy RuntimeWarning before it."""
+        from remogen.runtime import load_archive
+
+        tensors = dict(load_archive(weights_path).tensors)
+        tensors["norm.std"] = np.full_like(tensors["norm.std"], 0.5)
+        weights = tmp_path / "half-std.rmgw"
+        save_archive(WeightArchive(tensors), weights)
+        pose = [float(v) for v in featurize(synthetic_sequence(1, seed=4)).frames[0]]
+        pose[3] = 3e38
+        proc = run_cli("stream", "--weights", str(weights),
+                       stdin=json.dumps({"t": 0, "kind": "ego_pose", "pose": pose}) + "\n")
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "numeric error: non-finite values in ego pose"], proc.stderr
 
     def test_nan_decoder_weight_writes_only_json_lines(self, tmp_path, monkeypatch, capsys):
         """A NaN decoder weight makes every emitted pose NaN: stream exits 4,

@@ -12,7 +12,7 @@ from remogen.fwsr import (
     refine_latent,
     seeded_fwsr_params,
 )
-from remogen.motion import FeatureLayout, HistoryWindow, featurize, normalize, synthetic_sequence
+from remogen.motion import FeatureLayout, featurize, normalize, synthetic_sequence
 from remogen.prior import (
     decode_segment,
     decoder_sensitivity,
@@ -49,7 +49,7 @@ def linear_decoder(a, rows=3):
 
 def history(gen=None):
     g = gen or Rng(0).generator("h")
-    return HistoryWindow(g.standard_normal((2, D)).astype(F32))
+    return g.standard_normal((2, D)).astype(F32)
 
 
 def hand_params(tanh_gamma, tanh_beta, beta_sens=1.0, d_z=1):
@@ -120,8 +120,7 @@ def seeded_probe_point(size, seed):
         text_dim=cfg.text_dim, width=cfg.width, heads=cfg.heads, n_blocks=cfg.n_blocks,
         ffn_hidden=cfg.ffn_hidden, vae_hidden=cfg.vae_hidden)
     gen = Rng(seed).generator("probe")
-    m_h = HistoryWindow(gen.standard_normal((params.history_len, params.feature_dim))
-                        .astype(F32))
+    m_h = gen.standard_normal((params.history_len, params.feature_dim)).astype(F32)
     return params, m_h, gen.standard_normal(params.latent_dim).astype(F32)
 
 
@@ -151,7 +150,7 @@ class TestDecoderSensitivity:
         p, d_z, h = params.vae_dec, params.latent_dim, 1e-5
 
         def decode64(zs):
-            x = np.concatenate([np.tile(m_h.frames.reshape(1, -1), (len(zs), 1)), zs], 1)
+            x = np.concatenate([np.tile(m_h.reshape(1, -1), (len(zs), 1)), zs], 1)
             for w, b, act in ((p.w1, p.b1, True), (p.w2, p.b2, True), (p.w3, p.b3, False)):
                 x = x @ w.astype(np.float64) + b.astype(np.float64)
                 x = _gelu64(x) if act else x
@@ -183,8 +182,7 @@ class TestDecoderSensitivity:
         with pytest.raises(DimensionError):
             decoder_sensitivity(project_history(m_h, params), z0[:-1], params)
         with pytest.raises(DimensionError):
-            decoder_sensitivity(project_history(HistoryWindow(m_h.frames[:, :-1]), params),
-                                z0, params)
+            decoder_sensitivity(project_history(m_h[:, :-1], params), z0, params)
 
     def test_nonfinite_latent_fails_the_refiner(self):
         params, m_h, z0 = seeded_probe_point("compact", 0)
@@ -236,7 +234,7 @@ class TestRefineLatent:
         sens = np.abs(gen.standard_normal(d_z)).astype(F32)
         got = refine_latent(z0, m_h, window, sens, params)
 
-        rows = np.vstack([m_h.frames, window])
+        rows = np.vstack([m_h, window])
         toks = linear(rows, params.dyn_w, params.dyn_b)
         pos = sinusoidal_embedding(np.arange(len(rows)), d_z).astype(np.float64)
         toks = (toks.astype(np.float64) + pos).astype(F32)
@@ -277,7 +275,7 @@ class TestRefineLatent:
             assert np.array_equal(
                 refine_latent(z0, m_h, window, sens, params.float64_weights), got)
 
-            rows = np.vstack([m_h.frames, window])
+            rows = np.vstack([m_h, window])
             toks = linear(rows, params.dyn_w, params.dyn_b)
             pos = sinusoidal_embedding(np.arange(len(rows)), 8)
             toks = (toks.astype(np.float64) + pos.astype(np.float64)).astype(F32)
@@ -291,19 +289,40 @@ class TestRefineLatent:
             expected = (z0.astype(np.float64) + d_safe).astype(F32)
             assert np.array_equal(got, expected), rows_in_window
 
-    def test_empty_window_of_any_shape(self):
+    def test_empty_window_refines_from_the_history(self):
+        """A (0, D) window, float32 or float64, leaves the history as the
+        whole context, and the head still moves z0."""
         params = seeded_fwsr_params(Rng(6), feature_dim=D, latent_dim=DZ, heads=2,
                                     beta_sens=1.0, zero_film=False)
         gen = Rng(7).generator("empty")
         z0 = gen.standard_normal(DZ, dtype=F32)
         m_h = history(gen)
         s = np.full(DZ, 0.5, dtype=F32)
-        outs = [refine_latent(z0, m_h, w, s, params)
-                for w in ([], np.zeros(0, dtype=F32), np.zeros((0, D), dtype=F32),
-                          np.zeros((0, 3), dtype=np.float64))]
+        outs = [refine_latent(z0, m_h, np.zeros((0, D), dtype=dtype), s, params)
+                for dtype in (F32, np.float64)]
         assert not np.array_equal(outs[0], z0)
-        for out in outs[1:]:
-            assert np.array_equal(out, outs[0])
+        assert np.array_equal(outs[1], outs[0])
+
+    @pytest.mark.parametrize("shape", [(1, 2 * D), (2, D - 1), (0, 3), (0,), (D,), (1, 1, D)],
+                             ids=["two-frames-wide", "narrow", "empty-narrow", "empty-1d",
+                                  "flat-frame", "3-d"])
+    def test_window_not_n_by_d_is_refused(self, shape):
+        """A (1, 2D) window is not two partner frames, and an empty window
+        needs its D columns too."""
+        params = seeded_fwsr_params(Rng(6), feature_dim=D, latent_dim=DZ, heads=2,
+                                    beta_sens=1.0, zero_film=False)
+        with pytest.raises(DimensionError, match="partner window"):
+            refine_latent(np.zeros(DZ, dtype=F32), history(), np.zeros(shape, dtype=F32),
+                          np.zeros(DZ, dtype=F32), params)
+
+    @pytest.mark.parametrize("shape", [(2, D - 1), (2, D + 1), (0, D), (2 * D,), (1, 2, D)],
+                             ids=["narrow", "wide", "no-rows", "flat", "3-d"])
+    def test_history_not_h_by_d_is_refused(self, shape):
+        params = seeded_fwsr_params(Rng(6), feature_dim=D, latent_dim=DZ, heads=2,
+                                    beta_sens=1.0, zero_film=False)
+        with pytest.raises(DimensionError, match="history"):
+            refine_latent(np.zeros(DZ, dtype=F32), np.zeros(shape, dtype=F32),
+                          np.zeros((1, D), dtype=F32), np.zeros(DZ, dtype=F32), params)
 
     def test_monotone_suppression_in_sensitivity(self):
         params = hand_params(0.5, 0.2, beta_sens=1.0, d_z=1)
@@ -398,8 +417,8 @@ class TestRefineSegment:
                 out = np.stack(engine.run_ticks(f_len))
                 z0 = engine.segment.z0
                 full = decode_segment(project_history(m_h, engine.prior), z0, engine.prior)
-                shifted = decode_segment(project_history(m_h.slide(full[0]), engine.prior),
-                                         z0, engine.prior)
+                shifted = decode_segment(project_history(np.vstack([m_h[1:], full[0]]),
+                                                         engine.prior), z0, engine.prior)
                 assert np.array_equal(out[0], full[0])
                 assert np.array_equal(out[1:], shifted[1:])
 
@@ -459,7 +478,7 @@ class TestRefineSegment:
             np.testing.assert_array_equal(boundary, project_history(m_h, engine.prior))
             assert all(h is decode_history for h in histories[1:])
             np.testing.assert_array_equal(
-                decode_history, project_history(m_h.slide(out[0]), engine.prior))
+                decode_history, project_history(np.vstack([m_h[1:], out[0]]), engine.prior))
 
     def test_cost_contract(self, film_archive, partner, engine_calls):
         """Each segment makes F-1 refinements and F-1 one-frame decodes, in
@@ -499,11 +518,11 @@ class TestObservedEgo:
         observed.observe_ego(pose)
         normalized = normalize(pose[None], observed.normalizer)[0]
         before = observed.history
-        np.testing.assert_array_equal(before.frames[-1], normalized)
+        np.testing.assert_array_equal(before[-1], normalized)
         reads, real_refine = [], engine_module.refine_latent
 
         def refine(z0, m_h, *args):
-            reads.append(m_h.frames[-1].copy())
+            reads.append(m_h[-1].copy())
             return real_refine(z0, m_h, *args)
 
         monkeypatch.setattr(engine_module, "refine_latent", refine)

@@ -1,11 +1,11 @@
-"""Motion representation tests: rigid transforms, featurization, history, normalizer."""
+"""Motion representation tests: layouts, segments, rigid transforms, featurization, normalizer."""
 import numpy as np
 import pytest
 
 from remogen.errors import DimensionError
 from remogen.motion import (
     FeatureLayout,
-    HistoryWindow,
+    MotionSegment,
     Normalizer,
     RigidTransform,
     featurize,
@@ -50,12 +50,27 @@ class TestFeatureLayout:
         with pytest.raises(DimensionError, match="at least one joint"):
             FeatureLayout(joints)
 
+    @pytest.mark.parametrize("joints", [True, 2.0, "22", None])
+    def test_non_integer_joint_count_is_refused(self, joints):
+        """No bodyTrue or body2.0 layout: an id save_motion would write and
+        load_motion refuse."""
+        with pytest.raises(DimensionError, match="integer joint count"):
+            FeatureLayout(joints)
+
     @pytest.mark.parametrize("layout_id", ["body0", "body007", "body-1", "body+3", "body 5",
                                            "body\u0663", "body22x", "body", "Body22", ""])
     def test_only_canonical_ids_name_a_layout(self, layout_id):
         """bodyN with N >= 1 written without a sign, spaces or leading zeros."""
         with pytest.raises(DimensionError):
             FeatureLayout.from_id(layout_id)
+
+
+class TestMotionSegment:
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), float("-inf"), 0.0, -10.0])
+    def test_fps_must_be_positive_and_finite(self, fps):
+        """No segment save_motion could write and load_motion refuse."""
+        with pytest.raises(DimensionError, match="positive finite"):
+            MotionSegment(np.zeros((2, 4), dtype=F32), fps=fps)
 
 
 class TestRigidTransform:
@@ -139,42 +154,6 @@ class TestFeaturize:
     def test_joint_count_mismatch(self):
         with pytest.raises(DimensionError):
             featurize(rest_sequence(2), FeatureLayout(joints=23))
-
-
-class TestHistorySlide:
-    def test_segment_takes_last_rows(self):
-        h = HistoryWindow(np.zeros((2, 4), dtype=F32))
-        seg = np.arange(32, dtype=F32).reshape(8, 4)
-        np.testing.assert_array_equal(h.slide(seg).frames, seg[6:8])
-
-    def test_empty_segment_is_noop(self):
-        h = HistoryWindow(np.ones((2, 4), dtype=F32))
-        out = h.slide(np.zeros((0, 4), dtype=F32))
-        np.testing.assert_array_equal(out.frames, h.frames)
-
-    @pytest.mark.parametrize("shape", [(4,), (1, 4)], ids=["frame", "one-row segment"])
-    def test_short_segment_keeps_old_rows(self, shape):
-        h = HistoryWindow(np.arange(12, dtype=F32).reshape(3, 4))
-        out = h.slide(np.full(shape, 99, dtype=F32))
-        np.testing.assert_array_equal(out.frames[:2], h.frames[1:])
-        np.testing.assert_array_equal(out.frames[2], np.full(4, 99, dtype=F32))
-
-    def test_row_count_invariant(self):
-        gen = Rng(0).generator("hist")
-        for h_len in (1, 2, 5):
-            h = HistoryWindow(gen.standard_normal((h_len, 3)).astype(F32))
-            for f_len in (0, 1, 4, 9):
-                h = h.slide(gen.standard_normal((f_len, 3)).astype(F32))
-                assert len(h) == h_len
-            h = h.slide(gen.standard_normal(3).astype(F32))
-            assert len(h) == h_len
-
-    @pytest.mark.parametrize("frames", [np.zeros((2, 5)), np.zeros(5), np.zeros((0, 5)),
-                                        np.zeros((1, 2, 4))],
-                             ids=["rows", "frame", "empty", "3-d"])
-    def test_wrong_shape(self, frames):
-        with pytest.raises(DimensionError):
-            HistoryWindow(np.zeros((2, 4), dtype=F32)).slide(frames)
 
 
 def population_normalizer(frames):

@@ -10,11 +10,7 @@ from schedule_reference import reference_coefficients, reference_sample
 from token_reference import reference_tokens
 
 from remogen.errors import ConfigError, DimensionError
-from remogen.motion import (
-    FeatureLayout,
-    HistoryWindow,
-    rest_history,
-)
+from remogen.motion import FeatureLayout, rest_history
 from remogen.prior import (
     ddpm_sample,
     decode_batch,
@@ -50,7 +46,7 @@ def engine_prior():
 @pytest.fixture(scope="module")
 def small_history(small_params):
     gen = Rng(1).generator("hist")
-    return HistoryWindow(gen.standard_normal((2, 12)).astype(F32))
+    return gen.standard_normal((2, 12)).astype(F32)
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +87,7 @@ class TestVae:
 
     def test_default_future_length(self, engine_prior):
         params = engine_prior
-        hist = HistoryWindow(np.zeros((2, params.feature_dim), dtype=F32))
+        hist = np.zeros((2, params.feature_dim), dtype=F32)
         seg = decode_segment(project_history(hist, params),
                              np.zeros(params.latent_dim, dtype=F32), params)
         assert seg.shape == (8, params.feature_dim)
@@ -116,7 +112,7 @@ class TestVae:
         f_len, d = params.future_len, params.feature_dim
         for case in range(320):
             m_h = project_history(
-                HistoryWindow(gen.standard_normal((params.history_len, d)).astype(F32)), params)
+                gen.standard_normal((params.history_len, d)).astype(F32), params)
             f = case % f_len
             if case % 2 == 0:
                 z = gen.standard_normal(params.latent_dim, dtype=F32)
@@ -165,8 +161,7 @@ class TestVae:
         gen = Rng(42).generator("projection", n, int(compact))
         ranges = [slice(None)] + [slice(f, f + 1) for f in range(params.future_len)]
         for _ in range(12):
-            m_h = HistoryWindow(gen.standard_normal((params.history_len, params.feature_dim))
-                                .astype(F32))
+            m_h = gen.standard_normal((params.history_len, params.feature_dim)).astype(F32)
             zs = gen.standard_normal((n, params.latent_dim), dtype=F32)
             projection = project_history(m_h, params)
             assert projection.shape == (1, params.vae_dec.w1.shape[1])
@@ -182,10 +177,11 @@ class TestVae:
     def test_projection_dimension_errors(self, small_params, small_history):
         """A history or latent that does not fit the prior is a DimensionError,
         when the history is projected or when the projection is decoded."""
-        frames = small_history.frames
-        for bad in (frames[:, :-1], frames[:1], np.vstack([frames, frames[:1]])):
-            with pytest.raises(DimensionError):
-                project_history(HistoryWindow(bad), small_params)
+        frames = small_history
+        for bad in (frames[:, :-1], frames[:1], np.vstack([frames, frames[:1]]),
+                    frames.reshape(-1), frames[None]):
+            with pytest.raises(DimensionError, match="does not match"):
+                project_history(bad, small_params)
         projection = project_history(small_history, small_params)
         for zs in (np.zeros((1, 7), dtype=F32), np.zeros((1, 9), dtype=F32),
                    np.zeros(8, dtype=F32), np.zeros((1, 1, 8), dtype=F32)):
@@ -302,7 +298,7 @@ class TestPredictCleanLatent:
         float64 embedding bit for bit, for any text, history and step."""
         gen = Rng(14 + t).generator("tokens")
         for text in ("wave", "", "sit down"):
-            m_h = HistoryWindow(gen.standard_normal((2, 12)).astype(F32) * 3)
+            m_h = gen.standard_normal((2, 12)).astype(F32) * 3
             prefix = segment_tokens(small_params, m_h, text)
             for _ in range(3):
                 z_t = gen.standard_normal(8, dtype=F32) * 2
@@ -322,7 +318,7 @@ class TestPredictCleanLatent:
 
     def test_segment_tokens_check_dimensions(self, small_params, small_history):
         with pytest.raises(DimensionError):
-            segment_tokens(small_params, HistoryWindow(np.zeros((3, 12), dtype=F32)), "")
+            segment_tokens(small_params, np.zeros((3, 12), dtype=F32), "")
 
 
 def pair_stub(fn):
@@ -478,7 +474,7 @@ class TestRollout:
             z0 = ddpm_sample(denoise, params.latent_dim, cfg.steps, cfg.guidance_scale, gen)
             seg = decode_segment(project_history(history, params), z0, params)
             frames.append(seg)
-            history = history.slide(seg)
+            history = np.vstack([history, seg])[-cfg.history_len:]
         assert np.array_equal(out, np.vstack(frames))
 
     def test_history_passed_to_providers(self, rollout_archive, monkeypatch):
@@ -492,7 +488,7 @@ class TestRollout:
 
         def recording_segment(params, m_h, text):
             prefix = real_segment(params, m_h, text)
-            segments.append((m_h.frames.copy(), prefix.copy()))
+            segments.append((m_h.copy(), prefix.copy()))
             return prefix
 
         def recording_tokens(params, z_t, t, prefix):
@@ -503,7 +499,7 @@ class TestRollout:
         monkeypatch.setattr(engine_module, "segment_tokens", recording_segment)
         monkeypatch.setattr(engine_module, "denoiser_tokens", recording_tokens)
         engine = segment_engine(rollout_archive, "x")
-        seed_frames = engine.history.frames.copy()
+        seed_frames = engine.history.copy()
         out = np.stack(engine.run_ticks(12))
         steps = ROLLOUT_CFG.steps
         assert len(segments) == 3 and len(steps_seen) == 3 * steps

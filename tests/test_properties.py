@@ -303,12 +303,12 @@ class EngineCalls(RuleBasedStateMachine):
         refused one."""
         self.calls += 1
         e = self.engine
-        before = (e.ticks, e.history.frames.copy(), e.partner_window.copy(), e.segment)
+        before = (e.ticks, e.history.copy(), e.partner_window.copy(), e.segment)
         gen_state = e.gen.bit_generator.state
 
         def assert_unchanged():
             assert e.ticks == before[0]
-            np.testing.assert_array_equal(e.history.frames, before[1])
+            np.testing.assert_array_equal(e.history, before[1])
             np.testing.assert_array_equal(e.partner_window, before[2])
             assert e.segment is before[3]
             np.testing.assert_equal(e.gen.bit_generator.state, gen_state)
@@ -345,7 +345,7 @@ class EngineCalls(RuleBasedStateMachine):
             np.testing.assert_array_equal(a, b)
         if out:
             e = self.engine
-            newest = normalize(e.history.frames[-1:], e.normalizer, inverse=True)[0]
+            newest = normalize(e.history[-1:], e.normalizer, inverse=True)[0]
             assert newest.tobytes() == out[-1].tobytes()
 
     @rule(text=st.one_of(st.text(max_size=8), st.integers(), st.none()))
@@ -372,7 +372,7 @@ class EngineCalls(RuleBasedStateMachine):
         if self._call("observe_ego", pose) is not None:
             e = self.engine
             newest = normalize(pose[None], e.normalizer)[0]
-            assert newest.tobytes() == e.history.frames[-1].tobytes()
+            assert newest.tobytes() == e.history[-1].tobytes()
 
 
 EngineCalls.TestCase.settings = settings(max_examples=30, stateful_step_count=24,

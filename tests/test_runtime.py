@@ -858,7 +858,9 @@ class TestEngineWiring:
         """Only the frames a window can read are kept: the last history_len
         normalized partner frames, oldest first, however long the stream
         runs. The window is empty until the first frame arrives, and a tick
-        without a partner frame leaves it as it is."""
+        without a partner frame leaves it as it is. The ego history stays
+        (H, D) float32 on every tick, also when a segment of F = 5 > H = 3
+        frames slides it."""
         cfg = dataclasses.replace(COMPACT_CFG, steps=2, history_len=3, future_len=5,
                                   alpha={"hhi": 1.0})
         tensors = dict(init_weights(cfg, 3).tensors)
@@ -871,6 +873,8 @@ class TestEngineWiring:
         assert engine.partner_window.dtype == F32
         pushed = []
         for i, frame in enumerate(featurize(synthetic_sequence(40, seed=6)).frames):
+            assert engine.history.shape == (cfg.history_len, dim)
+            assert engine.history.dtype == F32
             if i % 3 == 2:
                 before = engine.partner_window.copy()
                 engine.tick(None)
@@ -881,6 +885,8 @@ class TestEngineWiring:
             np.testing.assert_array_equal(
                 engine.partner_window,
                 normalize(np.stack(pushed[-cfg.history_len:]), engine.normalizer))
+        assert engine.history.shape == (cfg.history_len, dim)
+        assert engine.history.dtype == F32
         assert not hasattr(engine, "partner")
 
     @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
@@ -907,7 +913,7 @@ class TestEngineWiring:
             np.testing.assert_array_equal(engine.partner_window, buffered)
             with pytest.raises(NumericError):
                 engine.observe_ego(bad)
-            np.testing.assert_array_equal(engine.history.frames, twin.history.frames)
+            np.testing.assert_array_equal(engine.history, twin.history)
         emitted = 0
         for frame in partner_frames[3:]:
             got, expected = engine.tick(frame), twin.tick(frame)

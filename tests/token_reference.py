@@ -27,7 +27,7 @@ def reference_tokens(params, z_t, t, m_h, text):
     den = params.denoiser
     time_tok = linear_f64(sinusoidal_embedding([float(t)], params.width),
                           den.time_w, den.time_b)
-    hist_tok = linear_f64(m_h.frames, den.hist_w, den.hist_b)
+    hist_tok = linear_f64(m_h, den.hist_w, den.hist_b)
     latent_tok = linear_f64(np.asarray(z_t, dtype=F32)[None, :], den.latent_w, den.latent_b)
     v = embed_text(text, params.text_dim)
     text_tok = den.null_token[None, :] if v is None \
