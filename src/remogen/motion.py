@@ -96,6 +96,14 @@ class RigidTransform:
         return pts @ np.asarray(self.rotation, dtype=F64).T + np.asarray(self.translation, dtype=F64)
 
 
+def positive_f32(fps: float) -> bool:
+    """Whether fps stays positive and finite as a float32, the type RMGM1
+    stores it in: 1e-50 rounds to 0 and 1e39 to inf. NaN fails both
+    comparisons."""
+    with np.errstate(all="ignore"):
+        return bool(0 < fps < np.inf and 0 < np.float32(fps) < np.inf)
+
+
 @dataclass(frozen=True)
 class MotionSegment:
     """A (T, D) block of pose feature frames at a fixed frame rate."""
@@ -107,9 +115,8 @@ class MotionSegment:
         f = np.asarray(self.frames)
         if f.ndim != 2:
             raise DimensionError("segment frames must be 2-D (T, D)")
-        # NaN fails both comparisons.
-        if not 0 < self.fps < np.inf:
-            raise DimensionError(f"fps must be a positive finite number, got {self.fps}")
+        if not positive_f32(self.fps):
+            raise DimensionError(f"fps must be a positive finite float32, got {self.fps}")
         object.__setattr__(self, "frames", f.astype(F32, copy=False))
 
     def __len__(self) -> int:

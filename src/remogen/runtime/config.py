@@ -11,7 +11,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from ..errors import ConfigError, FormatError, NumericError
-from ..motion import BODY22_PARENTS
+from ..motion import BODY22_PARENTS, positive_f32
 from ..tensorcore import F32, F64
 
 RECORD_KINDS = ("partner_pose", "text", "alpha", "ego_pose", "end")
@@ -52,8 +52,10 @@ class EngineConfig:
         scalars = (self.guidance_scale, self.beta_sens, self.fps)
         if not all(math.isfinite(v) for v in scalars):
             raise ConfigError("guidance_scale, beta_sens and fps must be finite")
-        if self.beta_sens < 0 or self.fps <= 0:
-            raise ConfigError("beta_sens >= 0 and fps > 0 required")
+        if self.beta_sens < 0:
+            raise ConfigError("beta_sens >= 0 required")
+        if not positive_f32(self.fps):
+            raise ConfigError(f"fps must be a positive finite float32, got {self.fps}")
         check_alpha(self.alpha)
         if self.joints != len(BODY22_PARENTS):
             # The engine seeds its history from the 22-joint synthetic skeleton.

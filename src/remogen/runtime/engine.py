@@ -12,9 +12,7 @@ emission. One tick corresponds to one input frame of wall-clock time:
 Every mode starts a segment the same way (Engine._start_segment): sample
 z0, project the history through the decoder's history rows once
 (prior.project_history, (1, vae_hidden) float64 rows) and decode the frames
-it needs from those rows. Engine.segment holds z0 and the rows; in fwsr mode
-also the (d_z,) float32 sensitivity and the decode history projected on the
-first refinement tick. The probe shares the boundary rows with the frame-0
+it needs from those rows. fwsr's probe shares those rows with the frame-0
 decode, and a refinement tick multiplies only the refined latent by the
 decoder's latent rows.
 
@@ -33,10 +31,11 @@ read them as they stand on their tick.
 Text and composition weights are read only at a segment start, so a change
 takes effect at the next one: one denoising pass has a single text.
 
-A tick that raises (on a non-finite decoded frame, say) leaves the engine
-exactly as it was, so a caller may skip it and go on. A tick and
-observe_ego run with numpy's floating-point reports off: a non-finite value
-is reported once, by the NumericError of a finiteness check.
+All a tick changes is one immutable EngineState, Engine.state, assigned
+as the tick returns: a tick that raises (on a non-finite decoded frame,
+say) leaves the engine as it was, so a caller may skip it and go on. A tick
+and observe_ego run with numpy's floating-point reports off: a non-finite
+value is reported once, by the NumericError of a finiteness check.
 """
 from __future__ import annotations
 
@@ -130,26 +129,32 @@ def init_weights(cfg: EngineConfig, seed: int) -> WeightArchive:
     return WeightArchive(tensors)
 
 
-class Segment(NamedTuple):
-    """The segment being generated; fwsr fills the last two on its first refinement tick.
+class EngineState(NamedTuple):
+    """Everything a tick changes, replaced whole and never changed in place.
 
-    boundary and decode_history are project_history rows; sensitivity is the
-    (d_z,) float32 decoder_sensitivity at the boundary rows and z0.
+    A segment start sets z0 and boundary (project_history rows); fwsr sets
+    sensitivity and decode_history on the first refinement tick. rng is the
+    engine's Philox bit_generator.state.
     """
 
-    z0: np.ndarray
-    boundary: np.ndarray
-    sensitivity: Optional[np.ndarray] = None
-    decode_history: Optional[np.ndarray] = None
+    ticks: int
+    history: np.ndarray
+    partner_window: np.ndarray
+    z0: Optional[np.ndarray]
+    boundary: Optional[np.ndarray]
+    sensitivity: Optional[np.ndarray]
+    decode_history: Optional[np.ndarray]
+    rng: dict
+    text: str
+    alpha: dict
 
 
 class Engine:
     """Stateful streaming generator over one weight archive and config.
 
-    A tick rebinds its state and never changes it in place (_slide returns a
-    new array, a Segment is replaced whole), so the clock, windows, segment
-    and generator state it saves on entry are the engine as it was, and a
-    tick that raises restores them.
+    engine.state is a snapshot, `engine.state = saved` restores it, and
+    copy.copy(engine) forks the engine. A fork shares the cfg, params,
+    normalizer, scene grid and recorder; set_scene on one rebinds its own.
     """
 
     def __init__(self, archive: WeightArchive, cfg: EngineConfig,
@@ -176,15 +181,13 @@ class Engine:
                                        for name in ("norm.mean", "norm.std")))
 
         self.scene_grid: Optional[VoxelGrid] = None
-        self.gen = Rng(cfg.seed).generator("engine")
-
-        self.text = ""
-        self.alpha = self._checked_alpha(cfg.alpha)
-
-        self.history = normalize(rest_history(cfg.history_len, self.layout), self.normalizer)
-        self.partner_window = np.zeros((0, self.layout.dim), dtype=F32)
-        self.ticks = 0
-        self.segment: Optional[Segment] = None
+        self.state = EngineState(
+            ticks=0,
+            history=normalize(rest_history(cfg.history_len, self.layout), self.normalizer),
+            partner_window=np.zeros((0, self.layout.dim), dtype=F32),
+            z0=None, boundary=None, sensitivity=None, decode_history=None,
+            rng=Rng(cfg.seed).generator("engine").bit_generator.state,
+            text="", alpha=self._checked_alpha(cfg.alpha))
 
     # -- state fed from outside ------------------------------------------------
 
@@ -196,10 +199,10 @@ class Engine:
     def set_text(self, text: str) -> None:
         if not isinstance(text, str):
             raise ConfigError(f"text must be a string, not {type(text).__name__}")
-        self.text = text
+        self.state = self.state._replace(text=text)
 
     def set_alpha(self, alpha: dict) -> None:
-        self.alpha = self._checked_alpha(alpha)
+        self.state = self.state._replace(alpha=self._checked_alpha(alpha))
 
     def _checked_alpha(self, alpha: dict) -> dict:
         """A copy of alpha; ConfigError if it names a module the archive lacks
@@ -219,7 +222,8 @@ class Engine:
         """
         # Reports off as in tick: the finiteness check names a non-finite pose.
         with np.errstate(all="ignore"):
-            self.history = self._slide(self.history, self._normalized(pose, "ego pose"))
+            history = self._slide(self.state.history, self._normalized(pose, "ego pose"))
+        self.state = self.state._replace(history=history)
 
     def _slide(self, window: np.ndarray, frames: np.ndarray) -> np.ndarray:
         """window followed by one (D,) frame or (n, D) frames, cut to its
@@ -239,9 +243,9 @@ class Engine:
             return nullcontext()
         return self.recorder.track(name)
 
-    def _ego_anchor(self) -> RigidTransform:
-        """Floor-level yaw frame of the current ego root, in world coordinates."""
-        frame = normalize(self.history[-1:], self.normalizer, inverse=True)[0]
+    def _ego_anchor(self, history: np.ndarray) -> RigidTransform:
+        """Floor-level yaw frame of the newest ego root, in world coordinates."""
+        frame = normalize(history[-1:], self.normalizer, inverse=True)[0]
         root = frame[self.layout.span("root_translation")]
         rot6 = frame[self.layout.span("rotations_6d")][:6]
         r = rotation_from_6d(rot6)
@@ -249,33 +253,34 @@ class Engine:
         return RigidTransform(rotation_about_axis(np.array([0.0, 0.0, 1.0]), yaw),
                               np.array([root[0], root[1], 0.0], dtype=np.float64))
 
-    def _module_context(self, module_id: str):
+    def _module_context(self, module_id: str, s: EngineState):
         params = self.mims[module_id]
         if params.source == "others":
-            window = self.partner_window
+            window = s.partner_window
             if not len(window):
                 window = np.zeros((1, self.layout.dim), dtype=F32)
             return encode_others(window, params.encoder)
         if self.scene_grid is None:
             return None
-        block = extract_ego_voxels(self.scene_grid, self._ego_anchor())
+        block = extract_ego_voxels(self.scene_grid, self._ego_anchor(s.history))
         return encode_scene(block, params.encoder)
 
-    def _prepared_contexts(self) -> dict:
+    def _prepared_contexts(self, s: EngineState) -> dict:
         """{module id: prepared context} for each active module that has a context.
 
         Each context is encoded and prepared for its module's stacked blocks
         here, once per segment.
         """
         out = {}
-        for mid in self.alpha:
-            ctx = self._module_context(mid)
+        for mid in s.alpha:
+            ctx = self._module_context(mid, s)
             if ctx is not None:
                 out[mid] = prepare_context(ctx, self.mims[mid].stacked, self.prior.n_tokens)
         return out
 
-    def _sample_z0(self) -> np.ndarray:
-        """Sample the segment latent from the current history, text and modules.
+    def _sample_z0(self, s: EngineState) -> tuple:
+        """(z0, generator state after its draws): the segment latent sampled
+        from s's history, text and modules, with noise from s.rng on.
 
         The (text, null) token rows that no step changes are embedded once
         per segment; each DDPM step then embeds only its latent and adds the
@@ -284,10 +289,10 @@ class Engine:
         wraps ddpm_sample, denoiser_tokens and predict_clean_latent at this
         module's names, so they are called here under those names.
         """
-        contexts = self._prepared_contexts()
-        weights = [float(self.alpha[mid]) for mid in contexts]
+        contexts = self._prepared_contexts(s)
+        weights = [float(s.alpha[mid]) for mid in contexts]
         layers = sorted(self.mims[next(iter(contexts))].blocks) if contexts else []
-        prefix = segment_tokens(self.prior, self.history, self.text)
+        prefix = segment_tokens(self.prior, s.history, s.text)
 
         def denoise(z_t, t):
             tokens = denoiser_tokens(self.prior, z_t, t, prefix)
@@ -300,23 +305,24 @@ class Engine:
             with self._track("denoiser"):
                 return predict_clean_latent(self.prior, tokens, residuals)
 
+        gen = Rng(self.cfg.seed).generator("engine")
+        gen.bit_generator.state = s.rng
         with self._track("denoise_total"):
-            return ddpm_sample(denoise, self.prior.latent_dim, self.cfg.steps,
-                               self.cfg.guidance_scale, self.gen)
+            z0 = ddpm_sample(denoise, self.prior.latent_dim, self.cfg.steps,
+                             self.cfg.guidance_scale, gen)
+        return z0, gen.bit_generator.state
 
-    def _start_segment(self, frames: slice) -> np.ndarray:
+    def _start_segment(self, s: EngineState, frames: slice) -> tuple:
         """The segment start every mode makes: sample z0, then project the
         history once and decode `frames` of the segment from that projection.
-
-        Sets self.segment and returns the decoded (n, D) frames.
-        """
-        z0 = self._sample_z0()
+        Returns (s with the new segment, the decoded (n, D) frames)."""
+        z0, rng = self._sample_z0(s)
         with self._track("decode"):
-            projection = project_history(self.history, self.prior)
+            projection = project_history(s.history, self.prior)
             decoded = require_finite(decode_segment(projection, z0, self.prior,
                                                     frames=frames), "decoded frames")
-        self.segment = Segment(z0, projection)
-        return decoded
+        return s._replace(z0=z0, boundary=projection, sensitivity=None,
+                          decode_history=None, rng=rng), decoded
 
     def _emit(self, normalized_frame: np.ndarray) -> np.ndarray:
         # A (D,) array of its own, not a row view that keeps a (1, D) base alive.
@@ -326,63 +332,57 @@ class Engine:
 
     def tick(self, partner_frame: Optional[np.ndarray] = None) -> list:
         """Advance one input frame; returns denormalized ego frames emitted now."""
-        saved = (self.ticks, self.history, self.partner_window, self.segment,
-                 self.gen.bit_generator.state)
-        try:
-            # A non-finite weight reaches numpy as inf - inf or the like; a
-            # finiteness check raises NumericError for it, and numpy's
-            # RuntimeWarning would only say the same thing first.
-            with np.errstate(all="ignore"):
-                with self._track("pre_post"):
-                    if partner_frame is not None:
-                        self.partner_window = self._slide(
-                            self.partner_window,
-                            self._normalized(partner_frame, "partner frame"))
-                return self._advance()
-        except BaseException:
-            (self.ticks, self.history, self.partner_window, self.segment,
-             self.gen.bit_generator.state) = saved
-            raise
+        s = self.state
+        # A non-finite weight reaches numpy as inf - inf or the like; a finiteness
+        # check raises NumericError for it, so numpy's RuntimeWarning is off.
+        with np.errstate(all="ignore"):
+            with self._track("pre_post"):
+                if partner_frame is not None:
+                    s = s._replace(partner_window=self._slide(
+                        s.partner_window, self._normalized(partner_frame, "partner frame")))
+            s, frames = self._advance(s)
+            with self._track("pre_post"):
+                out = [self._emit(f) for f in frames]
+        self.state = s
+        return out
 
-    def _advance(self) -> list:
-        """This tick's (n, D) normalized frames, n = 0 on most segment-mode
-        ticks, slide the history and are returned denormalized."""
-        phase = self.ticks % self.cfg.future_len
-        self.ticks += 1
+    def _advance(self, s: EngineState) -> tuple:
+        """(the next state, this tick's (n, D) normalized frames), n = 0 on
+        most segment-mode ticks; the next state's history is slid by them."""
+        phase = s.ticks % self.cfg.future_len
+        s = s._replace(ticks=s.ticks + 1)
 
         if self.mode == "segment":
-            if self.ticks % self.cfg.future_len != 0:
-                return []
-            frames = self._start_segment(slice(None))
+            if s.ticks % self.cfg.future_len != 0:
+                return s, []
+            s, frames = self._start_segment(s, slice(None))
         elif self.mode == "slide":
             # The baseline's full cost: the whole segment is decoded, and
             # only frame 0 is kept.
-            frames = self._start_segment(slice(None))[:1]
+            s, frames = self._start_segment(s, slice(None))
+            frames = frames[:1]
         # fwsr mode: sample z0 at the segment boundary, then refine it and
         # decode one frame per tick. The probe on tick 1 shares the boundary
         # tick's projection with the frame-0 decode.
         elif phase == 0:
-            frames = self._start_segment(slice(0, 1))
+            s, frames = self._start_segment(s, slice(0, 1))
         else:
-            seg = self.segment
             if phase == 1:
                 with self._track("sensitivity"):
                     sensitivity = require_finite(
-                        decoder_sensitivity(seg.boundary, seg.z0, self.prior), "sensitivity")
+                        decoder_sensitivity(s.boundary, s.z0, self.prior), "sensitivity")
             with self._track("fwsr_refine"):
                 if phase == 1:
                     # Every refined frame decodes against the first updated history.
-                    seg = self.segment = seg._replace(
-                        sensitivity=sensitivity,
-                        decode_history=project_history(self.history, self.prior))
-                z = refine_latent(seg.z0, self.history, self.partner_window,
-                                  seg.sensitivity, self.fwsr_params.float64_weights)
+                    s = s._replace(sensitivity=sensitivity,
+                                   decode_history=project_history(s.history, self.prior))
+                z = refine_latent(s.z0, s.history, s.partner_window,
+                                  s.sensitivity, self.fwsr_params.float64_weights)
                 with self._track("fwsr_decode"):
                     frames = require_finite(decode_segment(
-                        seg.decode_history, z, self.prior,
+                        s.decode_history, z, self.prior,
                         frames=slice(phase, phase + 1)), "decoded frames")
-        self.history = self._slide(self.history, frames)
-        return [self._emit(f) for f in frames]
+        return s._replace(history=self._slide(s.history, frames)), frames
 
     def run_ticks(self, n_frames: int, partner_frames: Optional[np.ndarray] = None) -> list:
         """Drive enough ticks to emit at least n_frames; returns emitted frames."""

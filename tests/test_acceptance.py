@@ -106,7 +106,7 @@ def test_c01_adapter_neutrality(compact_archive, scene_grid):
     for _ in range(100):
         z0 = gen.standard_normal(COMPACT.latent_dim, dtype=F32)
         window = gen.standard_normal((2, layout.dim)).astype(F32)
-        refined = refine_latent(z0, fwsr_engine.history, window,
+        refined = refine_latent(z0, fwsr_engine.state.history, window,
                                 np.zeros(COMPACT.latent_dim, dtype=F32),
                                 fwsr_engine.fwsr_params)
         assert np.array_equal(refined, z0)
@@ -383,7 +383,7 @@ def test_c06_refinement_algorithm_conformance(compact_archive, monkeypatch):
     for seed in range(50):
         gen = Rng(seed).generator("c6")
         engine = Engine(compact_archive, dataclasses.replace(COMPACT, fwsr=True, seed=seed))
-        m_h = engine.history
+        m_h = engine.state.history
         calls.update(refine=0, decodes=[])
         out, denoiser_per_tick = [], []
         # Frame 0 comes from the boundary tick's decode; each later frame is
@@ -399,7 +399,7 @@ def test_c06_refinement_algorithm_conformance(compact_archive, monkeypatch):
         assert denoiser_per_tick[0] > 0 and denoiser_per_tick[1:] == [0] * (f_len - 1)
         # Zero-gated refinement reproduces the shifted-history re-decode
         # (init_weights leaves the normalizer at the identity).
-        z0 = engine.segment.z0
+        z0 = engine.state.z0
         full = real_decode(project_history(m_h, engine.prior), z0, engine.prior)
         shifted = real_decode(project_history(np.vstack([m_h[1:], full[0]]), engine.prior),
                               z0, engine.prior)
@@ -424,15 +424,15 @@ def test_c07_rollout_window_invariants():
             for n_seg in range(0, 6):
                 engine = Engine(archive, cfg, mode="segment")
                 engine.set_text("sweep")
-                frames = [engine.history]
+                frames = [engine.state.history]
                 for _ in range(n_seg):
-                    np.testing.assert_array_equal(engine.history,
+                    np.testing.assert_array_equal(engine.state.history,
                                                   np.vstack(frames)[-h_len:])
                     emitted = engine.run_ticks(f_len)
                     assert len(emitted) == f_len
                     frames.extend(emitted)
                 assert len(frames) - 1 == n_seg * f_len
-                np.testing.assert_array_equal(engine.history, np.vstack(frames)[-h_len:])
+                np.testing.assert_array_equal(engine.state.history, np.vstack(frames)[-h_len:])
                 checked += 1
     assert checked == 8 * 8 * 6
     report("C7", f"{checked} (H, F, n) segment-mode rollouts keep length and window "

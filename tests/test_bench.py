@@ -58,9 +58,24 @@ class TestBenchClock:
     def test_components_bounded_by_total(self, archive):
         for mode, rec in bench(COMPACT_CFG, archive, n_frames=16).items():
             assert rec.frames == 16
-            assert len(rec.durations["pre_post"]) == 16   # one per tick
+            # Two per tick: the partner frame in, the emitted frames out.
+            assert len(rec.durations["pre_post"]) == 2 * 16
             phase_sum = sum(sum(rec.durations.get(k, ())) for k in DISJOINT)
             assert 0.0 < phase_sum <= rec.total * 1.1, mode
+
+    def test_pre_post_times_the_emission(self, archive, monkeypatch):
+        """Denormalizing an emitted frame counts in the pre_post row: an
+        emission slowed by 10 ms per frame adds at least that much to it."""
+        real = Engine._emit
+
+        def slow_emit(self, frame):
+            time.sleep(0.01)
+            return real(self, frame)
+
+        monkeypatch.setattr(Engine, "_emit", slow_emit)
+        for mode, rec in bench(COMPACT_CFG, archive, n_frames=4).items():
+            assert rec.frames >= 4
+            assert sum(rec.durations["pre_post"]) >= rec.frames * 0.01, mode
 
     def test_engine_construction_is_not_timed(self, archive, monkeypatch):
         """bench reads a fake clock that only Engine construction advances,

@@ -413,9 +413,9 @@ class TestRefineSegment:
         for seed in range(20):
             engine = Engine(compact_archive, dataclasses.replace(COMPACT_FWSR, seed=seed))
             for _ in range(2):
-                m_h = engine.history
+                m_h = engine.state.history
                 out = np.stack(engine.run_ticks(f_len))
-                z0 = engine.segment.z0
+                z0 = engine.state.z0
                 full = decode_segment(project_history(m_h, engine.prior), z0, engine.prior)
                 shifted = decode_segment(project_history(np.vstack([m_h[1:], full[0]]),
                                                          engine.prior), z0, engine.prior)
@@ -468,11 +468,11 @@ class TestRefineSegment:
         engine = Engine(film_archive, COMPACT_FWSR)
         f_len = COMPACT_FWSR.future_len
         for segment in range(2):
-            m_h = engine.history
+            m_h = engine.state.history
             probes.clear()
             histories.clear()
             out = engine.run_ticks(f_len, partner[segment * f_len:])
-            assert len(probes) == 1 and probes[0][1] is engine.segment.z0
+            assert len(probes) == 1 and probes[0][1] is engine.state.z0
             boundary, decode_history = probes[0][0], histories[1]
             assert histories[0] is boundary
             np.testing.assert_array_equal(boundary, project_history(m_h, engine.prior))
@@ -517,7 +517,7 @@ class TestObservedEgo:
         expected = plain.tick(partner[phase])[0]
         observed.observe_ego(pose)
         normalized = normalize(pose[None], observed.normalizer)[0]
-        before = observed.history
+        before = observed.state.history
         np.testing.assert_array_equal(before[-1], normalized)
         reads, real_refine = [], engine_module.refine_latent
 
@@ -530,9 +530,9 @@ class TestObservedEgo:
         assert not np.array_equal(got, expected)
         assert len(reads) == 1
         np.testing.assert_array_equal(reads[0], normalized)
-        rows = observed.segment.decode_history
+        rows = observed.state.decode_history
         if phase == 1:
             np.testing.assert_array_equal(rows, project_history(before, observed.prior))
-            assert not np.array_equal(rows, plain.segment.decode_history)
+            assert not np.array_equal(rows, plain.state.decode_history)
         else:
-            np.testing.assert_array_equal(rows, plain.segment.decode_history)
+            np.testing.assert_array_equal(rows, plain.state.decode_history)

@@ -66,9 +66,11 @@ class TestFeatureLayout:
 
 
 class TestMotionSegment:
-    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), float("-inf"), 0.0, -10.0])
+    # RMGM1 stores fps as float32, which rounds 1e39 to inf and 1e-50 to 0.
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), float("-inf"), 0.0, -10.0,
+                                     1e39, 3.4028236e38, 1e-50, 7e-46])
     def test_fps_must_be_positive_and_finite(self, fps):
-        """No segment save_motion could write and load_motion refuse."""
+        """No segment that save_motion cannot write or load_motion would refuse."""
         with pytest.raises(DimensionError, match="positive finite"):
             MotionSegment(np.zeros((2, 4), dtype=F32), fps=fps)
 

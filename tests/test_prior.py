@@ -499,7 +499,7 @@ class TestRollout:
         monkeypatch.setattr(engine_module, "segment_tokens", recording_segment)
         monkeypatch.setattr(engine_module, "denoiser_tokens", recording_tokens)
         engine = segment_engine(rollout_archive, "x")
-        seed_frames = engine.history.copy()
+        seed_frames = engine.state.history.copy()
         out = np.stack(engine.run_ticks(12))
         steps = ROLLOUT_CFG.steps
         assert len(segments) == 3 and len(steps_seen) == 3 * steps

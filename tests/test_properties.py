@@ -8,6 +8,7 @@ voxel file holds, loading it fails only with a FormatError subclass. Whatever
 calls an engine receives, a bad one fails with a RemogenError and changes
 nothing the next good call reads.
 """
+import copy
 import dataclasses
 import functools
 import json
@@ -261,11 +262,11 @@ def _pose(kind: str, i: int) -> np.ndarray:
 
 class EngineCalls(RuleBasedStateMachine):
     """Any sequence of calls on an engine, good or bad. A call either raises a
-    RemogenError and leaves the engine's clock, history, partner window,
-    segment and generator state as they were, or is accepted and replayed on
-    a twin engine that sees only accepted calls; after every accepted tick
-    both have emitted the same finite bits. A refused tick is refused the
-    same way when it is repeated.
+    RemogenError and leaves engine.state the very object it was, or is
+    accepted and replayed on a twin engine that sees only accepted calls;
+    after every accepted tick both have emitted the same finite bits. A
+    refused tick is refused the same way when it is repeated. The fork rule
+    makes the twin copy.copy(engine), and later calls still agree.
 
     Half the engines, with their twins, are built from an archive in which
     one weight is not finite. A tick with a good partner pose or none then
@@ -303,32 +304,27 @@ class EngineCalls(RuleBasedStateMachine):
         refused one."""
         self.calls += 1
         e = self.engine
-        before = (e.ticks, e.history.copy(), e.partner_window.copy(), e.segment)
-        gen_state = e.gen.bit_generator.state
-
-        def assert_unchanged():
-            assert e.ticks == before[0]
-            np.testing.assert_array_equal(e.history, before[1])
-            np.testing.assert_array_equal(e.partner_window, before[2])
-            assert e.segment is before[3]
-            np.testing.assert_equal(e.gen.bit_generator.state, gen_state)
-
+        before = e.state
         try:
             out = getattr(e, name)(*args)
         except RemogenError as exc:
-            assert_unchanged()
+            assert e.state is before
             self.refused = exc
             if name == "tick":
                 with pytest.raises(type(exc)) as again:
                     e.tick(*args)
                 assert str(again.value) == str(exc)
-                assert_unchanged()
+                assert e.state is before
             return None
         return out, getattr(self.twin, name)(*args)
 
+    @rule()
+    def fork(self):
+        self.twin = copy.copy(self.engine)
+
     @invariant()
     def partner_window_holds_at_most_history_len_rows(self):
-        assert len(self.engine.partner_window) <= SM_CFG.history_len
+        assert len(self.engine.state.partner_window) <= SM_CFG.history_len
 
     @rule(kind=st.sampled_from(["good", "good", "nan", "wide", "none"]))
     def tick(self, kind):
@@ -345,7 +341,7 @@ class EngineCalls(RuleBasedStateMachine):
             np.testing.assert_array_equal(a, b)
         if out:
             e = self.engine
-            newest = normalize(e.history[-1:], e.normalizer, inverse=True)[0]
+            newest = normalize(e.state.history[-1:], e.normalizer, inverse=True)[0]
             assert newest.tobytes() == out[-1].tobytes()
 
     @rule(text=st.one_of(st.text(max_size=8), st.integers(), st.none()))
@@ -372,7 +368,7 @@ class EngineCalls(RuleBasedStateMachine):
         if self._call("observe_ego", pose) is not None:
             e = self.engine
             newest = normalize(pose[None], e.normalizer)[0]
-            assert newest.tobytes() == e.history[-1].tobytes()
+            assert newest.tobytes() == e.state.history[-1].tobytes()
 
 
 EngineCalls.TestCase.settings = settings(max_examples=30, stateful_step_count=24,

@@ -1,4 +1,5 @@
 """Runtime tests: the three codecs, config parsing, stream loop, engine wiring."""
+import copy
 import dataclasses
 import hashlib
 import io
@@ -247,6 +248,13 @@ class TestMotionCodec:
         with pytest.raises(FormatError, match="unknown layout id"):
             load_motion(path)
 
+    @pytest.mark.parametrize("fps", [3.4028235e38, 1e-45], ids=repr)
+    def test_fps_at_the_float32_edges_round_trips(self, tmp_path, fps):
+        layout = FeatureLayout()
+        path = tmp_path / "edge.rmgm"
+        save_motion(MotionSegment(np.zeros((2, layout.dim), dtype=F32), fps=fps), path, layout)
+        assert load_motion(path)[0].fps == float(np.float32(fps))
+
     def test_save_load_save_byte_identical(self, tmp_path):
         layout = FeatureLayout()
         gen = Rng(1).generator("m")
@@ -441,6 +449,8 @@ class TestEngineConfigParsing:
                      "heads = 0",
                      "injection_layers =",
                      "fps = nan", "fps = 0", "beta_sens = nan", "beta_sens = -1",
+                     # fps is saved as an RMGM1 float32: inf and 0 there.
+                     "fps = 1e39", "fps = 3.4028236e38", "fps = 1e-50", "fps = 7e-46",
                      "guidance_scale = -inf", "joints = 3", "joints = 24"):
             with pytest.raises(ConfigError):
                 parse_config(text)
@@ -789,29 +799,19 @@ FAILING_TICKS = [
 ]
 
 
-def tick_state(engine: Engine) -> tuple:
-    """The objects a tick rebinds, besides the generator state."""
-    return engine.ticks, engine.history, engine.partner_window, engine.segment
-
-
-def assert_same_state(engine: Engine, state: tuple, gen_state: dict) -> None:
-    assert all(a is b for a, b in zip(tick_state(engine), state))
-    np.testing.assert_equal(engine.gen.bit_generator.state, gen_state)
-
-
 class TestEngineWiring:
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), True,
                                         False, "0.5", None, 1j], ids=repr)
     def test_set_alpha_checks_weights_as_the_config_does(self, cfg, archive, weight):
         engine = Engine(archive, cfg)
-        alpha = engine.alpha
+        alpha = engine.state.alpha
         with pytest.raises(ConfigError):
             engine.set_alpha({"hhi": 0.5, "hsi": weight})
-        assert engine.alpha is alpha
+        assert engine.state.alpha is alpha
         with pytest.raises(ConfigError):
             EngineConfig(alpha={"hhi": 0.5, "hsi": weight})
         engine.set_alpha({"hhi": np.float32(0.25), "hsi": 1})
-        assert engine.alpha == {"hhi": 0.25, "hsi": 1}
+        assert engine.state.alpha == {"hhi": 0.25, "hsi": 1}
 
     def test_config_alpha_names_only_modules_the_archive_has(self, cfg, archive):
         """The config's alpha is checked as set_alpha checks it: an unknown
@@ -823,7 +823,7 @@ class TestEngineWiring:
                                 if not k.startswith("mim.hsi.")})
         with pytest.raises(ConfigError, match="unknown modules"):
             Engine(no_hsi, dataclasses.replace(cfg, alpha={"hhi": 0.5, "hsi": 0.5}))
-        assert Engine(no_hsi, dataclasses.replace(cfg, alpha={"hhi": 0.5})).alpha == {"hhi": 0.5}
+        assert Engine(no_hsi, dataclasses.replace(cfg, alpha={"hhi": 0.5})).state.alpha == {"hhi": 0.5}
 
     @pytest.mark.parametrize("text", [5, None, b"wave", ["wave"]], ids=repr)
     def test_set_text_rejects_a_non_string_at_once(self, cfg, archive, text):
@@ -831,9 +831,9 @@ class TestEngineWiring:
         engine.set_text("wave")
         with pytest.raises(ConfigError):
             engine.set_text(text)
-        assert engine.text == "wave"
+        assert engine.state.text == "wave"
         engine.run_ticks(cfg.future_len)
-        assert engine.text == "wave"
+        assert engine.state.text == "wave"
 
     @pytest.mark.parametrize("scene", [5, "room.rmgv", np.zeros((4, 4, 4), dtype=bool)],
                              ids=["int", "str", "array"])
@@ -869,24 +869,24 @@ class TestEngineWiring:
         tensors["norm.mean"] = gen.uniform(-1.0, 1.0, dim).astype(F32)
         tensors["norm.std"] = gen.uniform(0.5, 2.0, dim).astype(F32)
         engine = Engine(WeightArchive(tensors), cfg, mode=mode)
-        assert engine.partner_window.shape == (0, dim)
-        assert engine.partner_window.dtype == F32
+        assert engine.state.partner_window.shape == (0, dim)
+        assert engine.state.partner_window.dtype == F32
         pushed = []
         for i, frame in enumerate(featurize(synthetic_sequence(40, seed=6)).frames):
-            assert engine.history.shape == (cfg.history_len, dim)
-            assert engine.history.dtype == F32
+            assert engine.state.history.shape == (cfg.history_len, dim)
+            assert engine.state.history.dtype == F32
             if i % 3 == 2:
-                before = engine.partner_window.copy()
+                before = engine.state.partner_window.copy()
                 engine.tick(None)
-                np.testing.assert_array_equal(engine.partner_window, before)
+                np.testing.assert_array_equal(engine.state.partner_window, before)
                 continue
             engine.tick(frame)
             pushed.append(frame)
             np.testing.assert_array_equal(
-                engine.partner_window,
+                engine.state.partner_window,
                 normalize(np.stack(pushed[-cfg.history_len:]), engine.normalizer))
-        assert engine.history.shape == (cfg.history_len, dim)
-        assert engine.history.dtype == F32
+        assert engine.state.history.shape == (cfg.history_len, dim)
+        assert engine.state.history.dtype == F32
         assert not hasattr(engine, "partner")
 
     @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
@@ -903,17 +903,17 @@ class TestEngineWiring:
         for frame in partner_frames[:3]:
             engine.tick(frame)
             twin.tick(frame)
-        ticks, buffered = engine.ticks, engine.partner_window.copy()
+        ticks, buffered = engine.state.ticks, engine.state.partner_window.copy()
         for value in (np.nan, np.inf):
             bad = partner_frames[3].copy()
             bad[5] = value
             with pytest.raises(NumericError):
                 engine.tick(bad)
-            assert engine.ticks == ticks
-            np.testing.assert_array_equal(engine.partner_window, buffered)
+            assert engine.state.ticks == ticks
+            np.testing.assert_array_equal(engine.state.partner_window, buffered)
             with pytest.raises(NumericError):
                 engine.observe_ego(bad)
-            np.testing.assert_array_equal(engine.history, twin.history)
+            np.testing.assert_array_equal(engine.state.history, twin.state.history)
         emitted = 0
         for frame in partner_frames[3:]:
             got, expected = engine.tick(frame), twin.tick(frame)
@@ -941,10 +941,10 @@ class TestEngineWiring:
         engine = self.nan_weight_engine(mode, weight)
         for partner in partner_frames[:tick]:
             assert all(np.isfinite(f).all() for f in engine.tick(partner))
-        history = engine.history
+        history = engine.state.history
         with pytest.raises(NumericError, match="decoded frames"):
             engine.tick(partner_frames[tick])
-        assert engine.history is history
+        assert engine.state.history is history
 
     @pytest.mark.parametrize("mode, weight, tick", FAILING_TICKS)
     def test_a_failed_tick_fails_alike_when_repeated(self, mode, weight, tick,
@@ -954,22 +954,22 @@ class TestEngineWiring:
         engine = self.nan_weight_engine(mode, weight)
         for partner in partner_frames[:tick]:
             engine.tick(partner)
-        state, gen_state = tick_state(engine), engine.gen.bit_generator.state
+        state = engine.state
         messages = []
         for _ in range(3):
             with pytest.raises(NumericError) as raised:
                 engine.tick(partner_frames[tick])
             messages.append(str(raised.value))
-            assert_same_state(engine, state, gen_state)
+            assert engine.state is state
         assert messages == messages[:1] * 3
 
     @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
     def test_a_transient_fault_is_rolled_back(self, mode, monkeypatch):
         """A decode that runs and then raises, on any one tick of the first
         two segments (boundaries, fwsr's probe tick and its refinement
-        ticks), leaves the clock, both windows, the segment and the generator
-        state as they were. A caller that skips the tick then gets every later
-        frame of a twin engine that never saw it, byte for byte."""
+        ticks), leaves engine.state the very object it was. A caller that skips
+        the tick then gets every later frame of a twin engine that never saw
+        it, byte for byte."""
         import remogen.runtime.engine as engine_module
         from test_golden import golden_archive
 
@@ -994,12 +994,12 @@ class TestEngineWiring:
             for frame in partner[:k]:
                 engine.tick(frame)
                 twin.tick(frame)
-            state, gen_state = tick_state(engine), engine.gen.bit_generator.state
+            state = engine.state
             armed.append(k)
             with pytest.raises(NumericError, match="transient fault"):
                 engine.tick(partner[k])
             assert not armed
-            assert_same_state(engine, state, gen_state)
+            assert engine.state is state
             emitted = 0
             for frame in partner[k + 1:]:
                 got, expected = engine.tick(frame), twin.tick(frame)
@@ -1103,21 +1103,21 @@ class TestEngineWiring:
         for c, a in ((COMPACT_CFG, init_weights(COMPACT_CFG, 5)), (cfg, archive)):
             engine = Engine(a, dataclasses.replace(c, alpha={"hhi": 1.0}), mode="fwsr")
             for segment in range(2):
-                history = engine.history
+                history = engine.state.history
                 engine.tick(partner_frames[2 * segment])
                 engine.tick(partner_frames[2 * segment + 1])
                 oracle = estimate_sensitivity(window_decoder(engine.prior), history,
-                                              engine.segment.z0)
+                                              engine.state.z0)
                 # The oracle's float32 rounding over its 2e-3 step: at most
                 # 7.7e-4 relative on seeded compact and engine-size priors.
-                np.testing.assert_allclose(engine.segment.sensitivity, oracle, rtol=1e-3)
+                np.testing.assert_allclose(engine.state.sensitivity, oracle, rtol=1e-3)
                 engine.run_ticks(c.future_len - 2)
 
         # The oracle decodes its probes in one batch; each row is the
         # one-latent decode bit for bit.
         z0 = Rng(21).generator("z").standard_normal(cfg.latent_dim, dtype=F32)
         zs = z0 + Rng(22).generator("dz").standard_normal((5, cfg.latent_dim), dtype=F32)
-        projection = project_history(engine.history, engine.prior)
+        projection = project_history(engine.state.history, engine.prior)
         batch = decode_batch(projection, zs, engine.prior)
         for row, z in zip(batch, zs):
             np.testing.assert_array_equal(
@@ -1181,6 +1181,74 @@ class TestEngineWiring:
         assert per_tick == expected[mode] * 2
 
 
+class TestEngineState:
+    """engine.state is all a tick changes, so a snapshot is the value,
+    `engine.state = saved` restores it and copy.copy(engine) forks."""
+
+    CFG = dataclasses.replace(COMPACT_CFG, steps=2, alpha={"hhi": 1.0})
+    F = CFG.future_len
+
+    @classmethod
+    def calls(cls) -> list:
+        """3F + 1 (name, argument) calls: a tick per partner frame, and one
+        observe_ego in the middle of the second segment."""
+        frames = featurize(synthetic_sequence(3 * cls.F + 1, seed=4)).frames
+        calls = [("tick", frame) for frame in frames[:-1]]
+        calls.insert(cls.F + 2, ("observe_ego", frames[-1]))
+        return calls
+
+    @staticmethod
+    def replay(engine: Engine, calls: list) -> list:
+        """Per call, the bytes of each frame it emitted."""
+        return [[f.tobytes() for f in getattr(engine, name)(arg) or ()]
+                for name, arg in calls]
+
+    @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
+    def test_a_fork_replays_like_a_fresh_engine(self, mode):
+        """A fork taken after any prefix of 0..2F calls emits what a fresh
+        engine given all the calls emits after that prefix, bit for bit,
+        and its ticks leave the parent's state the very object it was."""
+        from test_golden import golden_archive
+
+        archive = golden_archive(self.CFG)  # non-zero module gates and FiLM head
+        calls = self.calls()
+        expected = self.replay(Engine(archive, self.CFG, mode=mode), calls)
+        engine = Engine(archive, self.CFG, mode=mode)
+        for k in range(2 * self.F + 1):
+            state = engine.state
+            assert self.replay(copy.copy(engine), calls[k:]) == expected[k:], k
+            assert engine.state is state
+            self.replay(engine, calls[k:k + 1])
+        assert sum(map(len, expected[2 * self.F:])) >= self.F
+
+    @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
+    def test_a_restored_state_replays_alike(self, mode):
+        engine = Engine(init_weights(self.CFG, 3), self.CFG, mode=mode)
+        calls = self.calls()
+        self.replay(engine, calls[:self.F + 3])
+        saved = engine.state
+        first = self.replay(engine, calls[self.F + 3:])
+        assert engine.state is not saved
+        engine.state = saved
+        assert self.replay(engine, calls[self.F + 3:]) == first
+
+    @pytest.mark.parametrize("mode", ["segment", "fwsr", "slide"])
+    def test_calls_rebind_only_the_state(self, mode):
+        """Ticks, observe_ego, set_text and set_alpha leave every attribute
+        but engine.state the object it was: state kept beside the value
+        would escape rollback, restore and fork."""
+        engine = Engine(init_weights(self.CFG, 3), self.CFG, mode=mode,
+                        recorder=LatencyRecorder())
+        before, state = dict(vars(engine)), engine.state
+        self.replay(engine, self.calls()[:self.F + 4])
+        engine.set_text("wave")
+        engine.set_alpha({"hhi": 0.5, "hsi": 0.25})
+        engine.run_ticks(self.F)
+        assert vars(engine).keys() == before.keys()
+        assert all(vars(engine)[k] is v for k, v in before.items() if k != "state")
+        assert engine.state is not state
+
+
 class TestSegmentStart:
     """Every mode starts a segment the same way, and every decode and probe
     the engine makes reads a history projection the engine built."""
@@ -1204,16 +1272,16 @@ class TestSegmentStart:
 
         def project(m_h, params):
             projection = real_project(m_h, params)
-            source = "history" if m_h is engine.history else "other"
-            built[id(projection)] = (projection, engine.ticks - 1, source)
+            source = "history" if m_h is engine.state.history else "other"
+            built[id(projection)] = (projection, engine.state.ticks, source)
             return projection
 
         def decode(m_h, z, params, **kwargs):
-            reads.append(("decode", engine.ticks - 1, m_h))
+            reads.append(("decode", engine.state.ticks, m_h))
             return real_decode(m_h, z, params, **kwargs)
 
         def probe(m_h, z0, params):
-            reads.append(("probe", engine.ticks - 1, m_h))
+            reads.append(("probe", engine.state.ticks, m_h))
             return real_probe(m_h, z0, params)
 
         monkeypatch.setattr(engine_module, "project_history", project)
@@ -1398,7 +1466,7 @@ class TestFloat64Twins:
         monkeypatch.setattr(tensorcore, "_product", recording)
         partner = featurize(synthetic_sequence(2 * cfg.future_len, seed=4)).frames
         for frame in partner:
-            phase = engine.ticks % cfg.future_len
+            phase = engine.state.ticks % cfg.future_len
             del weights[:]
             engine.tick(frame)
             if phase >= 2:
